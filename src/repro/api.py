@@ -50,7 +50,6 @@ import json
 from dataclasses import InitVar, dataclass, field
 from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
 
-from .bgp.arraytable import DECISION_BACKENDS
 from .errors import ExperimentError
 from .experiment.records import ExperimentResult
 from .experiment.runner import ExperimentRunner
@@ -110,10 +109,11 @@ __all__ = [
 #: ``profile`` (convergence-frontier analytics / phase profiling);
 #: version 4 nested the execution fields (``workers``, ``shard_size``,
 #: ``shard_timeout``, retry knobs, backend) under ``execution``
-#: (:class:`ExecutionPolicy`).  :meth:`ExperimentSpec.from_dict` still
-#: reads schema-3 documents, folding their flat execution keys into
-#: the nested policy.
-SPEC_SCHEMA_VERSION = 4
+#: (:class:`ExecutionPolicy`); version 5 removed ``decision_backend``.
+#: :meth:`ExperimentSpec.from_dict` still reads schema-3 and schema-4
+#: documents, folding their flat execution keys into the nested policy
+#: and dropping their ``decision_backend``.
+SPEC_SCHEMA_VERSION = 5
 
 _EXPERIMENTS = ("surf", "internet2")
 
@@ -237,13 +237,6 @@ class ExperimentSpec:
     config_overrides: Tuple[Tuple[str, Any], ...] = ()
     configs: Optional[Tuple[str, ...]] = None
     pps: int = 100
-    #: Route-selection implementation ("object" filters Route lists
-    #: through the oracle; "array" selects over decision-key columns
-    #: — see :mod:`repro.bgp.arraytable`).  Results are byte-identical
-    #: under both; like every field, it is digest-affecting, so cells
-    #: computed under different backends checkpoint separately and the
-    #: identity stays independently checkable.
-    decision_backend: str = "object"
     execution: ExecutionPolicy = field(default_factory=ExecutionPolicy)
     fault_spec: str = ""
     provenance_capacity: Optional[int] = None
@@ -278,6 +271,11 @@ class ExperimentSpec:
             object.__setattr__(
                 self, "execution", ExecutionPolicy.from_dict(self.execution)
             )
+        if not isinstance(self.execution, ExecutionPolicy):
+            raise ExperimentError(
+                "execution must be an ExecutionPolicy or a mapping, not %r"
+                % (self.execution,)
+            )
         legacy: Dict[str, Any] = {}
         if workers is not None:
             legacy["workers"] = workers
@@ -297,6 +295,11 @@ class ExperimentSpec:
             self, "config_overrides", _freeze(dict(self.config_overrides))
         )
         if self.configs is not None:
+            if not isinstance(self.configs, (list, tuple)):
+                raise ExperimentError(
+                    "configs must be a list of prepend configurations, "
+                    "not %r" % (self.configs,)
+                )
             object.__setattr__(
                 self, "configs", tuple(str(c) for c in self.configs)
             )
@@ -311,11 +314,6 @@ class ExperimentSpec:
             )
         if self.scale <= 0:
             raise ExperimentError("scale must be positive")
-        if self.decision_backend not in DECISION_BACKENDS:
-            raise ExperimentError(
-                "decision_backend must be one of %s, not %r"
-                % ("/".join(DECISION_BACKENDS), self.decision_backend)
-            )
         if self.pps < 1:
             raise ExperimentError("pps must be >= 1")
         if (
@@ -413,12 +411,26 @@ class ExperimentSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ExperimentSpec":
+        if not isinstance(data, Mapping):
+            raise ExperimentError(
+                "spec document must be a JSON object, not %s"
+                % type(data).__name__
+            )
         schema = data.get("schema", SPEC_SCHEMA_VERSION)
-        if schema not in (3, SPEC_SCHEMA_VERSION):
+        if schema not in (3, 4, SPEC_SCHEMA_VERSION):
             raise ExperimentError(
                 "spec schema %r not supported (this build reads schemas "
-                "3 and %d)" % (schema, SPEC_SCHEMA_VERSION)
+                "3 to %d)" % (schema, SPEC_SCHEMA_VERSION)
             )
+        if schema in (3, 4) and "decision_backend" in data:
+            # Only the object decision process remains; it is what
+            # every "object" document ran, so those read unchanged.
+            if data["decision_backend"] != "object":
+                raise ExperimentError(
+                    "decision_backend %r was removed; only the object "
+                    "decision process remains" % (data["decision_backend"],)
+                )
+            data = {k: v for k, v in data.items() if k != "decision_backend"}
         known = {f.name for f in dataclasses.fields(cls)}
         known.update(cls._LEGACY_EXECUTION_KEYS)
         unknown = sorted(set(data) - known - {"schema"})
@@ -426,21 +438,20 @@ class ExperimentSpec:
             raise ExperimentError(
                 "unknown ExperimentSpec field(s): %s" % ", ".join(unknown)
             )
-        kwargs = {k: v for k, v in data.items() if k in known}
-        if isinstance(kwargs.get("execution"), Mapping):
-            kwargs["execution"] = ExecutionPolicy.from_dict(
-                kwargs["execution"]
-            )
-        if kwargs.get("configs") is not None:
-            kwargs["configs"] = tuple(kwargs["configs"])
-        return cls(**kwargs)
+        return cls(**{k: v for k, v in data.items() if k in known})
 
     def to_json(self, indent: Optional[int] = None) -> str:
         return json.dumps(self.as_dict(), indent=indent, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentSpec":
-        return cls.from_dict(json.loads(text))
+        try:
+            data = json.loads(text)
+        except ValueError as error:
+            raise ExperimentError(
+                "spec is not valid JSON: %s" % error
+            ) from error
+        return cls.from_dict(data)
 
     def digest(self) -> str:
         """Stable content hash — the campaign checkpoint key.
@@ -555,7 +566,6 @@ def build_runner(
         return ExperimentRunner(
             ecosystem, spec.experiment, seed=spec.run_seed,
             schedule=schedule, seed_plan=seed_plan, pps=spec.pps,
-            decision_backend=spec.decision_backend,
         )
     from .experiment.parallel import ShardedRunner
 
@@ -565,7 +575,6 @@ def build_runner(
         workers=effective_workers, shard_size=policy.shard_size,
         shard_timeout=policy.shard_timeout, fault_plan=fault_plan,
         max_retries=policy.max_retries, backoff_base=policy.backoff_base,
-        decision_backend=spec.decision_backend,
         backend=effective_backend,
     )
 

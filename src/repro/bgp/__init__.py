@@ -4,7 +4,8 @@ This package implements the routing substrate the paper's method runs on:
 
 - :mod:`repro.bgp.attributes` — routes and AS paths (with prepending);
 - :mod:`repro.bgp.decision` — the BGP decision process, including the
-  path-length-insensitive and route-age variants analysed in Appendix A;
+  path-length-insensitive and route-age variants analysed in Appendix A
+  (the one route-selection implementation the engine and fastpath use);
 - :mod:`repro.bgp.policy` — localpref profiles, Gao-Rexford + R&E-fabric
   export rules, and per-neighbor prepend policies;
 - :mod:`repro.bgp.router` — per-AS adj-RIB-in / loc-RIB state;
@@ -12,18 +13,9 @@ This package implements the routing substrate the paper's method runs on:
   update counting (drives Figure 3 churn and the measurement prefix);
 - :mod:`repro.bgp.fastpath` — synchronous relaxation used for bulk
   collector/RIPE view computation (Table 4, Figure 5);
-- :mod:`repro.bgp.arraytable` — structure-of-arrays RIB and the
-  vectorized "array" decision backend (byte-identical to the
-  object-based oracle, proven by the differential test layer);
 - :mod:`repro.bgp.rfd` — a route flap damping penalty model.
 """
 
-from .arraytable import (
-    ArrayRibGroup,
-    ArrayRouteTable,
-    active_decision_backend,
-    use_decision_backend,
-)
 from .attributes import ASPath, Route, Announcement
 from .decision import DecisionProcess, Step
 from .policy import RoutingPolicy, Rel, may_export
@@ -40,10 +32,6 @@ from .rpki import (
 )
 
 __all__ = [
-    "ArrayRibGroup",
-    "ArrayRouteTable",
-    "active_decision_backend",
-    "use_decision_backend",
     "ASPath",
     "Route",
     "Announcement",

@@ -23,7 +23,6 @@ from ..obs import get_logger, get_registry, span
 from ..obs.frontier import EngineRunFrontier, active_frontier
 from ..rng import SeedTree
 from ..topology.graph import Topology
-from .arraytable import active_decision_backend
 from .attributes import Announcement, ASPath, Route
 from .policy import may_export
 from .rpki import rov_drops_route
@@ -273,29 +272,14 @@ class PropagationEngine:
         record_best_changes: bool = True,
         message_limit: int = DEFAULT_MESSAGE_LIMIT,
         roa_table=None,
-        decision_backend: Optional[str] = None,
     ) -> None:
         self.topology = topology
         self.roa_table = roa_table
         self._rng = (seed_tree or SeedTree(0)).child("engine").rng()
-        #: Route-selection backend all routers use ("object" = the
-        #: oracle filters, "array" = decision-key columns; see
-        #: :mod:`repro.bgp.arraytable`).  None picks up the active
-        #: ``use_decision_backend`` context.  Results are
-        #: byte-identical either way.
-        self.decision_backend = (
-            decision_backend
-            if decision_backend is not None
-            else active_decision_backend()
-        )
         self.routers: Dict[int, Router] = {
-            node.asn: Router(
-                node.asn, node.policy,
-                decision_backend=self.decision_backend,
-            )
+            node.asn: Router(node.asn, node.policy)
             for node in topology.ases()
         }
-        self._selections_flushed = 0
         self.now: float = 0.0
         self.record_best_changes = record_best_changes
         self.update_log: List[UpdateEvent] = []
@@ -551,15 +535,6 @@ class PropagationEngine:
                 )
         return tuple(rows)
 
-    def audit_decision_groups(self) -> List[str]:
-        """Cross-check every router's array-backend group mirrors
-        against its adj-RIB-in (empty when consistent; always empty on
-        the object backend)."""
-        problems: List[str] = []
-        for asn in sorted(self.routers):
-            problems.extend(self.routers[asn].audit_groups())
-        return problems
-
     def _mark_dirty(self, asn: int, prefix: Prefix) -> None:
         if self._dirty is not None:
             self._dirty.add(prefix)
@@ -723,14 +698,6 @@ class PropagationEngine:
         sent_delta = self._messages_sent - self._messages_sent_flushed
         self._messages_sent_flushed = self._messages_sent
         registry.counter("engine.messages_sent").inc(sent_delta)
-        # Per-backend selection throughput: routers count selections
-        # locally (one int add in the hot path); flush the delta here
-        # so bench_parallel/bench_sweep can pin the backend speedup.
-        selections = sum(r.selections for r in self.routers.values())
-        registry.counter(
-            "engine.selections_%s" % self.decision_backend
-        ).inc(selections - self._selections_flushed)
-        self._selections_flushed = selections
         registry.gauge("engine.heap_depth_peak").set(stats.peak_heap_depth)
         registry.gauge("engine.message_limit_proximity").set(
             stats.limit_proximity

@@ -25,7 +25,6 @@ from ..obs import get_logger, get_registry, span
 from ..obs.frontier import FastpathRunFrontier, active_frontier
 from ..obs.provenance import active_recorder, selection_event
 from ..topology.graph import Topology
-from .arraytable import ArrayRibGroup, active_decision_backend, validate_backend
 from .attributes import Announcement, ASPath, Route
 from .policy import may_export
 from .router import LOCAL_ROUTE_LOCALPREF
@@ -63,19 +62,16 @@ def propagate_fastpath(
     announcements: Iterable[Announcement],
     prefix: Optional[Prefix] = None,
     roa_table=None,
-    decision_backend: Optional[str] = None,
     down_links: Optional[Iterable[frozenset]] = None,
 ) -> FastpathResult:
     """Compute every AS's converged best route for one prefix.
 
     All *announcements* must share a prefix (pass *prefix* to check).
-    *decision_backend* picks the selection implementation ("object" or
-    "array"; see :mod:`repro.bgp.arraytable`) and defaults to the
-    active ``use_decision_backend`` context; both produce identical
-    results.  *down_links* (an iterable of two-ASN frozensets, matching
-    the engine's failed-link set) excludes those adjacencies from
-    propagation, so the fastpath can oracle the engine's post-flap
-    state too.
+    Each receiver selects through its policy's
+    :class:`~repro.bgp.decision.DecisionProcess`.  *down_links* (an
+    iterable of two-ASN frozensets, matching the engine's failed-link
+    set) excludes those adjacencies from propagation, so the fastpath
+    can oracle the engine's post-flap state too.
     """
     announcements = list(announcements)
     if not announcements:
@@ -87,26 +83,12 @@ def propagate_fastpath(
         if announcement.prefix != the_prefix:
             raise EngineError("announcements for different prefixes")
 
-    backend = validate_backend(
-        decision_backend
-        if decision_backend is not None
-        else active_decision_backend()
-    )
     failed: Set[frozenset] = set(down_links or ())
     result = FastpathResult(prefix=the_prefix)
     processes = {}
-    # Array backend: per-receiver decision-key mirrors of the offers
-    # RIB, updated alongside each mutation in _deliver (None = object
-    # backend, select through the oracle).
-    groups: Optional[Dict[int, ArrayRibGroup]] = (
-        {} if backend == "array" else None
-    )
     # Decision-process cache accounting: [hits, misses], mutated by
     # _deliver (a list keeps the hot path to one index increment).
     cache_stats = [0, 0]
-    # Best-route selections performed, for the per-backend
-    # fastpath.selections_* counter.
-    selections = [0]
     compactions = 0
     pending: List[int] = []
     pending_set: Set[int] = set()
@@ -165,7 +147,7 @@ def propagate_fastpath(
                 )
                 changed = _deliver(
                     topology, result, processes, asn, neighbor, offered,
-                    roa_table, cache_stats, groups, selections,
+                    roa_table, cache_stats,
                 )
                 if changed:
                     enqueue(neighbor)
@@ -188,9 +170,6 @@ def propagate_fastpath(
     registry.counter("fastpath.decision_cache_hits").inc(cache_stats[0])
     registry.counter("fastpath.decision_cache_misses").inc(cache_stats[1])
     registry.counter("fastpath.queue_compactions").inc(compactions)
-    registry.counter(
-        "fastpath.selections_%s" % backend
-    ).inc(selections[0])
     registry.gauge("fastpath.ases_with_route").set(len(result.best))
     if _log.is_enabled_for("debug"):
         _log.debug(
@@ -272,8 +251,6 @@ def _deliver(
     offered: Optional[Route],
     roa_table=None,
     cache_stats: Optional[List[int]] = None,
-    groups: Optional[Dict[int, "ArrayRibGroup"]] = None,
-    selections: Optional[List[int]] = None,
 ) -> bool:
     """Install *offered* (or its absence) at *receiver*; return True if
     the receiver's best route changed."""
@@ -290,7 +267,6 @@ def _deliver(
         if sender not in rib:
             return False
         del rib[sender]
-        installed = None
     else:
         localpref = node.policy.localpref_for(
             sender, topology.rel(receiver, sender)
@@ -306,7 +282,6 @@ def _deliver(
         if previous == imported:
             return False
         rib[sender] = imported
-        installed = imported
 
     process = processes.get(receiver)
     if process is None:
@@ -316,26 +291,10 @@ def _deliver(
             cache_stats[1] += 1
     elif cache_stats is not None:
         cache_stats[0] += 1
-    group = None
-    if groups is not None:
-        # Mirror the mutation above into the receiver's decision-key
-        # column before selecting.  A group is created on the
-        # receiver's first mutation, when the rib holds only this
-        # entry, so mirror and rib never diverge.
-        group = groups.get(receiver)
-        if group is None:
-            group = ArrayRibGroup(process.steps)
-            groups[receiver] = group
-        if installed is None:
-            group.remove(sender)
-        else:
-            group.set(sender, installed)
     old = result.best.get(receiver)
     if old is not None and old.learned_from is None:
         # Local routes always win; an origin never changes its best.
         return False
-    if selections is not None:
-        selections[0] += 1
     recorder = active_recorder()
     if recorder is not None and recorder.wants(result.prefix):
         candidates: List[Route] = [rib[key] for key in sorted(rib)]
@@ -352,8 +311,6 @@ def _deliver(
             ),
             winning_step=steps[-1]["step"] if steps else None,
         ))
-    elif group is not None:
-        new = group.best()
     else:
         new = process.best([rib[key] for key in sorted(rib)])
     if new is None:

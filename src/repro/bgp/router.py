@@ -14,7 +14,6 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..netutil import Prefix
 from ..obs.provenance import active_recorder, selection_event
-from .arraytable import ArrayRibGroup, active_decision_backend, validate_backend
 from .attributes import ASPath, Route
 from .decision import DecisionProcess
 from .policy import Rel, RoutingPolicy
@@ -34,34 +33,13 @@ class BestChange:
 class Router:
     """BGP state for a single AS."""
 
-    def __init__(
-        self,
-        asn: int,
-        policy: RoutingPolicy,
-        decision_backend: Optional[str] = None,
-    ) -> None:
+    def __init__(self, asn: int, policy: RoutingPolicy) -> None:
         self.asn = asn
         self.policy = policy
         self.process: DecisionProcess = policy.decision_process()
         # adj_rib_in[prefix][neighbor_asn] -> Route (post-import)
         self.adj_rib_in: Dict[Prefix, Dict[int, Route]] = {}
         self.loc_rib: Dict[Prefix, Route] = {}
-        #: Selection backend: "object" filters Route lists through the
-        #: oracle; "array" mirrors the adj-RIB-in into per-prefix
-        #: decision-key columns (:class:`ArrayRibGroup`) and selects by
-        #: lexicographic min — byte-identical results, fewer Python
-        #: calls per selection.  None consults the active context.
-        self.decision_backend = validate_backend(
-            decision_backend
-            if decision_backend is not None
-            else active_decision_backend()
-        )
-        self._groups: Optional[Dict[Prefix, ArrayRibGroup]] = (
-            {} if self.decision_backend == "array" else None
-        )
-        #: Best-route selections performed (the engine flushes this
-        #: into per-backend ``engine.selections_*`` counters).
-        self.selections = 0
 
     # ----- local origination -------------------------------------------
 
@@ -76,8 +54,6 @@ class Router:
             tag=tag,
         )
         self.adj_rib_in.setdefault(prefix, {})[-1] = route
-        if self._groups is not None:
-            self._group(prefix).set(-1, route)
         self._reselect(prefix, now=now)
         return route
 
@@ -85,8 +61,6 @@ class Router:
         """Remove the locally originated route for *prefix*."""
         rib = self.adj_rib_in.get(prefix, {})
         rib.pop(-1, None)
-        if self._groups is not None and prefix in self._groups:
-            self._groups[prefix].remove(-1)
         return self._reselect(prefix)
 
     # ----- receive path --------------------------------------------------
@@ -114,8 +88,6 @@ class Router:
             if existing is None:
                 return BestChange(False, self.loc_rib.get(prefix),
                                   self.loc_rib.get(prefix))
-            if self._groups is not None and prefix in self._groups:
-                self._groups[prefix].remove(neighbor_asn)
             return self._reselect(prefix, now=now)
 
         localpref = self.policy.localpref_for(neighbor_asn, rel)
@@ -140,8 +112,6 @@ class Router:
             tag=tag,
         )
         rib[neighbor_asn] = route
-        if self._groups is not None:
-            self._group(prefix).set(neighbor_asn, route)
         return self._reselect(prefix, now=now)
 
     def reprice_neighbor(
@@ -160,10 +130,7 @@ class Router:
             localpref = self.policy.localpref_for(neighbor_asn, rel)
             if route.localpref == localpref:
                 continue
-            repriced = replace(route, localpref=localpref)
-            rib[neighbor_asn] = repriced
-            if self._groups is not None:
-                self._group(prefix).set(neighbor_asn, repriced)
+            rib[neighbor_asn] = replace(route, localpref=localpref)
             change = self._reselect(prefix)
             if change.changed:
                 changes.append((prefix, change))
@@ -176,8 +143,6 @@ class Router:
         for prefix, rib in self.adj_rib_in.items():
             if neighbor_asn in rib:
                 del rib[neighbor_asn]
-                if self._groups is not None and prefix in self._groups:
-                    self._groups[prefix].remove(neighbor_asn)
                 change = self._reselect(prefix)
                 if change.changed:
                     changes.append((prefix, change))
@@ -212,48 +177,15 @@ class Router:
         ]
         return self.process.best(candidates)
 
-    def audit_groups(self) -> List[str]:
-        """Cross-check array-backend group mirrors against the
-        adj-RIB-in (empty when consistent, or on the object backend).
-        Guards the swap-remove bookkeeping: a ghost row that survived a
-        withdraw/re-announce cycle shows up here."""
-        problems: List[str] = []
-        if self._groups is None:
-            return problems
-        for prefix, group in sorted(self._groups.items()):
-            expected = sorted(self.adj_rib_in.get(prefix, {}))
-            actual = group.neighbors()
-            if expected != actual:
-                problems.append(
-                    "AS %d %s: group rows %r != adj-RIB-in %r"
-                    % (self.asn, prefix, actual, expected)
-                )
-            problems.extend(
-                "AS %d %s: %s" % (self.asn, prefix, issue)
-                for issue in group.audit()
-            )
-        return problems
-
     # ----- internals ------------------------------------------------------
-
-    def _group(self, prefix: Prefix) -> ArrayRibGroup:
-        group = self._groups.get(prefix)
-        if group is None:
-            group = ArrayRibGroup(self.process.steps)
-            self._groups[prefix] = group
-        return group
 
     def _reselect(
         self, prefix: Prefix, now: Optional[float] = None
     ) -> BestChange:
         rib = self.adj_rib_in.get(prefix, {})
         old = self.loc_rib.get(prefix)
-        self.selections += 1
         recorder = active_recorder()
         if recorder is not None and recorder.wants(prefix):
-            # Provenance always narrates through the oracle — raw
-            # attribute values, regardless of backend — so the audit
-            # trail is byte-identical under both.
             candidates = [rib[key] for key in sorted(rib)]
             new, steps = self.process.best_verbose(candidates)
             recorder.record(selection_event(
@@ -271,9 +203,6 @@ class Router:
                 winning_step=steps[-1]["step"] if steps else None,
                 time=now,
             ))
-        elif self._groups is not None:
-            group = self._groups.get(prefix)
-            new = group.best() if group is not None else None
         else:
             new = self.process.best([rib[key] for key in sorted(rib)])
         if new is None:

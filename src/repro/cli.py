@@ -106,14 +106,6 @@ def _run_options() -> argparse.ArgumentParser:
              "retried and, as a last resort, re-run inline "
              "(default: no timeout)",
     )
-    parent.add_argument(
-        "--decision-backend", choices=("object", "array"),
-        default="object",
-        help="route-selection implementation: 'object' filters Route "
-             "lists through the decision process, 'array' selects "
-             "over structure-of-arrays decision columns; output is "
-             "byte-identical under both (default: object)",
-    )
     return parent
 
 
@@ -508,7 +500,7 @@ def _enable_frontier(args):
 def _export_frontier(trace, path: str) -> None:
     # Stdout, like provenance: the event stream — and therefore the
     # count — is inside the byte-identity contract, so this line is
-    # identical at every worker count and decision backend.
+    # identical at every worker count.
     count = trace.export_jsonl_file(path)
     suffix = (
         " (%d older events dropped by the ring)" % trace.dropped
@@ -550,7 +542,6 @@ def _build_spec(args, experiment: str = "surf") -> ExperimentSpec:
         shard_size=args.shard_size,
         shard_timeout=args.shard_timeout,
         fault_spec=args.fault_plan or "",
-        decision_backend=args.decision_backend,
     )
 
 
@@ -583,7 +574,6 @@ def _cmd_reproduce(args) -> int:
             spec.ecosystem_config(), seed=spec.seed,
             workers=spec.workers, shard_size=spec.shard_size,
             fault_plan=fault_plan, shard_timeout=spec.shard_timeout,
-            decision_backend=spec.decision_backend,
         )
     finally:
         if recorder is not None:
@@ -727,7 +717,6 @@ def _cmd_sweep(args) -> int:
             scale=args.scale, workers=args.workers,
             shard_size=args.shard_size, shard_timeout=args.shard_timeout,
             fault_spec=args.fault_plan or "",
-            decision_backend=args.decision_backend,
         )
     except ReproError as error:
         print(str(error), file=sys.stderr)
@@ -818,7 +807,6 @@ def _cmd_explain(args) -> int:
             fault_plan=spec.fault_plan(),
             shard_timeout=spec.shard_timeout,
             recorder=recorder,
-            decision_backend=spec.decision_backend,
         )
     except ValueError as error:
         # Unparseable prefix text.

@@ -302,7 +302,6 @@ def explain_prefix(
     fault_plan=None,
     shard_timeout: Optional[float] = None,
     recorder: Optional[ProvenanceRecorder] = None,
-    decision_backend: str = "object",
 ) -> str:
     """Replay *experiment* and explain one probed prefix's category.
 
@@ -323,7 +322,6 @@ def explain_prefix(
     spec = ExperimentSpec(
         experiment=experiment, seed=seed, scale=scale, workers=workers,
         shard_size=shard_size, shard_timeout=shard_timeout,
-        decision_backend=decision_backend,
     )
     if ecosystem is None:
         ecosystem = build_ecosystem(spec.ecosystem_config(), seed=seed)

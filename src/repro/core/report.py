@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..bgp.arraytable import use_decision_backend
 from ..collectors.churn import ChurnReport, build_churn_report
 from ..collectors.collector import Collector
 from ..experiment.campaign import run_experiment_pair
@@ -86,7 +85,6 @@ def reproduce_paper(
     shard_size: Optional[int] = None,
     fault_plan=None,
     shard_timeout: Optional[float] = None,
-    decision_backend: str = "object",
 ) -> PaperReproduction:
     """Run the full reproduction at the given scale and seed.
 
@@ -96,33 +94,14 @@ def reproduce_paper(
     (:mod:`repro.faults`): execution faults are recovered without
     changing the report, environment faults change it
     deterministically; ``shard_timeout`` bounds each shard execution.
-    ``decision_backend`` picks the route-selection implementation
-    (:mod:`repro.bgp.arraytable`); the report is byte-identical under
-    both, which the differential suite pins.
+    Every route selection, engine and fastpath alike, goes through
+    :class:`~repro.bgp.decision.DecisionProcess`.
     """
-    with use_decision_backend(decision_backend):
-        return _reproduce_paper(
-            config, seed, ecosystem, workers, shard_size, fault_plan,
-            shard_timeout, decision_backend,
-        )
-
-
-def _reproduce_paper(
-    config: Optional[REEcosystemConfig],
-    seed: int,
-    ecosystem: Optional[Ecosystem],
-    workers: int,
-    shard_size: Optional[int],
-    fault_plan,
-    shard_timeout: Optional[float],
-    decision_backend: str,
-) -> PaperReproduction:
     if ecosystem is None:
         ecosystem = build_ecosystem(config or REEcosystemConfig(), seed=seed)
     surf_result, internet2_result = run_experiment_pair(
         ecosystem, seed=seed, workers=workers, shard_size=shard_size,
         fault_plan=fault_plan, shard_timeout=shard_timeout,
-        decision_backend=decision_backend,
     )
     origins = origin_map(ecosystem)
     surf_inference = classify_experiment(surf_result, origins)

@@ -575,7 +575,6 @@ def run_experiment_pair(
     shard_size: Optional[int] = None,
     fault_plan: Optional[FaultPlan] = None,
     shard_timeout: Optional[float] = None,
-    decision_backend: str = "object",
 ) -> Tuple[ExperimentResult, ExperimentResult]:
     """Run the SURF and Internet2 experiments with shared probe seeds,
     as the paper did one week apart — as two campaign cells.
@@ -596,7 +595,6 @@ def run_experiment_pair(
                 workers=workers, shard_size=shard_size,
                 shard_timeout=shard_timeout,
             ),
-            decision_backend=decision_backend,
         )
         for experiment in ("surf", "internet2")
     ]
@@ -637,7 +635,6 @@ def plan_grid(
     shard_timeout: Optional[float] = None,
     fault_spec: str = "",
     provenance_capacity: Optional[int] = None,
-    decision_backend: str = "object",
     frontier_capacity: Optional[int] = None,
     profile: bool = False,
 ) -> List[ExperimentSpec]:
@@ -654,7 +651,6 @@ def plan_grid(
             ),
             fault_spec=fault_spec,
             provenance_capacity=provenance_capacity,
-            decision_backend=decision_backend,
             frontier_capacity=frontier_capacity,
             profile=profile,
         )

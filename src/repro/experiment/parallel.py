@@ -333,13 +333,11 @@ class ShardedRunner(ExperimentRunner):
         max_retries: int = DEFAULT_MAX_RETRIES,
         backoff_base: float = DEFAULT_BACKOFF_BASE,
         fault_plan=None,
-        decision_backend=None,
         backend: Optional[str] = None,
     ) -> None:
         super().__init__(
             ecosystem, experiment, seed=seed, schedule=schedule,
             seed_plan=seed_plan, pps=pps, fault_plan=fault_plan,
-            decision_backend=decision_backend,
         )
         if workers < 1:
             raise ExperimentError("workers must be >= 1")

@@ -183,8 +183,8 @@ class ExperimentResult:
     #: (:func:`repro.api.run_experiment` with ``frontier_capacity``
     #: set and no trace already active).  None when the run recorded
     #: into a caller-managed trace or recorded nothing.  Inside the
-    #: identity contract: byte-identical across workers / shard size /
-    #: decision backend (asserted in tests/test_differential.py).
+    #: identity contract: byte-identical across workers / shard size
+    #: (asserted in tests/test_differential.py).
     frontier_events: Optional[List[dict]] = None
     #: Phase-profile payload from a spec-requested local profiler
     #: (``profile=True``).  Execution metadata like ``degradations`` —

@@ -23,11 +23,6 @@ from __future__ import annotations
 import random
 from typing import Dict, Optional
 
-from ..bgp.arraytable import (
-    active_decision_backend,
-    use_decision_backend,
-    validate_backend,
-)
 from ..bgp.engine import (
     AnnounceDelta,
     LinkFlap,
@@ -76,7 +71,6 @@ class ExperimentRunner:
         seed_plan: Optional[SeedPlan] = None,
         pps: int = 100,
         fault_plan: Optional[FaultPlan] = None,
-        decision_backend: Optional[str] = None,
     ) -> None:
         if experiment not in ("surf", "internet2"):
             raise ExperimentError("experiment must be 'surf' or 'internet2'")
@@ -93,15 +87,6 @@ class ExperimentRunner:
         #: are shard executions to attack, so they take effect in
         #: :class:`~repro.experiment.parallel.ShardedRunner`.
         self.fault_plan = fault_plan if fault_plan is not None else FaultPlan()
-        #: Route-selection backend ("object"/"array", see
-        #: :mod:`repro.bgp.arraytable`) the run executes under; None
-        #: defers to whatever ``use_decision_backend`` context is
-        #: active when :meth:`run` is called.  Never changes results.
-        self.decision_backend = (
-            validate_backend(decision_backend)
-            if decision_backend is not None
-            else None
-        )
         self._degradations: list = []
         # Round-frontier state: the previous round's prefix -> signal
         # map (diffed against each new round) and, for the sharded
@@ -128,17 +113,6 @@ class ExperimentRunner:
     # ------------------------------------------------------------------
 
     def run(self) -> ExperimentResult:
-        """Run the experiment under the runner's decision backend.
-
-        The backend context wraps the whole run so every engine and
-        fastpath call inside — including ones deep in analysis helpers
-        — selects through the same implementation.
-        """
-        backend = self.decision_backend or active_decision_backend()
-        with use_decision_backend(backend):
-            return self._run_impl()
-
-    def _run_impl(self) -> ExperimentResult:
         ecosystem = self.ecosystem
         schedule = self.schedule
         if self.seed_plan is None:

@@ -35,8 +35,8 @@ object ids — so the stream joins the byte-identity contract: shard
 workers ship per-prefix signal rows back in
 :class:`~repro.experiment.records.ShardOutcome` and the parent folds
 them in shard order, making ``--frontier-out`` JSONL byte-identical at
-every ``--workers`` / ``--shard-size`` and across decision backends
-(asserted in ``tests/test_differential.py``).
+every ``--workers`` / ``--shard-size`` (asserted in
+``tests/test_differential.py``).
 """
 
 from __future__ import annotations

@@ -15,7 +15,7 @@ counter-based phase attribution (calls + inclusive wall seconds).
 
 Aggregation is per phase *name*, and the span names carry the
 (config, round, shard) context; the profiler adds ``labels`` (e.g.
-``decision_backend``, campaign cell) for the remaining axes.  Shard
+the campaign cell) for the remaining axes.  Shard
 and campaign-cell workers run in forked processes: their span trees
 ship back in ``ShardOutcome``/``CellOutcome`` and are folded in with
 :meth:`PhaseProfiler.fold_trace` (counter attribution) or

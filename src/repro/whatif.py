@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
 from .api import ExperimentSpec
-from .bgp.arraytable import use_decision_backend
 from .bgp.engine import (
     AnnounceDelta,
     DeltaOutcome,
@@ -79,7 +78,7 @@ class WhatIfSession:
     """Warm routing state for one experiment, queryable per config.
 
     Only the spec's *simulation* fields matter here (seed, scale,
-    scenario, overrides, configs, decision backend); execution fields
+    scenario, overrides, configs); execution fields
     (workers, shard options) describe probing fan-out, which a what-if
     session never performs.
     """
@@ -109,10 +108,7 @@ class WhatIfSession:
         tree = SeedTree(spec.run_seed).child(
             "experiment-%s" % spec.experiment
         )
-        self._engine = PropagationEngine(
-            ecosystem.topology, tree,
-            decision_backend=spec.decision_backend,
-        )
+        self._engine = PropagationEngine(ecosystem.topology, tree)
         #: Everything needed to rebuild this state cold, in order:
         #: ("config", label) steps and ("delta", delta) edits.
         self._journal: List[Tuple[str, object]] = []
@@ -128,23 +124,22 @@ class WhatIfSession:
         engine = self._engine
         schedule = self.schedule
         prefix = self.ecosystem.measurement_prefix
-        with use_decision_backend(self.spec.decision_backend):
+        engine.apply_delta(AnnounceDelta(
+            origin_asn=self.commodity_origin, prefix=prefix,
+            tag="commodity",
+        ))
+        engine.advance_to(schedule.commodity_lead_seconds)
+        first_re, first_comm = schedule.parsed_configs()[0]
+        if first_comm != 0:
             engine.apply_delta(AnnounceDelta(
                 origin_asn=self.commodity_origin, prefix=prefix,
-                tag="commodity",
+                default_prepends=first_comm, tag="commodity",
             ))
-            engine.advance_to(schedule.commodity_lead_seconds)
-            first_re, first_comm = schedule.parsed_configs()[0]
-            if first_comm != 0:
-                engine.apply_delta(AnnounceDelta(
-                    origin_asn=self.commodity_origin, prefix=prefix,
-                    default_prepends=first_comm, tag="commodity",
-                ))
-            engine.apply_delta(AnnounceDelta(
-                origin_asn=self.re_origin, prefix=prefix,
-                default_prepends=first_re, tag="re",
-            ))
-            engine.advance_to(engine.now + schedule.initial_soak_seconds)
+        engine.apply_delta(AnnounceDelta(
+            origin_asn=self.re_origin, prefix=prefix,
+            default_prepends=first_re, tag="re",
+        ))
+        engine.advance_to(engine.now + schedule.initial_soak_seconds)
         self._snapshot_current()
 
     # ----- configuration stepping -------------------------------------
@@ -178,33 +173,32 @@ class WhatIfSession:
         parsed = self.schedule.parsed_configs()
         engine = self._engine
         prefix = self.ecosystem.measurement_prefix
-        with use_decision_backend(self.spec.decision_backend):
-            while self._config_index < target:
-                index = self._config_index + 1
-                re_p, comm_p = parsed[index]
-                prev_re, prev_comm = parsed[index - 1]
-                dirty = 0
-                if re_p != prev_re:
-                    outcome = engine.apply_delta(PrependChange(
-                        origin_asn=self.re_origin, prefix=prefix,
-                        prepends=re_p,
-                    ))
-                    dirty += len(outcome.dirty_prefixes)
-                if comm_p != prev_comm:
-                    outcome = engine.apply_delta(PrependChange(
-                        origin_asn=self.commodity_origin, prefix=prefix,
-                        prepends=comm_p,
-                    ))
-                    dirty += len(outcome.dirty_prefixes)
-                engine.advance_to(engine.now + self.schedule.soak_seconds)
-                self._config_index = index
-                self._journal.append(("config", configs[index]))
-                self._snapshot_current()
-                if _log.is_enabled_for("debug"):
-                    _log.debug(
-                        "what-if config step",
-                        config=configs[index], dirty_prefixes=dirty,
-                    )
+        while self._config_index < target:
+            index = self._config_index + 1
+            re_p, comm_p = parsed[index]
+            prev_re, prev_comm = parsed[index - 1]
+            dirty = 0
+            if re_p != prev_re:
+                outcome = engine.apply_delta(PrependChange(
+                    origin_asn=self.re_origin, prefix=prefix,
+                    prepends=re_p,
+                ))
+                dirty += len(outcome.dirty_prefixes)
+            if comm_p != prev_comm:
+                outcome = engine.apply_delta(PrependChange(
+                    origin_asn=self.commodity_origin, prefix=prefix,
+                    prepends=comm_p,
+                ))
+                dirty += len(outcome.dirty_prefixes)
+            engine.advance_to(engine.now + self.schedule.soak_seconds)
+            self._config_index = index
+            self._journal.append(("config", configs[index]))
+            self._snapshot_current()
+            if _log.is_enabled_for("debug"):
+                _log.debug(
+                    "what-if config step",
+                    config=configs[index], dirty_prefixes=dirty,
+                )
 
     # ----- free-form deltas -------------------------------------------
 
@@ -213,8 +207,7 @@ class WhatIfSession:
         cold replay).  Snapshots of earlier configs describe a network
         the delta has now changed, so the cache is dropped and only the
         post-delta state stays queryable."""
-        with use_decision_backend(self.spec.decision_backend):
-            outcome = self._engine.apply_delta(delta)
+        outcome = self._engine.apply_delta(delta)
         self._journal.append(("delta", delta))
         self._snapshots.clear()
         self._snapshot_current()

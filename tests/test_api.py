@@ -140,15 +140,15 @@ def test_digest_stability():
     """Pinned digests: a drift here breaks every existing campaign
     checkpoint directory, so it must be deliberate (bump
     SPEC_SCHEMA_VERSION and say so in CHANGES.md).  Re-pinned for
-    schema 4 (execution fields nested under ``execution``)."""
-    assert ExperimentSpec().digest() == "77a105ef93a88b49"
+    schema 5 (``decision_backend`` removed)."""
+    assert ExperimentSpec().digest() == "5de72d1c8eb3ba0f"
     assert ExperimentSpec(
         experiment="surf", seed=3, scale=0.05
-    ).digest() == "9e469f30f3cd0274"
+    ).digest() == "28b771b66faf8292"
     assert ExperimentSpec(
         experiment="internet2", seed=7, scenario="re-dominant",
         config_overrides={"no_commodity_rate": 0.5},
-    ).digest() == "8da40a7f0bbcf5f0"
+    ).digest() == "9a0e7d0ac992d23a"
 
 
 def test_digest_changes_with_simulation_fields():
@@ -159,14 +159,6 @@ def test_digest_changes_with_simulation_fields():
     # Execution fields are part of the spec (they describe *how* to
     # run), so they key distinct checkpoints too — never colliding.
     assert base.replace(workers=2).digest() != base.digest()
-    # The decision backend never changes results, but it keys its own
-    # checkpoints so a backend comparison never resumes into itself.
-    assert base.replace(decision_backend="array").digest() != base.digest()
-
-
-def test_spec_rejects_unknown_decision_backend():
-    with pytest.raises(ExperimentError, match="decision_backend"):
-        ExperimentSpec(decision_backend="simd")
 
 
 def test_from_dict_rejects_unknown_fields_and_schemas():
@@ -175,6 +167,41 @@ def test_from_dict_rejects_unknown_fields_and_schemas():
                                   "flux_capacitor": 1})
     with pytest.raises(ExperimentError, match="schema"):
         ExperimentSpec.from_dict({"schema": 999})
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["nope", "[1]", '{"configs": 3}', '{"execution": 5}'],
+    ids=["invalid-json", "not-an-object", "configs-not-a-list",
+         "execution-not-a-mapping"],
+)
+def test_from_json_rejects_malformed_documents(text):
+    with pytest.raises(ExperimentError):
+        ExperimentSpec.from_json(text)
+
+
+@pytest.mark.parametrize("schema", [3, 4])
+def test_from_dict_drops_legacy_object_decision_backend(schema):
+    """Schema-3/4 documents all carry ``decision_backend``; "object"
+    is what remains, so those documents read as the same spec."""
+    spec = ExperimentSpec(seed=11, scale=0.07)
+    data = json.loads(spec.to_json())
+    data.update(schema=schema, decision_backend="object")
+    again = ExperimentSpec.from_dict(data)
+    assert again == spec
+    assert again.digest() == spec.digest()
+
+
+@pytest.mark.parametrize("schema", [3, 4])
+def test_from_dict_rejects_removed_decision_backend(schema):
+    data = json.loads(ExperimentSpec().to_json())
+    data.update(schema=schema, decision_backend="array")
+    with pytest.raises(ExperimentError, match="'array' was removed"):
+        ExperimentSpec.from_dict(data)
+    # Current-schema documents have no such field at all.
+    data.update(schema=SPEC_SCHEMA_VERSION, decision_backend="object")
+    with pytest.raises(ExperimentError, match="unknown ExperimentSpec"):
+        ExperimentSpec.from_dict(data)
 
 
 # ---------------------------------------------------------------------

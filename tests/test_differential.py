@@ -360,115 +360,6 @@ class TestEnvironmentFaultDifferential:
             [_round_key(r) for r in baseline.rounds]
 
 
-@pytest.fixture(scope="module")
-def backend_case():
-    """The backend-differential grid: the object-backend serial run
-    next to array-backend runs at workers 1, 2 and 4 (serial runner
-    plus sharded at every count), all with provenance."""
-    seed, scale = GRID[0]
-    ecosystem = build_ecosystem(REEcosystemConfig(scale=scale), seed=seed)
-    serial, serial_jsonl = _run_with_provenance(
-        ExperimentRunner(ecosystem, "surf", seed=seed,
-                         decision_backend="object")
-    )
-    variants = {}
-    provenance = {"object serial": serial_jsonl}
-    array_runners = {
-        "array serial": ExperimentRunner(
-            ecosystem, "surf", seed=seed, decision_backend="array"
-        ),
-    }
-    for workers in (1, 2, 4):
-        array_runners["array workers=%d" % workers] = ShardedRunner(
-            ecosystem, "surf", seed=seed, workers=workers,
-            decision_backend="array",
-        )
-    for label, runner in array_runners.items():
-        variants[label], provenance[label] = _run_with_provenance(runner)
-    return ecosystem, serial, variants, provenance
-
-
-class TestDecisionBackendDifferential:
-    """Object vs array decision backend, workers ∈ {1, 2, 4}, across
-    all nine prepend configurations: classifications, report text,
-    provenance JSONL and convergence ``replay_key()``s must be
-    byte-identical.  The array path is a pure selection-strategy swap;
-    any divergence here is a correctness bug, never a tolerance."""
-
-    def test_grid_covers_all_nine_configs(self, backend_case):
-        _, serial, variants, _ = backend_case
-        assert len(serial.rounds) == 9
-        configs = [r.config for r in serial.rounds]
-        assert len(set(configs)) == 9
-        for label, result in variants.items():
-            assert [r.config for r in result.rounds] == configs, label
-
-    def test_rounds_identical(self, backend_case):
-        _, serial, variants, _ = backend_case
-        expected = [_round_key(r) for r in serial.rounds]
-        for label, result in variants.items():
-            assert [_round_key(r) for r in result.rounds] == expected, label
-
-    def test_replay_keys_identical(self, backend_case):
-        _, serial, variants, _ = backend_case
-        expected = [
-            [stats.replay_key() for stats in round_stats]
-            for round_stats in serial.round_convergence
-        ]
-        for label, result in variants.items():
-            got = [
-                [stats.replay_key() for stats in round_stats]
-                for round_stats in result.round_convergence
-            ]
-            assert got == expected, label
-
-    def test_update_log_and_feeders_identical(self, backend_case):
-        _, serial, variants, _ = backend_case
-        for label, result in variants.items():
-            assert result.update_log == serial.update_log, label
-            assert result.feeder_views == serial.feeder_views, label
-
-    def test_classifications_identical(self, backend_case):
-        ecosystem, serial, variants, _ = backend_case
-        origins = origin_map(ecosystem)
-        expected = {
-            prefix: inference.category
-            for prefix, inference in
-            classify_experiment(serial, origins).inferences.items()
-        }
-        for label, result in variants.items():
-            got = {
-                prefix: inference.category
-                for prefix, inference in
-                classify_experiment(result, origins).inferences.items()
-            }
-            assert got == expected, label
-
-    def test_provenance_byte_identical(self, backend_case):
-        _, _, _, provenance = backend_case
-        serial_jsonl = provenance["object serial"]
-        assert serial_jsonl, "object run emitted no provenance"
-        for label, jsonl in provenance.items():
-            if label == "object serial":
-                continue
-            assert jsonl == serial_jsonl, (
-                "%s provenance diverged from the object backend" % label
-            )
-
-    def test_report_text_identical(self, backend_case):
-        ecosystem, _, _, _ = backend_case
-        seed, _ = GRID[0]
-        object_text = reproduce_paper(
-            ecosystem=ecosystem, seed=seed, workers=1,
-            decision_backend="object",
-        ).render()
-        array_text = reproduce_paper(
-            ecosystem=ecosystem, seed=seed, workers=WORKERS,
-            decision_backend="array",
-        ).render()
-        assert array_text == object_text
-
-
 class TestFastpathOracle:
     """The Bellman-Ford fastpath (which shard workers' snapshots are
     built from, via the converged RIB) against the event-driven engine,
@@ -514,44 +405,36 @@ class TestFastpathOracle:
 
 @pytest.fixture(scope="module")
 def frontier_case():
-    """The frontier-differential grid: the object-backend serial run
-    next to both backends at workers 1, 2 and 4, all with a frontier
-    trace attached.  The exported JSONL is inside the identity
-    contract, so every stream must be byte-identical."""
+    """The frontier-differential grid: the serial run next to sharded
+    runs at workers 1, 2 and 4, all with a frontier trace attached.
+    The exported JSONL is inside the identity contract, so every
+    stream must be byte-identical."""
     seed, scale = GRID[0]
     ecosystem = build_ecosystem(REEcosystemConfig(scale=scale), seed=seed)
     serial, serial_jsonl = _run_with_frontier(
-        ExperimentRunner(ecosystem, "surf", seed=seed,
-                         decision_backend="object")
+        ExperimentRunner(ecosystem, "surf", seed=seed)
     )
-    streams = {"object serial": serial_jsonl}
-    streams["array serial"] = _run_with_frontier(
-        ExperimentRunner(ecosystem, "surf", seed=seed,
-                         decision_backend="array")
-    )[1]
-    for backend in ("object", "array"):
-        for workers in (1, 2, 4):
-            label = "%s workers=%d" % (backend, workers)
-            streams[label] = _run_with_frontier(
-                ShardedRunner(ecosystem, "surf", seed=seed,
-                              workers=workers, decision_backend=backend)
-            )[1]
+    streams = {"serial": serial_jsonl}
+    for workers in (1, 2, 4):
+        streams["workers=%d" % workers] = _run_with_frontier(
+            ShardedRunner(ecosystem, "surf", seed=seed, workers=workers)
+        )[1]
     return ecosystem, serial, streams
 
 
 class TestFrontierDifferential:
     """The convergence-frontier stream — per-window frontier sizes,
     quiescence curves, per-round signal diffs — is byte-identical
-    across decision backends and workers 1/2/4.  Frontier events ride
+    across workers 1/2/4.  Frontier events ride
     inside the identity contract (unlike the profiler, which reports
     wall-time and is excluded); any divergence is a correctness bug."""
 
     def test_streams_byte_identical(self, frontier_case):
         _, _, streams = frontier_case
-        serial_jsonl = streams["object serial"]
+        serial_jsonl = streams["serial"]
         assert serial_jsonl, "serial run emitted no frontier events"
         for label, jsonl in streams.items():
-            if label == "object serial":
+            if label == "serial":
                 continue
             assert jsonl == serial_jsonl, (
                 "%s frontier stream diverged from serial" % label
@@ -561,7 +444,7 @@ class TestFrontierDifferential:
         _, serial, streams = frontier_case
         events = [
             json.loads(line)
-            for line in streams["object serial"].splitlines()
+            for line in streams["serial"].splitlines()
         ]
         kinds = {event["kind"] for event in events}
         assert {"engine_window", "engine_run", "round_frontier"} <= kinds
@@ -588,25 +471,22 @@ class TestFrontierDifferential:
                 backoff_base=0.0,
             )
         )
-        assert faulted_jsonl == streams["object serial"]
+        assert faulted_jsonl == streams["serial"]
 
 
 # ---------------------------------------------------------------------
 # Delta convergence (PR 9): warm apply_delta state against the cold
-# oracle, per delta kind, on both decision backends.
+# oracle, per delta kind.
 
 DELTA_KINDS = ("announce", "prepend", "withdraw", "flap", "localpref")
 
 
-def _delta_engine(seed, scale, backend):
+def _delta_engine(seed, scale):
     """A fresh ecosystem + engine pair (LocalprefEdit mutates policy
     state shared through the topology, so warm and cold sides must
     never share an ecosystem)."""
     ecosystem = build_ecosystem(REEcosystemConfig(scale=scale), seed=seed)
-    engine = PropagationEngine(
-        ecosystem.topology, SeedTree(seed), decision_backend=backend
-    )
-    return ecosystem, engine
+    return ecosystem, PropagationEngine(ecosystem.topology, SeedTree(seed))
 
 
 def _flap_link(ecosystem):
@@ -709,19 +589,17 @@ def _apply_kind(ecosystem, engine, kind, use_deltas, localpref_target=None):
 
 
 class TestDeltaConvergence:
-    """Warm-delta convergence against the cold oracle, per delta kind
-    and decision backend.  Engine state (full RIB dump including route
-    ages), update logs, and per-run ``replay_key()``s must be
-    byte-identical; the runner-level workers-1/2/4 × backend grids
-    (``backend_case`` replay keys, ``frontier_case`` JSONL) now
-    exercise the same apply_delta path end to end."""
+    """Warm-delta convergence against the cold oracle, per delta kind.
+    Engine state (full RIB dump including route ages), update logs,
+    and per-run ``replay_key()``s must be byte-identical; the
+    runner-level workers-1/2/4 grid (``frontier_case`` JSONL) exercises
+    the same apply_delta path end to end."""
 
-    @pytest.mark.parametrize("backend", ["object", "array"])
     @pytest.mark.parametrize("kind", DELTA_KINDS)
-    def test_warm_delta_matches_cold_raw_path(self, kind, backend):
+    def test_warm_delta_matches_cold_raw_path(self, kind):
         seed, scale = 0, 0.04
-        warm_eco, warm = _delta_engine(seed, scale, backend)
-        cold_eco, cold = _delta_engine(seed, scale, backend)
+        warm_eco, warm = _delta_engine(seed, scale)
+        cold_eco, cold = _delta_engine(seed, scale)
         _baseline(warm_eco, warm, use_deltas=True)
         _baseline(cold_eco, cold, use_deltas=False)
         target = (
@@ -735,26 +613,6 @@ class TestDeltaConvergence:
         assert warm.rib_state() == cold.rib_state()
         assert warm.update_log == cold.update_log
         assert warm.session_message_counts == cold.session_message_counts
-
-    @pytest.mark.parametrize("kind", DELTA_KINDS)
-    def test_object_and_array_backends_identical(self, kind):
-        seed, scale = 7, 0.04
-        states = {}
-        for backend in ("object", "array"):
-            ecosystem, engine = _delta_engine(seed, scale, backend)
-            _baseline(ecosystem, engine, use_deltas=True)
-            target = (
-                _localpref_target(ecosystem, engine)
-                if kind == "localpref" else None
-            )
-            stats = _apply_kind(ecosystem, engine, kind, True, target)
-            assert engine.audit_decision_groups() == []
-            states[backend] = (
-                [s.replay_key() for s in stats],
-                engine.rib_state(),
-                engine.update_log,
-            )
-        assert states["object"] == states["array"]
 
     @pytest.mark.parametrize("kind", ["prepend", "localpref", "flap_down"])
     def test_fastpath_oracles_warm_state(self, kind):
@@ -811,9 +669,10 @@ class TestDeltaConvergence:
     ):
         """The runner now narrates every announce/reconfig/outage as an
         ``engine_delta`` frontier event; the event stream — dirty-set
-        sizes included — is byte-identical across backends and workers
-        1/2/4 (the full-stream identity test covers this too; this one
-        pins the delta events specifically and their shape)."""
+        sizes included — is byte-identical across workers 1/2/4 and so
+        across the inline and fork scheduler backends (the full-stream
+        identity test covers this too; this one pins the delta events
+        specifically and their shape)."""
         _, serial, streams = frontier_case
         def delta_events(jsonl):
             return [
@@ -821,7 +680,7 @@ class TestDeltaConvergence:
                 for line in jsonl.splitlines()
                 if '"engine_delta"' in line
             ]
-        expected = delta_events(streams["object serial"])
+        expected = delta_events(streams["serial"])
         assert expected, "runner emitted no engine_delta events"
         kinds = {event["delta"] for event in expected}
         assert "announce" in kinds
@@ -831,20 +690,17 @@ class TestDeltaConvergence:
             assert event["runs"] >= 1
             assert event["messages_delivered"] >= 0
         for label, jsonl in streams.items():
-            if label == "object serial":
+            if label == "serial":
                 continue
             assert delta_events(jsonl) == expected, label
 
-    @pytest.mark.parametrize("backend", ["object", "array"])
-    def test_whatif_session_matches_cold_replay(self, backend):
+    def test_whatif_session_matches_cold_replay(self):
         """The what-if facade's warm state equals its cold oracle
         (fresh ecosystem, journal replayed from scratch) after config
         steps and a free-form delta mix."""
         from repro.api import ExperimentSpec, WhatIfSession
 
-        spec = ExperimentSpec(
-            seed=0, scale=0.04, decision_backend=backend
-        )
+        spec = ExperimentSpec(seed=0, scale=0.04)
         session = WhatIfSession(spec)
         session.advance_to_config("2-0")
         target = _localpref_target(session.ecosystem, session.engine)
@@ -870,38 +726,32 @@ class TestDeltaConvergence:
 # Scheduler-backend differential
 
 
-@pytest.fixture(
-    scope="module",
-    params=("object", "array"),
-    ids=("decision=object", "decision=array"),
-)
-def scheduler_case(request):
-    """The scheduler grid, per decision backend: the serial baseline
-    next to a run forced onto the inline backend and a crash-injected
-    run forced onto the fork backend at the CI worker count — every
-    execution path the scheduler can take, all with provenance."""
+@pytest.fixture(scope="module")
+def scheduler_case():
+    """The scheduler grid: the serial baseline next to a run forced
+    onto the inline backend and a crash-injected run forced onto the
+    fork backend at the CI worker count — every execution path the
+    scheduler can take, all with provenance."""
     from repro.experiment.scheduler import fork_available
 
-    decision = request.param
     seed, scale = GRID[0]
     ecosystem = build_ecosystem(REEcosystemConfig(scale=scale), seed=seed)
     serial, serial_jsonl = _run_with_provenance(
-        ExperimentRunner(ecosystem, "surf", seed=seed,
-                         decision_backend=decision)
+        ExperimentRunner(ecosystem, "surf", seed=seed)
     )
     variants = {}
     provenance = {"serial": serial_jsonl}
     runners = {
         "backend=inline": ShardedRunner(
             ecosystem, "surf", seed=seed, workers=1, shard_size=7,
-            decision_backend=decision, backend="inline",
+            backend="inline",
         ),
     }
     if fork_available():
         runners["backend=fork crash-injected"] = ShardedRunner(
             ecosystem, "surf", seed=seed, workers=WORKERS,
             fault_plan=CRASH_PLAN, shard_timeout=0.5, backoff_base=0.0,
-            decision_backend=decision, backend="fork",
+            backend="fork",
         )
     for label, runner in runners.items():
         variants[label], provenance[label] = _run_with_provenance(runner)
@@ -911,8 +761,7 @@ def scheduler_case(request):
 class TestSchedulerDifferential:
     """Identity of the scheduler execution paths: a run forced onto
     either backend — the fork one while recovering injected crashes
-    and hangs — must be byte-identical to the fault-free serial run,
-    under both decision backends."""
+    and hangs — must be byte-identical to the fault-free serial run."""
 
     def test_rounds_identical(self, scheduler_case):
         _, serial, variants, _ = scheduler_case

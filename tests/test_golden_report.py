@@ -51,24 +51,6 @@ def test_reproduce_with_workers_matches_golden(capsys, golden_text):
     assert output == golden_text
 
 
-def test_reproduce_array_backend_matches_golden(capsys, golden_text):
-    """The array decision backend reproduces the existing golden
-    exactly — the same snapshot, never a per-backend regeneration."""
-    output = _reproduce_stdout(capsys, "--decision-backend", "array")
-    assert output == golden_text
-
-
-def test_reproduce_array_backend_with_workers_matches_golden(
-    capsys, golden_text
-):
-    """Array backend and sharded probing composed still pin to the
-    one golden file."""
-    output = _reproduce_stdout(
-        capsys, "--decision-backend", "array", "--workers", "2"
-    )
-    assert output == golden_text
-
-
 def _table1_percent(text: str, experiment: str, row: str) -> float:
     table = text.split("Table 1 (%s)" % experiment, 1)[1]
     table = table.split("\n\n", 1)[0]
