@@ -12,21 +12,30 @@ The relaxation is a policy-aware Bellman-Ford: ASes whose best route
 changed re-export to eligible neighbors until quiescence.  Under
 valley-free (Gao-Rexford + R&E fabric) export and monotone preferences
 this converges to the unique stable solution.
+
+Every per-delivery input that depends only on the topology (the
+session's relationship and fabric flag, the sender's export filters and
+prepends, the receiver's import localpref, ROV setting and decision
+process) is resolved once into an :class:`ExportTable`.  A table is a
+snapshot of the policies at compile time: callers that edit policies
+(tag-scoped export filters, localpref edits) compile a fresh one, and
+``propagate_fastpath`` compiles one per call when none is passed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from ..errors import EngineError
+from ..errors import EngineError, TopologyError
 from ..netutil import Prefix
 from ..obs import get_logger, get_registry, span
 from ..obs.frontier import FastpathRunFrontier, active_frontier
 from ..obs.provenance import active_recorder, selection_event
 from ..topology.graph import Topology
 from .attributes import Announcement, ASPath, Route
-from .policy import may_export
+from .decision import DecisionProcess
+from .policy import Rel
 from .router import LOCAL_ROUTE_LOCALPREF
 from .rpki import rov_drops_route
 
@@ -57,12 +66,63 @@ class FastpathResult:
         return [rib[key] for key in sorted(rib)]
 
 
+class ExportTable:
+    """A topology's export adjacency with every policy lookup resolved,
+    compiled once and shared by ``propagate_fastpath`` calls on it.
+
+    ``arcs[asn]`` lists *asn*'s sessions in ascending neighbor order
+    (the delivery order) as flat tuples ``(receiver, to_rel, to_fabric,
+    export_prepends, in_no_export_to, tag_blocks, import_localpref,
+    receiver_enforces_rov)``: the sender's export policy toward the
+    receiver, then the receiver's import policy for the sender's routes.
+    ``learned[asn]`` maps each neighbor to ``(rel, fabric)``, the
+    learned-from side of the export rule.  ``processes[asn]`` is the
+    AS's decision process.
+
+    The table snapshots policies at compile time and copies the tag
+    filter sets rather than aliasing them.  It is never cached on the
+    topology: policy edits after the compile are not seen through it.
+    """
+
+    __slots__ = ("topology", "arcs", "learned", "processes")
+
+    def __init__(self, topology: Topology) -> None:
+        self.topology = topology
+        self.arcs: Dict[int, Tuple[tuple, ...]] = {}
+        self.learned: Dict[int, Dict[int, Tuple[Rel, bool]]] = {}
+        self.processes: Dict[int, DecisionProcess] = {}
+        for asn, node in topology.nodes.items():
+            policy = node.policy
+            sessions = {
+                neighbor: (rel, topology.is_fabric(asn, neighbor))
+                for neighbor, rel in topology.neighbors(asn).items()
+            }
+            arcs = []
+            for receiver in sorted(sessions):
+                to_rel, to_fabric = sessions[receiver]
+                importer = topology.node(receiver).policy
+                arcs.append((
+                    receiver,
+                    to_rel,
+                    to_fabric,
+                    policy.prepends_toward(receiver),
+                    receiver in policy.no_export_to,
+                    frozenset(policy.no_export_tags.get(receiver, ())),
+                    importer.localpref_for(asn, topology.rel(receiver, asn)),
+                    importer.enforce_rov,
+                ))
+            self.arcs[asn] = tuple(arcs)
+            self.learned[asn] = sessions
+            self.processes[asn] = policy.decision_process()
+
+
 def propagate_fastpath(
     topology: Topology,
     announcements: Iterable[Announcement],
     prefix: Optional[Prefix] = None,
     roa_table=None,
     down_links: Optional[Iterable[frozenset]] = None,
+    exports: Optional[ExportTable] = None,
 ) -> FastpathResult:
     """Compute every AS's converged best route for one prefix.
 
@@ -71,7 +131,9 @@ def propagate_fastpath(
     :class:`~repro.bgp.decision.DecisionProcess`.  *down_links* (an
     iterable of two-ASN frozensets, matching the engine's failed-link
     set) excludes those adjacencies from propagation, so the fastpath
-    can oracle the engine's post-flap state too.
+    can oracle the engine's post-flap state too.  *exports* is an
+    :class:`ExportTable` compiled from *topology*; one is compiled when
+    it is omitted, so bulk callers pass one to share the compile.
     """
     announcements = list(announcements)
     if not announcements:
@@ -82,21 +144,25 @@ def propagate_fastpath(
     for announcement in announcements:
         if announcement.prefix != the_prefix:
             raise EngineError("announcements for different prefixes")
+    if exports is None:
+        exports = ExportTable(topology)
+    elif exports.topology is not topology:
+        raise EngineError("export table compiled from a different topology")
 
     failed: Set[frozenset] = set(down_links or ())
     result = FastpathResult(prefix=the_prefix)
-    processes = {}
-    # Decision-process cache accounting: [hits, misses], mutated by
-    # _deliver (a list keeps the hot path to one index increment).
-    cache_stats = [0, 0]
+    best_of = result.best
+    offers = result.offers
+    arcs_of = exports.arcs
+    learned_of = exports.learned
+    processes = exports.processes
+    # Decision-process cache accounting: each selection looks up the
+    # receiver's process; the first lookup per receiver is a miss.
+    lookups = 0
+    looked_up: Set[int] = set()
     compactions = 0
     pending: List[int] = []
     pending_set: Set[int] = set()
-
-    def enqueue(asn: int) -> None:
-        if asn not in pending_set:
-            pending_set.add(asn)
-            pending.append(asn)
 
     # Seed: origins install their local route and push first-hop offers.
     # One origin may hold several announcements of the prefix with
@@ -106,6 +172,8 @@ def propagate_fastpath(
     origin_announcements: Dict[int, List[Announcement]] = {}
     for announcement in announcements:
         origin = announcement.origin_asn
+        if origin not in arcs_of:
+            raise TopologyError("unknown ASN %d" % origin)
         origin_announcements.setdefault(origin, []).append(announcement)
         result.best[origin] = Route(
             prefix=the_prefix,
@@ -114,11 +182,15 @@ def propagate_fastpath(
             localpref=LOCAL_ROUTE_LOCALPREF,
             tag=announcement.tag,
         )
-        enqueue(origin)
+        if origin not in pending_set:
+            pending_set.add(origin)
+            pending.append(origin)
 
     max_rounds = max(1, len(topology)) * _MAX_ROUNDS_FACTOR
     iterations = 0
     cursor = 0
+    recorder = active_recorder()
+    narrate = recorder is not None and recorder.wants(the_prefix)
     # One call returning None per propagation is the entire
     # disabled-state frontier cost; the run id derives from the trace's
     # recorded-event count, which the byte-identity contract keeps
@@ -129,34 +201,148 @@ def propagate_fastpath(
         acc = FastpathRunFrontier(
             trace_ring, trace_ring.total_recorded, the_prefix
         )
+    customer = Rel.CUSTOMER
+    peer = Rel.PEER
     with span("fastpath.propagate"):
         while cursor < len(pending):
-            asn = pending[cursor]
+            sender = pending[cursor]
             cursor += 1
-            pending_set.discard(asn)
+            pending_set.discard(sender)
             iterations += 1
             if iterations > max_rounds + len(pending):
                 raise EngineError("fastpath failed to converge")
-            best = result.best.get(asn)
-            for neighbor in sorted(topology.neighbors(asn)):
-                if failed and frozenset((asn, neighbor)) in failed:
+            # The sender's export class, resolved once per dequeue:
+            # nothing, its local announcements, or a learned route that
+            # goes to everyone (customer-learned) or only to customers
+            # and, over the R&E fabric, to fabric peers.
+            best = best_of.get(sender)
+            local = base = exported = None
+            if best is not None and best.learned_from is None:
+                local = origin_announcements[sender]
+            elif best is not None:
+                base = best.path.asns
+                # The offer over unprepended sessions, shared by every
+                # receiver (its ASPath built on first use).
+                exported = (sender,) + base
+                exported_path = None
+                tag = best.tag
+                learned_rel, learned_fabric = (
+                    learned_of[sender][best.learned_from]
+                )
+                to_all = learned_rel is customer
+            for (receiver, to_rel, to_fabric, prepends, no_export,
+                 tag_blocks, localpref, enforce_rov) in arcs_of[sender]:
+                if failed and frozenset((sender, receiver)) in failed:
                     continue
-                offered = _exported_route(
-                    topology, asn, neighbor, best,
-                    origin_announcements.get(asn),
-                )
-                changed = _deliver(
-                    topology, result, processes, asn, neighbor, offered,
-                    roa_table, cache_stats,
-                )
-                if changed:
-                    enqueue(neighbor)
+                # The offer as the receiver would import it, or None.
+                asns = None
+                if base is not None:
+                    if (
+                        not no_export
+                        and tag not in tag_blocks
+                        and (
+                            to_all
+                            or to_rel is customer
+                            or (learned_fabric and to_fabric
+                                and to_rel is peer)
+                        )
+                        and receiver not in base
+                    ):
+                        if prepends:
+                            asns = (sender,) * prepends + exported
+                            path = None
+                        else:
+                            asns = exported
+                            path = exported_path
+                        offer_tag = tag
+                elif local is not None and not no_export:
+                    for announcement in local:
+                        if announcement.tag not in tag_blocks:
+                            extra = prepends + announcement.prepends_toward(
+                                receiver
+                            )
+                            asns = (sender,) * (1 + extra)
+                            path = None
+                            offer_tag = announcement.tag
+                            break
+                if (
+                    asns is not None
+                    and enforce_rov
+                    and rov_drops_route(roa_table, the_prefix, asns[-1])
+                ):
+                    asns = None  # RPKI-invalid: rejected on import (§2.3)
+
+                rib = offers.get(receiver)
+                if rib is None:
+                    rib = offers[receiver] = {}
+                previous = rib.get(sender)
+                imported = None
+                if asns is None:
+                    offer_changed = previous is not None
+                    if offer_changed:
+                        del rib[sender]
+                else:
+                    offer_changed = (
+                        previous is None
+                        or previous.path.asns != asns
+                        or previous.localpref != localpref
+                        or previous.tag != offer_tag
+                    )
+                    if offer_changed:
+                        if path is None:
+                            path = ASPath(asns)
+                            if asns is exported:
+                                exported_path = path
+                        imported = Route(
+                            prefix=the_prefix,
+                            path=path,
+                            learned_from=sender,
+                            localpref=localpref,
+                            tag=offer_tag,
+                        )
+                        rib[sender] = imported
+
+                changed = False
+                if offer_changed:
+                    lookups += 1
+                    looked_up.add(receiver)
+                    old = best_of.get(receiver)
+                    # Local routes always win: an origin never changes
+                    # its best.
+                    if old is None or old.learned_from is not None:
+                        process = processes[receiver]
+                        if narrate:
+                            new = _narrated_best(
+                                recorder, process, receiver, the_prefix, rib
+                            )
+                        elif imported is None or (
+                            old is not None and old.learned_from == sender
+                        ):
+                            # A withdraw or a changed incumbent: re-run
+                            # the whole adj-RIB-in.
+                            new = process.best([rib[key] for key in sorted(rib)])
+                        elif old is None:
+                            new = imported  # the adj-RIB-in was empty
+                        else:
+                            # The incumbent beat every other offer and
+                            # the steps are a lexicographic min, so only
+                            # the new offer can unseat it.
+                            new = process.best((old, imported))
+                        if new is not old:
+                            changed = True
+                            if new is None:
+                                del best_of[receiver]
+                            else:
+                                best_of[receiver] = new
+                if changed and receiver not in pending_set:
+                    pending_set.add(receiver)
+                    pending.append(receiver)
                 if acc is not None:
                     acc.note(
-                        neighbor if changed else None,
+                        receiver if changed else None,
                         len(pending) - cursor,
                     )
-            if cursor > len(topology) * _MAX_ROUNDS_FACTOR:
+            if cursor > max_rounds:
                 # Compact the queue so memory stays bounded on big runs.
                 pending = pending[cursor:]
                 cursor = 0
@@ -164,11 +350,13 @@ def propagate_fastpath(
 
     if acc is not None:
         acc.finish()
+    misses = len(looked_up)
+    hits = lookups - misses
     registry = get_registry()
     registry.counter("fastpath.prefixes_computed").inc()
     registry.counter("fastpath.iterations").inc(iterations)
-    registry.counter("fastpath.decision_cache_hits").inc(cache_stats[0])
-    registry.counter("fastpath.decision_cache_misses").inc(cache_stats[1])
+    registry.counter("fastpath.decision_cache_hits").inc(hits)
+    registry.counter("fastpath.decision_cache_misses").inc(misses)
     registry.counter("fastpath.queue_compactions").inc(compactions)
     registry.gauge("fastpath.ases_with_route").set(len(result.best))
     if _log.is_enabled_for("debug"):
@@ -177,148 +365,32 @@ def propagate_fastpath(
             prefix=str(the_prefix),
             iterations=iterations,
             ases_with_route=len(result.best),
-            cache_hits=cache_stats[0],
-            cache_misses=cache_stats[1],
+            cache_hits=hits,
+            cache_misses=misses,
         )
     return result
 
 
-def _exported_route(
-    topology: Topology,
-    sender: int,
+def _narrated_best(
+    recorder,
+    process: DecisionProcess,
     receiver: int,
-    best: Optional[Route],
-    announcements: Optional[List[Announcement]],
+    prefix: Prefix,
+    rib: Dict[int, Route],
 ) -> Optional[Route]:
-    """The route *sender* offers *receiver*, or None (no export)."""
-    if best is None:
-        return None
-    policy = topology.node(sender).policy
-    to_rel = topology.rel(sender, receiver)
-    if best.learned_from is None:
-        # Locally originated: pick the announcement exportable to this
-        # neighbor (tag-scoped filters may dedicate announcements to
-        # interfaces, as on the Figure 6 host).
-        candidates = announcements or [
-            Announcement(prefix=best.prefix, origin_asn=sender,
-                         tag=best.tag)
-        ]
-        chosen = None
-        for announcement in candidates:
-            if not policy.blocks_export(receiver, announcement.tag):
-                chosen = announcement
-                break
-        if chosen is None:
-            return None
-        extra = policy.prepends_toward(receiver)
-        extra += chosen.prepends_toward(receiver)
-        path = ASPath.origin_path(sender, extra)
-        return Route(
-            prefix=best.prefix,
-            path=path,
-            learned_from=sender,
-            localpref=0,  # receiver assigns on import
-            tag=chosen.tag,
-        )
-    if policy.blocks_export(receiver, best.tag):
-        return None
-    learned_rel = topology.rel(sender, best.learned_from)
-    if not may_export(
-        learned_rel,
-        to_rel,
-        learned_fabric=topology.is_fabric(sender, best.learned_from),
-        to_fabric=topology.is_fabric(sender, receiver),
-    ):
-        return None
-    if best.path.contains(receiver):
-        return None
-    prepends = 1 + policy.prepends_toward(receiver)
-    return Route(
-        prefix=best.prefix,
-        path=best.path.prepended_by(sender, prepends),
-        learned_from=sender,
-        localpref=0,
-        tag=best.tag,
-    )
-
-
-def _deliver(
-    topology: Topology,
-    result: FastpathResult,
-    processes: Dict[int, object],
-    sender: int,
-    receiver: int,
-    offered: Optional[Route],
-    roa_table=None,
-    cache_stats: Optional[List[int]] = None,
-) -> bool:
-    """Install *offered* (or its absence) at *receiver*; return True if
-    the receiver's best route changed."""
-    rib = result.offers.setdefault(receiver, {})
-    node = topology.node(receiver)
-    if (
-        offered is not None
-        and node.policy.enforce_rov
-        and rov_drops_route(roa_table, offered.prefix,
-                            offered.path.origin)
-    ):
-        offered = None  # RPKI-invalid: rejected on import (§2.3)
-    if offered is None or offered.path.contains(receiver):
-        if sender not in rib:
-            return False
-        del rib[sender]
-    else:
-        localpref = node.policy.localpref_for(
-            sender, topology.rel(receiver, sender)
-        )
-        imported = Route(
-            prefix=offered.prefix,
-            path=offered.path,
-            learned_from=sender,
-            localpref=localpref,
-            tag=offered.tag,
-        )
-        previous = rib.get(sender)
-        if previous == imported:
-            return False
-        rib[sender] = imported
-
-    process = processes.get(receiver)
-    if process is None:
-        process = node.policy.decision_process()
-        processes[receiver] = process
-        if cache_stats is not None:
-            cache_stats[1] += 1
-    elif cache_stats is not None:
-        cache_stats[0] += 1
-    old = result.best.get(receiver)
-    if old is not None and old.learned_from is None:
-        # Local routes always win; an origin never changes its best.
-        return False
-    recorder = active_recorder()
-    if recorder is not None and recorder.wants(result.prefix):
-        candidates: List[Route] = [rib[key] for key in sorted(rib)]
-        new, steps = process.best_verbose(candidates)
-        recorder.record(selection_event(
-            source="fastpath",
-            asn=receiver,
-            prefix=result.prefix,
-            candidates=candidates,
-            steps=steps,
-            winner_index=(
-                next(i for i, r in enumerate(candidates) if r is new)
-                if new is not None else None
-            ),
-            winning_step=steps[-1]["step"] if steps else None,
-        ))
-    else:
-        new = process.best([rib[key] for key in sorted(rib)])
-    if new is None:
-        if old is None:
-            return False
-        del result.best[receiver]
-        return True
-    if old is not None and old == new:
-        return False
-    result.best[receiver] = new
-    return True
+    """Select over the whole adj-RIB-in and record the narration."""
+    candidates: List[Route] = [rib[key] for key in sorted(rib)]
+    new, steps = process.best_verbose(candidates)
+    recorder.record(selection_event(
+        source="fastpath",
+        asn=receiver,
+        prefix=prefix,
+        candidates=candidates,
+        steps=steps,
+        winner_index=(
+            next(i for i, r in enumerate(candidates) if r is new)
+            if new is not None else None
+        ),
+        winning_step=steps[-1]["step"] if steps else None,
+    ))
+    return new

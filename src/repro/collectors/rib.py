@@ -9,10 +9,10 @@ Two consumers:
 
 Routes for all prefixes of one origin propagate identically, and
 origins with the same attachment signature (same upstreams, same
-export prepends, same no-export sets) propagate identically up to the
-origin ASN in the path — so the builder memoizes fastpath runs by
-signature and substitutes origin ASNs, keeping full-scale analyses
-cheap.
+export prepends, same no-export sets, same upstream localprefs toward
+them) propagate identically up to the origin ASN in the path — so
+:func:`build_collector_rib` memoizes fastpath runs by signature and
+substitutes origin ASNs, keeping full-scale analyses cheap.
 """
 
 from __future__ import annotations
@@ -21,8 +21,9 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..bgp.attributes import Announcement
-from ..bgp.fastpath import propagate_fastpath
+from ..bgp.fastpath import ExportTable, propagate_fastpath
 from ..netutil import Prefix
+from ..obs import span
 from ..topology.graph import ASClass, Topology
 from ..topology.re_ecosystem import Ecosystem
 
@@ -64,6 +65,9 @@ class CollectorRIB:
 
 
 def _origin_signature(topology: Topology, origin: int) -> Tuple:
+    """Everything about an origin's attachment that shapes propagation:
+    per neighbor, the relationship, the origin's export prepends and
+    filter, and the localpref the neighbor assigns the origin's routes."""
     policy = topology.node(origin).policy
     return tuple(
         sorted(
@@ -72,12 +76,16 @@ def _origin_signature(topology: Topology, origin: int) -> Tuple:
                 rel.value,
                 policy.prepends_toward(neighbor),
                 neighbor in policy.no_export_to,
+                topology.node(neighbor).policy.localpref_for(
+                    origin, rel.flipped()
+                ),
             )
             for neighbor, rel in topology.neighbors(origin).items()
         )
     )
 
 
+@span("collectors.rib.build")
 def build_collector_rib(
     ecosystem: Ecosystem,
     observers: Iterable[int],
@@ -103,7 +111,9 @@ def build_collector_rib(
     for prefix, origin in wanted:
         by_origin.setdefault(origin, []).append(prefix)
 
-    # Memoize observer paths by origin attachment signature.
+    # Memoize observer paths by origin attachment signature; every
+    # fastpath run shares one compiled export table.
+    exports = ExportTable(topology)
     memo: Dict[Tuple, Dict[int, Optional[Tuple[int, ...]]]] = {}
     for origin in sorted(by_origin):
         signature = _origin_signature(topology, origin)
@@ -113,6 +123,7 @@ def build_collector_rib(
             result = propagate_fastpath(
                 topology,
                 [Announcement(prefix=representative, origin_asn=origin)],
+                exports=exports,
             )
             rib.fastpath_runs += 1
             cached = {}

@@ -11,8 +11,10 @@ from repro import (
     propagate_fastpath,
 )
 from repro.bgp.engine import PropagationEngine
+from repro.bgp.fastpath import ExportTable
 from repro.errors import EngineError
 from repro.netutil import Prefix
+from repro.obs import MetricsRegistry, use_registry
 from repro.rng import SeedTree
 from repro.topology.graph import Topology
 
@@ -87,6 +89,59 @@ class TestFastpathBasics:
         )
         # 4 hears a long path from 1 and a short one from 5 via 3.
         assert result.route_at(4).tag == "b"
+
+
+class TestExportTable:
+    def test_policy_edits_after_compile_are_not_seen(self):
+        topo = diamond()
+        exports = ExportTable(topo)
+        # 4 ties on length between 2 and 3 until it prefers 3.
+        topo.node(4).policy.set_neighbor_localpref(3, 500)
+        announcement = Announcement(PFX, 1)
+        stale = propagate_fastpath(topo, [announcement], exports=exports)
+        assert stale.route_at(4).path.asns == (2, 1)
+        fresh = propagate_fastpath(topo, [announcement])
+        assert fresh.route_at(4).path.asns == (3, 1)
+
+    def test_tag_filter_sets_are_copied(self):
+        topo = diamond()
+        topo.node(1).policy.no_export_tags[2] = set()
+        exports = ExportTable(topo)
+        topo.node(1).policy.no_export_tags[2].add("x")  # in-place edit
+        announcement = Announcement(PFX, 1, tag="x")
+        stale = propagate_fastpath(topo, [announcement], exports=exports)
+        assert stale.route_at(2).path.asns == (1,)
+        fresh = propagate_fastpath(topo, [announcement])
+        assert fresh.route_at(2).path.asns == (4, 3, 1)
+
+    def test_table_from_another_topology_rejected(self):
+        exports = ExportTable(diamond())
+        with pytest.raises(EngineError):
+            propagate_fastpath(
+                diamond(), [Announcement(PFX, 1)], exports=exports
+            )
+
+    @pytest.mark.parametrize("announcements, counts", [
+        ([Announcement(PFX, 1, prepends={3: 2})], (5, 2, 4)),
+        (
+            [Announcement(PFX, 1, tag="a", default_prepends=3),
+             Announcement(PFX, 5, tag="b")],
+            (5, 3, 4),
+        ),
+    ])
+    def test_counters_pinned(self, announcements, counts):
+        """Iterations count dequeues; each selection after a changed
+        offer is one decision-process lookup, the first per receiver a
+        miss."""
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            propagate_fastpath(diamond(), announcements)
+        counters = registry.snapshot()["counters"]
+        assert (
+            counters["fastpath.iterations"],
+            counters["fastpath.decision_cache_hits"],
+            counters["fastpath.decision_cache_misses"],
+        ) == counts
 
 
 class TestEngineOracle:

@@ -1,12 +1,15 @@
 """Tests for the collector substrate: update ingestion, RIB snapshots,
 and the churn report."""
 
+from types import SimpleNamespace
+
 from repro.bgp.engine import UpdateEvent
 from repro.bgp.attributes import ASPath, Route
 from repro.collectors import Collector, build_churn_report, build_collector_rib
 from repro.collectors.rib import neighbor_is_re, observe_origin_prepending
 from repro.core.report import experiment_collector
 from repro.netutil import Prefix
+from repro.topology.graph import Topology
 from repro.topology.re_config import PrependClass
 
 MEAS = Prefix.parse("163.253.63.0/24")
@@ -147,6 +150,29 @@ class TestCollectorRIB:
                 assert entry is None
             else:
                 assert entry.path == direct.path.asns
+
+    def test_memo_separates_origins_priced_differently_upstream(self):
+        """Origins 1 and 2 attach identically to providers 10 and 20,
+        but 10 gives 2's routes a low localpref, so 10 reaches 2 via 20.
+        The two must not share a memo entry."""
+        topo = Topology()
+        for asn in (1, 2, 10, 20):
+            topo.add_as(asn, "as%d" % asn)
+        for origin in (1, 2):
+            topo.add_provider(origin, 10)
+            topo.add_provider(origin, 20)
+        topo.add_provider(20, 10)
+        topo.node(10).policy.set_neighbor_localpref(2, 100)
+        first = Prefix.parse("192.0.2.0/24")
+        second = Prefix.parse("198.51.100.0/24")
+        topo.originate(1, first)
+        topo.originate(2, second)
+        rib = build_collector_rib(
+            SimpleNamespace(topology=topo), [10], [first, second]
+        )
+        assert rib.fastpath_runs == 2
+        assert rib.route(10, first).path == (1,)
+        assert rib.route(10, second).path == (20, 2)
 
     def test_neighbor_is_re(self, ecosystem):
         assert neighbor_is_re(ecosystem.topology, ecosystem.geant_asn)

@@ -25,13 +25,19 @@ PFX = Prefix.parse("192.0.2.0/24")
 @st.composite
 def random_topology(draw):
     """A random small topology with a strict provider hierarchy (tiers
-    prevent customer-provider cycles) plus random peering."""
+    prevent customer-provider cycles) plus random peering, some of it
+    R&E fabric, and random export prepends, export filters and one
+    optionally path-length-insensitive AS."""
     n = draw(st.integers(min_value=3, max_value=14))
     tiers = [draw(st.integers(min_value=0, max_value=3)) for _ in range(n)]
+    # 0 means every AS compares path length.
+    insensitive = draw(st.integers(min_value=0, max_value=n))
     topo = Topology()
     for asn in range(1, n + 1):
         topo.add_as(asn, "as%d" % asn)
         topo.node(asn).policy.age_tiebreak = False
+    if insensitive:
+        topo.node(insensitive).policy.path_length_sensitive = False
     # Providers: only toward strictly higher tiers.
     for asn in range(1, n + 1):
         uppers = [
@@ -49,7 +55,11 @@ def random_topology(draw):
             )
             for provider in chosen:
                 topo.add_provider(asn, provider)
-    # Peering within the same tier.
+    # Peering within the same tier, some of it over the R&E fabric.
+    # The path-length-insensitive AS stays off the fabric: two fabric
+    # peers that each prefer the other's route (one by path length, one
+    # by neighbor ASN) have two stable solutions, and the engine and
+    # fastpath may then settle on different ones.
     for asn in range(1, n + 1):
         same = [
             other
@@ -58,21 +68,46 @@ def random_topology(draw):
         ]
         for other in same:
             if draw(st.booleans()) and not topo.has_link(asn, other):
-                topo.add_peering(asn, other)
-    # Random localpref tweaks on peer/provider sessions only: customer
-    # routes stay most-preferred, the Gao-Rexford stability condition.
-    # (Violating it can create dispute wheels with no stable solution —
-    # the engine then correctly refuses to converge; see
-    # test_dispute_wheel_detected.)
+                fabric = insensitive not in (asn, other) and draw(
+                    st.booleans()
+                )
+                topo.add_peering(asn, other, fabric=fabric)
+    # Random localpref tweaks on non-fabric peer/provider sessions only:
+    # customer routes stay most-preferred, the Gao-Rexford stability
+    # condition, and fabric routes tie on localpref so path length
+    # orders them.  (Violating either can create dispute wheels with no
+    # stable solution — the engine then correctly refuses to converge;
+    # see test_dispute_wheel_detected.)
     for asn in range(1, n + 1):
-        for neighbor, rel in list(topo.neighbors(asn).items()):
-            if rel is not Rel.CUSTOMER and draw(st.booleans()):
-                topo.node(asn).policy.set_neighbor_localpref(
+        policy = topo.node(asn).policy
+        neighbors = sorted(topo.neighbors(asn).items())
+        for neighbor, rel in neighbors:
+            if (
+                rel is not Rel.CUSTOMER
+                and not topo.is_fabric(asn, neighbor)
+                and draw(st.booleans())
+            ):
+                policy.set_neighbor_localpref(
                     neighbor, draw(st.sampled_from([50, 100, 150, 200]))
                 )
+        for neighbor, _ in neighbors:
+            policy.set_export_prepends(
+                neighbor, draw(st.integers(min_value=0, max_value=2))
+            )
+        if neighbors:
+            policy.no_export_to.update(draw(st.lists(
+                st.sampled_from([neighbor for neighbor, _ in neighbors]),
+                max_size=1,
+            )))
     origin = draw(st.integers(min_value=1, max_value=n))
     prepends = draw(st.integers(min_value=0, max_value=3))
     return topo, origin, prepends
+
+
+def _route_key(route):
+    if route is None:
+        return None
+    return (route.path.asns, route.learned_from, route.localpref, route.tag)
 
 
 @settings(max_examples=60, deadline=None)
@@ -87,10 +122,8 @@ def test_engine_and_fastpath_agree(case):
     engine.announce(origin, PFX, default_prepends=prepends, tag="x")
     engine.run_to_fixpoint()
     for asn in topo.nodes:
-        a = engine.best_route(asn, PFX)
-        b = fast.route_at(asn)
-        key_a = a.path.asns if a else None
-        key_b = b.path.asns if b else None
+        key_a = _route_key(engine.best_route(asn, PFX))
+        key_b = _route_key(fast.route_at(asn))
         assert key_a == key_b, "AS %d: %r != %r" % (asn, key_a, key_b)
 
 
