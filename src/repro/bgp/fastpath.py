@@ -20,6 +20,17 @@ process) is resolved once into an :class:`ExportTable`.  A table is a
 snapshot of the policies at compile time: callers that edit policies
 (tag-scoped export filters, localpref edits) compile a fresh one, and
 ``propagate_fastpath`` compiles one per call when none is passed.
+
+A *sink* is an AS with no customer session and no R&E-fabric peer
+session.  Under the export rule it never re-exports a learned route, so
+its best route changes no other AS's route; only its own announcements
+leave it.  A table compiled for a set of *observers* leaves out every
+arc into a sink that is not an observer.  Over such a table the
+relaxation reaches the same fixpoint at every observer and every
+non-sink AS and never queues or delivers to the other sinks, which hold
+no learned route.  It answers only for observers and non-sinks:
+bulk collector views, which read a handful of observers per origin,
+skip most of the topology that way.
 """
 
 from __future__ import annotations
@@ -77,28 +88,57 @@ class ExportTable:
     receiver, then the receiver's import policy for the sender's routes.
     ``learned[asn]`` maps each neighbor to ``(rel, fabric)``, the
     learned-from side of the export rule.  ``processes[asn]`` is the
-    AS's decision process.
+    AS's decision process.  ``sinks`` holds the ASes with no customer
+    and no fabric-peer session, which never re-export a learned route.
+
+    With *observers*, the arcs into every sink outside *observers* are
+    left out (sinks keep their outgoing arcs, so a sink origin still
+    announces).  Such a table answers only for observers and non-sinks:
+    the other sinks hold no learned route over it.
 
     The table snapshots policies at compile time and copies the tag
     filter sets rather than aliasing them.  It is never cached on the
     topology: policy edits after the compile are not seen through it.
     """
 
-    __slots__ = ("topology", "arcs", "learned", "processes")
+    __slots__ = ("topology", "arcs", "learned", "processes", "sinks")
 
-    def __init__(self, topology: Topology) -> None:
+    def __init__(
+        self,
+        topology: Topology,
+        observers: Optional[Iterable[int]] = None,
+    ) -> None:
         self.topology = topology
         self.arcs: Dict[int, Tuple[tuple, ...]] = {}
         self.learned: Dict[int, Dict[int, Tuple[Rel, bool]]] = {}
         self.processes: Dict[int, DecisionProcess] = {}
-        for asn, node in topology.nodes.items():
-            policy = node.policy
-            sessions = {
+        for asn in topology.nodes:
+            self.learned[asn] = {
                 neighbor: (rel, topology.is_fabric(asn, neighbor))
                 for neighbor, rel in topology.neighbors(asn).items()
             }
+        self.sinks = frozenset(
+            asn
+            for asn, sessions in self.learned.items()
+            if not any(
+                rel is Rel.CUSTOMER or (rel is Rel.PEER and fabric)
+                for rel, fabric in sessions.values()
+            )
+        )
+        pruned = frozenset()
+        if observers is not None:
+            kept = set(observers)
+            unknown = sorted(kept - topology.nodes.keys())
+            if unknown:
+                raise TopologyError("unknown observer ASN %d" % unknown[0])
+            pruned = self.sinks - kept
+        for asn, node in topology.nodes.items():
+            policy = node.policy
+            sessions = self.learned[asn]
             arcs = []
             for receiver in sorted(sessions):
+                if receiver in pruned:
+                    continue
                 to_rel, to_fabric = sessions[receiver]
                 importer = topology.node(receiver).policy
                 arcs.append((
@@ -112,7 +152,6 @@ class ExportTable:
                     importer.enforce_rov,
                 ))
             self.arcs[asn] = tuple(arcs)
-            self.learned[asn] = sessions
             self.processes[asn] = policy.decision_process()
 
 

@@ -8,15 +8,24 @@ Two consumers:
   toward R&E vs commodity neighbors.
 
 Routes for all prefixes of one origin propagate identically, and
-origins with the same attachment signature (same upstreams, same
-export prepends, same no-export sets, same upstream localprefs toward
-them) propagate identically up to the origin ASN in the path — so
+origins with the same attachment signature (same upstreams over the
+same sessions, same export prepends and filters, same upstream
+localprefs toward them, same rank in each upstream's neighbor-ASN
+tie-break) propagate identically up to the origin ASN in the path — so
 :func:`build_collector_rib` memoizes fastpath runs by signature and
 substitutes origin ASNs, keeping full-scale analyses cheap.
+
+Its fastpath runs share one export table compiled for the observers: a
+sink (an AS with no customer and no fabric-peer session) never
+re-exports a learned route, so the table leaves out the arcs into every
+sink that is not an observer, and each run relaxes only the transit
+core plus the observers.  That table answers only for observers and
+non-sinks, which is all a collector view reads.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -64,25 +73,46 @@ class CollectorRIB:
         return self.entries.get(observer, {})
 
 
-def _origin_signature(topology: Topology, origin: int) -> Tuple:
+def _origin_signature(
+    exports: ExportTable,
+    origin: int,
+    transit_neighbors: Dict[int, List[int]],
+) -> Tuple:
     """Everything about an origin's attachment that shapes propagation:
-    per neighbor, the relationship, the origin's export prepends and
-    filter, and the localpref the neighbor assigns the origin's routes."""
+    per neighbor, the relationship and fabric flag of the session, the
+    origin's export prepends and filters, the localpref the neighbor
+    assigns the origin's routes, and the origin's rank in the neighbor's
+    lowest-neighbor-ASN tie-break.  Only non-sinks offer a neighbor the
+    origin's route, so the rank counts the neighbor's non-sinks below
+    the origin; *transit_neighbors* caches those lists per neighbor.
+
+    Two origins that agree on all else but are both non-sinks get
+    different ranks (the lower one counts toward the higher one's rank
+    at every shared neighbor), so a transit origin never reuses another
+    origin's template."""
+    topology = exports.topology
     policy = topology.node(origin).policy
-    return tuple(
-        sorted(
-            (
-                neighbor,
-                rel.value,
-                policy.prepends_toward(neighbor),
-                neighbor in policy.no_export_to,
-                topology.node(neighbor).policy.localpref_for(
-                    origin, rel.flipped()
-                ),
+    signature = []
+    for neighbor, (rel, fabric) in sorted(exports.learned[origin].items()):
+        transit = transit_neighbors.get(neighbor)
+        if transit is None:
+            transit = transit_neighbors[neighbor] = sorted(
+                asn for asn in exports.learned[neighbor]
+                if asn not in exports.sinks
             )
-            for neighbor, rel in topology.neighbors(origin).items()
-        )
-    )
+        signature.append((
+            neighbor,
+            rel.value,
+            fabric,
+            policy.prepends_toward(neighbor),
+            neighbor in policy.no_export_to,
+            frozenset(policy.no_export_tags.get(neighbor, ())),
+            topology.node(neighbor).policy.localpref_for(
+                origin, rel.flipped()
+            ),
+            bisect_left(transit, origin),
+        ))
+    return tuple(signature)
 
 
 @span("collectors.rib.build")
@@ -92,9 +122,15 @@ def build_collector_rib(
     prefixes: Optional[Iterable[Prefix]] = None,
 ) -> CollectorRIB:
     """Compute each observer's converged route for every studied prefix
-    (or the given subset)."""
+    (or the given subset).
+
+    Raises :class:`~repro.errors.TopologyError` for an observer that is
+    not in the topology."""
     topology = ecosystem.topology
     observer_list = sorted(set(observers))
+    # One table for every fastpath run, without arcs into sinks that are
+    # not observers.
+    exports = ExportTable(topology, observers=observer_list)
     rib = CollectorRIB(observers=observer_list)
     for observer in observer_list:
         rib.entries[observer] = {}
@@ -111,12 +147,16 @@ def build_collector_rib(
     for prefix, origin in wanted:
         by_origin.setdefault(origin, []).append(prefix)
 
-    # Memoize observer paths by origin attachment signature; every
-    # fastpath run shares one compiled export table.
-    exports = ExportTable(topology)
+    # Memoize observer paths by origin attachment signature.
     memo: Dict[Tuple, Dict[int, Optional[Tuple[int, ...]]]] = {}
+    transit_neighbors: Dict[int, List[int]] = {}
     for origin in sorted(by_origin):
-        signature = _origin_signature(topology, origin)
+        # An observer holds its own prefixes' local route, so an origin
+        # that is an observer shares no template.
+        signature = (
+            _origin_signature(exports, origin, transit_neighbors),
+            origin if origin in rib.entries else None,
+        )
         cached = memo.get(signature)
         if cached is None:
             representative = by_origin[origin][0]

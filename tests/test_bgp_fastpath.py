@@ -144,6 +144,62 @@ class TestExportTable:
         ) == counts
 
 
+def _receivers(exports, asn):
+    return tuple(arc[0] for arc in exports.arcs[asn])
+
+
+class TestSinks:
+    """A sink has no customer and no fabric-peer session; a table
+    compiled for observers drops the arcs into every other sink."""
+
+    def topology(self):
+        """2 provides 1, 3 and 4 peer over the fabric, 1 and 5 peer
+        plainly, and 4 provides 5."""
+        topo = Topology()
+        for asn in (1, 2, 3, 4, 5):
+            topo.add_as(asn, "as%d" % asn)
+        topo.add_provider(1, 2)
+        topo.add_peering(3, 4, fabric=True)
+        topo.add_peering(1, 5)
+        topo.add_provider(5, 4)
+        return topo
+
+    def test_customer_or_fabric_peer_arc_makes_a_non_sink(self):
+        sinks = ExportTable(self.topology()).sinks
+        assert 2 not in sinks  # a customer
+        assert 3 not in sinks  # a fabric peer only
+        assert 4 not in sinks
+
+    def test_provider_and_plain_peer_arcs_only_make_a_sink(self):
+        assert ExportTable(self.topology()).sinks == {1, 5}
+
+    def test_full_table_keeps_every_arc(self):
+        exports = ExportTable(self.topology())
+        assert _receivers(exports, 2) == (1,)
+        assert _receivers(exports, 4) == (3, 5)
+
+    def test_arcs_into_unobserved_sinks_are_dropped(self):
+        exports = ExportTable(self.topology(), observers=[3])
+        assert _receivers(exports, 2) == ()
+        assert _receivers(exports, 4) == (3,)
+        # Sinks keep their outgoing arcs, so a sink origin announces.
+        assert _receivers(exports, 1) == (2,)
+        result = propagate_fastpath(
+            exports.topology, [Announcement(PFX, 1)], exports=exports
+        )
+        assert result.route_at(2).path.asns == (1,)
+        assert result.route_at(5) is None
+
+    def test_observer_that_is_a_sink_keeps_its_inbound_arcs(self):
+        exports = ExportTable(self.topology(), observers=[5])
+        assert _receivers(exports, 1) == (2, 5)
+        assert _receivers(exports, 4) == (3, 5)
+        result = propagate_fastpath(
+            exports.topology, [Announcement(PFX, 3)], exports=exports
+        )
+        assert result.route_at(5).path.asns == (4, 3)
+
+
 class TestEngineOracle:
     """The event-driven engine and the fastpath must agree at fixpoint
     when route age cannot influence selection."""

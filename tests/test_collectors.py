@@ -3,11 +3,14 @@ and the churn report."""
 
 from types import SimpleNamespace
 
+import pytest
+
 from repro.bgp.engine import UpdateEvent
 from repro.bgp.attributes import ASPath, Route
 from repro.collectors import Collector, build_churn_report, build_collector_rib
 from repro.collectors.rib import neighbor_is_re, observe_origin_prepending
 from repro.core.report import experiment_collector
+from repro.errors import TopologyError
 from repro.netutil import Prefix
 from repro.topology.graph import Topology
 from repro.topology.re_config import PrependClass
@@ -173,6 +176,71 @@ class TestCollectorRIB:
         assert rib.fastpath_runs == 2
         assert rib.route(10, first).path == (1,)
         assert rib.route(10, second).path == (20, 2)
+
+    def test_memo_separates_origins_ranked_differently_upstream(self):
+        """Origins 1 and 30 attach identically to providers 10 and 20
+        and prepend once toward 10, so 10 ties on length between the
+        direct route and 20's.  The lowest neighbor ASN decides: 1 beats
+        20, and 20 beats 30."""
+        topo = Topology()
+        for asn in (1, 30, 10, 20):
+            topo.add_as(asn, "as%d" % asn)
+        for origin in (1, 30):
+            topo.add_provider(origin, 10)
+            topo.add_provider(origin, 20)
+            topo.node(origin).policy.set_export_prepends(10, 1)
+        topo.add_provider(20, 10)
+        first = Prefix.parse("192.0.2.0/24")
+        second = Prefix.parse("198.51.100.0/24")
+        topo.originate(1, first)
+        topo.originate(30, second)
+        rib = build_collector_rib(
+            SimpleNamespace(topology=topo), [10], [first, second]
+        )
+        assert rib.route(10, first).path == (1, 1)
+        assert rib.route(10, second).path == (20, 30)
+
+    def test_memo_separates_fabric_sessions(self):
+        """Origins 3 and 5 both peer with 10, but only 5 over the R&E
+        fabric, so only 5's route crosses 10's fabric peering to 20."""
+        topo = Topology()
+        for asn in (3, 5, 10, 20):
+            topo.add_as(asn, "as%d" % asn)
+        topo.add_peering(3, 10)
+        topo.add_peering(5, 10, fabric=True)
+        topo.add_peering(10, 20, fabric=True)
+        first = Prefix.parse("192.0.2.0/24")
+        second = Prefix.parse("198.51.100.0/24")
+        topo.originate(3, first)
+        topo.originate(5, second)
+        rib = build_collector_rib(
+            SimpleNamespace(topology=topo), [20], [first, second]
+        )
+        assert rib.route(20, first) is None
+        assert rib.route(20, second).path == (10, 5)
+
+    def test_observer_origin_keeps_its_own_route(self):
+        """Stubs 1 and 2 attach identically to 3; observer 1 holds its
+        own prefix locally and reaches 2's through 3."""
+        topo = Topology()
+        for asn in (1, 2, 3):
+            topo.add_as(asn, "as%d" % asn)
+        topo.add_provider(1, 3)
+        topo.add_provider(2, 3)
+        first = Prefix.parse("192.0.2.0/24")
+        second = Prefix.parse("198.51.100.0/24")
+        topo.originate(1, first)
+        topo.originate(2, second)
+        rib = build_collector_rib(
+            SimpleNamespace(topology=topo), [1], [first, second]
+        )
+        assert rib.route(1, first).path == (1,)
+        assert rib.route(1, second).path == (3, 2)
+
+    def test_unknown_observer_rejected(self, ecosystem):
+        missing = max(ecosystem.topology.nodes) + 1
+        with pytest.raises(TopologyError):
+            build_collector_rib(ecosystem, [ecosystem.ripe_asn, missing])
 
     def test_neighbor_is_re(self, ecosystem):
         assert neighbor_is_re(ecosystem.topology, ecosystem.geant_asn)

@@ -5,16 +5,21 @@ localpref policies and prepend configurations; the event-driven engine
 and the synchronous fastpath must converge to identical routes when
 route-age tie-breaking is disabled, and every converged state must
 satisfy the core BGP invariants (loop-free paths, export-rule
-compliance, localpref maximality among candidates).
+compliance, localpref maximality among candidates).  An export table
+compiled for observers must agree with the full table wherever it
+answers, and the memoized collector RIB with one run per origin.
 """
+
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.bgp.attributes import Announcement
 from repro.bgp.engine import PropagationEngine
-from repro.bgp.fastpath import propagate_fastpath
+from repro.bgp.fastpath import ExportTable, propagate_fastpath
 from repro.bgp.policy import Rel, may_export
+from repro.collectors import build_collector_rib
 from repro.netutil import Prefix
 from repro.rng import SeedTree
 from repro.topology.graph import Topology
@@ -203,3 +208,53 @@ def test_prepending_never_changes_reachability(case, extra):
             prepended.best[asn].path.length
             >= base.best[asn].path.length
         )
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_topology(), st.data())
+def test_observer_table_agrees_with_full_table(case, data):
+    """A table compiled for observers drops the arcs into the other
+    sinks; every observer and non-sink still converges to the same
+    route, and the other sinks hold none but their own."""
+    topo, origin, prepends = case
+    observers = data.draw(st.lists(
+        st.sampled_from(sorted(topo.nodes)), unique=True, max_size=4,
+    ))
+    announcement = Announcement(PFX, origin, default_prepends=prepends)
+    exports = ExportTable(topo, observers=observers)
+    full = propagate_fastpath(topo, [announcement])
+    pruned = propagate_fastpath(topo, [announcement], exports=exports)
+    for asn in topo.nodes:
+        if asn in observers or asn not in exports.sinks:
+            key_a = _route_key(full.route_at(asn))
+            key_b = _route_key(pruned.route_at(asn))
+            assert key_a == key_b, "AS %d: %r != %r" % (asn, key_a, key_b)
+        elif asn != origin:
+            assert pruned.route_at(asn) is None
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_topology(), st.data())
+def test_collector_rib_matches_unmemoized_runs(case, data):
+    """Every AS originates a prefix; the memoized collector RIB over
+    the observer table equals one full-table run per origin."""
+    topo, _, _ = case
+    observers = data.draw(st.lists(
+        st.sampled_from(sorted(topo.nodes)), unique=True, min_size=1,
+        max_size=4,
+    ))
+    prefixes = {}
+    for asn in sorted(topo.nodes):
+        prefixes[asn] = Prefix.parse("10.%d.0.0/16" % asn)
+        topo.originate(asn, prefixes[asn])
+    rib = build_collector_rib(
+        SimpleNamespace(topology=topo), observers, list(prefixes.values())
+    )
+    for origin, prefix in prefixes.items():
+        direct = propagate_fastpath(topo, [Announcement(prefix, origin)])
+        for observer in observers:
+            route = direct.route_at(observer)
+            entry = rib.route(observer, prefix)
+            assert (entry.path if entry else None) == (
+                route.path.asns if route else None
+            ), "observer %d, origin %d" % (observer, origin)
