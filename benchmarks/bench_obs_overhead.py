@@ -7,10 +7,10 @@ only touches plain locals, so the measured overhead should be far
 below the 5% budget; this benchmark keeps it that way.
 
 A second guard covers decision provenance
-(:mod:`repro.obs.provenance`): with no recorder installed — the
+(:mod:`repro.obs.provenance`): with no capture installed — the
 default — every route selection pays exactly one function call
-returning ``None``, and even an *installed* recorder whose prefix
-filter matches nothing must stay within the same 5% budget (one
+returning ``None``, and even an *installed* provenance ring whose
+prefix filter matches nothing must stay within the same 5% budget (one
 ``wants()`` set lookup per selection, no event construction).
 
 Run directly (``python benchmarks/bench_obs_overhead.py``) or via
@@ -28,7 +28,7 @@ from repro import (
     build_ecosystem,
 )
 from repro.obs import MetricsRegistry, use_registry
-from repro.obs.provenance import ProvenanceRecorder, use_provenance
+from repro.obs.capture import Capture, EventRing, use_capture
 
 #: Allowed instrumentation overhead, as a fraction of baseline.
 OVERHEAD_BUDGET = 0.05
@@ -73,21 +73,21 @@ def measure(ecosystem):
 def measure_provenance(ecosystem):
     """(filtered_best, disabled_best) wall seconds, interleaved.
 
-    "Filtered" installs a recorder whose prefix filter matches no
-    probed prefix: ``wants()`` runs per selection but no event is ever
-    built — the worst case a ``repro explain`` replay imposes on the
-    rest of the run.  "Disabled" is the default no-recorder state.
+    "Filtered" installs a provenance ring whose prefix filter matches
+    no probed prefix: ``wants()`` runs per selection but no event is
+    ever built — the worst case a ``repro explain`` replay imposes on
+    the rest of the run.  "Disabled" is the default no-capture state.
     """
-    filter_recorder = ProvenanceRecorder(
+    filtered = Capture(provenance=EventRing(
         prefix_filter=["203.0.113.0/24"]   # matches nothing probed
-    )
+    ))
     filtered_times = []
     disabled_times = []
-    with use_provenance(filter_recorder):
+    with use_capture(filtered):
         _one_convergence(ecosystem)
     _one_convergence(ecosystem)
     for _ in range(TRIALS):
-        with use_provenance(filter_recorder):
+        with use_capture(filtered):
             filtered_times.append(_one_convergence(ecosystem))
         disabled_times.append(_one_convergence(ecosystem))
     return min(filtered_times), min(disabled_times)

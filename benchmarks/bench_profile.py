@@ -3,14 +3,14 @@
 Both layers are opt-in, but "opt-in" only stays honest if turning them
 on is affordable and leaving them off is free:
 
-- **enabled** — a :class:`~repro.obs.frontier.FrontierTrace` installed
-  (per-delivery windowed accounting in the engine hot loop) plus a
-  counter-mode :class:`~repro.obs.profile.PhaseProfiler` observing
-  every span.  This is the always-on-capable configuration; cProfile
+- **enabled** — a :class:`~repro.obs.capture.Capture` holding a
+  frontier :class:`~repro.obs.capture.EventRing` (per-delivery
+  windowed accounting in the engine hot loop) plus a counter-mode
+  :class:`~repro.obs.profile.PhaseProfiler` observing every span.  This is the always-on-capable configuration; cProfile
   mode is deliberately excluded (interpreter tracing costs whatever it
   costs — that's the price of function-level hotspots, paid knowingly
   via ``--profile-out``).
-- **disabled** — the default: one ``active_frontier()`` / observer
+- **disabled** — the default: one ``active_capture()`` / observer
   ``None`` check per run/span.
 
 The enabled run must stay within ``OVERHEAD_BUDGET`` of the disabled
@@ -31,8 +31,8 @@ from repro import (
     SeedTree,
     build_ecosystem,
 )
-from repro.obs.frontier import FrontierTrace, use_frontier
-from repro.obs.profile import PhaseProfiler, use_profiling
+from repro.obs.capture import Capture, EventRing, use_capture
+from repro.obs.profile import PhaseProfiler
 
 #: Allowed frontier+profiler overhead, as a fraction of baseline.
 OVERHEAD_BUDGET = 0.05
@@ -57,26 +57,30 @@ def _one_convergence(ecosystem) -> float:
     return time.perf_counter() - start
 
 
+def _enabled_capture() -> Capture:
+    return Capture(
+        frontier=EventRing(), profiler=PhaseProfiler(use_cprofile=False)
+    )
+
+
 def measure(ecosystem):
     """(enabled_best, disabled_best, events) wall seconds, interleaved.
 
-    "Enabled" runs under a fresh frontier trace and a counter-mode
-    profiler; "disabled" is the default no-trace, no-observer state.
+    "Enabled" runs under a fresh frontier ring and a counter-mode
+    profiler; "disabled" is the default no-capture, no-observer state.
     """
     enabled_times = []
     disabled_times = []
     events = 0
     # Warm-up, untimed: touch every code path once.
-    with use_frontier(FrontierTrace()), \
-            use_profiling(PhaseProfiler(use_cprofile=False)):
+    with use_capture(_enabled_capture()):
         _one_convergence(ecosystem)
     _one_convergence(ecosystem)
     for _ in range(TRIALS):
-        trace = FrontierTrace()
-        with use_frontier(trace), \
-                use_profiling(PhaseProfiler(use_cprofile=False)):
+        capture = _enabled_capture()
+        with use_capture(capture):
             enabled_times.append(_one_convergence(ecosystem))
-        events = len(trace)
+        events = len(capture.frontier)
         disabled_times.append(_one_convergence(ecosystem))
     return min(enabled_times), min(disabled_times), events
 

@@ -68,11 +68,14 @@ from .experiment.scheduler import (
     TaskResult,
 )
 from .faults import FaultPlan, parse_fault_spec
-from .obs.provenance import (
+from .obs.capture import (
     DEFAULT_CAPACITY,
-    ProvenanceRecorder,
-    use_provenance,
+    Capture,
+    EventRing,
+    active_capture,
+    use_capture,
 )
+from .obs.profile import PhaseProfiler
 from .rng import SeedTree
 from .seeds.selection import SeedPlan, select_seeds
 from .topology.re_config import (
@@ -241,8 +244,9 @@ class ExperimentSpec:
     fault_spec: str = ""
     provenance_capacity: Optional[int] = None
     provenance_prefixes: Tuple[str, ...] = field(default=())
-    #: Capacity of the run-local :class:`~repro.obs.frontier
-    #: .FrontierTrace` to install (None: no frontier capture).  The
+    #: Capacity of the run-local frontier
+    #: :class:`~repro.obs.capture.EventRing` to install (None: no
+    #: frontier capture).  The
     #: captured event stream is deterministic — inside the identity
     #: contract — but capturing is opt-in, so the field lives with the
     #: other observability options.
@@ -599,15 +603,12 @@ def run_experiment(
     ``spec.execution.backend``.
 
     When the spec asks for provenance (``provenance_capacity`` /
-    ``provenance_prefixes``) and no recorder is already active, a
-    local recorder is installed for the run and its event stream is
-    attached as ``result.provenance_events``; an already-active
-    recorder (e.g. the CLI's) is left in place and keeps receiving
-    events as usual.  ``frontier_capacity`` and ``profile`` work the
-    same way: a run-local :class:`~repro.obs.frontier.FrontierTrace` /
-    :class:`~repro.obs.profile.PhaseProfiler` is installed only when
-    none is active, and its output lands on
-    ``result.frontier_events`` / ``result.profile``.
+    ``provenance_prefixes``), a frontier (``frontier_capacity``) or a
+    ``profile``, each such channel the active capture lacks is
+    captured run-locally (:func:`spec_capture`) and lands on
+    ``result.provenance_events`` / ``result.frontier_events`` /
+    ``result.profile``; an already-active channel (e.g. the CLI's)
+    is left in place and keeps receiving events as usual.
 
     *progress_hook*, when given, is called with keyword fields
     (``phase``, ``rounds_completed``, ``shards_completed``, ...) as
@@ -615,39 +616,48 @@ def run_experiment(
     and status consoles hang off.  Strictly observational; it never
     changes results.
     """
-    from contextlib import ExitStack
-
-    from .obs.frontier import FrontierTrace, active_frontier, use_frontier
-    from .obs.profile import PhaseProfiler, active_profiler, use_profiling
-    from .obs.provenance import active_recorder
-
     runner = build_runner(
         spec, ecosystem, seed_plan, workers=workers, backend=backend
     )
     if progress_hook is not None:
         runner.progress_hook = progress_hook
-    recorder = trace = profiler = None
-    with ExitStack() as stack:
-        if spec.wants_provenance and active_recorder() is None:
-            recorder = ProvenanceRecorder(
-                capacity=spec.provenance_capacity or DEFAULT_CAPACITY,
-                prefix_filter=spec.provenance_prefixes or None,
-            )
-            stack.enter_context(use_provenance(recorder))
-        if spec.wants_frontier and active_frontier() is None:
-            trace = FrontierTrace(capacity=spec.frontier_capacity)
-            stack.enter_context(use_frontier(trace))
-        if spec.wants_profile and active_profiler() is None:
-            profiler = PhaseProfiler()
-            stack.enter_context(use_profiling(profiler))
+    active = active_capture()
+    local = spec_capture(spec, active)
+    with use_capture(local.over(active)):
         result = runner.run()
-    if recorder is not None:
-        result.provenance_events = recorder.events()
-    if trace is not None:
-        result.frontier_events = trace.events()
-    if profiler is not None:
-        result.profile = profiler.as_payload()
+    attach_capture(result, local)
     return result
+
+
+def spec_capture(spec: ExperimentSpec, active: Optional[Capture]) -> Capture:
+    """The run-local capture for *spec*: a fresh channel for each one
+    the spec asks for that *active* does not already provide (an
+    already-active channel, e.g. the CLI's, keeps receiving events).
+    Install it with ``use_capture(local.over(active))``."""
+
+    def lacks(channel: str) -> bool:
+        return active is None or getattr(active, channel) is None
+
+    return Capture(
+        provenance=EventRing(
+            spec.provenance_capacity or DEFAULT_CAPACITY,
+            prefix_filter=spec.provenance_prefixes or None,
+        ) if spec.wants_provenance and lacks("provenance") else None,
+        frontier=EventRing(spec.frontier_capacity)
+        if spec.wants_frontier and lacks("frontier") else None,
+        profiler=PhaseProfiler()
+        if spec.wants_profile and lacks("profiler") else None,
+    )
+
+
+def attach_capture(result: ExperimentResult, local: Capture) -> None:
+    """Attach a :func:`spec_capture`'s streams to *result*."""
+    if local.provenance is not None:
+        result.provenance_events = local.provenance.events()
+    if local.frontier is not None:
+        result.frontier_events = local.frontier.events()
+    if local.profiler is not None:
+        result.profile = local.profiler.as_payload()
 
 
 def run_campaign(

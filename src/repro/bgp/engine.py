@@ -20,7 +20,8 @@ from typing import Dict, List, Optional, Set, Tuple
 from ..errors import EngineError
 from ..netutil import Prefix
 from ..obs import get_logger, get_registry, span
-from ..obs.frontier import EngineRunFrontier, active_frontier
+from ..obs.capture import active_capture
+from ..obs.frontier import EngineRunFrontier
 from ..rng import SeedTree
 from ..topology.graph import Topology
 from .attributes import Announcement, ASPath, Route
@@ -298,8 +299,8 @@ class PropagationEngine:
         # Frontier bookkeeping: per-engine run counter, so run ids are
         # identical however cells/shards are scheduled.  Causality
         # depths live in run-local interval lists inside
-        # run_to_fixpoint, only populated while a FrontierTrace is
-        # active.
+        # run_to_fixpoint, only populated while a frontier ring is
+        # captured.
         self._frontier_runs = 0
         # Dirty-set accumulators, non-None only inside apply_delta.
         self._dirty: Optional[Set[Prefix]] = None
@@ -472,9 +473,9 @@ class PropagationEngine:
             dirty_prefixes=tuple(sorted(str(p) for p in dirty)),
             touched_ases=len(touched),
         )
-        trace_ring = active_frontier()
-        if trace_ring is not None:
-            trace_ring.record(
+        capture = active_capture()
+        if capture is not None and capture.frontier is not None:
+            capture.frontier.record(
                 {
                     "kind": "engine_delta",
                     "delta": delta.kind,
@@ -557,7 +558,8 @@ class PropagationEngine:
         # One call returning None per run is the entire disabled-state
         # frontier cost; enabled, the loop tracks the changed-prefix
         # frontier and message causality depth per window.
-        trace_ring = active_frontier()
+        capture = active_capture()
+        trace_ring = capture.frontier if capture is not None else None
         acc = None
         if trace_ring is not None:
             acc = EngineRunFrontier(trace_ring, self._frontier_runs)

@@ -41,8 +41,9 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 from ..errors import EngineError, TopologyError
 from ..netutil import Prefix
 from ..obs import get_logger, get_registry, span
-from ..obs.frontier import FastpathRunFrontier, active_frontier
-from ..obs.provenance import active_recorder, selection_event
+from ..obs.capture import active_capture
+from ..obs.frontier import FastpathRunFrontier
+from ..obs.provenance import selection_event
 from ..topology.graph import Topology
 from .attributes import Announcement, ASPath, Route
 from .decision import DecisionProcess
@@ -228,13 +229,15 @@ def propagate_fastpath(
     max_rounds = max(1, len(topology)) * _MAX_ROUNDS_FACTOR
     iterations = 0
     cursor = 0
-    recorder = active_recorder()
-    narrate = recorder is not None and recorder.wants(the_prefix)
     # One call returning None per propagation is the entire
-    # disabled-state frontier cost; the run id derives from the trace's
-    # recorded-event count, which the byte-identity contract keeps
-    # equal across execution modes.
-    trace_ring = active_frontier()
+    # disabled-state capture cost; the frontier run id derives from the
+    # ring's recorded-event count, which the byte-identity contract
+    # keeps equal across execution modes.
+    capture = active_capture()
+    recorder = trace_ring = None
+    if capture is not None:
+        recorder, trace_ring = capture.provenance, capture.frontier
+    narrate = recorder is not None and recorder.wants(the_prefix)
     acc = None
     if trace_ring is not None:
         acc = FastpathRunFrontier(

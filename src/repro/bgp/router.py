@@ -13,7 +13,8 @@ from dataclasses import dataclass, replace
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..netutil import Prefix
-from ..obs.provenance import active_recorder, selection_event
+from ..obs.capture import active_capture
+from ..obs.provenance import selection_event
 from .attributes import ASPath, Route
 from .decision import DecisionProcess
 from .policy import Rel, RoutingPolicy
@@ -184,7 +185,8 @@ class Router:
     ) -> BestChange:
         rib = self.adj_rib_in.get(prefix, {})
         old = self.loc_rib.get(prefix)
-        recorder = active_recorder()
+        capture = active_capture()
+        recorder = capture.provenance if capture is not None else None
         if recorder is not None and recorder.wants(prefix):
             candidates = [rib[key] for key in sorted(rib)]
             new, steps = self.process.best_verbose(candidates)

@@ -40,6 +40,7 @@ the observability options (``--log-level/--log-json/--metrics-out/
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -60,19 +61,9 @@ from .errors import AnalysisError, ExperimentError, ReproError
 from .experiment.status import DEFAULT_STALE_AFTER_SECONDS
 from .obs import configure_logging, get_registry
 from .obs.benchtrack import DEFAULT_THRESHOLD_PCT
-from .obs.frontier import (
-    DEFAULT_FRONTIER_CAPACITY,
-    disable_frontier,
-    enable_frontier,
-)
-from .obs.profile import disable_profiling, enable_profiling
+from .obs.capture import DEFAULT_CAPACITY, Capture, EventRing, use_capture
+from .obs.profile import PhaseProfiler, export_profile
 from .obs.telemetry import DEFAULT_INTERVAL_SECONDS, TelemetrySampler
-from .obs.provenance import (
-    DEFAULT_CAPACITY,
-    ProvenanceRecorder,
-    disable_provenance,
-    enable_provenance,
-)
 from .rng import SeedTree
 from .seeds import select_seeds
 from .topology.re_ecosystem import build_ecosystem
@@ -170,7 +161,7 @@ def _obs_options() -> argparse.ArgumentParser:
     parent.add_argument(
         "--frontier-capacity", type=int, default=None, metavar="N",
         help="frontier ring-buffer capacity in events (default: %d; "
-             "oldest events drop first)" % DEFAULT_FRONTIER_CAPACITY,
+             "oldest events drop first)" % DEFAULT_CAPACITY,
     )
     parent.add_argument(
         "--profile-out", metavar="FILE.json",
@@ -445,90 +436,76 @@ def _write_metrics(args) -> None:
     print("wrote metrics snapshot to %s" % args.metrics_out)
 
 
-def _start_telemetry(args) -> Optional[TelemetrySampler]:
-    """Start the background sampler when ``--telemetry-out`` was given
-    (returns ``None`` otherwise)."""
-    if not args.telemetry_out:
-        return None
-    sampler = TelemetrySampler(
-        interval=args.telemetry_interval or DEFAULT_INTERVAL_SECONDS,
-        out_path=args.telemetry_out,
+@contextlib.contextmanager
+def _observing(args, prefix_filter=None):
+    """Run a ``with`` block under the capture the output flags ask for
+    (``--provenance-out`` / ``--frontier-out`` / ``--profile-out``)
+    plus the ``--telemetry-out`` sampler; yields the capture for
+    :func:`_write_outputs`."""
+    capture = Capture(
+        provenance=EventRing(
+            args.provenance_capacity or DEFAULT_CAPACITY, prefix_filter
+        ) if args.provenance_out else None,
+        frontier=EventRing(args.frontier_capacity or DEFAULT_CAPACITY)
+        if args.frontier_out else None,
+        profiler=PhaseProfiler() if args.profile_out else None,
     )
-    return sampler.start()
+    sampler = None
+    if args.telemetry_out:
+        sampler = TelemetrySampler(
+            interval=args.telemetry_interval or DEFAULT_INTERVAL_SECONDS,
+            out_path=args.telemetry_out,
+        ).start()
+    try:
+        with use_capture(capture):
+            yield capture
+    finally:
+        if sampler is not None:
+            lines = sampler.stop()
+            # Stderr, like the degradation notice: the sample count
+            # depends on wall-clock timing, so stdout stays
+            # byte-identical with and without --telemetry-out.
+            print(
+                "wrote %d telemetry sample(s) to %s"
+                % (lines, sampler.out_path),
+                file=sys.stderr,
+            )
 
 
-def _stop_telemetry(sampler: Optional[TelemetrySampler]) -> None:
-    if sampler is None:
-        return
-    lines = sampler.stop()
-    # Stderr, like the degradation notice: the sample count depends on
-    # wall-clock timing, so stdout stays byte-identical with and
-    # without --telemetry-out.
-    print(
-        "wrote %d telemetry sample(s) to %s" % (lines, sampler.out_path),
-        file=sys.stderr,
-    )
-
-
-def _write_trace(args) -> None:
+def _write_outputs(args, capture: Capture) -> None:
+    """Write the metrics snapshot, the captured streams and the span
+    trace the flags asked for, after the run's report."""
+    _write_metrics(args)
+    # Stdout: the event streams — and therefore the counts — are inside
+    # the byte-identity contract, so these lines are identical at every
+    # worker count.
+    for name, ring, path in (
+        ("provenance", capture.provenance, args.provenance_out),
+        ("frontier", capture.frontier, args.frontier_out),
+    ):
+        if ring is None:
+            continue
+        count = ring.export_jsonl_file(path)
+        suffix = (
+            " (%d older events dropped by the ring)" % ring.dropped
+            if ring.dropped else ""
+        )
+        print("wrote %d %s events to %s%s" % (count, name, path, suffix))
+    if capture.profiler is not None:
+        payload = export_profile(capture.profiler, args.profile_out)
+        # Stderr, like telemetry: profile contents are timings —
+        # execution metadata — so stdout stays byte-identical with and
+        # without --profile-out.
+        print(
+            "wrote phase profile (%d phases) to %s"
+            % (len(payload.get("phases", {})), args.profile_out),
+            file=sys.stderr,
+        )
     if args.trace_out:
         from .obs.export import write_chrome_trace
 
         count = write_chrome_trace(args.trace_out)
         print("wrote %d trace events to %s" % (count, args.trace_out))
-
-
-def _export_recorder(recorder, path: str) -> None:
-    count = recorder.export_jsonl_file(path)
-    suffix = (
-        " (%d older events dropped by the ring)" % recorder.dropped
-        if recorder.dropped else ""
-    )
-    print("wrote %d provenance events to %s%s" % (count, path, suffix))
-
-
-def _enable_frontier(args):
-    """Install the process-wide frontier trace when ``--frontier-out``
-    was given (returns ``None`` otherwise)."""
-    if not args.frontier_out:
-        return None
-    return enable_frontier(
-        capacity=args.frontier_capacity or DEFAULT_FRONTIER_CAPACITY
-    )
-
-
-def _export_frontier(trace, path: str) -> None:
-    # Stdout, like provenance: the event stream — and therefore the
-    # count — is inside the byte-identity contract, so this line is
-    # identical at every worker count.
-    count = trace.export_jsonl_file(path)
-    suffix = (
-        " (%d older events dropped by the ring)" % trace.dropped
-        if trace.dropped else ""
-    )
-    print("wrote %d frontier events to %s%s" % (count, path, suffix))
-
-
-def _enable_profile(args):
-    """Install the process-wide phase profiler when ``--profile-out``
-    was given (returns ``None`` otherwise)."""
-    if not args.profile_out:
-        return None
-    return enable_profiling()
-
-
-def _export_profile(profiler, path: str) -> None:
-    from .obs.profile import export_profile
-
-    payload = export_profile(profiler, path)
-    # Stderr, like telemetry: profile contents are timings — execution
-    # metadata — so stdout stays byte-identical with and without
-    # --profile-out.
-    print(
-        "wrote phase profile (%d phases) to %s"
-        % (len(payload.get("phases", {})), path),
-        file=sys.stderr,
-    )
 
 
 def _build_spec(args, experiment: str = "surf") -> ExperimentSpec:
@@ -561,28 +538,12 @@ def _cmd_reproduce(args) -> int:
         print(str(error), file=sys.stderr)
         return 2
     fault_plan = spec.fault_plan()
-    recorder = None
-    if args.provenance_out:
-        recorder = enable_provenance(
-            capacity=args.provenance_capacity or DEFAULT_CAPACITY
-        )
-    frontier = _enable_frontier(args)
-    profiler = _enable_profile(args)
-    sampler = _start_telemetry(args)
-    try:
+    with _observing(args) as capture:
         report = reproduce_paper(
             spec.ecosystem_config(), seed=spec.seed,
             workers=spec.workers, shard_size=spec.shard_size,
             fault_plan=fault_plan, shard_timeout=spec.shard_timeout,
         )
-    finally:
-        if recorder is not None:
-            disable_provenance()
-        if frontier is not None:
-            disable_frontier()
-        if profiler is not None:
-            disable_profiling()
-        _stop_telemetry(sampler)
     print(report.render())
     if args.figures:
         from .core.figures import (
@@ -614,14 +575,7 @@ def _cmd_reproduce(args) -> int:
             with open(updates_path, "w", encoding="utf-8") as stream:
                 count = dump_update_log(result.update_log, stream)
             print("wrote %d records to %s" % (count, updates_path))
-    _write_metrics(args)
-    if recorder is not None:
-        _export_recorder(recorder, args.provenance_out)
-    if frontier is not None:
-        _export_frontier(frontier, args.frontier_out)
-    if profiler is not None:
-        _export_profile(profiler, args.profile_out)
-    _write_trace(args)
+    _write_outputs(args, capture)
     degradations = [
         record.as_dict()
         for result in (report.surf_result, report.internet2_result)
@@ -721,33 +675,18 @@ def _cmd_sweep(args) -> int:
     except ReproError as error:
         print(str(error), file=sys.stderr)
         return 2
-    recorder = None
-    if args.provenance_out:
-        recorder = enable_provenance(
-            capacity=args.provenance_capacity or DEFAULT_CAPACITY
-        )
-    frontier = _enable_frontier(args)
-    profiler = _enable_profile(args)
     runner = CampaignRunner(
         specs, args.campaign_dir,
         pool_workers=args.campaign_workers,
         resume=not args.no_resume,
         backend=args.backend,
     )
-    sampler = _start_telemetry(args)
     try:
-        result = runner.run()
+        with _observing(args) as capture:
+            result = runner.run()
     except ExperimentError as error:
         print(str(error), file=sys.stderr)
         return 1
-    finally:
-        if recorder is not None:
-            disable_provenance()
-        if frontier is not None:
-            disable_frontier()
-        if profiler is not None:
-            disable_profiling()
-        _stop_telemetry(sampler)
     print(result.summary.render())
     print()
     print(
@@ -758,14 +697,7 @@ def _cmd_sweep(args) -> int:
             runner.summary_path,
         )
     )
-    _write_metrics(args)
-    if recorder is not None:
-        _export_recorder(recorder, args.provenance_out)
-    if frontier is not None:
-        _export_frontier(frontier, args.frontier_out)
-    if profiler is not None:
-        _export_profile(profiler, args.profile_out)
-    _write_trace(args)
+    _write_outputs(args, capture)
     return 0
 
 
@@ -780,34 +712,26 @@ def _cmd_explain(args) -> int:
     if problem:
         print(problem, file=sys.stderr)
         return 2
-    recorder = None
-    if args.provenance_out:
-        # explain keeps a filtered recorder (only this prefix's
-        # events), so the export is the prefix's full evidence chain.
-        recorder = ProvenanceRecorder(
-            capacity=args.provenance_capacity or DEFAULT_CAPACITY,
-            prefix_filter=[args.prefix],
-        )
     try:
         spec = _build_spec(args, experiment=args.experiment)
     except ReproError as error:
         print(str(error), file=sys.stderr)
         return 2
-    frontier = _enable_frontier(args)
-    profiler = _enable_profile(args)
-    sampler = _start_telemetry(args)
     try:
-        narrative = explain_prefix(
-            args.prefix,
-            experiment=args.experiment,
-            scale=args.scale,
-            seed=args.seed,
-            workers=spec.workers,
-            shard_size=spec.shard_size,
-            fault_plan=spec.fault_plan(),
-            shard_timeout=spec.shard_timeout,
-            recorder=recorder,
-        )
+        # explain keeps a filtered provenance ring (only this prefix's
+        # events), so the export is the prefix's full evidence chain.
+        with _observing(args, prefix_filter=[args.prefix]) as capture:
+            narrative = explain_prefix(
+                args.prefix,
+                experiment=args.experiment,
+                scale=args.scale,
+                seed=args.seed,
+                workers=spec.workers,
+                shard_size=spec.shard_size,
+                fault_plan=spec.fault_plan(),
+                shard_timeout=spec.shard_timeout,
+                recorder=capture.provenance,
+            )
     except ValueError as error:
         # Unparseable prefix text.
         print("bad prefix: %s" % error, file=sys.stderr)
@@ -818,21 +742,8 @@ def _cmd_explain(args) -> int:
     except ReproError as error:
         print(str(error), file=sys.stderr)
         return 2
-    finally:
-        if frontier is not None:
-            disable_frontier()
-        if profiler is not None:
-            disable_profiling()
-        _stop_telemetry(sampler)
     print(narrative)
-    _write_metrics(args)
-    if recorder is not None:
-        _export_recorder(recorder, args.provenance_out)
-    if frontier is not None:
-        _export_frontier(frontier, args.frontier_out)
-    if profiler is not None:
-        _export_profile(profiler, args.profile_out)
-    _write_trace(args)
+    _write_outputs(args, capture)
     return 0
 
 
@@ -874,48 +785,47 @@ def _cmd_whatif(args) -> int:
     except ReproError as error:
         print(str(error), file=sys.stderr)
         return 2
-    frontier = _enable_frontier(args)
-    sampler = _start_telemetry(args)
     started = time.perf_counter()
     try:
-        session = WhatIfSession(spec)
-        if args.config:
-            session.advance_to_config(args.config)
-        warm_seconds = time.perf_counter() - started
-        prefixes = args.prefix or [
-            str(plan.prefix)
-            for plan in sorted(
-                session.ecosystem.studied_prefixes(),
-                key=lambda plan: (plan.prefix.network, plan.prefix.length),
-            )
-        ]
-        query_start = time.perf_counter()
-        _print_predictions(
-            "baseline", session.predict_batch(prefixes), args.limit
-        )
-        for delta_text in args.delta or ():
-            delta = parse_delta(delta_text, session)
-            outcome = session.apply(delta)
-            print(
-                "applied %s: dirty_prefixes=%d touched_ases=%d "
-                "runs=%d messages=%d"
-                % (
-                    delta_text, len(outcome.dirty_prefixes),
-                    outcome.touched_ases, len(outcome.stats),
-                    outcome.messages_delivered,
+        with _observing(args) as capture:
+            session = WhatIfSession(spec)
+            if args.config:
+                session.advance_to_config(args.config)
+            warm_seconds = time.perf_counter() - started
+            prefixes = args.prefix or [
+                str(plan.prefix)
+                for plan in sorted(
+                    session.ecosystem.studied_prefixes(),
+                    key=lambda plan: (
+                        plan.prefix.network, plan.prefix.length
+                    ),
                 )
-            )
-        if args.delta:
+            ]
+            query_start = time.perf_counter()
             _print_predictions(
-                "after-deltas", session.predict_batch(prefixes),
-                args.limit,
+                "baseline", session.predict_batch(prefixes), args.limit
             )
-        query_seconds = time.perf_counter() - query_start
+            for delta_text in args.delta or ():
+                delta = parse_delta(delta_text, session)
+                outcome = session.apply(delta)
+                print(
+                    "applied %s: dirty_prefixes=%d touched_ases=%d "
+                    "runs=%d messages=%d"
+                    % (
+                        delta_text, len(outcome.dirty_prefixes),
+                        outcome.touched_ases, len(outcome.stats),
+                        outcome.messages_delivered,
+                    )
+                )
+            if args.delta:
+                _print_predictions(
+                    "after-deltas", session.predict_batch(prefixes),
+                    args.limit,
+                )
+            query_seconds = time.perf_counter() - query_start
     except ReproError as error:
         print(str(error), file=sys.stderr)
         return 2
-    finally:
-        _stop_telemetry(sampler)
     # Wall timings are execution metadata: stderr, not the
     # deterministic stdout report.
     print(
@@ -927,10 +837,7 @@ def _cmd_whatif(args) -> int:
         ),
         file=sys.stderr,
     )
-    _write_metrics(args)
-    if frontier is not None:
-        _export_frontier(frontier, args.frontier_out)
-    _write_trace(args)
+    _write_outputs(args, capture)
     return 0
 
 

@@ -28,7 +28,7 @@ from typing import Dict, List, Optional
 
 from ..errors import AnalysisError
 from ..netutil import Prefix
-from ..obs.provenance import ProvenanceRecorder, use_provenance
+from ..obs.capture import Capture, EventRing, active_capture, use_capture
 from ..rng import SeedTree
 from ..seeds.selection import select_seeds
 from ..topology.re_ecosystem import build_ecosystem
@@ -301,7 +301,7 @@ def explain_prefix(
     shard_size: Optional[int] = None,
     fault_plan=None,
     shard_timeout: Optional[float] = None,
-    recorder: Optional[ProvenanceRecorder] = None,
+    recorder: Optional[EventRing] = None,
 ) -> str:
     """Replay *experiment* and explain one probed prefix's category.
 
@@ -336,12 +336,13 @@ def explain_prefix(
     runner = build_runner(
         spec, ecosystem, shared_seeds, fault_plan=fault_plan
     )
-    # A filtered recorder: only this prefix's events are retained, so
-    # the full nine-round chain survives any ring pressure.  A caller
-    # may pass its own (the CLI does, to export the chain afterwards).
+    # A filtered provenance ring: only this prefix's events are
+    # retained, so the full nine-round chain survives any ring
+    # pressure.  A caller may pass its own (the CLI does, to export the
+    # chain afterwards); the rest of any active capture stays in place.
     if recorder is None:
-        recorder = ProvenanceRecorder(prefix_filter=[prefix])
-    with use_provenance(recorder):
+        recorder = EventRing(prefix_filter=[prefix])
+    with use_capture(Capture(provenance=recorder).over(active_capture())):
         result = runner.run()
     inference = classify_prefix_rounds(
         prefix,

@@ -13,13 +13,13 @@ results:
   :class:`~repro.experiment.scheduler.ForkPoolBackend` dispatches
   whole cells as scheduler tasks.  Cell workers run with isolated
   observability state and ship back metrics snapshots, completed span
-  trees, and provenance events, which the parent merges *in cell
-  order* so the merged streams match the inline ones.  While the
-  campaign pool is busy, cells are throttled to serial probing
-  (``inner workers = 1``) and carry no ``may_fork`` claim, so the
-  machine never runs unplanned pools-inside-pools — the never-nest
-  rule is enforced by the scheduler's resource claims, not by module
-  flags;
+  trees, and their :class:`~repro.obs.capture.Capture` payload, which
+  the parent merges *in cell order* so the merged streams match the
+  inline ones.  While the campaign pool is busy, cells are throttled
+  to serial probing (``inner workers = 1``) and carry no ``may_fork``
+  claim, so the machine never runs unplanned pools-inside-pools — the
+  never-nest rule is enforced by the scheduler's resource claims, not
+  by module flags;
 - **resumed** — each completed cell persists a JSON record keyed by
   its spec digest under ``<campaign dir>/cells/``; re-invoking the
   campaign skips every cell whose checkpoint is present, recomputes
@@ -47,7 +47,13 @@ from dataclasses import dataclass, field
 from hashlib import sha256
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..api import ExecutionPolicy, ExperimentSpec, build_runner
+from ..api import (
+    ExecutionPolicy,
+    ExperimentSpec,
+    attach_capture,
+    build_runner,
+    spec_capture,
+)
 from ..core.classify import (
     TABLE1_ORDER,
     InferenceCategory,
@@ -58,24 +64,8 @@ from ..core.sweep import CampaignSummary, build_campaign_summary
 from ..errors import ExperimentError
 from ..faults import FaultPlan
 from ..obs import MetricsRegistry, get_logger, get_registry, span, use_registry
-from ..obs.frontier import (
-    DEFAULT_FRONTIER_CAPACITY,
-    FrontierTrace,
-    active_frontier,
-    use_frontier,
-)
-from ..obs.profile import (
-    PhaseProfiler,
-    active_profiler,
-    disarm_inherited_profile,
-    use_profiling,
-)
-from ..obs.provenance import (
-    DEFAULT_CAPACITY,
-    ProvenanceRecorder,
-    active_recorder,
-    use_provenance,
-)
+from ..obs.capture import active_capture, use_capture
+from ..obs.profile import PhaseProfiler
 from ..obs.spans import attach_completed, detached_trace
 from ..rng import SeedTree
 from ..seeds.selection import SeedPlan, select_seeds
@@ -164,24 +154,11 @@ class CellOutcome:
     #: mode only; inline cells wrote straight into the parent's).
     metrics: Optional[dict] = None
     trace: Optional[dict] = None
-    #: Events for the parent's active recorder (pooled mode only).
-    parent_provenance: Optional[List[dict]] = None
-    #: Events a spec-requested recorder captured (for the per-cell
-    #: provenance export, independent of any parent recorder).
-    spec_provenance: Optional[List[dict]] = None
-    #: Frontier events for the parent's active trace (pooled mode
-    #: only; merged strictly in cell order, like provenance).
-    parent_frontier: Optional[List[dict]] = None
-    #: Frontier events a spec-requested trace captured (for the
-    #: per-cell ``<digest>.frontier.jsonl`` export).
-    spec_frontier: Optional[List[dict]] = None
-    #: Phase-profile payload for the parent's active profiler (pooled
-    #: mode only; folded with ``merge_payload`` in cell order).
-    parent_profile: Optional[dict] = None
-    #: Payload a spec-requested profiler captured (per-cell
-    #: ``<digest>.profile.json`` artifact and the campaign hotspot
-    #: summary).
-    spec_profile: Optional[dict] = None
+    #: The cell's :meth:`~repro.obs.capture.Capture.shipped` payload:
+    #: the channels its spec captured run-locally (the per-cell
+    #: artifacts) plus, pooled, copies of the parent's channels —
+    #: which the dispatcher merges in cell order and removes.
+    capture: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -256,35 +233,16 @@ def identity_view(record: dict) -> dict:
 def _run_cell(
     work: CellWork,
     index: int,
-    isolate: bool,
     heartbeat: Optional[CellHeartbeat] = None,
 ) -> CellOutcome:
-    """Execute one cell.  With ``isolate`` (pooled mode) an inherited
-    active recorder is swapped for a fresh one whose events ship back
-    to the parent; inline mode records straight into it, exactly like
-    a standalone run.  *heartbeat*, when given, tracks the cell's
-    phase/round progress in ``status/<digest>.json`` (purely
-    observational — results are identical with or without it)."""
+    """Execute one cell under the active capture — a pooled worker's
+    child, or inline the parent's own, exactly like a standalone run —
+    plus a run-local capture for whatever else its spec asks for.
+    *heartbeat*, when given, tracks the cell's phase/round progress in
+    ``status/<digest>.json`` (purely observational — results are
+    identical with or without it)."""
     spec = work.spec
     started = time.perf_counter()
-    # Profiling first: a pooled worker inherits the parent's profiler
-    # singleton (and, if the fork landed inside a profiled phase, a
-    # live cProfile hook) — its presence signals the parent wants
-    # profiles, so disarm the foreign state and stand up a fresh local
-    # profiler whose payload ships back for in-cell-order merging.
-    # Inline cells record straight into the parent profiler.
-    parent_profiler = active_profiler()
-    ship_profile = isolate and parent_profiler is not None
-    if isolate:
-        disarm_inherited_profile()
-    local_profiler: Optional[PhaseProfiler] = None
-    if ship_profile:
-        local_profiler = PhaseProfiler(
-            use_cprofile=parent_profiler.use_cprofile,
-            top_n=parent_profiler.top_n,
-        )
-    elif parent_profiler is None and spec.wants_profile:
-        local_profiler = PhaseProfiler()
     runner = build_runner(
         spec, work.ecosystem, work.seed_plan,
         schedule=work.schedule, fault_plan=work.fault_plan,
@@ -293,57 +251,11 @@ def _run_cell(
     if heartbeat is not None:
         heartbeat.begin(rounds_total=spec.num_rounds)
         runner.progress_hook = heartbeat.progress
-    parent_recorder = active_recorder()
-    ship_to_parent = isolate and parent_recorder is not None
-    local: Optional[ProvenanceRecorder] = None
-    if ship_to_parent:
-        local = ProvenanceRecorder(
-            capacity=parent_recorder.capacity,
-            prefix_filter=parent_recorder.prefix_filter,
-        )
-    elif parent_recorder is None and spec.wants_provenance:
-        local = ProvenanceRecorder(
-            capacity=spec.provenance_capacity or DEFAULT_CAPACITY,
-            prefix_filter=spec.provenance_prefixes or None,
-        )
-    # Frontier capture mirrors provenance: pooled cells swap the
-    # fork-inherited parent trace for a fresh local one and ship its
-    # events back; inline cells record into the parent trace directly
-    # (no engine-global counters, so the streams merge byte-identically
-    # in cell order either way).
-    parent_trace = active_frontier()
-    ship_frontier = isolate and parent_trace is not None
-    local_trace: Optional[FrontierTrace] = None
-    if ship_frontier:
-        local_trace = FrontierTrace(capacity=parent_trace.capacity)
-    elif parent_trace is None and spec.wants_frontier:
-        local_trace = FrontierTrace(
-            capacity=spec.frontier_capacity or DEFAULT_FRONTIER_CAPACITY
-        )
-    from contextlib import ExitStack
-
-    with ExitStack() as stack:
-        if local is not None:
-            stack.enter_context(use_provenance(local))
-        if local_trace is not None:
-            stack.enter_context(use_frontier(local_trace))
-        if local_profiler is not None:
-            stack.enter_context(use_profiling(local_profiler))
+    active = active_capture()
+    local = spec_capture(spec, active)
+    with use_capture(local.over(active)):
         result = runner.run()
-    spec_events: Optional[List[dict]] = None
-    if local is not None and not ship_to_parent:
-        # Same attachment a standalone run_experiment() performs.
-        result.provenance_events = local.events()
-        spec_events = result.provenance_events
-    spec_frontier: Optional[List[dict]] = None
-    if local_trace is not None and not ship_frontier:
-        result.frontier_events = local_trace.events()
-        spec_frontier = result.frontier_events
-    profile_payload: Optional[dict] = None
-    if local_profiler is not None:
-        profile_payload = local_profiler.as_payload()
-        if not ship_profile:
-            result.profile = profile_payload
+    attach_capture(result, local)
     record = None
     if work.build_record:
         record = cell_record(spec, result, runner.ecosystem)
@@ -357,14 +269,7 @@ def _run_cell(
         record=record,
         wall_seconds=time.perf_counter() - started,
         result=result if work.keep_result else None,
-        parent_provenance=local.events() if ship_to_parent else None,
-        spec_provenance=spec_events,
-        parent_frontier=(
-            local_trace.events() if ship_frontier else None
-        ),
-        spec_frontier=spec_frontier,
-        parent_profile=profile_payload if ship_profile else None,
-        spec_profile=None if ship_profile else profile_payload,
+        capture=local.shipped(),
     )
 
 
@@ -399,10 +304,11 @@ def _cell_task(index: int) -> CellOutcome:
     (:func:`task_context`); the executing backend's name is stamped on
     the cell's heartbeat so mixed inline/fork campaigns are debuggable
     from ``repro status``.  In a pool worker the cell runs under
-    isolated obs state and ships snapshots back for in-order merging
-    (fresh registry, so the heartbeat's mirrored counters are strictly
-    this cell's); inline it records straight into the parent's obs
-    state, exactly like a standalone run.
+    isolated obs state — a fresh registry (so the heartbeat's mirrored
+    counters are strictly this cell's) and a child of the inherited
+    capture — and ships both back for in-order merging; inline it
+    records straight into the parent's obs state, exactly like a
+    standalone run.
     """
     context = task_context()
     if context is None:
@@ -416,9 +322,7 @@ def _cell_task(index: int) -> CellOutcome:
     if not isolate:
         try:
             with span("campaign.cell.%s" % work.spec.label()):
-                outcome = _run_cell(
-                    work, index, isolate=False, heartbeat=heartbeat
-                )
+                outcome = _run_cell(work, index, heartbeat=heartbeat)
         except Exception as error:
             if heartbeat is not None:
                 heartbeat.failed(str(error))
@@ -426,12 +330,12 @@ def _cell_task(index: int) -> CellOutcome:
         get_registry().counter("campaign.cells_completed").inc()
         return outcome
     registry = MetricsRegistry()
-    with use_registry(registry), detached_trace():
+    parent = active_capture()
+    capture = parent.child() if parent is not None else None
+    with use_registry(registry), detached_trace(), use_capture(capture):
         with span("campaign.cell.%s" % work.spec.label()) as record:
             try:
-                outcome = _run_cell(
-                    work, index, isolate=True, heartbeat=heartbeat
-                )
+                outcome = _run_cell(work, index, heartbeat=heartbeat)
             except Exception as error:
                 if heartbeat is not None:
                     heartbeat.failed(str(error))
@@ -439,6 +343,8 @@ def _cell_task(index: int) -> CellOutcome:
         registry.counter("campaign.cells_completed").inc()
         outcome.trace = record.as_dict()
     outcome.metrics = registry.snapshot()
+    if capture is not None:
+        outcome.capture.update(capture.shipped())
     return outcome
 
 
@@ -480,12 +386,12 @@ def dispatch_cells(
     the failures.  *on_outcome* fires as each cell's result is merged
     — the campaign checkpoints there, so cells finished before a crash
     are never recomputed.  In pooled mode the parent merges worker
-    metrics snapshots, re-attaches span trees, and extends its active
-    provenance recorder strictly in cell order, reproducing the inline
-    observability streams.  With *status_dir*, every executing cell —
-    inline or pooled — maintains a ``<status_dir>/<digest>.json``
-    heartbeat stamped with the executing backend's name (see
-    :mod:`repro.experiment.status`).
+    metrics snapshots, re-attaches span trees, and merges shipped
+    captures into its active capture strictly in cell order,
+    reproducing the inline observability streams.  With *status_dir*,
+    every executing cell — inline or pooled — maintains a
+    ``<status_dir>/<digest>.json`` heartbeat stamped with the executing
+    backend's name (see :mod:`repro.experiment.status`).
     """
     works = list(works)
     outcomes: List[Optional[CellOutcome]] = [None] * len(works)
@@ -504,6 +410,7 @@ def dispatch_cells(
         Task(key=index, fn=_cell_task, args=(index,), claim=_cell_claim(work))
         for index, work in enumerate(works)
     ]
+    capture = active_capture()
 
     def collect(task: Task, result) -> None:
         index = task.key
@@ -525,39 +432,25 @@ def dispatch_cells(
             ))
             get_registry().counter("campaign.cells_failed").inc()
             return
-        outcomes[index] = result.value
+        # Results resolve in cell order; only pooled outcomes carry
+        # worker metrics, span trees and copies of the parent capture's
+        # channels (inline cells wrote straight into the parent's).
+        outcome = result.value
+        if outcome.metrics:
+            get_registry().merge_snapshot(outcome.metrics)
+        if outcome.trace is not None:
+            attach_completed(outcome.trace)
+        if capture is not None:
+            outcome.capture = capture.merge(outcome.capture)
+        outcomes[index] = outcome
         if on_outcome is not None:
-            on_outcome(result.value)
+            on_outcome(outcome)
 
     scheduler = Scheduler(execution, _CELL_RETRY_POLICY)
     try:
         scheduler.run(tasks, on_result=collect)
     finally:
         scheduler.shutdown()
-    if pooled:
-        registry = get_registry()
-        for outcome in outcomes:
-            if outcome is None:
-                continue
-            if outcome.metrics:
-                registry.merge_snapshot(outcome.metrics)
-            if outcome.trace is not None:
-                attach_completed(outcome.trace)
-        recorder = active_recorder()
-        if recorder is not None:
-            for outcome in outcomes:
-                if outcome is not None and outcome.parent_provenance:
-                    recorder.extend(outcome.parent_provenance)
-        trace = active_frontier()
-        if trace is not None:
-            for outcome in outcomes:
-                if outcome is not None and outcome.parent_frontier:
-                    trace.extend(outcome.parent_frontier)
-        profiler = active_profiler()
-        if profiler is not None:
-            for outcome in outcomes:
-                if outcome is not None and outcome.parent_profile:
-                    profiler.merge_payload(outcome.parent_profile)
     failures.sort(key=lambda failure: failure.index)
     return outcomes, failures
 
@@ -770,37 +663,10 @@ class CampaignRunner:
         return record
 
     def _write_checkpoint(self, record: dict) -> None:
-        os.makedirs(self.cells_dir, exist_ok=True)
-        path = self.cell_path(record["digest"])
-        temp = path + ".tmp"
-        with open(temp, "w", encoding="utf-8") as handle:
-            json.dump(record, handle, indent=1, sort_keys=True)
-            handle.write("\n")
-        os.replace(temp, path)
-
-    def _write_cell_provenance(self, outcome: CellOutcome) -> None:
-        os.makedirs(self.cells_dir, exist_ok=True)
-        path = os.path.join(
-            self.cells_dir, "%s.provenance.jsonl" % outcome.digest
+        _write_atomic(
+            self.cell_path(record["digest"]),
+            json.dumps(record, indent=1, sort_keys=True) + "\n",
         )
-        temp = path + ".tmp"
-        with open(temp, "w", encoding="utf-8") as handle:
-            for event in outcome.spec_provenance or ():
-                handle.write(json.dumps(event, sort_keys=True))
-                handle.write("\n")
-        os.replace(temp, path)
-
-    def _write_cell_frontier(self, outcome: CellOutcome) -> None:
-        os.makedirs(self.cells_dir, exist_ok=True)
-        path = os.path.join(
-            self.cells_dir, "%s.frontier.jsonl" % outcome.digest
-        )
-        temp = path + ".tmp"
-        with open(temp, "w", encoding="utf-8") as handle:
-            for event in outcome.spec_frontier or ():
-                handle.write(json.dumps(event, sort_keys=True))
-                handle.write("\n")
-        os.replace(temp, path)
 
     def cell_profile_path(self, digest: str) -> str:
         return os.path.join(self.cells_dir, "%s.profile.json" % digest)
@@ -809,16 +675,29 @@ class CampaignRunner:
     def campaign_profile_path(self) -> str:
         return os.path.join(self.directory, "campaign_profile.json")
 
-    def _write_cell_profile(self, outcome: CellOutcome) -> None:
-        os.makedirs(self.cells_dir, exist_ok=True)
-        path = self.cell_profile_path(outcome.digest)
-        temp = path + ".tmp"
-        with open(temp, "w", encoding="utf-8") as handle:
-            json.dump(
-                outcome.spec_profile, handle, indent=1, sort_keys=True
+    def _write_cell_capture(self, outcome: CellOutcome) -> None:
+        """Per-cell artifacts for the channels the cell's spec captured
+        run-locally: ``<digest>.provenance.jsonl``,
+        ``<digest>.frontier.jsonl`` and ``<digest>.profile.json``."""
+        for channel in ("provenance", "frontier"):
+            part = outcome.capture.get(channel)
+            if part is not None:
+                _write_atomic(
+                    os.path.join(
+                        self.cells_dir,
+                        "%s.%s.jsonl" % (outcome.digest, channel),
+                    ),
+                    "".join(
+                        json.dumps(event, sort_keys=True) + "\n"
+                        for event in part["events"]
+                    ),
+                )
+        profile = outcome.capture.get("profile")
+        if profile is not None:
+            _write_atomic(
+                self.cell_profile_path(outcome.digest),
+                json.dumps(profile, indent=1, sort_keys=True) + "\n",
             )
-            handle.write("\n")
-        os.replace(temp, path)
 
     def _write_campaign_profile(self) -> None:
         """Aggregate every profile-requesting cell's on-disk payload
@@ -846,13 +725,11 @@ class CampaignRunner:
         if not cells:
             return
         merged.labels["cells"] = str(cells)
-        temp = self.campaign_profile_path + ".tmp"
-        with open(temp, "w", encoding="utf-8") as handle:
-            json.dump(
-                merged.as_payload(), handle, indent=1, sort_keys=True
-            )
-            handle.write("\n")
-        os.replace(temp, self.campaign_profile_path)
+        _write_atomic(
+            self.campaign_profile_path,
+            json.dumps(merged.as_payload(), indent=1, sort_keys=True)
+            + "\n",
+        )
 
     # -- execution -----------------------------------------------------
 
@@ -904,12 +781,7 @@ class CampaignRunner:
         def checkpoint_outcome(outcome: CellOutcome) -> None:
             assert outcome.record is not None
             self._write_checkpoint(outcome.record)
-            if outcome.spec_provenance is not None:
-                self._write_cell_provenance(outcome)
-            if outcome.spec_frontier is not None:
-                self._write_cell_frontier(outcome)
-            if outcome.spec_profile is not None:
-                self._write_cell_profile(outcome)
+            self._write_cell_capture(outcome)
             records[outcome.digest] = outcome.record
             get_registry().histogram(
                 "campaign.cell_wall_seconds"
@@ -963,12 +835,17 @@ class CampaignRunner:
         return result
 
     def _write_summary(self, summary: CampaignSummary) -> None:
-        os.makedirs(self.directory, exist_ok=True)
-        temp = self.summary_path + ".tmp"
-        with open(temp, "w", encoding="utf-8") as handle:
-            handle.write(summary.to_json(indent=1))
-            handle.write("\n")
-        os.replace(temp, self.summary_path)
+        _write_atomic(self.summary_path, summary.to_json(indent=1) + "\n")
+
+
+def _write_atomic(path: str, text: str) -> None:
+    """Write *text* to *path* via a temp file and rename, so readers
+    (and resumed campaigns) never see a partial file."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    temp = path + ".tmp"
+    with open(temp, "w", encoding="utf-8") as handle:
+        handle.write(text)
+    os.replace(temp, path)
 
 
 def known_scenarios() -> List[str]:

@@ -41,9 +41,11 @@ Hence ``ShardedRunner(workers=k, shard_size=s)`` produces the same
 ``s`` — the property ``tests/test_differential.py`` enforces.
 
 Observability: each shard worker runs under an isolated metrics
-registry and a detached span stack; its registry snapshot is merged
-into the parent registry and its completed ``runner.shard.<n>`` span
-tree is re-attached under the parent's ``runner.round.<config>`` span.
+registry, a detached span stack and a child of the active
+:class:`~repro.obs.capture.Capture`; its registry snapshot and shipped
+capture are merged into the parent's in shard order and its completed
+``runner.shard.<n>`` span tree is re-attached under the parent's
+``runner.round.<config>`` span.
 
 Fault tolerance
 ---------------
@@ -83,10 +85,8 @@ from ..obs import (
     span,
     use_registry,
 )
-from ..obs.frontier import active_frontier
-from ..obs.profile import active_profiler, disarm_inherited_profile
+from ..obs.capture import active_capture, use_capture
 from ..obs.provenance import (
-    active_recorder,
     degradation_event,
     round_signal_summary,
     signal_event,
@@ -144,33 +144,12 @@ class _WorkerState:
     pps: int
 
 
-@dataclass(frozen=True)
-class _ProvenanceSpec:
-    """Per-round provenance instructions shipped to shard workers.
-
-    Workers never touch the parent's recorder (the inline backend
-    shares its process, so recording there would double-count); they
-    build events locally and ship them back in
-    :class:`~repro.experiment.records.ShardOutcome.provenance`.
-    """
-
-    prefix_filter: Optional[frozenset] = None
-
-    def wants(self, prefix) -> bool:
-        return (
-            self.prefix_filter is None
-            or str(prefix) in self.prefix_filter
-        )
-
-
 def _probe_shard(
     state: _WorkerState,
     spec: ShardSpec,
     snapshot: RibSnapshot,
-    provenance: Optional[_ProvenanceSpec] = None,
     lossy_prefixes: frozenset = frozenset(),
-    frontier: bool = False,
-) -> "tuple[List[Optional[tuple]], List[dict], List[tuple]]":
+) -> List[Optional[tuple]]:
     """Probe one shard's prefixes against the snapshot.
 
     Mirrors :meth:`repro.probing.prober.Prober.probe_round` exactly:
@@ -178,28 +157,26 @@ def _probe_shard(
     round's sorted order), same per-prefix streams, same global-index
     pacing, and the shared :func:`probe_one` semantics.  Returns one
     compact wire row per probe (:func:`response_row`), in probe order
-    (the parent rebuilds :class:`ProbeResponse` objects from them),
-    plus the shard's provenance signal events — one per prefix, built
-    from the same aggregation the serial prober uses, so the merged
-    stream matches the serial stream exactly — plus, when *frontier*
-    is set, the shard's ``(prefix, signal)`` frontier rows (same
-    per-prefix aggregation; the parent diffs them round over round).
+    (the parent rebuilds :class:`ProbeResponse` objects from them).
+    Provenance signal events go to the active (worker) capture — one
+    per prefix, built from the same aggregation the serial prober
+    uses, so the merged stream matches the serial stream exactly.
     """
     origin_set = frozenset(state.interface_kinds)
     interface_kind_of = state.interface_kinds.__getitem__
     interval = 1.0 / state.pps
     index = spec.start_index
     rows: List[Optional[tuple]] = []
-    events: List[dict] = []
-    frontier_rows: List[tuple] = []
+    capture = active_capture()
+    recorder = capture.provenance if capture is not None else None
 
     def walk(start_asn: int):
         return snapshot.walk(start_asn, origin_set)
 
     for prefix in spec.prefixes:
         rng = prefix_stream_rng(spec.round_seed, prefix)
-        collect = provenance is not None and provenance.wants(prefix)
-        responses = [] if collect or frontier else None
+        collect = recorder is not None and recorder.wants(prefix)
+        responses = [] if collect else None
         blanked = prefix in lossy_prefixes
         for target in state.targets[prefix]:
             response = probe_one(
@@ -212,25 +189,18 @@ def _probe_shard(
                 responses.append(response)
             rows.append(response_row(response))
             index += 1
-        if responses is not None:
-            summary = round_signal_summary(responses)
-            if collect:
-                events.append(signal_event(
-                    prefix, spec.round_index, spec.config, **summary
-                ))
-            if frontier:
-                frontier_rows.append(
-                    (str(prefix), str(summary["signal"]))
-                )
-    return rows, events, frontier_rows
+        if collect:
+            recorder.record(signal_event(
+                prefix, spec.round_index, spec.config,
+                **round_signal_summary(responses),
+            ))
+    return rows
 
 
 def _run_shard(
     spec: ShardSpec,
     snapshot: RibSnapshot,
-    provenance: Optional[_ProvenanceSpec] = None,
     fault: Optional[FaultDirective] = None,
-    frontier: bool = False,
 ) -> ShardOutcome:
     """Task entry point: probe one shard under isolated obs state.
 
@@ -252,10 +222,10 @@ def _run_shard(
     state = task_context()
     if state is None:
         raise ExperimentError("shard task used outside a scheduler backend")
-    # A forked worker inherits the parent's profiler (and possibly a
-    # live cProfile hook from the phase the fork happened inside);
-    # drop both so shard timings are not skewed.  No-op inline.
-    disarm_inherited_profile()
+    # The active capture is the parent's (inherited across fork, or
+    # shared inline): record into a fresh child and ship it back.
+    parent = active_capture()
+    capture = parent.child() if parent is not None else None
     lossy: frozenset = frozenset()
     if fault is not None:
         if fault.crash:
@@ -269,11 +239,9 @@ def _run_shard(
         lossy = fault.lossy_prefixes
     registry = MetricsRegistry()
     started = time.perf_counter()
-    with use_registry(registry), detached_trace():
+    with use_registry(registry), detached_trace(), use_capture(capture):
         with span("runner.shard.%d" % spec.shard_id) as record:
-            rows, events, frontier_rows = _probe_shard(
-                state, spec, snapshot, provenance, lossy, frontier
-            )
+            rows = _probe_shard(state, spec, snapshot, lossy)
         registry.counter("parallel.shard_probes").inc(len(rows))
         registry.counter("parallel.shards_completed").inc()
         trace = record.as_dict()
@@ -284,8 +252,7 @@ def _run_shard(
         wall_seconds=time.perf_counter() - started,
         metrics=registry.snapshot(),
         trace=trace,
-        provenance=events,
-        frontier=frontier_rows,
+        capture=capture.shipped() if capture is not None else None,
     )
 
 
@@ -361,9 +328,6 @@ class ShardedRunner(ExperimentRunner):
         self.backend = backend
         self._scheduler: Optional[Scheduler] = None
         self._worker_state: Optional[_WorkerState] = None
-        # Whether the current round's shards should ship frontier rows
-        # (set per round from the active FrontierTrace).
-        self._frontier_on = False
 
     # ------------------------------------------------------------------
 
@@ -506,9 +470,9 @@ class ShardedRunner(ExperimentRunner):
             detail=detail,
         )
         self._degradations.append(record)
-        recorder = active_recorder()
-        if recorder is not None:
-            recorder.record(degradation_event(
+        capture = active_capture()
+        if capture is not None and capture.provenance is not None:
+            capture.provenance.record(degradation_event(
                 round_index=spec.round_index,
                 config=spec.config,
                 shard_id=spec.shard_id,
@@ -542,14 +506,7 @@ class ShardedRunner(ExperimentRunner):
                 self.ecosystem.measurement_prefix,
             )
         specs = self._shard_specs(index, config_label, engine.now)
-        recorder = active_recorder()
-        provenance = (
-            _ProvenanceSpec(prefix_filter=recorder.prefix_filter)
-            if recorder is not None else None
-        )
-        self._frontier_on = active_frontier() is not None
-        frontier_rows: List[tuple] = []
-        profiler = active_profiler()
+        capture = active_capture()
         registry = get_registry()
         directives = self._shard_directives(index, specs)
         injected = sum(
@@ -568,10 +525,8 @@ class ShardedRunner(ExperimentRunner):
             tasks.append(Task(
                 key=spec.shard_id,
                 fn=_run_shard,
-                args=(spec, snapshot, provenance, fault,
-                      self._frontier_on),
-                retry_args=(spec, snapshot, provenance, clean,
-                            self._frontier_on),
+                args=(spec, snapshot, fault),
+                retry_args=(spec, snapshot, clean),
                 claim=ResourceClaim(cpu_slots=1),
             ))
         result = RoundResult(config=config_label, started_at=engine.now)
@@ -619,32 +574,19 @@ class ShardedRunner(ExperimentRunner):
                 if rebuilt:
                     result.responses[prefix] = rebuilt
             merged["probes"] += outcome.probe_count
-            if recorder is not None and outcome.provenance:
+            if capture is not None:
                 # Shard order == serial prefix order (contiguous
-                # blocks), so the ring receives the serial stream.
-                recorder.extend(outcome.provenance)
-            if self._frontier_on and outcome.frontier:
-                # Same contiguity argument: concatenating shard rows
-                # in shard order reproduces the serial per-prefix row
-                # order exactly.
-                frontier_rows.extend(outcome.frontier)
+                # blocks), so the capture receives the serial stream.
+                capture.merge(outcome.capture)
             registry.merge_snapshot(outcome.metrics)
             if outcome.trace is not None:
                 attach_completed(outcome.trace)
-                if profiler is not None:
-                    # Counter-based attribution for work that ran in
-                    # shard processes this profiler never saw.
-                    profiler.fold_trace(outcome.trace)
             registry.histogram("runner.shard_wall_seconds").observe(
                 outcome.wall_seconds
             )
 
         with span("runner.merge"):
             scheduler.run(tasks, on_result=merge)
-        if self._frontier_on:
-            # Handed to _capture_round_frontier (base class) right
-            # after this round result is recorded.
-            self._frontier_rows = frontier_rows
         result.duration = merged["probes"] * (1.0 / prober.pps)
         registry.counter("runner.rounds_sharded").inc()
         registry.gauge("runner.shards_per_round").set(len(specs))

@@ -50,18 +50,11 @@ class ShardOutcome:
     (:meth:`repro.obs.SpanRecord.as_dict`), re-attached under the
     parent's round span.
 
-    ``provenance`` carries the shard's ``kind="signal"`` provenance
-    events (one per probed prefix, in the shard's prefix order) when
-    the parent had a recorder active; the parent extends its ring with
-    them in shard order, reproducing the serial event stream byte for
-    byte (see :mod:`repro.obs.provenance`).
-
-    ``frontier`` carries one ``(prefix, signal)`` row per probed
-    prefix (shard prefix order) when the parent has a frontier trace
-    active; the parent concatenates rows in shard order — contiguous
-    blocks of the round's sorted prefix order — so the round-frontier
-    diff it computes matches the serial stream byte for byte (see
-    :mod:`repro.obs.frontier`).
+    ``capture`` is the worker's :meth:`~repro.obs.capture.Capture.shipped`
+    payload when the parent had a capture active (e.g. the shard's
+    ``kind="signal"`` provenance events, in the shard's prefix order);
+    the parent merges it in shard order, reproducing the serial event
+    streams byte for byte.
     """
 
     shard_id: int
@@ -70,8 +63,7 @@ class ShardOutcome:
     wall_seconds: float
     metrics: dict = field(default_factory=dict)
     trace: Optional[dict] = None
-    provenance: List[dict] = field(default_factory=list)
-    frontier: List[tuple] = field(default_factory=list)
+    capture: Optional[dict] = None
 
 
 @dataclass

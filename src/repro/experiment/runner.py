@@ -33,13 +33,13 @@ from ..bgp.engine import (
 from ..errors import ExperimentError
 from ..faults import FaultKind, FaultPlan
 from ..obs import get_logger, get_registry, span
+from ..obs.capture import active_capture
 from ..obs.frontier import (
-    active_frontier,
     flush_round_frontier_metrics,
     round_frontier_event,
     signal_rows,
 )
-from ..obs.provenance import active_recorder, selection_event
+from ..obs.provenance import selection_event
 from ..probing.forwarding import engine_rib
 from ..probing.host import MeasurementHost
 from ..probing.prober import Prober
@@ -89,10 +89,8 @@ class ExperimentRunner:
         self.fault_plan = fault_plan if fault_plan is not None else FaultPlan()
         self._degradations: list = []
         # Round-frontier state: the previous round's prefix -> signal
-        # map (diffed against each new round) and, for the sharded
-        # runner, rows shipped back by the current round's workers.
+        # map, diffed against each new round.
         self._frontier_prev: Optional[Dict[str, str]] = None
-        self._frontier_rows = None
         #: Optional progress callback (``hook(**fields)``) fired as the
         #: run advances — campaign heartbeats hang off it.  Strictly
         #: observational: exceptions are swallowed, results untouched.
@@ -322,7 +320,8 @@ class ExperimentRunner:
         and sharded execution (the engine never leaves this process),
         so the merged provenance stream is identical either way.
         """
-        recorder = active_recorder()
+        capture = active_capture()
+        recorder = capture.provenance if capture is not None else None
         if recorder is None:
             return
         measurement_prefix = self.ecosystem.measurement_prefix
@@ -365,25 +364,22 @@ class ExperimentRunner:
         """Record one ``kind="round_frontier"`` event: how many probed
         prefixes' round signal changed since the previous round.
 
-        Rows come from the shard workers when the sharded runner
-        collected them this round (shipped in ``ShardOutcome.frontier``
-        and folded in shard order), otherwise from the serial round
-        result; both derive per-prefix signals through
-        :func:`~repro.obs.frontier.signal_rows`, so the event — and the
-        exported JSONL — is byte-identical across execution modes.
+        Rows derive from the round result — serial, or merged from
+        shards, which rebuilds the serial responses exactly — through
+        :func:`~repro.obs.frontier.signal_rows`, so the event and the
+        exported JSONL are byte-identical across execution modes.
         """
-        rows, self._frontier_rows = self._frontier_rows, None
-        trace = active_frontier()
+        capture = active_capture()
+        trace = capture.frontier if capture is not None else None
         if trace is None:
             return
-        if rows is None:
-            responses = round_result.responses
-            rows = signal_rows(
-                (prefix, responses[prefix])
-                for prefix in sorted(
-                    responses, key=lambda p: (p.network, p.length)
-                )
+        responses = round_result.responses
+        rows = signal_rows(
+            (prefix, responses[prefix])
+            for prefix in sorted(
+                responses, key=lambda p: (p.network, p.length)
             )
+        )
         event = round_frontier_event(
             index, config_label, rows, self._frontier_prev
         )

@@ -9,9 +9,13 @@ Zero-dependency instrumentation for the engine → runner → CLI stack:
   wall-time histograms that nest into a lightweight trace tree;
 - :mod:`repro.obs.logging` — ``get_logger(name)`` emitting key=value
   or JSON lines on stderr, silent until configured;
-- :mod:`repro.obs.provenance` — decision-provenance event stream
-  (route-selection steps, per-round prefix signals) in a bounded ring
-  buffer with JSONL export, disabled until a recorder is installed;
+- :mod:`repro.obs.capture` — :class:`Capture`: the one process-wide
+  slot for the opt-in evidence channels (provenance and frontier
+  :class:`EventRing` buffers with JSONL export, plus the phase
+  profiler), installed with :class:`use_capture` and shipped/merged
+  across worker processes as one payload;
+- :mod:`repro.obs.provenance` — decision-provenance events
+  (route-selection steps, per-round prefix signals);
 - :mod:`repro.obs.export` — render completed span trees to Chrome
   trace-event JSON (``chrome://tracing`` / Perfetto loadable) and
   metrics snapshots to OpenMetrics text (Prometheus tooling);
@@ -20,8 +24,8 @@ Zero-dependency instrumentation for the engine → runner → CLI stack:
   plus append-only JSONL, turning counters into rate-able series;
 - :mod:`repro.obs.benchtrack` — benchmark trajectory: append-only
   ``BENCH_HISTORY.jsonl`` plus latest-vs-baseline regression diffs;
-- :mod:`repro.obs.frontier` — convergence-frontier analytics: bounded
-  event trace of per-window frontier sizes, causality depths,
+- :mod:`repro.obs.frontier` — convergence-frontier analytics: events
+  for per-window frontier sizes, causality depths,
   quiescence curves, and per-round signal diffs (byte-identical
   across execution modes; ``--frontier-out``);
 - :mod:`repro.obs.profile` — deterministic phase profiler: cProfile
@@ -45,47 +49,18 @@ from .metrics import (
     set_registry,
     use_registry,
 )
-from .provenance import (
-    ProvenanceRecorder,
-    active_recorder,
-    disable_provenance,
-    enable_provenance,
-    use_provenance,
-)
-from .frontier import (
-    FrontierTrace,
-    active_frontier,
-    disable_frontier,
-    enable_frontier,
-    use_frontier,
-)
-from .profile import (
-    PhaseProfiler,
-    active_profiler,
-    disable_profiling,
-    enable_profiling,
-    use_profiling,
-)
+from .capture import Capture, EventRing, active_capture, use_capture
+from .profile import PhaseProfiler
 from .spans import SpanRecord, current_span, finished_roots, reset_trace, span
 from .telemetry import TelemetrySampler
 
 __all__ = [
     "TelemetrySampler",
-    "FrontierTrace",
-    "active_frontier",
-    "enable_frontier",
-    "disable_frontier",
-    "use_frontier",
+    "Capture",
+    "EventRing",
+    "active_capture",
+    "use_capture",
     "PhaseProfiler",
-    "active_profiler",
-    "enable_profiling",
-    "disable_profiling",
-    "use_profiling",
-    "ProvenanceRecorder",
-    "active_recorder",
-    "enable_provenance",
-    "disable_provenance",
-    "use_provenance",
     "Counter",
     "Gauge",
     "Histogram",

@@ -7,9 +7,10 @@ convergence engine — need the *shape* of a run: which prefixes' best
 routes are still changing, how deep the message causality chains run,
 and how the change frontier shrinks toward quiescence.
 
-This module records that shape as a stream of plain-dict events in a
-bounded ring (:class:`FrontierTrace`, the same discipline as
-:class:`~repro.obs.provenance.ProvenanceRecorder`):
+This module records that shape as a stream of plain-dict events in the
+``frontier`` ring of the active :class:`~repro.obs.capture.Capture`
+(a bounded :class:`~repro.obs.capture.EventRing`, the same ring class
+provenance uses):
 
 - ``kind="engine_window"`` — one fixed-size window of delivered
   messages in :meth:`~repro.bgp.engine.PropagationEngine.run_to_fixpoint`:
@@ -31,48 +32,35 @@ Recording is **off by default** and costs one function call returning
 ``None`` per engine/fastpath run when disabled
 (``benchmarks/bench_profile.py`` guards the enabled path under 5%).
 Events are built from simulation state only — no wall clocks, no
-object ids — so the stream joins the byte-identity contract: shard
-workers ship per-prefix signal rows back in
-:class:`~repro.experiment.records.ShardOutcome` and the parent folds
-them in shard order, making ``--frontier-out`` JSONL byte-identical at
-every ``--workers`` / ``--shard-size`` (asserted in
-``tests/test_differential.py``).
+object ids — so the stream joins the byte-identity contract: round
+frontiers are diffed in the parent from the merged round result, and
+worker captures merge back in task order, making ``--frontier-out``
+JSONL byte-identical at every ``--workers`` / ``--shard-size``
+(asserted in ``tests/test_differential.py``).
 """
 
 from __future__ import annotations
 
-import json
-import threading
-from collections import deque
-from typing import Deque, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from .metrics import get_registry
 from .provenance import round_signal_summary
 
+if TYPE_CHECKING:
+    from .capture import EventRing
+
 __all__ = [
-    "FrontierTrace",
     "EngineRunFrontier",
     "FastpathRunFrontier",
-    "active_frontier",
-    "enable_frontier",
-    "disable_frontier",
-    "set_frontier",
-    "use_frontier",
     "round_frontier_event",
     "flush_round_frontier_metrics",
     "signal_rows",
     "FRONTIER_COUNT_BUCKETS",
-    "DEFAULT_FRONTIER_CAPACITY",
     "ENGINE_WINDOW",
     "FASTPATH_WINDOW",
     "SAMPLE_LIMIT",
     "QUIESCENCE_LIMIT",
 ]
-
-#: Default ring-buffer capacity (events).  Windowed recording keeps
-#: volume far below provenance: a scale-0.1 reproduction emits a few
-#: hundred window events per experiment.
-DEFAULT_FRONTIER_CAPACITY = 65_536
 
 #: Engine deliveries per frontier window.
 ENGINE_WINDOW = 256
@@ -95,145 +83,6 @@ FRONTIER_COUNT_BUCKETS: Tuple[float, ...] = (
 )
 
 
-class FrontierTrace:
-    """A bounded, thread-safe ring buffer of frontier events.
-
-    The oldest events drop first once *capacity* is reached; the drop
-    count is retained (``dropped``) so exports can state what the ring
-    shed.  Mirrors :class:`~repro.obs.provenance.ProvenanceRecorder`.
-    """
-
-    def __init__(self, capacity: int = DEFAULT_FRONTIER_CAPACITY) -> None:
-        if capacity < 1:
-            raise ValueError("frontier capacity must be >= 1")
-        self.capacity = capacity
-        self._events: Deque[dict] = deque(maxlen=capacity)
-        self._dropped = 0
-        self._lock = threading.Lock()
-
-    # -- recording ----------------------------------------------------
-
-    def record(self, event: dict) -> None:
-        with self._lock:
-            if len(self._events) == self.capacity:
-                self._dropped += 1
-            self._events.append(event)
-
-    def extend(self, events: Iterable[dict]) -> None:
-        """Append *events* in order — the shard/cell-merge entry point.
-        Merging worker streams in shard (then cell) order reproduces
-        the serial stream byte for byte."""
-        for event in events:
-            self.record(event)
-
-    # -- queries ------------------------------------------------------
-
-    @property
-    def dropped(self) -> int:
-        return self._dropped
-
-    @property
-    def total_recorded(self) -> int:
-        """Events ever recorded (retained + dropped) — a deterministic
-        monotonic id source for runs without their own counter."""
-        with self._lock:
-            return len(self._events) + self._dropped
-
-    def __len__(self) -> int:
-        return len(self._events)
-
-    def events(self, kind: Optional[str] = None) -> List[dict]:
-        """Retained events, oldest first, optionally filtered by kind."""
-        with self._lock:
-            out = list(self._events)
-        if kind is not None:
-            out = [e for e in out if e.get("kind") == kind]
-        return out
-
-    def clear(self) -> None:
-        with self._lock:
-            self._events.clear()
-            self._dropped = 0
-
-    # -- export -------------------------------------------------------
-
-    def export_jsonl(self, stream) -> int:
-        """Write retained events to *stream* as one JSON object per
-        line (sorted keys, so exports diff cleanly); returns the line
-        count."""
-        count = 0
-        for event in self.events():
-            stream.write(json.dumps(event, sort_keys=True))
-            stream.write("\n")
-            count += 1
-        return count
-
-    def export_jsonl_file(self, path: str) -> int:
-        with open(path, "w", encoding="utf-8") as stream:
-            return self.export_jsonl(stream)
-
-
-# -- process-wide trace (None = disabled) -----------------------------
-
-_lock = threading.Lock()
-_trace: Optional[FrontierTrace] = None
-
-
-def active_frontier() -> Optional[FrontierTrace]:
-    """The process-wide trace, or None when frontier recording is
-    disabled.  Hot call sites check once per run and skip every other
-    frontier cost when this returns None."""
-    return _trace
-
-
-def set_frontier(
-    trace: Optional[FrontierTrace],
-) -> Optional[FrontierTrace]:
-    """Install *trace* (or None to disable); returns the previous one."""
-    global _trace
-    with _lock:
-        previous = _trace
-        _trace = trace
-    return previous
-
-
-def enable_frontier(
-    capacity: int = DEFAULT_FRONTIER_CAPACITY,
-) -> FrontierTrace:
-    """Install and return a fresh process-wide trace."""
-    trace = FrontierTrace(capacity)
-    set_frontier(trace)
-    return trace
-
-
-def disable_frontier() -> Optional[FrontierTrace]:
-    """Disable recording; returns the trace that was active."""
-    return set_frontier(None)
-
-
-class use_frontier:
-    """Context manager installing a trace for a ``with`` block — the
-    isolation primitive for tests (mirrors
-    :class:`repro.obs.provenance.use_provenance`)::
-
-        with use_frontier() as trace:
-            engine.run_to_fixpoint()
-            assert trace.events(kind="engine_run")
-    """
-
-    def __init__(self, trace: Optional[FrontierTrace] = None) -> None:
-        # Explicit None check: an *empty* trace is falsy (__len__).
-        self.trace = trace if trace is not None else FrontierTrace()
-        self._previous: Optional[FrontierTrace] = None
-
-    def __enter__(self) -> FrontierTrace:
-        self._previous = set_frontier(self.trace)
-        return self.trace
-
-    def __exit__(self, *exc_info) -> None:
-        set_frontier(self._previous)
-
-
 # -- per-run accumulators ---------------------------------------------
 
 
@@ -246,7 +95,7 @@ class _RunFrontier:
     window_kind = "engine_window"
     run_kind = "engine_run"
 
-    def __init__(self, trace: FrontierTrace, run_index: int) -> None:
+    def __init__(self, trace: "EventRing", run_index: int) -> None:
         self.trace = trace
         self.run_index = run_index
         self._events: List[dict] = []
@@ -390,7 +239,7 @@ class FastpathRunFrontier(_RunFrontier):
     run_kind = "fastpath_run"
 
     def __init__(
-        self, trace: FrontierTrace, run_index: int, prefix
+        self, trace: "EventRing", run_index: int, prefix
     ) -> None:
         super().__init__(trace, run_index)
         self.prefix = str(prefix)
@@ -412,10 +261,9 @@ def signal_rows(prefix_responses) -> List[Tuple[str, str]]:
     """Per-prefix ``(prefix, signal)`` rows for one probing round.
 
     *prefix_responses* yields ``(prefix, responses)`` pairs in probe
-    order (sorted prefixes).  Shard workers and the serial prober both
-    derive rows through :func:`~repro.obs.provenance.round_signal_summary`,
-    so the rows — and everything diffed from them — are identical
-    whichever path produced them.
+    order (sorted prefixes).  Signals come from
+    :func:`~repro.obs.provenance.round_signal_summary`, the aggregation
+    provenance signal events use, so the two streams always agree.
     """
     return [
         (str(prefix), str(round_signal_summary(responses)["signal"]))

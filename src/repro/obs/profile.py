@@ -15,12 +15,11 @@ counter-based phase attribution (calls + inclusive wall seconds).
 
 Aggregation is per phase *name*, and the span names carry the
 (config, round, shard) context; the profiler adds ``labels`` (e.g.
-the campaign cell) for the remaining axes.  Shard
-and campaign-cell workers run in forked processes: their span trees
-ship back in ``ShardOutcome``/``CellOutcome`` and are folded in with
-:meth:`PhaseProfiler.fold_trace` (counter attribution) or
-:meth:`PhaseProfiler.merge_payload` (full payloads, cell order), so a
-pooled run's tables cover the whole fleet.
+the campaign cell) for the remaining axes.  The profiler is the
+``profiler`` channel of a :class:`~repro.obs.capture.Capture`: shard
+and campaign-cell workers profile into a child capture whose payload
+ships back and is folded in with :meth:`PhaseProfiler.merge_payload`
+in task order, so a pooled run's tables cover the whole fleet.
 
 Profiling is **opt-in** and *execution metadata*: payloads contain
 wall-clock timings and so live outside every byte-identity surface
@@ -36,7 +35,6 @@ import io
 import json
 import os
 import pstats
-import sys
 import threading
 from typing import Dict, List, Optional
 
@@ -44,12 +42,6 @@ from . import spans
 
 __all__ = [
     "PhaseProfiler",
-    "active_profiler",
-    "enable_profiling",
-    "disable_profiling",
-    "set_profiler",
-    "use_profiling",
-    "disarm_inherited_profile",
     "render_profile",
     "load_profile",
     "export_profile",
@@ -113,7 +105,7 @@ class PhaseProfiler:
     def owns_process(self) -> bool:
         """False in a forked child that inherited this profiler (the
         child must not mutate the parent's aggregates — see
-        :func:`disarm_inherited_profile`)."""
+        :meth:`repro.obs.capture.Capture.child`)."""
         return os.getpid() == self._pid
 
     def phase_enter(self, record: spans.SpanRecord) -> None:
@@ -159,21 +151,7 @@ class PhaseProfiler:
             entry["calls"] += calls
             entry["seconds"] += seconds
 
-    # -- fold-in from other processes ---------------------------------
-
-    def fold_trace(self, tree: Optional[dict]) -> None:
-        """Fold one exported span tree (a
-        :meth:`~repro.obs.spans.SpanRecord.as_dict` shipped back from
-        a shard/cell worker) into the per-phase counters — the
-        counter-based attribution path for work this process never
-        executed."""
-        if not tree:
-            return
-        self._note_phase(
-            tree.get("name", "?"), 1, float(tree.get("duration") or 0.0)
-        )
-        for child in tree.get("children", ()):
-            self.fold_trace(child)
+    # -- fold-in from worker processes ---------------------------------
 
     def merge_payload(self, payload: Optional[dict]) -> None:
         """Fold another profiler's :meth:`as_payload` export (a pooled
@@ -273,77 +251,6 @@ class PhaseProfiler:
             return False
         stats.dump_stats(path)
         return True
-
-
-# -- process-wide profiler (None = disabled) --------------------------
-
-_lock = threading.Lock()
-_profiler: Optional[PhaseProfiler] = None
-
-
-def active_profiler() -> Optional[PhaseProfiler]:
-    """The process-wide profiler, or None when profiling is disabled."""
-    return _profiler
-
-
-def set_profiler(
-    profiler: Optional[PhaseProfiler],
-) -> Optional[PhaseProfiler]:
-    """Install *profiler* (or None to disable) and point the span
-    layer's phase observer at it; returns the previous profiler."""
-    global _profiler
-    with _lock:
-        previous = _profiler
-        _profiler = profiler
-        spans.set_phase_observer(profiler)
-    return previous
-
-
-def enable_profiling(
-    use_cprofile: bool = True, top_n: int = DEFAULT_TOP_N
-) -> PhaseProfiler:
-    """Install and return a fresh process-wide profiler."""
-    profiler = PhaseProfiler(use_cprofile=use_cprofile, top_n=top_n)
-    set_profiler(profiler)
-    return profiler
-
-
-def disable_profiling() -> Optional[PhaseProfiler]:
-    """Disable profiling; returns the profiler that was active."""
-    return set_profiler(None)
-
-
-class use_profiling:
-    """Context manager installing a profiler for a ``with`` block —
-    the isolation primitive for tests and campaign-cell workers."""
-
-    def __init__(self, profiler: Optional[PhaseProfiler] = None) -> None:
-        self.profiler = (
-            profiler if profiler is not None else PhaseProfiler()
-        )
-        self._previous: Optional[PhaseProfiler] = None
-
-    def __enter__(self) -> PhaseProfiler:
-        self._previous = set_profiler(self.profiler)
-        return self.profiler
-
-    def __exit__(self, *exc_info) -> None:
-        set_profiler(self._previous)
-
-
-def disarm_inherited_profile() -> bool:
-    """Worker-entry guard: a ``fork`` child inherits the parent's
-    profiler singleton *and*, if the fork happened inside a profiled
-    phase, the thread's live cProfile hook.  Shard and cell workers
-    call this first: it clears any foreign profiler and drops the
-    inherited profiling hook so worker timings are not skewed.
-    Returns True when something was disarmed."""
-    profiler = active_profiler()
-    if profiler is None or profiler.owns_process():
-        return False
-    set_profiler(None)
-    sys.setprofile(None)
-    return True
 
 
 # -- artifacts and rendering ------------------------------------------

@@ -41,15 +41,15 @@ __all__ = ["SpanRecord", "span", "finished_roots", "reset_trace",
 MAX_FINISHED_ROOTS = 256
 
 #: Optional phase observer (duck-typed ``phase_enter(record)`` /
-#: ``phase_exit(record)``), installed by :mod:`repro.obs.profile` when
-#: profiling is enabled.  Disabled, every span pays exactly one
+#: ``phase_exit(record)``): the profiler of the capture installed by
+#: :class:`repro.obs.capture.use_capture`.  Disabled, every span pays exactly one
 #: module-global ``None`` check on enter and exit.
 _phase_observer = None
 
 
 def set_phase_observer(observer):
     """Install *observer* (or None to disable); returns the previous
-    one.  Use :func:`repro.obs.profile.set_profiler` rather than
+    one.  Use :class:`repro.obs.capture.use_capture` rather than
     calling this directly."""
     global _phase_observer
     previous = _phase_observer

@@ -23,11 +23,8 @@ from typing import Callable, Dict, List, Optional
 from ..errors import ExperimentError
 from ..netutil import Prefix
 from ..obs import get_logger, get_registry, span
-from ..obs.provenance import (
-    active_recorder,
-    round_signal_summary,
-    signal_event,
-)
+from ..obs.capture import active_capture
+from ..obs.provenance import round_signal_summary, signal_event
 from ..rng import SeedTree, derive_seed
 from ..topology.graph import Topology
 from ..topology.re_config import SystemPlan
@@ -190,7 +187,8 @@ class Prober:
         origin_set = set(self.host.origin_asns())
         interval = 1.0 / self.pps
         index = 0
-        recorder = active_recorder()
+        capture = active_capture()
+        recorder = capture.provenance if capture is not None else None
         with span("prober.round"):
             for prefix in sorted(
                 targets_by_prefix, key=lambda p: (p.network, p.length)

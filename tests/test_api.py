@@ -20,7 +20,7 @@ from repro.api import (
 )
 from repro.errors import ExperimentError, ReproError
 from repro.experiment.runner import ExperimentRunner
-from repro.obs.provenance import ProvenanceRecorder, use_provenance
+from repro.obs.capture import Capture, EventRing, use_capture
 from repro.rng import SeedTree
 from repro.seeds.selection import select_seeds
 from repro.topology.re_ecosystem import build_ecosystem
@@ -332,8 +332,8 @@ def test_run_experiment_defers_to_active_recorder():
         experiment="surf", seed=SEED, scale=SCALE,
         provenance_capacity=200,
     )
-    recorder = ProvenanceRecorder(capacity=200)
-    with use_provenance(recorder):
+    recorder = EventRing(capacity=200)
+    with use_capture(Capture(provenance=recorder)):
         result = run_experiment(spec)
     assert result.provenance_events is None
     assert len(recorder.events()) > 0

@@ -1,10 +1,12 @@
 """Tests for the command-line interface."""
 
+import json
 import os
 
 import pytest
 
 from repro.cli import main
+from repro.obs.profile import load_profile
 
 
 class TestAgeModelCommand:
@@ -75,3 +77,19 @@ class TestParser:
     def test_version_exits(self):
         with pytest.raises(SystemExit):
             main(["--version"])
+
+
+class TestWhatIfArtifacts:
+    def test_provenance_and_profile_written(self, tmp_path, capsys):
+        provenance = tmp_path / "provenance.jsonl"
+        profile = tmp_path / "profile.json"
+        assert main([
+            "whatif", "--scale", "0.04",
+            "--provenance-out", str(provenance),
+            "--profile-out", str(profile),
+        ]) == 0
+        assert "provenance events" in capsys.readouterr().out
+        lines = provenance.read_text().splitlines()
+        assert lines
+        assert all(json.loads(line)["kind"] for line in lines)
+        assert load_profile(str(profile))["phases"]

@@ -38,8 +38,7 @@ from repro.core.report import reproduce_paper
 from repro.experiment.parallel import ShardedRunner
 from repro.experiment.runner import ExperimentRunner
 from repro.faults import FaultEvent, FaultKind, FaultPlan
-from repro.obs.frontier import FrontierTrace, use_frontier
-from repro.obs.provenance import ProvenanceRecorder, use_provenance
+from repro.obs.capture import Capture, EventRing, use_capture
 from repro.rng import SeedTree
 
 #: Multi-process worker count exercised by the grid (CI matrix knob).
@@ -53,8 +52,8 @@ GRID = [(0, 0.06), (7, 0.06)]
 def _run_with_provenance(runner):
     """Run one experiment with a fresh recorder; returns the result
     and the exported provenance stream as JSONL text."""
-    recorder = ProvenanceRecorder()
-    with use_provenance(recorder):
+    recorder = EventRing()
+    with use_capture(Capture(provenance=recorder)):
         result = runner.run()
     assert recorder.dropped == 0, "ring overflow would break identity"
     buffer = io.StringIO()
@@ -65,8 +64,8 @@ def _run_with_provenance(runner):
 def _run_with_frontier(runner):
     """Run one experiment with a fresh frontier trace; returns the
     result and the exported frontier stream as JSONL text."""
-    trace = FrontierTrace()
-    with use_frontier(trace):
+    trace = EventRing()
+    with use_capture(Capture(frontier=trace)):
         result = runner.run()
     assert trace.dropped == 0, "ring overflow would break identity"
     buffer = io.StringIO()

@@ -30,11 +30,8 @@ from repro.faults import (
 )
 from repro.netutil import Prefix
 from repro.obs import MetricsRegistry, use_registry
-from repro.obs.provenance import (
-    ProvenanceRecorder,
-    degradation_event,
-    use_provenance,
-)
+from repro.obs.capture import Capture, EventRing, use_capture
+from repro.obs.provenance import degradation_event
 
 SEED = 11
 SCALE = 0.06
@@ -298,8 +295,8 @@ class TestExecutionFaultRecovery:
         """A recovered run's exported provenance stream is byte-equal
         to the fault-free stream: degradation events stay in the ring
         (for ``repro explain``) but out of the default export."""
-        recorder = ProvenanceRecorder()
-        with use_provenance(recorder):
+        recorder = EventRing()
+        with use_capture(Capture(provenance=recorder)):
             ShardedRunner(
                 small_ecosystem, "surf", seed=SEED, workers=1,
                 fault_plan=crash_plan(), backoff_base=0.0,

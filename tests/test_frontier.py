@@ -1,5 +1,6 @@
-"""Convergence-frontier analytics (repro.obs.frontier): the bounded
-trace, the engine/fastpath window accumulators, per-round signal
+"""Convergence-frontier analytics (repro.obs.frontier): the frontier
+ring (the shared suite in test_obs_capture.py), the engine/fastpath
+window accumulators, per-round signal
 diffs, the ExperimentSpec/run_experiment integration, and campaign
 cell artifacts.
 
@@ -8,7 +9,6 @@ tests/test_differential.py; these tests pin the event shapes and the
 plumbing around them.
 """
 
-import io
 import json
 
 import pytest
@@ -23,96 +23,38 @@ from repro.api import ExperimentSpec, run_experiment
 from repro.bgp.engine import PropagationEngine
 from repro.errors import ExperimentError
 from repro.experiment.campaign import CampaignRunner, plan_grid
+from repro.obs.capture import Capture, EventRing, active_capture, use_capture
 from repro.obs.frontier import (
-    DEFAULT_FRONTIER_CAPACITY,
     ENGINE_WINDOW,
     FASTPATH_WINDOW,
     FRONTIER_COUNT_BUCKETS,
     SAMPLE_LIMIT,
-    FrontierTrace,
-    active_frontier,
-    disable_frontier,
-    enable_frontier,
     flush_round_frontier_metrics,
     round_frontier_event,
     signal_rows,
-    use_frontier,
 )
 from repro.obs.metrics import MetricsRegistry, use_registry
+
+from .test_obs_capture import RingContract, SlotContract
 
 SCALE = 0.04
 
 
-@pytest.fixture(autouse=True)
-def _no_ambient_trace():
-    disable_frontier()
-    yield
-    disable_frontier()
+def _tracing():
+    """Install a capture holding only a frontier ring."""
+    return use_capture(Capture(frontier=EventRing()))
 
 
 # ---------------------------------------------------------------------
 # The trace ring
 
 
-class TestFrontierTrace:
-    def test_ring_bound_and_dropped(self):
-        trace = FrontierTrace(capacity=3)
-        for index in range(5):
-            trace.record({"kind": "x", "n": index})
-        assert len(trace) == 3
-        assert trace.dropped == 2
-        assert trace.total_recorded == 5
-        assert [e["n"] for e in trace.events()] == [2, 3, 4]
-
-    def test_capacity_validated(self):
-        with pytest.raises(ValueError):
-            FrontierTrace(capacity=0)
-
-    def test_kind_filter_and_clear(self):
-        trace = FrontierTrace()
-        trace.extend([{"kind": "a"}, {"kind": "b"}, {"kind": "a"}])
-        assert len(trace.events(kind="a")) == 2
-        trace.clear()
-        assert len(trace) == 0
-        assert trace.dropped == 0
-
-    def test_export_jsonl_sorted_keys(self):
-        trace = FrontierTrace()
-        trace.record({"b": 2, "a": 1, "kind": "x"})
-        buffer = io.StringIO()
-        assert trace.export_jsonl(buffer) == 1
-        assert buffer.getvalue() == '{"a": 1, "b": 2, "kind": "x"}\n'
-
-    def test_export_jsonl_file(self, tmp_path):
-        trace = FrontierTrace()
-        trace.extend([{"kind": "x"}, {"kind": "y"}])
-        path = tmp_path / "frontier.jsonl"
-        assert trace.export_jsonl_file(str(path)) == 2
-        lines = path.read_text().splitlines()
-        assert [json.loads(line)["kind"] for line in lines] == ["x", "y"]
+class TestFrontierTrace(RingContract):
+    channel = "frontier"
 
 
-class TestSingleton:
-    def test_disabled_by_default(self):
-        assert active_frontier() is None
-
-    def test_enable_disable(self):
-        trace = enable_frontier(capacity=16)
-        assert active_frontier() is trace
-        assert trace.capacity == 16
-        assert disable_frontier() is trace
-        assert active_frontier() is None
-
-    def test_use_frontier_restores_previous(self):
-        outer = enable_frontier()
-        with use_frontier() as inner:
-            assert active_frontier() is inner
-            assert inner is not outer
-        assert active_frontier() is outer
-
-    def test_default_capacity(self):
-        with use_frontier() as trace:
-            assert trace.capacity == DEFAULT_FRONTIER_CAPACITY
+class TestSingleton(SlotContract):
+    channel = "frontier"
 
 
 # ---------------------------------------------------------------------
@@ -130,7 +72,7 @@ class TestEngineFrontier:
         from repro.rng import SeedTree
 
         ecosystem, prefix = _small_world()
-        with use_frontier() as trace:
+        with _tracing() as capture:
             engine = PropagationEngine(ecosystem.topology, SeedTree(0))
             engine.announce(
                 ecosystem.commodity_origin, prefix, tag="commodity"
@@ -138,6 +80,7 @@ class TestEngineFrontier:
             engine.run_to_fixpoint()
             engine.announce(ecosystem.internet2_origin, prefix, tag="re")
             engine.run_to_fixpoint()
+        trace = capture.frontier
         runs = trace.events(kind="engine_run")
         assert [event["run"] for event in runs] == [0, 1]
         for event in runs:
@@ -161,12 +104,12 @@ class TestEngineFrontier:
         from repro.rng import SeedTree
 
         ecosystem, prefix = _small_world()
-        trace = FrontierTrace()
+        trace = EventRing()
         engine = PropagationEngine(ecosystem.topology, SeedTree(0))
         engine.announce(ecosystem.commodity_origin, prefix, tag="re")
         engine.run_to_fixpoint()
         assert len(trace) == 0
-        assert active_frontier() is None
+        assert active_capture() is None
 
 
 class TestFastpathFrontier:
@@ -178,8 +121,9 @@ class TestFastpathFrontier:
                 prefix, ecosystem.commodity_origin, tag="commodity"
             ),
         ]
-        with use_frontier() as trace:
+        with _tracing() as capture:
             propagate_fastpath(ecosystem.topology, announcements)
+        trace = capture.frontier
         runs = trace.events(kind="fastpath_run")
         assert len(runs) == 1
         assert runs[0]["prefix"] == str(prefix)
@@ -194,7 +138,8 @@ class TestFastpathFrontier:
         announcements = [
             Announcement(prefix, ecosystem.internet2_origin, tag="re"),
         ]
-        with use_frontier() as trace:
+        with _tracing() as capture:
+            trace = capture.frontier
             propagate_fastpath(ecosystem.topology, announcements)
             first = trace.events(kind="fastpath_run")[-1]["run"]
             propagate_fastpath(ecosystem.topology, announcements)
@@ -304,8 +249,8 @@ class TestSpecIntegration:
         assert result.profile is not None
         assert result.profile["kind"] == "phase_profile"
         assert result.profile["phases"]
-        # The installed trace/profiler were run-local.
-        assert active_frontier() is None
+        # The installed ring/profiler were run-local.
+        assert active_capture() is None
 
     def test_run_experiment_defaults_attach_nothing(self):
         result = run_experiment(ExperimentSpec(scale=SCALE))

@@ -2,11 +2,8 @@
 narrative (repro.core.explain), and the Chrome trace exporter
 (repro.obs.export)."""
 
-import io
 import json
 import threading
-
-import pytest
 
 from repro import (
     Announcement,
@@ -21,27 +18,25 @@ from repro.core.classify import classify_prefix_rounds
 from repro.core.explain import render_explanation
 from repro.netutil import Prefix
 from repro.obs.export import chrome_trace, write_chrome_trace
+from repro.obs.capture import Capture, EventRing, use_capture
 from repro.obs.provenance import (
-    ProvenanceRecorder,
-    active_recorder,
-    disable_provenance,
-    enable_provenance,
     round_signal_summary,
     selection_event,
     signal_event,
     signal_from_kinds,
-    use_provenance,
 )
 from repro.obs.spans import attach_completed, reset_trace, span
+
+from .test_obs_capture import RingContract, SlotContract
 
 PFX = Prefix.parse("192.0.2.0/24")
 
 
-@pytest.fixture(autouse=True)
-def _no_ambient_recorder():
-    disable_provenance()
-    yield
-    disable_provenance()
+def _recording(ring=None):
+    """Install a capture holding only a provenance ring."""
+    return use_capture(Capture(
+        provenance=ring if ring is not None else EventRing()
+    ))
 
 
 class TestSignalFromKinds:
@@ -72,77 +67,12 @@ class TestRoundSignalSummary:
         assert round_signal_summary([])["signal"] == "none"
 
 
-class TestRecorder:
-    def test_ring_bound_and_dropped(self):
-        recorder = ProvenanceRecorder(capacity=3)
-        for index in range(5):
-            recorder.record({"kind": "x", "n": index})
-        assert len(recorder) == 3
-        assert recorder.dropped == 2
-        assert [e["n"] for e in recorder.events()] == [2, 3, 4]
-
-    def test_capacity_validated(self):
-        with pytest.raises(ValueError):
-            ProvenanceRecorder(capacity=0)
-
-    def test_prefix_filter(self):
-        recorder = ProvenanceRecorder(prefix_filter=[PFX])
-        assert recorder.wants(PFX)
-        assert recorder.wants(str(PFX))
-        assert not recorder.wants(Prefix.parse("198.51.100.0/24"))
-        # Memoized verdicts stay correct on repeat queries.
-        assert not recorder.wants(Prefix.parse("198.51.100.0/24"))
-        assert recorder.wants(PFX)
-
-    def test_event_queries(self):
-        recorder = ProvenanceRecorder()
-        recorder.record(signal_event(PFX, 0, "4-0", "re", 3, 3, [5]))
-        recorder.record({"kind": "selection", "prefix": str(PFX),
-                         "source": "engine"})
-        assert len(recorder.events(kind="signal")) == 1
-        assert len(recorder.events(prefix=PFX)) == 2
-        assert len(recorder.events(source="engine")) == 1
-        recorder.clear()
-        assert len(recorder) == 0
-        assert recorder.dropped == 0
-
-    def test_extend_appends_verbatim(self):
-        recorder = ProvenanceRecorder()
-        recorder.extend([{"kind": "a"}, {"kind": "b"}])
-        assert [e["kind"] for e in recorder.events()] == ["a", "b"]
-
-    def test_export_jsonl_sorted_keys(self):
-        recorder = ProvenanceRecorder()
-        recorder.record({"b": 2, "a": 1, "kind": "x"})
-        buffer = io.StringIO()
-        assert recorder.export_jsonl(buffer) == 1
-        line = buffer.getvalue().strip()
-        assert line == '{"a": 1, "b": 2, "kind": "x"}'
+class TestRecorder(RingContract):
+    channel = "provenance"
 
 
-class TestGlobalRecorder:
-    def test_disabled_by_default(self):
-        assert active_recorder() is None
-
-    def test_enable_disable(self):
-        recorder = enable_provenance(capacity=10)
-        assert active_recorder() is recorder
-        assert disable_provenance() is recorder
-        assert active_recorder() is None
-
-    def test_use_provenance_restores_previous(self):
-        outer = enable_provenance()
-        with use_provenance() as inner:
-            assert active_recorder() is inner
-            assert inner is not outer
-        assert active_recorder() is outer
-
-    def test_use_provenance_keeps_empty_recorder(self):
-        """An empty recorder is falsy (__len__ == 0); the context
-        manager must still install *that* recorder, not a fresh one."""
-        mine = ProvenanceRecorder(prefix_filter=[PFX])
-        with use_provenance(mine):
-            assert active_recorder() is mine
+class TestGlobalRecorder(SlotContract):
+    channel = "provenance"
 
 
 class TestEventBuilders:
@@ -189,7 +119,7 @@ class TestEventBuilders:
 class TestEngineSelectionEvents:
     def test_router_records_reselect(self):
         router = Router(100, RoutingPolicy())
-        with use_provenance() as recorder:
+        with _recording() as capture:
             router.receive(
                 neighbor_asn=7, rel=Rel.PROVIDER, prefix=PFX,
                 path=ASPath((7, 9)), now=1.0,
@@ -198,7 +128,9 @@ class TestEngineSelectionEvents:
                 neighbor_asn=8, rel=Rel.PROVIDER, prefix=PFX,
                 path=ASPath((8, 9)), now=2.0,
             )
-        events = recorder.events(kind="selection", source="engine")
+        events = capture.provenance.events(
+            kind="selection", source="engine"
+        )
         assert len(events) == 2
         final = events[-1]
         assert final["asn"] == 100
@@ -216,14 +148,12 @@ class TestEngineSelectionEvents:
     def test_filtered_prefix_not_recorded(self):
         router = Router(100, RoutingPolicy())
         other = Prefix.parse("198.51.100.0/24")
-        with use_provenance(
-            ProvenanceRecorder(prefix_filter=[other])
-        ) as recorder:
+        with _recording(EventRing(prefix_filter=[other])) as capture:
             router.receive(
                 neighbor_asn=7, rel=Rel.PROVIDER, prefix=PFX,
                 path=ASPath((7, 9)), now=1.0,
             )
-        assert recorder.events() == []
+        assert capture.provenance.events() == []
 
     def test_fastpath_records_selections(self):
         ecosystem = build_ecosystem(REEcosystemConfig(scale=0.03), seed=5)
@@ -233,9 +163,11 @@ class TestEngineSelectionEvents:
             Announcement(ecosystem.measurement_prefix,
                          ecosystem.commodity_origin, tag="commodity"),
         ]
-        with use_provenance() as recorder:
+        with _recording() as capture:
             propagate_fastpath(ecosystem.topology, announcements)
-        events = recorder.events(kind="selection", source="fastpath")
+        events = capture.provenance.events(
+            kind="selection", source="fastpath"
+        )
         assert events
         assert all(
             e["prefix"] == str(ecosystem.measurement_prefix)
@@ -355,7 +287,7 @@ class TestChromeTrace:
 
 class TestRecorderThreadSafety:
     def test_concurrent_record(self):
-        recorder = ProvenanceRecorder(capacity=10_000)
+        recorder = EventRing(capacity=10_000)
 
         def worker(tag):
             for index in range(500):

@@ -7,36 +7,43 @@ here asserts byte-identity; that contract (and its exclusion of the
 profiler) is exercised in tests/test_differential.py.
 """
 
+import contextlib
 import json
+import sys
 import time
 
 import pytest
 
 from repro.cli import main
+from repro.obs import spans
+from repro.obs.capture import Capture, active_capture, use_capture
 from repro.obs.profile import (
     DEFAULT_TOP_N,
     PROFILE_SCHEMA_VERSION,
     PhaseProfiler,
-    active_profiler,
-    disable_profiling,
-    disarm_inherited_profile,
-    enable_profiling,
     export_profile,
     load_profile,
     render_profile,
-    set_profiler,
-    use_profiling,
 )
 from repro.obs.spans import reset_trace, span
 
 
 @pytest.fixture(autouse=True)
-def _no_ambient_profiler():
-    disable_profiling()
+def _no_ambient_trace():
     reset_trace()
     yield
-    disable_profiling()
     reset_trace()
+
+
+@contextlib.contextmanager
+def _profiling(profiler):
+    """Install a capture holding only *profiler*; yields the profiler."""
+    with use_capture(Capture(profiler=profiler)):
+        yield profiler
+
+
+def _sentinel_hook(*_args):
+    return None
 
 
 def _busy(loops=2_000):
@@ -56,7 +63,7 @@ class TestPhaseProfiler:
             PhaseProfiler(top_n=0)
 
     def test_counter_mode_aggregates_phases(self):
-        with use_profiling(PhaseProfiler(use_cprofile=False)) as profiler:
+        with _profiling(PhaseProfiler(use_cprofile=False)) as profiler:
             with span("phase.alpha"):
                 _busy()
             with span("phase.alpha"):
@@ -74,7 +81,7 @@ class TestPhaseProfiler:
         assert payload["phases"]["phase.beta"]["seconds"] >= 0.01
 
     def test_cprofile_mode_collects_hotspots(self):
-        with use_profiling(PhaseProfiler()) as profiler:
+        with _profiling(PhaseProfiler()) as profiler:
             with span("phase.hot"):
                 _busy(20_000)
         payload = profiler.as_payload()
@@ -86,7 +93,7 @@ class TestPhaseProfiler:
             assert set(row) == {"func", "calls", "tottime", "cumtime"}
 
     def test_nested_phases_both_recorded(self):
-        with use_profiling(PhaseProfiler()) as profiler:
+        with _profiling(PhaseProfiler()) as profiler:
             with span("phase.outer"):
                 _busy()
                 with span("phase.inner"):
@@ -94,19 +101,6 @@ class TestPhaseProfiler:
         payload = profiler.as_payload()
         assert payload["phases"]["phase.outer"]["calls"] == 1
         assert payload["phases"]["phase.inner"]["calls"] == 1
-
-    def test_fold_trace_attributes_foreign_spans(self):
-        profiler = PhaseProfiler(use_cprofile=False)
-        profiler.fold_trace({
-            "name": "runner.shard.0", "duration": 0.5,
-            "children": [
-                {"name": "engine.run_to_fixpoint", "duration": 0.4},
-            ],
-        })
-        profiler.fold_trace(None)  # ignored
-        payload = profiler.as_payload()
-        assert payload["phases"]["runner.shard.0"]["seconds"] == 0.5
-        assert payload["phases"]["engine.run_to_fixpoint"]["calls"] == 1
 
     def test_merge_payload_sums_and_labels(self):
         def one(label):
@@ -170,25 +164,33 @@ class TestPhaseProfiler:
 
 class TestSingleton:
     def test_disabled_by_default(self):
-        assert active_profiler() is None
+        assert active_capture() is None
+        assert spans._phase_observer is None
 
     def test_enable_disable(self):
-        profiler = enable_profiling(use_cprofile=False, top_n=5)
-        assert active_profiler() is profiler
-        assert profiler.top_n == 5
-        assert disable_profiling() is profiler
-        assert active_profiler() is None
+        profiler = PhaseProfiler(use_cprofile=False, top_n=5)
+        with use_capture(Capture(profiler=profiler)):
+            assert active_capture().profiler is profiler
+            assert spans._phase_observer is profiler
+        assert active_capture() is None
+        assert spans._phase_observer is None
 
     def test_use_profiling_restores_previous(self):
-        outer = enable_profiling(use_cprofile=False)
-        with use_profiling() as inner:
-            assert active_profiler() is inner
-        assert active_profiler() is outer
+        outer = PhaseProfiler(use_cprofile=False)
+        with _profiling(outer):
+            with _profiling(PhaseProfiler()) as inner:
+                assert spans._phase_observer is inner
+            assert spans._phase_observer is outer
 
     def test_disarm_noop_in_owning_process(self):
-        enable_profiling(use_cprofile=False)
-        assert disarm_inherited_profile() is False
-        assert active_profiler() is not None
+        parent = Capture(profiler=PhaseProfiler(use_cprofile=False))
+        sys.setprofile(_sentinel_hook)
+        try:
+            child = parent.child()
+            assert sys.getprofile() is _sentinel_hook
+        finally:
+            sys.setprofile(None)
+        assert child.profiler.owns_process()
 
     def test_disarm_clears_foreign_profiler(self, monkeypatch):
         profiler = PhaseProfiler(use_cprofile=False)
@@ -196,14 +198,19 @@ class TestSingleton:
         # parent's pid, so it does not own this process.
         monkeypatch.setattr(profiler, "_pid", -1)
         assert not profiler.owns_process()
-        set_profiler(profiler)
-        assert disarm_inherited_profile() is True
-        assert active_profiler() is None
+        sys.setprofile(_sentinel_hook)
+        try:
+            child = Capture(profiler=profiler).child()
+            assert sys.getprofile() is None
+        finally:
+            sys.setprofile(None)
+        assert child.profiler is not profiler
+        assert child.profiler.owns_process()
 
     def test_foreign_profiler_records_nothing(self, monkeypatch):
         profiler = PhaseProfiler(use_cprofile=False)
         monkeypatch.setattr(profiler, "_pid", -1)
-        with use_profiling(profiler):
+        with _profiling(profiler):
             with span("phase.ghost"):
                 pass
         assert profiler.as_payload()["phases"] == {}
@@ -215,7 +222,7 @@ class TestSingleton:
 
 class TestArtifacts:
     def test_export_and_load_round_trip(self, tmp_path):
-        with use_profiling(PhaseProfiler()) as profiler:
+        with _profiling(PhaseProfiler()) as profiler:
             with span("phase.io"):
                 _busy()
         path = str(tmp_path / "profile.json")
@@ -367,10 +374,9 @@ class TestReproduceProfileOptions:
         payload = load_profile(str(profile))
         assert payload["phases"]
         assert main(["profile", str(profile)]) == 0
-        # The run-scoped singletons were torn down on exit.
-        assert active_profiler() is None
-        from repro.obs.frontier import active_frontier
-        assert active_frontier() is None
+        # The run-scoped capture was torn down on exit.
+        assert active_capture() is None
+        assert spans._phase_observer is None
 
     def test_frontier_capacity_validated(self, capsys):
         assert main([
