@@ -1,8 +1,9 @@
-"""What-if query latency: warm snapshot walks against cold
+"""What-if query latency: warm catchment lookups against cold
 re-simulation.
 
-The delta-convergence engine keeps a converged RIB warm so a what-if
-query is a snapshot walk, not a fresh propagation to fixpoint.  This
+The delta-convergence engine keeps a converged RIB warm, resolved into
+a per-AS catchment, so a what-if query is a lookup per probed system,
+not a fresh propagation to fixpoint.  This
 benchmark pins the payoff: a warm ``predict`` must beat paying the
 full cold warm-up per query by at least an order of magnitude (the
 CI gate), and in practice does so by several.

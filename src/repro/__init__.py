@@ -9,7 +9,7 @@ The package layers, bottom-up:
   the synthetic R&E ecosystem generator;
 - :mod:`repro.seeds` / :mod:`repro.probing` — the §3 measurement
   substrate (ISI/Censys analogues, scamper-like prober, return-path
-  walker);
+  catchment);
 - :mod:`repro.experiment` — the nine-configuration experiment runner;
 - :mod:`repro.collectors` / :mod:`repro.geo` — public BGP views and
   geolocation;

@@ -2,16 +2,16 @@
 
 The experiment's BGP control plane is one global, order-dependent state
 machine, so announcements, convergence, outages, and feeder-view
-capture stay serial in the parent process.  What dominates wall-clock
-time is the data plane: every probing round walks a return path for
-each of thousands of targets against a *converged* (frozen) RIB — an
-embarrassingly parallel workload by prefix.
+capture stay serial in the parent process.  The data plane is not:
+every probing round probes thousands of targets against a *converged*
+(frozen) RIB — an embarrassingly parallel workload by prefix.
 
 :class:`ShardedRunner` exploits exactly that split.  At each probing
-round it captures a compact :class:`~repro.probing.forwarding.RibSnapshot`
-of the converged forwarding state, partitions the prefix-sorted target
-set into contiguous shards, and fans the per-shard return-path
-propagation + probing out through the unified
+round it captures a :class:`~repro.probing.forwarding.RibSnapshot` of
+the converged forwarding state and resolves it, once, into a
+:class:`~repro.probing.forwarding.Catchment` (every AS's return walk),
+partitions the prefix-sorted target set into contiguous shards, and
+fans the per-shard probing out through the unified
 :class:`~repro.experiment.scheduler.Scheduler`: each shard is a
 :class:`~repro.experiment.scheduler.Task` executed by the resolved
 backend (a ``fork`` pool when ``workers > 1`` and the platform allows
@@ -31,8 +31,9 @@ Results are a pure function of the experiment seed:
 - probe transmit times are computed from each probe's global index in
   the round (``now + index / pps``), shipped to shards as a start
   offset, so pacing does not depend on execution order;
-- snapshot walks and live-RIB walks share one walk core
-  (:func:`repro.probing.forwarding._walk`), so the data plane cannot
+- the serial prober and the shard workers both read return paths from
+  a catchment resolved from the same snapshot, through the same
+  :func:`~repro.probing.prober.probe_one`, so the data plane cannot
   drift between the serial and sharded paths.
 
 Hence ``ShardedRunner(workers=k, shard_size=s)`` produces the same
@@ -49,7 +50,7 @@ capture are merged into the parent's in shard order and its completed
 
 Fault tolerance
 ---------------
-Shard execution is a pure function of ``(spec, snapshot, worker
+Shard execution is a pure function of ``(spec, catchment, worker
 state)``, so a shard that dies can always be re-executed without
 changing results.  Recovery — bounded retries with exponential backoff
 (rebuilding a broken pool), then inline re-execution in the parent as
@@ -92,7 +93,7 @@ from ..obs.provenance import (
     signal_event,
 )
 from ..obs.spans import attach_completed, detached_trace
-from ..probing.forwarding import RibSnapshot
+from ..probing.forwarding import Catchment
 from ..probing.prober import (
     Prober,
     RoundResult,
@@ -147,10 +148,10 @@ class _WorkerState:
 def _probe_shard(
     state: _WorkerState,
     spec: ShardSpec,
-    snapshot: RibSnapshot,
+    catchment: Catchment,
     lossy_prefixes: frozenset = frozenset(),
 ) -> List[Optional[tuple]]:
-    """Probe one shard's prefixes against the snapshot.
+    """Probe one shard's prefixes against the round's catchment.
 
     Mirrors :meth:`repro.probing.prober.Prober.probe_round` exactly:
     same prefix order (the spec carries a contiguous slice of the
@@ -162,16 +163,13 @@ def _probe_shard(
     per prefix, built from the same aggregation the serial prober
     uses, so the merged stream matches the serial stream exactly.
     """
-    origin_set = frozenset(state.interface_kinds)
+    lookup = catchment.lookup
     interface_kind_of = state.interface_kinds.__getitem__
     interval = 1.0 / state.pps
     index = spec.start_index
     rows: List[Optional[tuple]] = []
     capture = active_capture()
     recorder = capture.provenance if capture is not None else None
-
-    def walk(start_asn: int):
-        return snapshot.walk(start_asn, origin_set)
 
     for prefix in spec.prefixes:
         rng = prefix_stream_rng(spec.round_seed, prefix)
@@ -181,7 +179,7 @@ def _probe_shard(
         for target in state.targets[prefix]:
             response = probe_one(
                 state.systems.get(target.address),
-                target, walk, interface_kind_of, rng,
+                target, lookup, interface_kind_of, rng,
                 spec.started_at + index * interval,
                 force_loss=blanked,
             )
@@ -199,7 +197,7 @@ def _probe_shard(
 
 def _run_shard(
     spec: ShardSpec,
-    snapshot: RibSnapshot,
+    catchment: Catchment,
     fault: Optional[FaultDirective] = None,
 ) -> ShardOutcome:
     """Task entry point: probe one shard under isolated obs state.
@@ -241,7 +239,7 @@ def _run_shard(
     started = time.perf_counter()
     with use_registry(registry), detached_trace(), use_capture(capture):
         with span("runner.shard.%d" % spec.shard_id) as record:
-            rows = _probe_shard(state, spec, snapshot, lossy)
+            rows = _probe_shard(state, spec, catchment, lossy)
         registry.counter("parallel.shard_probes").inc(len(rows))
         registry.counter("parallel.shards_completed").inc()
         trace = record.as_dict()
@@ -501,10 +499,7 @@ class ShardedRunner(ExperimentRunner):
     ) -> RoundResult:
         scheduler = self._ensure_scheduler(prober)
         with span("runner.snapshot"):
-            snapshot = RibSnapshot.capture(
-                self.ecosystem.topology, rib,
-                self.ecosystem.measurement_prefix,
-            )
+            catchment = prober.host.catchment(self.ecosystem.topology, rib)
         specs = self._shard_specs(index, config_label, engine.now)
         capture = active_capture()
         registry = get_registry()
@@ -525,8 +520,8 @@ class ShardedRunner(ExperimentRunner):
             tasks.append(Task(
                 key=spec.shard_id,
                 fn=_run_shard,
-                args=(spec, snapshot, fault),
-                retry_args=(spec, snapshot, clean),
+                args=(spec, catchment, fault),
+                retry_args=(spec, catchment, clean),
                 claim=ResourceClaim(cpu_slots=1),
             ))
         result = RoundResult(config=config_label, started_at=engine.now)

@@ -21,6 +21,7 @@ Table 2 comparable.
 from __future__ import annotations
 
 import random
+from functools import partial
 from typing import Dict, Optional
 
 from ..bgp.engine import (
@@ -40,7 +41,6 @@ from ..obs.frontier import (
     signal_rows,
 )
 from ..obs.provenance import selection_event
-from ..probing.forwarding import engine_rib
 from ..probing.host import MeasurementHost
 from ..probing.prober import Prober
 from ..rng import SeedTree, poisson
@@ -143,7 +143,7 @@ class ExperimentRunner:
         )
         flap_rng = self.tree.child("background-flaps").rng()
         prefix = ecosystem.measurement_prefix
-        rib = engine_rib(engine, prefix)
+        rib = partial(engine.best_route, prefix=prefix)
 
         # Progress plane: a total for the sampler/heartbeats to rate
         # `runner.rounds_completed` against, plus the initial tick.
@@ -267,7 +267,7 @@ class ExperimentRunner:
         config_label: str,
     ):
         """Execute one probing round.  The base implementation probes
-        serially against the live RIB;
+        serially against a catchment captured from the live RIB;
         :class:`~repro.experiment.parallel.ShardedRunner` overrides it
         to fan shards out across worker processes."""
         return prober.probe_round(

@@ -2,9 +2,10 @@
 
 - :mod:`repro.probing.host` — the multi-homed measurement host with its
   VLAN interfaces (Figure 2);
-- :mod:`repro.probing.forwarding` — the data-plane walker that carries
-  a response hop-by-hop along each AS's *own* best route back to the
-  measurement prefix (the return-path signal the method measures);
+- :mod:`repro.probing.forwarding` — the data plane that carries a
+  response hop-by-hop along each AS's *own* best route back to the
+  measurement prefix (the return-path signal the method measures),
+  resolved once per converged RIB into a per-AS catchment;
 - :mod:`repro.probing.prober` — a scamper-like prober: paced probe
   rounds, per-probe loss, and IP_PKTINFO-style arrival-interface
   recording.
@@ -12,10 +13,10 @@
 
 from .host import MeasurementHost, VLANInterface
 from .forwarding import (
+    Catchment,
     ForwardingOutcome,
     ReturnPath,
     RibSnapshot,
-    walk_return_path,
 )
 from .prober import (
     ProbeResponse,
@@ -31,10 +32,10 @@ from .traceroute import TracerouteResult, paths_are_symmetric, traceroute
 __all__ = [
     "MeasurementHost",
     "VLANInterface",
+    "Catchment",
     "ForwardingOutcome",
     "ReturnPath",
     "RibSnapshot",
-    "walk_return_path",
     "ProbeResponse",
     "Prober",
     "RoundResult",

@@ -5,12 +5,20 @@ every transit AS uses its *own* best route for the measurement prefix
 (§3.4 — intermediate policies can dominate the edge's).  The walk ends
 at one of the announcement origins, identifying the arrival interface,
 or fails (no route and no default).
+
+Within one converged RIB a walk depends on nothing but its start AS,
+so the question "which origin does each AS's traffic reach?" is a
+catchment, resolved once per :class:`RibSnapshot` into a
+:class:`Catchment` and then answered by lookup.  :func:`_walk` spells
+the walk out hop by hop; it is the catchment's reference semantics and
+gives traceroute its hop list.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain
 from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..netutil import Prefix
@@ -44,17 +52,36 @@ class ReturnPath:
     used_default: bool = False    # a default route carried some hop
 
 
+#: ``(outcome, terminating origin, hop count)``: what a walk from one
+#: AS comes to — :class:`ReturnPath` without its hop list.
+Resolved = Tuple[ForwardingOutcome, Optional[int], int]
+
+#: An AS with no forwarding state at all, and not an origin.
+_NO_ROUTE: Resolved = (ForwardingOutcome.NO_ROUTE, None, 1)
+
+
+def _capped(
+    outcome: ForwardingOutcome, origin_asn: Optional[int], hops: int
+) -> Resolved:
+    """A walk of *hops* ASes, subject to :func:`_walk`'s TTL: one that
+    has not ended within ``MAX_AS_HOPS`` steps is a ``LOOP`` of
+    ``MAX_AS_HOPS + 1`` hops, whatever lay beyond."""
+    if hops > MAX_AS_HOPS:
+        return ForwardingOutcome.LOOP, None, MAX_AS_HOPS + 1
+    return outcome, origin_asn, hops
+
+
 def _walk(
     step_of: Callable[[int], Tuple[int, Optional[int]]],
     start_asn: int,
     origin_asns: Set[int],
 ) -> ReturnPath:
-    """Shared walk core over a per-AS forwarding step function.
+    """Walk from *start_asn* over a per-AS forwarding step function.
 
     ``step_of(asn)`` classifies the AS's forwarding state as one of
     ``(_LOCAL, None)``, ``(_ROUTE, next_hop)``, ``(_DEFAULT, next_hop)``
-    or ``(_NONE, None)``.  Both the live-RIB walker and the snapshot
-    walker reduce to this, so their semantics cannot drift apart.
+    or ``(_NONE, None)``.  :meth:`RibSnapshot.resolve` must agree with
+    this walk for every start AS (a property test holds it to that).
     """
     hops: List[int] = [start_asn]
     current = start_asn
@@ -105,44 +132,15 @@ def _walk(
     )
 
 
-def walk_return_path(
-    topology: Topology,
-    best_route_of: Callable[[int], object],
-    start_asn: int,
-    origin_asns: Set[int],
-    prefix: Prefix,
-) -> ReturnPath:
-    """Walk from *start_asn* toward the measurement prefix.
-
-    ``best_route_of(asn)`` returns the AS's current best
-    :class:`~repro.bgp.attributes.Route` for the measurement prefix (or
-    None); adapters exist for both propagation engines.  ``origin_asns``
-    are the announcement origins (walk terminators).
-    """
-    def step_of(asn: int) -> Tuple[int, Optional[int]]:
-        route = best_route_of(asn)
-        if route is None:
-            default_via = topology.node(asn).policy.default_route_via
-            if default_via is None:
-                return _NONE, None
-            return _DEFAULT, default_via
-        if route.learned_from is None:
-            return _LOCAL, None
-        return _ROUTE, route.learned_from
-
-    return _walk(step_of, start_asn, origin_asns)
-
-
 @dataclass(frozen=True)
 class RibSnapshot:
-    """A frozen, picklable view of the data plane for one prefix.
+    """A frozen view of the data plane for one prefix.
 
     Captures just what a return-path walk needs — per-AS next hop,
     locally originated holders, and per-AS default routes — as plain
-    int dictionaries, so a converged RIB can be shipped to worker
-    processes without dragging the topology or router objects along.
-    Walking a snapshot is bit-identical to walking the live RIB it was
-    captured from (both reduce to the same :func:`_walk` core).
+    int dictionaries, so the forwarding state outlives the converged
+    RIB it was read from without dragging topology or router objects
+    along.
     """
 
     prefix: Prefix
@@ -190,20 +188,84 @@ class RibSnapshot:
         return _NONE, None
 
     def walk(self, start_asn: int, origin_asns: Set[int]) -> ReturnPath:
-        """Walk the snapshot exactly as :func:`walk_return_path` walks
-        the live RIB."""
+        """The hop-by-hop walk from *start_asn* (:func:`_walk`)."""
         return _walk(self._step_of, start_asn, origin_asns)
 
+    def resolve(self, origin_asns) -> "Catchment":
+        """Resolve every AS's walk toward *origin_asns* at once.
 
-def engine_rib(engine, prefix: Prefix) -> Callable[[int], object]:
-    """Adapter: best-route lookup over a PropagationEngine."""
-    def lookup(asn: int):
-        return engine.best_route(asn, prefix)
-    return lookup
+        The snapshot's next hops form a functional graph: each AS that
+        forwards has exactly one successor.  Every AS is visited once;
+        a walk stops at the first AS already resolved, at a terminal
+        (an origin, a local holder, an AS with nothing), or on closing
+        a cycle, and the ASes it passed are then resolved back to
+        front, one hop more each.  The result equals :meth:`walk`'s
+        ``(outcome, origin_asn, len(hops))`` for every start AS,
+        ``MAX_AS_HOPS`` cap included.
+        """
+        origins = frozenset(origin_asns)
+        step_of = self._step_of
+        table: Dict[int, Resolved] = {}
+        for start in chain(origins, self.next_hop, self.local,
+                           self.default_via):
+            if start in table:
+                continue
+            path: List[int] = []
+            on_path: Dict[int, int] = {}
+            asn = start
+            while True:
+                tail = table.get(asn)
+                if tail is not None:
+                    break
+                if asn in origins:
+                    tail = (ForwardingOutcome.DELIVERED, asn, 1)
+                    break
+                kind, next_hop = step_of(asn)
+                if kind == _NONE:
+                    tail = _NO_ROUTE
+                    break
+                if kind == _LOCAL:
+                    # A non-origin holding the prefix locally is the
+                    # delivery point (see :func:`_walk`).
+                    tail = (ForwardingOutcome.DELIVERED, asn, 1)
+                    break
+                on_path[asn] = len(path)
+                path.append(asn)
+                if next_hop in on_path:
+                    # The walk closes a cycle: every member counts the
+                    # cycle plus the repeated hop.
+                    entry = on_path[next_hop]
+                    tail = _capped(ForwardingOutcome.LOOP, None,
+                                   len(path) - entry + 1)
+                    for member in path[entry:]:
+                        table[member] = tail
+                    del path[entry:]
+                    break
+                asn = next_hop
+            # *asn* is where the walk stopped (a terminal, a resolved
+            # AS, or the cycle's last member); the path before it is
+            # resolved back to front, one hop more each.
+            table[asn] = tail
+            for member in reversed(path):
+                outcome, origin_asn, hops = tail
+                tail = _capped(outcome, origin_asn, hops + 1)
+                table[member] = tail
+        return Catchment(table)
 
 
-def fastpath_rib(result) -> Callable[[int], object]:
-    """Adapter: best-route lookup over a FastpathResult."""
-    def lookup(asn: int):
-        return result.route_at(asn)
-    return lookup
+@dataclass(frozen=True)
+class Catchment:
+    """Every AS's return walk over one :class:`RibSnapshot`, resolved.
+
+    ``table`` maps each AS with forwarding state, each origin and each
+    next hop to its :data:`Resolved` walk; any other AS has no state
+    and resolves to ``NO_ROUTE`` in one hop.  Built by
+    :meth:`RibSnapshot.resolve` once per converged RIB; probes and
+    what-if queries then read it in O(1) per AS.
+    """
+
+    table: Dict[int, Resolved]
+
+    def lookup(self, asn: int) -> Resolved:
+        """The walk from *asn*: ``(outcome, origin_asn, hop count)``."""
+        return self.table.get(asn, _NO_ROUTE)

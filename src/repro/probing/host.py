@@ -15,10 +15,12 @@ origin arrives on the R&E VLAN.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Callable, Dict, List
 
 from ..errors import ExperimentError
 from ..netutil import Prefix, parse_address
+from ..topology.graph import Topology
+from .forwarding import Catchment, RibSnapshot
 
 #: The loopback source address used in probes (§3.1).
 DEFAULT_SOURCE = parse_address("163.253.63.63")
@@ -70,6 +72,19 @@ class MeasurementHost:
             raise ExperimentError(
                 "no interface attached for origin AS %d" % origin_asn
             ) from None
+
+    def catchment(
+        self, topology: Topology, best_route_of: Callable[[int], object]
+    ) -> Catchment:
+        """Resolve every AS's return walk toward this host's origins.
+
+        ``best_route_of(asn)`` is an AS's converged best route for the
+        measurement prefix; it is read once, into a
+        :class:`~repro.probing.forwarding.RibSnapshot`.
+        """
+        return RibSnapshot.capture(
+            topology, best_route_of, self.measurement_prefix,
+        ).resolve(self.origin_asns())
 
     @classmethod
     def for_experiment(

@@ -29,7 +29,7 @@ from ..rng import SeedTree, derive_seed
 from ..topology.graph import Topology
 from ..topology.re_config import SystemPlan
 from ..seeds.selection import ProbeTarget
-from .forwarding import ForwardingOutcome, ReturnPath, walk_return_path
+from .forwarding import ForwardingOutcome, Resolved
 from .host import MeasurementHost
 
 DEFAULT_PPS = 100
@@ -106,7 +106,7 @@ def response_row(response: ProbeResponse) -> Optional[tuple]:
     instead of :class:`ProbeResponse` objects: the parent process
     already holds every :class:`ProbeTarget` and recomputes transmit
     times from probe indices, so pickling full responses back would
-    cost more than the walks themselves
+    cost more than probing itself
     (:mod:`repro.experiment.parallel`).
     """
     if response.responded:
@@ -174,6 +174,10 @@ class Prober:
     ) -> RoundResult:
         """Probe every target once, pacing at ``pps``.
 
+        *best_route_of* maps an AS to its best route for the
+        measurement prefix.  The round reads it once, into the host's
+        catchment (:meth:`~repro.probing.host.MeasurementHost.catchment`),
+        so every probe's return path is a lookup.
         *seed_tree* is the round's seed node; each prefix derives its
         own probe stream from it (see :func:`prefix_stream_rng`).
         *round_index* only labels provenance signal events; it never
@@ -184,21 +188,28 @@ class Prober:
         untouched.
         """
         result = RoundResult(config=config, started_at=now)
-        origin_set = set(self.host.origin_asns())
+        host = self.host
+
+        def interface_kind_of(origin_asn: int) -> str:
+            return host.interface_for_origin(origin_asn).kind
+
+        systems = self.systems_by_address
         interval = 1.0 / self.pps
         index = 0
         capture = active_capture()
         recorder = capture.provenance if capture is not None else None
         with span("prober.round"):
+            lookup = host.catchment(self.topology, best_route_of).lookup
             for prefix in sorted(
                 targets_by_prefix, key=lambda p: (p.network, p.length)
             ):
                 rng = prefix_stream_rng(seed_tree.seed, prefix)
                 blanked = prefix in lossy_prefixes
                 for target in targets_by_prefix[prefix]:
-                    response = self._probe_one(
-                        target, best_route_of, origin_set, rng,
-                        now + index * interval, force_loss=blanked,
+                    response = probe_one(
+                        systems.get(target.address), target, lookup,
+                        interface_kind_of, rng, now + index * interval,
+                        force_loss=blanked,
                     )
                     result.responses.setdefault(prefix, []).append(response)
                     index += 1
@@ -234,35 +245,11 @@ class Prober:
                 sim_duration=round(result.duration, 3),
             )
 
-    def _probe_one(
-        self,
-        target: ProbeTarget,
-        best_route_of: Callable[[int], object],
-        origin_set,
-        rng: random.Random,
-        tx: float,
-        force_loss: bool = False,
-    ) -> ProbeResponse:
-        def walk(start_asn: int) -> ReturnPath:
-            return walk_return_path(
-                self.topology, best_route_of, start_asn, origin_set,
-                target.prefix,
-            )
-
-        def interface_kind_of(origin_asn: int) -> str:
-            return self.host.interface_for_origin(origin_asn).kind
-
-        return probe_one(
-            self.systems_by_address.get(target.address),
-            target, walk, interface_kind_of, rng, tx,
-            force_loss=force_loss,
-        )
-
 
 def probe_one(
     system: Optional[SystemPlan],
     target: ProbeTarget,
-    walk: Callable[[int], ReturnPath],
+    lookup: Callable[[int], Resolved],
     interface_kind_of: Callable[[int], str],
     rng: random.Random,
     tx: float,
@@ -271,11 +258,11 @@ def probe_one(
     """Probe one target over an abstract data plane.
 
     This is the single implementation of probe semantics: the serial
-    :class:`Prober` walks the live RIB, shard workers walk a
-    :class:`~repro.probing.forwarding.RibSnapshot`, and both funnel
-    through here so their responses cannot diverge.  *walk* maps the
-    probed system's attached ASN to a
-    :class:`~repro.probing.forwarding.ReturnPath`.
+    :class:`Prober` and the shard workers both read a round's
+    :class:`~repro.probing.forwarding.Catchment` and funnel through
+    here, so their responses cannot diverge.  *lookup* maps the probed
+    system's attached ASN to its resolved return walk, ``(outcome,
+    origin_asn, hop count)``.
 
     *force_loss* drops the probe before any stream draw — the
     fault-plan loss-burst hook (:mod:`repro.faults`).  Consuming no
@@ -289,24 +276,23 @@ def probe_one(
         return ProbeResponse(target=target, tx_time=tx, responded=False)
     if rng.random() < system.loss_probability:
         return ProbeResponse(target=target, tx_time=tx, responded=False)
-    path = walk(system.attached_asn)
-    if path.outcome is not ForwardingOutcome.DELIVERED:
+    outcome, origin_asn, hop_count = lookup(system.attached_asn)
+    if outcome is not ForwardingOutcome.DELIVERED:
         return ProbeResponse(
             target=target,
             tx_time=tx,
             responded=False,
-            outcome=path.outcome,
-            hops=len(path.hops),
+            outcome=outcome,
+            hops=hop_count,
         )
-    hop_count = len(path.hops)
     rtt = 4.0 * hop_count + rng.uniform(1.0, 25.0)
     return ProbeResponse(
         target=target,
         tx_time=tx,
         responded=True,
-        interface_kind=interface_kind_of(path.origin_asn),
-        origin_asn=path.origin_asn,
+        interface_kind=interface_kind_of(origin_asn),
+        origin_asn=origin_asn,
         rtt_ms=rtt,
-        outcome=path.outcome,
+        outcome=outcome,
         hops=hop_count,
     )

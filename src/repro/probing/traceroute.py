@@ -17,7 +17,7 @@ from ..bgp.attributes import Announcement
 from ..bgp.fastpath import propagate_fastpath
 from ..netutil import Prefix
 from ..topology.graph import Topology
-from .forwarding import ForwardingOutcome, walk_return_path
+from .forwarding import ForwardingOutcome, RibSnapshot
 
 
 @dataclass
@@ -50,7 +50,7 @@ def traceroute(
     Propagates the destination's announcement (from its registered
     origin unless *destination_origin* is given), then walks hop by hop
     along each AS's best route — the same data-plane semantics as the
-    return-path walker, pointed the other way.
+    return path, pointed the other way.
     """
     origin = (
         destination_origin
@@ -61,13 +61,9 @@ def traceroute(
         topology,
         [Announcement(prefix=destination_prefix, origin_asn=origin)],
     )
-    path = walk_return_path(
-        topology,
-        lambda asn: state.route_at(asn),
-        source_asn,
-        {origin},
-        destination_prefix,
-    )
+    path = RibSnapshot.capture(
+        topology, state.route_at, destination_prefix,
+    ).walk(source_asn, {origin})
     return TracerouteResult(
         source_asn=source_asn,
         destination_prefix=destination_prefix,

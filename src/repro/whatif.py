@@ -1,11 +1,14 @@
 """Warm what-if queries over the delta convergence engine.
 
 A :class:`WhatIfSession` keeps one converged network warm and answers
-catchment-style questions — "which origin (and therefore which signal
+catchment questions — "which origin (and therefore which signal
 category) does prefix P land on under configuration C, or after policy
-change X?" — in microseconds, by walking frozen RIB snapshots and
-applying :meth:`~repro.bgp.engine.PropagationEngine.apply_delta`
-deltas instead of re-simulating the experiment from scratch.
+change X?" — in microseconds.  Every converged state is captured once
+as a :class:`~repro.probing.forwarding.RibSnapshot` and resolved into a
+:class:`~repro.probing.forwarding.Catchment`, so a query is one lookup
+per probed system; state changes are
+:meth:`~repro.bgp.engine.PropagationEngine.apply_delta` deltas instead
+of re-simulating the experiment from scratch.
 
 The session replays the experiment's control-plane history exactly as
 :class:`~repro.experiment.runner.ExperimentRunner` does (same seeding,
@@ -13,8 +16,8 @@ same announcement order, same soak clock), minus probing: route ages
 are semantically meaningful (the OLDEST_ROUTE tie-break), so warm
 state is only byte-identical to the experiment's when the full history
 is replayed in canonical order.  Configurations therefore only step
-*forward*; earlier configurations stay queryable through cached
-snapshots.
+*forward*; earlier configurations stay queryable through their cached
+catchments until a free-form delta changes the network under them.
 
 The cold path stays authoritative: :meth:`WhatIfSession.replay_cold`
 rebuilds a fresh ecosystem and engine and replays the session's
@@ -28,6 +31,7 @@ by every engine built over it.)
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, List, Optional, Tuple, Union
 
 from .api import ExperimentSpec
@@ -44,7 +48,7 @@ from .errors import ExperimentError
 from .netutil import Prefix
 from .obs import get_logger
 from .obs.provenance import signal_from_kinds
-from .probing.forwarding import ForwardingOutcome, RibSnapshot, engine_rib
+from .probing.forwarding import Catchment
 from .probing.host import MeasurementHost
 from .rng import SeedTree
 from .topology.re_ecosystem import Ecosystem, build_ecosystem
@@ -64,7 +68,7 @@ class Prediction:
 
     ``deliveries`` maps each alive system (by address) to the
     announcement origin its return path terminates at (None when the
-    walk fails to deliver); ``signal`` classifies the set of reached
+    path fails to deliver); ``signal`` classifies the set of reached
     interface kinds exactly as round classification does
     (:func:`~repro.obs.provenance.signal_from_kinds`)."""
 
@@ -112,7 +116,8 @@ class WhatIfSession:
         #: Everything needed to rebuild this state cold, in order:
         #: ("config", label) steps and ("delta", delta) edits.
         self._journal: List[Tuple[str, object]] = []
-        self._snapshots: Dict[str, RibSnapshot] = {}
+        #: One resolved catchment per queryable config.
+        self._catchments: Dict[str, Catchment] = {}
         self._config_index = 0
         self._warm_up()
 
@@ -140,7 +145,7 @@ class WhatIfSession:
             default_prepends=first_re, tag="re",
         ))
         engine.advance_to(engine.now + schedule.initial_soak_seconds)
-        self._snapshot_current()
+        self._resolve_current()
 
     # ----- configuration stepping -------------------------------------
 
@@ -155,7 +160,7 @@ class WhatIfSession:
 
     def advance_to_config(self, config: str) -> None:
         """Step the warm state forward to *config* (canonical schedule
-        order; earlier configs stay queryable via cached snapshots)."""
+        order; earlier configs stay queryable via cached catchments)."""
         configs = list(self.schedule.configs)
         if config not in configs:
             raise ExperimentError(
@@ -167,7 +172,7 @@ class WhatIfSession:
             raise ExperimentError(
                 "cannot step backwards from %s to %s — route ages make "
                 "history order semantic; query earlier configs through "
-                "their cached snapshots instead"
+                "their cached catchments, which applying a delta drops"
                 % (self.current_config, config)
             )
         parsed = self.schedule.parsed_configs()
@@ -193,7 +198,7 @@ class WhatIfSession:
             engine.advance_to(engine.now + self.schedule.soak_seconds)
             self._config_index = index
             self._journal.append(("config", configs[index]))
-            self._snapshot_current()
+            self._resolve_current()
             if _log.is_enabled_for("debug"):
                 _log.debug(
                     "what-if config step",
@@ -204,13 +209,13 @@ class WhatIfSession:
 
     def apply(self, delta) -> DeltaOutcome:
         """Apply one free-form delta to the warm state (journaled for
-        cold replay).  Snapshots of earlier configs describe a network
+        cold replay).  Catchments of earlier configs describe a network
         the delta has now changed, so the cache is dropped and only the
         post-delta state stays queryable."""
         outcome = self._engine.apply_delta(delta)
         self._journal.append(("delta", delta))
-        self._snapshots.clear()
-        self._snapshot_current()
+        self._catchments.clear()
+        self._resolve_current()
         return outcome
 
     # ----- queries ----------------------------------------------------
@@ -222,30 +227,26 @@ class WhatIfSession:
     ) -> Prediction:
         """Where does *prefix* land under *config* (default: current)?
 
-        Walks the cached RIB snapshot from every alive system planned
-        inside the prefix — the prober's deterministic return-path
-        core, minus liveness/loss randomness — and classifies the
-        reached interface kinds."""
+        Looks up every alive system planned inside the prefix in the
+        config's cached catchment — the prober's deterministic
+        return-path signal, minus liveness/loss randomness — and
+        classifies the reached interface kinds."""
         if isinstance(prefix, str):
             prefix = Prefix.parse(prefix)
         label = config or self.current_config
-        snapshot = self._snapshots.get(label)
-        if snapshot is None:
+        catchment = self._catchments.get(label)
+        if catchment is None:
             self.advance_to_config(label)
-            snapshot = self._snapshots[label]
+            catchment = self._catchments[label]
         plan = self.ecosystem.prefix_plans.get(prefix)
         if plan is None:
             raise ExperimentError("prefix %s is not in the study" % prefix)
-        origin_set = set(self.host.origin_asns())
+        lookup = catchment.lookup
         deliveries: List[Tuple[int, Optional[int]]] = []
         kinds: List[str] = []
         for system in plan.alive_systems:
-            path = snapshot.walk(system.attached_asn, origin_set)
-            origin = (
-                path.origin_asn
-                if path.outcome is ForwardingOutcome.DELIVERED
-                else None
-            )
+            # Only a delivered walk names an origin.
+            origin = lookup(system.attached_asn)[1]
             deliveries.append((system.address, origin))
             if origin is not None:
                 kinds.append(self.host.interface_for_origin(origin).kind)
@@ -261,8 +262,8 @@ class WhatIfSession:
         prefixes,
         config: Optional[str] = None,
     ) -> List[Prediction]:
-        """Batched :meth:`predict` over many prefixes (one snapshot
-        lookup, many walks)."""
+        """Batched :meth:`predict` over many prefixes (one catchment,
+        one lookup per probed system)."""
         return [self.predict(prefix, config) for prefix in prefixes]
 
     def rib_state(self) -> tuple:
@@ -287,12 +288,11 @@ class WhatIfSession:
 
     # ----- internals --------------------------------------------------
 
-    def _snapshot_current(self) -> None:
-        prefix = self.ecosystem.measurement_prefix
-        self._snapshots[self.current_config] = RibSnapshot.capture(
+    def _resolve_current(self) -> None:
+        self._catchments[self.current_config] = self.host.catchment(
             self.ecosystem.topology,
-            engine_rib(self._engine, prefix),
-            prefix,
+            partial(self._engine.best_route,
+                    prefix=self.ecosystem.measurement_prefix),
         )
 
 

@@ -1,8 +1,8 @@
 """Unit tests for the sharded execution machinery: shard partitioning,
-the compact response wire format, snapshot walks, obs merging, and the
-inline scheduler backend.  End-to-end serial-vs-sharded equality lives
-in ``test_differential.py``; scheduler-core unit tests live in
-``test_scheduler.py``."""
+the compact response wire format, snapshots and their catchments, obs
+merging, and the inline scheduler backend.  End-to-end serial-vs-sharded
+equality lives in ``test_differential.py``; scheduler-core unit tests
+live in ``test_scheduler.py``."""
 
 import pytest
 
@@ -23,8 +23,7 @@ from repro.obs.spans import (
     finished_roots,
     reset_trace,
 )
-from repro.probing import ForwardingOutcome, RibSnapshot, walk_return_path
-from repro.probing.forwarding import fastpath_rib
+from repro.probing import ForwardingOutcome, RibSnapshot, forwarding
 from repro.probing.prober import (
     ProbeResponse,
     response_from_row,
@@ -104,16 +103,31 @@ class TestRibSnapshot:
             [Announcement(MEAS, 1, tag="re"),
              Announcement(MEAS, 2, tag="commodity")],
         )
-        rib = fastpath_rib(result)
-        snapshot = RibSnapshot.capture(topo, rib, MEAS)
-        for start in (1, 2, 3, 5):
-            for origins in ({1, 2}, {2}, {99}):
-                live = walk_return_path(topo, rib, start, origins, MEAS)
+        snapshot = RibSnapshot.capture(topo, result.route_at, MEAS)
+
+        def live_step(asn):
+            # The live RIB's forwarding state, classified as _walk wants.
+            route = result.route_at(asn)
+            if route is None:
+                default_via = topo.node(asn).policy.default_route_via
+                if default_via is None:
+                    return forwarding._NONE, None
+                return forwarding._DEFAULT, default_via
+            if route.learned_from is None:
+                return forwarding._LOCAL, None
+            return forwarding._ROUTE, route.learned_from
+
+        for origins in ({1, 2}, {2}, {99}):
+            catchment = snapshot.resolve(origins)
+            for start in (1, 2, 3, 5):
+                live = forwarding._walk(live_step, start, origins)
                 snap = snapshot.walk(start, origins)
                 assert (live.outcome, live.origin_asn, live.hops,
                         live.used_default) == \
                        (snap.outcome, snap.origin_asn, snap.hops,
                         snap.used_default)
+                assert catchment.lookup(start) == \
+                    (live.outcome, live.origin_asn, len(live.hops))
 
     def test_snapshot_is_compact(self):
         """The per-round payload must not drag the topology along."""
@@ -121,8 +135,10 @@ class TestRibSnapshot:
 
         topo = self._topology()
         result = propagate_fastpath(topo, [Announcement(MEAS, 1, tag="re")])
-        snapshot = RibSnapshot.capture(topo, fastpath_rib(result), MEAS)
+        snapshot = RibSnapshot.capture(topo, result.route_at, MEAS)
         assert len(pickle.dumps(snapshot)) < 4096
+        catchment = snapshot.resolve({1})
+        assert len(pickle.dumps(catchment)) < 4096
 
 
 @pytest.fixture(scope="module")

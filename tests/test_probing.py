@@ -1,7 +1,8 @@
-"""Tests for the measurement host, the return-path walker, and the
-prober."""
+"""Tests for the measurement host, the return-path walk and its
+resolved catchment, and the prober."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import Announcement, Prefix, propagate_fastpath
 from repro.errors import ExperimentError
@@ -9,10 +10,10 @@ from repro.netutil import parse_address
 from repro.probing import (
     ForwardingOutcome,
     MeasurementHost,
+    RibSnapshot,
     VLANInterface,
-    walk_return_path,
 )
-from repro.probing.forwarding import fastpath_rib
+from repro.probing.forwarding import MAX_AS_HOPS
 from repro.probing.host import DEFAULT_SOURCE
 from repro.probing.prober import Prober
 from repro.rng import SeedTree
@@ -72,11 +73,20 @@ class TestMeasurementHost:
         assert "VRF" in host.interface_for_origin(11537).description
 
 
+def _walk(snapshot, start, origins):
+    """The snapshot's hop-by-hop walk, checked against its catchment."""
+    path = snapshot.walk(start, origins)
+    assert snapshot.resolve(origins).lookup(start) == (
+        path.outcome, path.origin_asn, len(path.hops)
+    )
+    return path
+
+
 class TestWalker:
     def _walk(self, topo, announcements, start, origins):
         result = propagate_fastpath(topo, announcements)
-        return walk_return_path(
-            topo, fastpath_rib(result), start, origins, MEAS
+        return _walk(
+            RibSnapshot.capture(topo, result.route_at, MEAS), start, origins
         )
 
     def test_walk_reaches_origin(self):
@@ -129,9 +139,7 @@ class TestWalker:
         result = propagate_fastpath(
             topo, [Announcement(MEAS, 2, tag="c")]
         )
-        path = walk_return_path(
-            topo, fastpath_rib(result), 1, {2}, MEAS
-        )
+        path = _walk(RibSnapshot.capture(topo, result.route_at, MEAS), 1, {2})
         assert path.outcome is ForwardingOutcome.DELIVERED
         assert path.used_default
 
@@ -142,8 +150,110 @@ class TestWalker:
         topo.add_peering(1, 2)
         topo.node(1).policy.default_route_via = 2
         topo.node(2).policy.default_route_via = 1
-        path = walk_return_path(topo, lambda asn: None, 1, {99}, MEAS)
+        snapshot = RibSnapshot.capture(topo, lambda asn: None, MEAS)
+        path = _walk(snapshot, 1, {99})
         assert path.outcome is ForwardingOutcome.LOOP
+
+
+#: First ASN of the generated chains, clear of the small random maps.
+CHAIN_BASE = 100
+
+
+@st.composite
+def forwarding_states(draw):
+    """A snapshot's raw forwarding state plus an origin set.
+
+    Small random maps over few ASNs give self-loops, longer cycles,
+    default routes, local holders that are not origins, next hops into
+    ASes with no state, and origins that hold routes themselves.  An
+    optional chain from ``CHAIN_BASE`` runs up to a few hops past
+    ``MAX_AS_HOPS`` and ends at an origin, in a cycle, or nowhere.
+    """
+    size = draw(st.integers(min_value=1, max_value=10))
+    holders = st.integers(min_value=1, max_value=size)
+    targets = st.integers(min_value=1, max_value=size + 3)
+    next_hop = draw(st.dictionaries(holders, targets))
+    default_via = draw(st.dictionaries(holders, targets))
+    local = draw(st.frozensets(holders))
+    origins = set(draw(st.frozensets(targets, max_size=3)))
+    length = draw(st.one_of(
+        st.just(0),
+        st.integers(min_value=1, max_value=8),
+        st.integers(min_value=MAX_AS_HOPS - 2, max_value=MAX_AS_HOPS + 3),
+    ))
+    if length:
+        for offset in range(length):
+            next_hop[CHAIN_BASE + offset] = CHAIN_BASE + offset + 1
+        end = CHAIN_BASE + length
+        shape = draw(st.sampled_from(("origin", "cycle", "nowhere")))
+        if shape == "origin":
+            origins.add(end)
+        elif shape == "cycle":
+            next_hop[end] = CHAIN_BASE + draw(
+                st.integers(min_value=0, max_value=length)
+            )
+    return (
+        RibSnapshot(MEAS, next_hop, local, default_via),
+        frozenset(origins),
+    )
+
+
+class TestCatchment:
+    @settings(max_examples=300, deadline=None)
+    @given(forwarding_states())
+    def test_lookup_matches_walk_for_every_start(self, state):
+        snapshot, origins = state
+        catchment = snapshot.resolve(origins)
+        starts = (
+            set(snapshot.next_hop) | set(snapshot.next_hop.values())
+            | set(snapshot.default_via) | set(snapshot.default_via.values())
+            | snapshot.local | origins | {0}
+        )
+        for start in starts:
+            path = snapshot.walk(start, origins)
+            assert catchment.lookup(start) == (
+                path.outcome, path.origin_asn, len(path.hops)
+            ), start
+
+    def _resolve(self, next_hop=None, local=(), default_via=None,
+                 origins=()):
+        snapshot = RibSnapshot(
+            MEAS, next_hop or {}, frozenset(local), default_via or {},
+        )
+        return snapshot.resolve(origins).lookup
+
+    def test_loop_counts_the_repeated_hop(self):
+        # 1 -> 2 -> 3 -> 2: a cycle of two, entered from a tail of one.
+        lookup = self._resolve(next_hop={1: 2, 2: 3, 3: 2})
+        assert lookup(2) == (ForwardingOutcome.LOOP, None, 3)
+        assert lookup(3) == (ForwardingOutcome.LOOP, None, 3)
+        assert lookup(1) == (ForwardingOutcome.LOOP, None, 4)
+        assert self._resolve(next_hop={7: 7})(7) == (
+            ForwardingOutcome.LOOP, None, 2
+        )
+
+    def test_origin_check_precedes_its_own_route(self):
+        lookup = self._resolve(next_hop={1: 2, 2: 3}, origins={2})
+        assert lookup(2) == (ForwardingOutcome.DELIVERED, 2, 1)
+        assert lookup(1) == (ForwardingOutcome.DELIVERED, 2, 2)
+
+    def test_local_holder_and_stateless_ases(self):
+        lookup = self._resolve(next_hop={1: 2, 3: 4}, local={2})
+        assert lookup(1) == (ForwardingOutcome.DELIVERED, 2, 2)
+        assert lookup(3) == (ForwardingOutcome.NO_ROUTE, None, 2)
+        assert lookup(4) == (ForwardingOutcome.NO_ROUTE, None, 1)
+        assert lookup(99) == (ForwardingOutcome.NO_ROUTE, None, 1)
+
+    def test_paths_past_the_hop_cap_become_loops(self):
+        chain = {asn: asn + 1 for asn in range(1, MAX_AS_HOPS + 1)}
+        lookup = self._resolve(next_hop=chain, origins={MAX_AS_HOPS + 1})
+        # Starting at 2 the origin is the 64th AS: still delivered.
+        assert lookup(2) == (ForwardingOutcome.DELIVERED,
+                             MAX_AS_HOPS + 1, MAX_AS_HOPS)
+        assert lookup(1) == (ForwardingOutcome.LOOP, None, MAX_AS_HOPS + 1)
+        chain[MAX_AS_HOPS + 1] = 1
+        lookup = self._resolve(next_hop=chain)
+        assert lookup(1) == (ForwardingOutcome.LOOP, None, MAX_AS_HOPS + 1)
 
 
 class TestProber:
@@ -169,7 +279,7 @@ class TestProber:
              Announcement(MEAS, 2, tag="commodity")],
         )
         prober = Prober(topo, host, {address: system})
-        return prober, {target_prefix: [target]}, fastpath_rib(result)
+        return prober, {target_prefix: [target]}, result.route_at
 
     def test_round_records_interface(self):
         prober, targets, rib = self._setup()

@@ -1,4 +1,4 @@
-"""The what-if facade: warm sessions, delta parsing, snapshot-cached
+"""The what-if facade: warm sessions, delta parsing, catchment-cached
 queries, and the ``repro whatif`` CLI surface.
 
 The heavyweight identity checks (warm state vs cold replay, backend
@@ -91,9 +91,9 @@ class TestConfigStepping:
         first = session.predict(prefix)
         assert first.config == "4-0"
         session.advance_to_config("3-0")
-        # The snapshot taken at 4-0 still answers for that label.
+        # The catchment resolved at 4-0 still answers for that label.
         assert session.predict(prefix, config="4-0") == first
-        # Free-form deltas invalidate cached configs: the snapshots no
+        # Free-form deltas invalidate cached configs: the catchments no
         # longer describe any schedule state, and rebuilding one would
         # mean stepping backwards.
         session.apply(PrependChange(
@@ -101,6 +101,22 @@ class TestConfigStepping:
         ))
         with pytest.raises(ExperimentError, match="cannot step backwards"):
             session.predict(prefix, config="4-0")
+
+    def test_backwards_after_a_delta_names_the_dropped_cache(self):
+        session = WhatIfSession(ExperimentSpec(seed=0, scale=0.04))
+        prefix = sorted(
+            str(plan.prefix)
+            for plan in session.ecosystem.studied_prefixes()
+        )[0]
+        session.advance_to_config("3-0")
+        session.apply(PrependChange(
+            session.re_origin, session.ecosystem.measurement_prefix, 1,
+        ))
+        # The delta dropped 4-0's cached catchment, so the error must
+        # say so rather than only send the caller back to that cache.
+        with pytest.raises(ExperimentError) as raised:
+            session.predict(prefix, config="4-0")
+        assert "applying a delta drops" in str(raised.value)
 
     def test_unknown_prefix_rejected(self, session):
         with pytest.raises(ExperimentError, match="not in the study"):
