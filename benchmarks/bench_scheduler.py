@@ -1,34 +1,22 @@
-"""Scheduler dispatch overhead: inline-backend runs vs the serial
-runner (PR 10 tentpole guard).
+"""Cell scheduler dispatch cost: a micro-benchmark of the raw
+per-task cost of ``repro.experiment.scheduler`` on the inline backend.
 
-Every probing round now flows through ``repro.experiment.scheduler``
-(task construction, claim validation, future bookkeeping, result
-resolution), so the guard here is that this machinery costs nothing
-material: a ``ShardedRunner`` pinned to the ``InlineBackend`` at
-``workers=1`` must stay within 5% of the serial ``ExperimentRunner``
-wall time — the pre-scheduler baseline path, which dispatches rounds
-with a bare method call.
-
-Both measurements take the best of ``REPS`` runs so a single noisy
-neighbour on a shared CI runner cannot fail the build, and the result
-equality (scheduler dispatch never changes bytes) is asserted on every
-run.  A micro-benchmark of the raw per-task cost is also emitted for
-trajectory tracking, without a threshold: absolute per-task cost is
+Campaign cells are the only work the scheduler dispatches, and a cell
+runs for seconds, so there is no threshold: absolute per-task cost is
 host-dependent, but its trajectory across commits is what
-``repro bench-diff`` watches.
+``repro bench-diff`` watches.  The best of ``REPS`` runs is taken so a
+single noisy neighbour on a shared CI runner does not move the
+trajectory.
 """
 
 import time
 
-from conftest import BENCH_SEED, show
+from conftest import show
 
-from repro.experiment.parallel import ShardedRunner
-from repro.experiment.runner import ExperimentRunner
 from repro.experiment.scheduler import InlineBackend, Scheduler, Task
 
 REPS = 3
 MICRO_TASKS = 2000
-OVERHEAD_BUDGET = 0.05
 
 
 def _noop(value):
@@ -48,8 +36,7 @@ def _best_of(reps, run):
     return result, best
 
 
-def _micro_dispatch_seconds():
-    """Per-task scheduler cost on trivial tasks, minus the call itself."""
+def test_scheduler(bench_emit):
     tasks = [
         Task(key=index, fn=_noop, args=(index,))
         for index in range(MICRO_TASKS)
@@ -65,55 +52,15 @@ def _micro_dispatch_seconds():
     def direct():
         return [task.fn(*task.args) for task in tasks]
 
-    _, scheduled = _best_of(REPS, through_scheduler)
+    results, scheduled = _best_of(REPS, through_scheduler)
     _, bare = _best_of(REPS, direct)
-    return max(0.0, scheduled - bare) / MICRO_TASKS
+    per_task = max(0.0, scheduled - bare) / MICRO_TASKS
 
-
-def test_scheduler(bench_ecosystem, bench_emit):
-    eco = bench_ecosystem
-
-    serial, serial_seconds = _best_of(
-        REPS,
-        lambda: ExperimentRunner(eco, "surf", seed=BENCH_SEED).run(),
-    )
-    inline, inline_seconds = _best_of(
-        REPS,
-        lambda: ShardedRunner(
-            eco, "surf", seed=BENCH_SEED, workers=1, backend="inline"
-        ).run(),
-    )
-    overhead = inline_seconds / serial_seconds - 1.0
-    per_task = _micro_dispatch_seconds()
-
-    show("Scheduler dispatch overhead", [
-        ("serial runner (best of %d)" % REPS, "-",
-         "%.3fs" % serial_seconds),
-        ("inline scheduler (best of %d)" % REPS, "-",
-         "%.3fs" % inline_seconds),
-        ("dispatch overhead", "< %.0f%%" % (100 * OVERHEAD_BUDGET),
-         "%+.2f%%" % (100 * overhead)),
+    show("Scheduler dispatch cost", [
         ("micro: per-task dispatch cost", "-",
          "%.2fus" % (per_task * 1e6)),
     ])
-    bench_emit.update(
-        serial_seconds=round(serial_seconds, 4),
-        inline_seconds=round(inline_seconds, 4),
-        overhead_fraction=round(overhead, 4),
-        per_task_dispatch_us=round(per_task * 1e6, 3),
-        rounds=len(serial.rounds),
-    )
+    bench_emit.update(per_task_dispatch_us=round(per_task * 1e6, 3))
 
-    # Scheduler dispatch never changes bytes, whatever the host.
-    assert len(inline.rounds) == len(serial.rounds)
-    assert all(
-        a.responses == b.responses
-        for a, b in zip(serial.rounds, inline.rounds)
-    ), "inline scheduler diverged from serial"
-
-    assert overhead < OVERHEAD_BUDGET, (
-        "scheduler dispatch costs %.2f%% over the serial baseline "
-        "(%.3fs vs %.3fs; budget %.0f%%)"
-        % (100 * overhead, inline_seconds, serial_seconds,
-           100 * OVERHEAD_BUDGET)
-    )
+    # Dispatch never changes values or their order.
+    assert [result.value for result in results] == list(range(MICRO_TASKS))

@@ -63,7 +63,6 @@ from .experiment import (
     run_experiment_pair,
 )
 from .api import (
-    ExecutionPolicy,
     ExperimentSpec,
     run_campaign,
     run_experiment,
@@ -101,7 +100,6 @@ __all__ = [
     "build_ixp_scenario",
     "build_niks_scenario",
     "select_seeds",
-    "ExecutionPolicy",
     "ExperimentRunner",
     "ExperimentSpec",
     "run_experiment",

@@ -1,37 +1,24 @@
 """Stable Python API facade: :class:`ExperimentSpec`,
-:class:`ExecutionPolicy`, :func:`run_experiment`, and
-:func:`run_campaign` — the single canonical entry surface.
+:func:`run_experiment`, and :func:`run_campaign` — the single
+canonical entry surface.
 
 Before this module, running one experiment meant threading ~9 keyword
-arguments through :class:`~repro.experiment.runner.ExperimentRunner` /
-:class:`~repro.experiment.parallel.ShardedRunner` and keeping their
-seeding conventions in your head.  The facade freezes all of that into
-one immutable, serialisable value:
+arguments through :class:`~repro.experiment.runner.ExperimentRunner`
+and keeping its seeding conventions in your head.  The facade freezes
+all of that into one immutable, serialisable value:
 
 - :class:`ExperimentSpec` — everything that determines an experiment's
-  result (seed, experiment, scenario/config overrides, schedule, pps)
-  plus everything that determines how it executes (the nested
-  :class:`ExecutionPolicy`: workers, shard size, timeouts, retry
-  knobs, forced scheduler backend; plus fault plan and provenance
-  options).  Specs round-trip through JSON
-  (:meth:`ExperimentSpec.to_json` / :meth:`ExperimentSpec.from_json`)
-  and have a stable content hash (:meth:`ExperimentSpec.digest`) that
-  the campaign orchestrator uses as its checkpoint key.
-- :func:`run_experiment` — ``spec -> ExperimentResult``.  Results are
-  a pure function of the spec's *simulation* fields; the execution
-  policy (``workers``, ``shard_size``, ``shard_timeout``, retry
-  knobs, backend, execution faults) never changes them (the PR 2/PR 4
-  identity contract).
+  result (seed, experiment, scenario/config overrides, schedule, pps,
+  fault plan) plus the opt-in observability options.  Specs
+  round-trip through JSON (:meth:`ExperimentSpec.to_json` /
+  :meth:`ExperimentSpec.from_json`) and have a stable content hash
+  (:meth:`ExperimentSpec.digest`) that the campaign orchestrator uses
+  as its checkpoint key.
+- :func:`run_experiment` — ``spec -> ExperimentResult``, a pure
+  function of the spec's simulation fields.
 - :func:`run_campaign` — ``grid -> CampaignResult``; the campaign
-  orchestrator behind one call, with checkpoint resume and scheduler
-  backend selection.
-
-Both entry points execute on :mod:`repro.experiment.scheduler`
-backends; the backend types (:class:`ExecutionBackend`,
-:class:`InlineBackend`, :class:`ForkPoolBackend`, plus the
-:class:`Task` / :class:`ResourceClaim` / :class:`RetryPolicy`
-vocabulary) are re-exported here so downstream code never imports the
-machinery module directly.
+  orchestrator behind one call, with checkpoint resume and cell-level
+  process parallelism (the only parallel level).
 
 Seeding convention (shared with ``repro explain``): ``spec.seed`` is
 the *base* seed — the ecosystem and the probe-seed plan derive from it
@@ -47,25 +34,17 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-from dataclasses import InitVar, dataclass, field
+import math
+from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
 
 from .errors import ExperimentError
 from .experiment.records import ExperimentResult
 from .experiment.runner import ExperimentRunner
-from .experiment.schedule import PREPEND_SEQUENCE, ExperimentSchedule
-from .experiment.scheduler import (
-    DEFAULT_BACKOFF_BASE,
-    DEFAULT_MAX_RETRIES,
-    ExecutionBackend,
-    ForkPoolBackend,
-    InlineBackend,
-    ResourceClaim,
-    RetryPolicy,
-    Scheduler,
-    SchedulerError,
-    Task,
-    TaskResult,
+from .experiment.schedule import (
+    PREPEND_SEQUENCE,
+    ExperimentSchedule,
+    parse_prepend_config,
 )
 from .faults import FaultPlan, parse_fault_spec
 from .obs.capture import (
@@ -86,18 +65,8 @@ from .topology.re_config import (
 from .topology.re_ecosystem import Ecosystem, build_ecosystem
 
 __all__ = [
-    "ExecutionBackend",
-    "ExecutionPolicy",
     "ExperimentSpec",
-    "ForkPoolBackend",
-    "InlineBackend",
     "Prediction",
-    "ResourceClaim",
-    "RetryPolicy",
-    "Scheduler",
-    "SchedulerError",
-    "Task",
-    "TaskResult",
     "WhatIfSession",
     "build_runner",
     "run_campaign",
@@ -109,16 +78,23 @@ __all__ = [
 #: campaign checkpoint written by an older schema never silently
 #: matches a newer spec's digest.  Version 2 added
 #: ``decision_backend``; version 3 added ``frontier_capacity`` and
-#: ``profile`` (convergence-frontier analytics / phase profiling);
-#: version 4 nested the execution fields (``workers``, ``shard_size``,
-#: ``shard_timeout``, retry knobs, backend) under ``execution``
-#: (:class:`ExecutionPolicy`); version 5 removed ``decision_backend``.
-#: :meth:`ExperimentSpec.from_dict` still reads schema-3 and schema-4
-#: documents, folding their flat execution keys into the nested policy
-#: and dropping their ``decision_backend``.
-SPEC_SCHEMA_VERSION = 5
+#: ``profile``; version 4 nested the execution fields (worker count,
+#: shard size and timeout, retry knobs, backend) under ``execution``;
+#: version 5 removed ``decision_backend``; version 6 removed the
+#: execution fields with the shard level of probing.
+#: :meth:`ExperimentSpec.from_dict` still reads schema 3 to 5
+#: documents, dropping their execution fields and their
+#: ``decision_backend`` — neither ever changed results.
+SPEC_SCHEMA_VERSION = 6
 
 _EXPERIMENTS = ("surf", "internet2")
+
+
+def _legacy_execution_key(key) -> bool:
+    """An execution field of a schema 3 to 5 document: ``execution``
+    (schemas 4 and 5) or the flat ``workers`` / ``shard_*`` keys
+    (schema 3)."""
+    return key in ("execution", "workers") or str(key).startswith("shard_")
 
 
 def _freeze(value):
@@ -146,70 +122,41 @@ def _thaw(value):
     return value
 
 
-_BACKEND_CHOICES = (None, "inline", "fork")
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
-@dataclass(frozen=True)
-class ExecutionPolicy:
-    """How a spec executes — never what it computes.
+def _is_number(value) -> bool:
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+    )
 
-    Every field here is outside the identity contract: two specs whose
-    policies differ still produce byte-identical results (they digest
-    differently, because re-running a checkpointed campaign under a
-    different execution shape is a deliberate act worth a fresh cell).
 
-    ``workers`` is the probing fan-out; ``shard_size`` /
-    ``shard_timeout`` shape the per-round shards.  ``max_retries`` and
-    ``backoff_base`` are the execution-fault recovery knobs (retry a
-    crashed/hung shard up to *max_retries* times with exponential
-    backoff before falling back inline).  ``backend`` forces the
-    scheduler backend (``"inline"`` / ``"fork"``); ``None`` lets the
-    scheduler resolve one from ``workers`` and the platform.
-    """
+def _overrides_dict(value) -> Dict[str, Any]:
+    """``config_overrides`` as a dict: a mapping, or the frozen item
+    tuple a spec stores (so ``replace`` round-trips)."""
+    if isinstance(value, Mapping):
+        return dict(value)
+    if isinstance(value, tuple) and all(
+        isinstance(item, tuple) and len(item) == 2 for item in value
+    ):
+        return dict(value)
+    raise ExperimentError(
+        "config_overrides must be a mapping of REEcosystemConfig "
+        "fields, not %r" % (value,)
+    )
 
-    workers: int = 1
-    shard_size: Optional[int] = None
-    shard_timeout: Optional[float] = None
-    max_retries: int = DEFAULT_MAX_RETRIES
-    backoff_base: float = DEFAULT_BACKOFF_BASE
-    backend: Optional[str] = None
 
-    def __post_init__(self) -> None:
-        if self.workers < 1:
-            raise ExperimentError("workers must be >= 1")
-        if self.shard_size is not None and self.shard_size < 1:
-            raise ExperimentError("shard_size must be >= 1")
-        if self.shard_timeout is not None and self.shard_timeout <= 0:
-            raise ExperimentError("shard_timeout must be positive")
-        if self.max_retries < 0:
-            raise ExperimentError("max_retries must be >= 0")
-        if self.backoff_base < 0:
-            raise ExperimentError("backoff_base must be >= 0")
-        if self.backend not in _BACKEND_CHOICES:
-            raise ExperimentError(
-                "backend must be 'inline' or 'fork', got %r"
-                % (self.backend,)
-            )
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            policy_field.name: getattr(self, policy_field.name)
-            for policy_field in dataclasses.fields(self)
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ExecutionPolicy":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise ExperimentError(
-                "unknown ExecutionPolicy field(s): %s" % ", ".join(unknown)
-            )
-        return cls(**dict(data))
-
-    def replace(self, **changes) -> "ExecutionPolicy":
-        """A copy with *changes* applied (re-validated)."""
-        return dataclasses.replace(self, **changes)
+def _str_tuple(name: str, value) -> Tuple[str, ...]:
+    if not isinstance(value, (list, tuple)) or not all(
+        isinstance(item, str) for item in value
+    ):
+        raise ExperimentError(
+            "%s must be a list of strings, not %r" % (name, value)
+        )
+    return tuple(value)
 
 
 @dataclass(frozen=True)
@@ -218,13 +165,9 @@ class ExperimentSpec:
 
     Simulation fields (change the result): ``experiment``, ``seed``,
     ``scale``, ``scenario``, ``config_overrides``, ``configs``,
-    ``pps``, plus the *environment* faults in ``fault_spec``.
-    Execution fields (never change the result): the nested
-    ``execution`` :class:`ExecutionPolicy`, ``fault_spec``'s execution
-    faults, and the provenance options.  The flat ``workers`` /
-    ``shard_size`` / ``shard_timeout`` constructor keywords are
-    legacy spellings folded into ``execution`` (and still readable as
-    properties).
+    ``pps`` and the scripted faults in ``fault_spec``.  The provenance,
+    frontier and profile options choose what a run records, never what
+    it computes.
 
     ``config_overrides`` holds :class:`REEcosystemConfig` field
     overrides; pass a dict, it is normalised to a sorted item tuple so
@@ -240,7 +183,6 @@ class ExperimentSpec:
     config_overrides: Tuple[Tuple[str, Any], ...] = ()
     configs: Optional[Tuple[str, ...]] = None
     pps: int = 100
-    execution: ExecutionPolicy = field(default_factory=ExecutionPolicy)
     fault_spec: str = ""
     provenance_capacity: Optional[int] = None
     provenance_prefixes: Tuple[str, ...] = field(default=())
@@ -255,83 +197,61 @@ class ExperimentSpec:
     #: and attach its payload as ``result.profile``.  Execution
     #: metadata only (timings), outside the identity contract.
     profile: bool = False
-    #: Legacy flat execution keywords, accepted for source
-    #: compatibility and folded into ``execution``.  They are
-    #: init-only: the canonical storage (and the serialised form) is
-    #: the nested policy.
-    workers: InitVar[Optional[int]] = None
-    shard_size: InitVar[Optional[int]] = None
-    shard_timeout: InitVar[Optional[float]] = None
 
-    def __post_init__(
-        self,
-        workers: Optional[int],
-        shard_size: Optional[int],
-        shard_timeout: Optional[float],
-    ) -> None:
-        # Fold the legacy flat keywords into the nested policy first,
-        # so the policy's own validation sees the effective values.
-        if isinstance(self.execution, Mapping):
-            object.__setattr__(
-                self, "execution", ExecutionPolicy.from_dict(self.execution)
-            )
-        if not isinstance(self.execution, ExecutionPolicy):
-            raise ExperimentError(
-                "execution must be an ExecutionPolicy or a mapping, not %r"
-                % (self.execution,)
-            )
-        legacy: Dict[str, Any] = {}
-        if workers is not None:
-            legacy["workers"] = workers
-        if shard_size is not None:
-            legacy["shard_size"] = shard_size
-        if shard_timeout is not None:
-            legacy["shard_timeout"] = shard_timeout
-        if legacy:
-            object.__setattr__(
-                self, "execution", self.execution.replace(**legacy)
-            )
-        # Normalise sequence-ish inputs so from_json(to_json(s)) == s.
-        # dict() accepts both a mapping and an item sequence, so every
-        # spelling of the same overrides canonicalises to one sorted
-        # item tuple (and therefore one digest).
-        object.__setattr__(
-            self, "config_overrides", _freeze(dict(self.config_overrides))
-        )
-        if self.configs is not None:
-            if not isinstance(self.configs, (list, tuple)):
-                raise ExperimentError(
-                    "configs must be a list of prepend configurations, "
-                    "not %r" % (self.configs,)
-                )
-            object.__setattr__(
-                self, "configs", tuple(str(c) for c in self.configs)
-            )
-        object.__setattr__(
-            self, "provenance_prefixes",
-            tuple(str(p) for p in self.provenance_prefixes),
-        )
+    def __post_init__(self) -> None:
+        # Fail on a malformed field now, with an ExperimentError, not
+        # with a TypeError at run time inside a pool worker.
         if self.experiment not in _EXPERIMENTS:
             raise ExperimentError(
                 "experiment must be 'surf' or 'internet2', not %r"
                 % (self.experiment,)
             )
-        if self.scale <= 0:
-            raise ExperimentError("scale must be positive")
-        if self.pps < 1:
-            raise ExperimentError("pps must be >= 1")
-        if (
-            self.provenance_capacity is not None
-            and self.provenance_capacity < 1
-        ):
-            raise ExperimentError("provenance_capacity must be >= 1")
-        if (
-            self.frontier_capacity is not None
-            and self.frontier_capacity < 1
-        ):
-            raise ExperimentError("frontier_capacity must be >= 1")
-        # Fail on malformed spec text / unknown scenario / unknown
-        # config field now, not at run time inside a pool worker.
+        if not _is_int(self.seed):
+            raise ExperimentError(
+                "seed must be an integer, not %r" % (self.seed,)
+            )
+        if not isinstance(self.scenario, str):
+            raise ExperimentError(
+                "scenario must be a string, not %r" % (self.scenario,)
+            )
+        if not _is_number(self.scale) or self.scale <= 0:
+            raise ExperimentError(
+                "scale must be a positive number, not %r" % (self.scale,)
+            )
+        if not _is_number(self.pps) or self.pps < 1:
+            raise ExperimentError(
+                "pps must be a number >= 1, not %r" % (self.pps,)
+            )
+        if not isinstance(self.fault_spec, str):
+            raise ExperimentError(
+                "fault_spec must be a string, not %r" % (self.fault_spec,)
+            )
+        for name in ("provenance_capacity", "frontier_capacity"):
+            value = getattr(self, name)
+            if value is not None and (not _is_int(value) or value < 1):
+                raise ExperimentError(
+                    "%s must be an integer >= 1, not %r" % (name, value)
+                )
+        if not isinstance(self.profile, bool):
+            raise ExperimentError(
+                "profile must be true or false, not %r" % (self.profile,)
+            )
+        # Normalise sequence-ish inputs so from_json(to_json(s)) == s.
+        # Every spelling of the same overrides canonicalises to one
+        # sorted item tuple (and therefore one digest).
+        overrides = _overrides_dict(self.config_overrides)
+        object.__setattr__(self, "config_overrides", _freeze(overrides))
+        if self.configs is not None:
+            configs = _str_tuple("configs", self.configs)
+            for config in configs:
+                parse_prepend_config(config)
+            object.__setattr__(self, "configs", configs)
+        object.__setattr__(
+            self, "provenance_prefixes",
+            _str_tuple("provenance_prefixes", self.provenance_prefixes),
+        )
+        # Malformed fault spec text, unknown scenario or unknown config
+        # field.
         if self.fault_spec:
             parse_fault_spec(self.fault_spec)
         scenario_overrides(self.scenario)
@@ -402,16 +322,10 @@ class ExperimentSpec:
             value = getattr(self, spec_field.name)
             if spec_field.name == "config_overrides":
                 value = _thaw(dict(value)) if value else {}
-            elif spec_field.name == "execution":
-                value = value.as_dict()
             elif isinstance(value, tuple):
                 value = list(value)
             out[spec_field.name] = value
         return out
-
-    #: Flat execution keys that schema-3 documents (and the legacy
-    #: constructor keywords) carry; folded into ``execution``.
-    _LEGACY_EXECUTION_KEYS = ("workers", "shard_size", "shard_timeout")
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ExperimentSpec":
@@ -421,7 +335,7 @@ class ExperimentSpec:
                 % type(data).__name__
             )
         schema = data.get("schema", SPEC_SCHEMA_VERSION)
-        if schema not in (3, 4, SPEC_SCHEMA_VERSION):
+        if schema not in (3, 4, 5, SPEC_SCHEMA_VERSION):
             raise ExperimentError(
                 "spec schema %r not supported (this build reads schemas "
                 "3 to %d)" % (schema, SPEC_SCHEMA_VERSION)
@@ -435,8 +349,14 @@ class ExperimentSpec:
                     "decision process remains" % (data["decision_backend"],)
                 )
             data = {k: v for k, v in data.items() if k != "decision_backend"}
+        if schema != SPEC_SCHEMA_VERSION:
+            # Execution fields only ever shaped the removed shard
+            # level; they never changed results, so they are dropped.
+            data = {
+                k: v for k, v in data.items()
+                if not _legacy_execution_key(k)
+            }
         known = {f.name for f in dataclasses.fields(cls)}
-        known.update(cls._LEGACY_EXECUTION_KEYS)
         unknown = sorted(set(data) - known - {"schema"})
         if unknown:
             raise ExperimentError(
@@ -473,41 +393,12 @@ class ExperimentSpec:
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
     def replace(self, **changes) -> "ExperimentSpec":
-        """A copy with *changes* applied (re-validated).
-
-        Accepts the legacy flat execution keywords too
-        (``spec.replace(workers=4)`` folds into ``execution``).
-        Hand-written rather than :func:`dataclasses.replace` because
-        the latter insists on values for init-only fields.
-        """
-        kwargs = {
-            spec_field.name: getattr(self, spec_field.name)
-            for spec_field in dataclasses.fields(self)
-            if spec_field.init
-        }
-        kwargs.update(changes)
-        return type(self)(**kwargs)
+        """A copy with *changes* applied (re-validated)."""
+        return dataclasses.replace(self, **changes)
 
     def label(self) -> str:
         """Human-readable cell label for logs/spans."""
         return "%s/seed%d/%s" % (self.experiment, self.seed, self.scenario)
-
-
-# Legacy read access: ``spec.workers`` and friends delegate to the
-# nested policy.  Assigned after decoration — the dataclass captured
-# the init-only defaults into ``__init__`` at decoration time, so
-# replacing the class attributes with properties is safe and keeps
-# every existing call site (CLI, campaign, tests) reading the
-# effective values.
-ExperimentSpec.workers = property(  # type: ignore[assignment]
-    lambda self: self.execution.workers
-)
-ExperimentSpec.shard_size = property(  # type: ignore[assignment]
-    lambda self: self.execution.shard_size
-)
-ExperimentSpec.shard_timeout = property(  # type: ignore[assignment]
-    lambda self: self.execution.shard_timeout
-)
 
 
 # ---------------------------------------------------------------------
@@ -521,26 +412,15 @@ def build_runner(
     *,
     schedule: Optional[ExperimentSchedule] = None,
     fault_plan: Optional[FaultPlan] = None,
-    workers: Optional[int] = None,
-    backend: Optional[str] = None,
 ) -> ExperimentRunner:
-    """Construct the runner a spec calls for.
+    """Construct the :class:`ExperimentRunner` a spec calls for.
 
     *ecosystem* / *seed_plan* default to building from the spec
     (``build_ecosystem(spec.ecosystem_config(), seed=spec.seed)`` and
     the shared-seed plan from ``SeedTree(spec.seed).child("seeds")``);
     pass them to reuse an existing ecosystem (the campaign pair
     dispatcher does, preserving shared-object identity).  *schedule* /
-    *fault_plan* override the spec's derived objects; *workers*
-    overrides ``spec.execution.workers`` (the campaign orchestrator
-    throttles cells to serial probing while its own pool is busy);
-    *backend* overrides ``spec.execution.backend``.
-
-    Serial :class:`ExperimentRunner` when nothing needs sharding or a
-    scheduler backend; :class:`~repro.experiment.parallel
-    .ShardedRunner` when workers > 1, a shard size/timeout is set, a
-    fault plan exists (execution faults need shard executions to
-    attack), or a backend is forced.
+    *fault_plan* override the spec's derived objects.
     """
     if ecosystem is None:
         ecosystem = build_ecosystem(spec.ecosystem_config(), seed=spec.seed)
@@ -552,34 +432,10 @@ def build_runner(
         schedule = spec.schedule()
     if fault_plan is None:
         fault_plan = spec.fault_plan()
-    policy = spec.execution
-    effective_workers = policy.workers if workers is None else workers
-    effective_backend = policy.backend if backend is None else backend
-    if effective_backend not in _BACKEND_CHOICES:
-        raise ExperimentError(
-            "backend must be 'inline' or 'fork', got %r"
-            % (effective_backend,)
-        )
-    if (
-        effective_workers == 1
-        and policy.shard_size is None
-        and policy.shard_timeout is None
-        and effective_backend is None
-        and not fault_plan
-    ):
-        return ExperimentRunner(
-            ecosystem, spec.experiment, seed=spec.run_seed,
-            schedule=schedule, seed_plan=seed_plan, pps=spec.pps,
-        )
-    from .experiment.parallel import ShardedRunner
-
-    return ShardedRunner(
+    return ExperimentRunner(
         ecosystem, spec.experiment, seed=spec.run_seed,
         schedule=schedule, seed_plan=seed_plan, pps=spec.pps,
-        workers=effective_workers, shard_size=policy.shard_size,
-        shard_timeout=policy.shard_timeout, fault_plan=fault_plan,
-        max_retries=policy.max_retries, backoff_base=policy.backoff_base,
-        backend=effective_backend,
+        fault_plan=fault_plan,
     )
 
 
@@ -588,19 +444,13 @@ def run_experiment(
     ecosystem: Optional[Ecosystem] = None,
     seed_plan: Optional[SeedPlan] = None,
     *,
-    workers: Optional[int] = None,
-    backend: Optional[str] = None,
     progress_hook: Optional[Any] = None,
 ) -> ExperimentResult:
     """Run one experiment from its spec; the facade entry point.
 
-    The result is byte-identical for every value of the execution
-    policy (``workers``/``shard_size``/``shard_timeout``, retry knobs,
-    ``backend``, and execution faults) — the campaign orchestrator
-    leans on this to run the same spec serially, sharded, or as a
-    pooled cell interchangeably.  *backend* forces the scheduler
-    backend for this run (``"inline"`` / ``"fork"``), overriding
-    ``spec.execution.backend``.
+    The result is a pure function of the spec's simulation fields —
+    the campaign orchestrator leans on this to run the same spec
+    inline or as a pooled cell interchangeably.
 
     When the spec asks for provenance (``provenance_capacity`` /
     ``provenance_prefixes``), a frontier (``frontier_capacity``) or a
@@ -611,14 +461,11 @@ def run_experiment(
     is left in place and keeps receiving events as usual.
 
     *progress_hook*, when given, is called with keyword fields
-    (``phase``, ``rounds_completed``, ``shards_completed``, ...) as
-    the run advances — the live-telemetry channel campaign heartbeats
-    and status consoles hang off.  Strictly observational; it never
-    changes results.
+    (``phase``, ``rounds_completed``, ...) as the run advances — the
+    channel campaign heartbeats and status consoles hang off.
+    Strictly observational; it never changes results.
     """
-    runner = build_runner(
-        spec, ecosystem, seed_plan, workers=workers, backend=backend
-    )
+    runner = build_runner(spec, ecosystem, seed_plan)
     if progress_hook is not None:
         runner.progress_hook = progress_hook
     active = active_capture()
@@ -677,13 +524,13 @@ def run_campaign(
     unique.  Completed cells checkpoint under ``<directory>/cells/``
     and are skipped on re-runs while *resume* holds.  *pool_workers*
     sets the campaign-level cell fan-out; *backend* forces the
-    scheduler backend for cell dispatch (``"inline"`` / ``"fork"``),
-    overriding the resolution from *pool_workers* and the platform.
+    backend for cell dispatch (``"inline"`` / ``"fork"``), overriding
+    the resolution from *pool_workers* and the platform.
 
     Returns the :class:`~repro.experiment.campaign.CampaignResult`.
     """
     # Deferred: campaign imports this module for ExperimentSpec /
-    # ExecutionPolicy / build_runner, so the facade pulls the
+    # build_runner, so the facade pulls the
     # orchestrator in only at call time.
     from .experiment.campaign import CampaignRunner
 

@@ -105,8 +105,8 @@ class ConvergenceStats:
 
         Everything except ``wall_seconds`` (real compute time, which
         legitimately differs between reruns); two runs of the same
-        seeded experiment — serial or sharded, any worker count — must
-        produce equal replay keys."""
+        seeded experiment — inline or in a pooled cell — must produce
+        equal replay keys."""
         return (
             self.messages_delivered,
             self.messages_dropped,
@@ -297,7 +297,7 @@ class PropagationEngine:
         self._messages_sent = 0
         self._messages_sent_flushed = 0
         # Frontier bookkeeping: per-engine run counter, so run ids are
-        # identical however cells/shards are scheduled.  Causality
+        # identical however cells are scheduled.  Causality
         # depths live in run-local interval lists inside
         # run_to_fixpoint, only populated while a frontier ring is
         # captured.

@@ -30,7 +30,7 @@
 
 ``reproduce``, ``explain``, and ``sweep`` share identical common
 options via argparse parent parsers: the run options
-(``--seed/--workers/--shard-size/--fault-plan/--shard-timeout``) and
+(``--seed/--fault-plan``) and
 the observability options (``--log-level/--log-json/--metrics-out/
 --metrics-format/--telemetry-out/--telemetry-interval/
 --provenance-out/--provenance-capacity/--trace-out/--frontier-out/
@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import os
 import sys
 import time
@@ -74,28 +73,10 @@ def _run_options() -> argparse.ArgumentParser:
     parent = argparse.ArgumentParser(add_help=False)
     parent.add_argument("--seed", type=int, default=0)
     parent.add_argument(
-        "--workers", type=int, default=1, metavar="N",
-        help="worker processes for the probing rounds (default: 1, "
-             "serial); output is byte-identical at every worker count",
-    )
-    parent.add_argument(
-        "--shard-size", type=int, default=None, metavar="K",
-        help="prefixes per shard (default: split into 4 shards per "
-             "worker); never changes results, only load balance",
-    )
-    parent.add_argument(
         "--fault-plan", metavar="SPEC",
         help="inject scripted faults derived from the seed, e.g. "
-             "'crash=1,hang=1,loss=2,flap=1' (kinds: crash/hang/loss/"
-             "flap).  Crashes and hangs are recovered without changing "
-             "the report; loss bursts and link flaps change it "
-             "deterministically",
-    )
-    parent.add_argument(
-        "--shard-timeout", type=float, default=None, metavar="SECONDS",
-        help="per-shard execution timeout; a shard exceeding it is "
-             "retried and, as a last resort, re-run inline "
-             "(default: no timeout)",
+             "'loss=2,flap=1' (kinds: loss/flap); probe-loss bursts "
+             "and link flaps change the report deterministically",
     )
     return parent
 
@@ -155,8 +136,7 @@ def _obs_options() -> argparse.ArgumentParser:
         "--frontier-out", metavar="FILE.jsonl",
         help="record convergence-frontier analytics (per-window "
              "frontier sizes, quiescence curves, per-round signal "
-             "diffs) and write them as JSON lines after the run; "
-             "output is byte-identical at every worker count",
+             "diffs) and write them as JSON lines after the run",
     )
     parent.add_argument(
         "--frontier-capacity", type=int, default=None, metavar="N",
@@ -200,11 +180,6 @@ def _build_parser() -> argparse.ArgumentParser:
     reproduce.add_argument(
         "--figures", action="store_true",
         help="also render Figures 3/5/8 as terminal plots",
-    )
-    reproduce.add_argument(
-        "--degradations-out", metavar="FILE.json",
-        help="write a JSON report of every shard retry/fallback the "
-             "run survived (worker crashes, timeouts)",
     )
 
     explain = sub.add_parser(
@@ -283,9 +258,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--campaign-workers", type=int, default=1, metavar="N",
         help="cell processes in the campaign pool (default: 1, "
-             "serial cells).  While > 1, each cell probes serially — "
-             "the shard pool (--workers) is used inside cells only "
-             "when the campaign pool is idle",
+             "serial cells); output is byte-identical at every count",
     )
     sweep.add_argument(
         "--no-resume", action="store_true",
@@ -293,7 +266,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument(
         "--backend", choices=("inline", "fork"), default=None,
-        help="force the scheduler backend for cell dispatch "
+        help="force the backend for cell dispatch "
              "(default: resolve from --campaign-workers and the "
              "platform)",
     )
@@ -398,12 +371,6 @@ def _check_output_paths(*paths: Optional[str]) -> Optional[str]:
 def _validate_run_args(args) -> Optional[str]:
     """Numeric sanity for the shared run/obs options (message uses the
     flag spelling, not the spec field name)."""
-    if args.workers < 1:
-        return "--workers must be >= 1"
-    if args.shard_size is not None and args.shard_size < 1:
-        return "--shard-size must be >= 1"
-    if args.shard_timeout is not None and args.shard_timeout <= 0:
-        return "--shard-timeout must be positive"
     if args.provenance_capacity is not None and args.provenance_capacity < 1:
         return "--provenance-capacity must be >= 1"
     if args.telemetry_interval is not None and args.telemetry_interval <= 0:
@@ -462,7 +429,7 @@ def _observing(args, prefix_filter=None):
     finally:
         if sampler is not None:
             lines = sampler.stop()
-            # Stderr, like the degradation notice: the sample count
+            # Stderr, like the profile notice: the sample count
             # depends on wall-clock timing, so stdout stays
             # byte-identical with and without --telemetry-out.
             print(
@@ -478,7 +445,7 @@ def _write_outputs(args, capture: Capture) -> None:
     _write_metrics(args)
     # Stdout: the event streams — and therefore the counts — are inside
     # the byte-identity contract, so these lines are identical at every
-    # worker count.
+    # campaign worker count.
     for name, ring, path in (
         ("provenance", capture.provenance, args.provenance_out),
         ("frontier", capture.frontier, args.frontier_out),
@@ -515,9 +482,6 @@ def _build_spec(args, experiment: str = "surf") -> ExperimentSpec:
         experiment=experiment,
         seed=args.seed,
         scale=args.scale,
-        workers=args.workers,
-        shard_size=args.shard_size,
-        shard_timeout=args.shard_timeout,
         fault_spec=args.fault_plan or "",
     )
 
@@ -526,8 +490,7 @@ def _cmd_reproduce(args) -> int:
     _configure_obs(args)
     problem = _check_output_paths(
         args.metrics_out, args.provenance_out, args.trace_out,
-        args.degradations_out, args.telemetry_out, args.frontier_out,
-        args.profile_out,
+        args.telemetry_out, args.frontier_out, args.profile_out,
     ) or _validate_run_args(args)
     if problem:
         print(problem, file=sys.stderr)
@@ -537,12 +500,10 @@ def _cmd_reproduce(args) -> int:
     except ReproError as error:
         print(str(error), file=sys.stderr)
         return 2
-    fault_plan = spec.fault_plan()
     with _observing(args) as capture:
         report = reproduce_paper(
             spec.ecosystem_config(), seed=spec.seed,
-            workers=spec.workers, shard_size=spec.shard_size,
-            fault_plan=fault_plan, shard_timeout=spec.shard_timeout,
+            fault_plan=spec.fault_plan(),
         )
     print(report.render())
     if args.figures:
@@ -576,36 +537,6 @@ def _cmd_reproduce(args) -> int:
                 count = dump_update_log(result.update_log, stream)
             print("wrote %d records to %s" % (count, updates_path))
     _write_outputs(args, capture)
-    degradations = [
-        record.as_dict()
-        for result in (report.surf_result, report.internet2_result)
-        for record in result.degradations
-    ]
-    if degradations:
-        # Stderr, not stdout: degradations describe how the run
-        # executed, never what it measured — stdout stays
-        # byte-identical to a fault-free run's.
-        print(
-            "survived %d shard degradation(s) "
-            "(%d retried, %d inline fallbacks); results unaffected"
-            % (
-                len(degradations),
-                sum(1 for d in degradations if d["action"] == "retry"),
-                sum(1 for d in degradations if d["action"] == "fallback"),
-            ),
-            file=sys.stderr,
-        )
-    if args.degradations_out:
-        with open(args.degradations_out, "w", encoding="utf-8") as stream:
-            json.dump(
-                {
-                    "fault_plan": fault_plan.counts() if fault_plan else {},
-                    "degradations": degradations,
-                },
-                stream, indent=2, sort_keys=True,
-            )
-            stream.write("\n")
-        print("wrote degradation report to %s" % args.degradations_out)
     return 0
 
 
@@ -668,9 +599,7 @@ def _cmd_sweep(args) -> int:
     try:
         specs = plan_grid(
             seeds=seeds, scenarios=scenarios, experiments=experiments,
-            scale=args.scale, workers=args.workers,
-            shard_size=args.shard_size, shard_timeout=args.shard_timeout,
-            fault_spec=args.fault_plan or "",
+            scale=args.scale, fault_spec=args.fault_plan or "",
         )
     except ReproError as error:
         print(str(error), file=sys.stderr)
@@ -726,10 +655,7 @@ def _cmd_explain(args) -> int:
                 experiment=args.experiment,
                 scale=args.scale,
                 seed=args.seed,
-                workers=spec.workers,
-                shard_size=spec.shard_size,
                 fault_plan=spec.fault_plan(),
-                shard_timeout=spec.shard_timeout,
                 recorder=capture.provenance,
             )
     except ValueError as error:

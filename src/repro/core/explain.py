@@ -197,45 +197,16 @@ _CATEGORY_NOTES = {
 }
 
 
-def _degradation_lines(degradations) -> List[str]:
-    """Narrate shard recoveries so the reader knows a round survived a
-    worker loss — and that, by the recovery contract, the evidence
-    above is unaffected by it."""
-    if not degradations:
-        return []
-    lines = ["", "Execution notes:"]
-    for record in degradations:
-        how = (
-            "recovered by retry (attempt %d)" % record.attempts
-            if record.action == "retry"
-            else "re-executed inline after %d failed attempts"
-            % (record.attempts - 1)
-        )
-        lines.append(
-            "  round %d (config %s): shard %d survived %s; %s — "
-            "results unaffected"
-            % (record.round_index, record.config, record.shard_id,
-               record.detail or "an execution failure", how)
-        )
-    return lines
-
-
 def render_explanation(
     inference: PrefixInference,
     experiment: str,
     signal_events: List[dict],
     round_selections: List[dict],
-    degradations=None,
 ) -> str:
     """Render the narrative for one classified prefix.
 
     *signal_events* and *round_selections* are the prefix's recorded
     ``kind="signal"`` and ``source="round"`` provenance events.
-    *degradations* (optional
-    :class:`~repro.experiment.records.DegradationRecord` list) adds an
-    "Execution notes" section describing shard recoveries the run
-    survived; a fault-free serial replay passes none, leaving the
-    narrative unchanged.
     """
     signals = _by_round(signal_events)
     selections = _by_round(round_selections)
@@ -287,7 +258,6 @@ def render_explanation(
         lines.extend(_switch_to_commodity_evidence(inference, selections))
     else:
         lines.append(_CATEGORY_NOTES[inference.category])
-    lines.extend(_degradation_lines(degradations))
     return "\n".join(lines)
 
 
@@ -297,10 +267,7 @@ def explain_prefix(
     scale: float = 0.1,
     seed: int = 0,
     ecosystem=None,
-    workers: int = 1,
-    shard_size: Optional[int] = None,
     fault_plan=None,
-    shard_timeout: Optional[float] = None,
     recorder: Optional[EventRing] = None,
 ) -> str:
     """Replay *experiment* and explain one probed prefix's category.
@@ -309,20 +276,15 @@ def explain_prefix(
     in the experiment's probed set.  Seeding follows the
     :class:`repro.api.ExperimentSpec` convention (shared probe seeds;
     internet2 runs at ``seed + 1``), so the narrative describes
-    exactly what the full ``reproduce`` run classified — at any
-    ``workers``/``shard_size``/``shard_timeout``, which never change
-    the evidence chain, and under any *fault_plan*, whose execution
-    faults are recovered (and reported) without changing it.
+    exactly what the full ``reproduce`` run classified, under the
+    same *fault_plan*.
     """
     from ..api import ExperimentSpec, build_runner
 
     if experiment not in ("surf", "internet2"):
         raise AnalysisError("experiment must be 'surf' or 'internet2'")
     prefix = Prefix.parse(prefix_text)
-    spec = ExperimentSpec(
-        experiment=experiment, seed=seed, scale=scale, workers=workers,
-        shard_size=shard_size, shard_timeout=shard_timeout,
-    )
+    spec = ExperimentSpec(experiment=experiment, seed=seed, scale=scale)
     if ecosystem is None:
         ecosystem = build_ecosystem(spec.ecosystem_config(), seed=seed)
     origins = origin_map(ecosystem)
@@ -355,5 +317,4 @@ def explain_prefix(
         experiment,
         recorder.events(kind="signal", prefix=prefix),
         recorder.events(kind="selection", prefix=prefix, source="round"),
-        degradations=result.degradations,
     )

@@ -81,27 +81,19 @@ def reproduce_paper(
     config: Optional[REEcosystemConfig] = None,
     seed: int = 0,
     ecosystem: Optional[Ecosystem] = None,
-    workers: int = 1,
-    shard_size: Optional[int] = None,
     fault_plan=None,
-    shard_timeout: Optional[float] = None,
 ) -> PaperReproduction:
     """Run the full reproduction at the given scale and seed.
 
-    ``workers`` / ``shard_size`` parallelise the probing rounds (see
-    :mod:`repro.experiment.parallel`); the report is byte-identical at
-    every worker count.  ``fault_plan`` injects scripted faults
-    (:mod:`repro.faults`): execution faults are recovered without
-    changing the report, environment faults change it
-    deterministically; ``shard_timeout`` bounds each shard execution.
+    ``fault_plan`` injects scripted probe-loss bursts and link flaps
+    (:mod:`repro.faults`), which change the report deterministically.
     Every route selection, engine and fastpath alike, goes through
     :class:`~repro.bgp.decision.DecisionProcess`.
     """
     if ecosystem is None:
         ecosystem = build_ecosystem(config or REEcosystemConfig(), seed=seed)
     surf_result, internet2_result = run_experiment_pair(
-        ecosystem, seed=seed, workers=workers, shard_size=shard_size,
-        fault_plan=fault_plan, shard_timeout=shard_timeout,
+        ecosystem, seed=seed, fault_plan=fault_plan,
     )
     origins = origin_map(ecosystem)
     surf_inference = classify_experiment(surf_result, origins)

@@ -5,16 +5,10 @@
 - :mod:`repro.experiment.runner` — runs one experiment end to end:
   announcements, convergence, outage injection, probing rounds, feeder
   view capture;
-- :mod:`repro.experiment.scheduler` — the unified execution
-  scheduler: campaign cells and probing-round shards are both
-  :class:`Task` values with resource claims, run on pluggable backends
-  (:class:`InlineBackend`, :class:`ForkPoolBackend`);
-- :mod:`repro.experiment.parallel` — :class:`ShardedRunner`, which
-  fans probing rounds out across scheduler backends with
-  byte-identical results (see the module docstring's determinism
-  contract);
-- :mod:`repro.experiment.records` — result containers, including the
-  shard/merge records of the parallel path;
+- :mod:`repro.experiment.scheduler` — runs campaign cells, the one
+  parallel level, as :class:`Task` values on an inline or fork-pool
+  backend (:class:`InlineBackend`, :class:`ForkPoolBackend`);
+- :mod:`repro.experiment.records` — result containers;
 - :mod:`repro.experiment.campaign` — sweep orchestration: grids of
   (seed × scenario × experiment) cells with cell-level process
   parallelism and digest-keyed resumable checkpoints;
@@ -32,22 +26,16 @@ from .schedule import (
 from .records import (
     ExperimentResult,
     FeederObservation,
-    ShardOutcome,
-    ShardSpec,
 )
 from .runner import ExperimentRunner
 from .scheduler import (
-    ExecutionBackend,
     ForkPoolBackend,
     InlineBackend,
-    ResourceClaim,
-    RetryPolicy,
     Scheduler,
     SchedulerError,
     Task,
     TaskResult,
 )
-from .parallel import ShardedRunner
 from .campaign import (
     CampaignResult,
     CampaignRunner,
@@ -74,15 +62,9 @@ __all__ = [
     "parse_prepend_config",
     "ExperimentResult",
     "FeederObservation",
-    "ShardSpec",
-    "ShardOutcome",
     "ExperimentRunner",
-    "ShardedRunner",
-    "ExecutionBackend",
     "ForkPoolBackend",
     "InlineBackend",
-    "ResourceClaim",
-    "RetryPolicy",
     "Scheduler",
     "SchedulerError",
     "Task",

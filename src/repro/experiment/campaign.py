@@ -2,9 +2,9 @@
 experiment) cells with resumable checkpoints.
 
 One **cell** is one full nine-configuration experiment, fully
-described by an :class:`~repro.api.ExperimentSpec`.  This module runs
-grids of cells three ways that all produce byte-identical cell
-results:
+described by an :class:`~repro.api.ExperimentSpec`, and cells are the
+one parallel level.  This module runs grids of cells three ways that
+all produce byte-identical cell results:
 
 - **inline** — cells run one after another in this process (the
   scheduler's :class:`~repro.experiment.scheduler.InlineBackend`),
@@ -15,11 +15,7 @@ results:
   observability state and ship back metrics snapshots, completed span
   trees, and their :class:`~repro.obs.capture.Capture` payload, which
   the parent merges *in cell order* so the merged streams match the
-  inline ones.  While the campaign pool is busy, cells are throttled
-  to serial probing (``inner workers = 1``) and carry no ``may_fork``
-  claim, so the machine never runs unplanned pools-inside-pools — the
-  never-nest rule is enforced by the scheduler's resource claims, not
-  by module flags;
+  inline ones;
 - **resumed** — each completed cell persists a JSON record keyed by
   its spec digest under ``<campaign dir>/cells/``; re-invoking the
   campaign skips every cell whose checkpoint is present, recomputes
@@ -28,14 +24,13 @@ results:
   campaign writes a ``campaign_summary.json`` byte-identical to an
   uninterrupted run's.
 
-The identity contract extends PR 2/PR 4: a cell's
+The identity contract: a cell's
 :class:`~repro.experiment.records.ExperimentResult` — responses,
 classifications, report text, exported provenance — is byte-identical
 to a standalone ``run_experiment`` of the same spec, whatever the
 campaign pool size.  ``run_experiment_pair`` routes the classic
-surf/internet2 pair through the same dispatcher, turning the old
-strictly-serial pair into two independent cells at ``workers > 1``
-while preserving the shared probe-seed plan.
+surf/internet2 pair through the same dispatcher as two inline cells
+sharing one probe-seed plan.
 """
 
 from __future__ import annotations
@@ -48,7 +43,6 @@ from hashlib import sha256
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..api import (
-    ExecutionPolicy,
     ExperimentSpec,
     attach_capture,
     build_runner,
@@ -74,14 +68,12 @@ from ..topology.re_ecosystem import Ecosystem
 from .records import ExperimentResult
 from .schedule import ExperimentSchedule
 from .scheduler import (
+    ForkPoolBackend,
     InlineBackend,
-    ResourceClaim,
-    RetryPolicy,
     Scheduler,
     Task,
     fork_available,
     in_worker_process,
-    resolve_backend,
     task_backend_name,
     task_context,
 )
@@ -105,7 +97,7 @@ _log = get_logger("repro.campaign")
 
 #: Bumped when the checkpoint record layout changes; stale-schema
 #: checkpoints are recomputed, never reinterpreted.
-RECORD_SCHEMA_VERSION = 1
+RECORD_SCHEMA_VERSION = 2
 
 
 # ---------------------------------------------------------------------
@@ -119,9 +111,9 @@ class CellWork:
     The override objects exist for the pair dispatcher, which must
     hand *the same* ecosystem and probe-seed plan to both halves
     (``run_both_experiments`` semantics, including the object-identity
-    guarantee ``surf.seed_plan is internet2.seed_plan`` at
-    ``workers=1``).  Campaign grids leave them ``None`` and let each
-    cell build everything from its spec.
+    guarantee ``surf.seed_plan is internet2.seed_plan``).  Campaign
+    grids leave them ``None`` and let each cell build everything from
+    its spec.
     """
 
     spec: ExperimentSpec
@@ -129,9 +121,6 @@ class CellWork:
     seed_plan: Optional[SeedPlan] = None
     schedule: Optional[ExperimentSchedule] = None
     fault_plan: Optional[FaultPlan] = None
-    #: Overrides ``spec.workers`` for probing inside the cell; the
-    #: campaign sets 1 while its own pool is busy.
-    inner_workers: Optional[int] = None
     #: Ship the full :class:`ExperimentResult` back (pickled, in
     #: pooled mode).  The pair dispatcher needs it; grid cells only
     #: need the record.
@@ -219,7 +208,6 @@ def cell_record(
         "classification_sha256": classification_sha,
         "updates": len(result.update_log),
         "outages": len(result.outages_applied),
-        "degradations": len(result.degradations),
         "wall_seconds": 0.0,
     }
 
@@ -246,7 +234,6 @@ def _run_cell(
     runner = build_runner(
         spec, work.ecosystem, work.seed_plan,
         schedule=work.schedule, fault_plan=work.fault_plan,
-        workers=work.inner_workers,
     )
     if heartbeat is not None:
         heartbeat.begin(rounds_total=spec.num_rounds)
@@ -275,15 +262,6 @@ def _run_cell(
 
 # ---------------------------------------------------------------------
 # Dispatch
-
-#: Cells are never retried: a failed cell is recorded as a
-#: :class:`CellFailure` and the campaign reports it after the rest of
-#: the grid completes (checkpointing means a re-run only recomputes
-#: the failures).
-_CELL_RETRY_POLICY = RetryPolicy(
-    max_retries=0, backoff_base=0.0, recoverable=(), inline_fallback=False
-)
-
 
 def _make_heartbeat(
     spec: ExperimentSpec,
@@ -360,17 +338,6 @@ def _will_fork(
     return pool_workers > 1 and count > 1 and fork_available()
 
 
-def _cell_claim(work: CellWork) -> ResourceClaim:
-    """A cell's resource claim.  A cell whose effective inner worker
-    count exceeds one will open a shard pool of its own, so it must
-    claim (and be granted) ``may_fork`` — the never-nest rule as a
-    scheduler constraint."""
-    inner = work.inner_workers
-    if inner is None:
-        inner = work.spec.workers
-    return ResourceClaim(cpu_slots=1, may_fork=inner > 1)
-
-
 def dispatch_cells(
     works: Sequence[CellWork],
     pool_workers: int = 1,
@@ -401,14 +368,14 @@ def dispatch_cells(
     context = (tuple(works), status_dir)
     pooled = _will_fork(pool_workers, len(works), backend)
     execution = (
-        resolve_backend(
-            context, workers=min(pool_workers, len(works)), force="fork"
+        ForkPoolBackend(
+            context, workers=max(1, min(pool_workers, len(works)))
         )
         if pooled else InlineBackend(context)
     )
     tasks = [
-        Task(key=index, fn=_cell_task, args=(index,), claim=_cell_claim(work))
-        for index, work in enumerate(works)
+        Task(key=index, fn=_cell_task, args=(index,))
+        for index in range(len(works))
     ]
     capture = active_capture()
 
@@ -446,7 +413,10 @@ def dispatch_cells(
         if on_outcome is not None:
             on_outcome(outcome)
 
-    scheduler = Scheduler(execution, _CELL_RETRY_POLICY)
+    # Cells are never retried: a failed cell is recorded as a
+    # CellFailure and reported after the rest of the grid completes
+    # (checkpointing means a re-run only recomputes the failures).
+    scheduler = Scheduler(execution)
     try:
         scheduler.run(tasks, on_result=collect)
     finally:
@@ -464,45 +434,23 @@ def run_experiment_pair(
     seed: int = 0,
     schedule: Optional[ExperimentSchedule] = None,
     pps: int = 100,
-    workers: int = 1,
-    shard_size: Optional[int] = None,
     fault_plan: Optional[FaultPlan] = None,
-    shard_timeout: Optional[float] = None,
 ) -> Tuple[ExperimentResult, ExperimentResult]:
     """Run the SURF and Internet2 experiments with shared probe seeds,
-    as the paper did one week apart — as two campaign cells.
-
-    At ``workers=1`` the cells run inline, serially, with the *same*
-    seed-plan object handed to both runners (preserving every
-    guarantee of the old serial pair).  At ``workers > 1`` the pair
-    becomes two concurrent cell processes, each probing with
-    ``workers // 2`` inner workers; results are byte-identical either
-    way, and identical to the old implementation.
-    """
+    as the paper did one week apart — as two inline campaign cells,
+    with the *same* seed-plan object handed to both runners."""
     tree = SeedTree(seed)
     shared_seeds = select_seeds(ecosystem, seed_tree=tree.child("seeds"))
-    specs = [
-        ExperimentSpec(
-            experiment=experiment, seed=seed, pps=pps,
-            execution=ExecutionPolicy(
-                workers=workers, shard_size=shard_size,
-                shard_timeout=shard_timeout,
-            ),
+    works = [
+        CellWork(
+            spec=ExperimentSpec(experiment=experiment, seed=seed, pps=pps),
+            ecosystem=ecosystem, seed_plan=shared_seeds,
+            schedule=schedule, fault_plan=fault_plan,
+            keep_result=True, build_record=False,
         )
         for experiment in ("surf", "internet2")
     ]
-    pool_workers = 2 if workers > 1 else 1
-    pooled = _will_fork(pool_workers, len(specs))
-    inner = max(1, workers // 2) if pooled else workers
-    works = [
-        CellWork(
-            spec=spec, ecosystem=ecosystem, seed_plan=shared_seeds,
-            schedule=schedule, fault_plan=fault_plan, inner_workers=inner,
-            keep_result=True, build_record=False,
-        )
-        for spec in specs
-    ]
-    outcomes, failures = dispatch_cells(works, pool_workers=pool_workers)
+    outcomes, failures = dispatch_cells(works)
     if failures:
         raise ExperimentError(
             "experiment pair failed: "
@@ -523,9 +471,6 @@ def plan_grid(
     experiments: Iterable[str] = ("surf", "internet2"),
     scale: float = 0.1,
     pps: int = 100,
-    workers: int = 1,
-    shard_size: Optional[int] = None,
-    shard_timeout: Optional[float] = None,
     fault_spec: str = "",
     provenance_capacity: Optional[int] = None,
     frontier_capacity: Optional[int] = None,
@@ -538,10 +483,6 @@ def plan_grid(
         ExperimentSpec(
             experiment=experiment, seed=seed, scale=scale,
             scenario=scenario, pps=pps,
-            execution=ExecutionPolicy(
-                workers=workers, shard_size=shard_size,
-                shard_timeout=shard_timeout,
-            ),
             fault_spec=fault_spec,
             provenance_capacity=provenance_capacity,
             frontier_capacity=frontier_capacity,
@@ -589,10 +530,8 @@ class CampaignRunner:
         for specs requesting provenance); the aggregate lands in
         ``campaign_summary.json``.
     pool_workers:
-        Campaign-level cell processes.  While > 1, cells are throttled
-        to serial probing (``inner workers = 1``); at 1, each cell may
-        use its spec's own ``workers`` (the shard pool runs only when
-        the campaign pool is idle).
+        Campaign-level cell processes (1: cells run inline, one after
+        another).
     resume:
         Skip cells whose checkpoint is already present (the default).
         ``False`` recomputes everything.
@@ -765,13 +704,8 @@ class CampaignRunner:
             pending=len(pending), pool_workers=self.pool_workers,
         )
 
-        pooled = _will_fork(self.pool_workers, len(pending), self.backend)
         works = [
-            CellWork(
-                spec=spec,
-                inner_workers=1 if pooled else None,
-                keep_result=self.keep_results,
-            )
+            CellWork(spec=spec, keep_result=self.keep_results)
             for spec in pending
         ]
         result = CampaignResult(

@@ -80,14 +80,9 @@ class ExperimentRunner:
         self.tree = SeedTree(seed).child("experiment-%s" % experiment)
         self.seed_plan = seed_plan
         self.pps = pps
-        #: Scripted faults (:mod:`repro.faults`).  The serial runner
-        #: applies the *environment* faults — probe-loss bursts and
-        #: link flaps — which change results deterministically;
-        #: execution faults (crashes, hangs) only exist where there
-        #: are shard executions to attack, so they take effect in
-        #: :class:`~repro.experiment.parallel.ShardedRunner`.
+        #: Scripted faults (:mod:`repro.faults`): probe-loss bursts and
+        #: link flaps, which change results deterministically.
         self.fault_plan = fault_plan if fault_plan is not None else FaultPlan()
-        self._degradations: list = []
         # Round-frontier state: the previous round's prefix -> signal
         # map, diffed against each new round.
         self._frontier_prev: Optional[Dict[str, str]] = None
@@ -132,14 +127,12 @@ class ExperimentRunner:
             self._systems_by_address(),
             pps=self.pps,
         )
-        self._degradations = []
         result = ExperimentResult(
             experiment=self.experiment,
             schedule=schedule,
             re_origin=re_origin,
             commodity_origin=commodity_origin,
             seed_plan=self.seed_plan,
-            degradations=self._degradations,
         )
         flap_rng = self.tree.child("background-flaps").rng()
         prefix = ecosystem.measurement_prefix
@@ -217,8 +210,14 @@ class ExperimentRunner:
                 engine.advance_to(next_probe_at)
 
                 self._capture_round_provenance(engine, index, config_label)
-                round_result = self._probe_round(
-                    engine, prober, rib, index, config_label
+                round_result = prober.probe_round(
+                    config_label,
+                    self.seed_plan.targets,
+                    rib,
+                    self.tree.child("round-%d" % index),
+                    engine.now,
+                    round_index=index,
+                    lossy_prefixes=self._round_lossy_prefixes(index),
                 )
                 result.rounds.append(round_result)
                 self._capture_round_frontier(index, config_label,
@@ -253,37 +252,9 @@ class ExperimentRunner:
 
     # ----- helpers ------------------------------------------------------
 
-    def _round_seed_tree(self, index: int):
-        """The seed node all of round *index*'s probe streams derive
-        from — shared by the serial and sharded probing paths."""
-        return self.tree.child("round-%d" % index)
-
-    def _probe_round(
-        self,
-        engine: PropagationEngine,
-        prober: Prober,
-        rib,
-        index: int,
-        config_label: str,
-    ):
-        """Execute one probing round.  The base implementation probes
-        serially against a catchment captured from the live RIB;
-        :class:`~repro.experiment.parallel.ShardedRunner` overrides it
-        to fan shards out across worker processes."""
-        return prober.probe_round(
-            config_label,
-            self.seed_plan.targets,
-            rib,
-            self._round_seed_tree(index),
-            engine.now,
-            round_index=index,
-            lossy_prefixes=self._round_lossy_prefixes(index),
-        )
-
     def _round_lossy_prefixes(self, index: int) -> frozenset:
         """The prefixes blanked by fault-plan probe-loss bursts in
-        round *index* — computed identically by the serial and sharded
-        probing paths, so both blank exactly the same responses."""
+        round *index*."""
         if not self.fault_plan:
             return frozenset()
         lossy = self.fault_plan.lossy_prefixes(
@@ -316,9 +287,7 @@ class ExperimentRunner:
         One ``source="round"`` selection event per probed prefix: the
         decision its origin AS made for the *measurement* prefix the
         instant round *index* probes it — the control-plane state the
-        round's signal reflects.  Runs in the parent for both serial
-        and sharded execution (the engine never leaves this process),
-        so the merged provenance stream is identical either way.
+        round's signal reflects.
         """
         capture = active_capture()
         recorder = capture.provenance if capture is not None else None
@@ -364,10 +333,8 @@ class ExperimentRunner:
         """Record one ``kind="round_frontier"`` event: how many probed
         prefixes' round signal changed since the previous round.
 
-        Rows derive from the round result — serial, or merged from
-        shards, which rebuilds the serial responses exactly — through
-        :func:`~repro.obs.frontier.signal_rows`, so the event and the
-        exported JSONL are byte-identical across execution modes.
+        Rows derive from the round result through
+        :func:`~repro.obs.frontier.signal_rows`.
         """
         capture = active_capture()
         trace = capture.frontier if capture is not None else None
@@ -468,8 +435,7 @@ class ExperimentRunner:
     ):
         """Fire fault-plan link flaps after *round_index*: fail the
         slotted link, converge, restore it, converge again — an
-        ad-hoc outage beyond the scheduled ground truth, applied
-        identically in serial and sharded execution.  Links that are
+        ad-hoc outage beyond the scheduled ground truth.  Links that are
         already down (a scheduled outage in progress) are skipped, so
         a flap can never restore an outage early."""
         if not self.fault_plan:

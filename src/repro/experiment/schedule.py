@@ -25,7 +25,7 @@ PREPEND_SEQUENCE: Tuple[str, ...] = (
 def parse_prepend_config(text: str) -> Tuple[int, int]:
     """Parse "x-y" into (re_prepends, commodity_prepends)."""
     parts = text.split("-")
-    if len(parts) != 2 or not all(p.isdigit() for p in parts):
+    if len(parts) != 2 or not all(p.isdecimal() for p in parts):
         raise ExperimentError("bad prepend configuration %r" % (text,))
     return int(parts[0]), int(parts[1])
 

@@ -7,9 +7,9 @@ moment it is not.  This module gives every cell a pulse:
 
 - **Heartbeats** — each executing cell atomically maintains
   ``status/<digest>.json`` next to the ``cells/<digest>.json``
-  checkpoints: phase, rounds completed, shard retries, PID, and a
+  checkpoints: phase, rounds completed, injected faults, PID, and a
   last-update wall-clock timestamp.  The runner's progress hook
-  refreshes it as rounds and shards complete (pooled cell workers
+  refreshes it as rounds complete (pooled cell workers
   write their own file — digest-keyed names mean any
   ``--campaign-workers`` count merges cleanly, no file is ever shared
   between writers).
@@ -73,8 +73,6 @@ STATUS_DIRNAME = "status"
 #: refresh (per-process, so a pooled cell worker reports its own);
 #: heartbeat field name -> instrument name.
 _MIRRORED_COUNTERS = {
-    "shard_retries": "runner.shard_retries",
-    "shard_fallbacks": "runner.shard_fallbacks",
     "faults_injected": "runner.faults_injected",
 }
 
@@ -126,15 +124,11 @@ class CellHeartbeat:
             "config": None,
             "rounds_completed": 0,
             "rounds_total": None,
-            "shards_completed": 0,
-            "shards_total": 0,
             # Convergence detail mirrored from the runner's per-round
             # engine stats (engine_iterations = messages delivered).
             "engine_iterations": 0,
             "best_changes": 0,
             "messages_dropped": 0,
-            "shard_retries": 0,
-            "shard_fallbacks": 0,
             "faults_injected": 0,
             "resumed": False,
             "error": None,
@@ -155,7 +149,7 @@ class CellHeartbeat:
 
     def progress(self, **fields) -> None:
         """The runner progress hook: merge *fields* (``phase``,
-        ``rounds_completed``, ``shards_completed`` ...) and refresh the
+        ``rounds_completed`` ...) and refresh the
         mirrored counters and timestamp."""
         for key, value in fields.items():
             if key in self._state and key not in ("digest", "schema"):
@@ -264,10 +258,8 @@ class CellStatus:
     engine_iterations: int = 0
     best_changes: int = 0
     messages_dropped: int = 0
-    shard_retries: int = 0
     age_seconds: Optional[float] = None
     wall_seconds: Optional[float] = None
-    degradations: int = 0
     resumed: bool = False
     error: Optional[str] = None
     pid: Optional[int] = None
@@ -328,10 +320,6 @@ class CampaignStatus:
     @property
     def stale_cells(self) -> List[CellStatus]:
         return [cell for cell in self.cells if cell.state == "stale"]
-
-    @property
-    def degradations(self) -> int:
-        return sum(cell.degradations for cell in self.cells)
 
     def cells_per_minute(self) -> Optional[float]:
         """Completed-cell throughput from recorded wall times (compute
@@ -452,11 +440,6 @@ class CampaignStatus:
         throughput = self.cells_per_minute()
         if throughput is not None:
             lines.append("  throughput: %.1f cells/minute" % throughput)
-        if self.degradations:
-            lines.append(
-                "  %d shard degradation(s) survived (results unaffected)"
-                % self.degradations
-            )
         if verbose and self.cells:
             lines.append("")
             lines.append(
@@ -516,7 +499,6 @@ def _fold_cell(
         "engine_iterations": int(beat.get("engine_iterations") or 0),
         "best_changes": int(beat.get("best_changes") or 0),
         "messages_dropped": int(beat.get("messages_dropped") or 0),
-        "shard_retries": int(beat.get("shard_retries") or 0),
         "backend": beat.get("backend"),
         "age_seconds": age,
         "resumed": bool(beat.get("resumed")),
@@ -530,7 +512,6 @@ def _fold_cell(
         rounds_done = common["rounds_total"]
         return CellStatus(
             digest=digest, label=label, state="done", phase="done",
-            degradations=int(checkpoint.get("degradations") or 0),
             wall_seconds=float(wall) if wall else None,
             **{
                 **common,

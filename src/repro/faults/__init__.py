@@ -1,36 +1,25 @@
 """repro.faults — deterministic fault injection for experiment runs.
 
-Seed-driven fault plans (:class:`FaultPlan`) script worker-process
-crashes, shard timeouts/hangs, probe-loss bursts, and ad-hoc link
-flaps; the hardened :class:`~repro.experiment.parallel.ShardedRunner`
-must survive the execution faults without changing results, while the
-environment faults change results *deterministically* — identically
-in serial and sharded execution.  See :mod:`repro.faults.plan` for
-the full contract, and ``reproduce --fault-plan`` for CLI use.
+Seed-driven fault plans (:class:`FaultPlan`) script probe-loss bursts
+and ad-hoc link flaps; both change results *deterministically*.  See
+:mod:`repro.faults.plan` for the full contract, and ``reproduce
+--fault-plan`` for CLI use.
 """
 
 from .plan import (
-    DEFAULT_HANG_SECONDS,
     DEFAULT_LOSS_FRACTION,
-    EXECUTION_FAULTS,
-    FaultDirective,
     FaultError,
     FaultEvent,
     FaultKind,
     FaultPlan,
-    InjectedFault,
     parse_fault_spec,
 )
 
 __all__ = [
-    "DEFAULT_HANG_SECONDS",
     "DEFAULT_LOSS_FRACTION",
-    "EXECUTION_FAULTS",
-    "FaultDirective",
     "FaultError",
     "FaultEvent",
     "FaultKind",
     "FaultPlan",
-    "InjectedFault",
     "parse_fault_spec",
 ]

@@ -2,42 +2,28 @@
 
 A :class:`FaultPlan` scripts every fault a run will suffer *before*
 the run starts, as a pure function of the experiment seed — the same
-property the probe streams have (:mod:`repro.rng`).  Two fault
-classes exist, with very different contracts:
+property the probe streams have (:mod:`repro.rng`).
 
-**Execution faults** (``WORKER_CRASH``, ``SHARD_HANG``) attack the
-machinery, not the simulation: a shard worker process dies mid-shard,
-or stalls past the runner's per-shard timeout.  The hardened
-:class:`~repro.experiment.parallel.ShardedRunner` must *recover* —
-retry, rebuild the pool, or re-execute the shard inline — and the
-recovered run must be byte-identical (classifications, report text,
-provenance JSONL) to a fault-free run, because shard results are a
-pure function of ``(spec, snapshot, worker state)``.  Execution
-faults fire only on a shard's first attempt, so recovery always
-terminates.
+The faults attack the simulated world, like the real maintenance
+outage that collided with the paper's Internet2 run (§4): a burst of
+probe loss (``PROBE_LOSS``) blanks a block of prefixes for one round,
+and an ad-hoc link flap (``LINK_FLAP``) fails and restores a link
+between rounds, beyond the scheduled outages.  They legitimately
+*change results* — but deterministically: the same seed and spec
+produce the same faults, in a standalone run or in a campaign cell.
 
-**Environment faults** (``PROBE_LOSS``, ``LINK_FLAP``) attack the
-simulated world, like the real maintenance outage that collided with
-the paper's Internet2 run (§4): a burst of probe loss blanks a block
-of prefixes for one round, and an ad-hoc link flap fails and restores
-a link between rounds, beyond the scheduled outages.  These
-legitimately *change results* — but deterministically: the same seed
-and spec produce the same faults in serial and sharded execution, so
-``workers``/``shard_size`` remain pure performance knobs even under
-injected environment faults.
-
-Events address shards and links by *slot*, an abstract index mapped
-onto the concrete shard count / link list at injection time
-(``slot % count``), so one plan works at any worker count or scale.
+Events address prefixes and links by *slot*, an abstract index mapped
+onto the concrete prefix or link list at injection time
+(``slot % count``), so one plan works at any scale.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from ..errors import ReproError
 from ..rng import derive_seed
@@ -45,18 +31,10 @@ from ..rng import derive_seed
 __all__ = [
     "FaultKind",
     "FaultEvent",
-    "FaultDirective",
     "FaultPlan",
-    "InjectedFault",
     "parse_fault_spec",
-    "DEFAULT_HANG_SECONDS",
     "DEFAULT_LOSS_FRACTION",
 ]
-
-#: How long an injected hang sleeps inside the worker.  Kept short so
-#: a hung worker frees its pool slot quickly after the parent times
-#: out and falls back; tests override it downward.
-DEFAULT_HANG_SECONDS = 2.0
 
 #: Fraction of a round's prefix set blanked by one probe-loss burst.
 DEFAULT_LOSS_FRACTION = 0.2
@@ -69,17 +47,9 @@ class FaultError(ReproError):
     """A fault plan or spec string was malformed."""
 
 
-class InjectedFault(ReproError):
-    """Raised inside a shard execution to simulate a worker crash when
-    no real process boundary exists (the inline executor); forked pool
-    workers ``os._exit`` instead, surfacing as ``BrokenProcessPool``."""
-
-
 class FaultKind(Enum):
     """What a scripted fault does."""
 
-    WORKER_CRASH = "worker_crash"   # kill the pool worker mid-shard
-    SHARD_HANG = "shard_hang"       # stall a shard past the timeout
     PROBE_LOSS = "probe_loss"       # blank a prefix block for a round
     LINK_FLAP = "link_flap"         # fail + restore a link between rounds
 
@@ -87,67 +57,33 @@ class FaultKind(Enum):
         return self.value
 
 
-#: Execution faults must be survived without changing results;
-#: environment faults change results deterministically.
-EXECUTION_FAULTS = (FaultKind.WORKER_CRASH, FaultKind.SHARD_HANG)
-
-
 @dataclass(frozen=True)
 class FaultEvent:
     """One scripted fault.
 
-    ``slot`` addresses the target abstractly: the shard for execution
-    faults (``slot % shard_count``), the first prefix of the loss
-    block for ``PROBE_LOSS`` (``slot % len(prefixes)``), the link for
-    ``LINK_FLAP`` (``slot % num_links`` into the sorted link list).
-    ``fraction`` sizes a loss burst; ``hang_seconds`` sizes a hang.
+    ``slot`` addresses the target abstractly: the first prefix of the
+    loss block for ``PROBE_LOSS`` (``slot % len(prefixes)``), the link
+    for ``LINK_FLAP`` (``slot % num_links`` into the sorted link list).
+    ``fraction`` sizes a loss burst.
     """
 
     kind: FaultKind
     round_index: int
     slot: int = 0
     fraction: float = DEFAULT_LOSS_FRACTION
-    hang_seconds: float = DEFAULT_HANG_SECONDS
 
     def describe(self) -> str:
         return "%s@round%d/slot%d" % (self.kind, self.round_index, self.slot)
 
 
-@dataclass(frozen=True)
-class FaultDirective:
-    """What one shard execution is told to suffer — the picklable
-    per-submission payload shipped to the worker alongside the spec.
-
-    ``lossy_prefixes`` is an environment fault and therefore survives
-    retries; ``crash``/``hang_seconds`` are execution faults and are
-    stripped before any retry or fallback (see
-    :meth:`without_execution_faults`), so recovery always terminates.
-    """
-
-    crash: bool = False
-    hang_seconds: float = 0.0
-    lossy_prefixes: frozenset = frozenset()
-
-    def without_execution_faults(self) -> "FaultDirective":
-        return replace(self, crash=False, hang_seconds=0.0)
-
-    @property
-    def has_execution_fault(self) -> bool:
-        return self.crash or self.hang_seconds > 0.0
-
-    def __bool__(self) -> bool:
-        return self.has_execution_fault or bool(self.lossy_prefixes)
-
-
 def parse_fault_spec(text: str) -> Dict[str, int]:
     """Parse a ``--fault-plan`` spec string into event counts.
 
-    The grammar is ``name=count[,name=count...]`` with names ``crash``,
-    ``hang``, ``loss``, ``flap`` — e.g. ``"crash=2,loss=1"`` scripts
-    two worker crashes and one probe-loss burst.  Counts must be
-    non-negative integers.
+    The grammar is ``name=count[,name=count...]`` with names ``loss``
+    and ``flap`` — e.g. ``"loss=2,flap=1"`` scripts two probe-loss
+    bursts and one link flap.  Counts must be non-negative integers.
     """
-    counts = {"crash": 0, "hang": 0, "loss": 0, "flap": 0}
+    counts = {"loss": 0, "flap": 0}
     for part in text.split(","):
         part = part.strip()
         if not part:
@@ -156,8 +92,8 @@ def parse_fault_spec(text: str) -> Dict[str, int]:
         name = name.strip()
         if name not in counts:
             raise FaultError(
-                "unknown fault kind %r in spec %r (expected "
-                "crash/hang/loss/flap)" % (name, text)
+                "unknown fault kind %r in spec %r (expected loss/flap)"
+                % (name, text)
             )
         try:
             count = int(value.strip())
@@ -194,11 +130,8 @@ class FaultPlan:
         cls,
         seed: int,
         rounds: int = 9,
-        worker_crashes: int = 0,
-        shard_hangs: int = 0,
         probe_loss_bursts: int = 0,
         link_flaps: int = 0,
-        hang_seconds: float = DEFAULT_HANG_SECONDS,
         loss_fraction: float = DEFAULT_LOSS_FRACTION,
     ) -> "FaultPlan":
         """Script the requested number of each fault kind, drawing
@@ -213,8 +146,6 @@ class FaultPlan:
         rng = random.Random(derive_seed(seed, FAULT_PLAN_LABEL))
         events = []
         for kind, count in (
-            (FaultKind.WORKER_CRASH, worker_crashes),
-            (FaultKind.SHARD_HANG, shard_hangs),
             (FaultKind.PROBE_LOSS, probe_loss_bursts),
             (FaultKind.LINK_FLAP, link_flaps),
         ):
@@ -224,7 +155,6 @@ class FaultPlan:
                     round_index=rng.randrange(rounds),
                     slot=rng.randrange(1 << 16),
                     fraction=loss_fraction,
-                    hang_seconds=hang_seconds,
                 ))
         return cls(events=tuple(events))
 
@@ -234,7 +164,6 @@ class FaultPlan:
         spec: str,
         seed: int,
         rounds: int = 9,
-        hang_seconds: float = DEFAULT_HANG_SECONDS,
         loss_fraction: float = DEFAULT_LOSS_FRACTION,
     ) -> "FaultPlan":
         """Build a plan from a CLI spec string (see
@@ -243,34 +172,12 @@ class FaultPlan:
         return cls.from_seed(
             seed,
             rounds=rounds,
-            worker_crashes=counts["crash"],
-            shard_hangs=counts["hang"],
             probe_loss_bursts=counts["loss"],
             link_flaps=counts["flap"],
-            hang_seconds=hang_seconds,
             loss_fraction=loss_fraction,
         )
 
     # -- queries ------------------------------------------------------
-
-    def execution_fault(
-        self, round_index: int, shard_id: int, shard_count: int
-    ) -> Optional[FaultEvent]:
-        """The crash/hang scripted for this (round, shard), if any.
-
-        ``slot % shard_count`` maps the abstract slot onto the round's
-        actual shard list, so the plan is valid at any worker count.
-        """
-        if shard_count < 1:
-            return None
-        for event in self.events:
-            if (
-                event.kind in EXECUTION_FAULTS
-                and event.round_index == round_index
-                and event.slot % shard_count == shard_id
-            ):
-                return event
-        return None
 
     def lossy_prefixes(
         self, round_index: int, prefixes: Sequence

@@ -17,13 +17,13 @@ which also points the span layer's phase observer at the capture's
 profiler).  Hot paths read the slot once per decision, round or run
 and skip every other cost when the channel they feed is absent.
 
-Workers never write into their parent's capture.  A shard or pooled
-campaign cell runs under :meth:`Capture.child` (fresh, empty, same
-settings), returns :meth:`Capture.shipped` with its results, and the
-parent folds each payload in with :meth:`Capture.merge` in task order.
-Task order is the serial order, so merged event streams are
-byte-identical to a serial run's at every ``--workers`` /
-``--shard-size`` (asserted in ``tests/test_differential.py``).
+Workers never write into their parent's capture.  A pooled campaign
+cell runs under :meth:`Capture.child` (fresh, empty, same settings),
+returns :meth:`Capture.shipped` with its results, and the parent folds
+each payload in with :meth:`Capture.merge` in cell order.  Cell order
+is the inline order, so merged event streams are byte-identical to an
+inline run's at every ``--campaign-workers`` count (asserted in
+``tests/test_differential.py``).
 """
 
 from __future__ import annotations
@@ -163,38 +163,20 @@ class EventRing:
 
     # -- export -------------------------------------------------------
 
-    def export_jsonl(
-        self, stream, include_degradations: bool = False
-    ) -> int:
+    def export_jsonl(self, stream) -> int:
         """Write retained events to *stream* as one JSON object per
         line (sorted keys, so exports diff cleanly); returns the line
-        count.
-
-        ``kind="degradation"`` events are skipped unless
-        *include_degradations* is set: they record how the run
-        executed (shard retries/fallbacks), not what it measured, and
-        excluding them keeps the exported evidence stream
-        byte-identical between a recovered run and a fault-free one.
-        """
+        count."""
         count = 0
         for event in self.events():
-            if (
-                not include_degradations
-                and event.get("kind") == "degradation"
-            ):
-                continue
             stream.write(json.dumps(event, sort_keys=True))
             stream.write("\n")
             count += 1
         return count
 
-    def export_jsonl_file(
-        self, path: str, include_degradations: bool = False
-    ) -> int:
+    def export_jsonl_file(self, path: str) -> int:
         with open(path, "w", encoding="utf-8") as stream:
-            return self.export_jsonl(
-                stream, include_degradations=include_degradations
-            )
+            return self.export_jsonl(stream)
 
 
 @dataclasses.dataclass
@@ -224,7 +206,7 @@ class Capture:
 
     def child(self) -> "Capture":
         """A fresh, empty capture with this one's settings, for a
-        shard or cell worker.
+        cell worker.
 
         A ``fork`` child inherits the parent's capture *and*, when the
         fork happened inside a profiled phase, the thread's live

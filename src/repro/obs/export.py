@@ -25,7 +25,7 @@ requires.
 
 Timestamps are normalised so the earliest root starts at ``ts=0``:
 span ``started_at`` values are ``perf_counter`` readings, meaningful
-only relative to each other within one process.  Shard-worker
+only relative to each other within one process.  Cell-worker
 subtrees re-attached by
 :func:`~repro.obs.spans.attach_completed` carry a *foreign*
 ``perf_counter`` base; any child that appears to start before its

@@ -33,10 +33,10 @@ Recording is **off by default** and costs one function call returning
 (``benchmarks/bench_profile.py`` guards the enabled path under 5%).
 Events are built from simulation state only — no wall clocks, no
 object ids — so the stream joins the byte-identity contract: round
-frontiers are diffed in the parent from the merged round result, and
-worker captures merge back in task order, making ``--frontier-out``
-JSONL byte-identical at every ``--workers`` / ``--shard-size``
-(asserted in ``tests/test_differential.py``).
+frontiers are diffed from the round result, and pooled cell captures
+merge back in cell order, making ``--frontier-out`` JSONL
+byte-identical at every ``--campaign-workers`` count (asserted in
+``tests/test_differential.py``).
 """
 
 from __future__ import annotations

@@ -288,10 +288,10 @@ class MetricsRegistry:
 
         Counters add, gauges take the incoming value (last write wins,
         matching :meth:`Gauge.set` semantics), histograms merge bucket
-        counts.  This is how per-shard worker registries are folded
-        into the parent registry after a parallel probing round; the
-        operation is associative, so shards can be merged in any order
-        without changing the totals.
+        counts.  This is how pooled cell workers' registries are folded
+        into the parent registry; the operation is associative, so
+        cells can be merged in any order without changing the
+        totals.
         """
         if not self.enabled:
             return

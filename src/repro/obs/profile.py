@@ -2,7 +2,7 @@
 
 The span layer (:mod:`repro.obs.spans`) already names every
 interesting section of a run — ``engine.run_to_fixpoint``,
-``runner.round.4-0``, ``runner.shard.3``, ``campaign.cell.surf-s0`` —
+``runner.round.4-0``, ``prober.round``, ``campaign.cell.surf-s0`` —
 so profiling does not need its own vocabulary: a
 :class:`PhaseProfiler` observes span enter/exit through a hook in the
 span layer and aggregates per-phase call counts and wall seconds.
@@ -14,16 +14,16 @@ executed it.  With cProfile off, the same tables fall back to
 counter-based phase attribution (calls + inclusive wall seconds).
 
 Aggregation is per phase *name*, and the span names carry the
-(config, round, shard) context; the profiler adds ``labels`` (e.g.
+(config, round) context; the profiler adds ``labels`` (e.g.
 the campaign cell) for the remaining axes.  The profiler is the
-``profiler`` channel of a :class:`~repro.obs.capture.Capture`: shard
-and campaign-cell workers profile into a child capture whose payload
+``profiler`` channel of a :class:`~repro.obs.capture.Capture`: pooled
+campaign-cell workers profile into a child capture whose payload
 ships back and is folded in with :meth:`PhaseProfiler.merge_payload`
-in task order, so a pooled run's tables cover the whole fleet.
+in cell order, so a pooled run's tables cover the whole fleet.
 
 Profiling is **opt-in** and *execution metadata*: payloads contain
 wall-clock timings and so live outside every byte-identity surface
-(like ``wall_seconds`` and :class:`~repro.experiment.records.DegradationRecord`).
+(like a cell record's ``wall_seconds``).
 Disabled, the whole layer costs one module-global ``None`` check per
 span (guarded by ``benchmarks/bench_profile.py``).
 """

@@ -27,9 +27,9 @@ call returning ``None`` per decision (guarded, with the rest of the obs
 stack, by ``benchmarks/bench_obs_overhead.py``).
 
 Determinism: events are plain dicts built from simulation state only
-(no wall clocks, no object ids), and worker captures merge back in
-task order — so the merged stream is byte-identical to a serial run's
-at every ``--workers`` / ``--shard-size`` (asserted in
+(no wall clocks, no object ids), and pooled cell captures merge back
+in cell order — so the merged stream is byte-identical to an inline
+run's at every ``--campaign-workers`` count (asserted in
 ``tests/test_differential.py``).
 """
 
@@ -41,7 +41,6 @@ __all__ = [
     "signal_from_kinds",
     "selection_event",
     "signal_event",
-    "degradation_event",
     "round_signal_summary",
 ]
 
@@ -136,43 +135,9 @@ def signal_event(
     }
 
 
-def degradation_event(
-    round_index: int,
-    config: str,
-    shard_id: int,
-    action: str,
-    attempts: int,
-    recovered: bool,
-    detail: str = "",
-) -> dict:
-    """Build one ``kind="degradation"`` event: a shard execution that
-    needed recovery (see
-    :class:`~repro.experiment.records.DegradationRecord`).
-
-    Degradation events describe how a run *executed*, never what it
-    measured, so :meth:`~repro.obs.capture.EventRing.export_jsonl`
-    excludes them by default — the exported evidence stream of a run
-    that survived a worker crash stays byte-identical to a fault-free
-    run's.  They remain queryable in the ring
-    (``events(kind="degradation")``) for ``repro explain`` narratives
-    and debugging.
-    """
-    return {
-        "kind": "degradation",
-        "round": round_index,
-        "config": config,
-        "shard": shard_id,
-        "action": action,
-        "attempts": attempts,
-        "recovered": recovered,
-        "detail": detail,
-    }
-
-
 def round_signal_summary(responses) -> Dict[str, object]:
-    """Aggregate one prefix's round responses into signal-event fields
-    (shared by the serial prober and shard workers so both build
-    identical events)."""
+    """Aggregate one prefix's round responses into signal-event
+    fields."""
     kinds = set()
     origins = set()
     responded = 0

@@ -119,7 +119,7 @@ def reset_trace() -> None:
 def detached_trace():
     """Run a block against a fresh, empty span stack.
 
-    Shard workers wrap their probing in this so their spans never nest
+    Pooled cell workers wrap their cell in this so their spans never nest
     under (or corrupt) whatever stack the caller — or, under ``fork``,
     the parent process at fork time — had open.  The previous stack and
     roots are restored on exit; the block's completed roots are

@@ -3,7 +3,7 @@
 The PR 1 metrics registry is a point-in-time instrument: one snapshot
 at the end of a run tells you *how much* happened, never *when*.  For
 the long-running jobs this repo now hosts — multi-seed ``repro sweep``
-campaigns, sharded fault-injected reproductions — the interesting
+campaigns, fault-injected reproductions — the interesting
 questions are rates and progress: messages per second, rounds per
 minute, whether anything is still moving at all.
 
@@ -26,7 +26,7 @@ two samples (:meth:`TelemetrySampler.counter_rate`).
 Fork safety mirrors :func:`~repro.obs.spans.detached_trace`: the
 sampler thread never survives into ``fork`` children (threads do not
 cross ``fork``), and every sampling entry point is guarded by the
-owning PID, so a shard or campaign-cell worker that inherits the
+owning PID, so a campaign-cell worker that inherits the
 sampler object can neither sample nor write to the parent's JSONL
 stream.  Telemetry output is therefore strictly per-process and
 strictly outside the byte-identity surfaces (report text,

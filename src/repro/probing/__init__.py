@@ -24,8 +24,6 @@ from .prober import (
     RoundResult,
     prefix_stream_rng,
     probe_one,
-    response_from_row,
-    response_row,
 )
 from .traceroute import TracerouteResult, paths_are_symmetric, traceroute
 
@@ -41,8 +39,6 @@ __all__ = [
     "RoundResult",
     "prefix_stream_rng",
     "probe_one",
-    "response_from_row",
-    "response_row",
     "TracerouteResult",
     "traceroute",
     "paths_are_symmetric",

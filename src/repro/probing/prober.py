@@ -7,11 +7,10 @@ transient loss (flaky hosts) and forwarding failure (no return route).
 
 Randomness is keyed *per prefix*: each probed prefix draws from its own
 stream derived from the round's :class:`~repro.rng.SeedTree` node, so
-the same experiment seed yields the same responses no matter how the
-prefix set is partitioned across shards or worker processes
-(:mod:`repro.experiment.parallel`).  Probe transmit times are computed
-from the probe's global index (``now + index / pps``) rather than by
-accumulation, for the same reason.
+one prefix's responses never depend on which other prefixes a round
+probes or in what order.  Probe transmit times are computed from the
+probe's global index (``now + index / pps``) rather than by
+accumulation.
 """
 
 from __future__ import annotations
@@ -35,8 +34,7 @@ from .host import MeasurementHost
 DEFAULT_PPS = 100
 
 #: Label template of a prefix's probe stream under the round's seed
-#: node.  Shard workers derive the same streams from the round seed, so
-#: this template is part of the determinism contract.
+#: node; part of the determinism contract.
 PREFIX_STREAM_LABEL = "prefix-%s"
 
 _log = get_logger("repro.prober")
@@ -91,58 +89,6 @@ class RoundResult:
 
     def probe_count(self) -> int:
         return sum(len(r) for r in self.responses.values())
-
-
-#: Outcome codes of the compact shard wire format (indices into the
-#: :class:`ForwardingOutcome` declaration order).
-_OUTCOMES = tuple(ForwardingOutcome)
-_OUTCOME_CODE = {outcome: code for code, outcome in enumerate(_OUTCOMES)}
-
-
-def response_row(response: ProbeResponse) -> Optional[tuple]:
-    """Flatten *response* into the compact shard wire format.
-
-    Shard workers ship rows — ``None`` or small tuples of primitives —
-    instead of :class:`ProbeResponse` objects: the parent process
-    already holds every :class:`ProbeTarget` and recomputes transmit
-    times from probe indices, so pickling full responses back would
-    cost more than probing itself
-    (:mod:`repro.experiment.parallel`).
-    """
-    if response.responded:
-        return (response.origin_asn, response.rtt_ms, response.hops)
-    if response.outcome is None:
-        # Dead system, unknown address, or transient loss.
-        return None
-    return (_OUTCOME_CODE[response.outcome], response.hops)
-
-
-def response_from_row(
-    row: Optional[tuple],
-    target: ProbeTarget,
-    tx: float,
-    interface_kind_of: Callable[[int], str],
-) -> ProbeResponse:
-    """Rebuild the :class:`ProbeResponse` that *row* flattened.
-
-    The exact inverse of :func:`response_row` given the same target and
-    transmit time, so a round rebuilt from shard rows is equal field
-    for field to the serial round.
-    """
-    if row is None:
-        return ProbeResponse(target=target, tx_time=tx, responded=False)
-    if len(row) == 2:
-        return ProbeResponse(
-            target=target, tx_time=tx, responded=False,
-            outcome=_OUTCOMES[row[0]], hops=row[1],
-        )
-    origin_asn, rtt_ms, hops = row
-    return ProbeResponse(
-        target=target, tx_time=tx, responded=True,
-        interface_kind=interface_kind_of(origin_asn),
-        origin_asn=origin_asn, rtt_ms=rtt_ms,
-        outcome=ForwardingOutcome.DELIVERED, hops=hops,
-    )
 
 
 class Prober:
@@ -257,11 +203,9 @@ def probe_one(
 ) -> ProbeResponse:
     """Probe one target over an abstract data plane.
 
-    This is the single implementation of probe semantics: the serial
-    :class:`Prober` and the shard workers both read a round's
-    :class:`~repro.probing.forwarding.Catchment` and funnel through
-    here, so their responses cannot diverge.  *lookup* maps the probed
-    system's attached ASN to its resolved return walk, ``(outcome,
+    *lookup* maps the probed system's attached ASN to its resolved
+    return walk in the round's
+    :class:`~repro.probing.forwarding.Catchment`, ``(outcome,
     origin_asn, hop count)``.
 
     *force_loss* drops the probe before any stream draw — the

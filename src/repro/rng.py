@@ -50,16 +50,6 @@ class SeedTree:
         """Return the child node for *label* (pure function of inputs)."""
         return SeedTree(derive_seed(self.seed, label), label)
 
-    def child_seed(self, label: str) -> int:
-        """The child node's raw 64-bit seed.
-
-        Equivalent to ``tree.child(label).seed`` without building the
-        node — the form shipped to shard worker processes, which
-        re-derive their per-prefix streams from it with
-        :func:`derive_seed` alone.
-        """
-        return derive_seed(self.seed, label)
-
     def rng(self) -> random.Random:
         """Return a fresh ``random.Random`` seeded for this node."""
         return random.Random(self.seed)

@@ -82,9 +82,7 @@ class WhatIfSession:
     """Warm routing state for one experiment, queryable per config.
 
     Only the spec's *simulation* fields matter here (seed, scale,
-    scenario, overrides, configs); execution fields
-    (workers, shard options) describe probing fan-out, which a what-if
-    session never performs.
+    scenario, overrides, configs).
     """
 
     def __init__(

@@ -11,10 +11,10 @@ orphan every existing checkpoint).
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.api import (
     SPEC_SCHEMA_VERSION,
-    ExecutionPolicy,
     ExperimentSpec,
     run_experiment,
 )
@@ -48,9 +48,9 @@ def test_spec_defaults_are_valid():
         {"scale": 0.0},
         {"scale": -1.0},
         {"pps": 0},
-        {"workers": 0},
-        {"shard_size": 0},
-        {"shard_timeout": 0.0},
+        {"seed": "a"},
+        {"seed": True},
+        {"frontier_capacity": 0},
         {"provenance_capacity": 0},
         {"scenario": "no-such-scenario"},
         {"config_overrides": {"no_such_field": 1}},
@@ -69,7 +69,7 @@ def test_replace_revalidates():
     spec = ExperimentSpec()
     assert spec.replace(seed=3).seed == 3
     with pytest.raises(ExperimentError):
-        spec.replace(workers=0)
+        spec.replace(pps=0)
 
 
 def test_run_seed_convention():
@@ -103,12 +103,11 @@ def test_json_round_trip_every_field():
         config_overrides={"no_commodity_rate": 0.25, "base_loss_probability": 0.01},
         configs=("0-0", "1-0", "0-1"),
         pps=50,
-        workers=4,
-        shard_size=8,
-        shard_timeout=30.0,
-        fault_spec="crash=1,loss=1",
+        fault_spec="flap=1,loss=1",
         provenance_capacity=500,
         provenance_prefixes=("10.0.0.0/16",),
+        frontier_capacity=300,
+        profile=True,
     )
     again = ExperimentSpec.from_json(spec.to_json())
     assert again == spec
@@ -140,15 +139,15 @@ def test_digest_stability():
     """Pinned digests: a drift here breaks every existing campaign
     checkpoint directory, so it must be deliberate (bump
     SPEC_SCHEMA_VERSION and say so in CHANGES.md).  Re-pinned for
-    schema 5 (``decision_backend`` removed)."""
-    assert ExperimentSpec().digest() == "5de72d1c8eb3ba0f"
+    schema 6 (the execution fields removed)."""
+    assert ExperimentSpec().digest() == "85dd61d7f098c22f"
     assert ExperimentSpec(
         experiment="surf", seed=3, scale=0.05
-    ).digest() == "28b771b66faf8292"
+    ).digest() == "0b14bb00d9e4a798"
     assert ExperimentSpec(
         experiment="internet2", seed=7, scenario="re-dominant",
         config_overrides={"no_commodity_rate": 0.5},
-    ).digest() == "9a0e7d0ac992d23a"
+    ).digest() == "49622445e146ab10"
 
 
 def test_digest_changes_with_simulation_fields():
@@ -156,9 +155,7 @@ def test_digest_changes_with_simulation_fields():
     assert base.replace(seed=1).digest() != base.digest()
     assert base.replace(experiment="internet2").digest() != base.digest()
     assert base.replace(scenario="flaky-probes").digest() != base.digest()
-    # Execution fields are part of the spec (they describe *how* to
-    # run), so they key distinct checkpoints too — never colliding.
-    assert base.replace(workers=2).digest() != base.digest()
+    assert base.replace(fault_spec="loss=1").digest() != base.digest()
 
 
 def test_from_dict_rejects_unknown_fields_and_schemas():
@@ -204,64 +201,99 @@ def test_from_dict_rejects_removed_decision_backend(schema):
         ExperimentSpec.from_dict(data)
 
 
-# ---------------------------------------------------------------------
-# ExecutionPolicy
+#: Mistyped documents that used to escape ``from_json`` as a raw
+#: TypeError / AttributeError, or to load and fail (or silently
+#: misbehave) only at run time.
+MISTYPED_DOCUMENTS = [
+    '{"scale": "x"}',
+    '{"scale": null}',
+    '{"pps": "100"}',
+    '{"frontier_capacity": "3"}',
+    '{"config_overrides": 3}',
+    '{"provenance_prefixes": 5}',
+    '{"fault_spec": 7}',
+    '{"seed": "a"}',
+    '{"seed": true}',
+    '{"configs": [1]}',
+]
 
 
-def test_execution_policy_defaults_and_validation():
-    policy = ExecutionPolicy()
-    assert policy.workers == 1
-    assert policy.shard_size is None
-    assert policy.backend is None
-    for kwargs in (
-        {"workers": 0},
-        {"shard_size": 0},
-        {"shard_timeout": 0.0},
-        {"max_retries": -1},
-        {"backoff_base": -0.1},
-        {"backend": "asyncio"},
-    ):
-        with pytest.raises(ExperimentError):
-            ExecutionPolicy(**kwargs)
+@pytest.mark.parametrize("text", MISTYPED_DOCUMENTS, ids=MISTYPED_DOCUMENTS)
+def test_from_json_rejects_mistyped_fields(text):
+    with pytest.raises(ExperimentError):
+        ExperimentSpec.from_json(text)
 
 
-def test_legacy_flat_kwargs_fold_into_execution():
-    """The pre-schema-4 flat spellings keep working — construction,
-    ``replace``, and property reads all see one nested policy."""
-    spec = ExperimentSpec(workers=4, shard_size=8, shard_timeout=30.0)
-    assert spec.execution == ExecutionPolicy(
-        workers=4, shard_size=8, shard_timeout=30.0
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=8)
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=8), children, max_size=3),
+    max_leaves=6,
+)
+_SPEC_KEYS = sorted(
+    {"schema", "execution", "workers", "shard_size", "shard_timeout",
+     "decision_backend"} | set(ExperimentSpec().as_dict())
+)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.dictionaries(st.sampled_from(_SPEC_KEYS), _JSON_VALUES))
+def test_from_json_raises_only_repro_errors(document):
+    """Any JSON object over the spec's keys either loads or raises a
+    ReproError subclass — never a raw TypeError/AttributeError."""
+    try:
+        spec = ExperimentSpec.from_json(json.dumps(document))
+    except ReproError:
+        return
+    assert ExperimentSpec.from_json(spec.to_json()) == spec
+
+
+@pytest.mark.parametrize("schema", [3, 4, 5])
+def test_from_dict_reads_legacy_execution_fields(schema):
+    """Schema 3 to 5 documents load at schema 6: their execution
+    fields only ever shaped the removed shard level, so they are
+    dropped and every simulation field is kept."""
+    spec = ExperimentSpec(
+        experiment="internet2", seed=11, scale=0.07,
+        configs=("0-0", "1-0"), fault_spec="loss=1",
     )
-    assert (spec.workers, spec.shard_size, spec.shard_timeout) == (
-        4, 8, 30.0
-    )
-    nested = ExperimentSpec(execution=ExecutionPolicy(
-        workers=4, shard_size=8, shard_timeout=30.0
-    ))
-    assert nested == spec
-    assert nested.digest() == spec.digest()
-    assert spec.replace(workers=2).execution.workers == 2
+    data = json.loads(spec.to_json())
+    data["schema"] = schema
+    if schema == 3:
+        data.update(workers=4, shard_size=8, shard_timeout=30.0)
+    else:
+        data["execution"] = {
+            "workers": 4, "shard_size": 8, "shard_timeout": 30.0,
+            "max_retries": 5, "backoff_base": 0.0, "backend": "fork",
+        }
+    if schema == 4:
+        data["decision_backend"] = "object"
+    again = ExperimentSpec.from_dict(data)
+    assert again == spec
+    assert again.digest() == spec.digest()
+    assert json.loads(again.to_json())["schema"] == 6
 
 
 def test_from_dict_reads_schema_3_flat_execution_keys():
-    spec = ExperimentSpec(workers=4, shard_size=8, shard_timeout=30.0,
-                          seed=11, scale=0.07)
+    spec = ExperimentSpec(seed=11, scale=0.07)
     data = json.loads(spec.to_json())
-    del data["execution"]
     data.update(schema=3, workers=4, shard_size=8, shard_timeout=30.0)
     again = ExperimentSpec.from_dict(data)
     assert again == spec
     assert again.digest() == spec.digest()
 
 
-def test_execution_policy_json_round_trip():
-    spec = ExperimentSpec(execution=ExecutionPolicy(
-        workers=2, max_retries=5, backoff_base=0.0, backend="inline"
-    ))
-    again = ExperimentSpec.from_json(spec.to_json())
-    assert again == spec
-    assert again.execution.max_retries == 5
-    assert again.execution.backend == "inline"
+@pytest.mark.parametrize(
+    "extra",
+    [{"execution": {"workers": 2}}, {"workers": 2}],
+    ids=["nested", "flat"],
+)
+def test_current_schema_rejects_execution_fields(extra):
+    data = json.loads(ExperimentSpec().to_json())
+    data.update(extra)
+    with pytest.raises(ExperimentError, match="unknown ExperimentSpec"):
+        ExperimentSpec.from_dict(data)
 
 
 # ---------------------------------------------------------------------

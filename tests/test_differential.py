@@ -1,20 +1,17 @@
-"""Differential correctness: the sharded runner against the serial
-runner, across a grid of seeds, and the fastpath oracle against the
+"""Differential correctness: pooled campaign cells against inline
+runs, across a grid of seeds, and the fastpath oracle against the
 event-driven engine.
 
-The determinism contract (see :mod:`repro.experiment.parallel`) says
-results are a pure function of the experiment seed — never of worker
-count or shard size.  These tests enforce it at every level the
-analysis depends on: raw responses, per-round convergence, prefix
-classifications, and the rendered report.
-
-``REPRO_TEST_WORKERS`` picks the multi-process worker count (default
-2), so CI can run the suite at several counts without editing tests.
+The determinism contract says results are a pure function of the
+experiment seed — never of the backend a campaign cell runs on.  These
+tests enforce it at every level the analysis depends on: raw
+responses, per-round convergence, prefix classifications, and the
+provenance and frontier streams a pooled cell ships back to the
+parent's capture.
 """
 
 import io
 import json
-import os
 
 import pytest
 
@@ -24,6 +21,7 @@ from repro import (
     build_ecosystem,
     propagate_fastpath,
 )
+from repro.api import ExperimentSpec, run_experiment
 from repro.bgp.engine import (
     AnnounceDelta,
     LinkFlap,
@@ -34,43 +32,68 @@ from repro.bgp.engine import (
 )
 from repro.core.classify import classify_experiment, origin_map
 from repro.core.explain import render_explanation
-from repro.core.report import reproduce_paper
-from repro.experiment.parallel import ShardedRunner
-from repro.experiment.runner import ExperimentRunner
-from repro.faults import FaultEvent, FaultKind, FaultPlan
+from repro.experiment.campaign import CellWork, dispatch_cells
+from repro.experiment.scheduler import fork_available
 from repro.obs.capture import Capture, EventRing, use_capture
 from repro.rng import SeedTree
-
-#: Multi-process worker count exercised by the grid (CI matrix knob).
-WORKERS = int(os.environ.get("REPRO_TEST_WORKERS", "2"))
 
 #: (seed, scale) grid.  Small scales keep the grid cheap; the shared
 #: session fixtures already cover scale 0.1.
 GRID = [(0, 0.06), (7, 0.06)]
 
+#: Cell backends every variant runs on (fork only where it exists).
+BACKENDS = ("inline", "fork") if fork_available() else ("inline",)
 
-def _run_with_provenance(runner):
-    """Run one experiment with a fresh recorder; returns the result
-    and the exported provenance stream as JSONL text."""
-    recorder = EventRing()
-    with use_capture(Capture(provenance=recorder)):
-        result = runner.run()
-    assert recorder.dropped == 0, "ring overflow would break identity"
+
+def _captured(channel, run):
+    """Call *run* under a fresh capture holding one *channel* ring;
+    returns run's result and the exported stream as JSONL text."""
+    ring = EventRing()
+    with use_capture(Capture(**{channel: ring})):
+        result = run()
+    assert ring.dropped == 0, "ring overflow would break identity"
     buffer = io.StringIO()
-    recorder.export_jsonl(buffer)
+    ring.export_jsonl(buffer)
     return result, buffer.getvalue()
 
 
-def _run_with_frontier(runner):
-    """Run one experiment with a fresh frontier trace; returns the
-    result and the exported frontier stream as JSONL text."""
-    trace = EventRing()
-    with use_capture(Capture(frontier=trace)):
-        result = runner.run()
-    assert trace.dropped == 0, "ring overflow would break identity"
-    buffer = io.StringIO()
-    trace.export_jsonl(buffer)
-    return result, buffer.getvalue()
+def _cell(ecosystem, spec, backend):
+    """Run *spec* as one campaign cell on *backend*; a fork cell's
+    events reach the parent's capture through Capture.merge."""
+    work = CellWork(
+        spec=spec, ecosystem=ecosystem, keep_result=True,
+        build_record=False,
+    )
+    outcomes, failures = dispatch_cells([work], backend=backend)
+    assert not failures, failures
+    return outcomes[0].result
+
+
+def _variants(seed, scale, channel):
+    """The standalone run next to the same spec as an inline and a
+    fork cell, each with a *channel* capture."""
+    ecosystem = build_ecosystem(REEcosystemConfig(scale=scale), seed=seed)
+    spec = ExperimentSpec(seed=seed, scale=scale)
+    serial, serial_jsonl = _captured(
+        channel, lambda: run_experiment(spec, ecosystem)
+    )
+    variants = {}
+    streams = {"serial": serial_jsonl}
+    for backend in BACKENDS:
+        label = "backend=%s" % backend
+        variants[label], streams[label] = _captured(
+            channel, lambda: _cell(ecosystem, spec, backend)
+        )
+    return ecosystem, serial, variants, streams
+
+
+_CASES = {}
+
+
+def _provenance_case(seed, scale):
+    if (seed, scale) not in _CASES:
+        _CASES[seed, scale] = _variants(seed, scale, "provenance")
+    return _CASES[seed, scale]
 
 
 @pytest.fixture(
@@ -79,27 +102,9 @@ def _run_with_frontier(runner):
     ids=["seed%d-scale%s" % pair for pair in GRID],
 )
 def diff_case(request):
-    """One grid cell: the serial run plus three sharded variants that
+    """One grid cell: the standalone run plus its cell variants, which
     must all be equal to it (results *and* provenance streams)."""
-    seed, scale = request.param
-    ecosystem = build_ecosystem(REEcosystemConfig(scale=scale), seed=seed)
-    serial, serial_jsonl = _run_with_provenance(
-        ExperimentRunner(ecosystem, "surf", seed=seed)
-    )
-    variants = {}
-    provenance = {"serial": serial_jsonl}
-    sharded = {
-        "workers=1": ShardedRunner(ecosystem, "surf", seed=seed, workers=1),
-        "workers=1 shard_size=7": ShardedRunner(
-            ecosystem, "surf", seed=seed, workers=1, shard_size=7
-        ),
-        "workers=%d" % WORKERS: ShardedRunner(
-            ecosystem, "surf", seed=seed, workers=WORKERS
-        ),
-    }
-    for label, runner in sharded.items():
-        variants[label], provenance[label] = _run_with_provenance(runner)
-    return ecosystem, serial, variants, provenance
+    return _provenance_case(*request.param)
 
 
 def _round_key(round_result):
@@ -111,53 +116,9 @@ def _round_key(round_result):
     )
 
 
-class TestShardedMatchesSerial:
-    def test_rounds_identical(self, diff_case):
-        _, serial, variants, _ = diff_case
-        expected = [_round_key(r) for r in serial.rounds]
-        for label, result in variants.items():
-            assert [_round_key(r) for r in result.rounds] == expected, label
-
-    def test_round_convergence_identical(self, diff_case):
-        _, serial, variants, _ = diff_case
-        expected = [
-            [stats.replay_key() for stats in round_stats]
-            for round_stats in serial.round_convergence
-        ]
-        for label, result in variants.items():
-            got = [
-                [stats.replay_key() for stats in round_stats]
-                for round_stats in result.round_convergence
-            ]
-            assert got == expected, label
-
-    def test_update_log_and_feeders_identical(self, diff_case):
-        _, serial, variants, _ = diff_case
-        for label, result in variants.items():
-            assert result.update_log == serial.update_log, label
-            assert result.feeder_views == serial.feeder_views, label
-            assert result.outages_applied == serial.outages_applied, label
-
-    def test_classifications_identical(self, diff_case):
-        ecosystem, serial, variants, _ = diff_case
-        origins = origin_map(ecosystem)
-        expected = {
-            prefix: inference.category
-            for prefix, inference in
-            classify_experiment(serial, origins).inferences.items()
-        }
-        for label, result in variants.items():
-            got = {
-                prefix: inference.category
-                for prefix, inference in
-                classify_experiment(result, origins).inferences.items()
-            }
-            assert got == expected, label
-
-
 class TestProvenanceDifferential:
     """The provenance stream — every selection and signal event, in
-    order — is byte-identical at every worker count and shard size."""
+    order — is byte-identical whichever backend runs the cell."""
 
     def test_streams_byte_identical(self, diff_case):
         _, _, _, provenance = diff_case
@@ -188,7 +149,7 @@ class TestProvenanceDifferential:
         assert set(counts.values()) == {per_prefix_rounds}
 
     def test_explain_narrative_identical(self, diff_case):
-        """The ``repro explain`` rendering built from a sharded run's
+        """The ``repro explain`` rendering built from a pooled cell's
         stream matches the serial one byte for byte."""
         ecosystem, serial, _, provenance = diff_case
         origins = origin_map(ecosystem)
@@ -217,152 +178,9 @@ class TestProvenanceDifferential:
             assert narrative(jsonl) == expected, label
 
 
-class TestReportText:
-    """The rendered report — every table and figure — is identical at
-    every worker count."""
-
-    def test_report_identical_across_worker_counts(self):
-        seed, scale = GRID[0]
-        ecosystem = build_ecosystem(
-            REEcosystemConfig(scale=scale), seed=seed
-        )
-        serial_text = reproduce_paper(
-            ecosystem=ecosystem, seed=seed, workers=1
-        ).render()
-        sharded_text = reproduce_paper(
-            ecosystem=ecosystem, seed=seed, workers=WORKERS
-        ).render()
-        assert sharded_text == serial_text
-
-
-#: Execution faults injected by the recovery differential: a worker
-#: crash mid-grid plus a hang caught by the shard timeout.  Results
-#: must come out byte-identical to the fault-free serial run.
-CRASH_PLAN = FaultPlan(events=(
-    FaultEvent(kind=FaultKind.WORKER_CRASH, round_index=2, slot=1),
-    FaultEvent(kind=FaultKind.SHARD_HANG, round_index=6, slot=3,
-               hang_seconds=3.0),
-))
-
-
-@pytest.fixture(scope="module")
-def crash_case():
-    """The fault-free serial run next to a sharded run suffering
-    injected execution faults, both with provenance."""
-    seed, scale = GRID[0]
-    ecosystem = build_ecosystem(REEcosystemConfig(scale=scale), seed=seed)
-    serial, serial_jsonl = _run_with_provenance(
-        ExperimentRunner(ecosystem, "surf", seed=seed)
-    )
-    faulted, faulted_jsonl = _run_with_provenance(
-        ShardedRunner(
-            ecosystem, "surf", seed=seed, workers=WORKERS,
-            fault_plan=CRASH_PLAN, shard_timeout=0.5, backoff_base=0.0,
-        )
-    )
-    return ecosystem, serial, serial_jsonl, faulted, faulted_jsonl
-
-
-class TestCrashInjectedDifferential:
-    """A run with injected worker crashes/hangs recovers and produces
-    a byte-identical ``ExperimentResult`` — responses, convergence,
-    classifications, provenance JSONL — to the fault-free serial run."""
-
-    def test_rounds_identical(self, crash_case):
-        _, serial, _, faulted, _ = crash_case
-        assert [_round_key(r) for r in faulted.rounds] == \
-            [_round_key(r) for r in serial.rounds]
-
-    def test_convergence_identical(self, crash_case):
-        _, serial, _, faulted, _ = crash_case
-        expected = [
-            [stats.replay_key() for stats in round_stats]
-            for round_stats in serial.round_convergence
-        ]
-        got = [
-            [stats.replay_key() for stats in round_stats]
-            for round_stats in faulted.round_convergence
-        ]
-        assert got == expected
-
-    def test_classifications_identical(self, crash_case):
-        ecosystem, serial, _, faulted, _ = crash_case
-        origins = origin_map(ecosystem)
-        expected = {
-            prefix: inference.category
-            for prefix, inference in
-            classify_experiment(serial, origins).inferences.items()
-        }
-        got = {
-            prefix: inference.category
-            for prefix, inference in
-            classify_experiment(faulted, origins).inferences.items()
-        }
-        assert got == expected
-
-    def test_provenance_byte_identical(self, crash_case):
-        _, _, serial_jsonl, _, faulted_jsonl = crash_case
-        assert serial_jsonl
-        assert faulted_jsonl == serial_jsonl
-
-    def test_degradations_recorded_but_outside_identity(self, crash_case):
-        _, serial, _, faulted, _ = crash_case
-        assert serial.degradations == []
-        assert faulted.degradations  # the faults really fired
-        assert all(record.recovered for record in faulted.degradations)
-
-    def test_report_text_identical_under_crash_plan(self, crash_case):
-        ecosystem, _, _, _, _ = crash_case
-        seed, _ = GRID[0]
-        plain = reproduce_paper(
-            ecosystem=ecosystem, seed=seed, workers=1
-        ).render()
-        recovered = reproduce_paper(
-            ecosystem=ecosystem, seed=seed, workers=WORKERS,
-            fault_plan=FaultPlan(events=(
-                FaultEvent(kind=FaultKind.WORKER_CRASH, round_index=4,
-                           slot=2),
-            )),
-        ).render()
-        assert recovered == plain
-
-
-class TestEnvironmentFaultDifferential:
-    """Environment faults (probe loss, link flaps) change results —
-    deterministically: serial and sharded execution see the identical
-    faulted world."""
-
-    def test_serial_equals_sharded_under_environment_plan(self):
-        seed, scale = GRID[0]
-        plan = FaultPlan.from_seed(
-            seed, probe_loss_bursts=2, link_flaps=1
-        )
-        ecosystem = build_ecosystem(REEcosystemConfig(scale=scale),
-                                    seed=seed)
-        serial, serial_jsonl = _run_with_provenance(
-            ExperimentRunner(ecosystem, "surf", seed=seed,
-                             fault_plan=plan)
-        )
-        sharded, sharded_jsonl = _run_with_provenance(
-            ShardedRunner(ecosystem, "surf", seed=seed, workers=WORKERS,
-                          fault_plan=plan)
-        )
-        assert [_round_key(r) for r in sharded.rounds] == \
-            [_round_key(r) for r in serial.rounds]
-        assert sharded.outages_applied == serial.outages_applied
-        assert sharded_jsonl == serial_jsonl
-        # ... and the environment plan genuinely moved the world.
-        baseline, _ = _run_with_provenance(
-            ExperimentRunner(ecosystem, "surf", seed=seed)
-        )
-        assert [_round_key(r) for r in serial.rounds] != \
-            [_round_key(r) for r in baseline.rounds]
-
-
 class TestFastpathOracle:
-    """The Bellman-Ford fastpath (which shard workers' snapshots are
-    built from, via the converged RIB) against the event-driven engine,
-    per AS."""
+    """The Bellman-Ford fastpath against the event-driven engine, per
+    AS."""
 
     @pytest.mark.parametrize("seed", [0, 7])
     def test_best_routes_agree(self, seed):
@@ -404,27 +222,18 @@ class TestFastpathOracle:
 
 @pytest.fixture(scope="module")
 def frontier_case():
-    """The frontier-differential grid: the serial run next to sharded
-    runs at workers 1, 2 and 4, all with a frontier trace attached.
-    The exported JSONL is inside the identity contract, so every
-    stream must be byte-identical."""
-    seed, scale = GRID[0]
-    ecosystem = build_ecosystem(REEcosystemConfig(scale=scale), seed=seed)
-    serial, serial_jsonl = _run_with_frontier(
-        ExperimentRunner(ecosystem, "surf", seed=seed)
-    )
-    streams = {"serial": serial_jsonl}
-    for workers in (1, 2, 4):
-        streams["workers=%d" % workers] = _run_with_frontier(
-            ShardedRunner(ecosystem, "surf", seed=seed, workers=workers)
-        )[1]
+    """The frontier-differential case: the standalone run next to the
+    same spec as an inline and a fork cell, all with a frontier trace
+    attached.  The exported JSONL is inside the identity contract, so
+    every stream must be byte-identical."""
+    ecosystem, serial, _, streams = _variants(*GRID[0], "frontier")
     return ecosystem, serial, streams
 
 
 class TestFrontierDifferential:
     """The convergence-frontier stream — per-window frontier sizes,
     quiescence curves, per-round signal diffs — is byte-identical
-    across workers 1/2/4.  Frontier events ride
+    whichever backend runs the cell.  Frontier events ride
     inside the identity contract (unlike the profiler, which reports
     wall-time and is excluded); any divergence is a correctness bug."""
 
@@ -457,20 +266,6 @@ class TestFrontierDifferential:
                 assert len(event["quiescence"]) == \
                     event["windows"] - event["truncated"]
                 assert event["count"] >= event["changed"]
-
-    def test_frontier_survives_injected_crashes(self, frontier_case):
-        """A sharded run recovering from worker crashes ships the
-        same frontier rows as the fault-free serial run."""
-        ecosystem, _, streams = frontier_case
-        seed, _ = GRID[0]
-        _, faulted_jsonl = _run_with_frontier(
-            ShardedRunner(
-                ecosystem, "surf", seed=seed, workers=WORKERS,
-                fault_plan=CRASH_PLAN, shard_timeout=0.5,
-                backoff_base=0.0,
-            )
-        )
-        assert faulted_jsonl == streams["serial"]
 
 
 # ---------------------------------------------------------------------
@@ -668,10 +463,10 @@ class TestDeltaConvergence:
     ):
         """The runner now narrates every announce/reconfig/outage as an
         ``engine_delta`` frontier event; the event stream — dirty-set
-        sizes included — is byte-identical across workers 1/2/4 and so
-        across the inline and fork scheduler backends (the full-stream
-        identity test covers this too; this one pins the delta events
-        specifically and their shape)."""
+        sizes included — is byte-identical across the inline and fork
+        cell backends (the full-stream identity test covers this too;
+        this one pins the delta events specifically and their
+        shape)."""
         _, serial, streams = frontier_case
         def delta_events(jsonl):
             return [
@@ -722,45 +517,19 @@ class TestDeltaConvergence:
 
 
 # ---------------------------------------------------------------------
-# Scheduler-backend differential
+# Cell-backend differential
 
 
 @pytest.fixture(scope="module")
 def scheduler_case():
-    """The scheduler grid: the serial baseline next to a run forced
-    onto the inline backend and a crash-injected run forced onto the
-    fork backend at the CI worker count — every execution path the
-    scheduler can take, all with provenance."""
-    from repro.experiment.scheduler import fork_available
-
-    seed, scale = GRID[0]
-    ecosystem = build_ecosystem(REEcosystemConfig(scale=scale), seed=seed)
-    serial, serial_jsonl = _run_with_provenance(
-        ExperimentRunner(ecosystem, "surf", seed=seed)
-    )
-    variants = {}
-    provenance = {"serial": serial_jsonl}
-    runners = {
-        "backend=inline": ShardedRunner(
-            ecosystem, "surf", seed=seed, workers=1, shard_size=7,
-            backend="inline",
-        ),
-    }
-    if fork_available():
-        runners["backend=fork crash-injected"] = ShardedRunner(
-            ecosystem, "surf", seed=seed, workers=WORKERS,
-            fault_plan=CRASH_PLAN, shard_timeout=0.5, backoff_base=0.0,
-            backend="fork",
-        )
-    for label, runner in runners.items():
-        variants[label], provenance[label] = _run_with_provenance(runner)
-    return ecosystem, serial, variants, provenance
+    """The standalone run next to the same spec forced onto each cell
+    backend, all with provenance."""
+    return _provenance_case(*GRID[0])
 
 
 class TestSchedulerDifferential:
-    """Identity of the scheduler execution paths: a run forced onto
-    either backend — the fork one while recovering injected crashes
-    and hangs — must be byte-identical to the fault-free serial run."""
+    """Identity of the cell execution paths: a cell forced onto either
+    backend must be byte-identical to the standalone run."""
 
     def test_rounds_identical(self, scheduler_case):
         _, serial, variants, _ = scheduler_case
@@ -804,29 +573,9 @@ class TestSchedulerDifferential:
         for label, jsonl in provenance.items():
             assert jsonl == serial_jsonl, label
 
-    def test_forced_fork_recovered_from_every_fault(self, scheduler_case):
+    def test_update_log_and_feeders_identical(self, scheduler_case):
         _, serial, variants, _ = scheduler_case
-        assert serial.degradations == []
-        forked = variants.get("backend=fork crash-injected")
-        if forked is None:
-            pytest.skip("fork start method unavailable")
-        assert forked.degradations
-        assert all(record.recovered for record in forked.degradations)
-        inline = variants["backend=inline"]
-        assert inline.degradations == []
-
-    def test_spec_level_backend_forcing_matches(self, scheduler_case):
-        """`ExecutionPolicy.backend` reaches the runner: the facade
-        honours a forced inline backend and produces the serial
-        result."""
-        from repro.api import ExecutionPolicy, ExperimentSpec, run_experiment
-
-        _, _, _, _ = scheduler_case
-        seed, scale = GRID[0]
-        baseline = run_experiment(ExperimentSpec(seed=seed, scale=scale))
-        forced = run_experiment(ExperimentSpec(
-            seed=seed, scale=scale,
-            execution=ExecutionPolicy(workers=1, backend="inline"),
-        ))
-        assert [_round_key(r) for r in forced.rounds] == \
-            [_round_key(r) for r in baseline.rounds]
+        for label, result in variants.items():
+            assert result.update_log == serial.update_log, label
+            assert result.feeder_views == serial.feeder_views, label
+            assert result.outages_applied == serial.outages_applied, label

@@ -44,13 +44,6 @@ def test_reproduce_matches_golden(capsys, update_golden):
         assert output == stream.read()
 
 
-def test_reproduce_with_workers_matches_golden(capsys, golden_text):
-    """The CLI's --workers path renders the same report byte for
-    byte."""
-    output = _reproduce_stdout(capsys, "--workers", "2")
-    assert output == golden_text
-
-
 def _table1_percent(text: str, experiment: str, row: str) -> float:
     table = text.split("Table 1 (%s)" % experiment, 1)[1]
     table = table.split("\n\n", 1)[0]

@@ -26,6 +26,11 @@ from repro.obs import (
     use_registry,
 )
 from repro.obs.metrics import Counter, Gauge, Histogram
+from repro.obs.spans import (
+    SpanRecord,
+    attach_completed,
+    detached_trace,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -424,3 +429,104 @@ class TestCliFlagDefaults:
         assert {
             "surf_probes.jsonl", "internet2_probes.jsonl",
         } <= set(os.listdir(tmp_path))
+
+
+class TestMetricsMerge:
+    def test_counters_add_and_gauges_overwrite(self):
+        worker = MetricsRegistry()
+        worker.counter("parallel.shard_probes").inc(7)
+        worker.gauge("depth").set(3)
+        parent = MetricsRegistry()
+        parent.counter("parallel.shard_probes").inc(5)
+        parent.gauge("depth").set(9)
+        parent.merge_snapshot(worker.snapshot())
+        assert parent.counter_value("parallel.shard_probes") == 12
+        assert parent.gauge_value("depth") == 3
+
+    def test_histograms_merge_buckets_and_extrema(self):
+        first = MetricsRegistry()
+        second = MetricsRegistry()
+        for value in (0.01, 0.2):
+            first.histogram("h", (0.1, 1.0)).observe(value)
+        second.histogram("h", (0.1, 1.0)).observe(5.0)
+        first.merge_snapshot(second.snapshot())
+        merged = first.histogram("h", (0.1, 1.0)).as_dict()
+        assert merged["count"] == 3
+        assert merged["min"] == 0.01
+        assert merged["max"] == 5.0
+        assert merged["buckets"][-1] == ["+Inf", 1]
+
+    def test_merge_is_associative(self):
+        snapshots = []
+        for count in (1, 2, 3):
+            registry = MetricsRegistry()
+            registry.counter("c").inc(count)
+            registry.histogram("h", (1.0,)).observe(count)
+            snapshots.append(registry.snapshot())
+        left = MetricsRegistry()
+        for snap in snapshots:
+            left.merge_snapshot(snap)
+        right = MetricsRegistry()
+        for snap in reversed(snapshots):
+            right.merge_snapshot(snap)
+        assert left.counter_value("c") == right.counter_value("c") == 6
+        assert left.histogram("h", (1.0,)).as_dict() == \
+               right.histogram("h", (1.0,)).as_dict()
+
+    def test_mismatched_buckets_rejected(self):
+        registry = MetricsRegistry()
+        registry.histogram("h", (0.1,)).observe(0.05)
+        donor = MetricsRegistry()
+        donor.histogram("h", (0.5,)).observe(0.05)
+        with pytest.raises(ValueError):
+            registry.histogram("h", (0.1,)).merge_dict(
+                donor.snapshot()["histograms"]["h"]
+            )
+
+    def test_disabled_registry_ignores_merge(self):
+        donor = MetricsRegistry()
+        donor.counter("c").inc()
+        disabled = MetricsRegistry(enabled=False)
+        disabled.merge_snapshot(donor.snapshot())  # must not raise
+
+
+class TestSpanReattachment:
+    def test_detached_trace_isolates_and_restores(self):
+        with use_registry(MetricsRegistry()):
+            reset_trace()
+            with span("outer"):
+                with detached_trace():
+                    with span("inner"):
+                        pass
+                    inner_roots = finished_roots()
+                assert [r.name for r in inner_roots] == ["inner"]
+            assert [r.name for r in finished_roots()] == ["outer"]
+            assert finished_roots()[0].children == []
+            reset_trace()
+
+    def test_attach_completed_grafts_under_open_span(self):
+        with use_registry(MetricsRegistry()) as registry:
+            reset_trace()
+            worker_tree = {
+                "name": "runner.shard.0", "started_at": 0.0,
+                "duration": 0.5,
+                "children": [{"name": "walks", "started_at": 0.1,
+                              "duration": 0.4, "children": []}],
+            }
+            with span("runner.round"):
+                attached = attach_completed(worker_tree)
+            assert isinstance(attached, SpanRecord)
+            root = finished_roots()[-1]
+            assert [c.name for c in root.children] == ["runner.shard.0"]
+            assert root.children[0].children[0].name == "walks"
+            # Attaching must not re-observe the worker's histograms.
+            names = registry.snapshot()["histograms"]
+            assert "span.runner.shard.0.seconds" not in names
+            reset_trace()
+
+    def test_attach_completed_as_root_when_no_span_open(self):
+        reset_trace()
+        attach_completed({"name": "orphan", "started_at": 0.0,
+                          "duration": 0.1, "children": []})
+        assert [r.name for r in finished_roots()] == ["orphan"]
+        reset_trace()

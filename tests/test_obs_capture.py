@@ -16,7 +16,7 @@ import json
 import pytest
 
 from repro.api import ExperimentSpec
-from repro.experiment.campaign import run_experiment_pair
+from repro.experiment.campaign import CellWork, dispatch_cells
 from repro.experiment.scheduler import fork_available
 from repro.netutil import Prefix
 from repro.obs import spans
@@ -28,6 +28,8 @@ from repro.obs.capture import (
     use_capture,
 )
 from repro.obs.profile import PhaseProfiler
+from repro.rng import SeedTree
+from repro.seeds.selection import select_seeds
 from repro.topology.re_ecosystem import build_ecosystem
 
 PFX = Prefix.parse("192.0.2.0/24")
@@ -94,13 +96,9 @@ class RingContract:
     def test_export_jsonl_sorted_keys(self):
         ring = _ring(self.channel)
         ring.record({"b": 2, "a": 1, "kind": "x"})
-        ring.record({"kind": "degradation", "shard": 0})
         buffer = io.StringIO()
         assert ring.export_jsonl(buffer) == 1
         assert buffer.getvalue() == '{"a": 1, "b": 2, "kind": "x"}\n'
-        assert ring.export_jsonl(
-            io.StringIO(), include_degradations=True
-        ) == 2
 
     def test_export_jsonl_file(self, tmp_path):
         ring = _ring(self.channel)
@@ -210,10 +208,10 @@ class TestChildShipMerge:
         serial = EventRing(capacity=4)
         parent = Capture(provenance=EventRing(capacity=4))
         events = [{"kind": "x", "n": n} for n in range(10)]
-        for shard in (events[:3], events[3:]):
-            serial.extend(shard)
+        for part in (events[:3], events[3:]):
+            serial.extend(part)
             worker = parent.child()
-            worker.provenance.extend(shard)
+            worker.provenance.extend(part)
             assert parent.merge(worker.shipped()) == {}
         assert parent.provenance.events() == serial.events()
         assert parent.provenance.dropped == serial.dropped == 6
@@ -239,26 +237,36 @@ def _export(ring):
     return buffer.getvalue()
 
 
-def _capture_pair(ecosystem, workers):
+def _capture_pair(ecosystem, pool_workers):
+    """The surf/internet2 pair as two cells sharing one probe-seed
+    plan, dispatched on *pool_workers* cell processes."""
+    seed_plan = select_seeds(ecosystem, seed_tree=SeedTree(0).child("seeds"))
+    works = [
+        CellWork(
+            spec=ExperimentSpec(experiment=experiment, seed=0),
+            ecosystem=ecosystem, seed_plan=seed_plan, build_record=False,
+        )
+        for experiment in ("surf", "internet2")
+    ]
     capture = Capture(
         EventRing(), EventRing(), PhaseProfiler(use_cprofile=False)
     )
     with use_capture(capture):
-        run_experiment_pair(ecosystem, seed=0, workers=workers)
+        _, failures = dispatch_cells(works, pool_workers=pool_workers)
+    assert not failures
     return capture
 
 
 @pytest.mark.skipif(not fork_available(), reason="needs fork")
 def test_pooled_pair_merges_capture_like_inline():
-    """workers=2 runs the pair as two pooled cells that ship their
-    captures back (Capture.shipped / Capture.merge); the merged streams
-    must match the inline pair's byte for byte, and the profile must
-    name the same phases."""
+    """Two pooled cells ship their captures back (Capture.shipped /
+    Capture.merge); the merged streams must match the inline pair's
+    byte for byte, and the profile must name the same phases."""
     ecosystem = build_ecosystem(
         ExperimentSpec(scale=0.04).ecosystem_config(), seed=0
     )
-    inline = _capture_pair(ecosystem, workers=1)
-    pooled = _capture_pair(ecosystem, workers=2)
+    inline = _capture_pair(ecosystem, pool_workers=1)
+    pooled = _capture_pair(ecosystem, pool_workers=2)
     for channel in ("provenance", "frontier"):
         one, two = getattr(inline, channel), getattr(pooled, channel)
         assert len(one) > 0 and one.dropped == 0

@@ -12,6 +12,7 @@ from repro.probing import (
     MeasurementHost,
     RibSnapshot,
     VLANInterface,
+    forwarding,
 )
 from repro.probing.forwarding import MAX_AS_HOPS
 from repro.probing.host import DEFAULT_SOURCE
@@ -332,3 +333,73 @@ class TestProber:
         host = MeasurementHost(MEAS)
         with pytest.raises(ExperimentError):
             Prober(topo, host, {}, pps=0)
+
+
+class TestRibSnapshot:
+    def _topology(self):
+        topo = Topology()
+        for asn in (1, 2, 3, 5):
+            topo.add_as(asn, "as%d" % asn)
+        topo.add_provider(5, 1)
+        topo.add_provider(5, 3)
+        topo.add_provider(3, 2)
+        return topo
+
+    def test_snapshot_walk_matches_live_walk(self):
+        topo = self._topology()
+        topo.node(3).policy.default_route_via = 2
+        result = propagate_fastpath(
+            topo,
+            [Announcement(MEAS, 1, tag="re"),
+             Announcement(MEAS, 2, tag="commodity")],
+        )
+        snapshot = RibSnapshot.capture(topo, result.route_at, MEAS)
+
+        def live_step(asn):
+            # The live RIB's forwarding state, classified as _walk wants.
+            route = result.route_at(asn)
+            if route is None:
+                default_via = topo.node(asn).policy.default_route_via
+                if default_via is None:
+                    return forwarding._NONE, None
+                return forwarding._DEFAULT, default_via
+            if route.learned_from is None:
+                return forwarding._LOCAL, None
+            return forwarding._ROUTE, route.learned_from
+
+        for origins in ({1, 2}, {2}, {99}):
+            catchment = snapshot.resolve(origins)
+            for start in (1, 2, 3, 5):
+                live = forwarding._walk(live_step, start, origins)
+                snap = snapshot.walk(start, origins)
+                assert (live.outcome, live.origin_asn, live.hops,
+                        live.used_default) == \
+                       (snap.outcome, snap.origin_asn, snap.hops,
+                        snap.used_default)
+                assert catchment.lookup(start) == \
+                    (live.outcome, live.origin_asn, len(live.hops))
+
+    def test_snapshot_is_compact(self):
+        """The per-round payload must not drag the topology along."""
+        import pickle
+
+        topo = self._topology()
+        result = propagate_fastpath(topo, [Announcement(MEAS, 1, tag="re")])
+        snapshot = RibSnapshot.capture(topo, result.route_at, MEAS)
+        assert len(pickle.dumps(snapshot)) < 4096
+        catchment = snapshot.resolve({1})
+        assert len(pickle.dumps(catchment)) < 4096
+
+
+def test_prefix_streams_depend_only_on_round_seed_and_prefix():
+    """The same (round seed, prefix) pair yields the same stream
+    whichever prefixes a round probes before it."""
+    from repro.probing.prober import prefix_stream_rng
+
+    target_prefix = Prefix.parse("198.51.100.0/24")
+    draws = [
+        prefix_stream_rng(1234, target_prefix).random() for _ in range(3)
+    ]
+    assert draws[0] == draws[1] == draws[2]
+    other = prefix_stream_rng(1234, MEAS).random()
+    assert other != draws[0]

@@ -1,37 +1,28 @@
-"""Unit tests for the unified execution scheduler: resource-claim
-accounting, the never-nest rule as a ``may_fork`` claim, retry
-exhaustion and inline fallback, and the fork-then-inline backend
-resolution order.  End-to-end identity of runs on scheduler backends
-lives in ``test_differential.py`` (``TestSchedulerDifferential``)."""
+"""Unit tests for the cell scheduler: in-order resolution, the inline
+and fork-pool backends, and failed tasks captured rather than retried.
+End-to-end identity of pooled campaign cells lives in
+``test_differential.py`` (``TestSchedulerDifferential``)."""
 
 import os
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
 from repro.errors import ExperimentError
-from repro.experiment import scheduler as scheduler_module
 from repro.experiment.scheduler import (
     ForkPoolBackend,
     InlineBackend,
-    ResourceClaim,
-    RetryPolicy,
     Scheduler,
     SchedulerError,
     Task,
-    crash_kills_process,
-    describe_failure,
     fork_available,
-    resolve_backend,
     task_backend_name,
     task_context,
 )
-from repro.faults import InjectedFault
 
 needs_fork = pytest.mark.skipif(
     not fork_available(), reason="fork start method unavailable"
 )
-
-NO_BACKOFF = dict(backoff_base=0.0)
 
 
 # Top-level task functions: fork workers must be able to pickle them.
@@ -48,10 +39,8 @@ def _pid():
     return os.getpid()
 
 
-def _maybe_boom(should_fail):
-    if should_fail:
-        raise InjectedFault("scripted failure")
-    return "survived"
+def _die():
+    os._exit(1)
 
 
 class _FailNTimes:
@@ -64,229 +53,31 @@ class _FailNTimes:
     def __call__(self):
         self.calls += 1
         if self.calls <= self.n:
-            raise InjectedFault("call %d scripted to fail" % self.calls)
+            raise ValueError("call %d scripted to fail" % self.calls)
         return "recovered"
 
 
-# ---------------------------------------------------------------------
-# Resource-claim accounting
-
-
-class TestResourceClaims:
-    def test_zero_cpu_slots_rejected(self):
-        scheduler = Scheduler(InlineBackend())
-        task = Task(key=0, fn=_identity, args=(1,),
-                    claim=ResourceClaim(cpu_slots=0))
-        with pytest.raises(SchedulerError, match="cpu slots"):
-            scheduler.run([task])
-
-    def test_claim_exceeding_capacity_rejected_before_submit(self):
-        calls = []
-        scheduler = Scheduler(InlineBackend())
-        tasks = [
-            Task(key=0, fn=calls.append, args=(0,)),
-            Task(key=1, fn=calls.append, args=(1,),
-                 claim=ResourceClaim(cpu_slots=2)),
-        ]
-        with pytest.raises(SchedulerError, match="capacity"):
-            scheduler.run(tasks)
-        # Validation happens before any submission: task 0 never ran.
-        assert calls == []
-
-    def test_may_fork_rejected_where_ungrantable(self, monkeypatch):
-        # Simulate an ungranted pool worker: the inline backend there
-        # cannot grant a nested fork pool, so the claim is impossible.
-        monkeypatch.setattr(scheduler_module, "_POOL_DEPTH", 1)
-        monkeypatch.setattr(scheduler_module, "_FORK_GRANT", False)
-        scheduler = Scheduler(InlineBackend())
-        task = Task(key="cell", fn=_identity, args=(1,),
-                    claim=ResourceClaim(may_fork=True))
-        with pytest.raises(SchedulerError, match="may_fork"):
-            scheduler.run([task])
-
-    @needs_fork
-    def test_may_fork_accepted_on_fork_backend(self):
-        scheduler = Scheduler(ForkPoolBackend(workers=2))
-        scheduler.validate_claims([
-            Task(key=0, fn=_identity, args=(1,),
-                 claim=ResourceClaim(may_fork=True)),
-        ])
-
-    def test_scheduler_error_is_an_experiment_error(self):
-        assert issubclass(SchedulerError, ExperimentError)
-
-
-# ---------------------------------------------------------------------
-# Never-nest as a scheduler constraint
-
-
-class TestNeverNest:
-    def test_fork_start_refused_in_ungranted_worker(self, monkeypatch):
-        monkeypatch.setattr(scheduler_module, "_POOL_DEPTH", 1)
-        monkeypatch.setattr(scheduler_module, "_FORK_GRANT", False)
-        with pytest.raises(SchedulerError, match="may_fork"):
-            ForkPoolBackend(workers=2).start()
-
-    @needs_fork
-    def test_granted_worker_resolves_to_fork(self, monkeypatch):
-        monkeypatch.setattr(scheduler_module, "_POOL_DEPTH", 1)
-        monkeypatch.setattr(scheduler_module, "_FORK_GRANT", True)
-        backend = resolve_backend(workers=2)
-        assert isinstance(backend, ForkPoolBackend)
-
-    def test_ungranted_worker_resolves_to_inline(self, monkeypatch):
-        monkeypatch.setattr(scheduler_module, "_POOL_DEPTH", 1)
-        monkeypatch.setattr(scheduler_module, "_FORK_GRANT", False)
-        assert isinstance(resolve_backend(workers=4), InlineBackend)
-
-    @pytest.mark.parametrize(
-        "pool_depth, inline_depth, kills",
-        [
-            (0, 0, False),   # parent process, no backend at all
-            (0, 1, False),   # inline shard in the parent
-            (1, 0, True),    # shard in a fork-pool worker
-            (1, 1, False),   # inline shard inside a cell worker
-            (2, 0, True),    # a granted cell's nested shard pool
-        ],
-    )
-    def test_crash_kills_process_matrix(
-        self, monkeypatch, pool_depth, inline_depth, kills
-    ):
-        monkeypatch.setattr(scheduler_module, "_POOL_DEPTH", pool_depth)
-        monkeypatch.setattr(scheduler_module, "_INLINE_DEPTH", inline_depth)
-        assert crash_kills_process() is kills
-
-
-# ---------------------------------------------------------------------
-# Retry, exhaustion, and inline fallback
-
-
-class TestRetryExhaustion:
-    def test_retries_then_captures_error_without_fallback(self):
-        scheduler = Scheduler(
-            InlineBackend(),
-            RetryPolicy(max_retries=2, inline_fallback=False, **NO_BACKOFF),
+class TestInlineBackend:
+    def test_submit_runs_eagerly_and_restores_state(self):
+        context = {"cells": ()}
+        backend = InlineBackend(context)
+        seen = []
+        future = backend.submit(
+            lambda value: seen.append(task_context()) or value, 42
         )
-        failing = _FailNTimes(10)
-        [result] = scheduler.run([Task(key="shard", fn=failing)])
-        assert not result.ok
-        assert isinstance(result.error, InjectedFault)
-        assert result.attempts == 3          # initial + 2 retries
-        assert result.failures == ["injected-crash"] * 3
-        assert scheduler.retries == 2
-        assert scheduler.fallbacks == 0
-        assert failing.calls == 3
+        assert future.result() == 42
+        assert seen[0] is context
+        assert task_context() is None
 
-    def test_retry_success_reports_attempts_and_recovery(self):
-        scheduler = Scheduler(
-            InlineBackend(),
-            RetryPolicy(max_retries=2, **NO_BACKOFF),
-        )
-        [result] = scheduler.run([Task(key=0, fn=_FailNTimes(1))])
-        assert result.ok and result.value == "recovered"
-        assert result.attempts == 2
-        assert result.recovered_by == "retry"
-        assert result.failures == ["injected-crash"]
+    def test_submit_captures_exceptions(self):
+        backend = InlineBackend()
 
-    def test_fallback_runs_after_exhausted_retries(self):
-        hooks = []
-        scheduler = Scheduler(
-            InlineBackend(),
-            RetryPolicy(max_retries=1, **NO_BACKOFF),
-            on_retry=lambda task, attempt, failures: hooks.append(
-                ("retry", task.key, attempt)
-            ),
-            on_fallback=lambda task, failures: hooks.append(
-                ("fallback", task.key)
-            ),
-        )
-        [result] = scheduler.run([Task(key="s", fn=_FailNTimes(2))])
-        assert result.ok and result.value == "recovered"
-        assert result.attempts == 3          # max_retries + 2
-        assert result.recovered_by == "fallback"
-        assert hooks == [("retry", "s", 1), ("fallback", "s")]
-        assert scheduler.retries == 1
-        assert scheduler.fallbacks == 1
+        def boom():
+            raise ValueError("cell failed")
 
-    def test_retry_args_replace_args_on_reexecution(self):
-        """The fault-directive-stripping contract: the first execution
-        sees ``args``, every re-execution sees ``retry_args``."""
-        scheduler = Scheduler(
-            InlineBackend(),
-            RetryPolicy(max_retries=1, **NO_BACKOFF),
-        )
-        [result] = scheduler.run([
-            Task(key=0, fn=_maybe_boom, args=(True,), retry_args=(False,)),
-        ])
-        assert result.ok and result.value == "survived"
-        assert result.recovered_by == "retry"
-
-    def test_unrecoverable_error_is_captured_not_retried(self):
-        scheduler = Scheduler(
-            InlineBackend(),
-            RetryPolicy(max_retries=3, recoverable=(), inline_fallback=False,
-                        **NO_BACKOFF),
-        )
-        failing = _FailNTimes(10)
-        [result] = scheduler.run([Task(key=0, fn=failing)])
-        assert isinstance(result.error, InjectedFault)
-        assert result.attempts == 1
-        assert failing.calls == 1
-        assert scheduler.retries == 0
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"max_retries": -1},
-            {"backoff_base": -0.5},
-            {"timeout": 0.0},
-        ],
-    )
-    def test_retry_policy_validation(self, kwargs):
-        with pytest.raises(SchedulerError):
-            RetryPolicy(**kwargs)
-
-    def test_describe_failure_labels(self):
-        from concurrent.futures import TimeoutError as FuturesTimeout
-
-        assert describe_failure(InjectedFault("x")) == "injected-crash"
-        assert describe_failure(FuturesTimeout()) == "timeout"
-        assert describe_failure(TimeoutError()) == "timeout"
-        assert describe_failure(ValueError("x")) == "ValueError"
-
-
-# ---------------------------------------------------------------------
-# Backend resolution order
-
-
-class TestBackendFallbackOrder:
-    def test_single_worker_resolves_inline(self):
-        assert isinstance(resolve_backend(workers=1), InlineBackend)
-
-    @needs_fork
-    def test_multi_worker_resolves_fork_first(self):
-        backend = resolve_backend(workers=4)
-        assert isinstance(backend, ForkPoolBackend)
-        assert backend.capacity == 4
-
-    def test_force_inline_overrides_worker_count(self):
-        assert isinstance(
-            resolve_backend(workers=4, force="inline"), InlineBackend
-        )
-
-    def test_force_fork_in_ungranted_worker_raises(self, monkeypatch):
-        monkeypatch.setattr(scheduler_module, "_POOL_DEPTH", 1)
-        monkeypatch.setattr(scheduler_module, "_FORK_GRANT", False)
-        with pytest.raises(SchedulerError, match="forced"):
-            resolve_backend(workers=2, force="fork")
-
-    def test_unknown_backend_name_rejected(self):
-        with pytest.raises(SchedulerError, match="unknown"):
-            resolve_backend(force="asyncio")
-
-
-# ---------------------------------------------------------------------
-# Execution order, context, and the fork backend end to end
+        future = backend.submit(boom)
+        with pytest.raises(ValueError, match="cell failed"):
+            future.result()
 
 
 class TestSchedulerExecution:
@@ -303,7 +94,6 @@ class TestSchedulerExecution:
         assert [r.key for r in results] == list(range(5))
         assert [r.value for r in results] == [0, 10, 20, 30, 40]
         assert order == list(range(5))
-        assert scheduler.completed == 5
 
     def test_inline_tasks_see_context_and_backend_name(self):
         context = {"grid": "state"}
@@ -312,6 +102,22 @@ class TestSchedulerExecution:
         assert result.value == (context, "inline")
         assert result.backend == "inline"
         assert task_context() is None
+
+    def test_task_error_is_captured_not_retried(self):
+        scheduler = Scheduler(InlineBackend())
+        failing = _FailNTimes(1)
+        results = scheduler.run([
+            Task(key=0, fn=failing),
+            Task(key=1, fn=_identity, args=("next",)),
+        ])
+        assert isinstance(results[0].error, ValueError)
+        assert not results[0].ok
+        assert failing.calls == 1
+        # The failure does not stop the tasks after it.
+        assert results[1].ok and results[1].value == "next"
+
+    def test_scheduler_error_is_an_experiment_error(self):
+        assert issubclass(SchedulerError, ExperimentError)
 
     @needs_fork
     def test_fork_backend_ships_context_and_runs_out_of_process(self):
@@ -326,3 +132,14 @@ class TestSchedulerExecution:
         assert results[0].value == (("ctx", 7), "fork")
         assert results[0].backend == "fork"
         assert results[1].value != os.getpid()
+
+    @needs_fork
+    def test_dead_fork_worker_is_a_captured_failure(self):
+        """A worker that dies outright breaks the pool; the scheduler
+        reports every unfinished task as failed instead of retrying."""
+        scheduler = Scheduler(ForkPoolBackend(workers=1))
+        try:
+            [result] = scheduler.run([Task(key="dies", fn=_die)])
+        finally:
+            scheduler.shutdown()
+        assert isinstance(result.error, BrokenProcessPool)

@@ -3,12 +3,12 @@ campaign heartbeats, ``repro status``, and the benchmark trajectory.
 
 The load-bearing guarantees:
 
-- telemetry is strictly observational — a sweep with ``--telemetry-out``
-  plus crash/hang fault injection at ``--workers 4`` produces cell
-  records and a ``campaign_summary.json`` byte-identical to a
-  fault-free serial sweep without telemetry;
-- the sampler never runs in fork children (shard or campaign-cell
-  workers), so the JSONL stream is single-writer;
+- telemetry is strictly observational — a pooled sweep with
+  ``--telemetry-out`` produces cell records and a
+  ``campaign_summary.json`` byte-identical to a serial sweep without
+  telemetry;
+- the sampler never runs in fork children (campaign-cell workers), so
+  the JSONL stream is single-writer;
 - heartbeat files are digest-keyed and per-cell, so any
   ``--campaign-workers`` count merges cleanly;
 - ``repro bench-diff`` exits non-zero on an injected >= 20%% wall-time
@@ -194,7 +194,7 @@ class TestTelemetrySampler:
         assert len(sampler.samples()) >= 1
 
     def test_fork_child_cannot_sample(self, tmp_path):
-        """The sampler is parent-only: a fork child (what shard and
+        """The sampler is parent-only: a fork child (what
         campaign-cell workers are) can neither sample nor write."""
         try:
             context = multiprocessing.get_context("fork")
@@ -332,15 +332,12 @@ class TestCellHeartbeat:
 
     def test_mirrors_registry_counters(self, tmp_path):
         registry = MetricsRegistry()
-        registry.counter("runner.shard_retries").inc(2)
         registry.counter("runner.faults_injected").inc(5)
         with use_registry(registry):
             heartbeat = CellHeartbeat(str(tmp_path), "abc", "cell")
             heartbeat.begin()
         state = self._read(heartbeat)
-        assert state["shard_retries"] == 2
         assert state["faults_injected"] == 5
-        assert state["shard_fallbacks"] == 0
 
     def test_write_failure_is_swallowed(self, tmp_path):
         blocker = tmp_path / "not-a-dir"
@@ -436,10 +433,7 @@ class TestCampaignStatus:
         cells_dir = tmp_path / "cells"
         cells_dir.mkdir()
         (cells_dir / ("%s.json" % spec.digest())).write_text(
-            json.dumps({
-                "digest": spec.digest(), "wall_seconds": 2.0,
-                "degradations": 1,
-            })
+            json.dumps({"digest": spec.digest(), "wall_seconds": 2.0})
         )
         status = CampaignStatus.load(
             str(tmp_path), now=time.time() + 9999
@@ -448,7 +442,6 @@ class TestCampaignStatus:
         assert cell.state == "done"
         assert cell.rounds_completed == 9  # total, not the last beat
         assert cell.wall_seconds == 2.0
-        assert status.degradations == 1
         assert status.complete
 
     def test_no_manifest_falls_back_to_observed_cells(self, tmp_path):
@@ -575,19 +568,17 @@ class TestTelemetryOutsideIdentityContract:
             validate_sample(sample)
         assert all(s["pid"] == os.getpid() for s in samples)
 
-    def test_crash_injected_sharded_reproduce_stdout_identical(
+    def test_reproduce_with_telemetry_stdout_identical(
         self, tmp_path, capsys
     ):
-        """A crash/hang-injected ``--workers 4`` reproduction with
-        telemetry prints a byte-identical report to a fault-free
-        serial one: the sample count and degradation notice go to
-        stderr, never stdout (the PR 2-4 identity surface)."""
+        """A reproduction with telemetry prints a byte-identical report
+        to one without: the sample count goes to stderr, never stdout
+        (an identity surface)."""
         assert main(["reproduce", "--scale", str(SCALE)]) == 0
         clean = capsys.readouterr().out
         telemetry = str(tmp_path / "telemetry.jsonl")
         assert main([
-            "reproduce", "--scale", str(SCALE), "--workers", "4",
-            "--fault-plan", "crash=1,hang=1",
+            "reproduce", "--scale", str(SCALE),
             "--telemetry-out", telemetry, "--telemetry-interval", "0.1",
         ]) == 0
         captured = capsys.readouterr()
