@@ -514,7 +514,6 @@ def run_campaign(
     pool_workers: int = 1,
     resume: bool = True,
     keep_results: bool = False,
-    backend: Optional[str] = None,
 ):
     """Run a campaign grid with digest-keyed resumable checkpoints;
     the facade entry point for grids.
@@ -523,9 +522,8 @@ def run_campaign(
     :func:`repro.experiment.campaign.plan_grid`); digests must be
     unique.  Completed cells checkpoint under ``<directory>/cells/``
     and are skipped on re-runs while *resume* holds.  *pool_workers*
-    sets the campaign-level cell fan-out; *backend* forces the
-    backend for cell dispatch (``"inline"`` / ``"fork"``), overriding
-    the resolution from *pool_workers* and the platform.
+    sets the campaign-level cell fan-out: a fork pool when it exceeds
+    one, more than one cell is pending and ``fork`` exists.
 
     Returns the :class:`~repro.experiment.campaign.CampaignResult`.
     """
@@ -537,7 +535,7 @@ def run_campaign(
     return CampaignRunner(
         grid, directory,
         pool_workers=pool_workers, resume=resume,
-        keep_results=keep_results, backend=backend,
+        keep_results=keep_results,
     ).run()
 
 

@@ -385,7 +385,10 @@ class PropagationEngine:
         return self._link_is_down(a, b)
 
     def set_link_up(self, a: int, b: int) -> None:
-        """Restore the a-b link and re-advertise current bests across it."""
+        """Restore the a-b link and re-advertise current bests across it
+        (a no-op for a link that is already up)."""
+        if not self.topology.has_link(a, b):
+            raise EngineError("no link %d-%d to restore" % (a, b))
         key = frozenset((a, b))
         if key not in self._down_links:
             return

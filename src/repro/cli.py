@@ -32,7 +32,6 @@
 options via argparse parent parsers: the run options
 (``--seed/--fault-plan``) and
 the observability options (``--log-level/--log-json/--metrics-out/
---metrics-format/--telemetry-out/--telemetry-interval/
 --provenance-out/--provenance-capacity/--trace-out/--frontier-out/
 --frontier-capacity/--profile-out``).
 """
@@ -40,7 +39,6 @@ the observability options (``--log-level/--log-json/--metrics-out/
 from __future__ import annotations
 
 import argparse
-import contextlib
 import os
 import sys
 import time
@@ -62,7 +60,6 @@ from .obs import configure_logging, get_registry
 from .obs.benchtrack import DEFAULT_THRESHOLD_PCT
 from .obs.capture import DEFAULT_CAPACITY, Capture, EventRing, use_capture
 from .obs.profile import PhaseProfiler, export_profile
-from .obs.telemetry import DEFAULT_INTERVAL_SECONDS, TelemetrySampler
 from .rng import SeedTree
 from .seeds import select_seeds
 from .topology.re_ecosystem import build_ecosystem
@@ -97,24 +94,6 @@ def _obs_options() -> argparse.ArgumentParser:
         "--metrics-out", metavar="PATH",
         help="write a metrics snapshot (engine/prober/runner counters "
              "and span histograms) after the run",
-    )
-    parent.add_argument(
-        "--metrics-format", choices=("json", "openmetrics"),
-        default="json",
-        help="format for --metrics-out: json (default) or OpenMetrics "
-             "text exposition for Prometheus tooling",
-    )
-    parent.add_argument(
-        "--telemetry-out", metavar="FILE.jsonl",
-        help="sample the metrics registry on a wall-clock interval "
-             "during the run and append one JSON line per sample "
-             "(append-only; a resumed campaign extends the series)",
-    )
-    parent.add_argument(
-        "--telemetry-interval", type=float, default=None,
-        metavar="SECONDS",
-        help="seconds between telemetry samples (default: %.0f)"
-             % DEFAULT_INTERVAL_SECONDS,
     )
     parent.add_argument(
         "--provenance-out", metavar="FILE.jsonl",
@@ -264,12 +243,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--no-resume", action="store_true",
         help="recompute every cell even when its checkpoint exists",
     )
-    sweep.add_argument(
-        "--backend", choices=("inline", "fork"), default=None,
-        help="force the backend for cell dispatch "
-             "(default: resolve from --campaign-workers and the "
-             "platform)",
-    )
 
     classify = sub.add_parser(
         "classify", help="classify prefixes from a JSONL results file"
@@ -373,8 +346,6 @@ def _validate_run_args(args) -> Optional[str]:
     flag spelling, not the spec field name)."""
     if args.provenance_capacity is not None and args.provenance_capacity < 1:
         return "--provenance-capacity must be >= 1"
-    if args.telemetry_interval is not None and args.telemetry_interval <= 0:
-        return "--telemetry-interval must be positive"
     if args.frontier_capacity is not None and args.frontier_capacity < 1:
         return "--frontier-capacity must be >= 1"
     return None
@@ -388,55 +359,24 @@ def _configure_obs(args) -> None:
 def _write_metrics(args) -> None:
     if not args.metrics_out:
         return
-    if getattr(args, "metrics_format", "json") == "openmetrics":
-        from .obs.export import write_openmetrics
-
-        families = write_openmetrics(args.metrics_out)
-        print(
-            "wrote %d metric families (OpenMetrics) to %s"
-            % (families, args.metrics_out)
-        )
-        return
     with open(args.metrics_out, "w", encoding="utf-8") as stream:
         stream.write(get_registry().to_json())
         stream.write("\n")
     print("wrote metrics snapshot to %s" % args.metrics_out)
 
 
-@contextlib.contextmanager
 def _observing(args, prefix_filter=None):
     """Run a ``with`` block under the capture the output flags ask for
-    (``--provenance-out`` / ``--frontier-out`` / ``--profile-out``)
-    plus the ``--telemetry-out`` sampler; yields the capture for
-    :func:`_write_outputs`."""
-    capture = Capture(
+    (``--provenance-out`` / ``--frontier-out`` / ``--profile-out``);
+    yields the capture for :func:`_write_outputs`."""
+    return use_capture(Capture(
         provenance=EventRing(
             args.provenance_capacity or DEFAULT_CAPACITY, prefix_filter
         ) if args.provenance_out else None,
         frontier=EventRing(args.frontier_capacity or DEFAULT_CAPACITY)
         if args.frontier_out else None,
         profiler=PhaseProfiler() if args.profile_out else None,
-    )
-    sampler = None
-    if args.telemetry_out:
-        sampler = TelemetrySampler(
-            interval=args.telemetry_interval or DEFAULT_INTERVAL_SECONDS,
-            out_path=args.telemetry_out,
-        ).start()
-    try:
-        with use_capture(capture):
-            yield capture
-    finally:
-        if sampler is not None:
-            lines = sampler.stop()
-            # Stderr, like the profile notice: the sample count
-            # depends on wall-clock timing, so stdout stays
-            # byte-identical with and without --telemetry-out.
-            print(
-                "wrote %d telemetry sample(s) to %s"
-                % (lines, sampler.out_path),
-                file=sys.stderr,
-            )
+    ))
 
 
 def _write_outputs(args, capture: Capture) -> None:
@@ -460,9 +400,8 @@ def _write_outputs(args, capture: Capture) -> None:
         print("wrote %d %s events to %s%s" % (count, name, path, suffix))
     if capture.profiler is not None:
         payload = export_profile(capture.profiler, args.profile_out)
-        # Stderr, like telemetry: profile contents are timings —
-        # execution metadata — so stdout stays byte-identical with and
-        # without --profile-out.
+        # Stderr: profile contents are timings — execution metadata —
+        # so stdout stays byte-identical with and without --profile-out.
         print(
             "wrote phase profile (%d phases) to %s"
             % (len(payload.get("phases", {})), args.profile_out),
@@ -490,7 +429,7 @@ def _cmd_reproduce(args) -> int:
     _configure_obs(args)
     problem = _check_output_paths(
         args.metrics_out, args.provenance_out, args.trace_out,
-        args.telemetry_out, args.frontier_out, args.profile_out,
+        args.frontier_out, args.profile_out,
     ) or _validate_run_args(args)
     if problem:
         print(problem, file=sys.stderr)
@@ -575,7 +514,7 @@ def _cmd_sweep(args) -> int:
     _configure_obs(args)
     problem = _check_output_paths(
         args.metrics_out, args.provenance_out, args.trace_out,
-        args.telemetry_out, args.frontier_out, args.profile_out,
+        args.frontier_out, args.profile_out,
     ) or _validate_run_args(args)
     if not problem and args.campaign_workers < 1:
         problem = "--campaign-workers must be >= 1"
@@ -608,7 +547,6 @@ def _cmd_sweep(args) -> int:
         specs, args.campaign_dir,
         pool_workers=args.campaign_workers,
         resume=not args.no_resume,
-        backend=args.backend,
     )
     try:
         with _observing(args) as capture:
@@ -636,7 +574,7 @@ def _cmd_explain(args) -> int:
     _configure_obs(args)
     problem = _check_output_paths(
         args.metrics_out, args.provenance_out, args.trace_out,
-        args.telemetry_out, args.frontier_out, args.profile_out,
+        args.frontier_out, args.profile_out,
     ) or _validate_run_args(args)
     if problem:
         print(problem, file=sys.stderr)
@@ -699,7 +637,7 @@ def _cmd_whatif(args) -> int:
     _configure_obs(args)
     problem = _check_output_paths(
         args.metrics_out, args.provenance_out, args.trace_out,
-        args.telemetry_out, args.frontier_out, args.profile_out,
+        args.frontier_out, args.profile_out,
     ) or _validate_run_args(args)
     if problem is None and args.limit < 0:
         problem = "--limit must be >= 0"

@@ -14,7 +14,8 @@ MRT bytes:
 AS numbers are 4-byte throughout (AS4), addresses IPv4.  The encoder
 is exact enough that third-party MRT tooling can parse the output; the
 decoder accepts exactly what the encoder produces plus tolerated
-unknown path attributes.
+unknown path attributes.  A malformed record raises
+:class:`~repro.errors.DataIOError` naming the record's byte offset.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..bgp.attributes import ASPath
 from ..bgp.engine import UpdateEvent
-from ..errors import DataIOError
+from ..errors import DataIOError, ReproError
 from ..netutil import Prefix
 
 MRT_TABLE_DUMP_V2 = 13
@@ -160,6 +161,8 @@ class MRTRecord:
     mrt_type: int
     subtype: int
     body: bytes
+    #: Byte offset of the record's header in the input.
+    offset: int = 0
 
 
 def iter_mrt_records(data: bytes) -> Iterator[MRTRecord]:
@@ -167,16 +170,27 @@ def iter_mrt_records(data: bytes) -> Iterator[MRTRecord]:
     offset = 0
     while offset < len(data):
         if offset + 12 > len(data):
-            raise DataIOError("truncated MRT header")
+            raise DataIOError("truncated MRT header at offset %d" % offset)
         timestamp, mrt_type, subtype, length = struct.unpack_from(
             "!IHHI", data, offset
         )
-        offset += 12
-        body = data[offset: offset + length]
+        body = data[offset + 12: offset + 12 + length]
         if len(body) != length:
-            raise DataIOError("truncated MRT body")
-        offset += length
-        yield MRTRecord(timestamp, mrt_type, subtype, body)
+            raise DataIOError("truncated MRT body at offset %d" % offset)
+        yield MRTRecord(timestamp, mrt_type, subtype, body, offset)
+        offset += 12 + length
+
+
+def _decode_body(record: MRTRecord, decode, *args):
+    """``decode(record.body, *args)``, with any failure on malformed
+    bytes — a short read, a bad index, an invalid prefix — raised as
+    :class:`DataIOError` naming the record's offset."""
+    try:
+        return decode(record.body, *args)
+    except (ReproError, struct.error, IndexError, ValueError) as error:
+        raise DataIOError(
+            "malformed MRT record at offset %d: %s" % (record.offset, error)
+        ) from None
 
 
 # ----- TABLE_DUMP_V2 RIB snapshots ------------------------------------------
@@ -227,6 +241,50 @@ def encode_rib_snapshot(
     return out
 
 
+def _decode_peer_index(body: bytes) -> List[int]:
+    """A PEER_INDEX_TABLE body's peer ASNs, in index order."""
+    _, name_len, count = struct.unpack_from("!IHH", body, 0)
+    offset = 8 + name_len
+    peers: List[int] = []
+    for _ in range(count):
+        peer_type = body[offset]
+        offset += 1 + 4  # BGP ID
+        offset += 16 if peer_type & 0x01 else 4
+        if peer_type & 0x02:
+            (asn,) = struct.unpack_from("!I", body, offset)
+            offset += 4
+        else:
+            (asn,) = struct.unpack_from("!H", body, offset)
+            offset += 2
+        peers.append(asn)
+    return peers
+
+
+def _decode_rib_entries(
+    body: bytes, peers: List[int]
+) -> Tuple[Prefix, List[Tuple[int, ASPath]]]:
+    """A RIB_IPV4_UNICAST body's prefix and (peer ASN, path) entries."""
+    offset = 4  # sequence number
+    prefix, offset = _decode_prefix(body, offset)
+    (count,) = struct.unpack_from("!H", body, offset)
+    offset += 2
+    entries: List[Tuple[int, ASPath]] = []
+    for _ in range(count):
+        peer_index, _, attr_len = struct.unpack_from("!HIH", body, offset)
+        offset += 8
+        attributes = body[offset: offset + attr_len]
+        if len(attributes) != attr_len:
+            raise DataIOError("truncated RIB entry attributes")
+        offset += attr_len
+        path = _decode_path_attributes(attributes)
+        if path is None:
+            raise DataIOError("RIB entry missing AS_PATH")
+        if peer_index >= len(peers):
+            raise DataIOError("peer index %d out of range" % peer_index)
+        entries.append((peers[peer_index], path))
+    return prefix, entries
+
+
 def decode_rib_snapshot(data: bytes) -> RIBSnapshot:
     """Decode PEER_INDEX_TABLE + RIB records back into a snapshot."""
     snapshot = RIBSnapshot()
@@ -235,44 +293,12 @@ def decode_rib_snapshot(data: bytes) -> RIBSnapshot:
             raise DataIOError(
                 "unexpected MRT type %d in RIB file" % record.mrt_type
             )
-        body = record.body
         if record.subtype == TDV2_PEER_INDEX_TABLE:
-            _, name_len, count = struct.unpack_from("!IHH", body, 0)
-            offset = 8 + name_len
-            for _ in range(count):
-                peer_type = body[offset]
-                offset += 1 + 4  # BGP ID
-                offset += 16 if peer_type & 0x01 else 4
-                if peer_type & 0x02:
-                    (asn,) = struct.unpack_from("!I", body, offset)
-                    offset += 4
-                else:
-                    (asn,) = struct.unpack_from("!H", body, offset)
-                    offset += 2
-                snapshot.peers.append(asn)
+            snapshot.peers.extend(_decode_body(record, _decode_peer_index))
         elif record.subtype == TDV2_RIB_IPV4_UNICAST:
-            offset = 4  # sequence number
-            prefix, offset = _decode_prefix(body, offset)
-            (count,) = struct.unpack_from("!H", body, offset)
-            offset += 2
-            entries: List[Tuple[int, ASPath]] = []
-            for _ in range(count):
-                peer_index, _, attr_len = struct.unpack_from(
-                    "!HIH", body, offset
-                )
-                offset += 8
-                attributes = body[offset: offset + attr_len]
-                offset += attr_len
-                path = _decode_path_attributes(attributes)
-                if path is None:
-                    raise DataIOError("RIB entry missing AS_PATH")
-                try:
-                    peer_asn = snapshot.peers[peer_index]
-                except IndexError:
-                    raise DataIOError(
-                        "peer index %d out of range" % peer_index
-                    ) from None
-                entries.append((peer_asn, path))
+            prefix, entries = _decode_body(
+                record, _decode_rib_entries, snapshot.peers
+            )
             snapshot.entries[prefix] = entries
         else:
             raise DataIOError(
@@ -334,6 +360,46 @@ class DecodedUpdate:
     announced: Tuple[Prefix, ...]
 
 
+def _decode_update(body: bytes, timestamp: int) -> DecodedUpdate:
+    """One BGP4MP_MESSAGE_AS4 body's UPDATE message."""
+    peer_asn, _, _, afi = struct.unpack_from("!IIHH", body, 0)
+    if afi != 1:
+        raise DataIOError("only IPv4 updates supported")
+    offset = 12 + 8  # header + two IPv4 addresses
+    marker = body[offset: offset + 16]
+    if marker != b"\xff" * 16:
+        raise DataIOError("bad BGP message marker")
+    length, msg_type = struct.unpack_from("!HB", body, offset + 16)
+    if msg_type != BGP_UPDATE:
+        raise DataIOError("unsupported BGP message type %d" % msg_type)
+    message = body[offset + 19: offset + length]
+    (withdrawn_len,) = struct.unpack_from("!H", message, 0)
+    cursor = 2
+    withdrawn: List[Prefix] = []
+    end = cursor + withdrawn_len
+    while cursor < end:
+        prefix, cursor = _decode_prefix(message, cursor)
+        withdrawn.append(prefix)
+    (attr_len,) = struct.unpack_from("!H", message, cursor)
+    cursor += 2
+    attributes = message[cursor: cursor + attr_len]
+    if len(attributes) != attr_len:
+        raise DataIOError("truncated UPDATE path attributes")
+    cursor += attr_len
+    path = _decode_path_attributes(attributes) if attr_len else None
+    announced: List[Prefix] = []
+    while cursor < len(message):
+        prefix, cursor = _decode_prefix(message, cursor)
+        announced.append(prefix)
+    return DecodedUpdate(
+        timestamp=timestamp,
+        peer_asn=peer_asn,
+        withdrawn=tuple(withdrawn),
+        path=path,
+        announced=tuple(announced),
+    )
+
+
 def decode_update_events(data: bytes) -> List[DecodedUpdate]:
     """Decode BGP4MP_MESSAGE_AS4 records."""
     out: List[DecodedUpdate] = []
@@ -346,43 +412,7 @@ def decode_update_events(data: bytes) -> List[DecodedUpdate]:
             raise DataIOError(
                 "unsupported BGP4MP subtype %d" % record.subtype
             )
-        body = record.body
-        peer_asn, _, _, afi = struct.unpack_from("!IIHH", body, 0)
-        if afi != 1:
-            raise DataIOError("only IPv4 updates supported")
-        offset = 12 + 8  # header + two IPv4 addresses
-        marker = body[offset: offset + 16]
-        if marker != b"\xff" * 16:
-            raise DataIOError("bad BGP message marker")
-        length, msg_type = struct.unpack_from("!HB", body, offset + 16)
-        if msg_type != BGP_UPDATE:
-            raise DataIOError("unsupported BGP message type %d" % msg_type)
-        message = body[offset + 19: offset + length]
-        (withdrawn_len,) = struct.unpack_from("!H", message, 0)
-        cursor = 2
-        withdrawn: List[Prefix] = []
-        end = cursor + withdrawn_len
-        while cursor < end:
-            prefix, cursor = _decode_prefix(message, cursor)
-            withdrawn.append(prefix)
-        (attr_len,) = struct.unpack_from("!H", message, cursor)
-        cursor += 2
-        attributes = message[cursor: cursor + attr_len]
-        cursor += attr_len
-        path = _decode_path_attributes(attributes) if attr_len else None
-        announced: List[Prefix] = []
-        while cursor < len(message):
-            prefix, cursor = _decode_prefix(message, cursor)
-            announced.append(prefix)
-        out.append(
-            DecodedUpdate(
-                timestamp=record.timestamp,
-                peer_asn=peer_asn,
-                withdrawn=tuple(withdrawn),
-                path=path,
-                announced=tuple(announced),
-            )
-        )
+        out.append(_decode_body(record, _decode_update, record.timestamp))
     return out
 
 

@@ -212,6 +212,61 @@ def cell_record(
     }
 
 
+#: The scalar fields :func:`cell_record` writes, with their types; the
+#: two per-category mappings are checked separately.
+_RECORD_FIELDS = {
+    "schema": int,
+    "digest": str,
+    "spec": dict,
+    "experiment": str,
+    "seed": int,
+    "scenario": str,
+    "probed": int,
+    "responses": int,
+    "characterized": int,
+    "excluded_loss": int,
+    "classification_sha256": str,
+    "updates": int,
+    "outages": int,
+    "wall_seconds": (int, float),
+}
+
+
+def _typed(value, kind) -> bool:
+    # JSON true/false load as bool, which isinstance counts as int.
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def _is_cell_record(record, spec: ExperimentSpec) -> bool:
+    """Whether *record* is a complete :func:`cell_record` of *spec*:
+    this schema and cell, every field present with its type, and
+    ``categories``/``fractions`` keyed by exactly the Table 1
+    categories (int counts, numeric fractions)."""
+    if not isinstance(record, dict) or not all(
+        _typed(record.get(name), kind)
+        for name, kind in _RECORD_FIELDS.items()
+    ):
+        return False
+    if (
+        record["schema"] != RECORD_SCHEMA_VERSION
+        or record["digest"] != spec.digest()
+        or record["experiment"] != spec.experiment
+        or record["seed"] != spec.seed
+        or record["scenario"] != spec.scenario
+    ):
+        return False
+    names = {category.value for category in TABLE1_ORDER}
+    for name, kind in (("categories", int), ("fractions", (int, float))):
+        mapping = record.get(name)
+        if (
+            not isinstance(mapping, dict)
+            or set(mapping) != names
+            or not all(_typed(value, kind) for value in mapping.values())
+        ):
+            return False
+    return True
+
+
 def identity_view(record: dict) -> dict:
     """*record* minus execution metadata (``wall_seconds``) — the part
     covered by the byte-identity contract."""
@@ -347,7 +402,8 @@ def dispatch_cells(
 ) -> Tuple[List[Optional[CellOutcome]], List[CellFailure]]:
     """Run *works* on a scheduler backend: a fork pool when
     ``pool_workers > 1`` (and ``fork`` exists), inline otherwise;
-    *backend* (``"fork"`` / ``"inline"``) forces the choice.
+    *backend* (``"fork"`` / ``"inline"``) forces the choice, so tests
+    can run a single cell on a fork worker.
 
     Returns outcomes in cell order (``None`` where a cell failed) plus
     the failures.  *on_outcome* fires as each cell's result is merged
@@ -538,10 +594,9 @@ class CampaignRunner:
     keep_results:
         Retain full :class:`ExperimentResult` objects on the
         :class:`CampaignResult` (memory-heavy; tests use it).
-    backend:
-        Force the scheduler backend for cell dispatch (``"inline"`` or
-        ``"fork"``); ``None`` resolves from ``pool_workers`` and the
-        platform.
+
+    Cells run on a fork pool when there is more than one worker, more
+    than one pending cell, and ``fork`` exists; inline otherwise.
     """
 
     def __init__(
@@ -551,21 +606,15 @@ class CampaignRunner:
         pool_workers: int = 1,
         resume: bool = True,
         keep_results: bool = False,
-        backend: Optional[str] = None,
     ) -> None:
         digests = [spec.digest() for spec in specs]
         if len(set(digests)) != len(digests):
             raise ExperimentError("campaign grid contains duplicate cells")
-        if backend not in (None, "inline", "fork"):
-            raise ExperimentError(
-                "backend must be 'inline' or 'fork', got %r" % (backend,)
-            )
         self.specs = list(specs)
         self.directory = directory
         self.pool_workers = max(1, int(pool_workers))
         self.resume = resume
         self.keep_results = keep_results
-        self.backend = backend
 
     # -- checkpoint I/O ------------------------------------------------
 
@@ -591,15 +640,9 @@ class CampaignRunner:
                 record = json.load(handle)
         except (OSError, ValueError):
             return None
-        # A checkpoint only counts if it is this schema and really is
-        # this cell; anything else is recomputed.
-        if (
-            not isinstance(record, dict)
-            or record.get("schema") != RECORD_SCHEMA_VERSION
-            or record.get("digest") != spec.digest()
-        ):
-            return None
-        return record
+        # A checkpoint only counts if it is a complete record of this
+        # schema and really is this cell; anything else is recomputed.
+        return record if _is_cell_record(record, spec) else None
 
     def _write_checkpoint(self, record: dict) -> None:
         _write_atomic(
@@ -675,8 +718,8 @@ class CampaignRunner:
     def run(self) -> CampaignResult:
         started = time.perf_counter()
         # The observable grid: a manifest so `repro status` knows what
-        # "complete" means, a total gauge so telemetry can rate
-        # `campaign.cells_completed` into a completion fraction.
+        # "complete" means, and a total gauge so the --metrics-out
+        # snapshot reads `campaign.cells_completed` against the grid.
         write_grid_manifest(self.directory, self.specs)
         get_registry().gauge("campaign.cells_total").set(len(self.specs))
         records: Dict[str, dict] = {}
@@ -734,7 +777,6 @@ class CampaignRunner:
                 pool_workers=self.pool_workers,
                 on_outcome=checkpoint_outcome,
                 status_dir=self.status_dir,
-                backend=self.backend,
             )
 
         result.completed = len(records) - skipped

@@ -97,7 +97,7 @@ class ExperimentRunner:
             return
         try:
             hook(**fields)
-        except Exception as error:  # telemetry must never fail the run
+        except Exception as error:  # progress must never fail the run
             _log.warning(
                 "progress hook failed",
                 experiment=self.experiment, error=str(error),
@@ -487,9 +487,9 @@ class ExperimentRunner:
         """Publish one round's counters after its span closes."""
         messages = result.round_messages_delivered(index)
         registry = get_registry()
-        # Monotonic progress counter: increments as each of the nine
-        # rounds completes, so a telemetry sampler (or heartbeat) can
-        # watch a run move instead of learning everything at the end.
+        # Monotonic progress counter: one per completed round, read
+        # from the --metrics-out snapshot; heartbeats get the same
+        # progress live through the hook below.
         registry.counter("runner.rounds_completed").inc()
         registry.histogram(
             "runner.round_messages", _MESSAGE_BUCKETS

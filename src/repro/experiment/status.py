@@ -97,7 +97,7 @@ class CellHeartbeat:
         heartbeat.done(wall_seconds=elapsed)
 
     Writes are atomic (tmp + rename) and best-effort: an ``OSError``
-    is swallowed after a warning, because a telemetry surface must
+    is swallowed after a warning, because a progress surface must
     never fail a cell that would otherwise complete.
     """
 
@@ -389,8 +389,9 @@ class CampaignStatus:
                 if isinstance(cell, dict) and "digest" in cell
             ]
         else:
-            # No manifest (pre-telemetry campaign dir): the observable
-            # universe is whatever left a checkpoint or heartbeat.
+            # No manifest (a campaign dir older than grid.json): the
+            # observable universe is whatever left a checkpoint or
+            # heartbeat.
             digests = sorted(set(checkpoints) | set(heartbeats))
             planned = [
                 (

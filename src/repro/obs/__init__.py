@@ -17,11 +17,7 @@ Zero-dependency instrumentation for the engine → runner → CLI stack:
 - :mod:`repro.obs.provenance` — decision-provenance events
   (route-selection steps, per-round prefix signals);
 - :mod:`repro.obs.export` — render completed span trees to Chrome
-  trace-event JSON (``chrome://tracing`` / Perfetto loadable) and
-  metrics snapshots to OpenMetrics text (Prometheus tooling);
-- :mod:`repro.obs.telemetry` — :class:`TelemetrySampler`: periodic
-  background sampling of the registry into a bounded time-series ring
-  plus append-only JSONL, turning counters into rate-able series;
+  trace-event JSON (``chrome://tracing`` / Perfetto loadable);
 - :mod:`repro.obs.benchtrack` — benchmark trajectory: append-only
   ``BENCH_HISTORY.jsonl`` plus latest-vs-baseline regression diffs;
 - :mod:`repro.obs.frontier` — convergence-frontier analytics: events
@@ -52,10 +48,8 @@ from .metrics import (
 from .capture import Capture, EventRing, active_capture, use_capture
 from .profile import PhaseProfiler
 from .spans import SpanRecord, current_span, finished_roots, reset_trace, span
-from .telemetry import TelemetrySampler
 
 __all__ = [
-    "TelemetrySampler",
     "Capture",
     "EventRing",
     "active_capture",

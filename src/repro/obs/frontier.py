@@ -306,9 +306,8 @@ def round_frontier_event(
 
 
 def flush_round_frontier_metrics(event: dict) -> None:
-    """Publish one round's frontier gauges/histograms — the series
-    :class:`~repro.obs.telemetry.TelemetrySampler` ticks and
-    :func:`~repro.obs.export.to_openmetrics` renders."""
+    """Publish one round's frontier counter, gauges and histogram into
+    the registry, so the ``--metrics-out`` snapshot carries them."""
     registry = get_registry()
     registry.counter("frontier.rounds_captured").inc()
     registry.gauge("frontier.round_changed").set(event["changed"])

@@ -423,6 +423,23 @@ class TestApplyDelta:
         assert engine.link_is_down(1, 2)
         assert engine.best_route(3, PFX) is None
 
+    @pytest.mark.parametrize("action", ["up", "down", "flap"])
+    def test_link_flap_on_missing_link_raises(self, action):
+        """Every action on a link the topology lacks is an error; 3-4
+        share no link in the chain topology."""
+        engine = engine_for(chain_topology())
+        engine.apply_delta(AnnounceDelta(1, PFX))
+        with pytest.raises(EngineError, match="no link 3-4"):
+            engine.apply_delta(LinkFlap(3, 4, action=action))
+
+    def test_link_up_on_live_link_is_a_no_op(self):
+        engine = engine_for(chain_topology())
+        engine.apply_delta(AnnounceDelta(1, PFX))
+        before = engine.best_route(3, PFX)
+        engine.apply_delta(LinkFlap(1, 2, action="up"))
+        assert not engine.link_is_down(1, 2)
+        assert engine.best_route(3, PFX) == before
+
     def test_link_flap_rejects_unknown_action(self):
         with pytest.raises(EngineError):
             LinkFlap(1, 2, action="wobble")

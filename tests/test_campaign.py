@@ -178,32 +178,25 @@ def test_pooled_campaign_summary_identical_to_serial(tmp_path):
 
 
 def test_forced_backend_summary_identical(tmp_path):
-    """`backend=` forces the dispatch path without touching results:
-    summaries and identity views match the default serial run under
-    both forced backends."""
+    """The worker count alone picks the dispatch path: two workers on a
+    multi-cell grid run every cell on the fork pool (stamped on its
+    heartbeat), and the summary matches the serial run's bytes."""
     from repro.experiment.scheduler import fork_available
+    from repro.experiment.status import CampaignStatus
 
+    if not fork_available():
+        pytest.skip("fork start method unavailable")
     specs, _ = _grid(tmp_path)
     serial_dir = str(tmp_path / "serial")
+    pooled_dir = str(tmp_path / "pooled")
     CampaignRunner(specs, serial_dir, pool_workers=1).run()
+    CampaignRunner(specs, pooled_dir, pool_workers=2).run()
     with open(os.path.join(serial_dir, "campaign_summary.json")) as fh:
         serial_bytes = fh.read()
-    forced = {"inline": 2}
-    if fork_available():
-        forced["fork"] = 2
-    for backend, pool_workers in forced.items():
-        directory = str(tmp_path / ("forced-%s" % backend))
-        CampaignRunner(
-            specs, directory, pool_workers=pool_workers, backend=backend
-        ).run()
-        with open(os.path.join(directory, "campaign_summary.json")) as fh:
-            assert fh.read() == serial_bytes, backend
-
-
-def test_campaign_rejects_unknown_backend(tmp_path):
-    specs, directory = _grid(tmp_path)
-    with pytest.raises(ExperimentError, match="backend"):
-        CampaignRunner(specs, directory, backend="asyncio")
+    with open(os.path.join(pooled_dir, "campaign_summary.json")) as fh:
+        assert fh.read() == serial_bytes
+    status = CampaignStatus.load(pooled_dir)
+    assert {cell.backend for cell in status.cells} == {"fork"}
 
 
 def test_heartbeats_stamp_executing_backend(tmp_path):
@@ -267,6 +260,42 @@ def test_corrupt_checkpoint_is_recomputed(tmp_path):
     with open(victim) as fh:
         record = json.load(fh)
     assert record["digest"] == specs[0].digest()
+
+
+def _drop_fractions(record):
+    del record["fractions"]
+
+
+def _stringify_a_count(record):
+    category = InferenceCategory.ALWAYS_RE.value
+    record["categories"][category] = str(record["categories"][category])
+
+
+@pytest.mark.parametrize(
+    "damage", [_drop_fractions, _stringify_a_count],
+    ids=["missing-key", "wrong-type"],
+)
+def test_damaged_checkpoint_is_recomputed(tmp_path, damage):
+    """A checkpoint with the right schema and digest but a missing or
+    mistyped field is recomputed, not resumed, so the summary stays
+    byte-identical to the clean run's."""
+    specs, directory = _grid(tmp_path)
+    CampaignRunner(specs, directory).run()
+    with open(os.path.join(directory, "campaign_summary.json")) as fh:
+        baseline = fh.read()
+    victim = os.path.join(
+        directory, "cells", "%s.json" % specs[0].digest()
+    )
+    with open(victim) as fh:
+        record = json.load(fh)
+    damage(record)
+    with open(victim, "w") as fh:
+        json.dump(record, fh)
+    rerun = CampaignRunner(specs, directory).run()
+    assert rerun.completed == 1
+    assert rerun.skipped == len(specs) - 1
+    with open(os.path.join(directory, "campaign_summary.json")) as fh:
+        assert fh.read() == baseline
 
 
 def test_no_resume_recomputes_everything(tmp_path):

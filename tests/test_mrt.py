@@ -1,7 +1,9 @@
 """Tests for the binary MRT encoder/decoder."""
 
+import struct
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.bgp.attributes import ASPath, Route
 from repro.bgp.engine import UpdateEvent
@@ -192,3 +194,75 @@ class TestUpdateStream:
         data[12 + 20] = 0x00
         with pytest.raises(DataIOError):
             decode_update_events(bytes(data))
+
+
+class TestMalformedRecords:
+    """Every malformed record body fails as a DataIOError naming the
+    record's offset, never a raw struct/index error."""
+
+    # A PEER_INDEX_TABLE record whose body is shorter than its 8-byte
+    # header, and one claiming 2 peers in an 8-byte body.
+    SHORT_PEER_INDEX = bytes.fromhex("00000000000d0001000000030000")
+    MISSING_PEERS = (
+        struct.pack("!IHHI", 0, MRT_TABLE_DUMP_V2, 1, 8)
+        + struct.pack("!IHH", 0, 0, 2)
+    )
+
+    @pytest.mark.parametrize(
+        "data", [SHORT_PEER_INDEX, MISSING_PEERS],
+        ids=["short-header", "missing-peers"],
+    )
+    def test_fixed_peer_index_cases(self, data):
+        with pytest.raises(DataIOError, match="offset 0"):
+            decode_rib_snapshot(data)
+
+    def test_offset_names_the_bad_record(self):
+        good = encode_rib_snapshot(TestRIBSnapshot()._snapshot())
+        with pytest.raises(DataIOError, match="offset %d" % len(good)):
+            decode_rib_snapshot(good + self.MISSING_PEERS)
+
+    @staticmethod
+    def _valid_encodings():
+        rib = encode_rib_snapshot(TestRIBSnapshot()._snapshot())
+        updates = encode_update_events(TestUpdateStream()._events())
+        return [rib, updates]
+
+    @staticmethod
+    def _decode_all(data):
+        for decode in (decode_rib_snapshot, decode_update_events):
+            try:
+                decode(data)
+            except DataIOError:
+                pass
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(st.data())
+    def test_truncations_and_flips_raise_only_dataioerror(self, data):
+        encoded = data.draw(st.sampled_from(self._valid_encodings()))
+        cut = data.draw(st.integers(min_value=0, max_value=len(encoded)))
+        mutated = bytearray(encoded[:cut])
+        for _ in range(data.draw(st.integers(min_value=0, max_value=4))):
+            if not mutated:
+                break
+            index = data.draw(
+                st.integers(min_value=0, max_value=len(mutated) - 1)
+            )
+            mutated[index] ^= data.draw(st.integers(1, 255))
+        self._decode_all(bytes(mutated))
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(
+        st.sampled_from([MRT_TABLE_DUMP_V2, MRT_BGP4MP]),
+        st.integers(min_value=0, max_value=5),
+        st.binary(max_size=80),
+    )
+    def test_arbitrary_bodies_raise_only_dataioerror(
+        self, mrt_type, subtype, body
+    ):
+        header = struct.pack("!IHHI", 0, mrt_type, subtype, len(body))
+        self._decode_all(header + body)
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(st.binary(max_size=120))
+    def test_arbitrary_bytes_raise_only_dataioerror(self, raw):
+        self._decode_all(raw)
