@@ -14,6 +14,25 @@ from ..errors import PolicyError
 from ..netutil import Prefix
 
 
+#: Most extra origin copies one announcement may carry: a prepended
+#: origin path fills at most one AS_SEQUENCE segment, 255 ASNs
+#: (RFC 4271 §4.3).
+MAX_PREPENDS = 254
+
+
+def check_prepends(prepends: int) -> int:
+    """*prepends* if it is a valid extra-origin-copy count, else a
+    :class:`~repro.errors.PolicyError`."""
+    if prepends < 0:
+        raise PolicyError("prepends must be non-negative")
+    if prepends > MAX_PREPENDS:
+        raise PolicyError(
+            "%d prepends overflow one AS_SEQUENCE segment (at most %d)"
+            % (prepends, MAX_PREPENDS)
+        )
+    return prepends
+
+
 @dataclass(frozen=True)
 class ASPath:
     """An AS path: a sequence of ASNs, origin last.
@@ -27,10 +46,9 @@ class ASPath:
     @classmethod
     def origin_path(cls, origin_asn: int, prepends: int = 0) -> "ASPath":
         """The path as announced by the origin, with *prepends* extra
-        copies of the origin ASN (prepends=0 gives ``[origin]``)."""
-        if prepends < 0:
-            raise PolicyError("prepends must be non-negative")
-        return cls((origin_asn,) * (1 + prepends))
+        copies of the origin ASN (prepends=0 gives ``[origin]``, and
+        at most :data:`MAX_PREPENDS`)."""
+        return cls((origin_asn,) * (1 + check_prepends(prepends)))
 
     @property
     def length(self) -> int:

@@ -24,7 +24,7 @@ from ..obs.capture import active_capture
 from ..obs.frontier import EngineRunFrontier
 from ..rng import SeedTree
 from ..topology.graph import Topology
-from .attributes import Announcement, ASPath, Route
+from .attributes import Announcement, ASPath, Route, check_prepends
 from .policy import may_export
 from .rpki import rov_drops_route
 from .router import Router
@@ -328,19 +328,21 @@ class PropagationEngine:
         neighbor; unlisted neighbors get ``default_prepends`` plus any
         per-neighbor prepends in the origin's own routing policy.
         Re-announcing with different prepends models the experiment's
-        configuration changes.
+        configuration changes.  A prepend count past
+        :data:`~repro.bgp.attributes.MAX_PREPENDS` raises a
+        :class:`~repro.errors.PolicyError` before any state changes.
         """
         announcement = Announcement(
             prefix=prefix,
             origin_asn=origin_asn,
             prepends=dict(prepends or {}),
-            default_prepends=default_prepends,
+            default_prepends=check_prepends(default_prepends),
             tag=tag,
         )
-        self._announcements[(origin_asn, prefix)] = announcement
-        router = self.router(origin_asn)
-        router.originate(prefix, tag=tag, now=self.now)
+        for count in announcement.prepends.values():
+            check_prepends(count)
         policy = self.topology.node(origin_asn).policy
+        exports = []
         for neighbor in sorted(self.topology.neighbors(origin_asn)):
             if self._link_is_down(origin_asn, neighbor):
                 continue
@@ -348,7 +350,11 @@ class PropagationEngine:
                 continue
             extra = announcement.prepends_toward(neighbor)
             extra += policy.prepends_toward(neighbor)
-            path = ASPath.origin_path(origin_asn, extra)
+            exports.append((neighbor, ASPath.origin_path(origin_asn, extra)))
+        self._announcements[(origin_asn, prefix)] = announcement
+        router = self.router(origin_asn)
+        router.originate(prefix, tag=tag, now=self.now)
+        for neighbor, path in exports:
             self._send(origin_asn, neighbor, prefix, path, tag)
         return announcement
 

@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Sequence
 from ..errors import AnalysisError
 from ..experiment.records import ExperimentResult
 from ..netutil import Prefix
-from ..obs.provenance import signal_from_kinds
+from ..obs.provenance import SIGNAL_LABELS
 
 
 class RoundSignal(Enum):
@@ -124,27 +124,32 @@ def classify_signals(signals: Sequence[RoundSignal]) -> InferenceCategory:
     return InferenceCategory.OSCILLATING
 
 
-def _round_signal(responses) -> RoundSignal:
-    kinds = {
-        response.interface_kind
-        for response in responses
-        if response.responded and response.interface_kind
-    }
-    # Single mapping shared with the provenance stream, so signal
-    # events and classifications can never disagree on a round.
-    return RoundSignal(signal_from_kinds(kinds))
+#: Round signal code -> :class:`RoundSignal`.  The codes' labels are
+#: the table shared with the provenance stream, so signal events and
+#: classifications can never disagree on a round.
+_SIGNAL_OF_CODE = tuple(RoundSignal(label) for label in SIGNAL_LABELS)
+
+
+def round_signals(
+    result: ExperimentResult, prefix: Prefix
+) -> List[RoundSignal]:
+    """*prefix*'s signal in each round of *result*."""
+    return [
+        _SIGNAL_OF_CODE[round_result.signal_code(prefix)]
+        for round_result in result.rounds
+    ]
 
 
 def classify_prefix_rounds(
     prefix: Prefix,
     origin_asn: int,
-    per_round_responses: Sequence[Sequence],
+    signals: Sequence[RoundSignal],
     configs: Sequence[str],
 ) -> PrefixInference:
-    """Classify one prefix from its per-round response lists."""
-    if len(per_round_responses) != len(configs):
+    """Classify one prefix from its per-round signals."""
+    if len(signals) != len(configs):
         raise AnalysisError("round count does not match config count")
-    signals = [_round_signal(responses) for responses in per_round_responses]
+    signals = list(signals)
     category = classify_signals(signals)
     transitions = [
         SignalTransition(
@@ -217,12 +222,8 @@ def classify_experiment(
                 "origin map; the seed plan and origin_of disagree"
                 % prefix
             )
-        per_round = [
-            round_result.responses.get(prefix, [])
-            for round_result in result.rounds
-        ]
         out.inferences[prefix] = classify_prefix_rounds(
-            prefix, origin_asn, per_round, configs
+            prefix, origin_asn, round_signals(result, prefix), configs
         )
     return out
 

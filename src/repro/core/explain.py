@@ -37,6 +37,7 @@ from .classify import (
     PrefixInference,
     classify_prefix_rounds,
     origin_map,
+    round_signals,
 )
 
 __all__ = ["explain_prefix", "render_explanation"]
@@ -309,7 +310,7 @@ def explain_prefix(
     inference = classify_prefix_rounds(
         prefix,
         origins[prefix],
-        result.responses_for(prefix),
+        round_signals(result, prefix),
         list(result.schedule.configs),
     )
     return render_explanation(

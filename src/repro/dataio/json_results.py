@@ -56,10 +56,8 @@ def dump_experiment(result: ExperimentResult, stream: TextIO) -> int:
     stream.write(json.dumps(header, sort_keys=True) + "\n")
     count = 1
     for round_index, round_result in enumerate(result.rounds):
-        for prefix in sorted(
-            round_result.responses, key=lambda p: (p.network, p.length)
-        ):
-            for response in round_result.responses[prefix]:
+        for prefix in round_result.plan.prefixes:
+            for response in round_result.responses_of(prefix):
                 record = _probe_record(
                     round_index, round_result.config, prefix, response
                 )

@@ -97,13 +97,6 @@ class ExperimentResult:
     def probed_prefixes(self) -> List[Prefix]:
         return self.seed_plan.responsive_prefixes()
 
-    def responses_for(self, prefix: Prefix) -> List[List]:
-        """Per-round response lists for one prefix."""
-        return [
-            round_result.responses.get(prefix, [])
-            for round_result in self.rounds
-        ]
-
     def commodity_phase_start(self) -> Optional[float]:
         """Time of the first configuration change that touched the
         commodity announcement (the Figure 3 phase boundary)."""

@@ -42,7 +42,7 @@ from ..obs.frontier import (
 )
 from ..obs.provenance import selection_event
 from ..probing.host import MeasurementHost
-from ..probing.prober import Prober
+from ..probing.prober import ProbePlan, Prober
 from ..rng import SeedTree, poisson
 from ..seeds.selection import SeedPlan, select_seeds
 from ..topology.re_config import SystemPlan
@@ -121,12 +121,8 @@ class ExperimentRunner:
             self.experiment,
         )
         engine = PropagationEngine(ecosystem.topology, self.tree)
-        prober = Prober(
-            ecosystem.topology,
-            host,
-            self._systems_by_address(),
-            pps=self.pps,
-        )
+        prober = Prober(ecosystem.topology, host, pps=self.pps)
+        plan = ProbePlan(self.seed_plan.targets, self._systems_by_address())
         result = ExperimentResult(
             experiment=self.experiment,
             schedule=schedule,
@@ -212,7 +208,7 @@ class ExperimentRunner:
                 self._capture_round_provenance(engine, index, config_label)
                 round_result = prober.probe_round(
                     config_label,
-                    self.seed_plan.targets,
+                    plan,
                     rib,
                     self.tree.child("round-%d" % index),
                     engine.now,
@@ -340,13 +336,7 @@ class ExperimentRunner:
         trace = capture.frontier if capture is not None else None
         if trace is None:
             return
-        responses = round_result.responses
-        rows = signal_rows(
-            (prefix, responses[prefix])
-            for prefix in sorted(
-                responses, key=lambda p: (p.network, p.length)
-            )
-        )
+        rows = signal_rows(round_result.prefix_signals())
         event = round_frontier_event(
             index, config_label, rows, self._frontier_prev
         )

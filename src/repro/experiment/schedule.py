@@ -10,9 +10,11 @@ semantics analysed in Appendix A.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import List, Tuple
 
+from ..bgp.attributes import MAX_PREPENDS
 from ..errors import ExperimentError
 from ..simtime import hours
 
@@ -22,12 +24,24 @@ PREPEND_SEQUENCE: Tuple[str, ...] = (
 )
 
 
+#: One prepend count: ASCII digits only (``str.isdecimal`` would let
+#: other scripts' digits spell a non-canonical label).
+_COUNT = re.compile(r"[0-9]+")
+
+
 def parse_prepend_config(text: str) -> Tuple[int, int]:
-    """Parse "x-y" into (re_prepends, commodity_prepends)."""
+    """Parse "x-y" into (re_prepends, commodity_prepends), each at most
+    :data:`~repro.bgp.attributes.MAX_PREPENDS`."""
     parts = text.split("-")
-    if len(parts) != 2 or not all(p.isdecimal() for p in parts):
+    if len(parts) != 2 or not all(_COUNT.fullmatch(p) for p in parts):
         raise ExperimentError("bad prepend configuration %r" % (text,))
-    return int(parts[0]), int(parts[1])
+    counts = int(parts[0]), int(parts[1])
+    if max(counts) > MAX_PREPENDS:
+        raise ExperimentError(
+            "prepend configuration %r exceeds %d prepends"
+            % (text, MAX_PREPENDS)
+        )
+    return counts
 
 
 def format_prepend_config(re_prepends: int, commodity_prepends: int) -> str:

@@ -44,7 +44,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from .metrics import get_registry
-from .provenance import round_signal_summary
+from .provenance import SIGNAL_LABELS
 
 if TYPE_CHECKING:
     from .capture import EventRing
@@ -257,17 +257,18 @@ class FastpathRunFrontier(_RunFrontier):
 # -- probing-round frontier -------------------------------------------
 
 
-def signal_rows(prefix_responses) -> List[Tuple[str, str]]:
+def signal_rows(prefix_signals) -> List[Tuple[str, str]]:
     """Per-prefix ``(prefix, signal)`` rows for one probing round.
 
-    *prefix_responses* yields ``(prefix, responses)`` pairs in probe
-    order (sorted prefixes).  Signals come from
-    :func:`~repro.obs.provenance.round_signal_summary`, the aggregation
-    provenance signal events use, so the two streams always agree.
+    *prefix_signals* yields ``(prefix, signal code)`` pairs in probe
+    order (sorted prefixes), as
+    :meth:`~repro.probing.prober.RoundResult.prefix_signals` does.
+    Labels come from :data:`~repro.obs.provenance.SIGNAL_LABELS`, the
+    table provenance signal events use, so the two streams always
+    agree.
     """
     return [
-        (str(prefix), str(round_signal_summary(responses)["signal"]))
-        for prefix, responses in prefix_responses
+        (str(prefix), SIGNAL_LABELS[code]) for prefix, code in prefix_signals
     ]
 
 

@@ -38,6 +38,8 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional
 
 __all__ = [
+    "KIND_BITS",
+    "SIGNAL_LABELS",
     "signal_from_kinds",
     "selection_event",
     "signal_event",
@@ -55,6 +57,19 @@ def signal_from_kinds(kinds: Iterable[str]) -> str:
     if len(kinds) > 1:
         return "both"
     return "re" if "re" in kinds else "commodity"
+
+
+#: Interface kinds as signal-code bits.  A probing round holds each
+#: prefix's signal as the OR of its responses' kind bits, so a code is
+#: the set of kinds :func:`signal_from_kinds` maps.
+KIND_BITS: Dict[str, int] = {"re": 1, "commodity": 2}
+
+#: Signal code -> round-signal label, derived from
+#: :func:`signal_from_kinds` so the two can never disagree.
+SIGNAL_LABELS = tuple(
+    signal_from_kinds(kind for kind, bit in KIND_BITS.items() if code & bit)
+    for code in range(1 << len(KIND_BITS))
+)
 
 
 def _route_summary(route, index: int) -> dict:
@@ -137,7 +152,9 @@ def signal_event(
 
 def round_signal_summary(responses) -> Dict[str, object]:
     """Aggregate one prefix's round responses into signal-event
-    fields."""
+    fields — the per-response reference that
+    :meth:`~repro.probing.prober.RoundResult.signal_summary` computes
+    from a round's columns."""
     kinds = set()
     origins = set()
     responded = 0

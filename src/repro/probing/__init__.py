@@ -7,8 +7,8 @@
   measurement prefix (the return-path signal the method measures),
   resolved once per converged RIB into a per-AS catchment;
 - :mod:`repro.probing.prober` — a scamper-like prober: paced probe
-  rounds, per-probe loss, and IP_PKTINFO-style arrival-interface
-  recording.
+  rounds over a compiled plan, per-probe loss, and IP_PKTINFO-style
+  arrival-interface recording, held as columns.
 """
 
 from .host import MeasurementHost, VLANInterface
@@ -19,11 +19,11 @@ from .forwarding import (
     RibSnapshot,
 )
 from .prober import (
+    ProbePlan,
     ProbeResponse,
     Prober,
     RoundResult,
     prefix_stream_rng,
-    probe_one,
 )
 from .traceroute import TracerouteResult, paths_are_symmetric, traceroute
 
@@ -34,11 +34,11 @@ __all__ = [
     "ForwardingOutcome",
     "ReturnPath",
     "RibSnapshot",
+    "ProbePlan",
     "ProbeResponse",
     "Prober",
     "RoundResult",
     "prefix_stream_rng",
-    "probe_one",
     "TracerouteResult",
     "traceroute",
     "paths_are_symmetric",

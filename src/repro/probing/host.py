@@ -19,6 +19,7 @@ from typing import Callable, Dict, List
 
 from ..errors import ExperimentError
 from ..netutil import Prefix, parse_address
+from ..obs.provenance import KIND_BITS
 from ..topology.graph import Topology
 from .forwarding import Catchment, RibSnapshot
 
@@ -53,6 +54,11 @@ class MeasurementHost:
 
     def attach(self, origin_asn: int, interface: VLANInterface) -> None:
         """Bind an announcement origin to a host interface."""
+        if interface.kind not in KIND_BITS:
+            raise ExperimentError(
+                "interface kind must be one of %s, not %r"
+                % ("/".join(KIND_BITS), interface.kind)
+            )
         if origin_asn in self._interfaces:
             raise ExperimentError(
                 "origin AS %d already attached" % origin_asn

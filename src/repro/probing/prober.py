@@ -11,24 +11,34 @@ one prefix's responses never depend on which other prefixes a round
 probes or in what order.  Probe transmit times are computed from the
 probe's global index (``now + index / pps``) rather than by
 accumulation.
+
+What a round probes is compiled once per experiment into a
+:class:`ProbePlan`; a round is a tight loop over it that writes flat
+columns (:class:`RoundResult`).  Each attached AS's return walk is
+read from the round's catchment once, and each prefix's round signal
+is accumulated as a kind bitmask (:data:`~repro.obs.provenance.KIND_BITS`)
+while the round runs.  :class:`ProbeResponse` objects exist only as
+views built on demand (:meth:`RoundResult.responses_of`).
 """
 
 from __future__ import annotations
 
+import hashlib
 import random
+from array import array
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Tuple
 
 from ..errors import ExperimentError
 from ..netutil import Prefix
 from ..obs import get_logger, get_registry, span
 from ..obs.capture import active_capture
-from ..obs.provenance import round_signal_summary, signal_event
+from ..obs.provenance import KIND_BITS, SIGNAL_LABELS, signal_event
 from ..rng import SeedTree, derive_seed
 from ..topology.graph import Topology
 from ..topology.re_config import SystemPlan
 from ..seeds.selection import ProbeTarget
-from .forwarding import ForwardingOutcome, Resolved
+from .forwarding import ForwardingOutcome
 from .host import MeasurementHost
 
 DEFAULT_PPS = 100
@@ -37,11 +47,33 @@ DEFAULT_PPS = 100
 #: node; part of the determinism contract.
 PREFIX_STREAM_LABEL = "prefix-%s"
 
+#: Outcome column codes; 0 is a probe that never reached the data
+#: plane (unknown address, dead or lossy system, blanked prefix).
+_OUTCOMES = (
+    None,
+    ForwardingOutcome.DELIVERED,
+    ForwardingOutcome.NO_ROUTE,
+    ForwardingOutcome.LOOP,
+)
+_OUTCOME_CODE = {outcome: code for code, outcome in enumerate(_OUTCOMES)}
+_DELIVERED = _OUTCOME_CODE[ForwardingOutcome.DELIVERED]
+
+#: Kind column code -> interface kind (0: no response).
+_KIND_LABEL = {bit: kind for kind, bit in KIND_BITS.items()}
+
+#: Origin column sentinel for a probe that got no response.
+_NO_ORIGIN = -1
+
+#: RTT column sentinel for a probe that got no response.
+_NO_RTT = -1.0
+
 _log = get_logger("repro.prober")
 
 
 def prefix_stream_rng(round_seed: int, prefix: Prefix) -> random.Random:
-    """The probe RNG for *prefix* within the round seeded *round_seed*."""
+    """The probe RNG for *prefix* within the round seeded *round_seed*
+    (a round reseeds one generator to the same state; see
+    :meth:`ProbePlan.stream_seeds`)."""
     return random.Random(
         derive_seed(round_seed, PREFIX_STREAM_LABEL % prefix)
     )
@@ -49,7 +81,8 @@ def prefix_stream_rng(round_seed: int, prefix: Prefix) -> random.Random:
 
 @dataclass
 class ProbeResponse:
-    """One probe and its (possible) response."""
+    """One probe and its (possible) response: a view of one row of a
+    :class:`RoundResult`."""
 
     target: ProbeTarget
     tx_time: float
@@ -61,34 +94,163 @@ class ProbeResponse:
     hops: int = 0
 
 
-@dataclass
+class ProbePlan:
+    """What every round of one experiment probes, compiled once.
+
+    Prefixes are sorted; probe *j* is the *j*-th target in that order,
+    and prefix *p* owns probes ``offsets[p]:offsets[p + 1]``.
+    ``systems[j]`` is a reference to the probed address's
+    :class:`SystemPlan` (None for an unknown address): a round reads
+    its ``alive`` and ``loss_probability`` when it runs.
+    """
+
+    def __init__(
+        self,
+        targets_by_prefix: Mapping[Prefix, List[ProbeTarget]],
+        systems_by_address: Mapping[int, SystemPlan],
+    ) -> None:
+        self.prefixes: List[Prefix] = sorted(
+            targets_by_prefix, key=lambda p: (p.network, p.length)
+        )
+        self.index_of: Dict[Prefix, int] = {
+            prefix: index for index, prefix in enumerate(self.prefixes)
+        }
+        self.labels: List[bytes] = [
+            (PREFIX_STREAM_LABEL % prefix).encode()
+            for prefix in self.prefixes
+        ]
+        self.targets: List[ProbeTarget] = []
+        self.offsets: List[int] = [0]
+        for prefix in self.prefixes:
+            self.targets.extend(targets_by_prefix[prefix])
+            self.offsets.append(len(self.targets))
+        self.systems: List[Optional[SystemPlan]] = [
+            systems_by_address.get(target.address)
+            for target in self.targets
+        ]
+
+    def stream_seeds(self, round_seed: int) -> List[int]:
+        """Each prefix's stream seed under *round_seed*: one keyed
+        hasher per round, copied per prefix — exactly
+        ``derive_seed(round_seed, PREFIX_STREAM_LABEL % prefix)``."""
+        keyed = hashlib.blake2b(
+            digest_size=8, key=round_seed.to_bytes(8, "little")
+        )
+        seeds = []
+        for label in self.labels:
+            hasher = keyed.copy()
+            hasher.update(label)
+            seeds.append(int.from_bytes(hasher.digest(), "little"))
+        return seeds
+
+
+@dataclass(eq=False)
 class RoundResult:
-    """One active probing round (one prepend configuration)."""
+    """One active probing round (one prepend configuration), held as
+    columns in probe order (see :class:`ProbePlan`).
+
+    ``responded``, ``kind`` (a :data:`~repro.obs.provenance.KIND_BITS`
+    bit) and ``outcome`` are bytes per probe; ``origin``, ``rtt`` and
+    ``hops`` are arrays, ``origin``/``rtt`` holding a sentinel for a
+    probe that got no response.  ``signal`` holds one code per prefix:
+    the OR of its responses' kind bits
+    (:data:`~repro.obs.provenance.SIGNAL_LABELS` names it).
+    """
 
     config: str
     started_at: float
+    plan: ProbePlan
+    interval: float
     duration: float = 0.0
-    responses: Dict[Prefix, List[ProbeResponse]] = field(default_factory=dict)
+    responded: bytearray = field(init=False)
+    kind: bytearray = field(init=False)
+    outcome: bytearray = field(init=False)
+    origin: array = field(init=False)
+    rtt: array = field(init=False)
+    hops: array = field(init=False)
+    signal: bytearray = field(init=False)
+
+    def __post_init__(self) -> None:
+        probes = len(self.plan.targets)
+        self.responded = bytearray(probes)
+        self.kind = bytearray(probes)
+        self.outcome = bytearray(probes)
+        self.origin = array("q", [_NO_ORIGIN]) * probes
+        self.rtt = array("d", [_NO_RTT]) * probes
+        self.hops = array("H", bytes(2 * probes))
+        self.signal = bytearray(len(self.plan.prefixes))
+
+    def signal_code(self, prefix: Prefix) -> int:
+        """*prefix*'s signal code this round (0 if it was not probed)."""
+        index = self.plan.index_of.get(prefix)
+        return 0 if index is None else self.signal[index]
+
+    def prefix_signals(self) -> Iterator[Tuple[Prefix, int]]:
+        """``(prefix, signal code)`` for every prefix the round sent a
+        probe to, in probe order."""
+        offsets = self.plan.offsets
+        for index, prefix in enumerate(self.plan.prefixes):
+            if offsets[index + 1] > offsets[index]:
+                yield prefix, self.signal[index]
 
     def interfaces_seen(self, prefix: Prefix) -> List[str]:
         """Distinct interface kinds among this prefix's responses."""
-        kinds = {
-            response.interface_kind
-            for response in self.responses.get(prefix, [])
-            if response.responded and response.interface_kind
+        code = self.signal_code(prefix)
+        return sorted(kind for kind, bit in KIND_BITS.items() if code & bit)
+
+    def signal_summary(self, index: int) -> Dict[str, object]:
+        """Prefix *index*'s signal-event fields, read from the columns
+        (equal to
+        :func:`~repro.obs.provenance.round_signal_summary` of its
+        responses)."""
+        start, stop = self.plan.offsets[index], self.plan.offsets[index + 1]
+        responded = self.responded
+        return {
+            "signal": SIGNAL_LABELS[self.signal[index]],
+            "probes": stop - start,
+            "responses": responded.count(1, start, stop),
+            "origins": sorted({
+                self.origin[j] for j in range(start, stop) if responded[j]
+            }),
         }
-        return sorted(kinds)
+
+    def responses_of(self, prefix: Prefix) -> List[ProbeResponse]:
+        """*prefix*'s probes this round as :class:`ProbeResponse` views,
+        built on demand."""
+        index = self.plan.index_of.get(prefix)
+        if index is None:
+            return []
+        plan = self.plan
+        views = []
+        for j in range(plan.offsets[index], plan.offsets[index + 1]):
+            tx = self.started_at + j * self.interval
+            outcome = _OUTCOMES[self.outcome[j]]
+            if self.responded[j]:
+                views.append(ProbeResponse(
+                    target=plan.targets[j],
+                    tx_time=tx,
+                    responded=True,
+                    interface_kind=_KIND_LABEL[self.kind[j]],
+                    origin_asn=self.origin[j],
+                    rtt_ms=self.rtt[j],
+                    outcome=outcome,
+                    hops=self.hops[j],
+                ))
+            else:
+                views.append(ProbeResponse(
+                    target=plan.targets[j],
+                    tx_time=tx,
+                    responded=False,
+                    outcome=outcome,
+                    hops=self.hops[j],
+                ))
+        return views
 
     def response_count(self) -> int:
-        return sum(
-            1
-            for responses in self.responses.values()
-            for response in responses
-            if response.responded
-        )
+        return self.responded.count(1)
 
     def probe_count(self) -> int:
-        return sum(len(r) for r in self.responses.values())
+        return len(self.responded)
 
 
 class Prober:
@@ -98,34 +260,34 @@ class Prober:
         self,
         topology: Topology,
         host: MeasurementHost,
-        systems_by_address: Dict[int, SystemPlan],
         pps: int = DEFAULT_PPS,
     ) -> None:
         if pps <= 0:
             raise ExperimentError("probe rate must be positive")
         self.topology = topology
         self.host = host
-        self.systems_by_address = systems_by_address
         self.pps = pps
 
     def probe_round(
         self,
         config: str,
-        targets_by_prefix: Dict[Prefix, List[ProbeTarget]],
+        plan: ProbePlan,
         best_route_of: Callable[[int], object],
         seed_tree: SeedTree,
         now: float,
         round_index: Optional[int] = None,
         lossy_prefixes: frozenset = frozenset(),
     ) -> RoundResult:
-        """Probe every target once, pacing at ``pps``.
+        """Probe every target of *plan* once, pacing at ``pps``.
 
         *best_route_of* maps an AS to its best route for the
         measurement prefix.  The round reads it once, into the host's
         catchment (:meth:`~repro.probing.host.MeasurementHost.catchment`),
-        so every probe's return path is a lookup.
+        and resolves each attached AS's verdict from it once.
         *seed_tree* is the round's seed node; each prefix derives its
-        own probe stream from it (see :func:`prefix_stream_rng`).
+        own probe stream from it (see :func:`prefix_stream_rng`): a
+        loss draw for each live, known system, then an RTT draw for
+        each delivered response.
         *round_index* only labels provenance signal events; it never
         affects probing.  *lossy_prefixes* names prefixes blanked by a
         fault-plan probe-loss burst (:mod:`repro.faults`): their
@@ -133,42 +295,95 @@ class Prober:
         the fault stays surgical — every other prefix's responses are
         untouched.
         """
-        result = RoundResult(config=config, started_at=now)
-        host = self.host
-
-        def interface_kind_of(origin_asn: int) -> str:
-            return host.interface_for_origin(origin_asn).kind
-
-        systems = self.systems_by_address
         interval = 1.0 / self.pps
-        index = 0
-        capture = active_capture()
-        recorder = capture.provenance if capture is not None else None
+        result = RoundResult(config, now, plan, interval)
         with span("prober.round"):
-            lookup = host.catchment(self.topology, best_route_of).lookup
-            for prefix in sorted(
-                targets_by_prefix, key=lambda p: (p.network, p.length)
+            verdicts = self._verdicts(plan, best_route_of)
+            responded = result.responded
+            kind_col = result.kind
+            outcome_col = result.outcome
+            origin_col = result.origin
+            rtt_col = result.rtt
+            hops_col = result.hops
+            signal = result.signal
+            systems = plan.systems
+            offsets = plan.offsets
+            prefixes = plan.prefixes
+            rng = random.Random()
+            reseed, draw, uniform = rng.seed, rng.random, rng.uniform
+            for index, stream_seed in enumerate(
+                plan.stream_seeds(seed_tree.seed)
             ):
-                rng = prefix_stream_rng(seed_tree.seed, prefix)
-                blanked = prefix in lossy_prefixes
-                for target in targets_by_prefix[prefix]:
-                    response = probe_one(
-                        systems.get(target.address), target, lookup,
-                        interface_kind_of, rng, now + index * interval,
-                        force_loss=blanked,
+                if lossy_prefixes and prefixes[index] in lossy_prefixes:
+                    continue
+                reseed(stream_seed)
+                code = 0
+                for j in range(offsets[index], offsets[index + 1]):
+                    system = systems[j]
+                    if system is None or not system.alive:
+                        continue
+                    if draw() < system.loss_probability:
+                        continue
+                    outcome, kind, origin, hops = (
+                        verdicts[system.attached_asn]
                     )
-                    result.responses.setdefault(prefix, []).append(response)
-                    index += 1
-                if recorder is not None and recorder.wants(prefix):
-                    recorder.record(signal_event(
-                        prefix, round_index, config,
-                        **round_signal_summary(
-                            result.responses.get(prefix, [])
-                        ),
-                    ))
-        result.duration = index * interval
+                    outcome_col[j] = outcome
+                    hops_col[j] = hops
+                    if outcome != _DELIVERED:
+                        continue
+                    if not kind:
+                        # Delivered to an origin with no interface.
+                        self.host.interface_for_origin(origin)
+                    responded[j] = 1
+                    kind_col[j] = kind
+                    origin_col[j] = origin
+                    rtt_col[j] = 4.0 * hops + uniform(1.0, 25.0)
+                    code |= kind
+                signal[index] = code
+        result.duration = len(plan.targets) * interval
+        self._record_signals(result, round_index)
         self._flush_metrics(result)
         return result
+
+    def _verdicts(
+        self, plan: ProbePlan, best_route_of: Callable[[int], object]
+    ) -> Dict[int, Tuple[int, int, int, int]]:
+        """Each attached AS's ``(outcome code, kind bit, origin, hops)``
+        this round, read once from the round's catchment; the kind bit
+        is 0 when the walk ends at an origin with no interface."""
+        host = self.host
+        kind_of = {
+            asn: KIND_BITS[host.interface_for_origin(asn).kind]
+            for asn in host.origin_asns()
+        }
+        lookup = host.catchment(self.topology, best_route_of).lookup
+        verdicts = {}
+        for asn in {s.attached_asn for s in plan.systems if s is not None}:
+            outcome, origin, hops = lookup(asn)
+            verdicts[asn] = (
+                _OUTCOME_CODE[outcome],
+                kind_of.get(origin, 0),
+                _NO_ORIGIN if origin is None else origin,
+                hops,
+            )
+        return verdicts
+
+    @staticmethod
+    def _record_signals(
+        result: RoundResult, round_index: Optional[int]
+    ) -> None:
+        """One provenance signal event per wanted prefix, in probe
+        order."""
+        capture = active_capture()
+        recorder = capture.provenance if capture is not None else None
+        if recorder is None:
+            return
+        for index, prefix in enumerate(result.plan.prefixes):
+            if recorder.wants(prefix):
+                recorder.record(signal_event(
+                    prefix, round_index, result.config,
+                    **result.signal_summary(index),
+                ))
 
     def _flush_metrics(self, result: RoundResult) -> None:
         """Publish one round's counters in a single batch."""
@@ -190,53 +405,3 @@ class Prober:
                 loss=round(1.0 - responses / probes, 4) if probes else 0.0,
                 sim_duration=round(result.duration, 3),
             )
-
-
-def probe_one(
-    system: Optional[SystemPlan],
-    target: ProbeTarget,
-    lookup: Callable[[int], Resolved],
-    interface_kind_of: Callable[[int], str],
-    rng: random.Random,
-    tx: float,
-    force_loss: bool = False,
-) -> ProbeResponse:
-    """Probe one target over an abstract data plane.
-
-    *lookup* maps the probed system's attached ASN to its resolved
-    return walk in the round's
-    :class:`~repro.probing.forwarding.Catchment`, ``(outcome,
-    origin_asn, hop count)``.
-
-    *force_loss* drops the probe before any stream draw — the
-    fault-plan loss-burst hook (:mod:`repro.faults`).  Consuming no
-    randomness keeps the blanked prefix's stream aligned with the
-    fault-free run, so a burst changes exactly the blanked responses
-    and nothing else.
-    """
-    if force_loss:
-        return ProbeResponse(target=target, tx_time=tx, responded=False)
-    if system is None or not system.alive:
-        return ProbeResponse(target=target, tx_time=tx, responded=False)
-    if rng.random() < system.loss_probability:
-        return ProbeResponse(target=target, tx_time=tx, responded=False)
-    outcome, origin_asn, hop_count = lookup(system.attached_asn)
-    if outcome is not ForwardingOutcome.DELIVERED:
-        return ProbeResponse(
-            target=target,
-            tx_time=tx,
-            responded=False,
-            outcome=outcome,
-            hops=hop_count,
-        )
-    rtt = 4.0 * hop_count + rng.uniform(1.0, 25.0)
-    return ProbeResponse(
-        target=target,
-        tx_time=tx,
-        responded=True,
-        interface_kind=interface_kind_of(origin_asn),
-        origin_asn=origin_asn,
-        rtt_ms=rtt,
-        outcome=outcome,
-        hops=hop_count,
-    )

@@ -10,6 +10,8 @@ simulated counterpart of the paper's operator interviews.
 from __future__ import annotations
 
 import dataclasses
+import math
+import typing
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, List, Mapping, Optional, Tuple
@@ -280,20 +282,61 @@ SCENARIO_PRESETS: Dict[str, Dict[str, object]] = {
     },
 }
 
-#: Config fields a spec/scenario may override.  Everything on
-#: :class:`REEcosystemConfig` is fair game; the set exists to fail
-#: loudly on typos instead of silently ignoring an override.
-_CONFIG_FIELDS = None
+#: Config fields a spec/scenario may override, with their declared
+#: types.  Everything on :class:`REEcosystemConfig` is fair game; the
+#: map exists to fail loudly on typos and mistyped values instead of
+#: silently ignoring an override or failing deep in the build.
+_CONFIG_TYPES = None
+
+
+def _config_types() -> Dict[str, object]:
+    global _CONFIG_TYPES
+    if _CONFIG_TYPES is None:
+        _CONFIG_TYPES = typing.get_type_hints(REEcosystemConfig)
+    return _CONFIG_TYPES
 
 
 def config_field_names() -> frozenset:
     """The overridable :class:`REEcosystemConfig` field names."""
-    global _CONFIG_FIELDS
-    if _CONFIG_FIELDS is None:
-        _CONFIG_FIELDS = frozenset(
-            f.name for f in dataclasses.fields(REEcosystemConfig)
+    return frozenset(_config_types())
+
+
+def _fits(kind, value) -> bool:
+    """Whether *value* is a valid value of the declared field type
+    *kind*: ``int`` (not bool), ``float`` (any finite number), ``str``,
+    or a tuple type (any sequence of fitting elements)."""
+    if kind is int:
+        return isinstance(value, int) and not isinstance(value, bool)
+    if kind is float:
+        return (
+            isinstance(value, (int, float))
+            and not isinstance(value, bool)
+            and math.isfinite(value)
         )
-    return _CONFIG_FIELDS
+    if kind is str:
+        return isinstance(value, str)
+    if not isinstance(value, (list, tuple)):
+        return False
+    items = typing.get_args(kind)
+    if len(items) == 2 and items[1] is Ellipsis:
+        return all(_fits(items[0], item) for item in value)
+    return len(value) == len(items) and all(
+        _fits(item_kind, item) for item_kind, item in zip(items, value)
+    )
+
+
+def _check_override(name: str, value) -> None:
+    kind = _config_types()[name]
+    if not _fits(kind, value) or (name == "scale" and value <= 0):
+        raise ReproError(
+            "config override %s=%r is not a valid %s"
+            % (
+                name, value,
+                "positive number" if name == "scale"
+                else kind.__name__ if isinstance(kind, type)
+                else str(kind).replace("typing.", ""),
+            )
+        )
 
 
 def _freeze_value(value):
@@ -308,7 +351,9 @@ def apply_config_overrides(
     config: REEcosystemConfig, overrides: Mapping[str, object]
 ) -> REEcosystemConfig:
     """Return *config* with *overrides* applied (pure; validates field
-    names so a misspelt override fails instead of silently noop-ing)."""
+    names and value types, so a misspelt or mistyped override fails
+    with a :class:`~repro.errors.ReproError` naming the field instead
+    of silently noop-ing or failing mid-build)."""
     if not overrides:
         return config
     names = config_field_names()
@@ -319,6 +364,8 @@ def apply_config_overrides(
             "see repro.topology.re_config.REEcosystemConfig)"
             % ", ".join(unknown)
         )
+    for name, value in overrides.items():
+        _check_override(name, value)
     return dataclasses.replace(
         config,
         **{name: _freeze_value(value) for name, value in overrides.items()},

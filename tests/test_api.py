@@ -249,6 +249,77 @@ def test_from_json_raises_only_repro_errors(document):
     assert ExperimentSpec.from_json(spec.to_json()) == spec
 
 
+#: Mistyped ``config_overrides`` values that used to load, digest
+#: and then fail mid-build with a raw TypeError.
+MISTYPED_OVERRIDES = [
+    '{"config_overrides": {"scale": "x"}}',
+    '{"config_overrides": {"scale": -1}}',
+    '{"config_overrides": {"scale": 0}}',
+    '{"config_overrides": {"n_tier1": 2.5}}',
+    '{"config_overrides": {"n_tier1": true}}',
+    '{"config_overrides": {"flaky_loss_probability": "0.1"}}',
+    '{"config_overrides": {"prepend_class_weights": [0.5, 0.5]}}',
+    '{"config_overrides": {"prepend_more_re_counts": [1, "2"]}}',
+    '{"config_overrides": {"asym_cells_full": [["a", 1, "b", 2, 3]]}}',
+]
+
+
+@pytest.mark.parametrize("text", MISTYPED_OVERRIDES, ids=MISTYPED_OVERRIDES)
+def test_from_json_rejects_mistyped_overrides_naming_the_field(text):
+    name = next(iter(json.loads(text)["config_overrides"]))
+    with pytest.raises(ReproError, match=name):
+        ExperimentSpec.from_json(text)
+
+
+def test_well_typed_overrides_apply():
+    spec = ExperimentSpec.from_json(json.dumps({"config_overrides": {
+        "scale": 2, "n_tier1": 5, "flaky_loss_probability": 0,
+        "prepend_more_re_counts": [1, 3],
+        "asym_cells_full": [["geant-peer", 1, "x", 2, 3, 4]],
+    }}))
+    config = spec.ecosystem_config()
+    assert config.scale == 2 and config.n_tier1 == 5
+    assert config.prepend_more_re_counts == (1, 3)
+    assert config.asym_cells_full == (("geant-peer", 1, "x", 2, 3, 4),)
+
+
+_CONFIG_KEYS = sorted(
+    ExperimentSpec().ecosystem_config().__dataclass_fields__
+)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(
+    st.dictionaries(st.sampled_from(_SPEC_KEYS), _JSON_VALUES, max_size=2),
+    st.dictionaries(st.sampled_from(_CONFIG_KEYS), _JSON_VALUES,
+                    min_size=1, max_size=3),
+)
+def test_ecosystem_config_raises_only_repro_errors(document, overrides):
+    """Arbitrary JSON as spec fields and as override values either
+    yields an effective config whose sizes compute, or raises a
+    ReproError."""
+    document = dict(document, config_overrides=overrides)
+    try:
+        config = ExperimentSpec.from_json(
+            json.dumps(document)
+        ).ecosystem_config()
+    except ReproError:
+        return
+    assert config.n_members() >= 12
+    assert config.n_transits() >= 6
+    assert config.n_commodity_feeders() >= 4
+
+
+@pytest.mark.parametrize("config", ["255-0", "0-1000000", "\u0663-0"])
+def test_spec_rejects_out_of_range_or_non_ascii_configs(config):
+    with pytest.raises(ExperimentError):
+        ExperimentSpec(configs=[config])
+
+
+def test_spec_accepts_the_largest_prepend_config():
+    assert ExperimentSpec(configs=["254-0"]).configs == ("254-0",)
+
+
 @pytest.mark.parametrize("schema", [3, 4, 5])
 def test_from_dict_reads_legacy_execution_fields(schema):
     """Schema 3 to 5 documents load at schema 6: their execution

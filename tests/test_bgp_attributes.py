@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.bgp.attributes import Announcement, ASPath, Route
+from repro.bgp.attributes import MAX_PREPENDS, Announcement, ASPath, Route
 from repro.errors import PolicyError
 from repro.netutil import Prefix
 
@@ -25,6 +25,11 @@ class TestASPath:
     def test_origin_path_rejects_negative(self):
         with pytest.raises(PolicyError):
             ASPath.origin_path(64500, prepends=-1)
+
+    def test_origin_path_fills_at_most_one_segment(self):
+        assert ASPath.origin_path(64500, MAX_PREPENDS).length == 255
+        with pytest.raises(PolicyError):
+            ASPath.origin_path(64500, prepends=MAX_PREPENDS + 1)
 
     def test_origin_and_first_hop(self):
         path = ASPath((1, 2, 3))

@@ -12,6 +12,7 @@ from repro.core.classify import (
 )
 from repro.errors import AnalysisError
 from repro.netutil import Prefix
+from repro.obs.provenance import round_signal_summary
 
 PFX = Prefix.parse("198.51.100.0/24")
 CONFIGS = ("4-0", "3-0", "2-0", "1-0", "0-0", "0-1", "0-2", "0-3", "0-4")
@@ -62,17 +63,27 @@ class TestClassifySignals:
         assert classify_signals(seq("CCBCRRRRR")) is InferenceCategory.MIXED
 
 
+def signals_of(rounds):
+    """Per-round response lists -> per-round signals, through the
+    provenance stream's single signal mapping."""
+    return [
+        RoundSignal(round_signal_summary(responses)["signal"])
+        for responses in rounds
+    ]
+
+
 class TestClassifyPrefixRounds:
     class _Resp:
         def __init__(self, responded, kind=None):
             self.responded = responded
             self.interface_kind = kind
+            self.origin_asn = None
 
     def test_full_pipeline(self):
         rounds = [[self._Resp(True, "commodity")]] * 5 + [
             [self._Resp(True, "re")]
         ] * 4
-        inference = classify_prefix_rounds(PFX, 42, rounds, CONFIGS)
+        inference = classify_prefix_rounds(PFX, 42, signals_of(rounds), CONFIGS)
         assert inference.category is InferenceCategory.SWITCH_TO_RE
         assert inference.switch_round == 5
         assert inference.switch_config == "0-1"
@@ -82,14 +93,14 @@ class TestClassifyPrefixRounds:
         rounds = [
             [self._Resp(True, "re"), self._Resp(True, "commodity")]
         ] + [[self._Resp(True, "re")]] * 8
-        inference = classify_prefix_rounds(PFX, 42, rounds, CONFIGS)
+        inference = classify_prefix_rounds(PFX, 42, signals_of(rounds), CONFIGS)
         assert inference.category is InferenceCategory.MIXED
 
     def test_unresponsive_round_excludes(self):
         rounds = [[self._Resp(True, "re")]] * 4 + [[self._Resp(False)]] + [
             [self._Resp(True, "re")]
         ] * 4
-        inference = classify_prefix_rounds(PFX, 42, rounds, CONFIGS)
+        inference = classify_prefix_rounds(PFX, 42, signals_of(rounds), CONFIGS)
         assert inference.category is InferenceCategory.EXCLUDED_LOSS
         assert not inference.characterized
 
@@ -97,16 +108,16 @@ class TestClassifyPrefixRounds:
         rounds = [
             [self._Resp(False), self._Resp(True, "re")]
         ] * 9
-        inference = classify_prefix_rounds(PFX, 42, rounds, CONFIGS)
+        inference = classify_prefix_rounds(PFX, 42, signals_of(rounds), CONFIGS)
         assert inference.category is InferenceCategory.ALWAYS_RE
 
     def test_round_config_mismatch(self):
         with pytest.raises(AnalysisError):
-            classify_prefix_rounds(PFX, 42, [[]], CONFIGS)
+            classify_prefix_rounds(PFX, 42, signals_of([[]]), CONFIGS)
 
     def test_no_switch_round_for_always(self):
         rounds = [[self._Resp(True, "re")]] * 9
-        inference = classify_prefix_rounds(PFX, 42, rounds, CONFIGS)
+        inference = classify_prefix_rounds(PFX, 42, signals_of(rounds), CONFIGS)
         assert inference.switch_round is None
 
 

@@ -112,7 +112,10 @@ def _round_key(round_result):
         round_result.config,
         round_result.started_at,
         round_result.duration,
-        round_result.responses,
+        {
+            prefix: round_result.responses_of(prefix)
+            for prefix in round_result.plan.prefixes
+        },
     )
 
 
@@ -139,7 +142,7 @@ class TestProvenanceDifferential:
         ]
         signals = [e for e in events if e["kind"] == "signal"]
         probed = {
-            str(p) for r in serial.rounds for p in r.responses
+            str(p) for r in serial.rounds for p, _ in r.prefix_signals()
         }
         assert {e["prefix"] for e in signals} == probed
         per_prefix_rounds = len(serial.rounds)

@@ -44,7 +44,8 @@ def baseline(small_ecosystem):
 
 def round_keys(result):
     return [
-        (r.config, r.started_at, r.duration, r.responses)
+        (r.config, r.started_at, r.duration,
+         {prefix: r.responses_of(prefix) for prefix in r.plan.prefixes})
         for r in result.rounds
     ]
 
@@ -197,7 +198,9 @@ class TestEnvironmentFaultDeterminism:
             3, result.seed_plan.responsive_prefixes()
         )
         assert lossy
-        for prefix, responses in result.rounds[3].responses.items():
+        round_result = result.rounds[3]
+        for prefix in round_result.plan.prefixes:
+            responses = round_result.responses_of(prefix)
             if prefix in lossy:
                 assert not any(r.responded for r in responses), prefix
         # Untouched rounds stay byte-identical to the fault-free run.

@@ -153,19 +153,9 @@ class TestFastpathFrontier:
 # Per-round signal diffs
 
 
-class _FakeResponse:
-    def __init__(self, responded, kind=None, origin=None):
-        self.responded = responded
-        self.interface_kind = kind
-        self.origin_asn = origin
-
-
 class TestRoundFrontier:
     def test_signal_rows(self):
-        rows = signal_rows([
-            ("10.0.0.0/24", [_FakeResponse(True, "re", 7)]),
-            ("10.0.1.0/24", [_FakeResponse(False)]),
-        ])
+        rows = signal_rows([("10.0.0.0/24", 1), ("10.0.1.0/24", 0)])
         assert rows == [("10.0.0.0/24", "re"), ("10.0.1.0/24", "none")]
 
     def test_first_round_counts_appearances(self):

@@ -82,7 +82,7 @@ class TestHeadlineFindings:
         }
         for prefix in mixed_prefixes:
             for round_result in result.rounds:
-                for response in round_result.responses.get(prefix, []):
+                for response in round_result.responses_of(prefix):
                     if not response.responded:
                         continue
                     if response.interface_kind == "re":

@@ -14,7 +14,7 @@ from repro import (
 from repro.bgp.attributes import ASPath, Route
 from repro.bgp.policy import Rel, RoutingPolicy
 from repro.bgp.router import Router
-from repro.core.classify import classify_prefix_rounds
+from repro.core.classify import RoundSignal, classify_prefix_rounds
 from repro.core.explain import render_explanation
 from repro.netutil import Prefix
 from repro.obs.export import chrome_trace, write_chrome_trace
@@ -186,7 +186,10 @@ class TestRenderExplanation:
                 interface_kind = kind
                 origin_asn = 10
             responses.append([R()])
-        return classify_prefix_rounds(PFX, 64500, responses, configs)
+        signals = [
+            RoundSignal(round_signal_summary(r)["signal"]) for r in responses
+        ]
+        return classify_prefix_rounds(PFX, 64500, signals, configs)
 
     def test_always_re_narrative(self):
         configs = ["4-0", "3-0", "2-0"]

@@ -16,8 +16,20 @@ from repro.probing import (
 )
 from repro.probing.forwarding import MAX_AS_HOPS
 from repro.probing.host import DEFAULT_SOURCE
-from repro.probing.prober import Prober
-from repro.rng import SeedTree
+from repro.obs.provenance import (
+    KIND_BITS,
+    SIGNAL_LABELS,
+    round_signal_summary,
+    signal_from_kinds,
+)
+from repro.probing.prober import (
+    PREFIX_STREAM_LABEL,
+    ProbePlan,
+    ProbeResponse,
+    Prober,
+    prefix_stream_rng,
+)
+from repro.rng import SeedTree, derive_seed
 from repro.seeds.selection import ProbeMethod, ProbeTarget
 from repro.topology.graph import Topology
 from repro.topology.re_config import SystemPlan
@@ -279,16 +291,17 @@ class TestProber:
             [Announcement(MEAS, 1, tag="re"),
              Announcement(MEAS, 2, tag="commodity")],
         )
-        prober = Prober(topo, host, {address: system})
-        return prober, {target_prefix: [target]}, result.route_at
+        prober = Prober(topo, host)
+        targets = {target_prefix: [target]}
+        return prober, targets, {address: system}, result.route_at
 
     def test_round_records_interface(self):
-        prober, targets, rib = self._setup()
+        prober, targets, systems, rib = self._setup()
         round_result = prober.probe_round(
-            "0-0", targets, rib, SeedTree(0), now=100.0
+            "0-0", ProbePlan(targets, systems), rib, SeedTree(0), now=100.0
         )
         prefix = next(iter(targets))
-        responses = round_result.responses[prefix]
+        responses = round_result.responses_of(prefix)
         assert len(responses) == 1
         assert responses[0].responded
         assert responses[0].interface_kind == "re"
@@ -296,27 +309,30 @@ class TestProber:
         assert round_result.interfaces_seen(prefix) == ["re"]
 
     def test_pacing_sets_duration(self):
-        prober, targets, rib = self._setup()
+        prober, targets, systems, rib = self._setup()
         round_result = prober.probe_round(
-            "0-0", targets, rib, SeedTree(0), now=0.0
+            "0-0", ProbePlan(targets, systems), rib, SeedTree(0), now=0.0
         )
         assert round_result.duration == pytest.approx(
             round_result.probe_count() / prober.pps
         )
 
     def test_lossy_system_can_miss(self):
-        prober, targets, rib = self._setup()
+        prober, targets, systems, rib = self._setup()
         prefix = next(iter(targets))
         address = targets[prefix][0].address
-        prober.systems_by_address[address].loss_probability = 1.0
+        # The plan holds references: a change made after compiling it
+        # is what the round sees.
+        plan = ProbePlan(targets, systems)
+        systems[address].loss_probability = 1.0
         round_result = prober.probe_round(
-            "0-0", targets, rib, SeedTree(0), now=0.0
+            "0-0", plan, rib, SeedTree(0), now=0.0
         )
-        assert not round_result.responses[prefix][0].responded
+        assert not round_result.responses_of(prefix)[0].responded
         assert round_result.response_count() == 0
 
     def test_unknown_address_no_response(self):
-        prober, targets, rib = self._setup()
+        prober, targets, systems, rib = self._setup()
         prefix = next(iter(targets))
         extra = ProbeTarget(
             address=prefix.address_at(99), prefix=prefix,
@@ -324,7 +340,7 @@ class TestProber:
         )
         targets[prefix].append(extra)
         round_result = prober.probe_round(
-            "0-0", targets, rib, SeedTree(0), now=0.0
+            "0-0", ProbePlan(targets, systems), rib, SeedTree(0), now=0.0
         )
         assert round_result.response_count() == 1
 
@@ -332,7 +348,153 @@ class TestProber:
         topo = dual_homed_topology()
         host = MeasurementHost(MEAS)
         with pytest.raises(ExperimentError):
-            Prober(topo, host, {}, pps=0)
+            Prober(topo, host, pps=0)
+
+    def test_delivery_to_an_origin_without_interface_raises(self):
+        prober, targets, systems, rib = self._setup()
+        host = MeasurementHost(MEAS)
+        host.attach(2, VLANInterface("v2", "commodity", "comm"))
+        prober.host = host
+        with pytest.raises(ExperimentError, match="origin AS 1"):
+            prober.probe_round(
+                "0-0", ProbePlan(targets, systems), rib, SeedTree(0),
+                now=0.0,
+            )
+
+
+def reference_round(targets_by_prefix, systems, catchment, host,
+                    round_seed, now, pps, lossy):
+    """The per-probe prober the columnar round must match: one
+    :func:`prefix_stream_rng` per prefix, one catchment lookup and one
+    :class:`ProbeResponse` per probe."""
+    responses = {}
+    index = 0
+    for prefix in sorted(targets_by_prefix,
+                         key=lambda p: (p.network, p.length)):
+        rng = prefix_stream_rng(round_seed, prefix)
+        out = responses.setdefault(prefix, [])
+        for target in targets_by_prefix[prefix]:
+            tx = now + index * (1.0 / pps)
+            index += 1
+            system = systems.get(target.address)
+            if (prefix in lossy or system is None or not system.alive
+                    or rng.random() < system.loss_probability):
+                out.append(ProbeResponse(target, tx, False))
+                continue
+            outcome, origin, hops = catchment.lookup(system.attached_asn)
+            if outcome is not ForwardingOutcome.DELIVERED:
+                out.append(ProbeResponse(target, tx, False, outcome=outcome,
+                                         hops=hops))
+                continue
+            rtt = 4.0 * hops + rng.uniform(1.0, 25.0)
+            out.append(ProbeResponse(
+                target, tx, True, host.interface_for_origin(origin).kind,
+                origin, rtt, outcome, hops,
+            ))
+    return responses
+
+
+@st.composite
+def probe_rounds(draw):
+    """A round to probe: forwarding state toward origins 1 (R&E) and 2
+    (commodity), prefixes with targets (some at unknown addresses) on
+    live or dead systems with loss in {0, p, 1}, a blanked subset, and
+    a round seed."""
+    asns = st.integers(min_value=1, max_value=7)
+    snapshot = RibSnapshot(
+        MEAS,
+        draw(st.dictionaries(asns, asns)),
+        draw(st.frozensets(asns, max_size=1)),
+        draw(st.dictionaries(asns, asns, max_size=2)),
+    )
+    p = draw(st.floats(min_value=0.01, max_value=0.99))
+    targets_by_prefix = {}
+    systems = {}
+    blocks = draw(st.lists(
+        st.integers(min_value=0, max_value=255), min_size=1, max_size=5,
+        unique=True,
+    ))
+    for block in blocks:
+        prefix = Prefix.parse("198.51.%d.0/24" % block)
+        targets = []
+        for host_index in range(draw(st.integers(min_value=0, max_value=4))):
+            address = prefix.address_at(host_index + 1)
+            targets.append(ProbeTarget(
+                address=address, prefix=prefix,
+                method=ProbeMethod.ICMP_ECHO,
+            ))
+            if draw(st.booleans()) or draw(st.booleans()):
+                systems[address] = SystemPlan(
+                    address=address, prefix=prefix,
+                    attached_asn=draw(asns), seed_source="isi",
+                    alive=draw(st.booleans()) or draw(st.booleans()),
+                    loss_probability=draw(st.sampled_from((0.0, p, 1.0))),
+                )
+        targets_by_prefix[prefix] = targets
+    lossy = frozenset(draw(st.sets(st.sampled_from(sorted(
+        targets_by_prefix, key=lambda q: (q.network, q.length)
+    )))))
+    seed = draw(st.integers(min_value=0, max_value=2 ** 64 - 1))
+    return snapshot, targets_by_prefix, systems, lossy, seed
+
+
+class TestColumnarRound:
+    def _host(self, catchment):
+        host = MeasurementHost(MEAS)
+        host.attach(1, VLANInterface("v1", "re", "re"))
+        host.attach(2, VLANInterface("v2", "commodity", "comm"))
+        host.catchment = lambda topology, best_route_of: catchment
+        return host
+
+    @settings(max_examples=200, deadline=None)
+    @given(probe_rounds())
+    def test_columns_match_the_per_probe_reference(self, case):
+        snapshot, targets_by_prefix, systems, lossy, seed = case
+        catchment = snapshot.resolve({1, 2})
+        host = self._host(catchment)
+        plan = ProbePlan(targets_by_prefix, systems)
+        for prefix, stream_seed in zip(plan.prefixes,
+                                       plan.stream_seeds(seed)):
+            assert stream_seed == derive_seed(
+                seed, PREFIX_STREAM_LABEL % prefix
+            )
+        prober = Prober(Topology(), host, pps=50)
+        try:
+            expected = reference_round(
+                targets_by_prefix, systems, catchment, host, seed, 7.0,
+                50, lossy,
+            )
+        except ExperimentError:
+            # A non-origin local holder delivered a response.
+            with pytest.raises(ExperimentError):
+                prober.probe_round("0-0", plan, None, SeedTree(seed), 7.0,
+                                   lossy_prefixes=lossy)
+            return
+        result = prober.probe_round("0-0", plan, None, SeedTree(seed), 7.0,
+                                    lossy_prefixes=lossy)
+        for index, prefix in enumerate(plan.prefixes):
+            responses = expected[prefix]
+            assert result.responses_of(prefix) == responses, prefix
+            kinds = {r.interface_kind for r in responses if r.responded}
+            assert (SIGNAL_LABELS[result.signal_code(prefix)]
+                    == signal_from_kinds(kinds))
+            assert (result.signal_summary(index)
+                    == round_signal_summary(responses))
+        assert result.probe_count() == sum(map(len, expected.values()))
+        assert result.response_count() == sum(
+            r.responded for rs in expected.values() for r in rs
+        )
+
+    def test_signal_labels_follow_signal_from_kinds(self):
+        for code, label in enumerate(SIGNAL_LABELS):
+            kinds = [k for k, bit in KIND_BITS.items() if code & bit]
+            assert label == signal_from_kinds(kinds)
+        assert SIGNAL_LABELS == ("none", "re", "commodity", "both")
+
+    def test_host_rejects_an_unknown_interface_kind(self):
+        host = MeasurementHost(MEAS)
+        with pytest.raises(ExperimentError):
+            host.attach(1, VLANInterface("v1", "tunnel", "test"))
 
 
 class TestRibSnapshot:

@@ -17,7 +17,7 @@ from repro.bgp.engine import (
     WithdrawDelta,
 )
 from repro.cli import main
-from repro.errors import ExperimentError
+from repro.errors import ExperimentError, ReproError
 from repro.whatif import parse_delta
 
 
@@ -69,6 +69,28 @@ class TestParseDelta:
     def test_bad_specs_raise(self, session, bad):
         with pytest.raises(ExperimentError):
             parse_delta(bad, session)
+
+
+class TestPrependCap:
+    """A prepended origin path fills at most one AS_SEQUENCE segment
+    (255 ASNs); a larger count fails before the engine changes."""
+
+    @pytest.mark.parametrize("text", [
+        "prepend:re=255",
+        "announce:commodity=255",
+        "prepend:re=100000000000000000000",
+    ])
+    def test_over_the_cap_raises_and_leaves_state_alone(self, text):
+        session = WhatIfSession(ExperimentSpec(seed=0, scale=0.04))
+        before = session.rib_state()
+        with pytest.raises(ReproError):
+            session.apply(parse_delta(text, session))
+        assert session.rib_state() == before
+
+    def test_the_cap_itself_is_accepted(self):
+        session = WhatIfSession(ExperimentSpec(seed=0, scale=0.04))
+        outcome = session.apply(parse_delta("prepend:re=254", session))
+        assert outcome.messages_delivered > 0
 
 
 class TestConfigStepping:
