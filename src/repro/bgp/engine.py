@@ -167,7 +167,7 @@ class AnnounceDelta:
 
 @dataclass(frozen=True)
 class WithdrawDelta:
-    """Withdraw *prefix* at its origin."""
+    """Withdraw *prefix* at its origin (which must announce it)."""
 
     origin_asn: int
     prefix: Prefix
@@ -453,6 +453,12 @@ class PropagationEngine:
                 self._mark_dirty(delta.origin_asn, delta.prefix)
                 stats_list.append(self.run_to_fixpoint())
             elif isinstance(delta, WithdrawDelta):
+                key = (delta.origin_asn, delta.prefix)
+                if key not in self._announcements:
+                    raise EngineError(
+                        "no live announcement of %s from AS %d to withdraw"
+                        % (delta.prefix, delta.origin_asn)
+                    )
                 self.withdraw(delta.origin_asn, delta.prefix)
                 self._mark_dirty(delta.origin_asn, delta.prefix)
                 stats_list.append(self.run_to_fixpoint())

@@ -38,6 +38,9 @@ LP_PEER = 200
 LP_RE_PREFERRED = 150
 LP_PROVIDER = 100
 
+#: LOCAL_PREF is a four-octet attribute (RFC 4271 §4.3).
+MAX_LOCALPREF = 2 ** 32 - 1
+
 ORIGIN = None  # sentinel "relationship" of locally originated routes
 
 
@@ -109,6 +112,11 @@ class RoutingPolicy:
                 raise PolicyError(
                     "negative localpref %d for neighbor %d" % (value, asn)
                 )
+            if value > MAX_LOCALPREF:
+                raise PolicyError(
+                    "localpref %d for neighbor %d exceeds %d"
+                    % (value, asn, MAX_LOCALPREF)
+                )
         for asn, count in self.export_prepends.items():
             if count < 0:
                 raise PolicyError(
@@ -142,6 +150,10 @@ class RoutingPolicy:
     def set_neighbor_localpref(self, neighbor_asn: int, value: int) -> None:
         if value < 0:
             raise PolicyError("negative localpref %d" % value)
+        if value > MAX_LOCALPREF:
+            raise PolicyError(
+                "localpref %d exceeds %d" % (value, MAX_LOCALPREF)
+            )
         self.localpref[neighbor_asn] = value
 
     def set_export_prepends(self, neighbor_asn: int, count: int) -> None:

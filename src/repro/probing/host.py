@@ -15,16 +15,34 @@ origin arrives on the R&E VLAN.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List
+from typing import Callable, Dict, Iterable, List, Tuple
 
 from ..errors import ExperimentError
 from ..netutil import Prefix, parse_address
 from ..obs.provenance import KIND_BITS
 from ..topology.graph import Topology
-from .forwarding import Catchment, RibSnapshot
+from .forwarding import Catchment, ForwardingOutcome, RibSnapshot
 
 #: The loopback source address used in probes (§3.1).
 DEFAULT_SOURCE = parse_address("163.253.63.63")
+
+#: Outcome codes of a verdict (and of the prober's outcome column); 0
+#: is a probe that never reached the data plane.
+OUTCOMES = (
+    None,
+    ForwardingOutcome.DELIVERED,
+    ForwardingOutcome.NO_ROUTE,
+    ForwardingOutcome.LOOP,
+)
+OUTCOME_CODE = {outcome: code for code, outcome in enumerate(OUTCOMES)}
+DELIVERED = OUTCOME_CODE[ForwardingOutcome.DELIVERED]
+
+#: Origin sentinel of a walk that delivered nowhere.
+NO_ORIGIN = -1
+
+#: ``(outcome code, kind bit, origin, hops)``: what one AS's return
+#: walk comes to, as the prober and the what-if predictor read it.
+Verdict = Tuple[int, int, int, int]
 
 
 @dataclass(frozen=True)
@@ -91,6 +109,33 @@ class MeasurementHost:
         return RibSnapshot.capture(
             topology, best_route_of, self.measurement_prefix,
         ).resolve(self.origin_asns())
+
+    def verdicts(
+        self, catchment: Catchment, asns: Iterable[int]
+    ) -> Dict[int, Verdict]:
+        """Each of *asns*' :data:`Verdict` over *catchment*.
+
+        The kind bit is the :data:`~repro.obs.provenance.KIND_BITS` bit
+        of the interface the walk arrives on, and 0 when it ends at an
+        origin with no interface: the reader of that verdict raises
+        (:meth:`interface_for_origin`), so one stray delivery fails
+        only the probes and predictions that depend on it.
+        """
+        kind_of = {
+            origin: KIND_BITS[interface.kind]
+            for origin, interface in self._interfaces.items()
+        }
+        lookup = catchment.lookup
+        table = {}
+        for asn in asns:
+            outcome, origin, hops = lookup(asn)
+            table[asn] = (
+                OUTCOME_CODE[outcome],
+                kind_of.get(origin, 0),
+                NO_ORIGIN if origin is None else origin,
+                hops,
+            )
+        return table
 
     @classmethod
     def for_experiment(

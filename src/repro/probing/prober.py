@@ -27,7 +27,9 @@ import hashlib
 import random
 from array import array
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import (
+    Callable, Dict, FrozenSet, Iterator, List, Mapping, Optional, Tuple,
+)
 
 from ..errors import ExperimentError
 from ..netutil import Prefix
@@ -39,7 +41,7 @@ from ..topology.graph import Topology
 from ..topology.re_config import SystemPlan
 from ..seeds.selection import ProbeTarget
 from .forwarding import ForwardingOutcome
-from .host import MeasurementHost
+from .host import DELIVERED, NO_ORIGIN, OUTCOMES, MeasurementHost
 
 DEFAULT_PPS = 100
 
@@ -47,22 +49,8 @@ DEFAULT_PPS = 100
 #: node; part of the determinism contract.
 PREFIX_STREAM_LABEL = "prefix-%s"
 
-#: Outcome column codes; 0 is a probe that never reached the data
-#: plane (unknown address, dead or lossy system, blanked prefix).
-_OUTCOMES = (
-    None,
-    ForwardingOutcome.DELIVERED,
-    ForwardingOutcome.NO_ROUTE,
-    ForwardingOutcome.LOOP,
-)
-_OUTCOME_CODE = {outcome: code for code, outcome in enumerate(_OUTCOMES)}
-_DELIVERED = _OUTCOME_CODE[ForwardingOutcome.DELIVERED]
-
 #: Kind column code -> interface kind (0: no response).
 _KIND_LABEL = {bit: kind for kind, bit in KIND_BITS.items()}
-
-#: Origin column sentinel for a probe that got no response.
-_NO_ORIGIN = -1
 
 #: RTT column sentinel for a probe that got no response.
 _NO_RTT = -1.0
@@ -128,6 +116,12 @@ class ProbePlan:
             systems_by_address.get(target.address)
             for target in self.targets
         ]
+        #: Every AS a planned system attaches to: whose verdicts a
+        #: round reads.
+        self.attached_asns: FrozenSet[int] = frozenset(
+            system.attached_asn for system in self.systems
+            if system is not None
+        )
 
     def stream_seeds(self, round_seed: int) -> List[int]:
         """Each prefix's stream seed under *round_seed*: one keyed
@@ -175,7 +169,7 @@ class RoundResult:
         self.responded = bytearray(probes)
         self.kind = bytearray(probes)
         self.outcome = bytearray(probes)
-        self.origin = array("q", [_NO_ORIGIN]) * probes
+        self.origin = array("q", [NO_ORIGIN]) * probes
         self.rtt = array("d", [_NO_RTT]) * probes
         self.hops = array("H", bytes(2 * probes))
         self.signal = bytearray(len(self.plan.prefixes))
@@ -224,7 +218,7 @@ class RoundResult:
         views = []
         for j in range(plan.offsets[index], plan.offsets[index + 1]):
             tx = self.started_at + j * self.interval
-            outcome = _OUTCOMES[self.outcome[j]]
+            outcome = OUTCOMES[self.outcome[j]]
             if self.responded[j]:
                 views.append(ProbeResponse(
                     target=plan.targets[j],
@@ -283,7 +277,9 @@ class Prober:
         *best_route_of* maps an AS to its best route for the
         measurement prefix.  The round reads it once, into the host's
         catchment (:meth:`~repro.probing.host.MeasurementHost.catchment`),
-        and resolves each attached AS's verdict from it once.
+        and reads each attached AS's verdict from it once
+        (:meth:`~repro.probing.host.MeasurementHost.verdicts`, the table
+        the what-if predictor reads too).
         *seed_tree* is the round's seed node; each prefix derives its
         own probe stream from it (see :func:`prefix_stream_rng`): a
         loss draw for each live, known system, then an RTT draw for
@@ -298,7 +294,11 @@ class Prober:
         interval = 1.0 / self.pps
         result = RoundResult(config, now, plan, interval)
         with span("prober.round"):
-            verdicts = self._verdicts(plan, best_route_of)
+            host = self.host
+            verdicts = host.verdicts(
+                host.catchment(self.topology, best_route_of),
+                plan.attached_asns,
+            )
             responded = result.responded
             kind_col = result.kind
             outcome_col = result.outcome
@@ -329,11 +329,11 @@ class Prober:
                     )
                     outcome_col[j] = outcome
                     hops_col[j] = hops
-                    if outcome != _DELIVERED:
+                    if outcome != DELIVERED:
                         continue
                     if not kind:
                         # Delivered to an origin with no interface.
-                        self.host.interface_for_origin(origin)
+                        host.interface_for_origin(origin)
                     responded[j] = 1
                     kind_col[j] = kind
                     origin_col[j] = origin
@@ -344,29 +344,6 @@ class Prober:
         self._record_signals(result, round_index)
         self._flush_metrics(result)
         return result
-
-    def _verdicts(
-        self, plan: ProbePlan, best_route_of: Callable[[int], object]
-    ) -> Dict[int, Tuple[int, int, int, int]]:
-        """Each attached AS's ``(outcome code, kind bit, origin, hops)``
-        this round, read once from the round's catchment; the kind bit
-        is 0 when the walk ends at an origin with no interface."""
-        host = self.host
-        kind_of = {
-            asn: KIND_BITS[host.interface_for_origin(asn).kind]
-            for asn in host.origin_asns()
-        }
-        lookup = host.catchment(self.topology, best_route_of).lookup
-        verdicts = {}
-        for asn in {s.attached_asn for s in plan.systems if s is not None}:
-            outcome, origin, hops = lookup(asn)
-            verdicts[asn] = (
-                _OUTCOME_CODE[outcome],
-                kind_of.get(origin, 0),
-                _NO_ORIGIN if origin is None else origin,
-                hops,
-            )
-        return verdicts
 
     @staticmethod
     def _record_signals(

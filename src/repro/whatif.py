@@ -4,11 +4,18 @@ A :class:`WhatIfSession` keeps one converged network warm and answers
 catchment questions — "which origin (and therefore which signal
 category) does prefix P land on under configuration C, or after policy
 change X?" — in microseconds.  Every converged state is captured once
-as a :class:`~repro.probing.forwarding.RibSnapshot` and resolved into a
-:class:`~repro.probing.forwarding.Catchment`, so a query is one lookup
-per probed system; state changes are
-:meth:`~repro.bgp.engine.PropagationEngine.apply_delta` deltas instead
-of re-simulating the experiment from scratch.
+as a :class:`~repro.probing.forwarding.RibSnapshot`, resolved into a
+:class:`~repro.probing.forwarding.Catchment`, and read into the same
+per-AS verdict table a probing round reads
+(:meth:`~repro.probing.host.MeasurementHost.verdicts`).  State changes
+are :meth:`~repro.bgp.engine.PropagationEngine.apply_delta` deltas
+instead of re-simulating the experiment from scratch.
+
+Predictions for the current state are memoized per prefix.  A delta
+usually moves few return walks, so :meth:`WhatIfSession.apply` diffs
+the new verdict table against the old one and forgets only the
+predictions of prefixes with an attached AS whose walk now ends at a
+different origin; every other prediction stays a dictionary hit.
 
 The session replays the experiment's control-plane history exactly as
 :class:`~repro.experiment.runner.ExperimentRunner` does (same seeding,
@@ -17,7 +24,7 @@ are semantically meaningful (the OLDEST_ROUTE tie-break), so warm
 state is only byte-identical to the experiment's when the full history
 is replayed in canonical order.  Configurations therefore only step
 *forward*; earlier configurations stay queryable through their cached
-catchments until a free-form delta changes the network under them.
+verdict tables until a free-form delta changes the network under them.
 
 The cold path stays authoritative: :meth:`WhatIfSession.replay_cold`
 rebuilds a fresh ecosystem and engine and replays the session's
@@ -45,12 +52,13 @@ from .bgp.engine import (
     WithdrawDelta,
 )
 from .errors import ExperimentError
+from .experiment.schedule import _COUNT
 from .netutil import Prefix
 from .obs import get_logger
-from .obs.provenance import signal_from_kinds
-from .probing.forwarding import Catchment
-from .probing.host import MeasurementHost
+from .obs.provenance import SIGNAL_LABELS
+from .probing.host import DELIVERED, MeasurementHost, Verdict
 from .rng import SeedTree
+from .topology.re_config import SystemPlan
 from .topology.re_ecosystem import Ecosystem, build_ecosystem
 
 __all__ = [
@@ -61,6 +69,9 @@ __all__ = [
 
 _log = get_logger("repro.whatif")
 
+#: A prefix compiled for prediction: its text and its alive systems.
+_Compiled = Tuple[str, Tuple[SystemPlan, ...]]
+
 
 @dataclass(frozen=True)
 class Prediction:
@@ -70,7 +81,7 @@ class Prediction:
     announcement origin its return path terminates at (None when the
     path fails to deliver); ``signal`` classifies the set of reached
     interface kinds exactly as round classification does
-    (:func:`~repro.obs.provenance.signal_from_kinds`)."""
+    (:data:`~repro.obs.provenance.SIGNAL_LABELS`)."""
 
     prefix: str
     config: str
@@ -114,8 +125,22 @@ class WhatIfSession:
         #: Everything needed to rebuild this state cold, in order:
         #: ("config", label) steps and ("delta", delta) edits.
         self._journal: List[Tuple[str, object]] = []
-        #: One resolved catchment per queryable config.
-        self._catchments: Dict[str, Catchment] = {}
+        #: Every AS an alive planned system attaches to: whose verdicts
+        #: each state keeps (system liveness is fixed when the
+        #: ecosystem is built).
+        self._attached_asns = frozenset(
+            system.attached_asn
+            for plan in ecosystem.prefix_plans.values()
+            for system in plan.systems if system.alive
+        )
+        #: Each queried prefix, compiled on its first query.
+        self._compiled: Dict[Prefix, _Compiled] = {}
+        #: Attached ASN -> the compiled prefixes with a system behind it.
+        self._prefixes_of: Dict[int, List[Prefix]] = {}
+        #: One verdict table (attached ASes only) per queryable config.
+        self._verdicts: Dict[str, Dict[int, Verdict]] = {}
+        #: The current state's predictions, by prefix.
+        self._memo: Dict[Prefix, Prediction] = {}
         self._config_index = 0
         self._warm_up()
 
@@ -158,7 +183,7 @@ class WhatIfSession:
 
     def advance_to_config(self, config: str) -> None:
         """Step the warm state forward to *config* (canonical schedule
-        order; earlier configs stay queryable via cached catchments)."""
+        order; earlier configs stay queryable via cached verdicts)."""
         configs = list(self.schedule.configs)
         if config not in configs:
             raise ExperimentError(
@@ -197,6 +222,7 @@ class WhatIfSession:
             self._config_index = index
             self._journal.append(("config", configs[index]))
             self._resolve_current()
+            self._memo = {}
             if _log.is_enabled_for("debug"):
                 _log.debug(
                     "what-if config step",
@@ -207,13 +233,20 @@ class WhatIfSession:
 
     def apply(self, delta) -> DeltaOutcome:
         """Apply one free-form delta to the warm state (journaled for
-        cold replay).  Catchments of earlier configs describe a network
-        the delta has now changed, so the cache is dropped and only the
-        post-delta state stays queryable."""
+        cold replay).  Verdicts of earlier configs describe a network
+        the delta has now changed, so they are dropped and only the
+        post-delta state stays queryable.  A memoized prediction is
+        forgotten only if one of its attached ASes now reaches a
+        different origin."""
         outcome = self._engine.apply_delta(delta)
         self._journal.append(("delta", delta))
-        self._catchments.clear()
-        self._resolve_current()
+        previous = self._verdicts[self.current_config]
+        self._verdicts.clear()
+        memo = self._memo
+        for asn, (_, _, origin, _) in self._resolve_current().items():
+            if origin != previous[asn][2]:
+                for prefix in self._prefixes_of.get(asn, ()):
+                    memo.pop(prefix, None)
         return outcome
 
     # ----- queries ----------------------------------------------------
@@ -225,43 +258,62 @@ class WhatIfSession:
     ) -> Prediction:
         """Where does *prefix* land under *config* (default: current)?
 
-        Looks up every alive system planned inside the prefix in the
-        config's cached catchment — the prober's deterministic
+        Reads each alive system planned inside the prefix from the
+        config's verdict table — the prober's deterministic
         return-path signal, minus liveness/loss randomness — and
-        classifies the reached interface kinds."""
+        classifies the reached interface kinds.  The current config's
+        answers are memoized; an earlier config's are rebuilt per
+        call."""
+        if config is None:
+            hit = self._memo.get(prefix)
+            if hit is not None:
+                return hit
         if isinstance(prefix, str):
             prefix = Prefix.parse(prefix)
         label = config or self.current_config
-        catchment = self._catchments.get(label)
-        if catchment is None:
+        verdicts = self._verdicts.get(label)
+        if verdicts is None:
             self.advance_to_config(label)
-            catchment = self._catchments[label]
-        plan = self.ecosystem.prefix_plans.get(prefix)
-        if plan is None:
-            raise ExperimentError("prefix %s is not in the study" % prefix)
-        lookup = catchment.lookup
-        deliveries: List[Tuple[int, Optional[int]]] = []
-        kinds: List[str] = []
-        for system in plan.alive_systems:
-            # Only a delivered walk names an origin.
-            origin = lookup(system.attached_asn)[1]
-            deliveries.append((system.address, origin))
-            if origin is not None:
-                kinds.append(self.host.interface_for_origin(origin).kind)
-        return Prediction(
-            prefix=str(prefix),
+            verdicts = self._verdicts[label]
+        current = label == self.current_config
+        if current:
+            hit = self._memo.get(prefix)
+            if hit is not None:
+                return hit
+        compiled = self._compiled.get(prefix)
+        if compiled is None:
+            compiled = self._compile(prefix)
+        text, systems = compiled
+        code = 0
+        deliveries = []
+        for system in systems:
+            address = system.address
+            outcome, kind, origin, _ = verdicts[system.attached_asn]
+            if outcome != DELIVERED:
+                deliveries.append((address, None))
+                continue
+            if not kind:
+                # Delivered to an origin with no interface.
+                self.host.interface_for_origin(origin)
+            code |= kind
+            deliveries.append((address, origin))
+        prediction = Prediction(
+            prefix=text,
             config=label,
-            signal=signal_from_kinds(kinds),
+            signal=SIGNAL_LABELS[code],
             deliveries=tuple(deliveries),
         )
+        if current:
+            self._memo[prefix] = prediction
+        return prediction
 
     def predict_batch(
         self,
         prefixes,
         config: Optional[str] = None,
     ) -> List[Prediction]:
-        """Batched :meth:`predict` over many prefixes (one catchment,
-        one lookup per probed system)."""
+        """Batched :meth:`predict` over many prefixes (one verdict
+        table, one lookup per probed system)."""
         return [self.predict(prefix, config) for prefix in prefixes]
 
     def rib_state(self) -> tuple:
@@ -286,12 +338,30 @@ class WhatIfSession:
 
     # ----- internals --------------------------------------------------
 
-    def _resolve_current(self) -> None:
-        self._catchments[self.current_config] = self.host.catchment(
+    def _compile(self, prefix: Prefix) -> _Compiled:
+        """Compile *prefix* for prediction and index it under its
+        attached ASes."""
+        plan = self.ecosystem.prefix_plans.get(prefix)
+        if plan is None:
+            raise ExperimentError("prefix %s is not in the study" % prefix)
+        systems = tuple(system for system in plan.systems if system.alive)
+        for asn in {system.attached_asn for system in systems}:
+            self._prefixes_of.setdefault(asn, []).append(prefix)
+        compiled = self._compiled[prefix] = (str(prefix), systems)
+        return compiled
+
+    def _resolve_current(self) -> Dict[int, Verdict]:
+        """Capture and resolve the current state's catchment, and cache
+        the attached ASes' verdicts under the current config."""
+        host = self.host
+        catchment = host.catchment(
             self.ecosystem.topology,
             partial(self._engine.best_route,
                     prefix=self.ecosystem.measurement_prefix),
         )
+        verdicts = host.verdicts(catchment, self._attached_asns)
+        self._verdicts[self.current_config] = verdicts
+        return verdicts
 
 
 def _default_schedule():
@@ -321,28 +391,28 @@ def parse_delta(text: str, session: WhatIfSession):
         kind, _, rest = text.partition(":")
         if kind in ("flap", "down", "up"):
             a_text, _, b_text = rest.partition("-")
-            return LinkFlap(int(a_text), int(b_text), action=(
+            return LinkFlap(_count(a_text), _count(b_text), action=(
                 "flap" if kind == "flap" else kind
             ))
         if kind == "localpref":
             asn_text, _, tail = rest.partition(":")
             neighbor_text, _, value_text = tail.partition("=")
             return LocalprefEdit(
-                int(asn_text), int(neighbor_text), int(value_text)
+                _count(asn_text), _count(neighbor_text), _count(value_text)
             )
         side, _, amount = rest.partition("=")
         origin = _origin_for_side(session, side)
         if kind == "prepend":
-            return PrependChange(origin, prefix, int(amount))
+            return PrependChange(origin, prefix, _count(amount))
         if kind == "withdraw":
             return WithdrawDelta(origin, prefix)
         if kind == "announce":
             return AnnounceDelta(
                 origin, prefix,
-                default_prepends=int(amount) if amount else 0,
+                default_prepends=_count(amount) if amount else 0,
                 tag=side,
             )
-    except (ValueError, ExperimentError) as error:
+    except ExperimentError as error:
         raise ExperimentError(
             "bad delta spec %r: %s" % (text, error)
         ) from None
@@ -350,6 +420,14 @@ def parse_delta(text: str, session: WhatIfSession):
         "unknown delta kind %r (want prepend/announce/withdraw/"
         "localpref/flap/down/up)" % (kind,)
     )
+
+
+def _count(text: str) -> int:
+    """A non-negative integer spelled in ASCII digits only (``int``
+    would also take other scripts' digits, whitespace and ``_``)."""
+    if not _COUNT.fullmatch(text):
+        raise ExperimentError("expected ASCII digits, not %r" % (text,))
+    return int(text)
 
 
 def _origin_for_side(session: WhatIfSession, side: str) -> int:

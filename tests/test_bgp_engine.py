@@ -407,6 +407,17 @@ class TestApplyDelta:
         assert engine.best_route(3, PFX) is None
         assert outcome.dirty_prefixes == (str(PFX),)
 
+    def test_withdrawing_an_absent_announcement_raises(self):
+        engine = engine_for(chain_topology())
+        engine.apply_delta(AnnounceDelta(1, PFX))
+        engine.apply_delta(WithdrawDelta(1, PFX))
+        before = engine.rib_state(PFX)
+        with pytest.raises(EngineError, match="no live announcement"):
+            engine.apply_delta(WithdrawDelta(1, PFX))
+        with pytest.raises(EngineError, match="to withdraw"):
+            engine.apply_delta(WithdrawDelta(3, PFX))
+        assert engine.rib_state(PFX) == before
+
     def test_link_flap_runs_two_fixpoints(self):
         engine = engine_for(chain_topology())
         engine.apply_delta(AnnounceDelta(1, PFX))

@@ -6,6 +6,7 @@ from repro.bgp.policy import (
     LP_CUSTOMER,
     LP_PEER,
     LP_PROVIDER,
+    MAX_LOCALPREF,
     Rel,
     RoutingPolicy,
     commodity_preferred_policy,
@@ -93,6 +94,17 @@ class TestRoutingPolicy:
         assert policy.localpref_for(3, Rel.PEER) == 250
         with pytest.raises(PolicyError):
             policy.set_neighbor_localpref(3, -1)
+
+    def test_localpref_is_four_octets(self):
+        # RFC 4271 §4.3: LOCAL_PREF is a four-octet value.
+        policy = RoutingPolicy(localpref={1: MAX_LOCALPREF})
+        policy.set_neighbor_localpref(2, MAX_LOCALPREF)
+        assert policy.localpref_for(2, Rel.PEER) == 2 ** 32 - 1
+        with pytest.raises(PolicyError, match=str(2 ** 32)):
+            RoutingPolicy(localpref={1: 2 ** 32})
+        with pytest.raises(PolicyError, match="99999999999999999999999"):
+            policy.set_neighbor_localpref(3, 99999999999999999999999)
+        assert 3 not in policy.localpref
 
     def test_prepends_toward(self):
         policy = RoutingPolicy()

@@ -1,12 +1,15 @@
-"""The what-if facade: warm sessions, delta parsing, catchment-cached
-queries, and the ``repro whatif`` CLI surface.
+"""The what-if facade: warm sessions, delta parsing, memoized queries,
+and the ``repro whatif`` CLI surface.
 
 The heavyweight identity checks (warm state vs cold replay, backend
 equivalence) live in ``test_differential.py::TestDeltaConvergence``;
 this module covers the session/CLI semantics around them.
 """
 
+from functools import partial
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.api import ExperimentSpec, Prediction, WhatIfSession
 from repro.bgp.engine import (
@@ -17,7 +20,8 @@ from repro.bgp.engine import (
     WithdrawDelta,
 )
 from repro.cli import main
-from repro.errors import ExperimentError, ReproError
+from repro.errors import EngineError, ExperimentError, ReproError
+from repro.obs.provenance import signal_from_kinds
 from repro.whatif import parse_delta
 
 
@@ -65,6 +69,15 @@ class TestParseDelta:
         "flap:1125",              # missing -b
         "teleport:re",            # unknown kind
         "localpref:1125=50",      # missing neighbor
+        # Counts, ASNs and localpref values are ASCII digits only.
+        "prepend:re=٣",           # ARABIC-INDIC DIGIT THREE
+        "prepend:re= 3",
+        "prepend:re=1_0",
+        "prepend:re=3\n",
+        "prepend:re=-1",
+        "announce:re=+2",
+        "localpref:1125:1103=５０",  # fullwidth digits
+        "flap:1125-1_103",
     ])
     def test_bad_specs_raise(self, session, bad):
         with pytest.raises(ExperimentError):
@@ -191,3 +204,203 @@ class TestWhatifCli:
         ])
         assert code == 2
         assert "teleport" in capsys.readouterr().err
+
+
+class TestWithdrawTwice:
+    def test_second_withdraw_raises_and_is_not_journaled(self):
+        session = WhatIfSession(ExperimentSpec(seed=0, scale=0.04))
+        session.apply(parse_delta("withdraw:commodity", session))
+        before = session.rib_state()
+        journal = list(session._journal)
+        with pytest.raises(EngineError, match="no live announcement"):
+            session.apply(parse_delta("withdraw:commodity", session))
+        assert session.rib_state() == before
+        assert session._journal == journal
+
+
+class TestLocalprefCap:
+    def test_over_four_octets_raises_and_leaves_state_alone(self):
+        session = WhatIfSession(ExperimentSpec(seed=0, scale=0.04))
+        link = min(
+            (link.a, link.b) for link in session.ecosystem.topology.links()
+        )
+        before = session.rib_state()
+        with pytest.raises(ReproError, match="99999999999999999999999"):
+            session.apply(parse_delta(
+                "localpref:%d:%d=99999999999999999999999" % link, session
+            ))
+        assert session.rib_state() == before
+        session.apply(parse_delta(
+            "localpref:%d:%d=%d" % (link + (2 ** 32 - 1,)), session
+        ))
+
+
+def _reference_predict(session, catchment, prefix, label):
+    """The per-system predict loop the memo replaced, kept here as its
+    oracle: look up every alive system's walk in *catchment* and
+    classify the reached interface kinds."""
+    deliveries, kinds = [], []
+    for system in session.ecosystem.prefix_plans[prefix].alive_systems:
+        origin = catchment.lookup(system.attached_asn)[1]
+        deliveries.append((system.address, origin))
+        if origin is not None:
+            kinds.append(session.host.interface_for_origin(origin).kind)
+    return Prediction(
+        prefix=str(prefix),
+        config=label,
+        signal=signal_from_kinds(kinds),
+        deliveries=tuple(deliveries),
+    )
+
+
+def _current_catchment(session):
+    return session.host.catchment(
+        session.ecosystem.topology,
+        partial(session.engine.best_route,
+                prefix=session.ecosystem.measurement_prefix),
+    )
+
+
+def _answer(call):
+    """A call's value, or the ``ExperimentError`` message it raised."""
+    try:
+        return call()
+    except ExperimentError as error:
+        return ("raised", str(error))
+
+
+#: Step kinds of the memo property; "stray" announces the measurement
+#: prefix from a member AS, an origin with no host interface.
+_STEPS = ("config", "flap", "down", "up", "localpref", "prepend", "stray")
+
+
+class TestMemoizedPredict:
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=40), data=st.data())
+    def test_memo_equals_the_reference_loop(self, seed, data):
+        session = WhatIfSession(ExperimentSpec(seed=seed, scale=0.02))
+        ecosystem = session.ecosystem
+        measured = ecosystem.measurement_prefix
+        prefixes = sorted(
+            plan.prefix for plan in ecosystem.studied_prefixes()
+        )
+        edges = sorted(
+            (link.a, link.b) for link in ecosystem.topology.links()
+        )
+        members = sorted({
+            system.attached_asn for prefix in prefixes
+            for system in ecosystem.prefix_plans[prefix].alive_systems
+        })
+        configs = list(session.schedule.configs)
+        catchments = {session.current_config: _current_catchment(session)}
+
+        def check():
+            for label, catchment in catchments.items():
+                current = label == session.current_config
+                for index, prefix in enumerate(prefixes):
+                    # Mix str and Prefix queries, and implicit and
+                    # explicit current labels.
+                    query = str(prefix) if index % 2 else prefix
+                    config = None if current and index % 3 else label
+                    expected = _answer(partial(
+                        _reference_predict, session, catchment, prefix,
+                        label,
+                    ))
+                    assert _answer(
+                        partial(session.predict, query, config)
+                    ) == expected
+
+        check()
+        for _ in range(data.draw(st.integers(min_value=1, max_value=6))):
+            step = data.draw(st.sampled_from(_STEPS))
+            if step == "config":
+                index = configs.index(session.current_config)
+                if index + 1 == len(configs):
+                    continue
+                label = configs[data.draw(st.integers(
+                    min_value=index + 1, max_value=len(configs) - 1,
+                ))]
+                session.advance_to_config(label)
+                catchments[label] = _current_catchment(session)
+            else:
+                a, b = data.draw(st.sampled_from(edges))
+                if step in ("flap", "down", "up"):
+                    delta = LinkFlap(a, b, action=step)
+                elif step == "localpref":
+                    delta = LocalprefEdit(a, b, data.draw(
+                        st.sampled_from((50, 100, 150, 200, 300))
+                    ))
+                elif step == "prepend":
+                    delta = PrependChange(
+                        data.draw(st.sampled_from(
+                            (session.re_origin, session.commodity_origin)
+                        )),
+                        measured,
+                        data.draw(st.integers(min_value=0, max_value=4)),
+                    )
+                else:
+                    delta = AnnounceDelta(
+                        data.draw(st.sampled_from(members)), measured,
+                    )
+                session.apply(delta)
+                catchments = {
+                    session.current_config: _current_catchment(session),
+                }
+            check()
+
+    def test_no_interface_delivery_raises_from_predict_only(self):
+        session = WhatIfSession(ExperimentSpec(seed=0, scale=0.04))
+        ecosystem = session.ecosystem
+        prefixes = sorted(
+            plan.prefix for plan in ecosystem.studied_prefixes()
+        )
+        for prefix in prefixes:
+            session.predict(prefix)
+        stray = ecosystem.prefix_plans[prefixes[0]].alive_systems[0]
+        # The stray origin holds the measurement prefix locally, so its
+        # own walk delivers to it; the host has no interface for it.
+        session.apply(AnnounceDelta(
+            stray.attached_asn, ecosystem.measurement_prefix,
+        ))
+        failed = []
+        for prefix in prefixes:
+            try:
+                session.predict(prefix)
+            except ExperimentError as error:
+                assert "no interface attached" in str(error)
+                failed.append(prefix)
+        assert prefixes[0] in failed
+        assert len(failed) < len(prefixes)
+        # Stepping the config does not raise either, and the failure
+        # is not memoized: asking again raises again.
+        session.advance_to_config("3-0")
+        with pytest.raises(ExperimentError, match="no interface attached"):
+            session.predict(prefixes[0])
+        # Withdrawing the stray announcement heals exactly those.
+        session.apply(WithdrawDelta(
+            stray.attached_asn, ecosystem.measurement_prefix,
+        ))
+        for prefix in failed:
+            session.predict(prefix)
+
+
+_DELTA_KINDS = (
+    "prepend", "announce", "withdraw", "localpref", "flap", "down", "up",
+)
+
+
+class TestParseDeltaFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(
+        st.text(max_size=40),
+        st.builds(
+            "{}:{}".format,
+            st.sampled_from(_DELTA_KINDS),
+            st.text(alphabet="0123456789:=-_ re٣５", max_size=24),
+        ),
+    ))
+    def test_only_repro_errors_escape(self, session, text):
+        try:
+            parse_delta(text, session)
+        except ReproError:
+            pass
