@@ -22,14 +22,6 @@ from .policy import RoutingPolicy, Rel, may_export
 from .router import Router
 from .engine import PropagationEngine, ConvergenceStats
 from .fastpath import propagate_fastpath
-from .rpki import (
-    IRRRegistry,
-    IRRRouteObject,
-    MeasurementRegistrations,
-    ROA,
-    ROATable,
-    ValidationState,
-)
 
 __all__ = [
     "ASPath",
@@ -44,10 +36,4 @@ __all__ = [
     "PropagationEngine",
     "ConvergenceStats",
     "propagate_fastpath",
-    "IRRRegistry",
-    "IRRRouteObject",
-    "MeasurementRegistrations",
-    "ROA",
-    "ROATable",
-    "ValidationState",
 ]

@@ -26,7 +26,6 @@ from ..rng import SeedTree
 from ..topology.graph import Topology
 from .attributes import Announcement, ASPath, Route, check_prepends
 from .policy import may_export
-from .rpki import rov_drops_route
 from .router import Router
 
 #: Default per-message propagation delay model (seconds).
@@ -272,10 +271,8 @@ class PropagationEngine:
         seed_tree: Optional[SeedTree] = None,
         record_best_changes: bool = True,
         message_limit: int = DEFAULT_MESSAGE_LIMIT,
-        roa_table=None,
     ) -> None:
         self.topology = topology
-        self.roa_table = roa_table
         self._rng = (seed_tree or SeedTree(0)).child("engine").rng()
         self.routers: Dict[int, Router] = {
             node.asn: Router(node.asn, node.policy)
@@ -615,19 +612,11 @@ class PropagationEngine:
                     )
                 receiver = self.router(message.receiver)
                 rel = self.topology.rel(message.receiver, message.sender)
-                path = message.path
-                if (
-                    path is not None
-                    and receiver.policy.enforce_rov
-                    and rov_drops_route(self.roa_table, message.prefix,
-                                        path.origin)
-                ):
-                    path = None  # RPKI-invalid: rejected on import (§2.3)
                 change = receiver.receive(
                     neighbor_asn=message.sender,
                     rel=rel,
                     prefix=message.prefix,
-                    path=path,
+                    path=message.path,
                     now=self.now,
                     tag=message.tag,
                 )

@@ -15,9 +15,9 @@ this converges to the unique stable solution.
 
 Every per-delivery input that depends only on the topology (the
 session's relationship and fabric flag, the sender's export filters and
-prepends, the receiver's import localpref, ROV setting and decision
-process) is resolved once into an :class:`ExportTable`.  A table is a
-snapshot of the policies at compile time: callers that edit policies
+prepends, the receiver's import localpref and decision process) is
+resolved once into an :class:`ExportTable`.  A table is a snapshot of
+the policies at compile time: callers that edit policies
 (tag-scoped export filters, localpref edits) compile a fresh one, and
 ``propagate_fastpath`` compiles one per call when none is passed.
 
@@ -49,7 +49,6 @@ from .attributes import Announcement, ASPath, Route
 from .decision import DecisionProcess
 from .policy import Rel
 from .router import LOCAL_ROUTE_LOCALPREF
-from .rpki import rov_drops_route
 
 _MAX_ROUNDS_FACTOR = 40
 
@@ -84,9 +83,9 @@ class ExportTable:
 
     ``arcs[asn]`` lists *asn*'s sessions in ascending neighbor order
     (the delivery order) as flat tuples ``(receiver, to_rel, to_fabric,
-    export_prepends, in_no_export_to, tag_blocks, import_localpref,
-    receiver_enforces_rov)``: the sender's export policy toward the
-    receiver, then the receiver's import policy for the sender's routes.
+    export_prepends, in_no_export_to, tag_blocks, import_localpref)``:
+    the sender's export policy toward the receiver, then the receiver's
+    import policy for the sender's routes.
     ``learned[asn]`` maps each neighbor to ``(rel, fabric)``, the
     learned-from side of the export rule.  ``processes[asn]`` is the
     AS's decision process.  ``sinks`` holds the ASes with no customer
@@ -150,7 +149,6 @@ class ExportTable:
                     receiver in policy.no_export_to,
                     frozenset(policy.no_export_tags.get(receiver, ())),
                     importer.localpref_for(asn, topology.rel(receiver, asn)),
-                    importer.enforce_rov,
                 ))
             self.arcs[asn] = tuple(arcs)
             self.processes[asn] = policy.decision_process()
@@ -160,7 +158,6 @@ def propagate_fastpath(
     topology: Topology,
     announcements: Iterable[Announcement],
     prefix: Optional[Prefix] = None,
-    roa_table=None,
     down_links: Optional[Iterable[frozenset]] = None,
     exports: Optional[ExportTable] = None,
 ) -> FastpathResult:
@@ -273,7 +270,7 @@ def propagate_fastpath(
                 )
                 to_all = learned_rel is customer
             for (receiver, to_rel, to_fabric, prepends, no_export,
-                 tag_blocks, localpref, enforce_rov) in arcs_of[sender]:
+                 tag_blocks, localpref) in arcs_of[sender]:
                 if failed and frozenset((sender, receiver)) in failed:
                     continue
                 # The offer as the receiver would import it, or None.
@@ -307,12 +304,6 @@ def propagate_fastpath(
                             path = None
                             offer_tag = announcement.tag
                             break
-                if (
-                    asns is not None
-                    and enforce_rov
-                    and rov_drops_route(roa_table, the_prefix, asns[-1])
-                ):
-                    asns = None  # RPKI-invalid: rejected on import (§2.3)
 
                 rib = offers.get(receiver)
                 if rib is None:

@@ -104,7 +104,6 @@ class RoutingPolicy:
     path_length_sensitive: bool = True
     age_tiebreak: bool = True
     default_route_via: Optional[int] = None
-    enforce_rov: bool = False  # drop RPKI-invalid routes on import
 
     def __post_init__(self) -> None:
         for asn, value in self.localpref.items():

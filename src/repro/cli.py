@@ -714,7 +714,11 @@ _SIGNAL_TABLE = {
 
 
 def _cmd_classify(args) -> int:
-    records = load_experiment_records_file(args.results)
+    try:
+        records = load_experiment_records_file(args.results)
+    except (ReproError, OSError) as error:
+        print(str(error), file=sys.stderr)
+        return 2
     signals = signals_from_records(records)
     counts = {}
     for prefix_text in sorted(signals):

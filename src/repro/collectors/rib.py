@@ -46,16 +46,6 @@ class RIBEntry:
     first_hop: int
     origin_asn: int
 
-    def origin_prepends(self) -> int:
-        """Extra origin copies at the path tail."""
-        origin = self.path[-1]
-        count = 0
-        for asn in reversed(self.path):
-            if asn != origin:
-                break
-            count += 1
-        return count - 1
-
 
 @dataclass
 class CollectorRIB:

@@ -72,15 +72,6 @@ class SignalTransition:
     from_signal: RoundSignal
     to_signal: RoundSignal
 
-    def as_event_fields(self) -> Dict[str, object]:
-        """JSON-safe rendering (provenance / ``repro explain``)."""
-        return {
-            "round": self.round_index,
-            "config": self.config,
-            "from": self.from_signal.value,
-            "to": self.to_signal.value,
-        }
-
 
 @dataclass
 class PrefixInference:

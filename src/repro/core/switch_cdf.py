@@ -37,14 +37,6 @@ class SwitchCDF:
             out.append((config, cumulative / total if total else 0.0))
         return out
 
-    def median_config(
-        self, configs: Tuple[str, ...] = PREPEND_SEQUENCE
-    ) -> Optional[str]:
-        for config, share in self.cdf(configs):
-            if share >= 0.5:
-                return config
-        return None
-
 
 @dataclass
 class Figure8:

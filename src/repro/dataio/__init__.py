@@ -14,13 +14,6 @@ from .json_results import (
     load_experiment_records_file,
 )
 from .updates import dump_update_log, load_update_log
-from .mrt import (
-    RIBSnapshot,
-    decode_rib_snapshot,
-    decode_update_events,
-    encode_rib_snapshot,
-    encode_update_events,
-)
 
 __all__ = [
     "dump_experiment",
@@ -29,9 +22,4 @@ __all__ = [
     "load_experiment_records_file",
     "dump_update_log",
     "load_update_log",
-    "RIBSnapshot",
-    "encode_rib_snapshot",
-    "decode_rib_snapshot",
-    "encode_update_events",
-    "decode_update_events",
 ]

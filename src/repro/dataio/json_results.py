@@ -71,10 +71,63 @@ def dump_experiment_file(result: ExperimentResult, path: str) -> int:
         return dump_experiment(result, stream)
 
 
+def _check_header(record: Dict, line_number: int) -> int:
+    """Validate the header record; returns its round count."""
+    if record.get("type") != "experiment":
+        raise DataIOError("line %d: first record must be the header"
+                          % line_number)
+    if record.get("version") != FORMAT_VERSION:
+        raise DataIOError(
+            "line %d: unsupported format version %r"
+            % (line_number, record.get("version"))
+        )
+    configs = record.get("configs")
+    if not isinstance(configs, list) or not all(
+        isinstance(config, str) for config in configs
+    ):
+        raise DataIOError(
+            "line %d: header configs must be a list of strings"
+            % line_number
+        )
+    return len(configs)
+
+
+def _check_probe(record: Dict, line_number: int, rounds: int) -> None:
+    """Validate the fields :func:`signals_from_records` reads."""
+    if record.get("type") != "probe":
+        raise DataIOError(
+            "line %d: unexpected record type %r"
+            % (line_number, record.get("type"))
+        )
+    if not isinstance(record.get("prefix"), str):
+        raise DataIOError("line %d: probe prefix must be a string"
+                          % line_number)
+    round_index = record.get("round")
+    if (
+        not isinstance(round_index, int)
+        or isinstance(round_index, bool)
+        or not 0 <= round_index < rounds
+    ):
+        raise DataIOError(
+            "line %d: probe round %r is not an integer in [0, %d)"
+            % (line_number, round_index, rounds)
+        )
+    responded = record.get("responded")
+    if not isinstance(responded, bool):
+        raise DataIOError("line %d: probe responded must be a boolean"
+                          % line_number)
+    if responded and record.get("interface") not in ("re", "commodity"):
+        raise DataIOError(
+            "line %d: unknown interface %r (expected re/commodity)"
+            % (line_number, record.get("interface"))
+        )
+
+
 def load_experiment_records(stream: TextIO) -> Iterator[Dict]:
     """Iterate records from a JSONL experiment file, validating the
-    header."""
-    header_seen = False
+    header and every field :func:`signals_from_records` reads; any
+    malformed record raises :class:`DataIOError` naming its line."""
+    rounds = None
     for line_number, line in enumerate(stream, 1):
         line = line.strip()
         if not line:
@@ -85,29 +138,26 @@ def load_experiment_records(stream: TextIO) -> Iterator[Dict]:
             raise DataIOError(
                 "line %d: invalid JSON: %s" % (line_number, error)
             ) from error
-        if not header_seen:
-            if record.get("type") != "experiment":
-                raise DataIOError("first record must be the header")
-            if record.get("version") != FORMAT_VERSION:
-                raise DataIOError(
-                    "unsupported format version %r" % record.get("version")
-                )
-            header_seen = True
-            yield record
-            continue
-        if record.get("type") != "probe":
-            raise DataIOError(
-                "line %d: unexpected record type %r"
-                % (line_number, record.get("type"))
-            )
+        if not isinstance(record, dict):
+            raise DataIOError("line %d: record is not a JSON object"
+                              % line_number)
+        if rounds is None:
+            rounds = _check_header(record, line_number)
+        else:
+            _check_probe(record, line_number, rounds)
         yield record
-    if not header_seen:
+    if rounds is None:
         raise DataIOError("empty experiment file")
 
 
 def load_experiment_records_file(path: str) -> List[Dict]:
     with open(path, "r", encoding="utf-8") as stream:
-        return list(load_experiment_records(stream))
+        try:
+            return list(load_experiment_records(stream))
+        except UnicodeDecodeError as error:
+            raise DataIOError(
+                "%s is not UTF-8 text: %s" % (path, error)
+            ) from error
 
 
 def signals_from_records(records: List[Dict]) -> Dict[str, List[str]]:

@@ -26,6 +26,7 @@ from enum import Enum
 from typing import Dict, Sequence, Tuple
 
 from ..errors import ReproError
+from ..experiment.schedule import _COUNT
 from ..rng import derive_seed
 
 __all__ = [
@@ -41,6 +42,10 @@ DEFAULT_LOSS_FRACTION = 0.2
 
 #: Seed-tree label the plan generator derives its stream from.
 FAULT_PLAN_LABEL = "fault-plan"
+
+#: The slot space events draw from, and the most events of one kind a
+#: spec may script: :meth:`FaultPlan.from_seed` loops once per event.
+SLOT_SPACE = 1 << 16
 
 
 class FaultError(ReproError):
@@ -81,7 +86,8 @@ def parse_fault_spec(text: str) -> Dict[str, int]:
 
     The grammar is ``name=count[,name=count...]`` with names ``loss``
     and ``flap`` — e.g. ``"loss=2,flap=1"`` scripts two probe-loss
-    bursts and one link flap.  Counts must be non-negative integers.
+    bursts and one link flap.  Counts are ASCII digits, and each kind
+    totals at most :data:`SLOT_SPACE`.
     """
     counts = {"loss": 0, "flap": 0}
     for part in text.split(","):
@@ -95,16 +101,20 @@ def parse_fault_spec(text: str) -> Dict[str, int]:
                 "unknown fault kind %r in spec %r (expected loss/flap)"
                 % (name, text)
             )
-        try:
-            count = int(value.strip())
-        except ValueError:
+        value = value.strip()
+        if not _COUNT.fullmatch(value):
             raise FaultError(
-                "bad count %r for fault %r in spec %r"
-                % (value.strip(), name, text)
-            ) from None
-        if count < 0:
-            raise FaultError("negative count for fault %r" % name)
-        counts[name] += count
+                "bad count %r for fault %r in spec %r (expected a"
+                " non-negative count in ASCII digits)" % (value, name, text)
+            )
+        # Bound the digits first: int() refuses very long strings.
+        digits = value.lstrip("0")
+        if len(digits) > 5 or counts[name] + int(digits or 0) > SLOT_SPACE:
+            raise FaultError(
+                "fault %r totals more than %d events in spec %r"
+                % (name, SLOT_SPACE, text)
+            )
+        counts[name] += int(digits or 0)
     return counts
 
 
@@ -153,7 +163,7 @@ class FaultPlan:
                 events.append(FaultEvent(
                     kind=kind,
                     round_index=rng.randrange(rounds),
-                    slot=rng.randrange(1 << 16),
+                    slot=rng.randrange(SLOT_SPACE),
                     fraction=loss_fraction,
                 ))
         return cls(events=tuple(events))

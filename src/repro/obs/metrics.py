@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import json
 import threading
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 __all__ = [
     "Counter",
@@ -272,10 +272,6 @@ class MetricsRegistry:
 
     def gauge_value(self, name: str) -> float:
         return self._gauges[name].value
-
-    def histogram_names(self) -> List[str]:
-        with self._lock:
-            return sorted(self._histograms)
 
     def reset(self) -> None:
         with self._lock:

@@ -12,12 +12,7 @@
 """
 
 from .host import MeasurementHost, VLANInterface
-from .forwarding import (
-    Catchment,
-    ForwardingOutcome,
-    ReturnPath,
-    RibSnapshot,
-)
+from .forwarding import Catchment, ForwardingOutcome, RibSnapshot
 from .prober import (
     ProbePlan,
     ProbeResponse,
@@ -25,21 +20,16 @@ from .prober import (
     RoundResult,
     prefix_stream_rng,
 )
-from .traceroute import TracerouteResult, paths_are_symmetric, traceroute
 
 __all__ = [
     "MeasurementHost",
     "VLANInterface",
     "Catchment",
     "ForwardingOutcome",
-    "ReturnPath",
     "RibSnapshot",
     "ProbePlan",
     "ProbeResponse",
     "Prober",
     "RoundResult",
     "prefix_stream_rng",
-    "TracerouteResult",
-    "traceroute",
-    "paths_are_symmetric",
 ]

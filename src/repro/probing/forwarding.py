@@ -9,9 +9,9 @@ or fails (no route and no default).
 Within one converged RIB a walk depends on nothing but its start AS,
 so the question "which origin does each AS's traffic reach?" is a
 catchment, resolved once per :class:`RibSnapshot` into a
-:class:`Catchment` and then answered by lookup.  :func:`_walk` spells
-the walk out hop by hop; it is the catchment's reference semantics and
-gives traceroute its hop list.
+:class:`Catchment` and then answered by lookup.  The hop-by-hop walk
+that defines the catchment's semantics lives in the tests, as the
+oracle :meth:`RibSnapshot.resolve` is checked against.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain
-from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
 from ..netutil import Prefix
 from ..topology.graph import Topology
@@ -42,18 +42,8 @@ class ForwardingOutcome(Enum):
     LOOP = "loop"
 
 
-@dataclass
-class ReturnPath:
-    """The walk taken by a response."""
-
-    outcome: ForwardingOutcome
-    origin_asn: Optional[int]     # terminating announcement origin
-    hops: List[int]               # AS-level path, starting AS first
-    used_default: bool = False    # a default route carried some hop
-
-
 #: ``(outcome, terminating origin, hop count)``: what a walk from one
-#: AS comes to — :class:`ReturnPath` without its hop list.
+#: AS comes to.
 Resolved = Tuple[ForwardingOutcome, Optional[int], int]
 
 #: An AS with no forwarding state at all, and not an origin.
@@ -63,73 +53,12 @@ _NO_ROUTE: Resolved = (ForwardingOutcome.NO_ROUTE, None, 1)
 def _capped(
     outcome: ForwardingOutcome, origin_asn: Optional[int], hops: int
 ) -> Resolved:
-    """A walk of *hops* ASes, subject to :func:`_walk`'s TTL: one that
-    has not ended within ``MAX_AS_HOPS`` steps is a ``LOOP`` of
+    """A walk of *hops* ASes, subject to the TTL: one that has not
+    ended within ``MAX_AS_HOPS`` steps is a ``LOOP`` of
     ``MAX_AS_HOPS + 1`` hops, whatever lay beyond."""
     if hops > MAX_AS_HOPS:
         return ForwardingOutcome.LOOP, None, MAX_AS_HOPS + 1
     return outcome, origin_asn, hops
-
-
-def _walk(
-    step_of: Callable[[int], Tuple[int, Optional[int]]],
-    start_asn: int,
-    origin_asns: Set[int],
-) -> ReturnPath:
-    """Walk from *start_asn* over a per-AS forwarding step function.
-
-    ``step_of(asn)`` classifies the AS's forwarding state as one of
-    ``(_LOCAL, None)``, ``(_ROUTE, next_hop)``, ``(_DEFAULT, next_hop)``
-    or ``(_NONE, None)``.  :meth:`RibSnapshot.resolve` must agree with
-    this walk for every start AS (a property test holds it to that).
-    """
-    hops: List[int] = [start_asn]
-    current = start_asn
-    used_default = False
-    visited = {start_asn}
-    for _ in range(MAX_AS_HOPS):
-        if current in origin_asns:
-            return ReturnPath(
-                outcome=ForwardingOutcome.DELIVERED,
-                origin_asn=current,
-                hops=hops,
-                used_default=used_default,
-            )
-        kind, next_hop = step_of(current)
-        if kind == _NONE:
-            return ReturnPath(
-                outcome=ForwardingOutcome.NO_ROUTE,
-                origin_asn=None,
-                hops=hops,
-                used_default=used_default,
-            )
-        if kind == _LOCAL:
-            # Locally originated at a non-origin AS should not happen
-            # for the measurement prefix; treat as delivery point.
-            return ReturnPath(
-                outcome=ForwardingOutcome.DELIVERED,
-                origin_asn=current,
-                hops=hops,
-                used_default=used_default,
-            )
-        if kind == _DEFAULT:
-            used_default = True
-        if next_hop in visited:
-            return ReturnPath(
-                outcome=ForwardingOutcome.LOOP,
-                origin_asn=None,
-                hops=hops + [next_hop],
-                used_default=used_default,
-            )
-        visited.add(next_hop)
-        hops.append(next_hop)
-        current = next_hop
-    return ReturnPath(
-        outcome=ForwardingOutcome.LOOP,
-        origin_asn=None,
-        hops=hops,
-        used_default=used_default,
-    )
 
 
 @dataclass(frozen=True)
@@ -187,10 +116,6 @@ class RibSnapshot:
             return _DEFAULT, default_via
         return _NONE, None
 
-    def walk(self, start_asn: int, origin_asns: Set[int]) -> ReturnPath:
-        """The hop-by-hop walk from *start_asn* (:func:`_walk`)."""
-        return _walk(self._step_of, start_asn, origin_asns)
-
     def resolve(self, origin_asns) -> "Catchment":
         """Resolve every AS's walk toward *origin_asns* at once.
 
@@ -199,9 +124,9 @@ class RibSnapshot:
         a walk stops at the first AS already resolved, at a terminal
         (an origin, a local holder, an AS with nothing), or on closing
         a cycle, and the ASes it passed are then resolved back to
-        front, one hop more each.  The result equals :meth:`walk`'s
-        ``(outcome, origin_asn, len(hops))`` for every start AS,
-        ``MAX_AS_HOPS`` cap included.
+        front, one hop more each.  For every start AS the result is
+        what a hop-by-hop walk from it comes to: ``(outcome,
+        origin_asn, hop count)``, ``MAX_AS_HOPS`` cap included.
         """
         origins = frozenset(origin_asns)
         step_of = self._step_of
@@ -226,7 +151,7 @@ class RibSnapshot:
                     break
                 if kind == _LOCAL:
                     # A non-origin holding the prefix locally is the
-                    # delivery point (see :func:`_walk`).
+                    # delivery point.
                     tail = (ForwardingOutcome.DELIVERED, asn, 1)
                     break
                 on_path[asn] = len(path)

@@ -1,71 +1,16 @@
 """Simulated time.
 
-The experiments run on a logical clock measured in seconds since an epoch
-chosen per experiment (the paper's runs are anchored at 2025-05-29 and
-2025-06-05 UTC).  The clock only moves forward and is advanced explicitly
-by the experiment runner, so results are fully deterministic.
+The experiments run on simulated time measured in seconds since an
+epoch chosen per experiment (the paper's runs are anchored at
+2025-05-29 and 2025-06-05 UTC).  Time is advanced explicitly by the
+experiment runner, so results are fully deterministic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Tuple
-
-from .errors import ExperimentError
-
-SECONDS_PER_MINUTE = 60
 SECONDS_PER_HOUR = 3600
-
-
-@dataclass
-class Clock:
-    """A forward-only logical clock.
-
-    ``now`` is seconds since the simulation epoch.  ``label`` names the
-    epoch for rendering (e.g. ``"2025-06-05T08:00Z"``).
-    """
-
-    now: float = 0.0
-    label: str = "epoch"
-    _history: List[Tuple[float, str]] = field(default_factory=list, repr=False)
-
-    def advance(self, seconds: float, note: str = "") -> float:
-        """Advance the clock by *seconds* (must be non-negative)."""
-        if seconds < 0:
-            raise ExperimentError("clock cannot move backwards")
-        self.now += seconds
-        if note:
-            self._history.append((self.now, note))
-        return self.now
-
-    def advance_to(self, when: float, note: str = "") -> float:
-        """Advance the clock to absolute time *when*."""
-        if when < self.now:
-            raise ExperimentError(
-                "clock cannot move backwards (now=%.1f, target=%.1f)"
-                % (self.now, when)
-            )
-        self.now = when
-        if note:
-            self._history.append((self.now, note))
-        return self.now
-
-    @property
-    def history(self) -> List[Tuple[float, str]]:
-        """Annotated clock events, oldest first."""
-        return list(self._history)
-
-    def hhmm(self, offset_hours: float = 0.0) -> str:
-        """Render the current time as HH:MM past the epoch (plus offset)."""
-        total_minutes = int((self.now + offset_hours * SECONDS_PER_HOUR) // 60)
-        return "%02d:%02d" % ((total_minutes // 60) % 24, total_minutes % 60)
 
 
 def hours(value: float) -> float:
     """Convert hours to seconds."""
     return value * SECONDS_PER_HOUR
-
-
-def minutes(value: float) -> float:
-    """Convert minutes to seconds."""
-    return value * SECONDS_PER_MINUTE

@@ -55,6 +55,8 @@ def test_spec_defaults_are_valid():
         {"scenario": "no-such-scenario"},
         {"config_overrides": {"no_such_field": 1}},
         {"fault_spec": "bogus=1"},
+        {"fault_spec": "loss=\u0663"},
+        {"fault_spec": "loss=65537"},
     ],
 )
 def test_spec_validation_rejects(kwargs):

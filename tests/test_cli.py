@@ -69,6 +69,54 @@ class TestReproduceAndClassify:
         assert "/24" in out or "/16" in out
 
 
+_HEADER = ('{"type": "experiment", "version": 1, '
+           '"configs": ["4-0", "3-0"]}')
+_PROBE = '{"type": "probe", "prefix": "10.0.0.0/24", "round": %s, ' \
+         '"responded": true, "interface": %s}'
+
+
+@pytest.mark.parametrize(
+    "lines",
+    [
+        pytest.param([_HEADER, "[1, 2]"], id="non-object"),
+        pytest.param(['{"type": "experiment", "version": 1}'],
+                     id="header-without-configs"),
+        pytest.param([_HEADER, '{"type": "probe", "round": 0, '
+                      '"responded": false}'], id="probe-without-prefix"),
+        pytest.param([_HEADER, _PROBE % ("2", '"re"')],
+                     id="round-out-of-range"),
+        pytest.param([_HEADER, _PROBE % ("0", '"tunnel"')],
+                     id="unknown-interface"),
+        pytest.param([_HEADER, "{nope"], id="invalid-json"),
+        pytest.param([_HEADER, _PROBE % ("true", '"re"')],
+                     id="round-is-a-bool"),
+        pytest.param([_HEADER, '{"type": "probe", "prefix": "10.0.0.0/24", '
+                      '"round": 0, "responded": 1}'],
+                     id="responded-not-a-bool"),
+    ],
+)
+def test_classify_rejects_malformed_results(lines, tmp_path, capsys):
+    path = tmp_path / "probes.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert main(["classify", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert "line %d" % len(lines) in captured.err
+
+
+def test_classify_reports_a_missing_file(tmp_path, capsys):
+    assert main(["classify", str(tmp_path / "absent.jsonl")]) == 2
+    assert len(capsys.readouterr().err.splitlines()) == 1
+
+
+def test_classify_rejects_a_file_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "probes.jsonl"
+    path.write_bytes(b"\xff\xfe garbage\n")
+    assert main(["classify", str(path)]) == 2
+    assert "not UTF-8" in capsys.readouterr().err
+
+
 class TestParser:
     def test_requires_command(self):
         with pytest.raises(SystemExit):

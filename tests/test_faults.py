@@ -19,6 +19,7 @@ from repro.faults import (
     FaultPlan,
     parse_fault_spec,
 )
+from repro.faults.plan import SLOT_SPACE
 
 SEED = 11
 SCALE = 0.06
@@ -81,6 +82,23 @@ class TestParseFaultSpec:
     def test_negative_count_rejected(self):
         with pytest.raises(FaultError, match="negative"):
             parse_fault_spec("loss=-1")
+
+    @pytest.mark.parametrize(
+        "text", ["loss=\u0663", "loss= 1_0", "loss=+2", "loss=1\u0660",
+                 "flap=\uff11"],
+    )
+    def test_count_must_be_ascii_digits(self, text):
+        with pytest.raises(FaultError, match="bad count"):
+            parse_fault_spec(text)
+
+    def test_count_is_bounded_by_the_slot_space(self):
+        assert parse_fault_spec("loss=%d" % SLOT_SPACE)["loss"] == SLOT_SPACE
+        assert parse_fault_spec("loss=" + "0" * 5000 + "1")["loss"] == 1
+        for text in ("loss=%d" % (SLOT_SPACE + 1),
+                     "flap=%d,flap=1" % SLOT_SPACE,
+                     "loss=" + "9" * 5000):
+            with pytest.raises(FaultError, match="more than 65536"):
+                parse_fault_spec(text)
 
 
 class TestFaultPlanConstruction:

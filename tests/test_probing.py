@@ -1,6 +1,9 @@
 """Tests for the measurement host, the return-path walk and its
 resolved catchment, and the prober."""
 
+from dataclasses import dataclass
+from typing import Callable, List, Optional, Set, Tuple
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -86,9 +89,65 @@ class TestMeasurementHost:
         assert "VRF" in host.interface_for_origin(11537).description
 
 
+@dataclass
+class ReturnPath:
+    """The walk taken by a response."""
+
+    outcome: ForwardingOutcome
+    origin_asn: Optional[int]     # terminating announcement origin
+    hops: List[int]               # AS-level path, starting AS first
+    used_default: bool = False    # a default route carried some hop
+
+
+def walk(
+    step_of: Callable[[int], Tuple[int, Optional[int]]],
+    start_asn: int,
+    origin_asns: Set[int],
+) -> ReturnPath:
+    """Walk from *start_asn* over a per-AS forwarding step function.
+
+    The reference semantics of a return path, hop by hop.
+    ``step_of(asn)`` classifies the AS's forwarding state as one of
+    ``(_LOCAL, None)``, ``(_ROUTE, next_hop)``, ``(_DEFAULT, next_hop)``
+    or ``(_NONE, None)``.  :meth:`RibSnapshot.resolve` must agree with
+    this walk for every start AS.
+    """
+    hops: List[int] = [start_asn]
+    current = start_asn
+    used_default = False
+    visited = {start_asn}
+    for _ in range(MAX_AS_HOPS):
+        if current in origin_asns:
+            return ReturnPath(ForwardingOutcome.DELIVERED, current, hops,
+                              used_default)
+        kind, next_hop = step_of(current)
+        if kind == forwarding._NONE:
+            return ReturnPath(ForwardingOutcome.NO_ROUTE, None, hops,
+                              used_default)
+        if kind == forwarding._LOCAL:
+            # Locally originated at a non-origin AS should not happen
+            # for the measurement prefix; treat as delivery point.
+            return ReturnPath(ForwardingOutcome.DELIVERED, current, hops,
+                              used_default)
+        if kind == forwarding._DEFAULT:
+            used_default = True
+        if next_hop in visited:
+            return ReturnPath(ForwardingOutcome.LOOP, None,
+                              hops + [next_hop], used_default)
+        visited.add(next_hop)
+        hops.append(next_hop)
+        current = next_hop
+    return ReturnPath(ForwardingOutcome.LOOP, None, hops, used_default)
+
+
+def snapshot_walk(snapshot, start_asn, origin_asns) -> ReturnPath:
+    """The hop-by-hop walk from *start_asn* over *snapshot*."""
+    return walk(snapshot._step_of, start_asn, origin_asns)
+
+
 def _walk(snapshot, start, origins):
     """The snapshot's hop-by-hop walk, checked against its catchment."""
-    path = snapshot.walk(start, origins)
+    path = snapshot_walk(snapshot, start, origins)
     assert snapshot.resolve(origins).lookup(start) == (
         path.outcome, path.origin_asn, len(path.hops)
     )
@@ -223,7 +282,7 @@ class TestCatchment:
             | snapshot.local | origins | {0}
         )
         for start in starts:
-            path = snapshot.walk(start, origins)
+            path = snapshot_walk(snapshot, start, origins)
             assert catchment.lookup(start) == (
                 path.outcome, path.origin_asn, len(path.hops)
             ), start
@@ -518,7 +577,7 @@ class TestRibSnapshot:
         snapshot = RibSnapshot.capture(topo, result.route_at, MEAS)
 
         def live_step(asn):
-            # The live RIB's forwarding state, classified as _walk wants.
+            # The live RIB's forwarding state, classified as walk wants.
             route = result.route_at(asn)
             if route is None:
                 default_via = topo.node(asn).policy.default_route_via
@@ -532,8 +591,8 @@ class TestRibSnapshot:
         for origins in ({1, 2}, {2}, {99}):
             catchment = snapshot.resolve(origins)
             for start in (1, 2, 3, 5):
-                live = forwarding._walk(live_step, start, origins)
-                snap = snapshot.walk(start, origins)
+                live = walk(live_step, start, origins)
+                snap = snapshot_walk(snapshot, start, origins)
                 assert (live.outcome, live.origin_asn, live.hops,
                         live.used_default) == \
                        (snap.outcome, snap.origin_asn, snap.hops,

@@ -1,53 +1,8 @@
-"""Tests for the simulation clock."""
+"""Tests for the simulated-time unit conversions."""
 
-import pytest
-
-from repro.errors import ExperimentError
-from repro.simtime import Clock, hours, minutes
-
-
-class TestClock:
-    def test_starts_at_zero(self):
-        assert Clock().now == 0.0
-
-    def test_advance(self):
-        clock = Clock()
-        assert clock.advance(10.0) == 10.0
-        assert clock.now == 10.0
-
-    def test_advance_rejects_negative(self):
-        with pytest.raises(ExperimentError):
-            Clock().advance(-1.0)
-
-    def test_advance_to(self):
-        clock = Clock()
-        clock.advance_to(100.0)
-        assert clock.now == 100.0
-
-    def test_advance_to_rejects_backwards(self):
-        clock = Clock(now=50.0)
-        with pytest.raises(ExperimentError):
-            clock.advance_to(49.0)
-
-    def test_history_notes(self):
-        clock = Clock()
-        clock.advance(5.0, "first")
-        clock.advance(5.0)  # unnoted
-        clock.advance_to(20.0, "second")
-        assert clock.history == [(5.0, "first"), (20.0, "second")]
-
-    def test_hhmm(self):
-        clock = Clock(now=hours(9) + minutes(5))
-        assert clock.hhmm() == "09:05"
-
-    def test_hhmm_with_offset_wraps(self):
-        clock = Clock(now=hours(23))
-        assert clock.hhmm(offset_hours=2) == "01:00"
+from repro.simtime import hours
 
 
 class TestConversions:
     def test_hours(self):
         assert hours(1.5) == 5400.0
-
-    def test_minutes(self):
-        assert minutes(7) == 420.0
