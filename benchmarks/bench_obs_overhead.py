@@ -13,12 +13,23 @@ returning ``None``, and even an *installed* provenance ring whose
 prefix filter matches nothing must stay within the same 5% budget (one
 ``wants()`` set lookup per selection, no event construction).
 
+One convergence takes a few milliseconds and its time on a shared host
+swings by far more than 5% from run to run, so each trial is a batch
+of convergences lasting at least :data:`MIN_TRIAL_SECONDS` per variant.
+Within a trial the variants alternate convergence by convergence, and
+which one goes first alternates too, so both batches see the same host
+conditions.  A trial's value for a variant is its batch's median
+convergence time, which one stalled convergence cannot move; the gate
+compares each variant's fastest trial.
+
 Run directly (``python benchmarks/bench_obs_overhead.py``) or via
 pytest (``PYTHONPATH=src python -m pytest benchmarks/bench_obs_overhead.py``).
 """
 
 from __future__ import annotations
 
+import math
+import statistics
 import time
 
 from repro import (
@@ -37,6 +48,10 @@ OVERHEAD_BUDGET = 0.05
 #: noise, alternation rejects thermal / cache drift.
 TRIALS = 7
 
+#: Shortest total per variant in one trial: long enough that a 5%
+#: difference stands above timer and scheduler noise.
+MIN_TRIAL_SECONDS = 0.3
+
 BENCH_SCALE = 0.1
 BENCH_SEED = 42
 
@@ -53,25 +68,37 @@ def _one_convergence(ecosystem) -> float:
     return time.perf_counter() - start
 
 
+def batch_size(ecosystem) -> int:
+    """Convergences per trial: enough that a trial's total reaches
+    :data:`MIN_TRIAL_SECONDS` even at the fastest of a few warm-up
+    runs (which also touch every code path once)."""
+    fastest = min(_one_convergence(ecosystem) for _ in range(3))
+    return max(1, math.ceil(MIN_TRIAL_SECONDS / fastest))
+
+
 def measure(ecosystem):
-    """(enabled_best, disabled_best) wall seconds, interleaved."""
+    """(enabled_best, disabled_best): each variant's fastest trial, as
+    a batch-median convergence time in wall seconds."""
     enabled_times = []
     disabled_times = []
-    # Warm-up, untimed: touch every code path once.
     with use_registry(MetricsRegistry()):
         _one_convergence(ecosystem)
     with use_registry(MetricsRegistry(enabled=False)):
-        _one_convergence(ecosystem)
+        batch = batch_size(ecosystem)
     for _ in range(TRIALS):
-        with use_registry(MetricsRegistry()):
-            enabled_times.append(_one_convergence(ecosystem))
-        with use_registry(MetricsRegistry(enabled=False)):
-            disabled_times.append(_one_convergence(ecosystem))
+        times = {True: [], False: []}
+        for index in range(batch):
+            for enabled in ((True, False) if index % 2 else (False, True)):
+                with use_registry(MetricsRegistry(enabled=enabled)):
+                    times[enabled].append(_one_convergence(ecosystem))
+        enabled_times.append(statistics.median(times[True]))
+        disabled_times.append(statistics.median(times[False]))
     return min(enabled_times), min(disabled_times)
 
 
 def measure_provenance(ecosystem):
-    """(filtered_best, disabled_best) wall seconds, interleaved.
+    """(filtered_best, disabled_best): each variant's fastest trial, as
+    a batch-median convergence time in wall seconds.
 
     "Filtered" installs a provenance ring whose prefix filter matches
     no probed prefix: ``wants()`` runs per selection but no event is
@@ -85,11 +112,18 @@ def measure_provenance(ecosystem):
     disabled_times = []
     with use_capture(filtered):
         _one_convergence(ecosystem)
-    _one_convergence(ecosystem)
+    batch = batch_size(ecosystem)
     for _ in range(TRIALS):
-        with use_capture(filtered):
-            filtered_times.append(_one_convergence(ecosystem))
-        disabled_times.append(_one_convergence(ecosystem))
+        times = {True: [], False: []}
+        for index in range(batch):
+            for installed in ((True, False) if index % 2 else (False, True)):
+                if installed:
+                    with use_capture(filtered):
+                        times[True].append(_one_convergence(ecosystem))
+                else:
+                    times[False].append(_one_convergence(ecosystem))
+        filtered_times.append(statistics.median(times[True]))
+        disabled_times.append(statistics.median(times[False]))
     return min(filtered_times), min(disabled_times)
 
 

@@ -14,8 +14,11 @@ analysis (§1, §A):
    lowest router ID).
 
 Each step is a pure filter: given the surviving candidate routes it
-returns the subset that wins that step.  ``best()`` runs the steps in
-order until one candidate survives.
+returns the subset that wins that step.  Running the steps in order is
+a lexicographic minimum, so :attr:`DecisionProcess.key` folds them into
+one sort key and selection is ``min(routes, key=process.key)``; the
+filters remain where a selection is narrated step by step
+(:meth:`DecisionProcess.best_verbose`, :func:`explain_choice`).
 """
 
 from __future__ import annotations
@@ -79,6 +82,54 @@ def _lowest_neighbor_asn(routes: List[Route]) -> List[Route]:
     )
 
 
+_INF = float("inf")
+
+#: Each step's term of the lexicographic key: the quantity whose
+#: minimum the step's filter keeps.
+_STEP_KEYS = {
+    Step.HIGHEST_LOCALPREF: lambda r: -r.localpref,
+    Step.SHORTEST_AS_PATH: lambda r: len(r.path.asns),
+    Step.LOWEST_MED: lambda r: r.med,
+    Step.OLDEST_ROUTE: lambda r: r.installed_at,
+    Step.LOWEST_NEIGHBOR_ASN: lambda r: (
+        r.learned_from if r.learned_from is not None else _INF
+    ),
+}
+
+
+def compose_key(steps: Tuple["Step", ...]) -> Callable[[Route], tuple]:
+    """The lexicographic key of *steps*: one term per step, in order."""
+    terms = tuple(_STEP_KEYS[step] for step in steps)
+    return lambda r: tuple(term(r) for term in terms)
+
+
+#: The keys of the four :meth:`DecisionProcess.standard` variants,
+#: written out: each equals :func:`compose_key` of its steps, with one
+#: call per route instead of one per step.
+_STANDARD_KEYS = {
+    (Step.HIGHEST_LOCALPREF, Step.SHORTEST_AS_PATH, Step.LOWEST_MED,
+     Step.OLDEST_ROUTE, Step.LOWEST_NEIGHBOR_ASN): lambda r: (
+        -r.localpref, len(r.path.asns), r.med, r.installed_at,
+        r.learned_from if r.learned_from is not None else _INF,
+    ),
+    (Step.HIGHEST_LOCALPREF, Step.SHORTEST_AS_PATH, Step.LOWEST_MED,
+     Step.LOWEST_NEIGHBOR_ASN): lambda r: (
+        -r.localpref, len(r.path.asns), r.med,
+        r.learned_from if r.learned_from is not None else _INF,
+    ),
+    (Step.HIGHEST_LOCALPREF, Step.LOWEST_MED, Step.OLDEST_ROUTE,
+     Step.LOWEST_NEIGHBOR_ASN): lambda r: (
+        -r.localpref, r.med, r.installed_at,
+        r.learned_from if r.learned_from is not None else _INF,
+    ),
+    (Step.HIGHEST_LOCALPREF, Step.LOWEST_MED,
+     Step.LOWEST_NEIGHBOR_ASN): lambda r: (
+        -r.localpref, r.med,
+        r.learned_from if r.learned_from is not None else _INF,
+    ),
+}
+
+
 _STEP_FUNCTIONS = {
     Step.HIGHEST_LOCALPREF: _highest_localpref,
     Step.SHORTEST_AS_PATH: _shortest_as_path,
@@ -138,29 +189,39 @@ class DecisionProcess:
     def path_length_sensitive(self) -> bool:
         return Step.SHORTEST_AS_PATH in self.steps
 
+    @property
+    def key(self) -> Callable[[Route], tuple]:
+        """The steps as one lexicographic sort key: the best route is
+        ``min(routes, key=process.key)``.  With every step present it
+        is ``(-localpref, path length, med, installed_at,
+        neighbor-or-inf)``.  Routes from distinct neighbors never tie
+        on it; an adj-RIB-in holds one route per neighbor, so hot
+        selection loops fetch the key once and call ``min`` directly."""
+        return _STANDARD_KEYS.get(self.steps) or compose_key(self.steps)
+
     def best(self, routes: Iterable[Route]) -> Optional[Route]:
         """Return the single best route, or None if *routes* is empty.
 
         The final LOWEST_NEIGHBOR_ASN step guarantees a unique winner
-        among routes from distinct neighbors; if two candidates from the
-        same neighbor survive every step the process is ill-formed and a
-        PolicyError is raised.
+        among routes from distinct neighbors; if two candidates tie on
+        every step (two routes from the same neighbor) the process is
+        ill-formed and a PolicyError is raised.
         """
         candidates = list(routes)
         if not candidates:
             return None
-        for step in self.steps:
-            if len(candidates) == 1:
-                break
-            candidates = _STEP_FUNCTIONS[step](candidates)
+        key = self.key
+        winner = min(candidates, key=key)
         if len(candidates) > 1:
-            # Distinct routes from the same neighbor for the same prefix
-            # should never coexist in an adj-RIB.
-            raise PolicyError(
-                "decision process did not yield a unique best route: %s"
-                % ("; ".join(str(route) for route in candidates),)
-            )
-        return candidates[0]
+            tied = [r for r in candidates if key(r) == key(winner)]
+            if len(tied) > 1:
+                # Distinct routes from the same neighbor for the same
+                # prefix should never coexist in an adj-RIB.
+                raise PolicyError(
+                    "decision process did not yield a unique best route: %s"
+                    % ("; ".join(str(route) for route in tied),)
+                )
+        return winner
 
     def best_verbose(
         self, routes: Iterable[Route]
@@ -178,8 +239,8 @@ class DecisionProcess:
 
         Indices refer to positions in the *routes* argument, so callers
         can pair them with their own candidate summaries.  Used by the
-        provenance layer (:mod:`repro.obs.provenance`); the plain
-        :meth:`best` stays allocation-free for the hot path.
+        provenance layer (:mod:`repro.obs.provenance`); selection that
+        needs no narration uses :attr:`key`.
         """
         candidates = list(routes)
         steps: List[dict] = []

@@ -3,8 +3,13 @@
 The engine delivers UPDATE/WITHDRAW messages between neighboring ASes
 with randomised (but deterministic, seeded) per-message delays, FIFO per
 session, until the network reaches a fixpoint.  It stamps route ages,
-counts per-session messages, and records every loc-RIB best change so
-collectors can reconstruct the update streams behind Figure 3.
+counts messages, and records every loc-RIB best change so collectors
+can reconstruct the update streams behind Figure 3.
+
+Export and import policy come from one
+:class:`~repro.bgp.fastpath.ExportTable`, compiled when the engine is
+built: the same arcs and export rule the fastpath relaxes over, so the
+per-message path does no policy or relationship lookups.
 
 The engine is exact but message-driven; use :mod:`repro.bgp.fastpath`
 for bulk converged-state computation where churn does not matter.
@@ -12,9 +17,9 @@ for bulk converged-state computation where churn does not matter.
 
 from __future__ import annotations
 
-import heapq
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..errors import EngineError
@@ -25,12 +30,14 @@ from ..obs.frontier import EngineRunFrontier
 from ..rng import SeedTree
 from ..topology.graph import Topology
 from .attributes import Announcement, ASPath, Route, check_prepends
-from .policy import may_export
+from .fastpath import ExportTable
+from .policy import Rel
 from .router import Router
 
 #: Default per-message propagation delay model (seconds).
 BASE_DELAY = 0.05
 MEAN_EXTRA_DELAY = 1.5
+_DELAY_RATE = 1.0 / MEAN_EXTRA_DELAY
 
 #: Safety cap: a single convergence run delivering more messages than
 #: this indicates a policy dispute wheel (should not happen with
@@ -124,17 +131,6 @@ class ConvergenceStats:
         if self.message_limit <= 0:
             return 0.0
         return self.messages_delivered / self.message_limit
-
-
-@dataclass(order=True)
-class _Message:
-    deliver_at: float
-    seq: int
-    sender: int = field(compare=False)
-    receiver: int = field(compare=False)
-    prefix: Prefix = field(compare=False)
-    path: Optional[ASPath] = field(compare=False)
-    tag: str = field(compare=False, default="")
 
 
 # ----- warm-state deltas -------------------------------------------------
@@ -263,6 +259,17 @@ class PropagationEngine:
     record_best_changes:
         When True (default), every loc-RIB change is appended to
         ``self.update_log`` — collectors consume this.
+
+    The topology's links and policies are compiled into
+    ``self.exports``, an :class:`~repro.bgp.fastpath.ExportTable`, when
+    the engine is built.  A :class:`LocalprefEdit` delta edits the
+    policy and patches the one arc it changes.  Any other edit to the
+    topology or its policies after construction is unsupported: the
+    engine does not see it, so build a new engine instead.
+
+    Pending messages are heap entries ``(deliver_at, seq, sender,
+    receiver, prefix, path, tag)``; ``seq`` is unique, so ordering
+    never compares the payload.  ``path`` None is a withdraw.
     """
 
     def __init__(
@@ -278,13 +285,19 @@ class PropagationEngine:
             node.asn: Router(node.asn, node.policy)
             for node in topology.ases()
         }
+        self.exports = ExportTable(topology)
+        # The same arcs by (sender, receiver), for per-session lookups.
+        self._arc_of: Dict[int, Dict[int, tuple]] = {
+            asn: {arc[0]: arc for arc in arcs}
+            for asn, arcs in self.exports.arcs.items()
+        }
         self.now: float = 0.0
         self.record_best_changes = record_best_changes
         self.update_log: List[UpdateEvent] = []
-        self.session_message_counts: Dict[Tuple[int, int], int] = {}
-        self._heap: List[_Message] = []
+        self._heap: List[tuple] = []
         self._seq = 0
-        self._last_scheduled: Dict[Tuple[int, int], float] = {}
+        # sender -> receiver -> latest scheduled delivery (FIFO sessions)
+        self._last_scheduled: Dict[int, Dict[int, float]] = {}
         self._down_links: Set[frozenset] = set()
         self._message_limit = message_limit
         self._announcements: Dict[Tuple[int, Prefix], Announcement] = {}
@@ -338,21 +351,23 @@ class PropagationEngine:
         )
         for count in announcement.prepends.values():
             check_prepends(count)
-        policy = self.topology.node(origin_asn).policy
+        arcs = self.exports.arcs.get(origin_asn)
+        if arcs is None:
+            self.topology.node(origin_asn)  # raises the unknown-ASN error
         exports = []
-        for neighbor in sorted(self.topology.neighbors(origin_asn)):
+        for neighbor, _, _, prepends, no_export, tag_blocks, _ in arcs:
             if self._link_is_down(origin_asn, neighbor):
                 continue
-            if policy.blocks_export(neighbor, tag):
+            if no_export or tag in tag_blocks:
                 continue
-            extra = announcement.prepends_toward(neighbor)
-            extra += policy.prepends_toward(neighbor)
-            exports.append((neighbor, ASPath.origin_path(origin_asn, extra)))
+            extra = announcement.prepends_toward(neighbor) + prepends
+            exports.append(
+                (neighbor, ASPath.origin_path(origin_asn, extra), tag)
+            )
         self._announcements[(origin_asn, prefix)] = announcement
         router = self.router(origin_asn)
         router.originate(prefix, tag=tag, now=self.now)
-        for neighbor, path in exports:
-            self._send(origin_asn, neighbor, prefix, path, tag)
+        self._send_all(origin_asn, prefix, exports)
         return announcement
 
     def withdraw(self, origin_asn: int, prefix: Prefix) -> None:
@@ -363,7 +378,7 @@ class PropagationEngine:
         if change.changed:
             self._record_change(origin_asn, prefix, change.new)
         # Export through the same per-neighbor policy checks every
-        # other export takes (_export_to_neighbor): a neighbor behind
+        # other export takes (_export): a neighbor behind
         # no_export_to / blocked export never saw the route, so it
         # must not receive a spurious withdraw — and when the loc-RIB
         # best is unchanged (the local route was not best), neighbors
@@ -397,9 +412,9 @@ class PropagationEngine:
             return
         self._down_links.remove(key)
         for local, remote in ((a, b), (b, a)):
-            router = self.router(local)
-            for prefix in list(router.loc_rib):
-                self._export_to_neighbor(local, remote, prefix)
+            arcs = (self._arc_of[local][remote],)
+            for prefix in list(self.router(local).loc_rib):
+                self._export(local, prefix, arcs)
 
     def apply_delta(self, delta) -> DeltaOutcome:
         """Apply one warm-state delta and reconverge.
@@ -510,6 +525,13 @@ class PropagationEngine:
         self.topology.node(delta.asn).policy.set_neighbor_localpref(
             delta.neighbor_asn, delta.value
         )
+        # The edit changes one arc's import localpref: patch that arc,
+        # which deliveries from now on read.
+        self._arc_of[delta.neighbor_asn][delta.asn] = (
+            self.exports.set_import_localpref(
+                delta.neighbor_asn, delta.asn, delta.value
+            )
+        )
         router = self.router(delta.asn)
         rel = self.topology.rel(delta.asn, delta.neighbor_asn)
         for prefix, change in router.reprice_neighbor(delta.neighbor_asn, rel):
@@ -591,46 +613,47 @@ class PropagationEngine:
         causal_starts: List[int] = []
         causal_ends: List[int] = []
         causal_depths: List[int] = []
+        heap = self._heap
+        routers = self.routers
+        arc_of = self._arc_of
+        down = self._down_links
+        limit = self._message_limit
         with span("engine.run_to_fixpoint") as trace:
-            while self._heap:
-                depth = len(self._heap)
+            while heap:
+                depth = len(heap)
                 if depth > peak_depth:
                     peak_depth = depth
-                message = heapq.heappop(self._heap)
-                if message.deliver_at > self.now:
-                    self.now = message.deliver_at
-                if self._link_is_down(message.sender, message.receiver):
+                deliver_at, seq, sender, receiver, prefix, path, tag = (
+                    heappop(heap)
+                )
+                if deliver_at > self.now:
+                    self.now = deliver_at
+                if down and frozenset((sender, receiver)) in down:
                     # Lost on a failed link: not a delivery, so it
                     # counts toward neither the dispute-wheel limit
                     # nor limit_proximity.
                     dropped += 1
                     continue
                 delivered += 1
-                if delivered > self._message_limit:
+                if delivered > limit:
                     raise EngineError(
                         "message limit exceeded: likely policy dispute wheel"
                     )
-                receiver = self.router(message.receiver)
-                rel = self.topology.rel(message.receiver, message.sender)
-                change = receiver.receive(
-                    neighbor_asn=message.sender,
-                    rel=rel,
-                    prefix=message.prefix,
-                    path=message.path,
-                    now=self.now,
-                    tag=message.tag,
+                # The import localpref is read from the arc at delivery,
+                # so a localpref edit reaches messages already in flight.
+                changed = routers[receiver].apply_update(
+                    sender, arc_of[sender][receiver][6], prefix, path,
+                    self.now, 0, tag,
                 )
                 if acc is None:
-                    if change.changed:
+                    if changed:
                         changes += 1
                         self._record_change(
-                            message.receiver, message.prefix, change.new
+                            receiver, prefix,
+                            routers[receiver].loc_rib.get(prefix),
                         )
-                        self._export_after_change(
-                            message.receiver, message.prefix
-                        )
+                        self._export_after_change(receiver, prefix)
                 else:
-                    seq = message.seq
                     index = bisect_right(causal_starts, seq)
                     causal = (
                         causal_depths[index - 1]
@@ -642,17 +665,16 @@ class PropagationEngine:
                         win_peak_depth = depth
                     if causal > win_peak_causal:
                         win_peak_causal = causal
-                    if change.changed:
+                    if changed:
                         changes += 1
                         seq_before = self._seq
                         self._record_change(
-                            message.receiver, message.prefix, change.new
+                            receiver, prefix,
+                            routers[receiver].loc_rib.get(prefix),
                         )
-                        self._export_after_change(
-                            message.receiver, message.prefix
-                        )
+                        self._export_after_change(receiver, prefix)
                         win_changed += 1
-                        win_frontier.add(message.prefix)
+                        win_frontier.add(prefix)
                         if self._seq > seq_before:
                             # Messages this delivery just triggered sit
                             # one causality step deeper.
@@ -700,7 +722,7 @@ class PropagationEngine:
         registry.counter("engine.best_changes").inc(stats.best_changes)
         # Sends can happen outside run_to_fixpoint (announce/withdraw/
         # link flaps queue messages); flush the delta since last time so
-        # the counter tracks session_message_counts exactly.
+        # the counter tracks every message the engine ever sent.
         sent_delta = self._messages_sent - self._messages_sent_flushed
         self._messages_sent_flushed = self._messages_sent
         registry.counter("engine.messages_sent").inc(sent_delta)
@@ -744,7 +766,7 @@ class PropagationEngine:
     # ----- internals --------------------------------------------------------
 
     def _link_is_down(self, a: int, b: int) -> bool:
-        return frozenset((a, b)) in self._down_links
+        return bool(self._down_links) and frozenset((a, b)) in self._down_links
 
     def _record_change(
         self, asn: int, prefix: Prefix, route: Optional[Route]
@@ -758,88 +780,108 @@ class PropagationEngine:
             )
 
     def _export_after_change(self, asn: int, prefix: Prefix) -> None:
-        for neighbor in sorted(self.topology.neighbors(asn)):
-            if not self._link_is_down(asn, neighbor):
-                self._export_to_neighbor(asn, neighbor, prefix)
+        self._export(asn, prefix, self.exports.arcs[asn])
 
-    def _export_to_neighbor(self, asn: int, neighbor: int, prefix: Prefix) -> None:
-        """Send the current best for *prefix* (or a withdraw) to
-        *neighbor*, applying export policy and prepend policy."""
-        router = self.router(asn)
-        best = router.best_route(prefix)
-        topology = self.topology
-        policy = topology.node(asn).policy
-        if best is not None and policy.blocks_export(neighbor, best.tag):
-            best = None
-        to_rel = topology.rel(asn, neighbor)
+    def _export(self, asn: int, prefix: Prefix, arcs) -> None:
+        """Send *asn*'s current best for *prefix*, or a withdraw, along
+        each up arc of *arcs* (in order), applying export policy and
+        prepends.
+
+        The export rule is the fastpath's: a blocked session (the
+        receiver is in ``no_export_to``) gets nothing; a tag-filtered,
+        valley-violating or looping export gets a withdraw, so the
+        receiver clears any route it was sent before."""
+        best = self.routers[asn].loc_rib.get(prefix)
+        down = self._down_links
+        sends = []
         if best is None:
-            if neighbor not in policy.no_export_to:
-                self._send(asn, neighbor, prefix, None, "")
+            for receiver, _, _, _, no_export, _, _ in arcs:
+                if down and frozenset((asn, receiver)) in down:
+                    continue
+                if not no_export:
+                    sends.append((receiver, None, ""))
+            self._send_all(asn, prefix, sends)
             return
+        tag = best.tag
         if best.learned_from is None:
-            # Locally originated: handled by announce(); the stored
-            # announcement carries per-neighbor prepends.
+            # Locally originated: the stored announcement carries the
+            # per-neighbor origin prepends.
             announcement = self._announcements.get((asn, prefix))
-            extra = (
-                announcement.prepends_toward(neighbor)
-                if announcement is not None
-                else 0
-            )
-            extra += topology.node(asn).policy.prepends_toward(neighbor)
-            path = ASPath.origin_path(asn, extra)
-            self._send(asn, neighbor, prefix, path, best.tag)
+            for receiver, _, _, prepends, no_export, tag_blocks, _ in arcs:
+                if down and frozenset((asn, receiver)) in down:
+                    continue
+                if no_export:
+                    continue
+                if tag in tag_blocks:
+                    sends.append((receiver, None, ""))
+                    continue
+                extra = prepends + (
+                    announcement.prepends_toward(receiver)
+                    if announcement is not None
+                    else 0
+                )
+                sends.append((receiver, ASPath.origin_path(asn, extra), tag))
+            self._send_all(asn, prefix, sends)
             return
-        learned_rel = topology.rel(asn, best.learned_from)
-        allowed = may_export(
-            learned_rel,
-            to_rel,
-            learned_fabric=topology.is_fabric(asn, best.learned_from),
-            to_fabric=topology.is_fabric(asn, neighbor),
-        )
-        if not allowed:
-            # If a previously exported route is no longer exportable,
-            # the neighbor must see a withdraw.
-            self._send(asn, neighbor, prefix, None, "")
-            return
-        if best.path.contains(neighbor):
-            # Receiver would reject it as a loop anyway; send withdraw
-            # to clear any stale state.
-            self._send(asn, neighbor, prefix, None, "")
-            return
-        prepends = 1 + topology.node(asn).policy.prepends_toward(neighbor)
-        path = best.path.prepended_by(asn, prepends)
-        self._send(asn, neighbor, prefix, path, best.tag)
+        learned_rel, learned_fabric = self.exports.learned[asn][
+            best.learned_from
+        ]
+        to_all = learned_rel is Rel.CUSTOMER
+        customer = Rel.CUSTOMER
+        peer = Rel.PEER
+        base = best.path.asns
+        exported = (asn,) + base
+        shared = None  # the unprepended path, built on first use
+        for (receiver, to_rel, to_fabric, prepends, no_export, tag_blocks,
+             _) in arcs:
+            if down and frozenset((asn, receiver)) in down:
+                continue
+            if no_export:
+                continue
+            if (
+                tag in tag_blocks
+                or not (
+                    to_all
+                    or to_rel is customer
+                    or (learned_fabric and to_fabric and to_rel is peer)
+                )
+                or receiver in base
+            ):
+                sends.append((receiver, None, ""))
+            elif prepends:
+                sends.append(
+                    (receiver, ASPath((asn,) * prepends + exported), tag)
+                )
+            else:
+                if shared is None:
+                    shared = ASPath(exported)
+                sends.append((receiver, shared, tag))
+        self._send_all(asn, prefix, sends)
 
-    def _send(
-        self,
-        sender: int,
-        receiver: int,
-        prefix: Prefix,
-        path: Optional[ASPath],
-        tag: str,
-    ) -> None:
-        session = (sender, receiver)
-        delay = BASE_DELAY + self._rng.expovariate(1.0 / MEAN_EXTRA_DELAY)
-        deliver_at = self.now + delay
-        # FIFO per session: never deliver before a previously sent message.
-        previous = self._last_scheduled.get(session, 0.0)
-        if deliver_at <= previous:
-            deliver_at = previous + 1e-6
-        self._last_scheduled[session] = deliver_at
-        self.session_message_counts[session] = (
-            self.session_message_counts.get(session, 0) + 1
-        )
-        self._messages_sent += 1
-        self._seq += 1
-        heapq.heappush(
-            self._heap,
-            _Message(
-                deliver_at=deliver_at,
-                seq=self._seq,
-                sender=sender,
-                receiver=receiver,
-                prefix=prefix,
-                path=path,
-                tag=tag,
-            ),
-        )
+    def _send_all(self, sender: int, prefix: Prefix, sends) -> None:
+        """Queue one message from *sender* per ``(receiver, path, tag)``
+        of *sends*, in order (``path`` None is a withdraw).  Each draws
+        one delay; a session delivers in FIFO order."""
+        if not sends:
+            return
+        now = self.now
+        draw = self._rng.expovariate
+        last = self._last_scheduled.get(sender)
+        if last is None:
+            last = self._last_scheduled[sender] = {}
+        heap = self._heap
+        seq = self._seq
+        for receiver, path, tag in sends:
+            deliver_at = now + (BASE_DELAY + draw(_DELAY_RATE))
+            # FIFO per session: never deliver before a previously sent
+            # message.
+            previous = last.get(receiver, 0.0)
+            if deliver_at <= previous:
+                deliver_at = previous + 1e-6
+            last[receiver] = deliver_at
+            seq += 1
+            heappush(
+                heap, (deliver_at, seq, sender, receiver, prefix, path, tag)
+            )
+        self._seq = seq
+        self._messages_sent += len(sends)

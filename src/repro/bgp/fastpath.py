@@ -18,8 +18,11 @@ session's relationship and fabric flag, the sender's export filters and
 prepends, the receiver's import localpref and decision process) is
 resolved once into an :class:`ExportTable`.  A table is a snapshot of
 the policies at compile time: callers that edit policies
-(tag-scoped export filters, localpref edits) compile a fresh one, and
-``propagate_fastpath`` compiles one per call when none is passed.
+(tag-scoped export filters) compile a fresh one, and
+``propagate_fastpath`` compiles one per call when none is passed.  The
+event-driven engine sends along the same table's arcs under the same
+export rule, patching an arc's import localpref in place when a
+localpref edit changes it.
 
 A *sink* is an AS with no customer session and no R&E-fabric peer
 session.  Under the export rule it never re-exports a learned route, so
@@ -36,7 +39,7 @@ skip most of the topology that way.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from ..errors import EngineError, TopologyError
 from ..netutil import Prefix
@@ -88,8 +91,15 @@ class ExportTable:
     import policy for the sender's routes.
     ``learned[asn]`` maps each neighbor to ``(rel, fabric)``, the
     learned-from side of the export rule.  ``processes[asn]`` is the
-    AS's decision process.  ``sinks`` holds the ASes with no customer
-    and no fabric-peer session, which never re-export a learned route.
+    AS's decision process and ``keys[asn]`` its lexicographic
+    preference key.  ``sinks`` holds the ASes with no customer and no
+    fabric-peer session, which never re-export a learned route.
+
+    Export rule: a route learned from a customer (or originated) goes
+    to every session; any other learned route goes to customers and,
+    when learned over the R&E fabric, to fabric peers.  A session in
+    ``no_export_to`` receives nothing, and a tag in ``tag_blocks``
+    filters routes carrying it.
 
     With *observers*, the arcs into every sink outside *observers* are
     left out (sinks keep their outgoing arcs, so a sink origin still
@@ -101,7 +111,7 @@ class ExportTable:
     topology: policy edits after the compile are not seen through it.
     """
 
-    __slots__ = ("topology", "arcs", "learned", "processes", "sinks")
+    __slots__ = ("topology", "arcs", "learned", "processes", "keys", "sinks")
 
     def __init__(
         self,
@@ -112,6 +122,7 @@ class ExportTable:
         self.arcs: Dict[int, Tuple[tuple, ...]] = {}
         self.learned: Dict[int, Dict[int, Tuple[Rel, bool]]] = {}
         self.processes: Dict[int, DecisionProcess] = {}
+        self.keys: Dict[int, Callable[[Route], tuple]] = {}
         for asn in topology.nodes:
             self.learned[asn] = {
                 neighbor: (rel, topology.is_fabric(asn, neighbor))
@@ -151,7 +162,22 @@ class ExportTable:
                     importer.localpref_for(asn, topology.rel(receiver, asn)),
                 ))
             self.arcs[asn] = tuple(arcs)
-            self.processes[asn] = policy.decision_process()
+            process = self.processes[asn] = policy.decision_process()
+            self.keys[asn] = process.key
+
+    def set_import_localpref(
+        self, sender: int, receiver: int, localpref: int
+    ) -> tuple:
+        """Patch the import localpref of the *sender*-to-*receiver* arc
+        (after the receiver's policy edit) and return the new arc.  Only
+        that arc changes; the table is not recompiled."""
+        arcs = self.arcs[sender]
+        for index, arc in enumerate(arcs):
+            if arc[0] == receiver:
+                patched = arc[:6] + (localpref,)
+                self.arcs[sender] = arcs[:index] + (patched,) + arcs[index + 1:]
+                return patched
+        raise EngineError("no arc %d-%d in the export table" % (sender, receiver))
 
 
 def propagate_fastpath(
@@ -193,6 +219,7 @@ def propagate_fastpath(
     arcs_of = exports.arcs
     learned_of = exports.learned
     processes = exports.processes
+    keys = exports.keys
     # Decision-process cache accounting: each selection looks up the
     # receiver's process; the first lookup per receiver is a miss.
     lookups = 0
@@ -343,24 +370,28 @@ def propagate_fastpath(
                     # Local routes always win: an origin never changes
                     # its best.
                     if old is None or old.learned_from is not None:
-                        process = processes[receiver]
                         if narrate:
                             new = _narrated_best(
-                                recorder, process, receiver, the_prefix, rib
+                                recorder, processes[receiver], receiver,
+                                the_prefix, rib,
                             )
                         elif imported is None or (
                             old is not None and old.learned_from == sender
                         ):
                             # A withdraw or a changed incumbent: re-run
                             # the whole adj-RIB-in.
-                            new = process.best([rib[key] for key in sorted(rib)])
+                            new = (
+                                min(rib.values(), key=keys[receiver])
+                                if rib else None
+                            )
                         elif old is None:
                             new = imported  # the adj-RIB-in was empty
                         else:
                             # The incumbent beat every other offer and
-                            # the steps are a lexicographic min, so only
+                            # selection is a lexicographic min, so only
                             # the new offer can unseat it.
-                            new = process.best((old, imported))
+                            key = keys[receiver]
+                            new = imported if key(imported) < key(old) else old
                         if new is not old:
                             changed = True
                             if new is None:

@@ -4,7 +4,8 @@ Each AS is modelled as one router holding an adj-RIB-in (the most recent
 route from each neighbor per prefix) and a loc-RIB (the selected best
 route per prefix).  Import policy (localpref assignment, loop rejection)
 is applied on receive; the decision process then reselects the best
-route for the affected prefix.
+route for the affected prefix as ``min`` over the adj-RIB-in under the
+process's lexicographic :attr:`~repro.bgp.decision.DecisionProcess.key`.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ class Router:
         self.asn = asn
         self.policy = policy
         self.process: DecisionProcess = policy.decision_process()
+        self._key = self.process.key
         # adj_rib_in[prefix][neighbor_asn] -> Route (post-import)
         self.adj_rib_in: Dict[Prefix, Dict[int, Route]] = {}
         self.loc_rib: Dict[Prefix, Route] = {}
@@ -77,33 +79,53 @@ class Router:
         tag: str = "",
     ) -> BestChange:
         """Process an update (*path* set) or withdraw (*path* None) from
-        *neighbor_asn* and return how the best route changed.
+        *neighbor_asn*, whose relationship *rel* sets the import
+        localpref, and return how the best route changed (see
+        :meth:`apply_update`)."""
+        old = self.loc_rib.get(prefix)
+        changed = self.apply_update(
+            neighbor_asn, self.policy.localpref_for(neighbor_asn, rel),
+            prefix, path, now, med, tag,
+        )
+        return BestChange(changed, old, self.loc_rib.get(prefix))
+
+    def apply_update(
+        self,
+        neighbor_asn: int,
+        localpref: int,
+        prefix: Prefix,
+        path: Optional[ASPath],
+        now: float,
+        med: int = 0,
+        tag: str = "",
+    ) -> bool:
+        """Process an update (*path* set) or withdraw (*path* None) from
+        *neighbor_asn* whose import *localpref* is already resolved, and
+        return True if the best route changed.
 
         Routes whose path contains our own ASN are rejected as loops,
         which acts as a withdraw of any previous route from that
-        neighbor (standard BGP loop prevention).
+        neighbor (standard BGP loop prevention).  A duplicate
+        announcement keeps the installed route and its age, and
+        allocates nothing.
         """
-        rib = self.adj_rib_in.setdefault(prefix, {})
-        if path is None or path.contains(self.asn):
-            existing = rib.pop(neighbor_asn, None)
-            if existing is None:
-                return BestChange(False, self.loc_rib.get(prefix),
-                                  self.loc_rib.get(prefix))
-            return self._reselect(prefix, now=now)
-
-        localpref = self.policy.localpref_for(neighbor_asn, rel)
+        rib = self.adj_rib_in.get(prefix)
+        if rib is None:
+            rib = self.adj_rib_in[prefix] = {}
+        if path is None or self.asn in path.asns:
+            if rib.pop(neighbor_asn, None) is None:
+                return False
+            return self._select(prefix, now)
         previous = rib.get(neighbor_asn)
         if (
             previous is not None
-            and previous.path == path
+            and previous.path.asns == path.asns
             and previous.localpref == localpref
             and previous.med == med
             and previous.tag == tag
         ):
-            # Duplicate announcement: no attribute change, keep age.
-            best = self.loc_rib.get(prefix)
-            return BestChange(False, best, best)
-        route = Route(
+            return False
+        rib[neighbor_asn] = Route(
             prefix=prefix,
             path=path,
             learned_from=neighbor_asn,
@@ -112,8 +134,7 @@ class Router:
             installed_at=now,
             tag=tag,
         )
-        rib[neighbor_asn] = route
-        return self._reselect(prefix, now=now)
+        return self._select(prefix, now)
 
     def reprice_neighbor(
         self, neighbor_asn: int, rel: Rel
@@ -183,12 +204,19 @@ class Router:
     def _reselect(
         self, prefix: Prefix, now: Optional[float] = None
     ) -> BestChange:
-        rib = self.adj_rib_in.get(prefix, {})
+        old = self.loc_rib.get(prefix)
+        changed = self._select(prefix, now)
+        return BestChange(changed, old, self.loc_rib.get(prefix))
+
+    def _select(self, prefix: Prefix, now: Optional[float]) -> bool:
+        """Re-run the decision process for *prefix*; True if the best
+        route changed in an announceable attribute."""
+        rib = self.adj_rib_in.get(prefix)
         old = self.loc_rib.get(prefix)
         capture = active_capture()
         recorder = capture.provenance if capture is not None else None
         if recorder is not None and recorder.wants(prefix):
-            candidates = [rib[key] for key in sorted(rib)]
+            candidates = [rib[key] for key in sorted(rib)] if rib else []
             new, steps = self.process.best_verbose(candidates)
             recorder.record(selection_event(
                 source="engine",
@@ -205,14 +233,15 @@ class Router:
                 winning_step=steps[-1]["step"] if steps else None,
                 time=now,
             ))
+        elif rib:
+            new = min(rib.values(), key=self._key)
         else:
-            new = self.process.best([rib[key] for key in sorted(rib)])
+            new = None
         if new is None:
             self.loc_rib.pop(prefix, None)
         else:
             self.loc_rib[prefix] = new
-        changed = not _routes_equivalent(old, new)
-        return BestChange(changed, old, new)
+        return not _routes_equivalent(old, new)
 
 
 def _routes_equivalent(a: Optional[Route], b: Optional[Route]) -> bool:

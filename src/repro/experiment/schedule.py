@@ -28,13 +28,27 @@ PREPEND_SEQUENCE: Tuple[str, ...] = (
 #: other scripts' digits spell a non-canonical label).
 _COUNT = re.compile(r"[0-9]+")
 
+#: Most digits a count may spell: 10 cover 2**32 - 1, and the bound
+#: keeps ``int()`` off digit strings it refuses to parse (over 4,300).
+MAX_COUNT_DIGITS = 10
+
+
+def is_count(text: str) -> bool:
+    """True if *text* is a count: 1 to :data:`MAX_COUNT_DIGITS` ASCII
+    digits."""
+    return len(text) <= MAX_COUNT_DIGITS and _COUNT.fullmatch(text) is not None
+
 
 def parse_prepend_config(text: str) -> Tuple[int, int]:
     """Parse "x-y" into (re_prepends, commodity_prepends), each at most
     :data:`~repro.bgp.attributes.MAX_PREPENDS`."""
     parts = text.split("-")
-    if len(parts) != 2 or not all(_COUNT.fullmatch(p) for p in parts):
-        raise ExperimentError("bad prepend configuration %r" % (text,))
+    if len(parts) != 2 or not all(is_count(p) for p in parts):
+        raise ExperimentError(
+            "bad prepend configuration %r (expected two counts of at most"
+            " %d ASCII digits, as in \"4-0\")"
+            % (text, MAX_COUNT_DIGITS)
+        )
     counts = int(parts[0]), int(parts[1])
     if max(counts) > MAX_PREPENDS:
         raise ExperimentError(

@@ -67,7 +67,11 @@ class Prefix:
 
     Instances are immutable, hashable, and totally ordered (by network
     address then length), so they can key dictionaries and sort stably.
+    The hash, ``hash((network, length))``, is computed once: prefixes
+    key the RIBs every BGP message looks up.
     """
+
+    __slots__ = ("network", "length", "_hash")
 
     network: int
     length: int
@@ -79,6 +83,14 @@ class Prefix:
                 "host bits set in %s/%d"
                 % (format_address(self.network), self.length)
             )
+        object.__setattr__(self, "_hash", hash((self.network, self.length)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # Slots and a frozen __setattr__: rebuild through __init__.
+        return (Prefix, (self.network, self.length))
 
     @classmethod
     def parse(cls, text: str) -> "Prefix":

@@ -52,7 +52,7 @@ from .bgp.engine import (
     WithdrawDelta,
 )
 from .errors import ExperimentError
-from .experiment.schedule import _COUNT
+from .experiment.schedule import MAX_COUNT_DIGITS, is_count
 from .netutil import Prefix
 from .obs import get_logger
 from .obs.provenance import SIGNAL_LABELS
@@ -423,10 +423,15 @@ def parse_delta(text: str, session: WhatIfSession):
 
 
 def _count(text: str) -> int:
-    """A non-negative integer spelled in ASCII digits only (``int``
-    would also take other scripts' digits, whitespace and ``_``)."""
-    if not _COUNT.fullmatch(text):
-        raise ExperimentError("expected ASCII digits, not %r" % (text,))
+    """A non-negative integer spelled in at most
+    :data:`~repro.experiment.schedule.MAX_COUNT_DIGITS` ASCII digits
+    (``int`` would also take other scripts' digits, whitespace and
+    ``_``, and refuses very long digit strings)."""
+    if not is_count(text):
+        raise ExperimentError(
+            "expected at most %d ASCII digits, not %r"
+            % (MAX_COUNT_DIGITS, text)
+        )
     return int(text)
 
 

@@ -57,6 +57,10 @@ def test_spec_defaults_are_valid():
         {"fault_spec": "bogus=1"},
         {"fault_spec": "loss=\u0663"},
         {"fault_spec": "loss=65537"},
+        # int() refuses digit strings past 4,300 digits; counts are
+        # bounded to 10 digits before it is called.
+        {"configs": ("9" * 5000 + "-0",)},
+        {"configs": ("0-" + "9" * 11,)},
     ],
 )
 def test_spec_validation_rejects(kwargs):
@@ -217,10 +221,13 @@ MISTYPED_DOCUMENTS = [
     '{"seed": "a"}',
     '{"seed": true}',
     '{"configs": [1]}',
+    '{"configs": ["%s-0"]}' % ("9" * 5000,),
 ]
 
 
-@pytest.mark.parametrize("text", MISTYPED_DOCUMENTS, ids=MISTYPED_DOCUMENTS)
+@pytest.mark.parametrize(
+    "text", MISTYPED_DOCUMENTS, ids=[text[:40] for text in MISTYPED_DOCUMENTS]
+)
 def test_from_json_rejects_mistyped_fields(text):
     with pytest.raises(ExperimentError):
         ExperimentSpec.from_json(text)

@@ -7,6 +7,7 @@ from repro.bgp.attributes import ASPath, Route
 from repro.bgp.decision import (
     DecisionProcess,
     Step,
+    compose_key,
     explain_choice,
 )
 from repro.errors import PolicyError
@@ -176,3 +177,38 @@ def test_removing_a_loser_preserves_best(routes):
     losers = [r for r in routes if r is not best]
     reduced = [r for r in routes if r is not losers[0]]
     assert process.best(reduced) is best
+
+
+#: The four variants ``RoutingPolicy.decision_process`` can build.
+STANDARD_PROCESSES = [
+    DecisionProcess.standard(path_length_sensitive=sensitive,
+                             age_tiebreak=age)
+    for sensitive in (True, False)
+    for age in (True, False)
+]
+
+#: Routes from any neighbor, or locally originated (no neighbor).
+any_route_strategy = st.builds(
+    route,
+    neighbor=st.one_of(st.none(), neighbor_ids),
+    path_len=st.integers(min_value=1, max_value=8),
+    localpref=st.sampled_from([50, 100, 150, 200]),
+    med=st.integers(min_value=0, max_value=3),
+    age=st.floats(min_value=0, max_value=100, allow_nan=False),
+)
+
+
+@pytest.mark.parametrize(
+    "process", STANDARD_PROCESSES,
+    ids=["+".join(step.value for step in p.steps) for p in STANDARD_PROCESSES],
+)
+@given(st.lists(any_route_strategy, min_size=1, max_size=12))
+def test_key_min_is_the_step_by_step_winner(process, routes):
+    """One lexicographic key selects what the step filters select."""
+    routes = _distinct_neighbors(routes)
+    winner = min(routes, key=process.key)
+    assert winner is process.best(routes)
+    assert winner is process.best_verbose(routes)[0]
+    # The written-out key is the per-step composition.
+    composed = compose_key(process.steps)
+    assert all(process.key(r) == composed(r) for r in routes)

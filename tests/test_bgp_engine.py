@@ -12,6 +12,7 @@ from repro.bgp.engine import (
 )
 from repro.errors import EngineError
 from repro.netutil import Prefix
+from repro.obs import use_registry
 from repro.rng import SeedTree
 from repro.topology.graph import Topology
 
@@ -31,6 +32,12 @@ def chain_topology():
 
 def engine_for(topo, seed=0):
     return PropagationEngine(topo, SeedTree(seed))
+
+
+def _messages_sent(registry):
+    """The ``engine.messages_sent`` counter: every message sent, in
+    runs or by announce/withdraw/link changes before them."""
+    return registry.snapshot()["counters"].get("engine.messages_sent", 0)
 
 
 class TestBasicPropagation:
@@ -279,10 +286,14 @@ class TestBookkeeping:
 
     def test_session_counts_populated(self):
         topo = chain_topology()
-        engine = engine_for(topo)
-        engine.announce(1, PFX)
-        engine.run_to_fixpoint()
-        assert engine.session_message_counts.get((1, 2), 0) >= 1
+        with use_registry() as registry:
+            engine = engine_for(topo)
+            engine.announce(1, PFX)
+            stats = engine.run_to_fixpoint()
+        # announce() sends 1 -> 2 before the run; the run's exports
+        # follow, and the counter takes both.
+        assert stats.messages_sent >= 1
+        assert _messages_sent(registry) == stats.messages_sent + 1
 
     def test_clock_moves_forward_only(self):
         engine = engine_for(chain_topology())
@@ -321,13 +332,15 @@ class TestBookkeeping:
         withdraw must not be exported to it either."""
         topo = chain_topology()
         topo.node(1).policy.no_export_to.add(2)
-        engine = engine_for(topo)
-        engine.announce(1, PFX)
-        engine.run_to_fixpoint()
-        assert engine.session_message_counts.get((1, 2), 0) == 0
-        engine.withdraw(1, PFX)
-        engine.run_to_fixpoint()
-        assert engine.session_message_counts.get((1, 2), 0) == 0
+        with use_registry() as registry:
+            engine = engine_for(topo)
+            engine.announce(1, PFX)
+            engine.run_to_fixpoint()
+            # AS 1's only session is to 2: no message at all was sent.
+            assert _messages_sent(registry) == 0
+            engine.withdraw(1, PFX)
+            engine.run_to_fixpoint()
+            assert _messages_sent(registry) == 0
         assert engine.best_route(2, PFX) is None
 
     def test_withdraw_of_unannounced_prefix_respects_policy(self):
@@ -335,10 +348,11 @@ class TestBookkeeping:
         per-neighbor export checks as every other export."""
         topo = chain_topology()
         topo.node(1).policy.no_export_to.add(2)
-        engine = engine_for(topo)
-        engine.withdraw(1, PFX)  # never announced: loc-RIB unchanged
-        engine.run_to_fixpoint()
-        assert engine.session_message_counts.get((1, 2), 0) == 0
+        with use_registry() as registry:
+            engine = engine_for(topo)
+            engine.withdraw(1, PFX)  # never announced: loc-RIB unchanged
+            engine.run_to_fixpoint()
+        assert _messages_sent(registry) == 0
 
     def test_withdraw_with_surviving_origin_reexports_new_best(self):
         """With two competing origins, withdrawing one leaves the
@@ -546,20 +560,21 @@ class TestStaleStateRegression:
                 keys.append(engine.run_to_fixpoint().replay_key())
             return keys
 
-        warm = engine_for(chain_topology(), seed=11)
-        warm_keys = history(warm, 2)
+        with use_registry() as warm_registry:
+            warm = engine_for(chain_topology(), seed=11)
+            warm_keys = history(warm, 2)
 
         fresh_one = engine_for(chain_topology(), seed=11)
         one_keys = history(fresh_one, 1)
-        fresh_two = engine_for(chain_topology(), seed=11)
-        two_keys = history(fresh_two, 2)
+        with use_registry() as two_registry:
+            fresh_two = engine_for(chain_topology(), seed=11)
+            two_keys = history(fresh_two, 2)
 
         assert warm_keys[0] == one_keys[0]
         assert warm_keys == two_keys
         assert warm.rib_state() == fresh_two.rib_state()
         assert warm.update_log == fresh_two.update_log
-        assert warm.session_message_counts == \
-            fresh_two.session_message_counts
+        assert _messages_sent(warm_registry) == _messages_sent(two_registry)
 
     def test_failed_run_leaves_no_stale_stats(self):
         """A run that dies on the dispute-wheel cap must not leave the

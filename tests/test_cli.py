@@ -127,6 +127,17 @@ class TestParser:
             main(["--version"])
 
 
+def test_whatif_rejects_an_unbounded_count(capsys):
+    """A 5,000-digit count is a typed error: exit 2, one stderr line."""
+    assert main([
+        "whatif", "--scale", "0.02", "--limit", "0",
+        "--delta", "prepend:re=" + "9" * 5000,
+    ]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert "at most 10 ASCII digits" in err
+
+
 class TestWhatIfArtifacts:
     def test_provenance_and_profile_written(self, tmp_path, capsys):
         provenance = tmp_path / "provenance.jsonl"

@@ -34,6 +34,7 @@ from repro.core.classify import classify_experiment, origin_map
 from repro.core.explain import render_explanation
 from repro.experiment.campaign import CellWork, dispatch_cells
 from repro.experiment.scheduler import fork_available
+from repro.obs import use_registry
 from repro.obs.capture import Capture, EventRing, use_capture
 from repro.rng import SeedTree
 
@@ -397,19 +398,26 @@ class TestDeltaConvergence:
         seed, scale = 0, 0.04
         warm_eco, warm = _delta_engine(seed, scale)
         cold_eco, cold = _delta_engine(seed, scale)
-        _baseline(warm_eco, warm, use_deltas=True)
-        _baseline(cold_eco, cold, use_deltas=False)
-        target = (
-            _localpref_target(warm_eco, warm)
-            if kind == "localpref" else None
-        )
-        warm_stats = _apply_kind(warm_eco, warm, kind, True, target)
-        cold_stats = _apply_kind(cold_eco, cold, kind, False, target)
+        with use_registry() as warm_registry:
+            _baseline(warm_eco, warm, use_deltas=True)
+            target = (
+                _localpref_target(warm_eco, warm)
+                if kind == "localpref" else None
+            )
+            warm_stats = _apply_kind(warm_eco, warm, kind, True, target)
+        with use_registry() as cold_registry:
+            _baseline(cold_eco, cold, use_deltas=False)
+            cold_stats = _apply_kind(cold_eco, cold, kind, False, target)
         assert [s.replay_key() for s in warm_stats] == \
             [s.replay_key() for s in cold_stats]
         assert warm.rib_state() == cold.rib_state()
         assert warm.update_log == cold.update_log
-        assert warm.session_message_counts == cold.session_message_counts
+        # Every message sent, in runs or before them, on both paths.
+        sent = [
+            registry.snapshot()["counters"]["engine.messages_sent"]
+            for registry in (warm_registry, cold_registry)
+        ]
+        assert sent[0] == sent[1]
 
     @pytest.mark.parametrize("kind", ["prepend", "localpref", "flap_down"])
     def test_fastpath_oracles_warm_state(self, kind):

@@ -317,14 +317,20 @@ class TestEngineInstrumentation:
             engine = PropagationEngine(eco.topology, SeedTree(7))
             engine.announce(eco.commodity_origin, eco.measurement_prefix,
                             tag="commodity")
-            engine.run_to_fixpoint()
+            first = engine.run_to_fixpoint()
             engine.announce(eco.re_origin_for("surf"),
                             eco.measurement_prefix, tag="re",
                             default_prepends=2)
-            engine.run_to_fixpoint()
+            second = engine.run_to_fixpoint()
             snapshot = registry.snapshot()
+        # Each run ends with nothing in flight, so every message sent
+        # (by announce() or during a run) was delivered or dropped.
         assert snapshot["counters"]["engine.messages_sent"] == sum(
-            engine.session_message_counts.values()
+            stats.messages_delivered + stats.messages_dropped
+            for stats in (first, second)
+        )
+        assert snapshot["counters"]["engine.messages_sent"] > sum(
+            stats.messages_sent for stats in (first, second)
         )
         assert snapshot["counters"]["engine.runs"] == 2
         assert snapshot["counters"]["engine.messages_delivered"] > 0

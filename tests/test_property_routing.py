@@ -10,13 +10,21 @@ compiled for observers must agree with the full table wherever it
 answers, and the memoized collector RIB with one run per origin.
 """
 
+import copy
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.bgp.attributes import Announcement
-from repro.bgp.engine import PropagationEngine
+from repro.bgp.engine import (
+    AnnounceDelta,
+    LinkFlap,
+    LocalprefEdit,
+    PrependChange,
+    PropagationEngine,
+    WithdrawDelta,
+)
 from repro.bgp.fastpath import ExportTable, propagate_fastpath
 from repro.bgp.policy import Rel, may_export
 from repro.collectors import build_collector_rib
@@ -258,3 +266,161 @@ def test_collector_rib_matches_unmemoized_runs(case, data):
             assert (entry.path if entry else None) == (
                 route.path.asns if route else None
             ), "observer %d, origin %d" % (observer, origin)
+
+
+#: A second prefix, so histories mix prefixes as a what-if session does.
+PFX_B = Prefix.parse("198.51.100.0/24")
+
+
+@st.composite
+def delta_history(draw, topo, origin, prepends):
+    """A valid sequence of warm-state deltas over *topo*: announce
+    (anycast or a second prefix), withdraw and re-prepend of a live
+    announcement, localpref edits on the sessions random_topology()
+    may reprice, and link flap/down/up.  Invalid picks (withdrawing
+    with nothing live) are skipped, so the history always applies."""
+    ases = sorted(topo.nodes)
+    links = sorted({tuple(sorted((a, b))) for a in ases
+                    for b in topo.neighbors(a)})
+    repriceable = [
+        (asn, neighbor)
+        for asn in ases
+        for neighbor, rel in sorted(topo.neighbors(asn).items())
+        if rel is not Rel.CUSTOMER and not topo.is_fabric(asn, neighbor)
+    ]
+    live = {(origin, PFX): "x"}
+    history = [AnnounceDelta(origin, PFX, default_prepends=prepends,
+                             tag="x")]
+    kinds = ["announce", "withdraw", "prepend", "flap", "down", "up"]
+    if repriceable:
+        kinds.append("localpref")
+    for kind in draw(st.lists(st.sampled_from(kinds), max_size=7)):
+        if kind == "announce":
+            key = (draw(st.sampled_from(ases)),
+                   draw(st.sampled_from([PFX, PFX_B])))
+            tag = draw(st.sampled_from(["x", "y"]))
+            live[key] = tag
+            history.append(AnnounceDelta(
+                key[0], key[1],
+                default_prepends=draw(st.integers(0, 2)), tag=tag,
+            ))
+        elif kind in ("withdraw", "prepend"):
+            if not live:
+                continue
+            key = draw(st.sampled_from(sorted(live, key=str)))
+            if kind == "withdraw":
+                del live[key]
+                history.append(WithdrawDelta(*key))
+            else:
+                history.append(PrependChange(
+                    key[0], key[1], draw(st.integers(0, 3))
+                ))
+        elif kind == "localpref":
+            asn, neighbor = draw(st.sampled_from(repriceable))
+            history.append(LocalprefEdit(
+                asn, neighbor, draw(st.sampled_from([50, 100, 150, 200]))
+            ))
+        elif links:
+            a, b = draw(st.sampled_from(links))
+            history.append(LinkFlap(a, b, action=kind))
+    return history
+
+
+def _replay(engine, delta, announcements):
+    """Apply *delta* through the engine's raw primitives (the cold
+    path), returning one ConvergenceStats per fixpoint run."""
+    if isinstance(delta, AnnounceDelta):
+        announcements[(delta.origin_asn, delta.prefix)] = engine.announce(
+            delta.origin_asn, delta.prefix,
+            default_prepends=delta.default_prepends, tag=delta.tag,
+        )
+        return [engine.run_to_fixpoint()]
+    if isinstance(delta, PrependChange):
+        previous = announcements[(delta.origin_asn, delta.prefix)]
+        announcements[(delta.origin_asn, delta.prefix)] = engine.announce(
+            delta.origin_asn, delta.prefix,
+            prepends=dict(previous.prepends),
+            default_prepends=delta.prepends, tag=previous.tag,
+        )
+        return [engine.run_to_fixpoint()]
+    if isinstance(delta, WithdrawDelta):
+        del announcements[(delta.origin_asn, delta.prefix)]
+        engine.withdraw(delta.origin_asn, delta.prefix)
+        return [engine.run_to_fixpoint()]
+    if isinstance(delta, LinkFlap):
+        stats = []
+        if delta.action in ("down", "flap"):
+            engine.set_link_down(delta.a, delta.b)
+            stats.append(engine.run_to_fixpoint())
+        if delta.action in ("up", "flap"):
+            engine.set_link_up(delta.a, delta.b)
+            stats.append(engine.run_to_fixpoint())
+        return stats
+    # A localpref edit has no primitive outside apply_delta: the
+    # policy edit and the repricing must go through the engine.
+    return engine.apply_delta(delta).stats
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_topology(), st.data())
+def test_warm_apply_delta_matches_cold_replay(case, data):
+    """A warm engine that applies a random delta history one
+    ``apply_delta`` at a time ends, after every step, in the state a
+    fresh engine reaches by replaying the same history from scratch:
+    equal RIBs (route ages included), update logs, clocks and
+    per-run replay keys."""
+    topo, origin, prepends = case
+    cold_topo = copy.deepcopy(topo)
+    history = data.draw(delta_history(topo, origin, prepends))
+    warm = PropagationEngine(topo, SeedTree(2))
+    warm_keys = []
+    for step, delta in enumerate(history):
+        warm_keys.extend(
+            s.replay_key() for s in warm.apply_delta(delta).stats
+        )
+        if step < len(history) - 1 and step % 3:
+            continue
+        cold = PropagationEngine(copy.deepcopy(cold_topo), SeedTree(2))
+        announcements = {}
+        cold_keys = []
+        for replayed in history[:step + 1]:
+            cold_keys.extend(
+                s.replay_key() for s in _replay(cold, replayed, announcements)
+            )
+        assert cold_keys == warm_keys, "after step %d" % step
+        assert cold.rib_state() == warm.rib_state(), "after step %d" % step
+        assert cold.update_log == warm.update_log, "after step %d" % step
+        assert cold.now == warm.now
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_topology(), st.data())
+def test_localpref_edits_patch_the_compiled_table(case, data):
+    """After random localpref edits the engine's patched export table
+    equals one compiled afresh from the edited policies."""
+    topo, origin, prepends = case
+    engine = PropagationEngine(topo, SeedTree(3))
+    engine.apply_delta(AnnounceDelta(origin, PFX, default_prepends=prepends))
+    repriceable = [
+        (asn, neighbor)
+        for asn in sorted(topo.nodes)
+        for neighbor, rel in sorted(topo.neighbors(asn).items())
+        if rel is not Rel.CUSTOMER and not topo.is_fabric(asn, neighbor)
+    ]
+    if not repriceable:
+        return
+    edits = data.draw(st.lists(
+        st.tuples(st.sampled_from(repriceable),
+                  st.sampled_from([50, 100, 150, 200])),
+        max_size=6,
+    ))
+    for (asn, neighbor), value in edits:
+        engine.apply_delta(LocalprefEdit(asn, neighbor, value))
+    fresh = ExportTable(topo)
+    assert engine.exports.arcs == fresh.arcs
+    assert engine.exports.learned == fresh.learned
+    # Deliveries read the arcs by session; that view is patched too.
+    assert engine._arc_of == {
+        asn: {arc[0]: arc for arc in arcs}
+        for asn, arcs in fresh.arcs.items()
+    }

@@ -78,6 +78,9 @@ class TestParseDelta:
         "announce:re=+2",
         "localpref:1125:1103=５０",  # fullwidth digits
         "flap:1125-1_103",
+        # Counts are bounded to 10 digits before int() parses them.
+        pytest.param("prepend:re=" + "9" * 5000, id="prepend:re=5000-digits"),
+        "localpref:1125:1103=" + "9" * 11,
     ])
     def test_bad_specs_raise(self, session, bad):
         with pytest.raises(ExperimentError):
