@@ -17,8 +17,8 @@ all of that into one immutable, serialisable value:
 - :func:`run_experiment` — ``spec -> ExperimentResult``, a pure
   function of the spec's simulation fields.
 - :func:`run_campaign` — ``grid -> CampaignResult``; the campaign
-  orchestrator behind one call, with checkpoint resume and cell-level
-  process parallelism (the only parallel level).
+  orchestrator behind one call, with checkpoint resume and process
+  parallelism over network groups (the only parallel level).
 
 Seeding convention (shared with ``repro explain``): ``spec.seed`` is
 the *base* seed — the ecosystem and the probe-seed plan derive from it
@@ -69,6 +69,7 @@ __all__ = [
     "Prediction",
     "WhatIfSession",
     "build_runner",
+    "network_of",
     "run_campaign",
     "run_experiment",
     "SPEC_SCHEMA_VERSION",
@@ -405,6 +406,25 @@ class ExperimentSpec:
 # Running a spec
 
 
+def network_of(
+    spec: ExperimentSpec, ecosystem: Optional[Ecosystem] = None
+) -> Tuple[Ecosystem, SeedPlan]:
+    """The network *spec* runs on: its ecosystem and probe-seed plan.
+
+    Both are functions of ``(spec.seed, spec.ecosystem_config())``
+    alone, never of the experiment, so every spec sharing that key
+    runs on one network (the campaign's network group, and the
+    surf/internet2 pair).  *ecosystem* supplies an already-built one;
+    the plan always derives from ``SeedTree(spec.seed).child("seeds")``.
+    """
+    if ecosystem is None:
+        ecosystem = build_ecosystem(spec.ecosystem_config(), seed=spec.seed)
+    seed_plan = select_seeds(
+        ecosystem, seed_tree=SeedTree(spec.seed).child("seeds")
+    )
+    return ecosystem, seed_plan
+
+
 def build_runner(
     spec: ExperimentSpec,
     ecosystem: Optional[Ecosystem] = None,
@@ -415,19 +435,16 @@ def build_runner(
 ) -> ExperimentRunner:
     """Construct the :class:`ExperimentRunner` a spec calls for.
 
-    *ecosystem* / *seed_plan* default to building from the spec
-    (``build_ecosystem(spec.ecosystem_config(), seed=spec.seed)`` and
-    the shared-seed plan from ``SeedTree(spec.seed).child("seeds")``);
-    pass them to reuse an existing ecosystem (the campaign pair
-    dispatcher does, preserving shared-object identity).  *schedule* /
-    *fault_plan* override the spec's derived objects.
+    *ecosystem* / *seed_plan* default to the spec's network
+    (:func:`network_of`); pass them to reuse an existing one (campaign
+    network groups do, so the surf/internet2 pair shares one seed-plan
+    object).  *schedule* / *fault_plan* override the spec's derived
+    objects.
     """
-    if ecosystem is None:
-        ecosystem = build_ecosystem(spec.ecosystem_config(), seed=spec.seed)
     if seed_plan is None:
-        seed_plan = select_seeds(
-            ecosystem, seed_tree=SeedTree(spec.seed).child("seeds")
-        )
+        ecosystem, seed_plan = network_of(spec, ecosystem)
+    elif ecosystem is None:
+        ecosystem = build_ecosystem(spec.ecosystem_config(), seed=spec.seed)
     if schedule is None:
         schedule = spec.schedule()
     if fault_plan is None:
@@ -521,9 +538,11 @@ def run_campaign(
     *grid* is a sequence of specs (see
     :func:`repro.experiment.campaign.plan_grid`); digests must be
     unique.  Completed cells checkpoint under ``<directory>/cells/``
-    and are skipped on re-runs while *resume* holds.  *pool_workers*
-    sets the campaign-level cell fan-out: a fork pool when it exceeds
-    one, more than one cell is pending and ``fork`` exists.
+    and are skipped on re-runs while *resume* holds.  The pending
+    cells run as network groups, one ecosystem and probe-seed plan
+    each (:func:`network_of`).  *pool_workers* sets the campaign-level
+    group fan-out: a fork pool when it exceeds one, the pending cells
+    form more than one group and ``fork`` exists.
 
     Returns the :class:`~repro.experiment.campaign.CampaignResult`.
     """

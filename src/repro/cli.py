@@ -236,8 +236,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument(
         "--campaign-workers", type=int, default=1, metavar="N",
-        help="cell processes in the campaign pool (default: 1, "
-             "serial cells); output is byte-identical at every count",
+        help="processes in the campaign pool, each running whole "
+             "network groups (cells sharing a seed and scenario); "
+             "default: 1, serial; output is byte-identical at every "
+             "count",
     )
     sweep.add_argument(
         "--no-resume", action="store_true",

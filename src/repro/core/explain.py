@@ -29,9 +29,6 @@ from typing import Dict, List, Optional
 from ..errors import AnalysisError
 from ..netutil import Prefix
 from ..obs.capture import Capture, EventRing, active_capture, use_capture
-from ..rng import SeedTree
-from ..seeds.selection import select_seeds
-from ..topology.re_ecosystem import build_ecosystem
 from .classify import (
     InferenceCategory,
     PrefixInference,
@@ -280,17 +277,14 @@ def explain_prefix(
     exactly what the full ``reproduce`` run classified, under the
     same *fault_plan*.
     """
-    from ..api import ExperimentSpec, build_runner
+    from ..api import ExperimentSpec, build_runner, network_of
 
     if experiment not in ("surf", "internet2"):
         raise AnalysisError("experiment must be 'surf' or 'internet2'")
     prefix = Prefix.parse(prefix_text)
     spec = ExperimentSpec(experiment=experiment, seed=seed, scale=scale)
-    if ecosystem is None:
-        ecosystem = build_ecosystem(spec.ecosystem_config(), seed=seed)
+    ecosystem, shared_seeds = network_of(spec, ecosystem)
     origins = origin_map(ecosystem)
-    tree = SeedTree(seed)
-    shared_seeds = select_seeds(ecosystem, seed_tree=tree.child("seeds"))
     if prefix not in shared_seeds.targets:
         raise AnalysisError(
             "prefix %s is not in the probed set (%d prefixes; see "

@@ -5,12 +5,13 @@
 - :mod:`repro.experiment.runner` — runs one experiment end to end:
   announcements, convergence, outage injection, probing rounds, feeder
   view capture;
-- :mod:`repro.experiment.scheduler` — runs campaign cells, the one
-  parallel level, as :class:`Task` values on an inline or fork-pool
-  backend (:class:`InlineBackend`, :class:`ForkPoolBackend`);
+- :mod:`repro.experiment.scheduler` — runs campaign network groups,
+  the one parallel level, as :class:`Task` values on an inline or
+  fork-pool backend (:class:`InlineBackend`, :class:`ForkPoolBackend`);
 - :mod:`repro.experiment.records` — result containers;
 - :mod:`repro.experiment.campaign` — sweep orchestration: grids of
-  (seed × scenario × experiment) cells with cell-level process
+  (seed × scenario × experiment) cells run as network groups (one
+  ecosystem and probe-seed plan per group), with group-level process
   parallelism and digest-keyed resumable checkpoints;
 - :mod:`repro.experiment.status` — campaign heartbeats
   (``status/<digest>.json``) and the :class:`CampaignStatus` read

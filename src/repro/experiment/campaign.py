@@ -2,35 +2,43 @@
 experiment) cells with resumable checkpoints.
 
 One **cell** is one full nine-configuration experiment, fully
-described by an :class:`~repro.api.ExperimentSpec`, and cells are the
-one parallel level.  This module runs grids of cells three ways that
-all produce byte-identical cell results:
+described by an :class:`~repro.api.ExperimentSpec`.  A cell's network —
+its ecosystem and probe-seed plan (:func:`repro.api.network_of`) —
+depends only on ``(spec.seed, spec.ecosystem_config())``, never on the
+experiment, fault plan or probing rate, so the pending cells that share
+that key form one **network group**.  The group is the unit of work
+and the one parallel level: a group task builds its network once, runs
+its cells on it in grid order, and drops it before the next group
+starts.  This module runs grids three ways that all produce
+byte-identical cell results:
 
-- **inline** — cells run one after another in this process (the
+- **inline** — groups run one after another in this process (the
   scheduler's :class:`~repro.experiment.scheduler.InlineBackend`),
-  exactly as a standalone :func:`repro.api.run_experiment` would;
+  each cell exactly as a standalone :func:`repro.api.run_experiment`
+  of its spec would;
 - **pooled** — a campaign-level
   :class:`~repro.experiment.scheduler.ForkPoolBackend` dispatches
-  whole cells as scheduler tasks.  Cell workers run with isolated
-  observability state and ship back metrics snapshots, completed span
-  trees, and their :class:`~repro.obs.capture.Capture` payload, which
-  the parent merges *in cell order* so the merged streams match the
-  inline ones;
+  whole groups as scheduler tasks.  Each cell in a worker runs with
+  isolated observability state and ships back its metrics snapshot,
+  completed span tree, and :class:`~repro.obs.capture.Capture`
+  payload, which the parent merges in the inline execution order
+  (group by group, cells in grid order inside a group) so the merged
+  streams match the inline ones;
 - **resumed** — each completed cell persists a JSON record keyed by
   its spec digest under ``<campaign dir>/cells/``; re-invoking the
-  campaign skips every cell whose checkpoint is present, recomputes
-  the rest, and re-renders the summary.  The summary is a pure
-  function of the cell records, so an interrupted-then-resumed
-  campaign writes a ``campaign_summary.json`` byte-identical to an
-  uninterrupted run's.
+  campaign skips every cell whose checkpoint is present and groups
+  only the rest, so a fully checkpointed network is never built.  The
+  summary is a pure function of the cell records, so an
+  interrupted-then-resumed campaign writes a ``campaign_summary.json``
+  byte-identical to an uninterrupted run's.
 
 The identity contract: a cell's
 :class:`~repro.experiment.records.ExperimentResult` — responses,
 classifications, report text, exported provenance — is byte-identical
 to a standalone ``run_experiment`` of the same spec, whatever the
-campaign pool size.  ``run_experiment_pair`` routes the classic
-surf/internet2 pair through the same dispatcher as two inline cells
-sharing one probe-seed plan.
+campaign pool size or the grid's order.  ``run_experiment_pair`` runs
+the classic surf/internet2 pair as one group on the caller's
+ecosystem, with one probe-seed plan object shared by both halves.
 """
 
 from __future__ import annotations
@@ -40,12 +48,15 @@ import os
 import time
 from dataclasses import dataclass, field
 from hashlib import sha256
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union,
+)
 
 from ..api import (
     ExperimentSpec,
     attach_capture,
     build_runner,
+    network_of,
     spec_capture,
 )
 from ..core.classify import (
@@ -61,8 +72,7 @@ from ..obs import MetricsRegistry, get_logger, get_registry, span, use_registry
 from ..obs.capture import active_capture, use_capture
 from ..obs.profile import PhaseProfiler
 from ..obs.spans import attach_completed, detached_trace
-from ..rng import SeedTree
-from ..seeds.selection import SeedPlan, select_seeds
+from ..seeds.selection import SeedPlan
 from ..topology.re_config import SCENARIO_PRESETS
 from ..topology.re_ecosystem import Ecosystem
 from .records import ExperimentResult
@@ -83,11 +93,13 @@ __all__ = [
     "CellWork",
     "CellOutcome",
     "CellFailure",
+    "NetworkGroup",
     "CampaignRunner",
     "CampaignResult",
     "cell_record",
     "identity_view",
     "dispatch_cells",
+    "group_cells",
     "plan_grid",
     "run_experiment_pair",
     "RECORD_SCHEMA_VERSION",
@@ -106,19 +118,16 @@ RECORD_SCHEMA_VERSION = 2
 
 @dataclass
 class CellWork:
-    """One cell plus the optional in-memory context it should reuse.
+    """One cell: its spec, optional overrides of the spec's derived
+    schedule and fault plan, and what to hand back.
 
-    The override objects exist for the pair dispatcher, which must
-    hand *the same* ecosystem and probe-seed plan to both halves
-    (``run_both_experiments`` semantics, including the object-identity
-    guarantee ``surf.seed_plan is internet2.seed_plan``).  Campaign
-    grids leave them ``None`` and let each cell build everything from
-    its spec.
+    A cell carries no network.  The ecosystem and probe-seed plan
+    belong to its :class:`NetworkGroup`, which builds them once for
+    every cell sharing them (or receives them from the caller, as the
+    surf/internet2 pair does).
     """
 
     spec: ExperimentSpec
-    ecosystem: Optional[Ecosystem] = None
-    seed_plan: Optional[SeedPlan] = None
     schedule: Optional[ExperimentSchedule] = None
     fault_plan: Optional[FaultPlan] = None
     #: Ship the full :class:`ExperimentResult` back (pickled, in
@@ -127,6 +136,41 @@ class CellWork:
     keep_result: bool = False
     #: Build the classification checkpoint record.
     build_record: bool = True
+
+
+#: An ecosystem and the probe-seed plan drawn from it.
+Network = Tuple[Ecosystem, SeedPlan]
+
+
+@dataclass
+class NetworkGroup:
+    """The cells that run on one network, and one scheduler task.
+
+    ``cells`` index the dispatched work list, in grid order.
+    ``network`` is a caller-supplied ``(ecosystem, seed_plan)``; when
+    it is ``None`` the task builds the network once from its first
+    cell's spec (:func:`repro.api.network_of`) and drops it when the
+    group is done.
+    """
+
+    cells: List[int]
+    network: Optional[Network] = None
+
+
+def group_cells(works: Sequence[CellWork]) -> List[NetworkGroup]:
+    """Group *works* by network key ``(spec.seed,
+    spec.ecosystem_config())``: groups in the order of their first
+    cell, cells in their given order inside a group."""
+    keys: list = []
+    groups: List[NetworkGroup] = []
+    for index, work in enumerate(works):
+        key = (work.spec.seed, work.spec.ecosystem_config())
+        if key in keys:
+            groups[keys.index(key)].cells.append(index)
+        else:
+            keys.append(key)
+            groups.append(NetworkGroup(cells=[index]))
+    return groups
 
 
 @dataclass
@@ -276,18 +320,21 @@ def identity_view(record: dict) -> dict:
 def _run_cell(
     work: CellWork,
     index: int,
+    network: Network,
     heartbeat: Optional[CellHeartbeat] = None,
 ) -> CellOutcome:
-    """Execute one cell under the active capture — a pooled worker's
-    child, or inline the parent's own, exactly like a standalone run —
-    plus a run-local capture for whatever else its spec asks for.
-    *heartbeat*, when given, tracks the cell's phase/round progress in
-    ``status/<digest>.json`` (purely observational — results are
-    identical with or without it)."""
+    """Execute one cell on its group's *network* under the active
+    capture — a pooled worker's child, or inline the parent's own,
+    exactly like a standalone run — plus a run-local capture for
+    whatever else its spec asks for.  *heartbeat*, when given, tracks
+    the cell's phase/round progress in ``status/<digest>.json``
+    (purely observational — results are identical with or without
+    it)."""
     spec = work.spec
     started = time.perf_counter()
+    ecosystem, seed_plan = network
     runner = build_runner(
-        spec, work.ecosystem, work.seed_plan,
+        spec, ecosystem, seed_plan,
         schedule=work.schedule, fault_plan=work.fault_plan,
     )
     if heartbeat is not None:
@@ -300,7 +347,7 @@ def _run_cell(
     attach_capture(result, local)
     record = None
     if work.build_record:
-        record = cell_record(spec, result, runner.ecosystem)
+        record = cell_record(spec, result, ecosystem)
         record["wall_seconds"] = time.perf_counter() - started
     if heartbeat is not None:
         heartbeat.done(wall_seconds=time.perf_counter() - started)
@@ -330,24 +377,22 @@ def _make_heartbeat(
     )
 
 
-def _cell_task(index: int) -> CellOutcome:
-    """Scheduler task entry point: run one cell.
+def _cell_task(
+    work: CellWork,
+    index: int,
+    network: Network,
+    status_dir: Optional[str],
+) -> CellOutcome:
+    """Run one cell of a group task.
 
-    The work list and status directory arrive as the backend context
-    (:func:`task_context`); the executing backend's name is stamped on
-    the cell's heartbeat so mixed inline/fork campaigns are debuggable
-    from ``repro status``.  In a pool worker the cell runs under
-    isolated obs state — a fresh registry (so the heartbeat's mirrored
-    counters are strictly this cell's) and a child of the inherited
-    capture — and ships both back for in-order merging; inline it
-    records straight into the parent's obs state, exactly like a
-    standalone run.
+    The executing backend's name is stamped on the cell's heartbeat so
+    mixed inline/fork campaigns are debuggable from ``repro status``.
+    In a pool worker the cell runs under isolated obs state — a fresh
+    registry (so the heartbeat's mirrored counters are strictly this
+    cell's) and a child of the inherited capture — and ships both back
+    for in-order merging; inline it records straight into the parent's
+    obs state, exactly like a standalone run.
     """
-    context = task_context()
-    if context is None:
-        raise ExperimentError("cell task used outside a scheduler backend")
-    works, status_dir = context
-    work = works[index]
     isolate = in_worker_process()
     heartbeat = _make_heartbeat(
         work.spec, status_dir, backend=task_backend_name()
@@ -355,7 +400,7 @@ def _cell_task(index: int) -> CellOutcome:
     if not isolate:
         try:
             with span("campaign.cell.%s" % work.spec.label()):
-                outcome = _run_cell(work, index, heartbeat=heartbeat)
+                outcome = _run_cell(work, index, network, heartbeat)
         except Exception as error:
             if heartbeat is not None:
                 heartbeat.failed(str(error))
@@ -368,7 +413,7 @@ def _cell_task(index: int) -> CellOutcome:
     with use_registry(registry), detached_trace(), use_capture(capture):
         with span("campaign.cell.%s" % work.spec.label()) as record:
             try:
-                outcome = _run_cell(work, index, heartbeat=heartbeat)
+                outcome = _run_cell(work, index, network, heartbeat)
             except Exception as error:
                 if heartbeat is not None:
                     heartbeat.failed(str(error))
@@ -381,11 +426,40 @@ def _cell_task(index: int) -> CellOutcome:
     return outcome
 
 
+def _group_task(number: int) -> List[Union[CellOutcome, CellFailure]]:
+    """Scheduler task entry point: run one network group.
+
+    The work list, the groups and the status directory arrive as the
+    backend context (:func:`task_context`).  The group's network is
+    built once here (unless the group carries one) and is dropped when
+    the task returns.  A cell that raises becomes a
+    :class:`CellFailure` and its group-mates still run; the result is
+    one outcome or failure per cell, in the group's cell order.
+    """
+    context = task_context()
+    if context is None:
+        raise ExperimentError("group task used outside a scheduler backend")
+    works, groups, status_dir = context
+    group = groups[number]
+    network = group.network or network_of(works[group.cells[0]].spec)
+    settled: List[Union[CellOutcome, CellFailure]] = []
+    for index in group.cells:
+        work = works[index]
+        try:
+            settled.append(_cell_task(work, index, network, status_dir))
+        except Exception as error:
+            settled.append(CellFailure(
+                index, work.spec.digest(), work.spec.label(), str(error)
+            ))
+    return settled
+
+
 def _will_fork(
     pool_workers: int, count: int, backend: Optional[str] = None
 ) -> bool:
-    """Whether cell dispatch runs on a fork pool: forced by *backend*,
-    or resolved from the worker count and the platform."""
+    """Whether group dispatch runs on a fork pool: forced by *backend*,
+    or resolved from the worker count, the number of group tasks and
+    the platform."""
     if backend == "fork":
         return True
     if backend == "inline":
@@ -399,20 +473,25 @@ def dispatch_cells(
     on_outcome: Optional[Callable[[CellOutcome], None]] = None,
     status_dir: Optional[str] = None,
     backend: Optional[str] = None,
+    network: Optional[Network] = None,
 ) -> Tuple[List[Optional[CellOutcome]], List[CellFailure]]:
-    """Run *works* on a scheduler backend: a fork pool when
-    ``pool_workers > 1`` (and ``fork`` exists), inline otherwise;
-    *backend* (``"fork"`` / ``"inline"``) forces the choice, so tests
-    can run a single cell on a fork worker.
+    """Run *works* as network groups (:func:`group_cells`), one
+    scheduler task per group, on a fork pool when ``pool_workers > 1``
+    and there is more than one group (and ``fork`` exists), inline
+    otherwise; *backend* (``"fork"`` / ``"inline"``) forces the choice,
+    so tests can run a single group on a fork worker.  *network*, when
+    given, is the one network every cell runs on: all of *works* then
+    form a single group that builds nothing.
 
     Returns outcomes in cell order (``None`` where a cell failed) plus
     the failures.  *on_outcome* fires as each cell's result is merged
     — the campaign checkpoints there, so cells finished before a crash
-    are never recomputed.  In pooled mode the parent merges worker
-    metrics snapshots, re-attaches span trees, and merges shipped
-    captures into its active capture strictly in cell order,
-    reproducing the inline observability streams.  With *status_dir*,
-    every executing cell — inline or pooled — maintains a
+    are never recomputed.  Results merge in the inline execution
+    order: group by group, and each group's cells in grid order.  In
+    pooled mode the parent merges worker metrics snapshots, re-attaches
+    span trees, and merges shipped captures into its active capture in
+    that order, reproducing the inline observability streams.  With
+    *status_dir*, every executing cell — inline or pooled — maintains a
     ``<status_dir>/<digest>.json`` heartbeat stamped with the executing
     backend's name (see :mod:`repro.experiment.status`).
     """
@@ -421,53 +500,62 @@ def dispatch_cells(
     failures: List[CellFailure] = []
     if not works:
         return outcomes, failures
-    context = (tuple(works), status_dir)
-    pooled = _will_fork(pool_workers, len(works), backend)
+    if network is not None:
+        groups = [NetworkGroup(list(range(len(works))), network)]
+    else:
+        groups = group_cells(works)
+    context = (tuple(works), tuple(groups), status_dir)
+    pooled = _will_fork(pool_workers, len(groups), backend)
     execution = (
         ForkPoolBackend(
-            context, workers=max(1, min(pool_workers, len(works)))
+            context, workers=max(1, min(pool_workers, len(groups)))
         )
         if pooled else InlineBackend(context)
     )
     tasks = [
-        Task(key=index, fn=_cell_task, args=(index,))
-        for index in range(len(works))
+        Task(key=number, fn=_group_task, args=(number,))
+        for number in range(len(groups))
     ]
     capture = active_capture()
 
+    def fail(failure: CellFailure) -> None:
+        failures.append(failure)
+        get_registry().counter("campaign.cells_failed").inc()
+
     def collect(task: Task, result) -> None:
-        index = task.key
+        cells = groups[task.key].cells
         if result.error is not None:
-            if pooled:
-                # A worker that died outright (crash, pool breakage)
-                # never marked its own heartbeat; do it from here so
-                # the status console shows "failed", not eternal
-                # "running".  (Inline cells and surviving workers mark
-                # their own heartbeat inside the task.)
+            # The whole task died: its network failed to build, or a
+            # pool worker crashed.  No cell of it reported back, so
+            # mark each one's heartbeat "failed" from here (a crashed
+            # worker never did), not eternal "running".
+            for index in cells:
+                spec = works[index].spec
                 beat = _make_heartbeat(
-                    works[index].spec, status_dir, backend=execution.name
+                    spec, status_dir, backend=execution.name
                 )
                 if beat is not None:
                     beat.failed(str(result.error))
-            failures.append(CellFailure(
-                index, works[index].spec.digest(),
-                works[index].spec.label(), str(result.error),
-            ))
-            get_registry().counter("campaign.cells_failed").inc()
+                fail(CellFailure(
+                    index, spec.digest(), spec.label(), str(result.error)
+                ))
             return
-        # Results resolve in cell order; only pooled outcomes carry
-        # worker metrics, span trees and copies of the parent capture's
-        # channels (inline cells wrote straight into the parent's).
-        outcome = result.value
-        if outcome.metrics:
-            get_registry().merge_snapshot(outcome.metrics)
-        if outcome.trace is not None:
-            attach_completed(outcome.trace)
-        if capture is not None:
-            outcome.capture = capture.merge(outcome.capture)
-        outcomes[index] = outcome
-        if on_outcome is not None:
-            on_outcome(outcome)
+        # Only pooled outcomes carry worker metrics, span trees and
+        # copies of the parent capture's channels (inline cells wrote
+        # straight into the parent's).
+        for outcome in result.value:
+            if isinstance(outcome, CellFailure):
+                fail(outcome)
+                continue
+            if outcome.metrics:
+                get_registry().merge_snapshot(outcome.metrics)
+            if outcome.trace is not None:
+                attach_completed(outcome.trace)
+            if capture is not None:
+                outcome.capture = capture.merge(outcome.capture)
+            outcomes[outcome.index] = outcome
+            if on_outcome is not None:
+                on_outcome(outcome)
 
     # Cells are never retried: a failed cell is recorded as a
     # CellFailure and reported after the rest of the grid completes
@@ -482,7 +570,7 @@ def dispatch_cells(
 
 
 # ---------------------------------------------------------------------
-# The surf/internet2 pair as two cells
+# The surf/internet2 pair as one network group
 
 
 def run_experiment_pair(
@@ -493,20 +581,20 @@ def run_experiment_pair(
     fault_plan: Optional[FaultPlan] = None,
 ) -> Tuple[ExperimentResult, ExperimentResult]:
     """Run the SURF and Internet2 experiments with shared probe seeds,
-    as the paper did one week apart — as two inline campaign cells,
-    with the *same* seed-plan object handed to both runners."""
-    tree = SeedTree(seed)
-    shared_seeds = select_seeds(ecosystem, seed_tree=tree.child("seeds"))
+    as the paper did one week apart — as one inline network group on
+    *ecosystem*, with the *same* seed-plan object handed to both
+    runners."""
     works = [
         CellWork(
             spec=ExperimentSpec(experiment=experiment, seed=seed, pps=pps),
-            ecosystem=ecosystem, seed_plan=shared_seeds,
             schedule=schedule, fault_plan=fault_plan,
             keep_result=True, build_record=False,
         )
         for experiment in ("surf", "internet2")
     ]
-    outcomes, failures = dispatch_cells(works)
+    outcomes, failures = dispatch_cells(
+        works, network=network_of(works[0].spec, ecosystem)
+    )
     if failures:
         raise ExperimentError(
             "experiment pair failed: "
@@ -586,7 +674,7 @@ class CampaignRunner:
         for specs requesting provenance); the aggregate lands in
         ``campaign_summary.json``.
     pool_workers:
-        Campaign-level cell processes (1: cells run inline, one after
+        Campaign-level group processes (1: groups run inline, one after
         another).
     resume:
         Skip cells whose checkpoint is already present (the default).
@@ -595,8 +683,10 @@ class CampaignRunner:
         Retain full :class:`ExperimentResult` objects on the
         :class:`CampaignResult` (memory-heavy; tests use it).
 
-    Cells run on a fork pool when there is more than one worker, more
-    than one pending cell, and ``fork`` exists; inline otherwise.
+    Pending cells run as network groups (:func:`group_cells`), one
+    scheduler task each; groups run on a fork pool when there is more
+    than one worker, more than one group, and ``fork`` exists; inline
+    otherwise.
     """
 
     def __init__(

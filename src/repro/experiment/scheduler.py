@@ -1,9 +1,10 @@
-"""repro.experiment.scheduler — run campaign cells on one of two
-backends.
+"""repro.experiment.scheduler — run campaign network groups on one of
+two backends.
 
-Campaign cells are the one parallel level: a probing round is a
-catchment lookup per probe, far too cheap to ship to another process,
-while a cell is a whole nine-configuration experiment.  Work is a list
+Campaign network groups are the one parallel level: a probing round is
+a catchment lookup per probe, far too cheap to ship to another
+process, while a group is one ecosystem build, one probe-seed plan and
+one or more whole nine-configuration experiments.  Work is a list
 of :class:`Task`\\ s executed by a backend — :class:`InlineBackend` in
 this process, :class:`ForkPoolBackend` in a ``fork`` process pool —
 and :class:`Scheduler` resolves the results strictly in task order, so

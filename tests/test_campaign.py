@@ -9,10 +9,14 @@ The load-bearing guarantees:
 - re-invoking a campaign skips checkpointed cells and recomputes only
   the missing ones, and the re-rendered ``campaign_summary.json`` is
   byte-identical to the uninterrupted run's;
+- cells run as network groups: each ``(seed, ecosystem config)``
+  network is built once per campaign run, only for pending cells, and
+  a failing cell does not take its group-mates down;
 - ``run_experiment_pair`` preserves every ``run_both_experiments``
   guarantee, including the shared seed-plan object.
 """
 
+import functools
 import json
 import os
 
@@ -30,12 +34,16 @@ from repro.core.sweep import (
 from repro.errors import ExperimentError
 from repro.experiment.campaign import (
     CampaignRunner,
+    CellWork,
     cell_record,
+    dispatch_cells,
+    group_cells,
     identity_view,
     known_scenarios,
     plan_grid,
     run_experiment_pair,
 )
+from repro.experiment.scheduler import fork_available
 from repro.topology.re_config import (
     REEcosystemConfig,
     SCENARIO_PRESETS,
@@ -179,9 +187,9 @@ def test_pooled_campaign_summary_identical_to_serial(tmp_path):
 
 def test_forced_backend_summary_identical(tmp_path):
     """The worker count alone picks the dispatch path: two workers on a
-    multi-cell grid run every cell on the fork pool (stamped on its
-    heartbeat), and the summary matches the serial run's bytes."""
-    from repro.experiment.scheduler import fork_available
+    grid of two network groups run every cell on the fork pool (stamped
+    on its heartbeat), and the summary matches the serial run's
+    bytes."""
     from repro.experiment.status import CampaignStatus
 
     if not fork_available():
@@ -310,6 +318,194 @@ def test_campaign_rejects_duplicate_digests(tmp_path):
     spec = ExperimentSpec(scale=SCALE)
     with pytest.raises(ExperimentError, match="duplicate"):
         CampaignRunner([spec, spec], str(tmp_path / "dup"))
+
+
+# ---------------------------------------------------------------------
+# Network groups
+
+#: Three rounds keep the group tests cheap; grouping ignores configs.
+GROUP_CONFIGS = ("0-0", "3-0", "3-3")
+
+
+def _experiment_major_grid():
+    """Two seeds x two scenarios x surf/internet2, listed
+    experiment-major: a network's surf and internet2 cells sit four
+    cells apart."""
+    return [
+        ExperimentSpec(
+            experiment=experiment, seed=seed, scenario=scenario,
+            scale=SCALE, configs=GROUP_CONFIGS,
+        )
+        for experiment in ("surf", "internet2")
+        for seed in SEEDS
+        for scenario in ("baseline", "deep-transit")
+    ]
+
+
+def _pair_grid():
+    """Two seeds x surf/internet2: two network groups of two cells."""
+    return [
+        spec.replace(configs=GROUP_CONFIGS)
+        for spec in plan_grid(SEEDS, scale=SCALE)
+    ]
+
+
+@functools.lru_cache(maxsize=None)
+def _standalone_record(spec):
+    ecosystem = build_ecosystem(spec.ecosystem_config(), seed=spec.seed)
+    return identity_view(cell_record(spec, run_experiment(spec), ecosystem))
+
+
+@pytest.fixture
+def network_builds(monkeypatch):
+    """Count the ecosystem builds and seed selections
+    :func:`repro.api.network_of` makes; ``calls["build_ecosystem"]``
+    lists the seed of each build."""
+    import repro.api as api
+
+    calls = {"build_ecosystem": [], "select_seeds": 0}
+    build, select = api.build_ecosystem, api.select_seeds
+
+    def counted_build(config, seed=0, **kwargs):
+        calls["build_ecosystem"].append(seed)
+        return build(config, seed=seed, **kwargs)
+
+    def counted_select(*args, **kwargs):
+        calls["select_seeds"] += 1
+        return select(*args, **kwargs)
+
+    monkeypatch.setattr(api, "build_ecosystem", counted_build)
+    monkeypatch.setattr(api, "select_seeds", counted_select)
+    return calls
+
+
+def _backends(directory):
+    from repro.experiment.status import CampaignStatus
+
+    return {cell.backend for cell in CampaignStatus.load(directory).cells}
+
+
+@pytest.mark.parametrize("pool_workers", [1, 2])
+def test_group_cells_identical_to_standalone_runs(tmp_path, pool_workers):
+    """Cells that share a network but are not adjacent in the grid
+    still equal standalone runs of their specs, inline and pooled."""
+    specs = _experiment_major_grid()
+    directory = str(tmp_path / "campaign")
+    campaign = CampaignRunner(
+        specs, directory, pool_workers=pool_workers
+    ).run()
+    assert campaign.completed == len(specs)
+    for spec in specs:
+        assert identity_view(
+            campaign.records[spec.digest()]
+        ) == _standalone_record(spec), spec.label()
+    if pool_workers > 1 and fork_available():
+        assert _backends(directory) == {"fork"}
+
+
+def test_campaign_builds_each_network_once(tmp_path, network_builds):
+    specs = _experiment_major_grid()
+    CampaignRunner(specs, str(tmp_path / "campaign")).run()
+    # Groups run in the order of their first cell: the surf cells.
+    assert network_builds["build_ecosystem"] == [
+        SEEDS[0], SEEDS[0], SEEDS[1], SEEDS[1]
+    ]
+    assert network_builds["select_seeds"] == 4
+
+
+def test_resume_builds_only_pending_networks(tmp_path, network_builds):
+    """A half-checkpointed group builds its network once; a fully
+    checkpointed one builds nothing."""
+    specs = _pair_grid()
+    directory = str(tmp_path / "campaign")
+    CampaignRunner(specs, directory).run()
+    with open(os.path.join(directory, "campaign_summary.json")) as fh:
+        baseline = fh.read()
+    victim = next(
+        spec for spec in specs
+        if spec.seed == SEEDS[0] and spec.experiment == "surf"
+    )
+    os.unlink(os.path.join(directory, "cells", "%s.json" % victim.digest()))
+    del network_builds["build_ecosystem"][:]
+    network_builds["select_seeds"] = 0
+
+    rerun = CampaignRunner(specs, directory).run()
+    assert (rerun.completed, rerun.skipped) == (1, len(specs) - 1)
+    assert network_builds["build_ecosystem"] == [SEEDS[0]]
+    assert network_builds["select_seeds"] == 1
+    with open(os.path.join(directory, "campaign_summary.json")) as fh:
+        assert fh.read() == baseline
+
+    # Every cell checkpointed: no network is built at all.
+    CampaignRunner(specs, directory).run()
+    assert network_builds["build_ecosystem"] == [SEEDS[0]]
+
+
+@pytest.mark.parametrize("pool_workers", [1, 2])
+def test_failing_cell_spares_its_group_mates(
+    tmp_path, monkeypatch, pool_workers
+):
+    """A cell that raises inside a group becomes a CellFailure; the
+    other cell on its network still completes and checkpoints."""
+    import repro.experiment.campaign as campaign
+
+    specs = _pair_grid()
+    doomed = next(
+        spec for spec in specs
+        if spec.seed == SEEDS[0] and spec.experiment == "internet2"
+    )
+    build = campaign.build_runner
+
+    def failing_build(spec, *args, **kwargs):
+        if spec == doomed:
+            raise ExperimentError("forced cell failure")
+        return build(spec, *args, **kwargs)
+
+    monkeypatch.setattr(campaign, "build_runner", failing_build)
+    directory = str(tmp_path / "campaign")
+    with pytest.raises(ExperimentError, match="1 campaign cell"):
+        CampaignRunner(specs, directory, pool_workers=pool_workers).run()
+    for spec in specs:
+        path = os.path.join(directory, "cells", "%s.json" % spec.digest())
+        assert os.path.exists(path) == (spec != doomed), spec.label()
+    with open(os.path.join(
+        directory, "status", "%s.json" % doomed.digest()
+    )) as fh:
+        beat = json.load(fh)
+    assert beat["phase"] == "failed"
+    assert beat["error"] == "forced cell failure"
+    if pool_workers > 1 and fork_available():
+        assert _backends(directory) == {"fork"}
+
+
+def test_fault_spec_and_pps_share_a_network(network_builds):
+    """Only the seed and the ecosystem config pick the network: cells
+    that differ in experiment, fault plan or probing rate share one,
+    and each still equals its standalone run."""
+    base = ExperimentSpec(seed=SEEDS[0], scale=SCALE, configs=GROUP_CONFIGS)
+    specs = [
+        base,
+        base.replace(fault_spec="loss=1,flap=1"),
+        base.replace(pps=50),
+        base.replace(experiment="internet2"),
+        base.replace(seed=SEEDS[1]),
+        base.replace(scenario="deep-transit"),
+        base.replace(config_overrides={"base_loss_probability": 0.0}),
+    ]
+    works = [CellWork(spec=spec) for spec in specs]
+    assert [group.cells for group in group_cells(works)] == [
+        [0, 1, 2, 3], [4], [5], [6]
+    ]
+
+    shared = works[:3]
+    outcomes, failures = dispatch_cells(shared)
+    assert not failures
+    assert network_builds["build_ecosystem"] == [SEEDS[0]]
+    assert network_builds["select_seeds"] == 1
+    for work, outcome in zip(shared, outcomes):
+        assert identity_view(outcome.record) == _standalone_record(
+            work.spec
+        ), work.spec.label()
 
 
 # ---------------------------------------------------------------------

@@ -21,7 +21,7 @@ from repro import (
     build_ecosystem,
     propagate_fastpath,
 )
-from repro.api import ExperimentSpec, run_experiment
+from repro.api import ExperimentSpec, network_of, run_experiment
 from repro.bgp.engine import (
     AnnounceDelta,
     LinkFlap,
@@ -59,14 +59,16 @@ def _captured(channel, run):
 
 
 def _cell(ecosystem, spec, backend):
-    """Run *spec* as one campaign cell on *backend*; a fork cell's
-    events reach the parent's capture through Capture.merge."""
-    work = CellWork(
-        spec=spec, ecosystem=ecosystem, keep_result=True,
-        build_record=False,
+    """Run *spec* as a one-cell network group on *ecosystem* on
+    *backend*; a fork cell's events reach the parent's capture through
+    Capture.merge."""
+    work = CellWork(spec=spec, keep_result=True, build_record=False)
+    outcomes, failures = dispatch_cells(
+        [work], backend=backend, network=network_of(spec, ecosystem)
     )
-    outcomes, failures = dispatch_cells([work], backend=backend)
     assert not failures, failures
+    # Only a cell run in a fork worker ships a span tree back.
+    assert (outcomes[0].trace is not None) == (backend == "fork")
     return outcomes[0].result
 
 

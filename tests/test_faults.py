@@ -245,6 +245,8 @@ class TestEnvironmentFaultDeterminism:
         works = [CellWork(spec=spec, keep_result=True, build_record=False)]
         outcomes, failures = dispatch_cells(works, backend="fork")
         assert not failures
+        # Only a cell run in a fork worker ships a span tree back.
+        assert outcomes[0].trace is not None
         pooled = outcomes[0].result
         assert round_keys(pooled) == round_keys(standalone)
         assert pooled.outages_applied == standalone.outages_applied

@@ -237,14 +237,14 @@ def _export(ring):
     return buffer.getvalue()
 
 
-def _capture_pair(ecosystem, pool_workers):
-    """The surf/internet2 pair as two cells sharing one probe-seed
-    plan, dispatched on *pool_workers* cell processes."""
+def _capture_pair(ecosystem, backend):
+    """The surf/internet2 pair as one network group sharing one
+    probe-seed plan, dispatched on *backend*."""
     seed_plan = select_seeds(ecosystem, seed_tree=SeedTree(0).child("seeds"))
     works = [
         CellWork(
             spec=ExperimentSpec(experiment=experiment, seed=0),
-            ecosystem=ecosystem, seed_plan=seed_plan, build_record=False,
+            build_record=False,
         )
         for experiment in ("surf", "internet2")
     ]
@@ -252,21 +252,28 @@ def _capture_pair(ecosystem, pool_workers):
         EventRing(), EventRing(), PhaseProfiler(use_cprofile=False)
     )
     with use_capture(capture):
-        _, failures = dispatch_cells(works, pool_workers=pool_workers)
+        outcomes, failures = dispatch_cells(
+            works, backend=backend, network=(ecosystem, seed_plan)
+        )
     assert not failures
+    # Only cells run in a fork worker ship a span tree back.
+    assert [outcome.trace is not None for outcome in outcomes] == [
+        backend == "fork"
+    ] * 2
     return capture
 
 
 @pytest.mark.skipif(not fork_available(), reason="needs fork")
 def test_pooled_pair_merges_capture_like_inline():
-    """Two pooled cells ship their captures back (Capture.shipped /
-    Capture.merge); the merged streams must match the inline pair's
-    byte for byte, and the profile must name the same phases."""
+    """A pair group run on a fork worker ships both cells' captures
+    back (Capture.shipped / Capture.merge); the merged streams must
+    match the inline pair's byte for byte, and the profile must name
+    the same phases."""
     ecosystem = build_ecosystem(
         ExperimentSpec(scale=0.04).ecosystem_config(), seed=0
     )
-    inline = _capture_pair(ecosystem, pool_workers=1)
-    pooled = _capture_pair(ecosystem, pool_workers=2)
+    inline = _capture_pair(ecosystem, backend="inline")
+    pooled = _capture_pair(ecosystem, backend="fork")
     for channel in ("provenance", "frontier"):
         one, two = getattr(inline, channel), getattr(pooled, channel)
         assert len(one) > 0 and one.dropped == 0
