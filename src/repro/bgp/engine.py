@@ -17,10 +17,9 @@ for bulk converged-state computation where churn does not matter.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..errors import EngineError
 from ..netutil import Prefix
@@ -219,15 +218,22 @@ class LinkFlap:
 class DeltaOutcome:
     """What one :meth:`PropagationEngine.apply_delta` call did.
 
-    ``dirty_prefixes`` / ``touched_ases`` bound the re-propagation
-    frontier: only these prefixes changed any loc-RIB, only this many
-    ASes selected a new best.  ``stats`` has one entry per
-    ``run_to_fixpoint`` the delta triggered (two for a full flap)."""
+    ``dirty_prefixes`` / ``changed_ases`` bound the re-propagation
+    frontier: only these prefixes changed any loc-RIB, only these ASes
+    selected a new best (for any prefix) — the ASes a
+    :class:`~repro.probing.forwarding.LiveCatchment` re-reads.
+    ``stats`` has one entry per ``run_to_fixpoint`` the delta
+    triggered (two for a full flap)."""
 
     delta: object
     stats: List[ConvergenceStats]
     dirty_prefixes: Tuple[str, ...]
-    touched_ases: int
+    changed_ases: FrozenSet[int]
+
+    @property
+    def touched_ases(self) -> int:
+        """How many ASes selected a new best."""
+        return len(self.changed_ases)
 
     @property
     def messages_delivered(self) -> int:
@@ -268,8 +274,11 @@ class PropagationEngine:
     engine does not see it, so build a new engine instead.
 
     Pending messages are heap entries ``(deliver_at, seq, sender,
-    receiver, prefix, path, tag)``; ``seq`` is unique, so ordering
-    never compares the payload.  ``path`` None is a withdraw.
+    receiver, prefix, path, tag, causal)``; ``seq`` is unique, so
+    ordering never compares the payload.  ``path`` None is a withdraw.
+    ``causal`` is the message's causality depth for frontier capture:
+    one more than the delivery that triggered it in a captured run
+    (see :meth:`run_to_fixpoint`), 0 otherwise.
     """
 
     def __init__(
@@ -307,10 +316,7 @@ class PropagationEngine:
         self._messages_sent = 0
         self._messages_sent_flushed = 0
         # Frontier bookkeeping: per-engine run counter, so run ids are
-        # identical however cells are scheduled.  Causality
-        # depths live in run-local interval lists inside
-        # run_to_fixpoint, only populated while a frontier ring is
-        # captured.
+        # identical however cells are scheduled.
         self._frontier_runs = 0
         # Dirty-set accumulators, non-None only inside apply_delta.
         self._dirty: Optional[Set[Prefix]] = None
@@ -498,7 +504,7 @@ class PropagationEngine:
             delta=delta,
             stats=stats_list,
             dirty_prefixes=tuple(sorted(str(p) for p in dirty)),
-            touched_ases=len(touched),
+            changed_ases=frozenset(touched),
         )
         capture = active_capture()
         if capture is not None and capture.frontier is not None:
@@ -600,19 +606,15 @@ class PropagationEngine:
             self._frontier_runs += 1
         # Window accounting stays in plain locals; the accumulator is
         # only called once per window (see EngineRunFrontier.add_window).
+        # A window's delivery and change counts are differences of the
+        # run's own counters, so a delivery does no counting of its own.
         window_size = EngineRunFrontier.window_size
-        win_count = 0
-        win_changed = 0
+        win_start = 0
+        win_end = window_size
+        win_changes = 0
         win_frontier: set = set()
         win_peak_depth = 0
         win_peak_causal = 0
-        # Causality depths as seq intervals: messages triggered by one
-        # delivery get consecutive seqs, so each change appends one
-        # (start, end, depth) triple instead of a dict entry per sent
-        # message; deliveries look their seq up with one bisect.
-        causal_starts: List[int] = []
-        causal_ends: List[int] = []
-        causal_depths: List[int] = []
         heap = self._heap
         routers = self.routers
         arc_of = self._arc_of
@@ -623,9 +625,8 @@ class PropagationEngine:
                 depth = len(heap)
                 if depth > peak_depth:
                     peak_depth = depth
-                deliver_at, seq, sender, receiver, prefix, path, tag = (
-                    heappop(heap)
-                )
+                (deliver_at, _, sender, receiver, prefix, path, tag,
+                 causal) = heappop(heap)
                 if deliver_at > self.now:
                     self.now = deliver_at
                 if down and frozenset((sender, receiver)) in down:
@@ -654,46 +655,36 @@ class PropagationEngine:
                         )
                         self._export_after_change(receiver, prefix)
                 else:
-                    index = bisect_right(causal_starts, seq)
-                    causal = (
-                        causal_depths[index - 1]
-                        if index and seq <= causal_ends[index - 1]
-                        else 0
-                    )
-                    win_count += 1
                     if depth > win_peak_depth:
                         win_peak_depth = depth
                     if causal > win_peak_causal:
                         win_peak_causal = causal
                     if changed:
                         changes += 1
-                        seq_before = self._seq
                         self._record_change(
                             receiver, prefix,
                             routers[receiver].loc_rib.get(prefix),
                         )
-                        self._export_after_change(receiver, prefix)
-                        win_changed += 1
-                        win_frontier.add(prefix)
-                        if self._seq > seq_before:
-                            # Messages this delivery just triggered sit
-                            # one causality step deeper.
-                            causal_starts.append(seq_before + 1)
-                            causal_ends.append(self._seq)
-                            causal_depths.append(causal + 1)
-                    if win_count >= window_size:
-                        acc.add_window(
-                            win_count, win_changed, win_frontier,
-                            win_peak_depth, win_peak_causal,
+                        # Messages this delivery triggers sit one
+                        # causality step deeper.
+                        self._export_after_change(
+                            receiver, prefix, causal + 1
                         )
-                        win_count = 0
-                        win_changed = 0
+                        win_frontier.add(prefix)
+                    if delivered >= win_end:
+                        acc.add_window(
+                            delivered - win_start, changes - win_changes,
+                            win_frontier, win_peak_depth, win_peak_causal,
+                        )
+                        win_start = delivered
+                        win_end = delivered + window_size
+                        win_changes = changes
                         win_frontier = set()
                         win_peak_depth = 0
                         win_peak_causal = 0
         if acc is not None:
             acc.add_window(
-                win_count, win_changed, win_frontier,
+                delivered - win_start, changes - win_changes, win_frontier,
                 win_peak_depth, win_peak_causal,
             )
             acc.finish()
@@ -779,13 +770,17 @@ class PropagationEngine:
                 UpdateEvent(time=self.now, asn=asn, prefix=prefix, route=route)
             )
 
-    def _export_after_change(self, asn: int, prefix: Prefix) -> None:
-        self._export(asn, prefix, self.exports.arcs[asn])
+    def _export_after_change(
+        self, asn: int, prefix: Prefix, causal: int = 0
+    ) -> None:
+        self._export(asn, prefix, self.exports.arcs[asn], causal)
 
-    def _export(self, asn: int, prefix: Prefix, arcs) -> None:
+    def _export(
+        self, asn: int, prefix: Prefix, arcs, causal: int = 0
+    ) -> None:
         """Send *asn*'s current best for *prefix*, or a withdraw, along
         each up arc of *arcs* (in order), applying export policy and
-        prepends.
+        prepends.  The messages carry causality depth *causal*.
 
         The export rule is the fastpath's: a blocked session (the
         receiver is in ``no_export_to``) gets nothing; a tag-filtered,
@@ -800,7 +795,7 @@ class PropagationEngine:
                     continue
                 if not no_export:
                     sends.append((receiver, None, ""))
-            self._send_all(asn, prefix, sends)
+            self._send_all(asn, prefix, sends, causal)
             return
         tag = best.tag
         if best.learned_from is None:
@@ -821,7 +816,7 @@ class PropagationEngine:
                     else 0
                 )
                 sends.append((receiver, ASPath.origin_path(asn, extra), tag))
-            self._send_all(asn, prefix, sends)
+            self._send_all(asn, prefix, sends, causal)
             return
         learned_rel, learned_fabric = self.exports.learned[asn][
             best.learned_from
@@ -856,12 +851,15 @@ class PropagationEngine:
                 if shared is None:
                     shared = ASPath(exported)
                 sends.append((receiver, shared, tag))
-        self._send_all(asn, prefix, sends)
+        self._send_all(asn, prefix, sends, causal)
 
-    def _send_all(self, sender: int, prefix: Prefix, sends) -> None:
+    def _send_all(
+        self, sender: int, prefix: Prefix, sends, causal: int = 0
+    ) -> None:
         """Queue one message from *sender* per ``(receiver, path, tag)``
-        of *sends*, in order (``path`` None is a withdraw).  Each draws
-        one delay; a session delivers in FIFO order."""
+        of *sends*, in order (``path`` None is a withdraw), at causality
+        depth *causal*.  Each draws one delay; a session delivers in
+        FIFO order."""
         if not sends:
             return
         now = self.now
@@ -880,8 +878,8 @@ class PropagationEngine:
                 deliver_at = previous + 1e-6
             last[receiver] = deliver_at
             seq += 1
-            heappush(
-                heap, (deliver_at, seq, sender, receiver, prefix, path, tag)
-            )
+            heappush(heap, (
+                deliver_at, seq, sender, receiver, prefix, path, tag, causal
+            ))
         self._seq = seq
         self._messages_sent += len(sends)

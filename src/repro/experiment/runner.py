@@ -22,10 +22,11 @@ from __future__ import annotations
 
 import random
 from functools import partial
-from typing import Dict, Optional
+from typing import Dict, Optional, Set
 
 from ..bgp.engine import (
     AnnounceDelta,
+    DeltaOutcome,
     LinkFlap,
     PrependChange,
     PropagationEngine,
@@ -86,6 +87,9 @@ class ExperimentRunner:
         # Round-frontier state: the previous round's prefix -> signal
         # map, diffed against each new round.
         self._frontier_prev: Optional[Dict[str, str]] = None
+        #: ASes that selected a new best since the round catchment was
+        #: last patched (see :meth:`_apply`).
+        self._changed: Set[int] = set()
         #: Optional progress callback (``hook(**fields)``) fired as the
         #: run advances — campaign heartbeats hang off it.  Strictly
         #: observational: exceptions are swallowed, results untouched.
@@ -121,7 +125,7 @@ class ExperimentRunner:
             self.experiment,
         )
         engine = PropagationEngine(ecosystem.topology, self.tree)
-        prober = Prober(ecosystem.topology, host, pps=self.pps)
+        prober = Prober(host, pps=self.pps)
         plan = ProbePlan(self.seed_plan.targets, self._systems_by_address())
         result = ExperimentResult(
             experiment=self.experiment,
@@ -170,6 +174,10 @@ class ExperimentRunner:
         )
         next_probe_at = engine.now + schedule.initial_soak_seconds
 
+        # One catchment per run: resolved at the first round, then
+        # patched from the ASes the deltas since the previous round
+        # changed (config steps, outages, fault flaps).
+        catchment = None
         previous = configs[0]
         for index, config_label in enumerate(schedule.configs):
             with span("runner.round.%s" % config_label):
@@ -206,10 +214,15 @@ class ExperimentRunner:
                 engine.advance_to(next_probe_at)
 
                 self._capture_round_provenance(engine, index, config_label)
+                if catchment is None:
+                    catchment = host.live_catchment(ecosystem.topology, rib)
+                else:
+                    catchment.patch(self._changed)
+                self._changed = set()
                 round_result = prober.probe_round(
                     config_label,
                     plan,
-                    rib,
+                    catchment,
                     self.tree.child("round-%d" % index),
                     engine.now,
                     round_index=index,
@@ -344,6 +357,13 @@ class ExperimentRunner:
         flush_round_frontier_metrics(event)
         self._frontier_prev = dict(rows)
 
+    def _apply(self, engine: PropagationEngine, delta) -> DeltaOutcome:
+        """Apply *delta*, noting the ASes it changed for the next
+        round's catchment patch."""
+        outcome = engine.apply_delta(delta)
+        self._changed |= outcome.changed_ases
+        return outcome
+
     def _announce(
         self,
         engine: PropagationEngine,
@@ -352,7 +372,7 @@ class ExperimentRunner:
         tag: str,
         result: ExperimentResult,
     ):
-        outcome = engine.apply_delta(AnnounceDelta(
+        outcome = self._apply(engine, AnnounceDelta(
             origin_asn=origin,
             prefix=self.ecosystem.measurement_prefix,
             default_prepends=prepends,
@@ -371,7 +391,7 @@ class ExperimentRunner:
         re-propagates (byte-identical to the former full re-announce —
         the engine is incremental either way; the delta additionally
         measures the dirty set)."""
-        outcome = engine.apply_delta(PrependChange(
+        outcome = self._apply(engine, PrependChange(
             origin_asn=origin,
             prefix=self.ecosystem.measurement_prefix,
             prepends=prepends,
@@ -396,8 +416,8 @@ class ExperimentRunner:
             if outage.experiment != self.experiment:
                 continue
             if outage.down_after_round == round_index:
-                outcome = engine.apply_delta(
-                    LinkFlap(outage.a, outage.b, action="down")
+                outcome = self._apply(
+                    engine, LinkFlap(outage.a, outage.b, action="down")
                 )
                 stats_list.append(outcome.stats[0])
                 result.convergence.append(stats_list[-1])
@@ -407,8 +427,8 @@ class ExperimentRunner:
                 )
                 self._note_outage(round_index, "down", outage)
             if outage.up_after_round == round_index:
-                outcome = engine.apply_delta(
-                    LinkFlap(outage.a, outage.b, action="up")
+                outcome = self._apply(
+                    engine, LinkFlap(outage.a, outage.b, action="up")
                 )
                 stats_list.append(outcome.stats[0])
                 result.convergence.append(stats_list[-1])
@@ -445,8 +465,8 @@ class ExperimentRunner:
                 ("flap-down", "down"),
                 ("flap-up", "up"),
             ):
-                outcome = engine.apply_delta(
-                    LinkFlap(link.a, link.b, action=delta_action)
+                outcome = self._apply(
+                    engine, LinkFlap(link.a, link.b, action=delta_action)
                 )
                 stats_list.append(outcome.stats[0])
                 result.convergence.append(stats_list[-1])

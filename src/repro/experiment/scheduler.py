@@ -26,8 +26,10 @@ Backend contract
     pool initializer, not per task).  Task functions read it back via
     :func:`task_context`.
 ``start() / submit(fn, *args) -> Future / shutdown(wait)``
-    The inline backend resolves the future before returning; the fork
-    pool hands back a pending one.
+    The inline backend hands back a future that runs its task when its
+    result is first asked for, so the scheduler resolves — and reports
+    — each inline task before the next one starts; the fork pool hands
+    back a pending one.
 """
 
 from __future__ import annotations
@@ -126,10 +128,38 @@ class TaskResult:
 # Backends
 
 
+class _InlineFuture(Future):
+    """A future whose task runs, with the backend context installed,
+    when its result is first asked for."""
+
+    def __init__(self, backend: "InlineBackend", fn: Callable,
+                 args: Tuple) -> None:
+        super().__init__()
+        self._task = (backend, fn, args)
+
+    def result(self, timeout: Optional[float] = None) -> Any:
+        if self._task is not None:
+            backend, fn, args = self._task
+            self._task = None
+            global _CONTEXT, _BACKEND_NAME
+            saved = (_CONTEXT, _BACKEND_NAME)
+            _CONTEXT = backend.context
+            _BACKEND_NAME = backend.name
+            try:
+                self.set_result(fn(*args))
+            except BaseException as error:  # parity with pool futures
+                self.set_exception(error)
+            finally:
+                _CONTEXT, _BACKEND_NAME = saved
+        return super().result(timeout)
+
+
 class InlineBackend:
-    """Same-process backend: tasks run eagerly on ``submit`` with the
-    backend context installed, through the code path pool workers
-    use."""
+    """Same-process backend: a task runs when the scheduler resolves
+    its future, with the backend context installed, through the code
+    path pool workers use.  Resolving in task order therefore runs
+    each task, and fires its result callback, before the next starts:
+    an inline campaign checkpoints each group as it finishes."""
 
     name = "inline"
 
@@ -140,18 +170,7 @@ class InlineBackend:
         return self
 
     def submit(self, fn: Callable, *args: Any) -> Future:
-        global _CONTEXT, _BACKEND_NAME
-        saved = (_CONTEXT, _BACKEND_NAME)
-        _CONTEXT = self.context
-        _BACKEND_NAME = self.name
-        future: Future = Future()
-        try:
-            future.set_result(fn(*args))
-        except BaseException as error:  # parity with pool futures
-            future.set_exception(error)
-        finally:
-            _CONTEXT, _BACKEND_NAME = saved
-        return future
+        return _InlineFuture(self, fn, args)
 
     def shutdown(self, wait: bool = True) -> None:
         pass

@@ -5,14 +5,17 @@
 - :mod:`repro.probing.forwarding` — the data plane that carries a
   response hop-by-hop along each AS's *own* best route back to the
   measurement prefix (the return-path signal the method measures),
-  resolved once per converged RIB into a per-AS catchment;
+  resolved into a per-AS catchment once per engine and patched after
+  each routing change;
 - :mod:`repro.probing.prober` — a scamper-like prober: paced probe
   rounds over a compiled plan, per-probe loss, and IP_PKTINFO-style
   arrival-interface recording, held as columns.
 """
 
 from .host import MeasurementHost, VLANInterface
-from .forwarding import Catchment, ForwardingOutcome, RibSnapshot
+from .forwarding import (
+    Catchment, ForwardingOutcome, LiveCatchment, RibSnapshot,
+)
 from .prober import (
     ProbePlan,
     ProbeResponse,
@@ -26,6 +29,7 @@ __all__ = [
     "VLANInterface",
     "Catchment",
     "ForwardingOutcome",
+    "LiveCatchment",
     "RibSnapshot",
     "ProbePlan",
     "ProbeResponse",

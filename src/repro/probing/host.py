@@ -21,7 +21,7 @@ from ..errors import ExperimentError
 from ..netutil import Prefix, parse_address
 from ..obs.provenance import KIND_BITS
 from ..topology.graph import Topology
-from .forwarding import Catchment, ForwardingOutcome, RibSnapshot
+from .forwarding import Catchment, ForwardingOutcome, LiveCatchment
 
 #: The loopback source address used in probes (§3.1).
 DEFAULT_SOURCE = parse_address("163.253.63.63")
@@ -97,24 +97,32 @@ class MeasurementHost:
                 "no interface attached for origin AS %d" % origin_asn
             ) from None
 
-    def catchment(
+    def live_catchment(
         self, topology: Topology, best_route_of: Callable[[int], object]
-    ) -> Catchment:
-        """Resolve every AS's return walk toward this host's origins.
+    ) -> LiveCatchment:
+        """Every AS's return walk toward this host's origins, kept
+        current.
 
-        ``best_route_of(asn)`` is an AS's converged best route for the
-        measurement prefix; it is read once, into a
-        :class:`~repro.probing.forwarding.RibSnapshot`.
+        ``best_route_of(asn)`` is an AS's best route for the
+        measurement prefix in a live RIB; it is read once, into a
+        :class:`~repro.probing.forwarding.RibSnapshot`, and resolved.
+        After each routing change,
+        :meth:`~repro.probing.forwarding.LiveCatchment.patch` with the
+        change's changed ASes brings it up to date.
         """
-        return RibSnapshot.capture(
+        return LiveCatchment(
             topology, best_route_of, self.measurement_prefix,
-        ).resolve(self.origin_asns())
+            self.origin_asns(),
+        )
 
     def verdicts(
         self, catchment: Catchment, asns: Iterable[int]
     ) -> Dict[int, Verdict]:
         """Each of *asns*' :data:`Verdict` over *catchment*.
 
+        *asns* may be every AS a round or prediction reads, or only
+        those a :meth:`~repro.probing.forwarding.LiveCatchment.patch`
+        re-resolved, to refresh those entries of an existing table.
         The kind bit is the :data:`~repro.obs.provenance.KIND_BITS` bit
         of the interface the walk arrives on, and 0 when it ends at an
         origin with no interface: the reader of that verdict raises

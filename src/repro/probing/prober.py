@@ -28,7 +28,7 @@ import random
 from array import array
 from dataclasses import dataclass, field
 from typing import (
-    Callable, Dict, FrozenSet, Iterator, List, Mapping, Optional, Tuple,
+    Dict, FrozenSet, Iterator, List, Mapping, Optional, Tuple,
 )
 
 from ..errors import ExperimentError
@@ -37,10 +37,9 @@ from ..obs import get_logger, get_registry, span
 from ..obs.capture import active_capture
 from ..obs.provenance import KIND_BITS, SIGNAL_LABELS, signal_event
 from ..rng import SeedTree, derive_seed
-from ..topology.graph import Topology
 from ..topology.re_config import SystemPlan
 from ..seeds.selection import ProbeTarget
-from .forwarding import ForwardingOutcome
+from .forwarding import Catchment, ForwardingOutcome
 from .host import DELIVERED, NO_ORIGIN, OUTCOMES, MeasurementHost
 
 DEFAULT_PPS = 100
@@ -252,13 +251,11 @@ class Prober:
 
     def __init__(
         self,
-        topology: Topology,
         host: MeasurementHost,
         pps: int = DEFAULT_PPS,
     ) -> None:
         if pps <= 0:
             raise ExperimentError("probe rate must be positive")
-        self.topology = topology
         self.host = host
         self.pps = pps
 
@@ -266,7 +263,7 @@ class Prober:
         self,
         config: str,
         plan: ProbePlan,
-        best_route_of: Callable[[int], object],
+        catchment: Catchment,
         seed_tree: SeedTree,
         now: float,
         round_index: Optional[int] = None,
@@ -274,12 +271,11 @@ class Prober:
     ) -> RoundResult:
         """Probe every target of *plan* once, pacing at ``pps``.
 
-        *best_route_of* maps an AS to its best route for the
-        measurement prefix.  The round reads it once, into the host's
-        catchment (:meth:`~repro.probing.host.MeasurementHost.catchment`),
-        and reads each attached AS's verdict from it once
+        The round reads each attached AS's verdict once
         (:meth:`~repro.probing.host.MeasurementHost.verdicts`, the table
-        the what-if predictor reads too).
+        the what-if predictor reads too) from *catchment*: in a run, the
+        run's :class:`~repro.probing.forwarding.LiveCatchment`, patched
+        since the previous round.
         *seed_tree* is the round's seed node; each prefix derives its
         own probe stream from it (see :func:`prefix_stream_rng`): a
         loss draw for each live, known system, then an RTT draw for
@@ -295,10 +291,7 @@ class Prober:
         result = RoundResult(config, now, plan, interval)
         with span("prober.round"):
             host = self.host
-            verdicts = host.verdicts(
-                host.catchment(self.topology, best_route_of),
-                plan.attached_asns,
-            )
+            verdicts = host.verdicts(catchment, plan.attached_asns)
             responded = result.responded
             kind_col = result.kind
             outcome_col = result.outcome

@@ -3,19 +3,20 @@
 A :class:`WhatIfSession` keeps one converged network warm and answers
 catchment questions — "which origin (and therefore which signal
 category) does prefix P land on under configuration C, or after policy
-change X?" — in microseconds.  Every converged state is captured once
-as a :class:`~repro.probing.forwarding.RibSnapshot`, resolved into a
-:class:`~repro.probing.forwarding.Catchment`, and read into the same
-per-AS verdict table a probing round reads
-(:meth:`~repro.probing.host.MeasurementHost.verdicts`).  State changes
-are :meth:`~repro.bgp.engine.PropagationEngine.apply_delta` deltas
-instead of re-simulating the experiment from scratch.
+change X?" — in microseconds.  State changes are
+:meth:`~repro.bgp.engine.PropagationEngine.apply_delta` deltas instead
+of re-simulating the experiment from scratch.  The session keeps one
+:class:`~repro.probing.forwarding.LiveCatchment`, resolved once after
+warm-up and patched from each delta's changed ASes, and reads it into
+the same per-AS verdict table a probing round reads
+(:meth:`~repro.probing.host.MeasurementHost.verdicts`).
 
 Predictions for the current state are memoized per prefix.  A delta
-usually moves few return walks, so :meth:`WhatIfSession.apply` diffs
-the new verdict table against the old one and forgets only the
-predictions of prefixes with an attached AS whose walk now ends at a
-different origin; every other prediction stays a dictionary hit.
+usually moves few return walks, so :meth:`WhatIfSession.apply`
+re-derives only the verdicts of the ASes the patch re-resolved and
+forgets only the predictions of prefixes with an attached AS whose
+walk now ends at a different origin; every other prediction stays a
+dictionary hit.
 
 The session replays the experiment's control-plane history exactly as
 :class:`~repro.experiment.runner.ExperimentRunner` does (same seeding,
@@ -168,7 +169,14 @@ class WhatIfSession:
             default_prepends=first_re, tag="re",
         ))
         engine.advance_to(engine.now + schedule.initial_soak_seconds)
-        self._resolve_current()
+        #: The one catchment this session resolves; patched per delta.
+        self._live = self.host.live_catchment(
+            self.ecosystem.topology,
+            partial(engine.best_route, prefix=prefix),
+        )
+        self._verdicts[self.current_config] = self.host.verdicts(
+            self._live, self._attached_asns
+        )
 
     # ----- configuration stepping -------------------------------------
 
@@ -206,22 +214,29 @@ class WhatIfSession:
             re_p, comm_p = parsed[index]
             prev_re, prev_comm = parsed[index - 1]
             dirty = 0
+            changed = set()
             if re_p != prev_re:
                 outcome = engine.apply_delta(PrependChange(
                     origin_asn=self.re_origin, prefix=prefix,
                     prepends=re_p,
                 ))
                 dirty += len(outcome.dirty_prefixes)
+                changed |= outcome.changed_ases
             if comm_p != prev_comm:
                 outcome = engine.apply_delta(PrependChange(
                     origin_asn=self.commodity_origin, prefix=prefix,
                     prepends=comm_p,
                 ))
                 dirty += len(outcome.dirty_prefixes)
+                changed |= outcome.changed_ases
             engine.advance_to(engine.now + self.schedule.soak_seconds)
+            # The previous config keeps its table: the new one starts
+            # as a copy of it, re-derived where the patch reached.
+            verdicts = dict(self._verdicts[self.current_config])
+            verdicts.update(self._patch(changed))
             self._config_index = index
             self._journal.append(("config", configs[index]))
-            self._resolve_current()
+            self._verdicts[self.current_config] = verdicts
             self._memo = {}
             if _log.is_enabled_for("debug"):
                 _log.debug(
@@ -240,13 +255,14 @@ class WhatIfSession:
         different origin."""
         outcome = self._engine.apply_delta(delta)
         self._journal.append(("delta", delta))
-        previous = self._verdicts[self.current_config]
-        self._verdicts.clear()
+        verdicts = self._verdicts[self.current_config]
+        self._verdicts = {self.current_config: verdicts}
         memo = self._memo
-        for asn, (_, _, origin, _) in self._resolve_current().items():
-            if origin != previous[asn][2]:
+        for asn, verdict in self._patch(outcome.changed_ases).items():
+            if verdict[2] != verdicts[asn][2]:
                 for prefix in self._prefixes_of.get(asn, ()):
                     memo.pop(prefix, None)
+            verdicts[asn] = verdict
         return outcome
 
     # ----- queries ----------------------------------------------------
@@ -350,18 +366,12 @@ class WhatIfSession:
         compiled = self._compiled[prefix] = (str(prefix), systems)
         return compiled
 
-    def _resolve_current(self) -> Dict[int, Verdict]:
-        """Capture and resolve the current state's catchment, and cache
-        the attached ASes' verdicts under the current config."""
-        host = self.host
-        catchment = host.catchment(
-            self.ecosystem.topology,
-            partial(self._engine.best_route,
-                    prefix=self.ecosystem.measurement_prefix),
-        )
-        verdicts = host.verdicts(catchment, self._attached_asns)
-        self._verdicts[self.current_config] = verdicts
-        return verdicts
+    def _patch(self, changed_asns) -> Dict[int, Verdict]:
+        """Patch the live catchment after a change in which only
+        *changed_asns* selected a new best, and return the fresh
+        verdicts of the attached ASes it re-resolved."""
+        patched = self._live.patch(changed_asns)
+        return self.host.verdicts(self._live, patched & self._attached_asns)
 
 
 def _default_schedule():

@@ -441,6 +441,37 @@ def test_resume_builds_only_pending_networks(tmp_path, network_builds):
     assert network_builds["build_ecosystem"] == [SEEDS[0]]
 
 
+def test_inline_campaign_checkpoints_each_group_as_it_finishes(
+    tmp_path, monkeypatch
+):
+    """An inline campaign writes a group's checkpoints before the next
+    group starts, so a run killed mid-campaign keeps every finished
+    group."""
+    import repro.experiment.campaign as campaign
+
+    specs = _pair_grid()
+    directory = str(tmp_path / "campaign")
+    build = campaign.build_runner
+    seen = []
+
+    def noting_build(spec, *args, **kwargs):
+        seen.append((spec, {
+            other for other in specs
+            if os.path.exists(os.path.join(
+                directory, "cells", "%s.json" % other.digest()
+            ))
+        }))
+        return build(spec, *args, **kwargs)
+
+    monkeypatch.setattr(campaign, "build_runner", noting_build)
+    CampaignRunner(specs, directory, pool_workers=1).run()
+    first_group = {spec for spec in specs if spec.seed == SEEDS[0]}
+    spec, checkpointed = next(
+        (spec, done) for spec, done in seen if spec.seed == SEEDS[1]
+    )
+    assert checkpointed == first_group, spec.label()
+
+
 @pytest.mark.parametrize("pool_workers", [1, 2])
 def test_failing_cell_spares_its_group_mates(
     tmp_path, monkeypatch, pool_workers

@@ -10,6 +10,8 @@ from repro.experiment import (
     format_prepend_config,
     parse_prepend_config,
 )
+from repro.faults import FaultPlan
+from repro.probing import MeasurementHost, Prober, RibSnapshot
 
 
 class TestSchedule:
@@ -143,3 +145,51 @@ class TestRunner:
             ]
 
         assert run() == run()
+
+    def test_rounds_read_one_patched_catchment(self, ecosystem, monkeypatch):
+        """A run captures the data plane once.  Every round reads the
+        catchment patched from the deltas since the previous round
+        (config steps, outages, fault flaps), which must equal a fresh
+        capture and resolve of the RIB the round probes."""
+        capture = RibSnapshot.capture.__func__
+        captures = []
+
+        def counted(cls, *args):
+            captures.append(args)
+            return capture(cls, *args)
+
+        live_catchment = MeasurementHost.live_catchment
+        readers = []
+
+        def building(self, topology, best_route_of):
+            readers.append((topology, best_route_of))
+            return live_catchment(self, topology, best_route_of)
+
+        probe_round = Prober.probe_round
+        checked = []
+
+        def checking(self, config, plan, catchment, *args, **kwargs):
+            [(topology, best_route_of)] = readers
+            host = self.host
+            fresh = capture(
+                RibSnapshot, topology, best_route_of,
+                host.measurement_prefix,
+            ).resolve(host.origin_asns())
+            for asn in sorted(topology.nodes):
+                assert catchment.lookup(asn) == fresh.lookup(asn), (
+                    config, asn,
+                )
+            checked.append(config)
+            return probe_round(self, config, plan, catchment, *args,
+                               **kwargs)
+
+        monkeypatch.setattr(RibSnapshot, "capture", classmethod(counted))
+        monkeypatch.setattr(MeasurementHost, "live_catchment", building)
+        monkeypatch.setattr(Prober, "probe_round", checking)
+        result = ExperimentRunner(
+            ecosystem, "internet2", seed=555,
+            fault_plan=FaultPlan.from_spec("flap=3", seed=555),
+        ).run()
+        assert result.outages_applied
+        assert checked == list(ExperimentSchedule().configs)
+        assert len(captures) == 1

@@ -23,6 +23,7 @@ from repro.api import ExperimentSpec, run_experiment
 from repro.bgp.engine import PropagationEngine
 from repro.errors import ExperimentError
 from repro.experiment.campaign import CampaignRunner, plan_grid
+from repro.netutil import Prefix
 from repro.obs.capture import Capture, EventRing, active_capture, use_capture
 from repro.obs.frontier import (
     ENGINE_WINDOW,
@@ -99,6 +100,33 @@ class TestEngineFrontier:
                 assert w["frontier"] >= len(w["sample"])
                 assert len(w["sample"]) <= SAMPLE_LIMIT
                 assert w["sample"] == sorted(w["sample"])
+
+    def test_causal_depth_counts_the_triggering_chain(self):
+        """On a provider chain 1 <- 2 <- ... <- n the route climbs one
+        AS per delivery, so causality depth grows by one per hop: the
+        origin's first message is depth 0, and the deepest delivery is
+        the top AS's export back down to n - 1.  A withdraw retraces
+        the same chain."""
+        from repro.rng import SeedTree
+        from repro.topology.graph import Topology
+
+        n = 6
+        prefix = Prefix.parse("192.0.2.0/24")
+        topology = Topology()
+        for asn in range(1, n + 1):
+            topology.add_as(asn, "as%d" % asn)
+        for asn in range(1, n):
+            topology.add_provider(asn, asn + 1)
+        with _tracing() as capture:
+            engine = PropagationEngine(topology, SeedTree(0))
+            engine.announce(1, prefix, tag="x")
+            engine.run_to_fixpoint()
+            engine.withdraw(1, prefix)
+            engine.run_to_fixpoint()
+        runs = capture.frontier.events(kind="engine_run")
+        assert [event["peak_causal_depth"] for event in runs] == [
+            n - 1, n - 1,
+        ]
 
     def test_disabled_records_nothing(self):
         from repro.rng import SeedTree

@@ -2,6 +2,7 @@
 resolved catchment, and the prober."""
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Callable, List, Optional, Set, Tuple
 
 import pytest
@@ -12,6 +13,7 @@ from repro.errors import ExperimentError
 from repro.netutil import parse_address
 from repro.probing import (
     ForwardingOutcome,
+    LiveCatchment,
     MeasurementHost,
     RibSnapshot,
     VLANInterface,
@@ -138,6 +140,23 @@ def walk(
         hops.append(next_hop)
         current = next_hop
     return ReturnPath(ForwardingOutcome.LOOP, None, hops, used_default)
+
+
+def rib_step(topology, best_route_of):
+    """The step function :func:`walk` takes, read from a live RIB:
+    each AS's best route (*best_route_of*) or, without one, its
+    policy's default route."""
+    def step_of(asn):
+        route = best_route_of(asn)
+        if route is None:
+            default_via = topology.node(asn).policy.default_route_via
+            if default_via is None:
+                return forwarding._NONE, None
+            return forwarding._DEFAULT, default_via
+        if route.learned_from is None:
+            return forwarding._LOCAL, None
+        return forwarding._ROUTE, route.learned_from
+    return step_of
 
 
 def snapshot_walk(snapshot, start_asn, origin_asns) -> ReturnPath:
@@ -350,14 +369,15 @@ class TestProber:
             [Announcement(MEAS, 1, tag="re"),
              Announcement(MEAS, 2, tag="commodity")],
         )
-        prober = Prober(topo, host)
+        prober = Prober(host)
         targets = {target_prefix: [target]}
-        return prober, targets, {address: system}, result.route_at
+        catchment = host.live_catchment(topo, result.route_at)
+        return prober, targets, {address: system}, catchment
 
     def test_round_records_interface(self):
-        prober, targets, systems, rib = self._setup()
+        prober, targets, systems, catchment = self._setup()
         round_result = prober.probe_round(
-            "0-0", ProbePlan(targets, systems), rib, SeedTree(0), now=100.0
+            "0-0", ProbePlan(targets, systems), catchment, SeedTree(0), now=100.0
         )
         prefix = next(iter(targets))
         responses = round_result.responses_of(prefix)
@@ -368,16 +388,16 @@ class TestProber:
         assert round_result.interfaces_seen(prefix) == ["re"]
 
     def test_pacing_sets_duration(self):
-        prober, targets, systems, rib = self._setup()
+        prober, targets, systems, catchment = self._setup()
         round_result = prober.probe_round(
-            "0-0", ProbePlan(targets, systems), rib, SeedTree(0), now=0.0
+            "0-0", ProbePlan(targets, systems), catchment, SeedTree(0), now=0.0
         )
         assert round_result.duration == pytest.approx(
             round_result.probe_count() / prober.pps
         )
 
     def test_lossy_system_can_miss(self):
-        prober, targets, systems, rib = self._setup()
+        prober, targets, systems, catchment = self._setup()
         prefix = next(iter(targets))
         address = targets[prefix][0].address
         # The plan holds references: a change made after compiling it
@@ -385,13 +405,13 @@ class TestProber:
         plan = ProbePlan(targets, systems)
         systems[address].loss_probability = 1.0
         round_result = prober.probe_round(
-            "0-0", plan, rib, SeedTree(0), now=0.0
+            "0-0", plan, catchment, SeedTree(0), now=0.0
         )
         assert not round_result.responses_of(prefix)[0].responded
         assert round_result.response_count() == 0
 
     def test_unknown_address_no_response(self):
-        prober, targets, systems, rib = self._setup()
+        prober, targets, systems, catchment = self._setup()
         prefix = next(iter(targets))
         extra = ProbeTarget(
             address=prefix.address_at(99), prefix=prefix,
@@ -399,24 +419,23 @@ class TestProber:
         )
         targets[prefix].append(extra)
         round_result = prober.probe_round(
-            "0-0", ProbePlan(targets, systems), rib, SeedTree(0), now=0.0
+            "0-0", ProbePlan(targets, systems), catchment, SeedTree(0), now=0.0
         )
         assert round_result.response_count() == 1
 
     def test_rejects_bad_pps(self):
-        topo = dual_homed_topology()
         host = MeasurementHost(MEAS)
         with pytest.raises(ExperimentError):
-            Prober(topo, host, pps=0)
+            Prober(host, pps=0)
 
     def test_delivery_to_an_origin_without_interface_raises(self):
-        prober, targets, systems, rib = self._setup()
+        prober, targets, systems, catchment = self._setup()
         host = MeasurementHost(MEAS)
         host.attach(2, VLANInterface("v2", "commodity", "comm"))
         prober.host = host
         with pytest.raises(ExperimentError, match="origin AS 1"):
             prober.probe_round(
-                "0-0", ProbePlan(targets, systems), rib, SeedTree(0),
+                "0-0", ProbePlan(targets, systems), catchment, SeedTree(0),
                 now=0.0,
             )
 
@@ -498,11 +517,10 @@ def probe_rounds(draw):
 
 
 class TestColumnarRound:
-    def _host(self, catchment):
+    def _host(self):
         host = MeasurementHost(MEAS)
         host.attach(1, VLANInterface("v1", "re", "re"))
         host.attach(2, VLANInterface("v2", "commodity", "comm"))
-        host.catchment = lambda topology, best_route_of: catchment
         return host
 
     @settings(max_examples=200, deadline=None)
@@ -510,14 +528,14 @@ class TestColumnarRound:
     def test_columns_match_the_per_probe_reference(self, case):
         snapshot, targets_by_prefix, systems, lossy, seed = case
         catchment = snapshot.resolve({1, 2})
-        host = self._host(catchment)
+        host = self._host()
         plan = ProbePlan(targets_by_prefix, systems)
         for prefix, stream_seed in zip(plan.prefixes,
                                        plan.stream_seeds(seed)):
             assert stream_seed == derive_seed(
                 seed, PREFIX_STREAM_LABEL % prefix
             )
-        prober = Prober(Topology(), host, pps=50)
+        prober = Prober(host, pps=50)
         try:
             expected = reference_round(
                 targets_by_prefix, systems, catchment, host, seed, 7.0,
@@ -526,11 +544,11 @@ class TestColumnarRound:
         except ExperimentError:
             # A non-origin local holder delivered a response.
             with pytest.raises(ExperimentError):
-                prober.probe_round("0-0", plan, None, SeedTree(seed), 7.0,
-                                   lossy_prefixes=lossy)
+                prober.probe_round("0-0", plan, catchment, SeedTree(seed),
+                                   7.0, lossy_prefixes=lossy)
             return
-        result = prober.probe_round("0-0", plan, None, SeedTree(seed), 7.0,
-                                    lossy_prefixes=lossy)
+        result = prober.probe_round("0-0", plan, catchment, SeedTree(seed),
+                                    7.0, lossy_prefixes=lossy)
         for index, prefix in enumerate(plan.prefixes):
             responses = expected[prefix]
             assert result.responses_of(prefix) == responses, prefix
@@ -575,19 +593,7 @@ class TestRibSnapshot:
              Announcement(MEAS, 2, tag="commodity")],
         )
         snapshot = RibSnapshot.capture(topo, result.route_at, MEAS)
-
-        def live_step(asn):
-            # The live RIB's forwarding state, classified as walk wants.
-            route = result.route_at(asn)
-            if route is None:
-                default_via = topo.node(asn).policy.default_route_via
-                if default_via is None:
-                    return forwarding._NONE, None
-                return forwarding._DEFAULT, default_via
-            if route.learned_from is None:
-                return forwarding._LOCAL, None
-            return forwarding._ROUTE, route.learned_from
-
+        live_step = rib_step(topo, result.route_at)
         for origins in ({1, 2}, {2}, {99}):
             catchment = snapshot.resolve(origins)
             for start in (1, 2, 3, 5):
@@ -610,6 +616,84 @@ class TestRibSnapshot:
         assert len(pickle.dumps(snapshot)) < 4096
         catchment = snapshot.resolve({1})
         assert len(pickle.dumps(catchment)) < 4096
+
+
+@st.composite
+def live_ribs(draw):
+    """A live RIB over a small topology, changed in a few steps.
+
+    Returns ``(topology, rib, origins, steps)``: *rib* maps each AS to
+    a stand-in best route (only ``learned_from`` is read) or None, the
+    topology's policies carry random default routes, and each step is
+    ``(changes, extra)``: new routes for some ASes, and ASes reported
+    changed although their route stayed (a patch takes a superset).
+    An optional chain from ``CHAIN_BASE`` runs past ``MAX_AS_HOPS``.
+    """
+    size = draw(st.integers(min_value=2, max_value=10))
+    ases = list(range(1, size + 1))
+    length = draw(st.one_of(
+        st.just(0),
+        st.integers(min_value=MAX_AS_HOPS - 2, max_value=MAX_AS_HOPS + 2),
+    ))
+    chain = [CHAIN_BASE + offset for offset in range(length)]
+    topo = Topology()
+    for asn in ases + chain:
+        topo.add_as(asn, "as%d" % asn)
+    everyone = st.sampled_from(ases + chain)
+    routes = st.one_of(
+        st.none(),
+        st.builds(SimpleNamespace, learned_from=st.none()),
+        st.builds(SimpleNamespace, learned_from=everyone),
+    )
+    rib = {asn: draw(routes) for asn in ases}
+    for offset, asn in enumerate(chain):
+        # The chain's last AS forwards back into the small map.
+        rib[asn] = SimpleNamespace(
+            learned_from=asn + 1 if offset + 1 < length else 1
+        )
+    for asn in draw(st.lists(everyone, max_size=4, unique=True)):
+        topo.node(asn).policy.default_route_via = draw(everyone)
+    origins = draw(st.frozensets(everyone, max_size=2))
+    steps = draw(st.lists(
+        st.tuples(st.dictionaries(everyone, routes, max_size=4),
+                  st.sets(everyone, max_size=3)),
+        min_size=1, max_size=4,
+    ))
+    return topo, rib, origins, steps
+
+
+class TestLiveCatchment:
+    @settings(max_examples=300, deadline=None)
+    @given(live_ribs())
+    def test_patch_matches_a_fresh_resolve_and_the_walk(self, case):
+        topo, rib, origins, steps = case
+        live = LiveCatchment(topo, rib.get, MEAS, origins)
+        for changes, extra in steps:
+            rib.update(changes)
+            live.patch(set(changes) | extra)
+            fresh = RibSnapshot.capture(topo, rib.get, MEAS).resolve(origins)
+            step_of = rib_step(topo, rib.get)
+            for asn in sorted(topo.nodes):
+                path = walk(step_of, asn, origins)
+                assert live.lookup(asn) == fresh.lookup(asn) == (
+                    path.outcome, path.origin_asn, len(path.hops)
+                ), asn
+
+    def test_patch_reports_only_the_walks_it_moved(self):
+        # 4 -> 3 -> 1 and 5 -> 2; moving 3 onto 2 moves 3 and 4 only.
+        topo = Topology()
+        for asn in range(1, 6):
+            topo.add_as(asn, "as%d" % asn)
+        rib = {3: SimpleNamespace(learned_from=1),
+               4: SimpleNamespace(learned_from=3),
+               5: SimpleNamespace(learned_from=2)}
+        live = LiveCatchment(topo, rib.get, MEAS, {1, 2})
+        assert live.lookup(4) == (ForwardingOutcome.DELIVERED, 1, 3)
+        assert live.patch({3, 5}) == set()
+        rib[3] = SimpleNamespace(learned_from=2)
+        assert live.patch({3, 5}) == {3, 4}
+        assert live.lookup(4) == (ForwardingOutcome.DELIVERED, 2, 3)
+        assert live.lookup(5) == (ForwardingOutcome.DELIVERED, 2, 2)
 
 
 def test_prefix_streams_depend_only_on_round_seed_and_prefix():

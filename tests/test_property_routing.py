@@ -7,10 +7,12 @@ route-age tie-breaking is disabled, and every converged state must
 satisfy the core BGP invariants (loop-free paths, export-rule
 compliance, localpref maximality among candidates).  An export table
 compiled for observers must agree with the full table wherever it
-answers, and the memoized collector RIB with one run per origin.
+answers, the memoized collector RIB with one run per origin, and a
+live catchment patched per delta with a fresh capture and resolve.
 """
 
 import copy
+from functools import partial
 from types import SimpleNamespace
 
 import pytest
@@ -29,8 +31,11 @@ from repro.bgp.fastpath import ExportTable, propagate_fastpath
 from repro.bgp.policy import Rel, may_export
 from repro.collectors import build_collector_rib
 from repro.netutil import Prefix
+from repro.probing import MeasurementHost, RibSnapshot, VLANInterface
 from repro.rng import SeedTree
 from repro.topology.graph import Topology
+
+from .test_probing import rib_step, walk
 
 PFX = Prefix.parse("192.0.2.0/24")
 
@@ -424,3 +429,42 @@ def test_localpref_edits_patch_the_compiled_table(case, data):
         asn: {arc[0]: arc for arc in arcs}
         for asn, arcs in fresh.arcs.items()
     }
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_topology(), st.data())
+def test_live_catchment_patch_matches_a_fresh_capture(case, data):
+    """A live catchment patched from each ``apply_delta``'s changed
+    ASes equals, after every step of a random delta history, a fresh
+    capture + resolve of the same RIB — in ``lookup`` for every AS and
+    in the verdict table — and the hop-by-hop walk over the live RIB.
+    Random default routes give walks default edges and loops."""
+    topo, origin, prepends = case
+    ases = sorted(topo.nodes)
+    for asn in data.draw(st.lists(st.sampled_from(ases), max_size=3,
+                                  unique=True)):
+        topo.node(asn).policy.default_route_via = data.draw(
+            st.sampled_from(ases)
+        )
+    history = data.draw(delta_history(topo, origin, prepends))
+    host = MeasurementHost(PFX, source_address=PFX.address_at(1))
+    host.attach(origin, VLANInterface("v1", "re", "re"))
+    other = data.draw(st.sampled_from(ases))
+    if other != origin:
+        host.attach(other, VLANInterface("v2", "commodity", "commodity"))
+    origins = set(host.origin_asns())
+    engine = PropagationEngine(topo, SeedTree(4))
+    best_route_of = partial(engine.best_route, prefix=PFX)
+    live = host.live_catchment(topo, best_route_of)
+    verdicts = host.verdicts(live, ases)
+    for step, delta in enumerate(history):
+        patched = live.patch(engine.apply_delta(delta).changed_ases)
+        verdicts.update(host.verdicts(live, patched))
+        fresh = RibSnapshot.capture(topo, best_route_of, PFX).resolve(origins)
+        step_of = rib_step(topo, best_route_of)
+        for asn in ases:
+            path = walk(step_of, asn, origins)
+            assert live.lookup(asn) == fresh.lookup(asn) == (
+                path.outcome, path.origin_asn, len(path.hops)
+            ), "AS %d after step %d" % (asn, step)
+        assert verdicts == host.verdicts(fresh, ases), "after step %d" % step

@@ -22,6 +22,7 @@ from repro.bgp.engine import (
 from repro.cli import main
 from repro.errors import EngineError, ExperimentError, ReproError
 from repro.obs.provenance import signal_from_kinds
+from repro.probing import RibSnapshot
 from repro.whatif import parse_delta
 
 
@@ -257,11 +258,13 @@ def _reference_predict(session, catchment, prefix, label):
 
 
 def _current_catchment(session):
-    return session.host.catchment(
+    """A fresh capture and resolve of the session's current RIB."""
+    prefix = session.ecosystem.measurement_prefix
+    return RibSnapshot.capture(
         session.ecosystem.topology,
-        partial(session.engine.best_route,
-                prefix=session.ecosystem.measurement_prefix),
-    )
+        partial(session.engine.best_route, prefix=prefix),
+        prefix,
+    ).resolve(session.host.origin_asns())
 
 
 def _answer(call):
@@ -385,6 +388,30 @@ class TestMemoizedPredict:
         ))
         for prefix in failed:
             session.predict(prefix)
+
+
+class TestOneCatchmentPerSession:
+    def test_states_patch_the_warm_up_capture(self, monkeypatch):
+        """Only warm-up captures the data plane; config steps and
+        deltas patch that catchment (the memo property above holds
+        the patched answers to fresh captures)."""
+        capture = RibSnapshot.capture.__func__
+        calls = []
+
+        def counted(cls, *args):
+            calls.append(args)
+            return capture(cls, *args)
+
+        monkeypatch.setattr(RibSnapshot, "capture", classmethod(counted))
+        session = WhatIfSession(ExperimentSpec(seed=0, scale=0.04))
+        link = next(iter(session.ecosystem.topology.links()))
+        session.advance_to_config("0-2")
+        session.apply(LinkFlap(link.a, link.b))
+        session.apply(PrependChange(
+            session.re_origin, session.ecosystem.measurement_prefix, 3,
+        ))
+        session.advance_to_config("0-4")
+        assert len(calls) == 1
 
 
 _DELTA_KINDS = (
