@@ -54,7 +54,6 @@ from .obs.capture import (
     active_capture,
     use_capture,
 )
-from .obs.profile import PhaseProfiler
 from .rng import SeedTree
 from .seeds.selection import SeedPlan, select_seeds
 from .topology.re_config import (
@@ -82,11 +81,13 @@ __all__ = [
 #: ``profile``; version 4 nested the execution fields (worker count,
 #: shard size and timeout, retry knobs, backend) under ``execution``;
 #: version 5 removed ``decision_backend``; version 6 removed the
-#: execution fields with the shard level of probing.
-#: :meth:`ExperimentSpec.from_dict` still reads schema 3 to 5
-#: documents, dropping their execution fields and their
-#: ``decision_backend`` — neither ever changed results.
-SPEC_SCHEMA_VERSION = 6
+#: execution fields with the shard level of probing; version 7 removed
+#: ``profile`` with the phase profiler.
+#: :meth:`ExperimentSpec.from_dict` still reads schema 3 to 6
+#: documents, dropping their execution fields, their
+#: ``decision_backend`` and their ``profile`` — none ever changed
+#: results.
+SPEC_SCHEMA_VERSION = 7
 
 _EXPERIMENTS = ("surf", "internet2")
 
@@ -166,9 +167,9 @@ class ExperimentSpec:
 
     Simulation fields (change the result): ``experiment``, ``seed``,
     ``scale``, ``scenario``, ``config_overrides``, ``configs``,
-    ``pps`` and the scripted faults in ``fault_spec``.  The provenance,
-    frontier and profile options choose what a run records, never what
-    it computes.
+    ``pps`` and the scripted faults in ``fault_spec``.  The provenance
+    and frontier options choose what a run records, never what it
+    computes.
 
     ``config_overrides`` holds :class:`REEcosystemConfig` field
     overrides; pass a dict, it is normalised to a sorted item tuple so
@@ -194,10 +195,6 @@ class ExperimentSpec:
     #: contract — but capturing is opt-in, so the field lives with the
     #: other observability options.
     frontier_capacity: Optional[int] = None
-    #: Install a run-local :class:`~repro.obs.profile.PhaseProfiler`
-    #: and attach its payload as ``result.profile``.  Execution
-    #: metadata only (timings), outside the identity contract.
-    profile: bool = False
 
     def __post_init__(self) -> None:
         # Fail on a malformed field now, with an ExperimentError, not
@@ -233,10 +230,6 @@ class ExperimentSpec:
                 raise ExperimentError(
                     "%s must be an integer >= 1, not %r" % (name, value)
                 )
-        if not isinstance(self.profile, bool):
-            raise ExperimentError(
-                "profile must be true or false, not %r" % (self.profile,)
-            )
         # Normalise sequence-ish inputs so from_json(to_json(s)) == s.
         # Every spelling of the same overrides canonicalises to one
         # sorted item tuple (and therefore one digest).
@@ -310,10 +303,6 @@ class ExperimentSpec:
     def wants_frontier(self) -> bool:
         return self.frontier_capacity is not None
 
-    @property
-    def wants_profile(self) -> bool:
-        return self.profile
-
     # -- serialisation -------------------------------------------------
 
     def as_dict(self) -> Dict[str, Any]:
@@ -336,7 +325,7 @@ class ExperimentSpec:
                 % type(data).__name__
             )
         schema = data.get("schema", SPEC_SCHEMA_VERSION)
-        if schema not in (3, 4, 5, SPEC_SCHEMA_VERSION):
+        if schema not in (3, 4, 5, 6, SPEC_SCHEMA_VERSION):
             raise ExperimentError(
                 "spec schema %r not supported (this build reads schemas "
                 "3 to %d)" % (schema, SPEC_SCHEMA_VERSION)
@@ -350,13 +339,17 @@ class ExperimentSpec:
                     "decision process remains" % (data["decision_backend"],)
                 )
             data = {k: v for k, v in data.items() if k != "decision_backend"}
-        if schema != SPEC_SCHEMA_VERSION:
+        if schema in (3, 4, 5):
             # Execution fields only ever shaped the removed shard
             # level; they never changed results, so they are dropped.
             data = {
                 k: v for k, v in data.items()
                 if not _legacy_execution_key(k)
             }
+        if schema != SPEC_SCHEMA_VERSION:
+            # ``profile`` only switched on the removed phase profiler,
+            # whose timings never changed results.
+            data = {k: v for k, v in data.items() if k != "profile"}
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = sorted(set(data) - known - {"schema"})
         if unknown:
@@ -372,7 +365,7 @@ class ExperimentSpec:
     def from_json(cls, text: str) -> "ExperimentSpec":
         try:
             data = json.loads(text)
-        except ValueError as error:
+        except (ValueError, RecursionError) as error:
             raise ExperimentError(
                 "spec is not valid JSON: %s" % error
             ) from error
@@ -470,12 +463,11 @@ def run_experiment(
     inline or as a pooled cell interchangeably.
 
     When the spec asks for provenance (``provenance_capacity`` /
-    ``provenance_prefixes``), a frontier (``frontier_capacity``) or a
-    ``profile``, each such channel the active capture lacks is
-    captured run-locally (:func:`spec_capture`) and lands on
-    ``result.provenance_events`` / ``result.frontier_events`` /
-    ``result.profile``; an already-active channel (e.g. the CLI's)
-    is left in place and keeps receiving events as usual.
+    ``provenance_prefixes``) or a frontier (``frontier_capacity``),
+    each such channel the active capture lacks is captured run-locally
+    (:func:`spec_capture`) and lands on ``result.provenance_events`` /
+    ``result.frontier_events``; an already-active channel (e.g. the
+    CLI's) is left in place and keeps receiving events as usual.
 
     *progress_hook*, when given, is called with keyword fields
     (``phase``, ``rounds_completed``, ...) as the run advances — the
@@ -509,8 +501,6 @@ def spec_capture(spec: ExperimentSpec, active: Optional[Capture]) -> Capture:
         ) if spec.wants_provenance and lacks("provenance") else None,
         frontier=EventRing(spec.frontier_capacity)
         if spec.wants_frontier and lacks("frontier") else None,
-        profiler=PhaseProfiler()
-        if spec.wants_profile and lacks("profiler") else None,
     )
 
 
@@ -520,8 +510,6 @@ def attach_capture(result: ExperimentResult, local: Capture) -> None:
         result.provenance_events = local.provenance.events()
     if local.frontier is not None:
         result.frontier_events = local.frontier.events()
-    if local.profiler is not None:
-        result.profile = local.profiler.as_payload()
 
 
 def run_campaign(

@@ -24,16 +24,17 @@
   recorded ``BENCH_HISTORY.jsonl`` trajectory and exit non-zero on a
   wall-time regression (see :mod:`repro.obs.benchtrack`; ``--json``
   emits the machine-readable diff);
-- ``profile`` — render the hotspot tables of a ``--profile-out``
-  artifact (or a campaign's per-cell profile directory — see
-  :mod:`repro.obs.profile`).
+- ``profile`` — tabulate a ``--trace-out`` span trace: calls,
+  inclusive and self seconds per span name (see
+  :mod:`repro.obs.export`).  For function-level hotspots run the
+  command under ``python -m cProfile -o run.pstats -m repro ...``.
 
 ``reproduce``, ``explain``, and ``sweep`` share identical common
 options via argparse parent parsers: the run options
 (``--seed/--fault-plan``) and
 the observability options (``--log-level/--log-json/--metrics-out/
 --provenance-out/--provenance-capacity/--trace-out/--frontier-out/
---frontier-capacity/--profile-out``).
+--frontier-capacity``).
 """
 
 from __future__ import annotations
@@ -59,7 +60,13 @@ from .experiment.status import DEFAULT_STALE_AFTER_SECONDS
 from .obs import configure_logging, get_registry
 from .obs.benchtrack import DEFAULT_THRESHOLD_PCT
 from .obs.capture import DEFAULT_CAPACITY, Capture, EventRing, use_capture
-from .obs.profile import PhaseProfiler, export_profile
+from .obs.export import (
+    DEFAULT_TOP_N,
+    load_chrome_trace,
+    render_span_table,
+    span_table,
+    write_chrome_trace,
+)
 from .rng import SeedTree
 from .seeds import select_seeds
 from .topology.re_ecosystem import build_ecosystem
@@ -109,7 +116,8 @@ def _obs_options() -> argparse.ArgumentParser:
     parent.add_argument(
         "--trace-out", metavar="FILE.json",
         help="write the run's span tree as Chrome trace-event JSON "
-             "(loadable in chrome://tracing or Perfetto)",
+             "(loadable in chrome://tracing or Perfetto); tabulate "
+             "where the time went with 'repro profile FILE.json'",
     )
     parent.add_argument(
         "--frontier-out", metavar="FILE.jsonl",
@@ -121,12 +129,6 @@ def _obs_options() -> argparse.ArgumentParser:
         "--frontier-capacity", type=int, default=None, metavar="N",
         help="frontier ring-buffer capacity in events (default: %d; "
              "oldest events drop first)" % DEFAULT_CAPACITY,
-    )
-    parent.add_argument(
-        "--profile-out", metavar="FILE.json",
-        help="profile the run's phases with cProfile and write the "
-             "hotspot payload (plus a binary FILE.json.pstats twin); "
-             "render it later with 'repro profile FILE.json'",
     )
     return parent
 
@@ -314,18 +316,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     profile = sub.add_parser(
         "profile",
-        help="render the hotspot tables of a --profile-out artifact "
-             "(or a directory of campaign per-cell profiles)",
+        help="tabulate where a run's time went from its --trace-out "
+             "file: calls, inclusive and self seconds per span name",
     )
     profile.add_argument(
-        "artifact", metavar="PATH",
-        help="a profile JSON file written by --profile-out, or a "
-             "directory (e.g. a campaign's cells/) whose *.json "
-             "profile payloads are merged",
+        "trace", metavar="TRACE.json",
+        help="a Chrome trace-event file written by --trace-out",
     )
     profile.add_argument(
-        "--top", type=int, default=None, metavar="N",
-        help="rows per hotspot table (default: the artifact's top_n)",
+        "--top", type=int, default=DEFAULT_TOP_N, metavar="N",
+        help="span names to print, by self seconds (default: %(default)s)",
     )
     return parser
 
@@ -369,7 +369,7 @@ def _write_metrics(args) -> None:
 
 def _observing(args, prefix_filter=None):
     """Run a ``with`` block under the capture the output flags ask for
-    (``--provenance-out`` / ``--frontier-out`` / ``--profile-out``);
+    (``--provenance-out`` / ``--frontier-out``);
     yields the capture for :func:`_write_outputs`."""
     return use_capture(Capture(
         provenance=EventRing(
@@ -377,7 +377,6 @@ def _observing(args, prefix_filter=None):
         ) if args.provenance_out else None,
         frontier=EventRing(args.frontier_capacity or DEFAULT_CAPACITY)
         if args.frontier_out else None,
-        profiler=PhaseProfiler() if args.profile_out else None,
     ))
 
 
@@ -400,18 +399,7 @@ def _write_outputs(args, capture: Capture) -> None:
             if ring.dropped else ""
         )
         print("wrote %d %s events to %s%s" % (count, name, path, suffix))
-    if capture.profiler is not None:
-        payload = export_profile(capture.profiler, args.profile_out)
-        # Stderr: profile contents are timings — execution metadata —
-        # so stdout stays byte-identical with and without --profile-out.
-        print(
-            "wrote phase profile (%d phases) to %s"
-            % (len(payload.get("phases", {})), args.profile_out),
-            file=sys.stderr,
-        )
     if args.trace_out:
-        from .obs.export import write_chrome_trace
-
         count = write_chrome_trace(args.trace_out)
         print("wrote %d trace events to %s" % (count, args.trace_out))
 
@@ -431,7 +419,7 @@ def _cmd_reproduce(args) -> int:
     _configure_obs(args)
     problem = _check_output_paths(
         args.metrics_out, args.provenance_out, args.trace_out,
-        args.frontier_out, args.profile_out,
+        args.frontier_out,
     ) or _validate_run_args(args)
     if problem:
         print(problem, file=sys.stderr)
@@ -516,7 +504,7 @@ def _cmd_sweep(args) -> int:
     _configure_obs(args)
     problem = _check_output_paths(
         args.metrics_out, args.provenance_out, args.trace_out,
-        args.frontier_out, args.profile_out,
+        args.frontier_out,
     ) or _validate_run_args(args)
     if not problem and args.campaign_workers < 1:
         problem = "--campaign-workers must be >= 1"
@@ -576,7 +564,7 @@ def _cmd_explain(args) -> int:
     _configure_obs(args)
     problem = _check_output_paths(
         args.metrics_out, args.provenance_out, args.trace_out,
-        args.frontier_out, args.profile_out,
+        args.frontier_out,
     ) or _validate_run_args(args)
     if problem:
         print(problem, file=sys.stderr)
@@ -639,7 +627,7 @@ def _cmd_whatif(args) -> int:
     _configure_obs(args)
     problem = _check_output_paths(
         args.metrics_out, args.provenance_out, args.trace_out,
-        args.frontier_out, args.profile_out,
+        args.frontier_out,
     ) or _validate_run_args(args)
     if problem is None and args.limit < 0:
         problem = "--limit must be >= 0"
@@ -835,20 +823,19 @@ def _cmd_bench_diff(args) -> int:
 
 
 def _cmd_profile(args) -> int:
-    from .obs.profile import DEFAULT_TOP_N, load_profile, render_profile
-
-    if args.top is not None and args.top < 1:
+    if args.top < 1:
         print("--top must be >= 1", file=sys.stderr)
         return 2
     try:
-        payload = load_profile(args.artifact)
-    except FileNotFoundError:
-        print("no profile artifact at %s" % args.artifact, file=sys.stderr)
+        events = load_chrome_trace(args.trace)
+    except OSError as error:
+        print("cannot read trace %s: %s" % (args.trace, error),
+              file=sys.stderr)
         return 2
     except ValueError as error:
         print(str(error), file=sys.stderr)
         return 2
-    print(render_profile(payload, top=args.top or DEFAULT_TOP_N))
+    print(render_span_table(span_table(events), top=args.top))
     return 0
 
 

@@ -134,7 +134,9 @@ def load_experiment_records(stream: TextIO) -> Iterator[Dict]:
             continue
         try:
             record = json.loads(line)
-        except json.JSONDecodeError as error:
+        except (ValueError, RecursionError) as error:
+            # Beyond malformed text: integers past the digit limit
+            # raise ValueError, and deep nesting RecursionError.
             raise DataIOError(
                 "line %d: invalid JSON: %s" % (line_number, error)
             ) from error

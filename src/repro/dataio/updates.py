@@ -45,7 +45,9 @@ def load_update_log(stream: TextIO) -> Iterator[UpdateEvent]:
             continue
         try:
             record = json.loads(line)
-        except json.JSONDecodeError as error:
+        except (ValueError, RecursionError) as error:
+            # Beyond malformed text: integers past the digit limit
+            # raise ValueError, and deep nesting RecursionError.
             raise DataIOError(
                 "line %d: invalid JSON: %s" % (line_number, error)
             ) from error

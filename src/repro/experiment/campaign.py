@@ -70,7 +70,6 @@ from ..errors import ExperimentError
 from ..faults import FaultPlan
 from ..obs import MetricsRegistry, get_logger, get_registry, span, use_registry
 from ..obs.capture import active_capture, use_capture
-from ..obs.profile import PhaseProfiler
 from ..obs.spans import attach_completed, detached_trace
 from ..seeds.selection import SeedPlan
 from ..topology.re_config import SCENARIO_PRESETS
@@ -618,7 +617,6 @@ def plan_grid(
     fault_spec: str = "",
     provenance_capacity: Optional[int] = None,
     frontier_capacity: Optional[int] = None,
-    profile: bool = False,
 ) -> List[ExperimentSpec]:
     """The (seed × scenario × experiment) grid, in deterministic
     seed-major order.  Unknown scenario names fail here, before any
@@ -630,7 +628,6 @@ def plan_grid(
             fault_spec=fault_spec,
             provenance_capacity=provenance_capacity,
             frontier_capacity=frontier_capacity,
-            profile=profile,
         )
         for seed in seeds
         for scenario in scenarios
@@ -728,7 +725,7 @@ class CampaignRunner:
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 record = json.load(handle)
-        except (OSError, ValueError):
+        except (OSError, ValueError, RecursionError):
             return None
         # A checkpoint only counts if it is a complete record of this
         # schema and really is this cell; anything else is recomputed.
@@ -740,17 +737,10 @@ class CampaignRunner:
             json.dumps(record, indent=1, sort_keys=True) + "\n",
         )
 
-    def cell_profile_path(self, digest: str) -> str:
-        return os.path.join(self.cells_dir, "%s.profile.json" % digest)
-
-    @property
-    def campaign_profile_path(self) -> str:
-        return os.path.join(self.directory, "campaign_profile.json")
-
     def _write_cell_capture(self, outcome: CellOutcome) -> None:
         """Per-cell artifacts for the channels the cell's spec captured
-        run-locally: ``<digest>.provenance.jsonl``,
-        ``<digest>.frontier.jsonl`` and ``<digest>.profile.json``."""
+        run-locally: ``<digest>.provenance.jsonl`` and
+        ``<digest>.frontier.jsonl``."""
         for channel in ("provenance", "frontier"):
             part = outcome.capture.get(channel)
             if part is not None:
@@ -764,44 +754,6 @@ class CampaignRunner:
                         for event in part["events"]
                     ),
                 )
-        profile = outcome.capture.get("profile")
-        if profile is not None:
-            _write_atomic(
-                self.cell_profile_path(outcome.digest),
-                json.dumps(profile, indent=1, sort_keys=True) + "\n",
-            )
-
-    def _write_campaign_profile(self) -> None:
-        """Aggregate every profile-requesting cell's on-disk payload
-        (current run *and* resumed checkpoints) into one campaign-level
-        hotspot summary at ``campaign_profile.json``."""
-        merged = PhaseProfiler(use_cprofile=False)
-        cells = 0
-        for spec in self.specs:
-            if not spec.wants_profile:
-                continue
-            try:
-                with open(
-                    self.cell_profile_path(spec.digest()),
-                    "r", encoding="utf-8",
-                ) as handle:
-                    payload = json.load(handle)
-            except (OSError, ValueError):
-                continue
-            if (
-                isinstance(payload, dict)
-                and payload.get("kind") == "phase_profile"
-            ):
-                merged.merge_payload(payload)
-                cells += 1
-        if not cells:
-            return
-        merged.labels["cells"] = str(cells)
-        _write_atomic(
-            self.campaign_profile_path,
-            json.dumps(merged.as_payload(), indent=1, sort_keys=True)
-            + "\n",
-        )
 
     # -- execution -----------------------------------------------------
 
@@ -892,7 +844,6 @@ class CampaignRunner:
         result.records = {r["digest"]: r for r in ordered}
         result.summary = build_campaign_summary(ordered)
         self._write_summary(result.summary)
-        self._write_campaign_profile()
         _log.info(
             "campaign complete",
             completed=result.completed, skipped=skipped,

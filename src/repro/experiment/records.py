@@ -77,10 +77,6 @@ class ExperimentResult:
     #: into a caller-managed trace or recorded nothing.  Deterministic
     #: like everything else here.
     frontier_events: Optional[List[dict]] = None
-    #: Phase-profile payload from a spec-requested local profiler
-    #: (``profile=True``).  Execution metadata — explicitly *excluded*
-    #: from the identity contract (timings vary run to run).
-    profile: Optional[dict] = None
 
     @property
     def num_rounds(self) -> int:

@@ -226,7 +226,7 @@ def load_grid_manifest(directory: str) -> Optional[dict]:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             manifest = json.load(handle)
-    except (OSError, ValueError):
+    except (OSError, ValueError, RecursionError):
         return None
     if (
         not isinstance(manifest, dict)
@@ -290,7 +290,7 @@ def _read_json(path: str) -> Optional[dict]:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             data = json.load(handle)
-    except (OSError, ValueError):
+    except (OSError, ValueError, RecursionError):
         return None
     return data if isinstance(data, dict) else None
 

@@ -11,23 +11,25 @@ Zero-dependency instrumentation for the engine → runner → CLI stack:
   or JSON lines on stderr, silent until configured;
 - :mod:`repro.obs.capture` — :class:`Capture`: the one process-wide
   slot for the opt-in evidence channels (provenance and frontier
-  :class:`EventRing` buffers with JSONL export, plus the phase
-  profiler), installed with :class:`use_capture` and shipped/merged
-  across worker processes as one payload;
+  :class:`EventRing` buffers with JSONL export), installed with
+  :class:`use_capture` and shipped/merged across worker processes as
+  one payload;
 - :mod:`repro.obs.provenance` — decision-provenance events
   (route-selection steps, per-round prefix signals);
 - :mod:`repro.obs.export` — render completed span trees to Chrome
-  trace-event JSON (``chrome://tracing`` / Perfetto loadable);
+  trace-event JSON (``chrome://tracing`` / Perfetto loadable) and read
+  it back as a per-span-name table of calls, inclusive and self
+  seconds (``--trace-out`` / ``repro profile``) — the one answer to
+  "where did the time go?";
 - :mod:`repro.obs.benchtrack` — benchmark trajectory: append-only
   ``BENCH_HISTORY.jsonl`` plus latest-vs-baseline regression diffs;
 - :mod:`repro.obs.frontier` — convergence-frontier analytics: events
   for per-window frontier sizes, causality depths,
   quiescence curves, and per-round signal diffs (byte-identical
-  across execution modes; ``--frontier-out``);
-- :mod:`repro.obs.profile` — deterministic phase profiler: cProfile
-  hotspots (or counter-based attribution) aggregated per span phase,
-  exported as mergeable JSON payloads (``--profile-out`` /
-  ``repro profile``).
+  across execution modes; ``--frontier-out``).
+
+Function-level hotspots come from the standard library:
+``python -m cProfile -o run.pstats -m repro reproduce ...``.
 
 Everything is off-by-default and adds near-zero overhead when idle:
 hot paths accumulate into locals and flush per convergence run or per
@@ -46,7 +48,6 @@ from .metrics import (
     use_registry,
 )
 from .capture import Capture, EventRing, active_capture, use_capture
-from .profile import PhaseProfiler
 from .spans import SpanRecord, current_span, finished_roots, reset_trace, span
 
 __all__ = [
@@ -54,7 +55,6 @@ __all__ = [
     "EventRing",
     "active_capture",
     "use_capture",
-    "PhaseProfiler",
     "Counter",
     "Gauge",
     "Histogram",

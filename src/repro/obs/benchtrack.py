@@ -110,7 +110,7 @@ def load_history(path: str) -> List[dict]:
                 continue
             try:
                 entry = json.loads(line)
-            except ValueError:
+            except (ValueError, RecursionError):
                 continue
             if (
                 not isinstance(entry, dict)

@@ -1,21 +1,19 @@
-"""One observability capture: provenance, frontier and profiler.
+"""One observability capture: provenance and frontier.
 
-A :class:`Capture` bundles the three opt-in evidence channels a run
-can record into:
+A :class:`Capture` bundles the two opt-in evidence channels a run can
+record into:
 
 - ``provenance`` — an :class:`EventRing` of decision-provenance events
   (:mod:`repro.obs.provenance`: route selections, per-round signals);
 - ``frontier`` — an :class:`EventRing` of convergence-frontier events
   (:mod:`repro.obs.frontier`: windows, quiescence curves, per-round
-  signal diffs);
-- ``profiler`` — a :class:`~repro.obs.profile.PhaseProfiler`
-  observing span phases.
+  signal diffs).
 
-Any channel may be ``None``.  One process-wide slot holds the active
-capture (:func:`active_capture`, installed with :func:`use_capture`,
-which also points the span layer's phase observer at the capture's
-profiler).  Hot paths read the slot once per decision, round or run
-and skip every other cost when the channel they feed is absent.
+Either channel may be ``None``.  One process-wide slot holds the
+active capture (:func:`active_capture`, installed with
+:func:`use_capture`).  Hot paths read the slot once per decision,
+round or run and skip every other cost when the channel they feed is
+absent.
 
 Workers never write into their parent's capture.  A pooled campaign
 cell runs under :meth:`Capture.child` (fresh, empty, same settings),
@@ -31,13 +29,9 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import json
-import sys
 import threading
 from collections import deque
 from typing import Deque, Dict, Iterable, Iterator, List, Optional
-
-from . import spans
-from .profile import PhaseProfiler
 
 __all__ = [
     "Capture",
@@ -185,7 +179,6 @@ class Capture:
 
     provenance: Optional[EventRing] = None
     frontier: Optional[EventRing] = None
-    profiler: Optional[PhaseProfiler] = None
 
     def over(self, base: Optional["Capture"]) -> Optional["Capture"]:
         """This capture's channels, with *base*'s filling the ones it
@@ -201,35 +194,17 @@ class Capture:
             self.provenance if self.provenance is not None
             else base.provenance,
             self.frontier if self.frontier is not None else base.frontier,
-            self.profiler if self.profiler is not None else base.profiler,
         )
 
     def child(self) -> "Capture":
         """A fresh, empty capture with this one's settings, for a
-        cell worker.
-
-        A ``fork`` child inherits the parent's capture *and*, when the
-        fork happened inside a profiled phase, the thread's live
-        cProfile hook; the hook is dropped here so worker timings are
-        not skewed.  A same-process child (the inline backend) counts
-        phases without cProfile: a second live collector would silence
-        the parent's.
-        """
+        cell worker."""
         def fresh(ring):
             if ring is None:
                 return None
             return EventRing(ring.capacity, ring.prefix_filter)
 
-        profiler = None
-        if self.profiler is not None:
-            forked = not self.profiler.owns_process()
-            if forked:
-                sys.setprofile(None)
-            profiler = PhaseProfiler(
-                use_cprofile=self.profiler.use_cprofile and forked,
-                top_n=self.profiler.top_n,
-            )
-        return Capture(fresh(self.provenance), fresh(self.frontier), profiler)
+        return Capture(fresh(self.provenance), fresh(self.frontier))
 
     def shipped(self) -> dict:
         """This capture's contents as one picklable payload for
@@ -241,8 +216,6 @@ class Capture:
                 payload[name] = {
                     "events": ring.events(), "dropped": ring.dropped,
                 }
-        if self.profiler is not None:
-            payload["profile"] = self.profiler.as_payload()
         return payload
 
     def merge(self, payload: Optional[dict]) -> dict:
@@ -256,11 +229,9 @@ class Capture:
         """
         rest: dict = {}
         for name, part in (payload or {}).items():
-            mine = self.profiler if name == "profile" else getattr(self, name)
+            mine = getattr(self, name)
             if mine is None:
                 rest[name] = part
-            elif name == "profile":
-                mine.merge_payload(part)
             else:
                 mine.extend(part["events"], part["dropped"])
         return rest
@@ -282,9 +253,8 @@ def active_capture() -> Optional[Capture]:
 
 @contextlib.contextmanager
 def use_capture(capture: Optional[Capture]) -> Iterator[Optional[Capture]]:
-    """Install *capture* (None: capture nothing) for a ``with`` block,
-    together with its profiler as the span layer's phase observer;
-    both are restored on exit::
+    """Install *capture* (None: capture nothing) for a ``with`` block;
+    the previous capture is restored on exit::
 
         with use_capture(Capture(provenance=EventRing())) as capture:
             engine.run_to_fixpoint()
@@ -292,11 +262,7 @@ def use_capture(capture: Optional[Capture]) -> Iterator[Optional[Capture]]:
     """
     global _active
     previous, _active = _active, capture
-    observer = spans.set_phase_observer(
-        capture.profiler if capture is not None else None
-    )
     try:
         yield capture
     finally:
         _active = previous
-        spans.set_phase_observer(observer)

@@ -29,8 +29,9 @@ provenance uses):
   round's, with a bounded sample and the signal mix.
 
 Recording is **off by default** and costs one function call returning
-``None`` per engine/fastpath run when disabled
-(``benchmarks/bench_profile.py`` guards the enabled path under 5%).
+``None`` per engine/fastpath run when disabled; enabled, the ring
+stays under 5% of a convergence run (``benchmarks/bench_profile.py``,
+which guards the frontier ring alone).
 Events are built from simulation state only — no wall clocks, no
 object ids — so the stream joins the byte-identity contract: round
 frontiers are diffed from the round result, and pooled cell captures

@@ -17,7 +17,8 @@ isolation works even around already-entered spans).
 Spans nest: entering a span inside another makes it a child, and the
 completed roots form a trace tree (:func:`finished_roots`) whose
 nodes carry name, start offset, and duration — enough to see where a
-``reproduce`` run spends its time without a tracing backend.  The
+``reproduce`` run spends its time without a tracing backend
+(``--trace-out`` writes it, ``repro profile`` tabulates it).  The
 stack is thread-local; trees from different threads never interleave.
 The retained-roots buffer is bounded so long-lived processes do not
 leak; histograms are unaffected by the bound.
@@ -34,28 +35,10 @@ from typing import Callable, List, Optional
 from .metrics import DEFAULT_TIME_BUCKETS, get_registry
 
 __all__ = ["SpanRecord", "span", "finished_roots", "reset_trace",
-           "current_span", "detached_trace", "attach_completed",
-           "set_phase_observer"]
+           "current_span", "detached_trace", "attach_completed"]
 
 #: Retain at most this many completed root spans per thread.
 MAX_FINISHED_ROOTS = 256
-
-#: Optional phase observer (duck-typed ``phase_enter(record)`` /
-#: ``phase_exit(record)``): the profiler of the capture installed by
-#: :class:`repro.obs.capture.use_capture`.  Disabled, every span pays exactly one
-#: module-global ``None`` check on enter and exit.
-_phase_observer = None
-
-
-def set_phase_observer(observer):
-    """Install *observer* (or None to disable); returns the previous
-    one.  Use :class:`repro.obs.capture.use_capture` rather than
-    calling this directly."""
-    global _phase_observer
-    previous = _phase_observer
-    _phase_observer = observer
-    return previous
-
 
 class SpanRecord:
     """One completed (or in-flight) span."""
@@ -168,9 +151,6 @@ class span:
         self._record = record
         self._t0 = record.started_at
         _state.stack.append(record)
-        observer = _phase_observer
-        if observer is not None:
-            observer.phase_enter(record)
         return record
 
     def __exit__(self, *exc_info) -> None:
@@ -178,9 +158,6 @@ class span:
         self._record = None
         duration = time.perf_counter() - self._t0
         record.duration = duration
-        observer = _phase_observer
-        if observer is not None:
-            observer.phase_exit(record)
         stack = _state.stack
         # Tolerate exotic unwinding: pop through anything above us.
         while stack and stack[-1] is not record:

@@ -113,7 +113,6 @@ def test_json_round_trip_every_field():
         provenance_capacity=500,
         provenance_prefixes=("10.0.0.0/16",),
         frontier_capacity=300,
-        profile=True,
     )
     again = ExperimentSpec.from_json(spec.to_json())
     assert again == spec
@@ -145,15 +144,15 @@ def test_digest_stability():
     """Pinned digests: a drift here breaks every existing campaign
     checkpoint directory, so it must be deliberate (bump
     SPEC_SCHEMA_VERSION and say so in CHANGES.md).  Re-pinned for
-    schema 6 (the execution fields removed)."""
-    assert ExperimentSpec().digest() == "85dd61d7f098c22f"
+    schema 7 (the profile field removed)."""
+    assert ExperimentSpec().digest() == "ff40a21a34686cd0"
     assert ExperimentSpec(
         experiment="surf", seed=3, scale=0.05
-    ).digest() == "0b14bb00d9e4a798"
+    ).digest() == "a3b1ce511a92a0fe"
     assert ExperimentSpec(
         experiment="internet2", seed=7, scenario="re-dominant",
         config_overrides={"no_commodity_rate": 0.5},
-    ).digest() == "49622445e146ab10"
+    ).digest() == "3c981cfbc26ad073"
 
 
 def test_digest_changes_with_simulation_fields():
@@ -174,9 +173,9 @@ def test_from_dict_rejects_unknown_fields_and_schemas():
 
 @pytest.mark.parametrize(
     "text",
-    ["nope", "[1]", '{"configs": 3}', '{"execution": 5}'],
+    ["nope", "[1]", '{"configs": 3}', '{"execution": 5}', "[" * 100_000],
     ids=["invalid-json", "not-an-object", "configs-not-a-list",
-         "execution-not-a-mapping"],
+         "execution-not-a-mapping", "nested-too-deep"],
 )
 def test_from_json_rejects_malformed_documents(text):
     with pytest.raises(ExperimentError):
@@ -331,7 +330,7 @@ def test_spec_accepts_the_largest_prepend_config():
 
 @pytest.mark.parametrize("schema", [3, 4, 5])
 def test_from_dict_reads_legacy_execution_fields(schema):
-    """Schema 3 to 5 documents load at schema 6: their execution
+    """Schema 3 to 5 documents load at schema 7: their execution
     fields only ever shaped the removed shard level, so they are
     dropped and every simulation field is kept."""
     spec = ExperimentSpec(
@@ -352,7 +351,24 @@ def test_from_dict_reads_legacy_execution_fields(schema):
     again = ExperimentSpec.from_dict(data)
     assert again == spec
     assert again.digest() == spec.digest()
-    assert json.loads(again.to_json())["schema"] == 6
+    assert json.loads(again.to_json())["schema"] == 7
+
+
+@pytest.mark.parametrize("schema", [3, 4, 5, 6])
+def test_from_dict_drops_legacy_profile(schema):
+    """``profile`` (schemas 3 to 6) only switched on the removed phase
+    profiler; a document asking for it loads equal to the same spec
+    without it."""
+    spec = ExperimentSpec(seed=11, scale=0.07, frontier_capacity=64)
+    data = json.loads(spec.to_json())
+    data.update(schema=schema, profile=True)
+    again = ExperimentSpec.from_dict(data)
+    assert again == spec
+    assert again.digest() == spec.digest()
+    # The current schema has no such field.
+    data["schema"] = SPEC_SCHEMA_VERSION
+    with pytest.raises(ExperimentError, match="unknown ExperimentSpec"):
+        ExperimentSpec.from_dict(data)
 
 
 def test_from_dict_reads_schema_3_flat_execution_keys():

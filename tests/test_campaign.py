@@ -257,17 +257,21 @@ def test_resume_skips_completed_cells(tmp_path):
 def test_corrupt_checkpoint_is_recomputed(tmp_path):
     specs, directory = _grid(tmp_path)
     CampaignRunner(specs, directory).run()
-    victim = os.path.join(
-        directory, "cells", "%s.json" % specs[0].digest()
-    )
-    with open(victim, "w") as fh:
-        fh.write("{not json")
+    victims = [
+        os.path.join(directory, "cells", "%s.json" % spec.digest())
+        for spec in specs[:2]
+    ]
+    # Malformed text, and nesting too deep for the parser.
+    for victim, text in zip(victims, ("{not json", "[" * 100_000)):
+        with open(victim, "w") as fh:
+            fh.write(text)
     rerun = CampaignRunner(specs, directory).run()
-    assert rerun.completed == 1
-    # The rewritten checkpoint is valid again.
-    with open(victim) as fh:
-        record = json.load(fh)
-    assert record["digest"] == specs[0].digest()
+    assert rerun.completed == 2
+    # The rewritten checkpoints are valid again.
+    for victim, spec in zip(victims, specs):
+        with open(victim) as fh:
+            record = json.load(fh)
+        assert record["digest"] == spec.digest()
 
 
 def _drop_fractions(record):

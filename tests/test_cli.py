@@ -6,7 +6,6 @@ import os
 import pytest
 
 from repro.cli import main
-from repro.obs.profile import load_profile
 
 
 class TestAgeModelCommand:
@@ -139,16 +138,16 @@ def test_whatif_rejects_an_unbounded_count(capsys):
 
 
 class TestWhatIfArtifacts:
-    def test_provenance_and_profile_written(self, tmp_path, capsys):
+    def test_provenance_and_trace_written(self, tmp_path, capsys):
         provenance = tmp_path / "provenance.jsonl"
-        profile = tmp_path / "profile.json"
+        trace = tmp_path / "trace.json"
         assert main([
             "whatif", "--scale", "0.04",
             "--provenance-out", str(provenance),
-            "--profile-out", str(profile),
+            "--trace-out", str(trace),
         ]) == 0
         assert "provenance events" in capsys.readouterr().out
         lines = provenance.read_text().splitlines()
         assert lines
         assert all(json.loads(line)["kind"] for line in lines)
-        assert load_profile(str(profile))["phases"]
+        assert json.loads(trace.read_text())["traceEvents"]

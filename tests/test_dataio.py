@@ -88,6 +88,13 @@ class TestExperimentJSON:
     def test_rejects_bad_json(self):
         with pytest.raises(DataIOError):
             list(load_experiment_records(io.StringIO("{nope\n")))
+        # Nesting past the parser's recursion limit.
+        with pytest.raises(DataIOError):
+            list(load_experiment_records(io.StringIO("[" * 100_000)))
+        # An integer past the digit limit of int().
+        header = '{"type": "experiment", "version": %s}\n' % ("9" * 5000)
+        with pytest.raises(DataIOError):
+            list(load_experiment_records(io.StringIO(header)))
 
     def test_rejects_empty(self):
         with pytest.raises(DataIOError):
@@ -123,6 +130,10 @@ class TestUpdateLog:
     def test_rejects_bad_json(self):
         with pytest.raises(DataIOError):
             list(load_update_log(io.StringIO("[\n")))
+        with pytest.raises(DataIOError):
+            list(load_update_log(io.StringIO("[" * 100_000)))
+        with pytest.raises(DataIOError):
+            list(load_update_log(io.StringIO('{"t": %s}' % ("9" * 5000))))
 
     def test_skips_blank_lines(self, internet2_result):
         stream = io.StringIO()

@@ -240,8 +240,8 @@ class TestFrontierDifferential:
     """The convergence-frontier stream — per-window frontier sizes,
     quiescence curves, per-round signal diffs — is byte-identical
     whichever backend runs the cell.  Frontier events ride
-    inside the identity contract (unlike the profiler, which reports
-    wall-time and is excluded); any divergence is a correctness bug."""
+    inside the identity contract (unlike span timings, which are
+    wall-time and excluded); any divergence is a correctness bug."""
 
     def test_streams_byte_identical(self, frontier_case):
         _, _, streams = frontier_case

@@ -240,40 +240,27 @@ class TestSpecIntegration:
     def test_wants_flags(self):
         spec = ExperimentSpec(scale=SCALE)
         assert not spec.wants_frontier
-        assert not spec.wants_profile
-        spec = ExperimentSpec(
-            scale=SCALE, frontier_capacity=1024, profile=True
-        )
+        spec = ExperimentSpec(scale=SCALE, frontier_capacity=1024)
         assert spec.wants_frontier
-        assert spec.wants_profile
 
     def test_spec_round_trips_new_fields(self):
-        spec = ExperimentSpec(
-            scale=SCALE, frontier_capacity=2048, profile=True
-        )
+        spec = ExperimentSpec(scale=SCALE, frontier_capacity=2048)
         clone = ExperimentSpec.from_dict(spec.as_dict())
         assert clone.frontier_capacity == 2048
-        assert clone.profile is True
         assert clone.digest() == spec.digest()
 
     def test_run_experiment_attaches_streams(self):
-        spec = ExperimentSpec(
-            scale=SCALE, frontier_capacity=4096, profile=True
-        )
+        spec = ExperimentSpec(scale=SCALE, frontier_capacity=4096)
         result = run_experiment(spec)
         assert result.frontier_events
         kinds = {event["kind"] for event in result.frontier_events}
         assert "round_frontier" in kinds
-        assert result.profile is not None
-        assert result.profile["kind"] == "phase_profile"
-        assert result.profile["phases"]
-        # The installed ring/profiler were run-local.
+        # The installed ring was run-local.
         assert active_capture() is None
 
     def test_run_experiment_defaults_attach_nothing(self):
         result = run_experiment(ExperimentSpec(scale=SCALE))
         assert result.frontier_events is None
-        assert result.profile is None
 
 
 class TestCampaignFrontier:
@@ -281,7 +268,7 @@ class TestCampaignFrontier:
     def campaign_dirs(self, tmp_path_factory):
         specs = plan_grid(
             [0], scenarios=["baseline"], experiments=("surf",),
-            scale=SCALE, frontier_capacity=8192, profile=True,
+            scale=SCALE, frontier_capacity=8192,
         )
         inline = str(tmp_path_factory.mktemp("inline"))
         pooled = str(tmp_path_factory.mktemp("pooled"))
@@ -306,24 +293,6 @@ class TestCampaignFrontier:
         digest = specs[0].digest()
         assert self._frontier_text(pooled, digest) == \
             self._frontier_text(inline, digest)
-
-    def test_cell_and_campaign_profiles_written(self, campaign_dirs):
-        specs, inline, _ = campaign_dirs
-        runner = CampaignRunner(specs, inline)
-        with open(
-            runner.cell_profile_path(specs[0].digest()),
-            "r", encoding="utf-8",
-        ) as handle:
-            cell_payload = json.load(handle)
-        assert cell_payload["kind"] == "phase_profile"
-        assert cell_payload["phases"]
-        with open(
-            runner.campaign_profile_path, "r", encoding="utf-8"
-        ) as handle:
-            campaign_payload = json.load(handle)
-        assert campaign_payload["kind"] == "phase_profile"
-        assert campaign_payload["labels"]["cells"] == "1"
-        assert campaign_payload["phases"]
 
 
 class TestMetricsBuckets:

@@ -19,7 +19,6 @@ from repro.api import ExperimentSpec
 from repro.experiment.campaign import CellWork, dispatch_cells
 from repro.experiment.scheduler import fork_available
 from repro.netutil import Prefix
-from repro.obs import spans
 from repro.obs.capture import (
     DEFAULT_CAPACITY,
     Capture,
@@ -27,7 +26,6 @@ from repro.obs.capture import (
     active_capture,
     use_capture,
 )
-from repro.obs.profile import PhaseProfiler
 from repro.rng import SeedTree
 from repro.seeds.selection import select_seeds
 from repro.topology.re_ecosystem import build_ecosystem
@@ -148,31 +146,21 @@ class SlotContract:
 
 
 class TestNesting:
-    def test_nested_use_capture_restores_capture_and_observer(self):
-        outer = Capture(profiler=PhaseProfiler(use_cprofile=False))
+    def test_nested_use_capture_restores_capture(self):
+        outer = Capture(frontier=EventRing())
         inner = Capture(provenance=EventRing())
         with use_capture(outer):
-            assert spans._phase_observer is outer.profiler
             with use_capture(inner):
                 assert active_capture() is inner
-                assert spans._phase_observer is None
-                with spans.span("phase.inner"):
-                    pass
             assert active_capture() is outer
-            assert spans._phase_observer is outer.profiler
-            with spans.span("phase.outer"):
-                pass
         assert active_capture() is None
-        assert spans._phase_observer is None
-        assert set(outer.profiler.as_payload()["phases"]) == {"phase.outer"}
 
     def test_over_fills_missing_channels(self):
-        base = Capture(EventRing(), EventRing(), PhaseProfiler())
+        base = Capture(EventRing(), EventRing())
         mine = Capture(provenance=EventRing())
         joined = mine.over(base)
         assert joined.provenance is mine.provenance
         assert joined.frontier is base.frontier
-        assert joined.profiler is base.profiler
         assert mine.over(None) is mine
         assert Capture().over(None) is None
         assert Capture().over(base) is base
@@ -183,7 +171,6 @@ class TestChildShipMerge:
         parent = Capture(
             EventRing(capacity=7, prefix_filter=[PFX]),
             EventRing(capacity=9),
-            PhaseProfiler(use_cprofile=False, top_n=3),
         )
         parent.provenance.record({"kind": "x"})
         child = parent.child()
@@ -191,18 +178,7 @@ class TestChildShipMerge:
         assert child.provenance.capacity == 7
         assert child.provenance.prefix_filter == frozenset([str(PFX)])
         assert child.frontier.capacity == 9
-        assert child.profiler is not parent.profiler
-        assert child.profiler.top_n == 3
         assert Capture().child() == Capture()
-
-    def test_same_process_child_counts_phases_only(self, monkeypatch):
-        parent = Capture(profiler=PhaseProfiler())
-        assert parent.child().profiler.use_cprofile is False
-        # A fork child's inherited profiler carries the parent's pid:
-        # its child profiles with cProfile, and the inherited hook is
-        # dropped.
-        monkeypatch.setattr(parent.profiler, "_pid", -1)
-        assert parent.child().profiler.use_cprofile is True
 
     def test_merge_reproduces_serial_ring(self):
         serial = EventRing(capacity=4)
@@ -218,15 +194,12 @@ class TestChildShipMerge:
 
     def test_merge_returns_channels_it_lacks(self):
         parent = Capture(frontier=EventRing())
-        worker = Capture(
-            provenance=EventRing(), frontier=EventRing(),
-            profiler=PhaseProfiler(use_cprofile=False),
-        )
+        worker = Capture(provenance=EventRing(), frontier=EventRing())
         worker.frontier.record({"kind": "f"})
         worker.provenance.record({"kind": "p"})
         rest = parent.merge(worker.shipped())
         assert [e["kind"] for e in parent.frontier.events()] == ["f"]
-        assert set(rest) == {"provenance", "profile"}
+        assert set(rest) == {"provenance"}
         assert rest["provenance"]["events"] == [{"kind": "p"}]
         assert parent.merge(None) == {}
 
@@ -248,9 +221,7 @@ def _capture_pair(ecosystem, backend):
         )
         for experiment in ("surf", "internet2")
     ]
-    capture = Capture(
-        EventRing(), EventRing(), PhaseProfiler(use_cprofile=False)
-    )
+    capture = Capture(EventRing(), EventRing())
     with use_capture(capture):
         outcomes, failures = dispatch_cells(
             works, backend=backend, network=(ecosystem, seed_plan)
@@ -267,8 +238,7 @@ def _capture_pair(ecosystem, backend):
 def test_pooled_pair_merges_capture_like_inline():
     """A pair group run on a fork worker ships both cells' captures
     back (Capture.shipped / Capture.merge); the merged streams must
-    match the inline pair's byte for byte, and the profile must name
-    the same phases."""
+    match the inline pair's byte for byte."""
     ecosystem = build_ecosystem(
         ExperimentSpec(scale=0.04).ecosystem_config(), seed=0
     )
@@ -278,6 +248,3 @@ def test_pooled_pair_merges_capture_like_inline():
         one, two = getattr(inline, channel), getattr(pooled, channel)
         assert len(one) > 0 and one.dropped == 0
         assert _export(one) == _export(two)
-    names = set(inline.profiler.as_payload()["phases"])
-    assert any(name.startswith("campaign.cell.") for name in names)
-    assert names == set(pooled.profiler.as_payload()["phases"])

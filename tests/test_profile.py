@@ -1,31 +1,27 @@
-"""The deterministic phase profiler (repro.obs.profile): span-phase
-aggregation, cProfile hotspot harvesting, payload merging, artifact
-round-trips, and the ``repro profile`` / ``--profile-out`` CLI.
+"""``repro profile``: the span table read back from a ``--trace-out``
+Chrome trace (repro.obs.export) — calls, inclusive and self seconds
+per span name, with nesting rebuilt from the preorder events.
 
-Profiler output is execution metadata — wall timings — so nothing
-here asserts byte-identity; that contract (and its exclusion of the
-profiler) is exercised in tests/test_differential.py.
+Trace contents are execution metadata — wall timings — so the
+hand-built traces here carry chosen timings, and only structure is
+asserted on real runs.
 """
 
-import contextlib
 import json
-import sys
-import time
 
 import pytest
 
 from repro.cli import main
-from repro.obs import spans
-from repro.obs.capture import Capture, active_capture, use_capture
-from repro.obs.profile import (
+from repro.obs.capture import active_capture
+from repro.obs.export import (
     DEFAULT_TOP_N,
-    PROFILE_SCHEMA_VERSION,
-    PhaseProfiler,
-    export_profile,
-    load_profile,
-    render_profile,
+    chrome_trace,
+    load_chrome_trace,
+    render_span_table,
+    span_table,
+    write_chrome_trace,
 )
-from repro.obs.spans import reset_trace, span
+from repro.obs.spans import SpanRecord, reset_trace, span
 
 
 @pytest.fixture(autouse=True)
@@ -35,185 +31,97 @@ def _no_ambient_trace():
     reset_trace()
 
 
-@contextlib.contextmanager
-def _profiling(profiler):
-    """Install a capture holding only *profiler*; yields the profiler."""
-    with use_capture(Capture(profiler=profiler)):
-        yield profiler
+def _event(name, ts, dur, tid=1):
+    return {"name": name, "cat": "repro", "ph": "X", "ts": ts,
+            "dur": dur, "pid": 1, "tid": tid}
 
 
-def _sentinel_hook(*_args):
-    return None
+#: A nested trace in microseconds, in preorder: run holds two rounds,
+#: each holding one engine run; a second run follows.
+NESTED = [
+    _event("run", 0.0, 1_000_000.0),
+    _event("round", 0.0, 400_000.0),
+    _event("engine", 100_000.0, 250_000.0),
+    _event("round", 400_000.0, 500_000.0),
+    _event("engine", 450_000.0, 300_000.0),
+    _event("run", 1_000_000.0, 200_000.0),
+]
 
 
-def _busy(loops=2_000):
-    total = 0
-    for index in range(loops):
-        total += index * index
-    return total
+def _write(tmp_path, events, name="trace.json"):
+    path = tmp_path / name
+    path.write_text(json.dumps({"traceEvents": events}))
+    return str(path)
 
 
-# ---------------------------------------------------------------------
-# The profiler core
+def _record(name, started_at, duration, children=()):
+    record = SpanRecord(name, started_at)
+    record.duration = duration
+    record.children = list(children)
+    return record
 
 
-class TestPhaseProfiler:
-    def test_top_n_validated(self):
-        with pytest.raises(ValueError):
-            PhaseProfiler(top_n=0)
+class TestSpanTable:
+    def test_calls_and_self_seconds_on_nested_trace(self):
+        table = span_table(NESTED)
+        assert table["run"]["calls"] == 2
+        assert table["run"]["seconds"] == pytest.approx(1.2)
+        # 1.0 s minus its two rounds (0.4 + 0.5), plus the 0.2 s run.
+        assert table["run"]["self"] == pytest.approx(0.3)
+        assert table["round"]["calls"] == 2
+        assert table["round"]["seconds"] == pytest.approx(0.9)
+        assert table["round"]["self"] == pytest.approx(0.35)
+        assert table["engine"]["self"] == pytest.approx(0.55)
+        total_self = sum(row["self"] for row in table.values())
+        assert total_self == pytest.approx(1.2)
 
-    def test_counter_mode_aggregates_phases(self):
-        with _profiling(PhaseProfiler(use_cprofile=False)) as profiler:
-            with span("phase.alpha"):
-                _busy()
-            with span("phase.alpha"):
-                _busy()
-            with span("phase.beta"):
-                time.sleep(0.01)
-        payload = profiler.as_payload()
-        assert payload["schema"] == PROFILE_SCHEMA_VERSION
-        assert payload["kind"] == "phase_profile"
-        assert payload["cprofile"] is False
-        alpha = payload["phases"]["phase.alpha"]
-        assert alpha["calls"] == 2
-        assert alpha["seconds"] > 0
-        assert alpha["hotspots"] == []
-        assert payload["phases"]["phase.beta"]["seconds"] >= 0.01
+    def test_each_track_nests_on_its_own(self):
+        """A span on another track is not a child of the span that
+        encloses it in time on track 1."""
+        events = [
+            _event("parent", 0.0, 1_000.0),
+            _event("worker", 100.0, 500.0, tid=2),
+            _event("child", 200.0, 300.0),
+        ]
+        table = span_table(events)
+        assert table["parent"]["self"] == pytest.approx(700.0 / 1e6)
+        assert table["worker"]["self"] == pytest.approx(500.0 / 1e6)
 
-    def test_cprofile_mode_collects_hotspots(self):
-        with _profiling(PhaseProfiler()) as profiler:
-            with span("phase.hot"):
-                _busy(20_000)
-        payload = profiler.as_payload()
-        assert payload["cprofile"] is True
-        hotspots = payload["phases"]["phase.hot"]["hotspots"]
-        assert hotspots
-        assert any("_busy" in row["func"] for row in hotspots)
-        for row in hotspots:
-            assert set(row) == {"func", "calls", "tottime", "cumtime"}
-
-    def test_nested_phases_both_recorded(self):
-        with _profiling(PhaseProfiler()) as profiler:
-            with span("phase.outer"):
-                _busy()
-                with span("phase.inner"):
-                    _busy()
-        payload = profiler.as_payload()
-        assert payload["phases"]["phase.outer"]["calls"] == 1
-        assert payload["phases"]["phase.inner"]["calls"] == 1
-
-    def test_merge_payload_sums_and_labels(self):
-        def one(label):
-            profiler = PhaseProfiler(use_cprofile=False)
-            profiler.labels["cell"] = label
-            profiler._note_phase("phase.x", 2, 1.0)
-            return profiler.as_payload()
-
-        merged = PhaseProfiler(use_cprofile=False)
-        merged.merge_payload(one("a"))
-        merged.merge_payload(one("b"))
-        merged.merge_payload(None)  # ignored
-        payload = merged.as_payload()
-        assert payload["phases"]["phase.x"] == {
-            "calls": 4, "seconds": 2.0, "hotspots": [],
-        }
-        assert payload["labels"]["cell"] == "a,b"
-
-    def test_merge_payload_merges_hotspot_rows(self):
-        source = {
-            "kind": "phase_profile",
-            "schema": PROFILE_SCHEMA_VERSION,
-            "labels": {},
-            "phases": {
-                "phase.x": {
-                    "calls": 1, "seconds": 0.1,
-                    "hotspots": [{"func": "f.py:1(g)", "calls": 3,
-                                  "tottime": 0.05, "cumtime": 0.08}],
-                },
-            },
-        }
-        merged = PhaseProfiler(use_cprofile=False)
-        merged.merge_payload(source)
-        merged.merge_payload(source)
-        [row] = merged.as_payload()["phases"]["phase.x"]["hotspots"]
-        assert row["calls"] == 6
-        assert row["tottime"] == pytest.approx(0.1)
-
-    def test_payload_top_n_bound(self):
-        profiler = PhaseProfiler(use_cprofile=False, top_n=2)
-        payload = {
-            "kind": "phase_profile",
-            "schema": PROFILE_SCHEMA_VERSION,
-            "labels": {},
-            "phases": {
-                "phase.x": {
-                    "calls": 1, "seconds": 0.1,
-                    "hotspots": [
-                        {"func": "f%d" % n, "calls": 1,
-                         "tottime": 0.1 * n, "cumtime": 0.1 * n}
-                        for n in range(5)
-                    ],
-                },
-            },
-        }
-        profiler.merge_payload(payload)
-        rows = profiler.as_payload()["phases"]["phase.x"]["hotspots"]
-        assert len(rows) == 2
-        assert rows[0]["func"] == "f4"  # biggest tottime first
+    def test_concurrent_siblings_export_on_their_own_tracks(self):
+        """Two pooled cells re-attached under one parent ran at the
+        same time; the exporter puts the second on a fresh track, so
+        the table does not nest it in the first."""
+        cell_a = _record("cell.a", 10.0, 5.0, [_record("work", 10.5, 4.0)])
+        cell_b = _record("cell.b", 11.0, 3.0, [_record("work", 11.5, 2.0)])
+        after = _record("cell.c", 16.0, 1.0)
+        run = _record("run", 10.0, 8.0, [cell_a, cell_b, after])
+        events = chrome_trace([run])["traceEvents"]
+        tracks = {event["name"]: event["tid"] for event in events}
+        assert tracks["run"] == tracks["cell.a"] == tracks["cell.c"] == 1
+        assert tracks["cell.b"] == 2
+        table = span_table(events)
+        assert table["cell.a"]["self"] == pytest.approx(1.0)
+        assert table["cell.b"]["self"] == pytest.approx(1.0)
+        assert table["run"]["self"] == pytest.approx(2.0)
 
 
-class TestSingleton:
-    def test_disabled_by_default(self):
-        assert active_capture() is None
-        assert spans._phase_observer is None
+class TestRender:
+    def test_render_contains_tables_and_labels(self):
+        """A summary line, the column labels, then one row per span
+        name ranked by self seconds."""
+        text = render_span_table(span_table(NESTED))
+        lines = text.splitlines()
+        assert lines[0].startswith("span profile: 3 span name(s), 6 span(s)")
+        assert lines[2].split() == ["span", "calls", "seconds", "self",
+                                    "share"]
+        rows = [line.split()[0] for line in lines[3:]]
+        assert rows == ["engine", "round", "run"]
+        assert "45.8%" in text  # engine: 0.55 of 1.2 s
 
-    def test_enable_disable(self):
-        profiler = PhaseProfiler(use_cprofile=False, top_n=5)
-        with use_capture(Capture(profiler=profiler)):
-            assert active_capture().profiler is profiler
-            assert spans._phase_observer is profiler
-        assert active_capture() is None
-        assert spans._phase_observer is None
-
-    def test_use_profiling_restores_previous(self):
-        outer = PhaseProfiler(use_cprofile=False)
-        with _profiling(outer):
-            with _profiling(PhaseProfiler()) as inner:
-                assert spans._phase_observer is inner
-            assert spans._phase_observer is outer
-
-    def test_disarm_noop_in_owning_process(self):
-        parent = Capture(profiler=PhaseProfiler(use_cprofile=False))
-        sys.setprofile(_sentinel_hook)
-        try:
-            child = parent.child()
-            assert sys.getprofile() is _sentinel_hook
-        finally:
-            sys.setprofile(None)
-        assert child.profiler.owns_process()
-
-    def test_disarm_clears_foreign_profiler(self, monkeypatch):
-        profiler = PhaseProfiler(use_cprofile=False)
-        # Fake a fork child: the inherited profiler carries the
-        # parent's pid, so it does not own this process.
-        monkeypatch.setattr(profiler, "_pid", -1)
-        assert not profiler.owns_process()
-        sys.setprofile(_sentinel_hook)
-        try:
-            child = Capture(profiler=profiler).child()
-            assert sys.getprofile() is None
-        finally:
-            sys.setprofile(None)
-        assert child.profiler is not profiler
-        assert child.profiler.owns_process()
-
-    def test_foreign_profiler_records_nothing(self, monkeypatch):
-        profiler = PhaseProfiler(use_cprofile=False)
-        monkeypatch.setattr(profiler, "_pid", -1)
-        with _profiling(profiler):
-            with span("phase.ghost"):
-                pass
-        assert profiler.as_payload()["phases"] == {}
+    def test_render_truncates_to_top(self):
+        text = render_span_table(span_table(NESTED), top=2)
+        assert "... 1 more span name(s)" in text
+        assert "\nrun " not in text
 
 
 # ---------------------------------------------------------------------
@@ -222,94 +130,44 @@ class TestSingleton:
 
 class TestArtifacts:
     def test_export_and_load_round_trip(self, tmp_path):
-        with _profiling(PhaseProfiler()) as profiler:
-            with span("phase.io"):
-                _busy()
-        path = str(tmp_path / "profile.json")
-        payload = export_profile(profiler, path)
-        assert load_profile(path) == payload
-        # cProfile data existed in-process, so the binary twin rides
-        # along for pstats tooling.
-        assert (tmp_path / "profile.json.pstats").exists()
-
-    def test_counter_mode_skips_pstats_twin(self, tmp_path):
-        profiler = PhaseProfiler(use_cprofile=False)
-        profiler._note_phase("phase.x", 1, 0.1)
-        path = str(tmp_path / "profile.json")
-        export_profile(profiler, path)
-        assert not (tmp_path / "profile.json.pstats").exists()
-
-    def test_load_directory_merges_cell_payloads(self, tmp_path):
-        for label in ("a", "b"):
-            profiler = PhaseProfiler(use_cprofile=False)
-            profiler.labels["cell"] = label
-            profiler._note_phase("phase.x", 1, 1.0)
-            export_profile(
-                profiler, str(tmp_path / ("%s.profile.json" % label))
-            )
-        (tmp_path / "noise.json").write_text('{"kind": "other"}')
-        (tmp_path / "README.txt").write_text("not json")
-        merged = load_profile(str(tmp_path))
-        assert merged["phases"]["phase.x"]["calls"] == 2
-        assert merged["labels"]["cell"] == "a,b"
+        with span("phase.io"):
+            with span("phase.inner"):
+                pass
+        path = str(tmp_path / "trace.json")
+        assert write_chrome_trace(path) == 2
+        assert load_chrome_trace(path) == chrome_trace()["traceEvents"]
 
     def test_load_errors(self, tmp_path):
         with pytest.raises(FileNotFoundError):
-            load_profile(str(tmp_path / "missing.json"))
+            load_chrome_trace(str(tmp_path / "missing.json"))
         bad_json = tmp_path / "bad.json"
         bad_json.write_text("{nope")
         with pytest.raises(ValueError, match="not JSON"):
-            load_profile(str(bad_json))
-        wrong_kind = tmp_path / "kind.json"
-        wrong_kind.write_text('{"kind": "trace"}')
-        with pytest.raises(ValueError, match="not a phase-profile"):
-            load_profile(str(wrong_kind))
-        wrong_schema = tmp_path / "schema.json"
-        wrong_schema.write_text(
-            '{"kind": "phase_profile", "schema": 999}'
-        )
-        with pytest.raises(ValueError, match="schema"):
-            load_profile(str(wrong_schema))
-        empty_dir = tmp_path / "cells"
-        empty_dir.mkdir()
-        with pytest.raises(ValueError, match="no profile payloads"):
-            load_profile(str(empty_dir))
+            load_chrome_trace(str(bad_json))
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000)
+        with pytest.raises(ValueError, match="not JSON"):
+            load_chrome_trace(str(deep))
+        for name, document in (
+            ("kind.json", {"kind": "phase_profile"}),
+            ("list.json", [1, 2]),
+            ("events.json", {"traceEvents": {"name": "x"}}),
+        ):
+            path = tmp_path / name
+            path.write_text(json.dumps(document))
+            with pytest.raises(ValueError, match="not a trace-event"):
+                load_chrome_trace(str(path))
+        with pytest.raises(ValueError, match="malformed complete event"):
+            load_chrome_trace(_write(
+                tmp_path, [{"ph": "X", "name": "x", "ts": "0", "dur": 1}],
+            ))
 
-
-class TestRender:
-    def _payload(self, phases=3):
-        return {
-            "kind": "phase_profile",
-            "schema": PROFILE_SCHEMA_VERSION,
-            "cprofile": False,
-            "labels": {"experiment": "surf"},
-            "phases": {
-                "phase.%d" % n: {
-                    "calls": 1, "seconds": float(phases - n),
-                    "hotspots": [{"func": "mod.py:%d(f)" % n, "calls": 2,
-                                  "tottime": 0.2, "cumtime": 0.3}],
-                }
-                for n in range(phases)
-            },
-        }
-
-    def test_render_contains_tables_and_labels(self):
-        text = render_profile(self._payload())
-        assert "phase profile (counters)" in text
-        assert "labels: experiment=surf" in text
-        assert "phase.0" in text
-        assert "hotspot" in text
-        assert "mod.py:0(f)" in text
-
-    def test_render_truncates_to_top(self):
-        text = render_profile(self._payload(phases=5), top=2)
-        assert "... 3 more phase(s)" in text
-        assert "phase.4" not in text.split("hotspot")[0]
-
-    def test_render_cprofile_banner(self):
-        payload = self._payload()
-        payload["cprofile"] = True
-        assert "phase profile (cProfile)" in render_profile(payload)
+    def test_load_keeps_only_complete_events(self, tmp_path):
+        path = _write(tmp_path, [
+            {"ph": "M", "name": "thread_name", "pid": 1, "tid": 1},
+            _event("x", 0.0, 5.0),
+        ])
+        assert [event["name"] for event in load_chrome_trace(path)] == ["x"]
 
 
 # ---------------------------------------------------------------------
@@ -317,66 +175,68 @@ class TestRender:
 
 
 class TestProfileCli:
-    def _artifact(self, tmp_path):
-        profiler = PhaseProfiler(use_cprofile=False)
-        profiler._note_phase("phase.cli", 4, 2.0)
-        path = str(tmp_path / "profile.json")
-        export_profile(profiler, path)
-        return path
-
     def test_renders_artifact(self, tmp_path, capsys):
-        assert main(["profile", self._artifact(tmp_path)]) == 0
+        assert main(["profile", _write(tmp_path, NESTED)]) == 0
         out = capsys.readouterr().out
-        assert "phase.cli" in out
-        assert "phase profile" in out
+        assert out.startswith("span profile:")
+        assert "engine" in out and "round" in out and "run" in out
 
     def test_top_flag(self, tmp_path, capsys):
-        path = self._artifact(tmp_path)
+        path = _write(tmp_path, NESTED)
         assert main(["profile", path, "--top", "1"]) == 0
-        assert "phase.cli" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "\nengine " in out
+        assert "\nround " not in out
+        assert "... 2 more span name(s)" in out
 
     def test_top_validated(self, tmp_path, capsys):
-        assert main(["profile", self._artifact(tmp_path),
+        assert main(["profile", _write(tmp_path, NESTED),
                      "--top", "0"]) == 2
         assert "--top" in capsys.readouterr().err
 
     def test_missing_artifact_exit_2(self, tmp_path, capsys):
         assert main(["profile", str(tmp_path / "nope.json")]) == 2
-        assert "no profile artifact" in capsys.readouterr().err
+        assert "cannot read trace" in capsys.readouterr().err
 
     def test_invalid_artifact_exit_2(self, tmp_path, capsys):
-        bad = tmp_path / "bad.json"
-        bad.write_text('{"kind": "other"}')
-        assert main(["profile", str(bad)]) == 2
-        assert "phase-profile" in capsys.readouterr().err
+        """Non-JSON text and a JSON document that is not a trace."""
+        text = tmp_path / "text.json"
+        text.write_text("not json at all")
+        assert main(["profile", str(text)]) == 2
+        assert "not JSON" in capsys.readouterr().err
+        other = tmp_path / "other.json"
+        other.write_text('{"kind": "other"}')
+        assert main(["profile", str(other)]) == 2
+        assert "not a trace-event document" in capsys.readouterr().err
 
 
 class TestReproduceProfileOptions:
     def test_reproduce_writes_both_artifacts(self, tmp_path, capsys):
+        """``--frontier-out`` and ``--trace-out`` together; the trace
+        renders with ``repro profile``."""
         frontier = tmp_path / "frontier.jsonl"
-        profile = tmp_path / "profile.json"
+        trace = tmp_path / "trace.json"
         assert main([
             "reproduce", "--scale", "0.04", "--seed", "0",
             "--frontier-out", str(frontier),
-            "--profile-out", str(profile),
+            "--trace-out", str(trace),
         ]) == 0
         captured = capsys.readouterr()
-        assert "wrote" in captured.out and "frontier events" in captured.out
-        assert "phase profile" in captured.err
+        assert "frontier events" in captured.out
+        assert "trace events" in captured.out
         events = [
             json.loads(line)
             for line in frontier.read_text().splitlines()
         ]
-        assert events
         assert {"engine_run", "round_frontier"} <= {
             e["kind"] for e in events
         }
-        payload = load_profile(str(profile))
-        assert payload["phases"]
-        assert main(["profile", str(profile)]) == 0
+        table = span_table(load_chrome_trace(str(trace)))
+        assert table["prober.round"]["calls"] == 18
+        assert main(["profile", str(trace)]) == 0
+        assert "prober.round" in capsys.readouterr().out
         # The run-scoped capture was torn down on exit.
         assert active_capture() is None
-        assert spans._phase_observer is None
 
     def test_frontier_capacity_validated(self, capsys):
         assert main([
@@ -385,5 +245,10 @@ class TestReproduceProfileOptions:
         ]) == 2
         assert "--frontier-capacity" in capsys.readouterr().err
 
-    def test_default_top_n_used(self):
-        assert DEFAULT_TOP_N >= 1
+    def test_default_top_n_used(self, tmp_path, capsys):
+        events = [
+            _event("span.%02d" % n, 10.0 * n, 5.0)
+            for n in range(DEFAULT_TOP_N + 3)
+        ]
+        assert main(["profile", _write(tmp_path, events)]) == 0
+        assert "... 3 more span name(s)" in capsys.readouterr().out

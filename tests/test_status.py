@@ -127,6 +127,8 @@ class TestGridManifest:
         assert load_grid_manifest(str(tmp_path)) is None
         (tmp_path / "grid.json").write_text("{not json")
         assert load_grid_manifest(str(tmp_path)) is None
+        (tmp_path / "grid.json").write_text("[" * 100_000)
+        assert load_grid_manifest(str(tmp_path)) is None
         (tmp_path / "grid.json").write_text(
             json.dumps({"schema": 999, "cells": []})
         )
@@ -148,6 +150,13 @@ class TestCampaignStatus:
 
     def test_manifest_only_means_pending(self, tmp_path):
         spec = self._plan_one(tmp_path)
+        # A checkpoint and a heartbeat too deeply nested to parse read
+        # as absent.
+        for name in ("cells", STATUS_DIRNAME):
+            (tmp_path / name).mkdir()
+            (tmp_path / name / ("%s.json" % spec.digest())).write_text(
+                "[" * 100_000
+            )
         status = CampaignStatus.load(str(tmp_path))
         assert status.total == 1
         assert not status.complete
@@ -446,6 +455,7 @@ class TestBenchTrack:
         )
         with open(path, "a", encoding="utf-8") as stream:
             stream.write("{corrupt\n")
+            stream.write("[" * 100_000 + "\n")
             stream.write(json.dumps({"schema": 99, "bench": "x",
                                      "wall_seconds": 1}) + "\n")
         entries = load_history(path)
