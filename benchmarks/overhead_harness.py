@@ -1,5 +1,5 @@
 """The interleaved-batch harness behind the observability overhead
-guards (``bench_obs_overhead.py``, ``bench_profile.py``).
+guard (``bench_obs_overhead.py``).
 
 Each guard compares convergence wall time with some instrumentation
 switched on (the *treated* variant) against a baseline.  One

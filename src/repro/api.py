@@ -82,12 +82,13 @@ __all__ = [
 #: shard size and timeout, retry knobs, backend) under ``execution``;
 #: version 5 removed ``decision_backend``; version 6 removed the
 #: execution fields with the shard level of probing; version 7 removed
-#: ``profile`` with the phase profiler.
-#: :meth:`ExperimentSpec.from_dict` still reads schema 3 to 6
+#: ``profile`` with the phase profiler; version 8 removed
+#: ``frontier_capacity`` with the convergence-frontier channel.
+#: :meth:`ExperimentSpec.from_dict` still reads schema 3 to 7
 #: documents, dropping their execution fields, their
-#: ``decision_backend`` and their ``profile`` — none ever changed
-#: results.
-SPEC_SCHEMA_VERSION = 7
+#: ``decision_backend``, their ``profile`` and their
+#: ``frontier_capacity`` — none ever changed results.
+SPEC_SCHEMA_VERSION = 8
 
 _EXPERIMENTS = ("surf", "internet2")
 
@@ -168,8 +169,7 @@ class ExperimentSpec:
     Simulation fields (change the result): ``experiment``, ``seed``,
     ``scale``, ``scenario``, ``config_overrides``, ``configs``,
     ``pps`` and the scripted faults in ``fault_spec``.  The provenance
-    and frontier options choose what a run records, never what it
-    computes.
+    options choose what a run records, never what it computes.
 
     ``config_overrides`` holds :class:`REEcosystemConfig` field
     overrides; pass a dict, it is normalised to a sorted item tuple so
@@ -188,13 +188,6 @@ class ExperimentSpec:
     fault_spec: str = ""
     provenance_capacity: Optional[int] = None
     provenance_prefixes: Tuple[str, ...] = field(default=())
-    #: Capacity of the run-local frontier
-    #: :class:`~repro.obs.capture.EventRing` to install (None: no
-    #: frontier capture).  The
-    #: captured event stream is deterministic — inside the identity
-    #: contract — but capturing is opt-in, so the field lives with the
-    #: other observability options.
-    frontier_capacity: Optional[int] = None
 
     def __post_init__(self) -> None:
         # Fail on a malformed field now, with an ExperimentError, not
@@ -224,12 +217,12 @@ class ExperimentSpec:
             raise ExperimentError(
                 "fault_spec must be a string, not %r" % (self.fault_spec,)
             )
-        for name in ("provenance_capacity", "frontier_capacity"):
-            value = getattr(self, name)
-            if value is not None and (not _is_int(value) or value < 1):
-                raise ExperimentError(
-                    "%s must be an integer >= 1, not %r" % (name, value)
-                )
+        capacity = self.provenance_capacity
+        if capacity is not None and (not _is_int(capacity) or capacity < 1):
+            raise ExperimentError(
+                "provenance_capacity must be an integer >= 1, not %r"
+                % (capacity,)
+            )
         # Normalise sequence-ish inputs so from_json(to_json(s)) == s.
         # Every spelling of the same overrides canonicalises to one
         # sorted item tuple (and therefore one digest).
@@ -299,10 +292,6 @@ class ExperimentSpec:
             or bool(self.provenance_prefixes)
         )
 
-    @property
-    def wants_frontier(self) -> bool:
-        return self.frontier_capacity is not None
-
     # -- serialisation -------------------------------------------------
 
     def as_dict(self) -> Dict[str, Any]:
@@ -325,7 +314,7 @@ class ExperimentSpec:
                 % type(data).__name__
             )
         schema = data.get("schema", SPEC_SCHEMA_VERSION)
-        if schema not in (3, 4, 5, 6, SPEC_SCHEMA_VERSION):
+        if schema not in (3, 4, 5, 6, 7, SPEC_SCHEMA_VERSION):
             raise ExperimentError(
                 "spec schema %r not supported (this build reads schemas "
                 "3 to %d)" % (schema, SPEC_SCHEMA_VERSION)
@@ -347,9 +336,13 @@ class ExperimentSpec:
                 if not _legacy_execution_key(k)
             }
         if schema != SPEC_SCHEMA_VERSION:
-            # ``profile`` only switched on the removed phase profiler,
-            # whose timings never changed results.
-            data = {k: v for k, v in data.items() if k != "profile"}
+            # ``profile`` (schemas 3 to 6) only switched on the removed
+            # phase profiler and ``frontier_capacity`` (3 to 7) the
+            # removed frontier channel; neither ever changed results.
+            retired = ("frontier_capacity",) + (
+                ("profile",) if schema < 7 else ()
+            )
+            data = {k: v for k, v in data.items() if k not in retired}
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = sorted(set(data) - known - {"schema"})
         if unknown:
@@ -463,10 +456,9 @@ def run_experiment(
     inline or as a pooled cell interchangeably.
 
     When the spec asks for provenance (``provenance_capacity`` /
-    ``provenance_prefixes``) or a frontier (``frontier_capacity``),
-    each such channel the active capture lacks is captured run-locally
-    (:func:`spec_capture`) and lands on ``result.provenance_events`` /
-    ``result.frontier_events``; an already-active channel (e.g. the
+    ``provenance_prefixes``) and the active capture lacks it, it is
+    captured run-locally (:func:`spec_capture`) and lands on
+    ``result.provenance_events``; an already-active channel (e.g. the
     CLI's) is left in place and keeps receiving events as usual.
 
     *progress_hook*, when given, is called with keyword fields
@@ -486,30 +478,24 @@ def run_experiment(
 
 
 def spec_capture(spec: ExperimentSpec, active: Optional[Capture]) -> Capture:
-    """The run-local capture for *spec*: a fresh channel for each one
-    the spec asks for that *active* does not already provide (an
-    already-active channel, e.g. the CLI's, keeps receiving events).
-    Install it with ``use_capture(local.over(active))``."""
-
-    def lacks(channel: str) -> bool:
-        return active is None or getattr(active, channel) is None
-
-    return Capture(
-        provenance=EventRing(
-            spec.provenance_capacity or DEFAULT_CAPACITY,
-            prefix_filter=spec.provenance_prefixes or None,
-        ) if spec.wants_provenance and lacks("provenance") else None,
-        frontier=EventRing(spec.frontier_capacity)
-        if spec.wants_frontier and lacks("frontier") else None,
-    )
+    """The run-local capture for *spec*: a fresh provenance channel
+    when the spec asks for one and *active* does not already provide
+    it (an already-active channel, e.g. the CLI's, keeps receiving
+    events).  Install it with ``use_capture(local.over(active))``."""
+    if not spec.wants_provenance or (
+        active is not None and active.provenance is not None
+    ):
+        return Capture()
+    return Capture(EventRing(
+        spec.provenance_capacity or DEFAULT_CAPACITY,
+        prefix_filter=spec.provenance_prefixes or None,
+    ))
 
 
 def attach_capture(result: ExperimentResult, local: Capture) -> None:
-    """Attach a :func:`spec_capture`'s streams to *result*."""
+    """Attach a :func:`spec_capture`'s stream to *result*."""
     if local.provenance is not None:
         result.provenance_events = local.provenance.events()
-    if local.frontier is not None:
-        result.frontier_events = local.frontier.events()
 
 
 def run_campaign(

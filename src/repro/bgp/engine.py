@@ -24,8 +24,6 @@ from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 from ..errors import EngineError
 from ..netutil import Prefix
 from ..obs import get_logger, get_registry, span
-from ..obs.capture import active_capture
-from ..obs.frontier import EngineRunFrontier
 from ..rng import SeedTree
 from ..topology.graph import Topology
 from .attributes import Announcement, ASPath, Route, check_prepends
@@ -274,11 +272,8 @@ class PropagationEngine:
     engine does not see it, so build a new engine instead.
 
     Pending messages are heap entries ``(deliver_at, seq, sender,
-    receiver, prefix, path, tag, causal)``; ``seq`` is unique, so
-    ordering never compares the payload.  ``path`` None is a withdraw.
-    ``causal`` is the message's causality depth for frontier capture:
-    one more than the delivery that triggered it in a captured run
-    (see :meth:`run_to_fixpoint`), 0 otherwise.
+    receiver, prefix, path, tag)``; ``seq`` is unique, so ordering
+    never compares the payload.  ``path`` None is a withdraw.
     """
 
     def __init__(
@@ -315,9 +310,6 @@ class PropagationEngine:
         self.last_stats: Optional[ConvergenceStats] = None
         self._messages_sent = 0
         self._messages_sent_flushed = 0
-        # Frontier bookkeeping: per-engine run counter, so run ids are
-        # identical however cells are scheduled.
-        self._frontier_runs = 0
         # Dirty-set accumulators, non-None only inside apply_delta.
         self._dirty: Optional[Set[Prefix]] = None
         self._touched: Optional[Set[int]] = None
@@ -500,27 +492,12 @@ class PropagationEngine:
         finally:
             dirty, self._dirty = self._dirty, None
             touched, self._touched = self._touched, None
-        outcome = DeltaOutcome(
+        return DeltaOutcome(
             delta=delta,
             stats=stats_list,
             dirty_prefixes=tuple(sorted(str(p) for p in dirty)),
             changed_ases=frozenset(touched),
         )
-        capture = active_capture()
-        if capture is not None and capture.frontier is not None:
-            capture.frontier.record(
-                {
-                    "kind": "engine_delta",
-                    "delta": delta.kind,
-                    "dirty_prefixes": len(dirty),
-                    "sample": list(outcome.dirty_prefixes[:8]),
-                    "touched_ases": outcome.touched_ases,
-                    "runs": len(stats_list),
-                    "messages_delivered": outcome.messages_delivered,
-                    "best_changes": outcome.best_changes,
-                }
-            )
-        return outcome
 
     def _apply_localpref_edit(self, delta: LocalprefEdit) -> None:
         if not self.topology.has_link(delta.asn, delta.neighbor_asn):
@@ -595,26 +572,6 @@ class PropagationEngine:
         changes = 0
         peak_depth = len(self._heap)
         sent_before = self._messages_sent
-        # One call returning None per run is the entire disabled-state
-        # frontier cost; enabled, the loop tracks the changed-prefix
-        # frontier and message causality depth per window.
-        capture = active_capture()
-        trace_ring = capture.frontier if capture is not None else None
-        acc = None
-        if trace_ring is not None:
-            acc = EngineRunFrontier(trace_ring, self._frontier_runs)
-            self._frontier_runs += 1
-        # Window accounting stays in plain locals; the accumulator is
-        # only called once per window (see EngineRunFrontier.add_window).
-        # A window's delivery and change counts are differences of the
-        # run's own counters, so a delivery does no counting of its own.
-        window_size = EngineRunFrontier.window_size
-        win_start = 0
-        win_end = window_size
-        win_changes = 0
-        win_frontier: set = set()
-        win_peak_depth = 0
-        win_peak_causal = 0
         heap = self._heap
         routers = self.routers
         arc_of = self._arc_of
@@ -625,8 +582,9 @@ class PropagationEngine:
                 depth = len(heap)
                 if depth > peak_depth:
                     peak_depth = depth
-                (deliver_at, _, sender, receiver, prefix, path, tag,
-                 causal) = heappop(heap)
+                deliver_at, _, sender, receiver, prefix, path, tag = (
+                    heappop(heap)
+                )
                 if deliver_at > self.now:
                     self.now = deliver_at
                 if down and frozenset((sender, receiver)) in down:
@@ -646,48 +604,13 @@ class PropagationEngine:
                     sender, arc_of[sender][receiver][6], prefix, path,
                     self.now, 0, tag,
                 )
-                if acc is None:
-                    if changed:
-                        changes += 1
-                        self._record_change(
-                            receiver, prefix,
-                            routers[receiver].loc_rib.get(prefix),
-                        )
-                        self._export_after_change(receiver, prefix)
-                else:
-                    if depth > win_peak_depth:
-                        win_peak_depth = depth
-                    if causal > win_peak_causal:
-                        win_peak_causal = causal
-                    if changed:
-                        changes += 1
-                        self._record_change(
-                            receiver, prefix,
-                            routers[receiver].loc_rib.get(prefix),
-                        )
-                        # Messages this delivery triggers sit one
-                        # causality step deeper.
-                        self._export_after_change(
-                            receiver, prefix, causal + 1
-                        )
-                        win_frontier.add(prefix)
-                    if delivered >= win_end:
-                        acc.add_window(
-                            delivered - win_start, changes - win_changes,
-                            win_frontier, win_peak_depth, win_peak_causal,
-                        )
-                        win_start = delivered
-                        win_end = delivered + window_size
-                        win_changes = changes
-                        win_frontier = set()
-                        win_peak_depth = 0
-                        win_peak_causal = 0
-        if acc is not None:
-            acc.add_window(
-                delivered - win_start, changes - win_changes, win_frontier,
-                win_peak_depth, win_peak_causal,
-            )
-            acc.finish()
+                if changed:
+                    changes += 1
+                    self._record_change(
+                        receiver, prefix,
+                        routers[receiver].loc_rib.get(prefix),
+                    )
+                    self._export_after_change(receiver, prefix)
         stats.messages_delivered = delivered
         stats.messages_dropped = dropped
         stats.best_changes = changes
@@ -770,17 +693,13 @@ class PropagationEngine:
                 UpdateEvent(time=self.now, asn=asn, prefix=prefix, route=route)
             )
 
-    def _export_after_change(
-        self, asn: int, prefix: Prefix, causal: int = 0
-    ) -> None:
-        self._export(asn, prefix, self.exports.arcs[asn], causal)
+    def _export_after_change(self, asn: int, prefix: Prefix) -> None:
+        self._export(asn, prefix, self.exports.arcs[asn])
 
-    def _export(
-        self, asn: int, prefix: Prefix, arcs, causal: int = 0
-    ) -> None:
+    def _export(self, asn: int, prefix: Prefix, arcs) -> None:
         """Send *asn*'s current best for *prefix*, or a withdraw, along
         each up arc of *arcs* (in order), applying export policy and
-        prepends.  The messages carry causality depth *causal*.
+        prepends.
 
         The export rule is the fastpath's: a blocked session (the
         receiver is in ``no_export_to``) gets nothing; a tag-filtered,
@@ -795,7 +714,7 @@ class PropagationEngine:
                     continue
                 if not no_export:
                     sends.append((receiver, None, ""))
-            self._send_all(asn, prefix, sends, causal)
+            self._send_all(asn, prefix, sends)
             return
         tag = best.tag
         if best.learned_from is None:
@@ -816,7 +735,7 @@ class PropagationEngine:
                     else 0
                 )
                 sends.append((receiver, ASPath.origin_path(asn, extra), tag))
-            self._send_all(asn, prefix, sends, causal)
+            self._send_all(asn, prefix, sends)
             return
         learned_rel, learned_fabric = self.exports.learned[asn][
             best.learned_from
@@ -851,15 +770,12 @@ class PropagationEngine:
                 if shared is None:
                     shared = ASPath(exported)
                 sends.append((receiver, shared, tag))
-        self._send_all(asn, prefix, sends, causal)
+        self._send_all(asn, prefix, sends)
 
-    def _send_all(
-        self, sender: int, prefix: Prefix, sends, causal: int = 0
-    ) -> None:
+    def _send_all(self, sender: int, prefix: Prefix, sends) -> None:
         """Queue one message from *sender* per ``(receiver, path, tag)``
-        of *sends*, in order (``path`` None is a withdraw), at causality
-        depth *causal*.  Each draws one delay; a session delivers in
-        FIFO order."""
+        of *sends*, in order (``path`` None is a withdraw).  Each draws
+        one delay; a session delivers in FIFO order."""
         if not sends:
             return
         now = self.now
@@ -879,7 +795,7 @@ class PropagationEngine:
             last[receiver] = deliver_at
             seq += 1
             heappush(heap, (
-                deliver_at, seq, sender, receiver, prefix, path, tag, causal
+                deliver_at, seq, sender, receiver, prefix, path, tag
             ))
         self._seq = seq
         self._messages_sent += len(sends)

@@ -45,7 +45,6 @@ from ..errors import EngineError, TopologyError
 from ..netutil import Prefix
 from ..obs import get_logger, get_registry, span
 from ..obs.capture import active_capture
-from ..obs.frontier import FastpathRunFrontier
 from ..obs.provenance import selection_event
 from ..topology.graph import Topology
 from .attributes import Announcement, ASPath, Route
@@ -254,19 +253,10 @@ def propagate_fastpath(
     iterations = 0
     cursor = 0
     # One call returning None per propagation is the entire
-    # disabled-state capture cost; the frontier run id derives from the
-    # ring's recorded-event count, which the byte-identity contract
-    # keeps equal across execution modes.
+    # disabled-state capture cost.
     capture = active_capture()
-    recorder = trace_ring = None
-    if capture is not None:
-        recorder, trace_ring = capture.provenance, capture.frontier
+    recorder = capture.provenance if capture is not None else None
     narrate = recorder is not None and recorder.wants(the_prefix)
-    acc = None
-    if trace_ring is not None:
-        acc = FastpathRunFrontier(
-            trace_ring, trace_ring.total_recorded, the_prefix
-        )
     customer = Rel.CUSTOMER
     peer = Rel.PEER
     with span("fastpath.propagate"):
@@ -401,19 +391,12 @@ def propagate_fastpath(
                 if changed and receiver not in pending_set:
                     pending_set.add(receiver)
                     pending.append(receiver)
-                if acc is not None:
-                    acc.note(
-                        receiver if changed else None,
-                        len(pending) - cursor,
-                    )
             if cursor > max_rounds:
                 # Compact the queue so memory stays bounded on big runs.
                 pending = pending[cursor:]
                 cursor = 0
                 compactions += 1
 
-    if acc is not None:
-        acc.finish()
     misses = len(looked_up)
     hits = lookups - misses
     registry = get_registry()

@@ -29,12 +29,12 @@
   :mod:`repro.obs.export`).  For function-level hotspots run the
   command under ``python -m cProfile -o run.pstats -m repro ...``.
 
-``reproduce``, ``explain``, and ``sweep`` share identical common
-options via argparse parent parsers: the run options
-(``--seed/--fault-plan``) and
-the observability options (``--log-level/--log-json/--metrics-out/
---provenance-out/--provenance-capacity/--trace-out/--frontier-out/
---frontier-capacity``).
+``reproduce``, ``sweep``, ``explain`` and ``whatif`` share identical
+common options via argparse parent parsers: the run options
+(``--seed/--fault-plan``) and the observability options
+(``--log-level/--log-json/--metrics-out/--provenance-out/
+--provenance-capacity/--trace-out``).  A command refused for a bad
+option exits 2 and leaves no output file behind.
 """
 
 from __future__ import annotations
@@ -118,17 +118,6 @@ def _obs_options() -> argparse.ArgumentParser:
         help="write the run's span tree as Chrome trace-event JSON "
              "(loadable in chrome://tracing or Perfetto); tabulate "
              "where the time went with 'repro profile FILE.json'",
-    )
-    parent.add_argument(
-        "--frontier-out", metavar="FILE.jsonl",
-        help="record convergence-frontier analytics (per-window "
-             "frontier sizes, quiescence curves, per-round signal "
-             "diffs) and write them as JSON lines after the run",
-    )
-    parent.add_argument(
-        "--frontier-capacity", type=int, default=None, metavar="N",
-        help="frontier ring-buffer capacity in events (default: %d; "
-             "oldest events drop first)" % DEFAULT_CAPACITY,
     )
     return parent
 
@@ -331,31 +320,51 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _check_output_paths(*paths: Optional[str]) -> Optional[str]:
-    """Fail on unwritable output paths now, not after the full run."""
+    """Fail on unwritable output paths now, not after the full run.
+    A file created only to probe is removed again, so a refused
+    command leaves nothing behind."""
     for path in paths:
         if not path:
             continue
         try:
-            with open(path, "a", encoding="utf-8"):
-                pass
+            try:
+                with open(path, "x", encoding="utf-8"):
+                    pass
+            except FileExistsError:
+                with open(path, "a", encoding="utf-8"):
+                    pass
+            else:
+                os.remove(path)
         except OSError as error:
             return "cannot write %s: %s" % (path, error)
     return None
 
 
-def _validate_run_args(args) -> Optional[str]:
-    """Numeric sanity for the shared run/obs options (message uses the
-    flag spelling, not the spec field name)."""
-    if args.provenance_capacity is not None and args.provenance_capacity < 1:
-        return "--provenance-capacity must be >= 1"
-    if args.frontier_capacity is not None and args.frontier_capacity < 1:
-        return "--frontier-capacity must be >= 1"
-    return None
-
-
-def _configure_obs(args) -> None:
+def _start(
+    args, experiment: str = "surf", problem: Optional[str] = None
+) -> Optional[ExperimentSpec]:
+    """The run commands' shared preamble: configure logging, check the
+    output paths and the shared options, then build the spec of the
+    shared options (which validates the fault plan and scale).
+    *problem* is the command's own option check.  Returns the spec, or
+    None after printing why the command is refused (exit status 2)."""
     if args.log_level:
         configure_logging(level=args.log_level, json_lines=args.log_json)
+    if args.provenance_capacity is not None and args.provenance_capacity < 1:
+        problem = "--provenance-capacity must be >= 1"
+    problem = _check_output_paths(
+        args.metrics_out, args.provenance_out, args.trace_out,
+    ) or problem
+    if problem is None:
+        try:
+            return ExperimentSpec(
+                experiment=experiment, seed=args.seed, scale=args.scale,
+                fault_spec=args.fault_plan or "",
+            )
+        except ReproError as error:
+            problem = str(error)
+    print(problem, file=sys.stderr)
+    return None
 
 
 def _write_metrics(args) -> None:
@@ -368,66 +377,38 @@ def _write_metrics(args) -> None:
 
 
 def _observing(args, prefix_filter=None):
-    """Run a ``with`` block under the capture the output flags ask for
-    (``--provenance-out`` / ``--frontier-out``);
-    yields the capture for :func:`_write_outputs`."""
+    """Run a ``with`` block under the capture ``--provenance-out`` asks
+    for; yields the capture for :func:`_write_outputs`."""
     return use_capture(Capture(
-        provenance=EventRing(
-            args.provenance_capacity or DEFAULT_CAPACITY, prefix_filter
-        ) if args.provenance_out else None,
-        frontier=EventRing(args.frontier_capacity or DEFAULT_CAPACITY)
-        if args.frontier_out else None,
+        EventRing(args.provenance_capacity or DEFAULT_CAPACITY, prefix_filter)
+        if args.provenance_out else None
     ))
 
 
 def _write_outputs(args, capture: Capture) -> None:
-    """Write the metrics snapshot, the captured streams and the span
+    """Write the metrics snapshot, the captured stream and the span
     trace the flags asked for, after the run's report."""
     _write_metrics(args)
-    # Stdout: the event streams — and therefore the counts — are inside
-    # the byte-identity contract, so these lines are identical at every
+    # Stdout: the event stream — and therefore the count — is inside
+    # the byte-identity contract, so this line is identical at every
     # campaign worker count.
-    for name, ring, path in (
-        ("provenance", capture.provenance, args.provenance_out),
-        ("frontier", capture.frontier, args.frontier_out),
-    ):
-        if ring is None:
-            continue
-        count = ring.export_jsonl_file(path)
+    ring = capture.provenance
+    if ring is not None:
+        count = ring.export_jsonl_file(args.provenance_out)
         suffix = (
             " (%d older events dropped by the ring)" % ring.dropped
             if ring.dropped else ""
         )
-        print("wrote %d %s events to %s%s" % (count, name, path, suffix))
+        print("wrote %d provenance events to %s%s"
+              % (count, args.provenance_out, suffix))
     if args.trace_out:
         count = write_chrome_trace(args.trace_out)
         print("wrote %d trace events to %s" % (count, args.trace_out))
 
 
-def _build_spec(args, experiment: str = "surf") -> ExperimentSpec:
-    """The shared CLI args as an :class:`ExperimentSpec` (validates
-    the fault spec and scenario/scale in one place)."""
-    return ExperimentSpec(
-        experiment=experiment,
-        seed=args.seed,
-        scale=args.scale,
-        fault_spec=args.fault_plan or "",
-    )
-
-
 def _cmd_reproduce(args) -> int:
-    _configure_obs(args)
-    problem = _check_output_paths(
-        args.metrics_out, args.provenance_out, args.trace_out,
-        args.frontier_out,
-    ) or _validate_run_args(args)
-    if problem:
-        print(problem, file=sys.stderr)
-        return 2
-    try:
-        spec = _build_spec(args)
-    except ReproError as error:
-        print(str(error), file=sys.stderr)
+    spec = _start(args)
+    if spec is None:
         return 2
     with _observing(args) as capture:
         report = reproduce_paper(
@@ -501,15 +482,10 @@ def _cmd_sweep(args) -> int:
         plan_grid,
     )
 
-    _configure_obs(args)
-    problem = _check_output_paths(
-        args.metrics_out, args.provenance_out, args.trace_out,
-        args.frontier_out,
-    ) or _validate_run_args(args)
-    if not problem and args.campaign_workers < 1:
-        problem = "--campaign-workers must be >= 1"
-    if problem:
-        print(problem, file=sys.stderr)
+    if _start(args, problem=(
+        "--campaign-workers must be >= 1"
+        if args.campaign_workers < 1 else None
+    )) is None:
         return 2
     try:
         seeds = _parse_seed_list(args.seeds)
@@ -561,18 +537,8 @@ def _cmd_sweep(args) -> int:
 def _cmd_explain(args) -> int:
     from .core.explain import explain_prefix
 
-    _configure_obs(args)
-    problem = _check_output_paths(
-        args.metrics_out, args.provenance_out, args.trace_out,
-        args.frontier_out,
-    ) or _validate_run_args(args)
-    if problem:
-        print(problem, file=sys.stderr)
-        return 2
-    try:
-        spec = _build_spec(args, experiment=args.experiment)
-    except ReproError as error:
-        print(str(error), file=sys.stderr)
+    spec = _start(args, experiment=args.experiment)
+    if spec is None:
         return 2
     try:
         # explain keeps a filtered provenance ring (only this prefix's
@@ -624,20 +590,10 @@ def _print_predictions(title, predictions, limit) -> None:
 def _cmd_whatif(args) -> int:
     from .whatif import WhatIfSession, parse_delta
 
-    _configure_obs(args)
-    problem = _check_output_paths(
-        args.metrics_out, args.provenance_out, args.trace_out,
-        args.frontier_out,
-    ) or _validate_run_args(args)
-    if problem is None and args.limit < 0:
-        problem = "--limit must be >= 0"
-    if problem:
-        print(problem, file=sys.stderr)
-        return 2
-    try:
-        spec = _build_spec(args, experiment=args.experiment)
-    except ReproError as error:
-        print(str(error), file=sys.stderr)
+    spec = _start(args, experiment=args.experiment, problem=(
+        "--limit must be >= 0" if args.limit < 0 else None
+    ))
+    if spec is None:
         return 2
     started = time.perf_counter()
     try:

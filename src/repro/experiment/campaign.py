@@ -187,10 +187,10 @@ class CellOutcome:
     metrics: Optional[dict] = None
     trace: Optional[dict] = None
     #: The cell's :meth:`~repro.obs.capture.Capture.shipped` payload:
-    #: the channels its spec captured run-locally (the per-cell
-    #: artifacts) plus, pooled, copies of the parent's channels —
-    #: which the dispatcher merges in cell order and removes.
-    capture: dict = field(default_factory=dict)
+    #: the provenance its spec captured run-locally (the per-cell
+    #: artifact) or, pooled, a copy of the parent's channel — which
+    #: the dispatcher merges in cell order and removes.
+    capture: Optional[dict] = None
 
 
 @dataclass(frozen=True)
@@ -420,8 +420,8 @@ def _cell_task(
         registry.counter("campaign.cells_completed").inc()
         outcome.trace = record.as_dict()
     outcome.metrics = registry.snapshot()
-    if capture is not None:
-        outcome.capture.update(capture.shipped())
+    if capture is not None and capture.provenance is not None:
+        outcome.capture = capture.shipped()
     return outcome
 
 
@@ -616,7 +616,6 @@ def plan_grid(
     pps: int = 100,
     fault_spec: str = "",
     provenance_capacity: Optional[int] = None,
-    frontier_capacity: Optional[int] = None,
 ) -> List[ExperimentSpec]:
     """The (seed × scenario × experiment) grid, in deterministic
     seed-major order.  Unknown scenario names fail here, before any
@@ -627,7 +626,6 @@ def plan_grid(
             scenario=scenario, pps=pps,
             fault_spec=fault_spec,
             provenance_capacity=provenance_capacity,
-            frontier_capacity=frontier_capacity,
         )
         for seed in seeds
         for scenario in scenarios
@@ -738,22 +736,18 @@ class CampaignRunner:
         )
 
     def _write_cell_capture(self, outcome: CellOutcome) -> None:
-        """Per-cell artifacts for the channels the cell's spec captured
-        run-locally: ``<digest>.provenance.jsonl`` and
-        ``<digest>.frontier.jsonl``."""
-        for channel in ("provenance", "frontier"):
-            part = outcome.capture.get(channel)
-            if part is not None:
-                _write_atomic(
-                    os.path.join(
-                        self.cells_dir,
-                        "%s.%s.jsonl" % (outcome.digest, channel),
-                    ),
-                    "".join(
-                        json.dumps(event, sort_keys=True) + "\n"
-                        for event in part["events"]
-                    ),
-                )
+        """The per-cell artifact for provenance the cell's spec
+        captured run-locally: ``<digest>.provenance.jsonl``."""
+        if outcome.capture is not None:
+            _write_atomic(
+                os.path.join(
+                    self.cells_dir, "%s.provenance.jsonl" % outcome.digest
+                ),
+                "".join(
+                    json.dumps(event, sort_keys=True) + "\n"
+                    for event in outcome.capture["events"]
+                ),
+            )
 
     # -- execution -----------------------------------------------------
 

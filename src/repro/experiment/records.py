@@ -71,12 +71,6 @@ class ExperimentResult:
     #: None when the run recorded into a caller-managed recorder or
     #: recorded nothing.  Deterministic like everything else here.
     provenance_events: Optional[List[dict]] = None
-    #: Frontier events captured by a spec-requested local trace
-    #: (:func:`repro.api.run_experiment` with ``frontier_capacity``
-    #: set and no trace already active).  None when the run recorded
-    #: into a caller-managed trace or recorded nothing.  Deterministic
-    #: like everything else here.
-    frontier_events: Optional[List[dict]] = None
 
     @property
     def num_rounds(self) -> int:

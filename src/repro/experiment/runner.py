@@ -36,11 +36,6 @@ from ..errors import ExperimentError
 from ..faults import FaultKind, FaultPlan
 from ..obs import get_logger, get_registry, span
 from ..obs.capture import active_capture
-from ..obs.frontier import (
-    flush_round_frontier_metrics,
-    round_frontier_event,
-    signal_rows,
-)
 from ..obs.provenance import selection_event
 from ..probing.host import MeasurementHost
 from ..probing.prober import ProbePlan, Prober
@@ -84,9 +79,6 @@ class ExperimentRunner:
         #: Scripted faults (:mod:`repro.faults`): probe-loss bursts and
         #: link flaps, which change results deterministically.
         self.fault_plan = fault_plan if fault_plan is not None else FaultPlan()
-        # Round-frontier state: the previous round's prefix -> signal
-        # map, diffed against each new round.
-        self._frontier_prev: Optional[Dict[str, str]] = None
         #: ASes that selected a new best since the round catchment was
         #: last patched (see :meth:`_apply`).
         self._changed: Set[int] = set()
@@ -229,8 +221,6 @@ class ExperimentRunner:
                     lossy_prefixes=self._round_lossy_prefixes(index),
                 )
                 result.rounds.append(round_result)
-                self._capture_round_frontier(index, config_label,
-                                             round_result)
                 result.round_times.append(
                     (round_result.started_at,
                      round_result.started_at + round_result.duration)
@@ -335,27 +325,6 @@ class ExperimentRunner:
                 config=config_label,
                 selection_prefix=measurement_prefix,
             ))
-
-    def _capture_round_frontier(
-        self, index: int, config_label: str, round_result
-    ) -> None:
-        """Record one ``kind="round_frontier"`` event: how many probed
-        prefixes' round signal changed since the previous round.
-
-        Rows derive from the round result through
-        :func:`~repro.obs.frontier.signal_rows`.
-        """
-        capture = active_capture()
-        trace = capture.frontier if capture is not None else None
-        if trace is None:
-            return
-        rows = signal_rows(round_result.prefix_signals())
-        event = round_frontier_event(
-            index, config_label, rows, self._frontier_prev
-        )
-        trace.record(event)
-        flush_round_frontier_metrics(event)
-        self._frontier_prev = dict(rows)
 
     def _apply(self, engine: PropagationEngine, delta) -> DeltaOutcome:
         """Apply *delta*, noting the ASes it changed for the next

@@ -10,10 +10,9 @@ Zero-dependency instrumentation for the engine → runner → CLI stack:
 - :mod:`repro.obs.logging` — ``get_logger(name)`` emitting key=value
   or JSON lines on stderr, silent until configured;
 - :mod:`repro.obs.capture` — :class:`Capture`: the one process-wide
-  slot for the opt-in evidence channels (provenance and frontier
-  :class:`EventRing` buffers with JSONL export), installed with
-  :class:`use_capture` and shipped/merged across worker processes as
-  one payload;
+  slot for the opt-in provenance channel (an :class:`EventRing`
+  buffer with JSONL export), installed with :class:`use_capture` and
+  shipped/merged across worker processes as one payload;
 - :mod:`repro.obs.provenance` — decision-provenance events
   (route-selection steps, per-round prefix signals);
 - :mod:`repro.obs.export` — render completed span trees to Chrome
@@ -22,11 +21,7 @@ Zero-dependency instrumentation for the engine → runner → CLI stack:
   seconds (``--trace-out`` / ``repro profile``) — the one answer to
   "where did the time go?";
 - :mod:`repro.obs.benchtrack` — benchmark trajectory: append-only
-  ``BENCH_HISTORY.jsonl`` plus latest-vs-baseline regression diffs;
-- :mod:`repro.obs.frontier` — convergence-frontier analytics: events
-  for per-window frontier sizes, causality depths,
-  quiescence curves, and per-round signal diffs (byte-identical
-  across execution modes; ``--frontier-out``).
+  ``BENCH_HISTORY.jsonl`` plus latest-vs-baseline regression diffs.
 
 Function-level hotspots come from the standard library:
 ``python -m cProfile -o run.pstats -m repro reproduce ...``.

@@ -1,19 +1,12 @@
-"""One observability capture: provenance and frontier.
+"""One observability capture: the provenance channel.
 
-A :class:`Capture` bundles the two opt-in evidence channels a run can
-record into:
-
-- ``provenance`` — an :class:`EventRing` of decision-provenance events
-  (:mod:`repro.obs.provenance`: route selections, per-round signals);
-- ``frontier`` — an :class:`EventRing` of convergence-frontier events
-  (:mod:`repro.obs.frontier`: windows, quiescence curves, per-round
-  signal diffs).
-
-Either channel may be ``None``.  One process-wide slot holds the
-active capture (:func:`active_capture`, installed with
-:func:`use_capture`).  Hot paths read the slot once per decision,
-round or run and skip every other cost when the channel they feed is
-absent.
+A :class:`Capture` holds the opt-in evidence channel a run records
+into: ``provenance``, an :class:`EventRing` of decision-provenance
+events (:mod:`repro.obs.provenance`: route selections, per-round
+signals), or ``None``.  One process-wide slot holds the active capture
+(:func:`active_capture`, installed with :func:`use_capture`).  Hot
+paths read the slot once per decision, round or run and skip every
+other cost when the channel is absent.
 
 Workers never write into their parent's capture.  A pooled campaign
 cell runs under :meth:`Capture.child` (fresh, empty, same settings),
@@ -122,13 +115,6 @@ class EventRing:
     def dropped(self) -> int:
         return self._dropped
 
-    @property
-    def total_recorded(self) -> int:
-        """Events ever recorded (retained + dropped) — a deterministic
-        monotonic id source for runs without their own counter."""
-        with self._lock:
-            return len(self._events) + self._dropped
-
     def __len__(self) -> int:
         return len(self._events)
 
@@ -175,66 +161,46 @@ class EventRing:
 
 @dataclasses.dataclass
 class Capture:
-    """The evidence channels one run records into (each optional)."""
+    """The evidence channel one run records into (optional)."""
 
     provenance: Optional[EventRing] = None
-    frontier: Optional[EventRing] = None
 
     def over(self, base: Optional["Capture"]) -> Optional["Capture"]:
-        """This capture's channels, with *base*'s filling the ones it
-        lacks — how a run-local channel joins an already-active
-        capture without hiding the rest of it.  An empty capture
-        returns *base* itself, so a run that captures nothing keeps the
-        disabled slot."""
-        if self == Capture():
-            return base
-        if base is None:
-            return self
-        return Capture(
-            self.provenance if self.provenance is not None
-            else base.provenance,
-            self.frontier if self.frontier is not None else base.frontier,
-        )
+        """This capture if it holds the channel, else *base* — how a
+        run-local channel joins an already-active capture.  An empty
+        capture returns *base* itself, so a run that captures nothing
+        keeps the disabled slot."""
+        return self if self.provenance is not None else base
 
     def child(self) -> "Capture":
         """A fresh, empty capture with this one's settings, for a
         cell worker."""
-        def fresh(ring):
-            if ring is None:
-                return None
-            return EventRing(ring.capacity, ring.prefix_filter)
+        ring = self.provenance
+        if ring is None:
+            return Capture()
+        return Capture(EventRing(ring.capacity, ring.prefix_filter))
 
-        return Capture(fresh(self.provenance), fresh(self.frontier))
+    def shipped(self) -> Optional[dict]:
+        """This capture's events as one picklable payload for
+        :meth:`merge` (None when it holds no channel)."""
+        ring = self.provenance
+        if ring is None:
+            return None
+        return {"events": ring.events(), "dropped": ring.dropped}
 
-    def shipped(self) -> dict:
-        """This capture's contents as one picklable payload for
-        :meth:`merge` (keys only for the channels present)."""
-        payload: dict = {}
-        for name in ("provenance", "frontier"):
-            ring = getattr(self, name)
-            if ring is not None:
-                payload[name] = {
-                    "events": ring.events(), "dropped": ring.dropped,
-                }
-        return payload
-
-    def merge(self, payload: Optional[dict]) -> dict:
-        """Fold a :meth:`shipped` payload into the channels this
-        capture holds and return the rest of the payload (the
-        channels it does not hold).
+    def merge(self, payload: Optional[dict]) -> Optional[dict]:
+        """Fold a :meth:`shipped` payload into this capture's channel
+        and return None, or return *payload* untouched when this
+        capture holds no channel.
 
         Events are appended verbatim and the worker ring's drop count
         is carried over, so merging payloads in task order leaves the
         ring exactly as a serial run would have.
         """
-        rest: dict = {}
-        for name, part in (payload or {}).items():
-            mine = getattr(self, name)
-            if mine is None:
-                rest[name] = part
-            else:
-                mine.extend(part["events"], part["dropped"])
-        return rest
+        if self.provenance is None or payload is None:
+            return payload
+        self.provenance.extend(payload["events"], payload["dropped"])
+        return None
 
 
 # -- the process-wide slot (None = nothing captured) ------------------

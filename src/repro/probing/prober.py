@@ -28,7 +28,7 @@ import random
 from array import array
 from dataclasses import dataclass, field
 from typing import (
-    Dict, FrozenSet, Iterator, List, Mapping, Optional, Tuple,
+    Dict, FrozenSet, List, Mapping, Optional,
 )
 
 from ..errors import ExperimentError
@@ -177,14 +177,6 @@ class RoundResult:
         """*prefix*'s signal code this round (0 if it was not probed)."""
         index = self.plan.index_of.get(prefix)
         return 0 if index is None else self.signal[index]
-
-    def prefix_signals(self) -> Iterator[Tuple[Prefix, int]]:
-        """``(prefix, signal code)`` for every prefix the round sent a
-        probe to, in probe order."""
-        offsets = self.plan.offsets
-        for index, prefix in enumerate(self.plan.prefixes):
-            if offsets[index + 1] > offsets[index]:
-                yield prefix, self.signal[index]
 
     def interfaces_seen(self, prefix: Prefix) -> List[str]:
         """Distinct interface kinds among this prefix's responses."""

@@ -50,7 +50,7 @@ def test_spec_defaults_are_valid():
         {"pps": 0},
         {"seed": "a"},
         {"seed": True},
-        {"frontier_capacity": 0},
+        {"provenance_capacity": True},
         {"provenance_capacity": 0},
         {"scenario": "no-such-scenario"},
         {"config_overrides": {"no_such_field": 1}},
@@ -112,7 +112,6 @@ def test_json_round_trip_every_field():
         fault_spec="flap=1,loss=1",
         provenance_capacity=500,
         provenance_prefixes=("10.0.0.0/16",),
-        frontier_capacity=300,
     )
     again = ExperimentSpec.from_json(spec.to_json())
     assert again == spec
@@ -144,15 +143,15 @@ def test_digest_stability():
     """Pinned digests: a drift here breaks every existing campaign
     checkpoint directory, so it must be deliberate (bump
     SPEC_SCHEMA_VERSION and say so in CHANGES.md).  Re-pinned for
-    schema 7 (the profile field removed)."""
-    assert ExperimentSpec().digest() == "ff40a21a34686cd0"
+    schema 8 (the frontier_capacity field removed)."""
+    assert ExperimentSpec().digest() == "a7fd9cc97b470242"
     assert ExperimentSpec(
         experiment="surf", seed=3, scale=0.05
-    ).digest() == "a3b1ce511a92a0fe"
+    ).digest() == "eb51481854d1156f"
     assert ExperimentSpec(
         experiment="internet2", seed=7, scenario="re-dominant",
         config_overrides={"no_commodity_rate": 0.5},
-    ).digest() == "3c981cfbc26ad073"
+    ).digest() == "b69f7065899aea80"
 
 
 def test_digest_changes_with_simulation_fields():
@@ -213,7 +212,7 @@ MISTYPED_DOCUMENTS = [
     '{"scale": "x"}',
     '{"scale": null}',
     '{"pps": "100"}',
-    '{"frontier_capacity": "3"}',
+    '{"provenance_capacity": "3"}',
     '{"config_overrides": 3}',
     '{"provenance_prefixes": 5}',
     '{"fault_spec": 7}',
@@ -330,7 +329,7 @@ def test_spec_accepts_the_largest_prepend_config():
 
 @pytest.mark.parametrize("schema", [3, 4, 5])
 def test_from_dict_reads_legacy_execution_fields(schema):
-    """Schema 3 to 5 documents load at schema 7: their execution
+    """Schema 3 to 5 documents load at the current schema: their execution
     fields only ever shaped the removed shard level, so they are
     dropped and every simulation field is kept."""
     spec = ExperimentSpec(
@@ -351,24 +350,29 @@ def test_from_dict_reads_legacy_execution_fields(schema):
     again = ExperimentSpec.from_dict(data)
     assert again == spec
     assert again.digest() == spec.digest()
-    assert json.loads(again.to_json())["schema"] == 7
+    assert json.loads(again.to_json())["schema"] == SPEC_SCHEMA_VERSION
 
 
-@pytest.mark.parametrize("schema", [3, 4, 5, 6])
+@pytest.mark.parametrize("schema", [3, 4, 5, 6, 7])
 def test_from_dict_drops_legacy_profile(schema):
     """``profile`` (schemas 3 to 6) only switched on the removed phase
-    profiler; a document asking for it loads equal to the same spec
-    without it."""
-    spec = ExperimentSpec(seed=11, scale=0.07, frontier_capacity=64)
+    profiler and ``frontier_capacity`` (schemas 3 to 7) the removed
+    frontier channel; a document asking for them loads equal to the
+    same spec without them."""
+    spec = ExperimentSpec(seed=11, scale=0.07)
     data = json.loads(spec.to_json())
-    data.update(schema=schema, profile=True)
+    data.update(schema=schema, frontier_capacity=64)
+    if schema < 7:
+        data["profile"] = True
     again = ExperimentSpec.from_dict(data)
     assert again == spec
     assert again.digest() == spec.digest()
-    # The current schema has no such field.
-    data["schema"] = SPEC_SCHEMA_VERSION
-    with pytest.raises(ExperimentError, match="unknown ExperimentSpec"):
-        ExperimentSpec.from_dict(data)
+    # The current schema has neither field, and schema 7 no profile.
+    current = spec.as_dict()
+    for extra in ({"profile": True}, {"frontier_capacity": 64},
+                  {"schema": 7, "profile": True}):
+        with pytest.raises(ExperimentError, match="unknown ExperimentSpec"):
+            ExperimentSpec.from_dict(dict(current, **extra))
 
 
 def test_from_dict_reads_schema_3_flat_execution_keys():

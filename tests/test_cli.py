@@ -126,6 +126,36 @@ class TestParser:
             main(["--version"])
 
 
+@pytest.mark.parametrize(
+    "refusal",
+    [
+        ["--provenance-out", "p.jsonl", "--provenance-capacity", "0"],
+        ["--trace-out", "t.json", "--fault-plan", "bogus=1"],
+    ],
+    ids=["bad-capacity", "bad-fault-plan"],
+)
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["reproduce", "--scale", "0.04"],
+        ["sweep", "--scale", "0.04", "--campaign-dir", "campaign"],
+    ],
+    ids=["reproduce", "sweep"],
+)
+def test_refused_command_leaves_no_output_file(
+    command, refusal, tmp_path, monkeypatch, capsys
+):
+    """A refused command exits 2 and leaves no output file behind: the
+    path probe removes what it created, and an existing output file
+    is left as it was."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "m.json").write_text("kept")
+    assert main(command + ["--metrics-out", "m.json"] + refusal) == 2
+    assert capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["m.json"]
+    assert (tmp_path / "m.json").read_text() == "kept"
+
+
 def test_whatif_rejects_an_unbounded_count(capsys):
     """A 5,000-digit count is a typed error: exit 2, one stderr line."""
     assert main([

@@ -6,8 +6,7 @@ The determinism contract says results are a pure function of the
 experiment seed — never of the backend a campaign cell runs on.  These
 tests enforce it at every level the analysis depends on: raw
 responses, per-round convergence, prefix classifications, and the
-provenance and frontier streams a pooled cell ships back to the
-parent's capture.
+provenance stream a pooled cell ships back to the parent's capture.
 """
 
 import io
@@ -46,11 +45,11 @@ GRID = [(0, 0.06), (7, 0.06)]
 BACKENDS = ("inline", "fork") if fork_available() else ("inline",)
 
 
-def _captured(channel, run):
-    """Call *run* under a fresh capture holding one *channel* ring;
-    returns run's result and the exported stream as JSONL text."""
+def _captured(run):
+    """Call *run* under a fresh provenance capture; returns run's
+    result and the exported stream as JSONL text."""
     ring = EventRing()
-    with use_capture(Capture(**{channel: ring})):
+    with use_capture(Capture(ring)):
         result = run()
     assert ring.dropped == 0, "ring overflow would break identity"
     buffer = io.StringIO()
@@ -72,20 +71,20 @@ def _cell(ecosystem, spec, backend):
     return outcomes[0].result
 
 
-def _variants(seed, scale, channel):
+def _variants(seed, scale):
     """The standalone run next to the same spec as an inline and a
-    fork cell, each with a *channel* capture."""
+    fork cell, each with a provenance capture."""
     ecosystem = build_ecosystem(REEcosystemConfig(scale=scale), seed=seed)
     spec = ExperimentSpec(seed=seed, scale=scale)
     serial, serial_jsonl = _captured(
-        channel, lambda: run_experiment(spec, ecosystem)
+        lambda: run_experiment(spec, ecosystem)
     )
     variants = {}
     streams = {"serial": serial_jsonl}
     for backend in BACKENDS:
         label = "backend=%s" % backend
         variants[label], streams[label] = _captured(
-            channel, lambda: _cell(ecosystem, spec, backend)
+            lambda: _cell(ecosystem, spec, backend)
         )
     return ecosystem, serial, variants, streams
 
@@ -95,7 +94,7 @@ _CASES = {}
 
 def _provenance_case(seed, scale):
     if (seed, scale) not in _CASES:
-        _CASES[seed, scale] = _variants(seed, scale, "provenance")
+        _CASES[seed, scale] = _variants(seed, scale)
     return _CASES[seed, scale]
 
 
@@ -145,7 +144,10 @@ class TestProvenanceDifferential:
         ]
         signals = [e for e in events if e["kind"] == "signal"]
         probed = {
-            str(p) for r in serial.rounds for p, _ in r.prefix_signals()
+            str(prefix)
+            for r in serial.rounds
+            for index, prefix in enumerate(r.plan.prefixes)
+            if r.plan.offsets[index + 1] > r.plan.offsets[index]
         }
         assert {e["prefix"] for e in signals} == probed
         per_prefix_rounds = len(serial.rounds)
@@ -224,54 +226,6 @@ class TestFastpathOracle:
         finally:
             for asn in topology.nodes:
                 topology.node(asn).policy.age_tiebreak = True
-
-
-@pytest.fixture(scope="module")
-def frontier_case():
-    """The frontier-differential case: the standalone run next to the
-    same spec as an inline and a fork cell, all with a frontier trace
-    attached.  The exported JSONL is inside the identity contract, so
-    every stream must be byte-identical."""
-    ecosystem, serial, _, streams = _variants(*GRID[0], "frontier")
-    return ecosystem, serial, streams
-
-
-class TestFrontierDifferential:
-    """The convergence-frontier stream — per-window frontier sizes,
-    quiescence curves, per-round signal diffs — is byte-identical
-    whichever backend runs the cell.  Frontier events ride
-    inside the identity contract (unlike span timings, which are
-    wall-time and excluded); any divergence is a correctness bug."""
-
-    def test_streams_byte_identical(self, frontier_case):
-        _, _, streams = frontier_case
-        serial_jsonl = streams["serial"]
-        assert serial_jsonl, "serial run emitted no frontier events"
-        for label, jsonl in streams.items():
-            if label == "serial":
-                continue
-            assert jsonl == serial_jsonl, (
-                "%s frontier stream diverged from serial" % label
-            )
-
-    def test_stream_shape(self, frontier_case):
-        _, serial, streams = frontier_case
-        events = [
-            json.loads(line)
-            for line in streams["serial"].splitlines()
-        ]
-        kinds = {event["kind"] for event in events}
-        assert {"engine_window", "engine_run", "round_frontier"} <= kinds
-        rounds = [e for e in events if e["kind"] == "round_frontier"]
-        assert len(rounds) == len(serial.rounds)
-        assert [e["round"] for e in rounds] == \
-            list(range(len(serial.rounds)))
-        for event in events:
-            if event["kind"] == "engine_run":
-                assert event["windows"] >= 1
-                assert len(event["quiescence"]) == \
-                    event["windows"] - event["truncated"]
-                assert event["count"] >= event["changed"]
 
 
 # ---------------------------------------------------------------------
@@ -391,9 +345,10 @@ def _apply_kind(ecosystem, engine, kind, use_deltas, localpref_target=None):
 class TestDeltaConvergence:
     """Warm-delta convergence against the cold oracle, per delta kind.
     Engine state (full RIB dump including route ages), update logs,
-    and per-run ``replay_key()``s must be byte-identical; the
-    runner-level workers-1/2/4 grid (``frontier_case`` JSONL) exercises
-    the same apply_delta path end to end."""
+    and per-run ``replay_key()``s must be byte-identical; end to end,
+    ``TestSchedulerDifferential.test_replay_keys_identical`` holds the
+    runner's per-round ``replay_key()``s (every apply_delta it made)
+    identical across cell backends."""
 
     @pytest.mark.parametrize("kind", DELTA_KINDS)
     def test_warm_delta_matches_cold_raw_path(self, kind):
@@ -470,36 +425,6 @@ class TestDeltaConvergence:
         finally:
             for asn in topology.nodes:
                 topology.node(asn).policy.age_tiebreak = True
-
-    def test_delta_events_identical_across_workers_and_backends(
-        self, frontier_case
-    ):
-        """The runner now narrates every announce/reconfig/outage as an
-        ``engine_delta`` frontier event; the event stream — dirty-set
-        sizes included — is byte-identical across the inline and fork
-        cell backends (the full-stream identity test covers this too;
-        this one pins the delta events specifically and their
-        shape)."""
-        _, serial, streams = frontier_case
-        def delta_events(jsonl):
-            return [
-                json.loads(line)
-                for line in jsonl.splitlines()
-                if '"engine_delta"' in line
-            ]
-        expected = delta_events(streams["serial"])
-        assert expected, "runner emitted no engine_delta events"
-        kinds = {event["delta"] for event in expected}
-        assert "announce" in kinds
-        assert "prepend_change" in kinds
-        for event in expected:
-            assert event["dirty_prefixes"] >= len(event["sample"]) >= 0
-            assert event["runs"] >= 1
-            assert event["messages_delivered"] >= 0
-        for label, jsonl in streams.items():
-            if label == "serial":
-                continue
-            assert delta_events(jsonl) == expected, label
 
     def test_whatif_session_matches_cold_replay(self):
         """The what-if facade's warm state equals its cold oracle

@@ -1,13 +1,12 @@
 """The one observability capture (repro.obs.capture): the bounded
-:class:`EventRing` behind both event channels, the process-wide
+:class:`EventRing` behind the provenance channel, the process-wide
 :func:`use_capture` slot, and the child/shipped/merge path pooled
 workers use.
 
 :class:`RingContract` and :class:`SlotContract` are the ring and slot
-behaviours shared by the provenance and frontier channels; each
-channel's test module runs them with its own ``channel``
-(``TestRecorder``/``TestGlobalRecorder`` in test_obs_provenance.py,
-``TestFrontierTrace``/``TestSingleton`` in test_frontier.py).
+behaviours; test_obs_provenance.py runs them
+(``TestRecorder``/``TestGlobalRecorder``), and test_frontier.py runs
+them on a pooled cell worker's ring and on a frontier-free capture.
 """
 
 import io
@@ -33,42 +32,42 @@ from repro.topology.re_ecosystem import build_ecosystem
 PFX = Prefix.parse("192.0.2.0/24")
 
 
-def _ring(channel, **options):
-    """A ring reached through a capture's *channel*, as hot paths do."""
-    with use_capture(Capture(**{channel: EventRing(**options)})):
-        return getattr(active_capture(), channel)
+def _ring(**options):
+    """A ring reached through the active capture, as hot paths do."""
+    with use_capture(Capture(EventRing(**options))):
+        return active_capture().provenance
 
 
 class RingContract:
-    """Ring behaviours every event channel shares."""
+    """The event ring's behaviours, on the ring that :meth:`ring`
+    builds (by default one reached through the active capture)."""
 
-    channel = "provenance"
+    ring = staticmethod(_ring)
 
     def test_ring_bound_and_dropped(self):
-        ring = _ring(self.channel, capacity=3)
+        ring = self.ring(capacity=3)
         for index in range(5):
             ring.record({"kind": "x", "n": index})
         assert len(ring) == 3
         assert ring.dropped == 2
-        assert ring.total_recorded == 5
         assert [e["n"] for e in ring.events()] == [2, 3, 4]
 
     def test_capacity_validated(self):
         with pytest.raises(ValueError):
-            _ring(self.channel, capacity=0)
+            self.ring(capacity=0)
 
     def test_prefix_filter(self):
-        ring = _ring(self.channel, prefix_filter=[PFX])
+        ring = self.ring(prefix_filter=[PFX])
         assert ring.wants(PFX)
         assert ring.wants(str(PFX))
         assert not ring.wants(Prefix.parse("198.51.100.0/24"))
         # Memoized verdicts stay correct on repeat queries.
         assert not ring.wants(Prefix.parse("198.51.100.0/24"))
         assert ring.wants(PFX)
-        assert _ring(self.channel).wants(PFX)  # unfiltered
+        assert self.ring().wants(PFX)  # unfiltered
 
     def test_event_queries(self):
-        ring = _ring(self.channel)
+        ring = self.ring()
         ring.record({"kind": "signal", "prefix": str(PFX)})
         ring.record({"kind": "selection", "prefix": str(PFX),
                      "source": "engine"})
@@ -77,7 +76,7 @@ class RingContract:
         assert len(ring.events(source="engine")) == 1
 
     def test_kind_filter_and_clear(self):
-        ring = _ring(self.channel, capacity=2)
+        ring = self.ring(capacity=2)
         ring.extend([{"kind": "a"}, {"kind": "b"}, {"kind": "a"}])
         assert len(ring.events(kind="a")) == 1
         assert ring.dropped == 1
@@ -86,20 +85,20 @@ class RingContract:
         assert ring.dropped == 0
 
     def test_extend_appends_verbatim(self):
-        ring = _ring(self.channel)
+        ring = self.ring()
         ring.extend([{"kind": "a"}, {"kind": "b"}], dropped=3)
         assert [e["kind"] for e in ring.events()] == ["a", "b"]
         assert ring.dropped == 3
 
     def test_export_jsonl_sorted_keys(self):
-        ring = _ring(self.channel)
+        ring = self.ring()
         ring.record({"b": 2, "a": 1, "kind": "x"})
         buffer = io.StringIO()
         assert ring.export_jsonl(buffer) == 1
         assert buffer.getvalue() == '{"a": 1, "b": 2, "kind": "x"}\n'
 
     def test_export_jsonl_file(self, tmp_path):
-        ring = _ring(self.channel)
+        ring = self.ring()
         ring.extend([{"kind": "x"}, {"kind": "y"}])
         path = tmp_path / "events.jsonl"
         assert ring.export_jsonl_file(str(path)) == 2
@@ -108,32 +107,28 @@ class RingContract:
 
 
 class SlotContract:
-    """The process-wide slot, seen through one channel."""
-
-    channel = "provenance"
+    """The process-wide slot."""
 
     def test_disabled_by_default(self):
         assert active_capture() is None
 
     def test_default_capacity(self):
-        with use_capture(Capture(**{self.channel: EventRing()})) as capture:
-            assert getattr(capture, self.channel).capacity == \
-                DEFAULT_CAPACITY
+        with use_capture(Capture(EventRing())) as capture:
+            assert capture.provenance.capacity == DEFAULT_CAPACITY
 
     def test_enable_disable(self):
         ring = EventRing(capacity=10)
-        with use_capture(Capture(**{self.channel: ring})) as capture:
-            assert getattr(active_capture(), self.channel) is ring
+        with use_capture(Capture(ring)) as capture:
+            assert active_capture().provenance is ring
             assert active_capture() is capture
         assert active_capture() is None
 
     def test_use_capture_restores_previous(self):
-        outer = Capture(**{self.channel: EventRing()})
-        inner = Capture(**{self.channel: EventRing()})
+        outer = Capture(EventRing())
+        inner = Capture(EventRing())
         with use_capture(outer):
             with use_capture(inner):
-                assert getattr(active_capture(), self.channel) is \
-                    getattr(inner, self.channel)
+                assert active_capture().provenance is inner.provenance
             assert active_capture() is outer
         assert active_capture() is None
 
@@ -141,14 +136,14 @@ class SlotContract:
         """An empty ring is falsy (__len__ == 0); the slot must still
         serve *that* ring, not a fresh one or None."""
         mine = EventRing(prefix_filter=[PFX])
-        with use_capture(Capture(**{self.channel: mine})):
-            assert getattr(active_capture(), self.channel) is mine
+        with use_capture(Capture(mine)):
+            assert active_capture().provenance is mine
 
 
 class TestNesting:
     def test_nested_use_capture_restores_capture(self):
-        outer = Capture(frontier=EventRing())
-        inner = Capture(provenance=EventRing())
+        outer = Capture()
+        inner = Capture(EventRing())
         with use_capture(outer):
             with use_capture(inner):
                 assert active_capture() is inner
@@ -156,11 +151,11 @@ class TestNesting:
         assert active_capture() is None
 
     def test_over_fills_missing_channels(self):
-        base = Capture(EventRing(), EventRing())
-        mine = Capture(provenance=EventRing())
-        joined = mine.over(base)
-        assert joined.provenance is mine.provenance
-        assert joined.frontier is base.frontier
+        """A capture holding the channel wins; an empty one yields to
+        *base*, keeping the disabled slot when *base* is None."""
+        base = Capture(EventRing())
+        mine = Capture(EventRing())
+        assert mine.over(base) is mine
         assert mine.over(None) is mine
         assert Capture().over(None) is None
         assert Capture().over(base) is base
@@ -168,17 +163,14 @@ class TestNesting:
 
 class TestChildShipMerge:
     def test_child_is_fresh_with_same_settings(self):
-        parent = Capture(
-            EventRing(capacity=7, prefix_filter=[PFX]),
-            EventRing(capacity=9),
-        )
+        parent = Capture(EventRing(capacity=7, prefix_filter=[PFX]))
         parent.provenance.record({"kind": "x"})
         child = parent.child()
         assert len(child.provenance) == 0
         assert child.provenance.capacity == 7
         assert child.provenance.prefix_filter == frozenset([str(PFX)])
-        assert child.frontier.capacity == 9
         assert Capture().child() == Capture()
+        assert Capture().shipped() is None
 
     def test_merge_reproduces_serial_ring(self):
         serial = EventRing(capacity=4)
@@ -188,20 +180,19 @@ class TestChildShipMerge:
             serial.extend(part)
             worker = parent.child()
             worker.provenance.extend(part)
-            assert parent.merge(worker.shipped()) == {}
+            assert parent.merge(worker.shipped()) is None
         assert parent.provenance.events() == serial.events()
         assert parent.provenance.dropped == serial.dropped == 6
 
     def test_merge_returns_channels_it_lacks(self):
-        parent = Capture(frontier=EventRing())
-        worker = Capture(provenance=EventRing(), frontier=EventRing())
-        worker.frontier.record({"kind": "f"})
+        """A capture without the channel hands the payload back (the
+        cell's run-local provenance, kept for its artifact)."""
+        worker = Capture(EventRing())
         worker.provenance.record({"kind": "p"})
-        rest = parent.merge(worker.shipped())
-        assert [e["kind"] for e in parent.frontier.events()] == ["f"]
-        assert set(rest) == {"provenance"}
-        assert rest["provenance"]["events"] == [{"kind": "p"}]
-        assert parent.merge(None) == {}
+        payload = worker.shipped()
+        assert Capture().merge(payload) is payload
+        assert payload["events"] == [{"kind": "p"}]
+        assert Capture(EventRing()).merge(None) is None
 
 
 def _export(ring):
@@ -221,7 +212,7 @@ def _capture_pair(ecosystem, backend):
         )
         for experiment in ("surf", "internet2")
     ]
-    capture = Capture(EventRing(), EventRing())
+    capture = Capture(EventRing())
     with use_capture(capture):
         outcomes, failures = dispatch_cells(
             works, backend=backend, network=(ecosystem, seed_plan)
@@ -244,7 +235,6 @@ def test_pooled_pair_merges_capture_like_inline():
     )
     inline = _capture_pair(ecosystem, backend="inline")
     pooled = _capture_pair(ecosystem, backend="fork")
-    for channel in ("provenance", "frontier"):
-        one, two = getattr(inline, channel), getattr(pooled, channel)
-        assert len(one) > 0 and one.dropped == 0
-        assert _export(one) == _export(two)
+    one, two = inline.provenance, pooled.provenance
+    assert len(one) > 0 and one.dropped == 0
+    assert _export(one) == _export(two)

@@ -68,11 +68,11 @@ class TestRoundSignalSummary:
 
 
 class TestRecorder(RingContract):
-    channel = "provenance"
+    """The ring contract, run on the provenance ring."""
 
 
 class TestGlobalRecorder(SlotContract):
-    channel = "provenance"
+    """The slot contract, run on the provenance channel."""
 
 
 class TestEventBuilders:

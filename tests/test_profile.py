@@ -212,38 +212,29 @@ class TestProfileCli:
 
 class TestReproduceProfileOptions:
     def test_reproduce_writes_both_artifacts(self, tmp_path, capsys):
-        """``--frontier-out`` and ``--trace-out`` together; the trace
+        """``--provenance-out`` and ``--trace-out`` together; the trace
         renders with ``repro profile``."""
-        frontier = tmp_path / "frontier.jsonl"
+        provenance = tmp_path / "provenance.jsonl"
         trace = tmp_path / "trace.json"
         assert main([
             "reproduce", "--scale", "0.04", "--seed", "0",
-            "--frontier-out", str(frontier),
+            "--provenance-out", str(provenance),
             "--trace-out", str(trace),
         ]) == 0
         captured = capsys.readouterr()
-        assert "frontier events" in captured.out
+        assert "provenance events" in captured.out
         assert "trace events" in captured.out
         events = [
             json.loads(line)
-            for line in frontier.read_text().splitlines()
+            for line in provenance.read_text().splitlines()
         ]
-        assert {"engine_run", "round_frontier"} <= {
-            e["kind"] for e in events
-        }
+        assert {"selection", "signal"} <= {e["kind"] for e in events}
         table = span_table(load_chrome_trace(str(trace)))
         assert table["prober.round"]["calls"] == 18
         assert main(["profile", str(trace)]) == 0
         assert "prober.round" in capsys.readouterr().out
         # The run-scoped capture was torn down on exit.
         assert active_capture() is None
-
-    def test_frontier_capacity_validated(self, capsys):
-        assert main([
-            "reproduce", "--scale", "0.04",
-            "--frontier-out", "f.jsonl", "--frontier-capacity", "0",
-        ]) == 2
-        assert "--frontier-capacity" in capsys.readouterr().err
 
     def test_default_top_n_used(self, tmp_path, capsys):
         events = [
