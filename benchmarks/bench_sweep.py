@@ -16,7 +16,7 @@ speedups.  On 1-core hosts the pool can only time-slice and the
 speedup assertion is skipped; the byte-identity of
 ``campaign_summary.json`` across pool sizes — the campaign identity
 contract — is asserted on every pair, and so is that every pooled cell
-ran on a fork worker.
+ran on a fork worker (the ``campaign.cells_forked`` counter).
 
 The grid runs at ``REPRO_BENCH_SWEEP_SCALE`` (default 0.1: four full
 nine-round experiments per campaign keep the benchmark minutes-scale
@@ -30,7 +30,7 @@ import statistics
 from conftest import BENCH_SEED, show
 
 from repro.experiment.campaign import CampaignRunner, plan_grid
-from repro.experiment.status import CampaignStatus
+from repro.obs import MetricsRegistry, use_registry
 
 #: Interleaved serial/pooled campaign pairs; the gate reads the median
 #: of their speedups.
@@ -49,12 +49,16 @@ def sweep_scale() -> float:
 
 
 def _campaign(specs, directory, pool_workers):
-    """(result, summary bytes) of one fresh campaign run."""
-    result = CampaignRunner(
-        specs, directory, pool_workers=pool_workers
-    ).run()
+    """(result, summary bytes, cells run on a fork worker) of one fresh
+    campaign run."""
+    registry = MetricsRegistry()
+    with use_registry(registry):
+        result = CampaignRunner(
+            specs, directory, pool_workers=pool_workers
+        ).run()
+    forked = registry.snapshot()["counters"].get("campaign.cells_forked", 0)
     with open(os.path.join(directory, "campaign_summary.json")) as fh:
-        return result, fh.read()
+        return result, fh.read(), forked
 
 
 def test_sweep(tmp_path, bench_emit):
@@ -75,16 +79,13 @@ def test_sweep(tmp_path, bench_emit):
                 tmp_path / ("pair%d-pool%d" % (pair, pool_workers))
             )
             runs[pool_workers] = _campaign(specs, directory, pool_workers)
-            if pool_workers == 2:
-                backends = {
-                    cell.backend
-                    for cell in CampaignStatus.load(directory).cells
-                }
-                assert backends == {"fork"}, (
-                    "pooled campaign ran on %s, not a fork pool"
-                    % sorted(map(str, backends))
-                )
-        (serial, serial_summary), (pooled, pooled_summary) = runs[1], runs[2]
+        (serial, serial_summary, _), (pooled, pooled_summary, forked) = (
+            runs[1], runs[2]
+        )
+        assert forked == len(specs), (
+            "pooled campaign ran %d of %d cells on a fork worker"
+            % (forked, len(specs))
+        )
         # The identity contract holds whatever the host looks like.
         assert serial.completed == pooled.completed == len(specs)
         assert serial_summary == pooled_summary, (

@@ -446,8 +446,6 @@ def run_experiment(
     spec: ExperimentSpec,
     ecosystem: Optional[Ecosystem] = None,
     seed_plan: Optional[SeedPlan] = None,
-    *,
-    progress_hook: Optional[Any] = None,
 ) -> ExperimentResult:
     """Run one experiment from its spec; the facade entry point.
 
@@ -460,15 +458,8 @@ def run_experiment(
     captured run-locally (:func:`spec_capture`) and lands on
     ``result.provenance_events``; an already-active channel (e.g. the
     CLI's) is left in place and keeps receiving events as usual.
-
-    *progress_hook*, when given, is called with keyword fields
-    (``phase``, ``rounds_completed``, ...) as the run advances — the
-    channel campaign heartbeats and status consoles hang off.
-    Strictly observational; it never changes results.
     """
     runner = build_runner(spec, ecosystem, seed_plan)
-    if progress_hook is not None:
-        runner.progress_hook = progress_hook
     active = active_capture()
     local = spec_capture(spec, active)
     with use_capture(local.over(active)):

@@ -17,9 +17,10 @@
 - ``age-model`` — print the Figure 7 state diagrams;
 - ``funnel`` — print the §3.2 seed coverage funnel for a fresh
   ecosystem;
-- ``status`` — show a sweep campaign's live progress from its
-  heartbeat files (one-shot or ``--watch``; see
-  :mod:`repro.experiment.status`);
+- ``status`` — show a sweep campaign's progress from its
+  ``grid.json`` and checkpoints: a cell is done exactly when a resumed
+  sweep would skip it (see
+  :class:`repro.experiment.campaign.CampaignStatus`);
 - ``bench-diff`` — compare the latest benchmark runs against the
   recorded ``BENCH_HISTORY.jsonl`` trajectory and exit non-zero on a
   wall-time regression (see :mod:`repro.obs.benchtrack`; ``--json``
@@ -56,7 +57,6 @@ from .dataio.json_results import (
     signals_from_records,
 )
 from .errors import AnalysisError, ExperimentError, ReproError
-from .experiment.status import DEFAULT_STALE_AFTER_SECONDS
 from .obs import configure_logging, get_registry
 from .obs.benchtrack import DEFAULT_THRESHOLD_PCT
 from .obs.capture import DEFAULT_CAPACITY, Capture, EventRing, use_capture
@@ -256,24 +256,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     status = sub.add_parser(
         "status",
-        help="show a sweep campaign's progress from its heartbeat "
-             "files (works while the sweep runs in another process)",
+        help="show a sweep campaign's progress from its grid.json and "
+             "checkpoints (works while the sweep runs in another "
+             "process)",
     )
     status.add_argument(
         "campaign_dir", metavar="DIR",
         help="the --campaign-dir of the sweep to inspect",
-    )
-    status.add_argument(
-        "--watch", type=float, default=None, metavar="SECONDS",
-        help="re-render every SECONDS until the campaign completes "
-             "(default: print once and exit)",
-    )
-    status.add_argument(
-        "--stale-after", type=float,
-        default=DEFAULT_STALE_AFTER_SECONDS, metavar="SECONDS",
-        help="flag a running cell whose heartbeat is older than this "
-             "as stale / candidate-dead (default: %.0f)"
-             % DEFAULT_STALE_AFTER_SECONDS,
     )
     status.add_argument(
         "--no-cells", action="store_true",
@@ -518,7 +507,10 @@ def _cmd_sweep(args) -> int:
         with _observing(args) as capture:
             result = runner.run()
     except ExperimentError as error:
+        # The requested outputs still land: the metrics snapshot is a
+        # failed campaign's durable record (`campaign.cells_failed`).
         print(str(error), file=sys.stderr)
+        _write_outputs(args, capture)
         return 1
     print(result.summary.render())
     print()
@@ -706,49 +698,22 @@ def _cmd_funnel(args) -> int:
 
 
 def _cmd_status(args) -> int:
-    from .experiment.status import CampaignStatus
+    from .experiment.campaign import CampaignStatus
 
-    if args.stale_after <= 0:
-        print("--stale-after must be positive", file=sys.stderr)
-        return 2
-    if args.watch is not None and args.watch <= 0:
-        print("--watch must be positive", file=sys.stderr)
-        return 2
     directory = args.campaign_dir
     if not os.path.isdir(directory):
         print("not a directory: %s" % directory, file=sys.stderr)
         return 2
-
-    def load() -> CampaignStatus:
-        return CampaignStatus.load(directory, stale_after=args.stale_after)
-
-    status = load()
+    status = CampaignStatus.load(directory)
     if status.total == 0:
         print(
-            "no campaign state in %s (expected grid.json, cells/ or "
-            "status/ — is this a --campaign-dir?)" % directory,
+            "no campaign state in %s (expected grid.json or cells/ — "
+            "is this a --campaign-dir?)" % directory,
             file=sys.stderr,
         )
         return 2
-    if args.watch is None:
-        print(status.render(verbose=not args.no_cells))
-        return 1 if status.count("failed") else 0
-    import time
-    while True:
-        print(status.render(verbose=not args.no_cells))
-        sys.stdout.flush()
-        if status.complete:
-            return 0
-        if status.count("failed") and status.count("running") == 0:
-            # Nothing is moving and something failed: watching further
-            # cannot change the outcome.
-            return 1
-        print()
-        try:
-            time.sleep(args.watch)
-        except KeyboardInterrupt:
-            return 130
-        status = load()
+    print(status.render(verbose=not args.no_cells))
+    return 0
 
 
 def _cmd_bench_diff(args) -> int:

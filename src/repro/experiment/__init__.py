@@ -12,10 +12,9 @@
 - :mod:`repro.experiment.campaign` — sweep orchestration: grids of
   (seed × scenario × experiment) cells run as network groups (one
   ecosystem and probe-seed plan per group), with group-level process
-  parallelism and digest-keyed resumable checkpoints;
-- :mod:`repro.experiment.status` — campaign heartbeats
-  (``status/<digest>.json``) and the :class:`CampaignStatus` read
-  model behind ``repro status``.
+  parallelism and digest-keyed resumable checkpoints, and the
+  :class:`CampaignStatus` fold of ``grid.json`` and those checkpoints
+  behind ``repro status``.
 """
 
 from .schedule import (
@@ -40,18 +39,18 @@ from .scheduler import (
 from .campaign import (
     CampaignResult,
     CampaignRunner,
+    CampaignStatus,
     CellOutcome,
+    CellStatus,
     CellWork,
     plan_grid,
     run_experiment_pair,
 )
-from .status import CampaignStatus, CellHeartbeat, CellStatus
 
 __all__ = [
     "CampaignResult",
     "CampaignRunner",
     "CampaignStatus",
-    "CellHeartbeat",
     "CellStatus",
     "CellOutcome",
     "CellWork",

@@ -32,6 +32,11 @@ byte-identical cell results:
   interrupted-then-resumed campaign writes a ``campaign_summary.json``
   byte-identical to an uninterrupted run's.
 
+A campaign's progress is read from the same files: ``grid.json`` lists
+the planned cells when the campaign starts, and :class:`CampaignStatus`
+(behind ``repro status``) counts a cell done exactly when a resumed
+campaign would skip it — one checkpoint predicate serves both.
+
 The identity contract: a cell's
 :class:`~repro.experiment.records.ExperimentResult` — responses,
 classifications, report text, exported provenance — is byte-identical
@@ -83,10 +88,8 @@ from .scheduler import (
     Task,
     fork_available,
     in_worker_process,
-    task_backend_name,
     task_context,
 )
-from .status import STATUS_DIRNAME, CellHeartbeat, write_grid_manifest
 
 __all__ = [
     "CellWork",
@@ -95,12 +98,18 @@ __all__ = [
     "NetworkGroup",
     "CampaignRunner",
     "CampaignResult",
+    "CampaignStatus",
+    "CellStatus",
     "cell_record",
     "identity_view",
     "dispatch_cells",
     "group_cells",
     "plan_grid",
     "run_experiment_pair",
+    "load_checkpoint",
+    "load_grid_manifest",
+    "write_grid_manifest",
+    "GRID_SCHEMA_VERSION",
     "RECORD_SCHEMA_VERSION",
 ]
 
@@ -109,6 +118,13 @@ _log = get_logger("repro.campaign")
 #: Bumped when the checkpoint record layout changes; stale-schema
 #: checkpoints are recomputed, never reinterpreted.
 RECORD_SCHEMA_VERSION = 2
+
+#: Bumped when the grid manifest layout changes.
+GRID_SCHEMA_VERSION = 1
+
+#: The fields that name a cell: the grid manifest lists them per cell,
+#: and a checkpoint must carry the same values to be that cell's.
+_CELL_KEY = ("digest", "experiment", "seed", "scenario")
 
 
 # ---------------------------------------------------------------------
@@ -280,9 +296,20 @@ def _typed(value, kind) -> bool:
     return isinstance(value, kind) and not isinstance(value, bool)
 
 
-def _is_cell_record(record, spec: ExperimentSpec) -> bool:
-    """Whether *record* is a complete :func:`cell_record` of *spec*:
-    this schema and cell, every field present with its type, and
+def _cell_key(spec: ExperimentSpec) -> dict:
+    """The :data:`_CELL_KEY` fields of *spec*'s cell."""
+    return {
+        "digest": spec.digest(),
+        "experiment": spec.experiment,
+        "seed": spec.seed,
+        "scenario": spec.scenario,
+    }
+
+
+def _is_cell_record(record, cell: dict) -> bool:
+    """Whether *record* is a complete :func:`cell_record` of *cell* (a
+    :func:`_cell_key`, or a ``grid.json`` entry): this schema and
+    cell, every field present with its type, and
     ``categories``/``fractions`` keyed by exactly the Table 1
     categories (int counts, numeric fractions)."""
     if not isinstance(record, dict) or not all(
@@ -290,12 +317,8 @@ def _is_cell_record(record, spec: ExperimentSpec) -> bool:
         for name, kind in _RECORD_FIELDS.items()
     ):
         return False
-    if (
-        record["schema"] != RECORD_SCHEMA_VERSION
-        or record["digest"] != spec.digest()
-        or record["experiment"] != spec.experiment
-        or record["seed"] != spec.seed
-        or record["scenario"] != spec.scenario
+    if record["schema"] != RECORD_SCHEMA_VERSION or any(
+        record[name] != cell.get(name) for name in _CELL_KEY
     ):
         return False
     names = {category.value for category in TABLE1_ORDER}
@@ -316,19 +339,11 @@ def identity_view(record: dict) -> dict:
     return {k: v for k, v in record.items() if k != "wall_seconds"}
 
 
-def _run_cell(
-    work: CellWork,
-    index: int,
-    network: Network,
-    heartbeat: Optional[CellHeartbeat] = None,
-) -> CellOutcome:
+def _run_cell(work: CellWork, index: int, network: Network) -> CellOutcome:
     """Execute one cell on its group's *network* under the active
     capture — a pooled worker's child, or inline the parent's own,
     exactly like a standalone run — plus a run-local capture for
-    whatever else its spec asks for.  *heartbeat*, when given, tracks
-    the cell's phase/round progress in ``status/<digest>.json``
-    (purely observational — results are identical with or without
-    it)."""
+    whatever else its spec asks for."""
     spec = work.spec
     started = time.perf_counter()
     ecosystem, seed_plan = network
@@ -336,9 +351,6 @@ def _run_cell(
         spec, ecosystem, seed_plan,
         schedule=work.schedule, fault_plan=work.fault_plan,
     )
-    if heartbeat is not None:
-        heartbeat.begin(rounds_total=spec.num_rounds)
-        runner.progress_hook = heartbeat.progress
     active = active_capture()
     local = spec_capture(spec, active)
     with use_capture(local.over(active)):
@@ -348,8 +360,6 @@ def _run_cell(
     if work.build_record:
         record = cell_record(spec, result, ecosystem)
         record["wall_seconds"] = time.perf_counter() - started
-    if heartbeat is not None:
-        heartbeat.done(wall_seconds=time.perf_counter() - started)
     return CellOutcome(
         index=index,
         digest=spec.digest(),
@@ -364,46 +374,18 @@ def _run_cell(
 # ---------------------------------------------------------------------
 # Dispatch
 
-def _make_heartbeat(
-    spec: ExperimentSpec,
-    status_dir: Optional[str],
-    backend: Optional[str] = None,
-) -> Optional[CellHeartbeat]:
-    if status_dir is None:
-        return None
-    return CellHeartbeat(
-        status_dir, spec.digest(), spec.label(), backend=backend
-    )
-
-
-def _cell_task(
-    work: CellWork,
-    index: int,
-    network: Network,
-    status_dir: Optional[str],
-) -> CellOutcome:
+def _cell_task(work: CellWork, index: int, network: Network) -> CellOutcome:
     """Run one cell of a group task.
 
-    The executing backend's name is stamped on the cell's heartbeat so
-    mixed inline/fork campaigns are debuggable from ``repro status``.
     In a pool worker the cell runs under isolated obs state — a fresh
-    registry (so the heartbeat's mirrored counters are strictly this
-    cell's) and a child of the inherited capture — and ships both back
-    for in-order merging; inline it records straight into the parent's
-    obs state, exactly like a standalone run.
+    registry and a child of the inherited capture — and ships both back
+    for in-order merging; the ``campaign.cells_forked`` counter it
+    ships proves the cell ran there.  Inline it records straight into
+    the parent's obs state, exactly like a standalone run.
     """
-    isolate = in_worker_process()
-    heartbeat = _make_heartbeat(
-        work.spec, status_dir, backend=task_backend_name()
-    )
-    if not isolate:
-        try:
-            with span("campaign.cell.%s" % work.spec.label()):
-                outcome = _run_cell(work, index, network, heartbeat)
-        except Exception as error:
-            if heartbeat is not None:
-                heartbeat.failed(str(error))
-            raise
+    if not in_worker_process():
+        with span("campaign.cell.%s" % work.spec.label()):
+            outcome = _run_cell(work, index, network)
         get_registry().counter("campaign.cells_completed").inc()
         return outcome
     registry = MetricsRegistry()
@@ -411,13 +393,9 @@ def _cell_task(
     capture = parent.child() if parent is not None else None
     with use_registry(registry), detached_trace(), use_capture(capture):
         with span("campaign.cell.%s" % work.spec.label()) as record:
-            try:
-                outcome = _run_cell(work, index, network, heartbeat)
-            except Exception as error:
-                if heartbeat is not None:
-                    heartbeat.failed(str(error))
-                raise
+            outcome = _run_cell(work, index, network)
         registry.counter("campaign.cells_completed").inc()
+        registry.counter("campaign.cells_forked").inc()
         outcome.trace = record.as_dict()
     outcome.metrics = registry.snapshot()
     if capture is not None and capture.provenance is not None:
@@ -428,24 +406,24 @@ def _cell_task(
 def _group_task(number: int) -> List[Union[CellOutcome, CellFailure]]:
     """Scheduler task entry point: run one network group.
 
-    The work list, the groups and the status directory arrive as the
-    backend context (:func:`task_context`).  The group's network is
-    built once here (unless the group carries one) and is dropped when
-    the task returns.  A cell that raises becomes a
+    The work list and the groups arrive as the backend context
+    (:func:`task_context`).  The group's network is built once here
+    (unless the group carries one) and is dropped when the task
+    returns.  A cell that raises becomes a
     :class:`CellFailure` and its group-mates still run; the result is
     one outcome or failure per cell, in the group's cell order.
     """
     context = task_context()
     if context is None:
         raise ExperimentError("group task used outside a scheduler backend")
-    works, groups, status_dir = context
+    works, groups = context
     group = groups[number]
     network = group.network or network_of(works[group.cells[0]].spec)
     settled: List[Union[CellOutcome, CellFailure]] = []
     for index in group.cells:
         work = works[index]
         try:
-            settled.append(_cell_task(work, index, network, status_dir))
+            settled.append(_cell_task(work, index, network))
         except Exception as error:
             settled.append(CellFailure(
                 index, work.spec.digest(), work.spec.label(), str(error)
@@ -470,7 +448,6 @@ def dispatch_cells(
     works: Sequence[CellWork],
     pool_workers: int = 1,
     on_outcome: Optional[Callable[[CellOutcome], None]] = None,
-    status_dir: Optional[str] = None,
     backend: Optional[str] = None,
     network: Optional[Network] = None,
 ) -> Tuple[List[Optional[CellOutcome]], List[CellFailure]]:
@@ -489,10 +466,7 @@ def dispatch_cells(
     order: group by group, and each group's cells in grid order.  In
     pooled mode the parent merges worker metrics snapshots, re-attaches
     span trees, and merges shipped captures into its active capture in
-    that order, reproducing the inline observability streams.  With
-    *status_dir*, every executing cell — inline or pooled — maintains a
-    ``<status_dir>/<digest>.json`` heartbeat stamped with the executing
-    backend's name (see :mod:`repro.experiment.status`).
+    that order, reproducing the inline observability streams.
     """
     works = list(works)
     outcomes: List[Optional[CellOutcome]] = [None] * len(works)
@@ -503,7 +477,7 @@ def dispatch_cells(
         groups = [NetworkGroup(list(range(len(works))), network)]
     else:
         groups = group_cells(works)
-    context = (tuple(works), tuple(groups), status_dir)
+    context = (tuple(works), tuple(groups))
     pooled = _will_fork(pool_workers, len(groups), backend)
     execution = (
         ForkPoolBackend(
@@ -525,16 +499,9 @@ def dispatch_cells(
         cells = groups[task.key].cells
         if result.error is not None:
             # The whole task died: its network failed to build, or a
-            # pool worker crashed.  No cell of it reported back, so
-            # mark each one's heartbeat "failed" from here (a crashed
-            # worker never did), not eternal "running".
+            # pool worker crashed.  No cell of it reported back.
             for index in cells:
                 spec = works[index].spec
-                beat = _make_heartbeat(
-                    spec, status_dir, backend=execution.name
-                )
-                if beat is not None:
-                    beat.failed(str(result.error))
                 fail(CellFailure(
                     index, spec.digest(), spec.label(), str(result.error)
                 ))
@@ -664,7 +631,8 @@ class CampaignRunner:
     specs:
         The grid (see :func:`plan_grid`); digests must be unique.
     directory:
-        Campaign state root.  Completed cells persist under
+        Campaign state root.  The planned grid lands in ``grid.json``
+        (:func:`write_grid_manifest`); completed cells persist under
         ``cells/<digest>.json`` (plus ``cells/<digest>.provenance.jsonl``
         for specs requesting provenance); the aggregate lands in
         ``campaign_summary.json``.
@@ -708,30 +676,12 @@ class CampaignRunner:
         return os.path.join(self.directory, "cells")
 
     @property
-    def status_dir(self) -> str:
-        return os.path.join(self.directory, STATUS_DIRNAME)
-
-    def cell_path(self, digest: str) -> str:
-        return os.path.join(self.cells_dir, "%s.json" % digest)
-
-    @property
     def summary_path(self) -> str:
         return os.path.join(self.directory, "campaign_summary.json")
 
-    def _load_checkpoint(self, spec: ExperimentSpec) -> Optional[dict]:
-        path = self.cell_path(spec.digest())
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                record = json.load(handle)
-        except (OSError, ValueError, RecursionError):
-            return None
-        # A checkpoint only counts if it is a complete record of this
-        # schema and really is this cell; anything else is recomputed.
-        return record if _is_cell_record(record, spec) else None
-
     def _write_checkpoint(self, record: dict) -> None:
         _write_atomic(
-            self.cell_path(record["digest"]),
+            _checkpoint_path(self.directory, record["digest"]),
             json.dumps(record, indent=1, sort_keys=True) + "\n",
         )
 
@@ -762,18 +712,13 @@ class CampaignRunner:
         pending: List[ExperimentSpec] = []
         skipped = 0
         for spec in self.specs:
-            checkpoint = self._load_checkpoint(spec) if self.resume else None
+            checkpoint = (
+                load_checkpoint(self.directory, _cell_key(spec))
+                if self.resume else None
+            )
             if checkpoint is not None:
                 records[spec.digest()] = checkpoint
                 skipped += 1
-                # Resumed cells are done without executing; give them
-                # a heartbeat so the console shows the whole grid.
-                heartbeat = _make_heartbeat(spec, self.status_dir)
-                heartbeat.begin(rounds_total=spec.num_rounds)
-                heartbeat.done(
-                    wall_seconds=checkpoint.get("wall_seconds"),
-                    resumed=True,
-                )
             else:
                 pending.append(spec)
         get_registry().counter("campaign.cells_skipped").inc(skipped)
@@ -812,7 +757,6 @@ class CampaignRunner:
                 works,
                 pool_workers=self.pool_workers,
                 on_outcome=checkpoint_outcome,
-                status_dir=self.status_dir,
             )
 
         result.completed = len(records) - skipped
@@ -849,6 +793,10 @@ class CampaignRunner:
         _write_atomic(self.summary_path, summary.to_json(indent=1) + "\n")
 
 
+# ---------------------------------------------------------------------
+# Campaign files: checkpoints, the grid manifest, and the status fold
+
+
 def _write_atomic(path: str, text: str) -> None:
     """Write *text* to *path* via a temp file and rename, so readers
     (and resumed campaigns) never see a partial file."""
@@ -857,6 +805,172 @@ def _write_atomic(path: str, text: str) -> None:
     with open(temp, "w", encoding="utf-8") as handle:
         handle.write(text)
     os.replace(temp, path)
+
+
+def _read_json(path: str):
+    """The JSON value in *path*, or None if it cannot be read."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return json.load(handle)
+    except (OSError, ValueError, RecursionError):
+        return None
+
+
+def _checkpoint_path(directory: str, digest: str) -> str:
+    return os.path.join(directory, "cells", "%s.json" % digest)
+
+
+def load_checkpoint(directory: str, cell: dict) -> Optional[dict]:
+    """*cell*'s checkpoint under campaign *directory*, or None unless
+    it is a complete record of this schema and really is that cell
+    (:func:`_is_cell_record`).  A resumed campaign skips exactly the
+    cells this returns a record for, and ``repro status`` counts
+    exactly those as done."""
+    record = _read_json(_checkpoint_path(directory, str(cell.get("digest"))))
+    return record if _is_cell_record(record, cell) else None
+
+
+def write_grid_manifest(
+    directory: str, specs: Sequence[ExperimentSpec]
+) -> str:
+    """Persist the planned grid as ``<directory>/grid.json`` (atomic):
+    each cell's :data:`_CELL_KEY` fields and label.  Returns the
+    path."""
+    path = os.path.join(directory, "grid.json")
+    payload = {
+        "schema": GRID_SCHEMA_VERSION,
+        "total": len(specs),
+        "cells": [
+            dict(_cell_key(spec), label=spec.label()) for spec in specs
+        ],
+    }
+    _write_atomic(path, json.dumps(payload, indent=1, sort_keys=True) + "\n")
+    return path
+
+
+def load_grid_manifest(directory: str) -> Optional[dict]:
+    manifest = _read_json(os.path.join(directory, "grid.json"))
+    if (
+        not isinstance(manifest, dict)
+        or manifest.get("schema") != GRID_SCHEMA_VERSION
+        or not isinstance(manifest.get("cells"), list)
+    ):
+        return None
+    return manifest
+
+
+@dataclass(frozen=True)
+class CellStatus:
+    """One planned cell: ``done`` when its checkpoint is one a resumed
+    campaign would skip, ``pending`` otherwise."""
+
+    digest: str
+    label: str
+    state: str
+    #: The compute time recorded in a done cell's checkpoint.
+    wall_seconds: Optional[float] = None
+
+
+@dataclass
+class CampaignStatus:
+    """What ``repro status`` reports: ``grid.json`` folded with the
+    ``cells/`` checkpoints."""
+
+    directory: str
+    cells: List[CellStatus] = field(default_factory=list)
+    summary_present: bool = False
+
+    @classmethod
+    def load(cls, directory: str) -> "CampaignStatus":
+        """Fold *directory*'s grid manifest and checkpoints.  A
+        directory without ``grid.json`` (a campaign older than the
+        manifest) reports the cells that left a checkpoint, each
+        checked against its own key fields."""
+        manifest = load_grid_manifest(directory)
+        if manifest is not None:
+            planned = [
+                cell for cell in manifest["cells"] if isinstance(cell, dict)
+            ]
+        else:
+            cells_dir = os.path.join(directory, "cells")
+            names = (
+                sorted(os.listdir(cells_dir))
+                if os.path.isdir(cells_dir) else []
+            )
+            planned = []
+            for name in names:
+                if name.endswith(".json"):
+                    record = _read_json(os.path.join(cells_dir, name))
+                    cell = dict(record) if isinstance(record, dict) else {}
+                    cell.update(digest=name[: -len(".json")], label=None)
+                    planned.append(cell)
+        status = cls(
+            directory=directory,
+            summary_present=os.path.exists(
+                os.path.join(directory, "campaign_summary.json")
+            ),
+        )
+        for cell in planned:
+            digest = str(cell.get("digest"))
+            record = load_checkpoint(directory, cell)
+            status.cells.append(CellStatus(
+                digest=digest,
+                label=str(cell.get("label") or digest),
+                state="pending" if record is None else "done",
+                wall_seconds=(
+                    None if record is None else float(record["wall_seconds"])
+                ),
+            ))
+        return status
+
+    def count(self, state: str) -> int:
+        return sum(1 for cell in self.cells if cell.state == state)
+
+    @property
+    def total(self) -> int:
+        return len(self.cells)
+
+    @property
+    def complete(self) -> bool:
+        return self.total > 0 and self.count("done") == self.total
+
+    def cells_per_minute(self) -> Optional[float]:
+        """Done-cell throughput from the checkpoints' recorded compute
+        times (so a pooled campaign reports aggregate worker
+        throughput)."""
+        walls = [
+            cell.wall_seconds for cell in self.cells if cell.state == "done"
+        ]
+        if sum(walls) <= 0:
+            return None
+        return 60.0 * len(walls) / sum(walls)
+
+    def render(self, verbose: bool = True) -> str:
+        """The console text of ``repro status``."""
+        done = self.count("done")
+        header = "campaign %s: %d/%d cell(s) complete" % (
+            self.directory, done, self.total
+        )
+        if self.total:
+            header += " (%.0f%%)" % (100.0 * done / self.total)
+        lines = [header]
+        throughput = self.cells_per_minute()
+        if throughput is not None:
+            lines.append("  throughput: %.1f cells/minute" % throughput)
+        if verbose and self.cells:
+            lines.append("")
+            lines.append("  %-34s %-8s %8s" % ("cell", "state", "wall"))
+            for cell in self.cells:
+                wall = (
+                    "%.1fs" % cell.wall_seconds
+                    if cell.wall_seconds is not None else "-"
+                )
+                lines.append(
+                    "  %-34s %-8s %8s" % (cell.label[:34], cell.state, wall)
+                )
+        if self.complete and self.summary_present:
+            lines.append("all cells complete; summary written")
+        return "\n".join(lines)
 
 
 def known_scenarios() -> List[str]:

@@ -82,22 +82,6 @@ class ExperimentRunner:
         #: ASes that selected a new best since the round catchment was
         #: last patched (see :meth:`_apply`).
         self._changed: Set[int] = set()
-        #: Optional progress callback (``hook(**fields)``) fired as the
-        #: run advances — campaign heartbeats hang off it.  Strictly
-        #: observational: exceptions are swallowed, results untouched.
-        self.progress_hook = None
-
-    def _report_progress(self, **fields) -> None:
-        hook = self.progress_hook
-        if hook is None:
-            return
-        try:
-            hook(**fields)
-        except Exception as error:  # progress must never fail the run
-            _log.warning(
-                "progress hook failed",
-                experiment=self.experiment, error=str(error),
-            )
 
     # ------------------------------------------------------------------
 
@@ -130,15 +114,10 @@ class ExperimentRunner:
         prefix = ecosystem.measurement_prefix
         rib = partial(engine.best_route, prefix=prefix)
 
-        # Progress plane: a total for the sampler/heartbeats to rate
-        # `runner.rounds_completed` against, plus the initial tick.
+        # A total for the --metrics-out snapshot to read
+        # `runner.rounds_completed` against.
         get_registry().gauge("runner.rounds_total").set(
             len(schedule.configs)
-        )
-        self._report_progress(
-            phase="converging",
-            rounds_completed=0,
-            rounds_total=len(schedule.configs),
         )
 
         # Phase 0: commodity announcement soaks alone.
@@ -467,27 +446,11 @@ class ExperimentRunner:
         messages = result.round_messages_delivered(index)
         registry = get_registry()
         # Monotonic progress counter: one per completed round, read
-        # from the --metrics-out snapshot; heartbeats get the same
-        # progress live through the hook below.
+        # from the --metrics-out snapshot.
         registry.counter("runner.rounds_completed").inc()
         registry.histogram(
             "runner.round_messages", _MESSAGE_BUCKETS
         ).observe(messages)
-        # Cumulative engine convergence detail rides along so status
-        # surfaces can tell a stalled cell from a slowly converging
-        # one (engine "iterations" are delivered messages).
-        self._report_progress(
-            phase="probing",
-            rounds_completed=index + 1,
-            config=config_label,
-            engine_iterations=sum(
-                s.messages_delivered for s in result.convergence
-            ),
-            best_changes=sum(s.best_changes for s in result.convergence),
-            messages_dropped=sum(
-                s.messages_dropped for s in result.convergence
-            ),
-        )
         if _log.is_enabled_for("info"):
             round_result = result.rounds[index]
             _log.info(

@@ -19,8 +19,7 @@ campaign recomputes only the failures.
 Backend contract
 ----------------
 ``name``
-    ``"inline"`` or ``"fork"``; stamped on :class:`TaskResult`\\ s and
-    campaign heartbeats.
+    ``"inline"`` or ``"fork"``; stamped on :class:`TaskResult`\\ s.
 ``context``
     A picklable object shipped to every executing process once (the
     pool initializer, not per task).  Task functions read it back via
@@ -50,7 +49,6 @@ __all__ = [
     "TaskResult",
     "fork_available",
     "in_worker_process",
-    "task_backend_name",
     "task_context",
 ]
 
@@ -64,7 +62,6 @@ class SchedulerError(ExperimentError):
 
 
 _CONTEXT: Any = None
-_BACKEND_NAME: Optional[str] = None
 _IN_WORKER = False
 
 
@@ -72,12 +69,6 @@ def task_context() -> Any:
     """The executing backend's ``context`` object (None outside a
     task and outside pool workers)."""
     return _CONTEXT
-
-
-def task_backend_name() -> Optional[str]:
-    """Name of the backend executing the current task, or None when
-    called outside any backend."""
-    return _BACKEND_NAME
 
 
 def in_worker_process() -> bool:
@@ -89,10 +80,9 @@ def fork_available() -> bool:
     return "fork" in multiprocessing.get_all_start_methods()
 
 
-def _init_fork_worker(context: Any, name: str) -> None:
-    global _CONTEXT, _BACKEND_NAME, _IN_WORKER
+def _init_fork_worker(context: Any) -> None:
+    global _CONTEXT, _IN_WORKER
     _CONTEXT = context
-    _BACKEND_NAME = name
     _IN_WORKER = True
 
 
@@ -141,16 +131,15 @@ class _InlineFuture(Future):
         if self._task is not None:
             backend, fn, args = self._task
             self._task = None
-            global _CONTEXT, _BACKEND_NAME
-            saved = (_CONTEXT, _BACKEND_NAME)
+            global _CONTEXT
+            saved = _CONTEXT
             _CONTEXT = backend.context
-            _BACKEND_NAME = backend.name
             try:
                 self.set_result(fn(*args))
             except BaseException as error:  # parity with pool futures
                 self.set_exception(error)
             finally:
-                _CONTEXT, _BACKEND_NAME = saved
+                _CONTEXT = saved
         return super().result(timeout)
 
 
@@ -200,7 +189,7 @@ class ForkPoolBackend:
             max_workers=self.workers,
             mp_context=multiprocessing.get_context("fork"),
             initializer=_init_fork_worker,
-            initargs=(self.context, self.name),
+            initargs=(self.context,),
         )
         return self
 

@@ -44,6 +44,7 @@ from repro.experiment.campaign import (
     run_experiment_pair,
 )
 from repro.experiment.scheduler import fork_available
+from repro.obs import MetricsRegistry, use_registry
 from repro.topology.re_config import (
     REEcosystemConfig,
     SCENARIO_PRESETS,
@@ -185,48 +186,46 @@ def test_pooled_campaign_summary_identical_to_serial(tmp_path):
         assert one == two
 
 
+def _counted(run):
+    """``(run(), counters)`` with *run* called under a fresh metrics
+    registry (``campaign.cells_forked`` counts the cells a fork worker
+    ran)."""
+    registry = MetricsRegistry()
+    with use_registry(registry):
+        value = run()
+    return value, registry.snapshot()["counters"]
+
+
 def test_forced_backend_summary_identical(tmp_path):
     """The worker count alone picks the dispatch path: two workers on a
-    grid of two network groups run every cell on the fork pool (stamped
-    on its heartbeat), and the summary matches the serial run's
-    bytes."""
-    from repro.experiment.status import CampaignStatus
-
+    grid of two network groups run every cell on the fork pool, and the
+    summary matches the serial run's bytes."""
     if not fork_available():
         pytest.skip("fork start method unavailable")
     specs, _ = _grid(tmp_path)
     serial_dir = str(tmp_path / "serial")
     pooled_dir = str(tmp_path / "pooled")
     CampaignRunner(specs, serial_dir, pool_workers=1).run()
-    CampaignRunner(specs, pooled_dir, pool_workers=2).run()
+    _, counters = _counted(
+        CampaignRunner(specs, pooled_dir, pool_workers=2).run
+    )
     with open(os.path.join(serial_dir, "campaign_summary.json")) as fh:
         serial_bytes = fh.read()
     with open(os.path.join(pooled_dir, "campaign_summary.json")) as fh:
         assert fh.read() == serial_bytes
-    status = CampaignStatus.load(pooled_dir)
-    assert {cell.backend for cell in status.cells} == {"fork"}
+    assert counters["campaign.cells_forked"] == len(specs)
+    assert counters["campaign.cells_completed"] == len(specs)
 
 
-def test_heartbeats_stamp_executing_backend(tmp_path):
-    """Every cell's heartbeat records the scheduler backend that ran
-    it, so mixed inline/fork campaigns are debuggable from `repro
-    status`."""
-    from repro.experiment.status import STATUS_DIRNAME, CampaignStatus
-
+def test_inline_run_counts_no_forked_cells(tmp_path):
+    """An inline campaign runs every cell in this process: it completes
+    every cell and counts none as forked."""
     specs, directory = _grid(tmp_path)
-    CampaignRunner(specs, directory, pool_workers=1).run()
-    status_dir = os.path.join(directory, STATUS_DIRNAME)
-    for spec in specs:
-        with open(os.path.join(
-            status_dir, "%s.json" % spec.digest()
-        )) as fh:
-            beat = json.load(fh)
-        assert beat["backend"] == "inline"
-    status = CampaignStatus.load(directory)
-    assert {cell.backend for cell in status.cells} == {"inline"}
-    rendered = status.render(verbose=True)
-    assert "backend" in rendered
-    assert "inline" in rendered
+    _, counters = _counted(
+        CampaignRunner(specs, directory, pool_workers=1).run
+    )
+    assert counters["campaign.cells_completed"] == len(specs)
+    assert counters.get("campaign.cells_forked", 0) == 0
 
 
 def test_resume_skips_completed_cells(tmp_path):
@@ -383,28 +382,22 @@ def network_builds(monkeypatch):
     return calls
 
 
-def _backends(directory):
-    from repro.experiment.status import CampaignStatus
-
-    return {cell.backend for cell in CampaignStatus.load(directory).cells}
-
-
 @pytest.mark.parametrize("pool_workers", [1, 2])
 def test_group_cells_identical_to_standalone_runs(tmp_path, pool_workers):
     """Cells that share a network but are not adjacent in the grid
     still equal standalone runs of their specs, inline and pooled."""
     specs = _experiment_major_grid()
     directory = str(tmp_path / "campaign")
-    campaign = CampaignRunner(
-        specs, directory, pool_workers=pool_workers
-    ).run()
+    campaign, counters = _counted(
+        CampaignRunner(specs, directory, pool_workers=pool_workers).run
+    )
     assert campaign.completed == len(specs)
     for spec in specs:
         assert identity_view(
             campaign.records[spec.digest()]
         ) == _standalone_record(spec), spec.label()
     if pool_workers > 1 and fork_available():
-        assert _backends(directory) == {"fork"}
+        assert counters["campaign.cells_forked"] == len(specs)
 
 
 def test_campaign_builds_each_network_once(tmp_path, network_builds):
@@ -498,19 +491,20 @@ def test_failing_cell_spares_its_group_mates(
 
     monkeypatch.setattr(campaign, "build_runner", failing_build)
     directory = str(tmp_path / "campaign")
-    with pytest.raises(ExperimentError, match="1 campaign cell"):
+    registry = MetricsRegistry()
+    with use_registry(registry), pytest.raises(
+        ExperimentError,
+        match="1 campaign cell.*%s: forced cell failure" % doomed.label(),
+    ):
         CampaignRunner(specs, directory, pool_workers=pool_workers).run()
     for spec in specs:
         path = os.path.join(directory, "cells", "%s.json" % spec.digest())
         assert os.path.exists(path) == (spec != doomed), spec.label()
-    with open(os.path.join(
-        directory, "status", "%s.json" % doomed.digest()
-    )) as fh:
-        beat = json.load(fh)
-    assert beat["phase"] == "failed"
-    assert beat["error"] == "forced cell failure"
+    counters = registry.snapshot()["counters"]
+    assert counters["campaign.cells_failed"] == 1
+    assert counters["campaign.cells_completed"] == len(specs) - 1
     if pool_workers > 1 and fork_available():
-        assert _backends(directory) == {"fork"}
+        assert counters["campaign.cells_forked"] == len(specs) - 1
 
 
 def test_fault_spec_and_pps_share_a_network(network_builds):

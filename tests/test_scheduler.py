@@ -16,7 +16,7 @@ from repro.experiment.scheduler import (
     SchedulerError,
     Task,
     fork_available,
-    task_backend_name,
+    in_worker_process,
     task_context,
 )
 
@@ -31,8 +31,8 @@ def _identity(value):
     return value
 
 
-def _context_and_backend():
-    return task_context(), task_backend_name()
+def _context_and_worker():
+    return task_context(), in_worker_process()
 
 
 def _pid():
@@ -98,8 +98,8 @@ class TestSchedulerExecution:
     def test_inline_tasks_see_context_and_backend_name(self):
         context = {"grid": "state"}
         scheduler = Scheduler(InlineBackend(context))
-        [result] = scheduler.run([Task(key=0, fn=_context_and_backend)])
-        assert result.value == (context, "inline")
+        [result] = scheduler.run([Task(key=0, fn=_context_and_worker)])
+        assert result.value == (context, False)
         assert result.backend == "inline"
         assert task_context() is None
 
@@ -124,12 +124,12 @@ class TestSchedulerExecution:
         scheduler = Scheduler(ForkPoolBackend(context=("ctx", 7), workers=2))
         try:
             results = scheduler.run([
-                Task(key="ctx", fn=_context_and_backend),
+                Task(key="ctx", fn=_context_and_worker),
                 Task(key="pid", fn=_pid),
             ])
         finally:
             scheduler.shutdown()
-        assert results[0].value == (("ctx", 7), "fork")
+        assert results[0].value == (("ctx", 7), True)
         assert results[0].backend == "fork"
         assert results[1].value != os.getpid()
 

@@ -1,37 +1,34 @@
-"""Campaign progress: heartbeats, the grid manifest, ``repro status``,
-and the benchmark trajectory.
+"""Campaign progress: the grid manifest, ``repro status``, and the
+benchmark trajectory.
 
 The load-bearing guarantees:
 
+- ``repro status`` counts a cell done exactly when a resumed campaign
+  would skip it: both read a checkpoint through one predicate;
 - progress reporting is strictly observational — a pooled sweep with
-  heartbeats and ``--metrics-out`` produces cell records and a
+  ``--metrics-out`` produces cell records and a
   ``campaign_summary.json`` byte-identical to a plain serial sweep;
-- heartbeat files are digest-keyed and per-cell, so any
-  ``--campaign-workers`` count merges cleanly;
+- a failed sweep still writes the outputs it was asked for;
 - ``repro bench-diff`` exits non-zero on an injected >= 20%% wall-time
   regression.
 """
 
 import json
 import os
-import time
 
 import pytest
 
 from repro.cli import main
+from repro.errors import ExperimentError
 from repro.experiment.campaign import (
     CampaignRunner,
-    identity_view,
-    plan_grid,
-)
-from repro.experiment.status import (
     CampaignStatus,
-    CellHeartbeat,
-    HEARTBEAT_SCHEMA_VERSION,
-    STATUS_DIRNAME,
+    identity_view,
     load_grid_manifest,
+    plan_grid,
     write_grid_manifest,
 )
+from repro.experiment.scheduler import fork_available
 from repro.obs import MetricsRegistry, use_registry
 from repro.obs.benchtrack import (
     append_history,
@@ -45,67 +42,24 @@ SCALE = 0.05
 SEEDS = (0, 3)
 
 
-# ---------------------------------------------------------------------
-# Heartbeats
+def _campaign_specs():
+    return plan_grid(
+        SEEDS, scenarios=["baseline"], experiments=["surf"], scale=SCALE
+    )
 
 
-class TestCellHeartbeat:
-    def _read(self, heartbeat) -> dict:
-        with open(heartbeat.path, encoding="utf-8") as handle:
-            return json.load(handle)
+def _checkpoint(directory, spec):
+    return os.path.join(directory, "cells", "%s.json" % spec.digest())
 
-    def test_lifecycle(self, tmp_path):
-        heartbeat = CellHeartbeat(str(tmp_path), "abc123", "surf/seed0")
-        heartbeat.begin(rounds_total=9)
-        state = self._read(heartbeat)
-        assert state["schema"] == HEARTBEAT_SCHEMA_VERSION
-        assert state["phase"] == "running"
-        assert state["rounds_total"] == 9
-        assert state["pid"] == os.getpid()
-        assert state["started_at"] is not None
-        assert state["updated_at"] >= state["started_at"]
 
-        heartbeat.progress(
-            phase="probing", rounds_completed=4, config="3-1-1",
-            digest="EVIL", nonsense="ignored",
-        )
-        state = self._read(heartbeat)
-        assert state["phase"] == "probing"
-        assert state["rounds_completed"] == 4
-        assert state["config"] == "3-1-1"
-        assert state["digest"] == "abc123"  # identity keys are immutable
-        assert "nonsense" not in state
+def _read(path):
+    with open(path, encoding="utf-8") as handle:
+        return json.load(handle)
 
-        heartbeat.done(wall_seconds=1.5)
-        state = self._read(heartbeat)
-        assert state["phase"] == "done"
-        assert state["rounds_completed"] == 9
-        assert state["wall_seconds"] == 1.5
-        # Atomic writes leave no temp files behind.
-        assert os.listdir(str(tmp_path)) == ["abc123.json"]
 
-    def test_failed_records_error(self, tmp_path):
-        heartbeat = CellHeartbeat(str(tmp_path), "abc", "cell")
-        heartbeat.begin()
-        heartbeat.failed("worker exploded")
-        state = self._read(heartbeat)
-        assert state["phase"] == "failed"
-        assert state["error"] == "worker exploded"
-
-    def test_mirrors_registry_counters(self, tmp_path):
-        registry = MetricsRegistry()
-        registry.counter("runner.faults_injected").inc(5)
-        with use_registry(registry):
-            heartbeat = CellHeartbeat(str(tmp_path), "abc", "cell")
-            heartbeat.begin()
-        state = self._read(heartbeat)
-        assert state["faults_injected"] == 5
-
-    def test_write_failure_is_swallowed(self, tmp_path):
-        blocker = tmp_path / "not-a-dir"
-        blocker.write_text("file where the status dir should be")
-        heartbeat = CellHeartbeat(str(blocker), "abc", "cell")
-        heartbeat.begin()  # must not raise: heartbeats are best-effort
+def _write(path, record):
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(record, handle)
 
 
 class TestGridManifest:
@@ -136,7 +90,14 @@ class TestGridManifest:
 
 
 # ---------------------------------------------------------------------
-# The status read model (pure — fake clocks, hand-built directories)
+# The status fold: grid.json and the checkpoints
+
+
+@pytest.fixture()
+def complete_campaign(tmp_path):
+    directory = str(tmp_path / "campaign")
+    CampaignRunner(_campaign_specs(), directory).run()
+    return directory
 
 
 class TestCampaignStatus:
@@ -150,146 +111,124 @@ class TestCampaignStatus:
 
     def test_manifest_only_means_pending(self, tmp_path):
         spec = self._plan_one(tmp_path)
-        # A checkpoint and a heartbeat too deeply nested to parse read
-        # as absent.
-        for name in ("cells", STATUS_DIRNAME):
-            (tmp_path / name).mkdir()
-            (tmp_path / name / ("%s.json" % spec.digest())).write_text(
-                "[" * 100_000
-            )
+        # A checkpoint too deeply nested to parse reads as absent.
+        (tmp_path / "cells").mkdir()
+        (tmp_path / "cells" / ("%s.json" % spec.digest())).write_text(
+            "[" * 100_000
+        )
         status = CampaignStatus.load(str(tmp_path))
         assert status.total == 1
         assert not status.complete
         cell = status.cells[0]
         assert (cell.digest, cell.state) == (spec.digest(), "pending")
 
-    def test_running_becomes_stale_after_silence(self, tmp_path):
-        spec = self._plan_one(tmp_path)
-        status_dir = str(tmp_path / STATUS_DIRNAME)
-        CellHeartbeat(status_dir, spec.digest(), spec.label()).begin(
-            rounds_total=9
-        )
-        fresh = CampaignStatus.load(
-            str(tmp_path), now=time.time() + 1, stale_after=120
-        )
-        assert fresh.cells[0].state == "running"
-        assert fresh.stale_cells == []
-        silent = CampaignStatus.load(
-            str(tmp_path), now=time.time() + 1000, stale_after=120
-        )
-        cell = silent.cells[0]
-        assert cell.state == "stale"
-        assert cell.age_seconds > 120
-        rendered = silent.render()
-        assert "candidate dead" in rendered
-        assert "stale heartbeat" in rendered
-        assert "worker may be dead" in rendered
-
-    def test_failed_heartbeat_reported(self, tmp_path):
-        spec = self._plan_one(tmp_path)
-        heartbeat = CellHeartbeat(
-            str(tmp_path / STATUS_DIRNAME), spec.digest(), spec.label()
-        )
-        heartbeat.begin()
-        heartbeat.failed("boom")
-        status = CampaignStatus.load(str(tmp_path))
-        assert status.count("failed") == 1
-        assert "boom" in status.render()
-
-    def test_checkpoint_wins_over_stale_heartbeat(self, tmp_path):
-        spec = self._plan_one(tmp_path)
-        CellHeartbeat(
-            str(tmp_path / STATUS_DIRNAME), spec.digest(), spec.label()
-        ).begin(rounds_total=9)
-        cells_dir = tmp_path / "cells"
-        cells_dir.mkdir()
-        (cells_dir / ("%s.json" % spec.digest())).write_text(
-            json.dumps({"digest": spec.digest(), "wall_seconds": 2.0})
-        )
-        status = CampaignStatus.load(
-            str(tmp_path), now=time.time() + 9999
-        )
-        cell = status.cells[0]
-        assert cell.state == "done"
-        assert cell.rounds_completed == 9  # total, not the last beat
-        assert cell.wall_seconds == 2.0
-        assert status.complete
-
-    def test_no_manifest_falls_back_to_observed_cells(self, tmp_path):
-        CellHeartbeat(
-            str(tmp_path / STATUS_DIRNAME), "feedface", "orphan/cell"
-        ).begin()
-        status = CampaignStatus.load(str(tmp_path))
-        assert not status.has_manifest
-        assert status.total == 1
-        assert status.cells[0].label == "orphan/cell"
-
-    def test_throughput_skips_resumed_cells(self, tmp_path):
-        status = CampaignStatus(directory=str(tmp_path))
-        assert status.cells_per_minute() is None
-        from repro.experiment.status import CellStatus
-
-        status.cells = [
-            CellStatus(
-                digest="a", label="a", state="done", wall_seconds=30.0
-            ),
-            CellStatus(
-                digest="b", label="b", state="done", wall_seconds=30.0,
-                resumed=True,
-            ),
-        ]
-        assert status.cells_per_minute() == pytest.approx(2.0)
-
-
-# ---------------------------------------------------------------------
-# Heartbeats from real campaigns
-
-
-def _campaign_specs():
-    return plan_grid(
-        SEEDS, scenarios=["baseline"], experiments=["surf"], scale=SCALE
-    )
-
-
-class TestCampaignHeartbeats:
-    @pytest.mark.parametrize("pool_workers", [1, 2])
-    def test_every_cell_leaves_a_done_heartbeat(
-        self, tmp_path, pool_workers
-    ):
-        """Digest-keyed heartbeat files merge cleanly at any
-        ``--campaign-workers`` count: one file per cell, all done."""
+    def test_checkpoint_wins_over_stale_heartbeat(self, complete_campaign):
+        """A ``status/`` heartbeat left by an older version is ignored:
+        the checkpoint alone makes the cell done, with its wall time."""
         specs = _campaign_specs()
-        directory = str(tmp_path / ("pool%d" % pool_workers))
-        CampaignRunner(
-            specs, directory, pool_workers=pool_workers
-        ).run()
-        status_dir = os.path.join(directory, STATUS_DIRNAME)
-        assert sorted(os.listdir(status_dir)) == sorted(
-            "%s.json" % spec.digest() for spec in specs
-        )
-        status = CampaignStatus.load(directory)
+        assert not os.path.exists(os.path.join(complete_campaign, "status"))
+        stale = os.path.join(complete_campaign, "status")
+        os.mkdir(stale)
+        _write(os.path.join(stale, "%s.json" % specs[0].digest()), {
+            "schema": 1, "digest": specs[0].digest(), "phase": "failed",
+        })
+        status = CampaignStatus.load(complete_campaign)
         assert status.complete
-        assert status.has_manifest
-        assert status.summary_present
         for cell, spec in zip(status.cells, specs):
             assert cell.state == "done"
-            assert cell.rounds_total == spec.num_rounds
-            assert cell.rounds_completed == spec.num_rounds
-            assert not cell.resumed
-        assert "all cells complete; summary written" in status.render()
+            assert cell.wall_seconds == _read(
+                _checkpoint(complete_campaign, spec)
+            )["wall_seconds"]
 
-    def test_resumed_cells_marked_resumed(self, tmp_path):
+    def test_no_manifest_falls_back_to_observed_cells(
+        self, complete_campaign
+    ):
+        specs = _campaign_specs()
+        os.unlink(os.path.join(complete_campaign, "grid.json"))
+        _write(_checkpoint(complete_campaign, specs[1]), {"digest": "x"})
+        status = CampaignStatus.load(complete_campaign)
+        assert sorted(
+            (cell.digest, cell.state) for cell in status.cells
+        ) == sorted([
+            (specs[0].digest(), "done"), (specs[1].digest(), "pending")
+        ])
+
+    @pytest.mark.parametrize("pool_workers", [1, 2])
+    def test_every_cell_done_at_any_worker_count(
+        self, tmp_path, pool_workers
+    ):
+        """A finished campaign reads complete, inline or pooled, with
+        each cell's wall time from its checkpoint, and writes nothing
+        beside ``grid.json``, the checkpoints and the summary; a
+        resumed run that skips every cell still reads complete."""
         specs = _campaign_specs()
         directory = str(tmp_path / "campaign")
-        CampaignRunner(specs, directory).run()
-        CampaignRunner(specs, directory).run()
-        status = CampaignStatus.load(directory)
-        assert status.complete
-        assert all(cell.resumed for cell in status.cells)
+        for _ in range(2):
+            CampaignRunner(specs, directory, pool_workers=pool_workers).run()
+            assert sorted(os.listdir(directory)) == [
+                "campaign_summary.json", "cells", "grid.json",
+            ]
+            status = CampaignStatus.load(directory)
+            assert status.complete
+            assert [cell.digest for cell in status.cells] == [
+                spec.digest() for spec in specs
+            ]
+            for cell, spec in zip(status.cells, specs):
+                assert cell.wall_seconds == _read(
+                    _checkpoint(directory, spec)
+                )["wall_seconds"]
+            assert "all cells complete; summary written" in status.render()
+
+    def test_throughput_from_checkpoint_walls(self, complete_campaign):
+        specs = _campaign_specs()
+        for spec in specs:
+            record = _read(_checkpoint(complete_campaign, spec))
+            record["wall_seconds"] = 30.0
+            _write(_checkpoint(complete_campaign, spec), record)
+        status = CampaignStatus.load(complete_campaign)
+        assert status.cells_per_minute() == pytest.approx(2.0)
+        assert "throughput: 2.0 cells/minute" in status.render()
+        os.unlink(_checkpoint(complete_campaign, specs[0]))
+        os.unlink(_checkpoint(complete_campaign, specs[1]))
+        assert CampaignStatus.load(complete_campaign).cells_per_minute() is None
+
+    @pytest.mark.parametrize("corruption", ["schema", "fractions", "seed"])
+    def test_status_and_resume_agree_on_a_corrupt_checkpoint(
+        self, complete_campaign, capsys, corruption
+    ):
+        """A checkpoint resume would not accept — an old schema, a
+        missing field, another cell's key — reads as pending, and a
+        resumed campaign recomputes exactly that cell."""
+        specs = _campaign_specs()
+        victim = specs[1]
+        path = _checkpoint(complete_campaign, victim)
+        original = _read(path)
+        record = dict(original)
+        if corruption == "schema":
+            record["schema"] -= 1
+        elif corruption == "fractions":
+            del record["fractions"]
+        else:
+            record["seed"] = specs[0].seed
+        _write(path, record)
+
+        assert main(["status", complete_campaign]) == 0
+        out = capsys.readouterr().out
+        assert "1/2 cell(s) complete (50%)" in out
+        rows = {
+            line.split()[0]: line.split()[1]
+            for line in out.splitlines() if line.startswith("  surf/")
+        }
+        assert rows == {specs[0].label(): "done", victim.label(): "pending"}
+
+        rerun = CampaignRunner(specs, complete_campaign).run()
+        assert (rerun.completed, rerun.skipped) == (1, 1)
+        assert identity_view(_read(path)) == identity_view(original)
+        assert CampaignStatus.load(complete_campaign).complete
 
 
 # ---------------------------------------------------------------------
-# Identity: heartbeats and the metrics snapshot never touch the
+# Identity: the grid manifest and the metrics snapshot never touch the
 # contract surfaces
 
 
@@ -299,8 +238,7 @@ class TestProgressOutsideIdentityContract:
     ):
         """The identity surfaces (cell records,
         ``campaign_summary.json``) are byte-identical between a plain
-        serial sweep and a pooled sweep writing heartbeats and a
-        metrics snapshot."""
+        serial sweep and a pooled sweep writing a metrics snapshot."""
         clean_dir = str(tmp_path / "clean")
         noisy_dir = str(tmp_path / "noisy")
         metrics = str(tmp_path / "metrics.json")
@@ -334,18 +272,25 @@ class TestProgressOutsideIdentityContract:
                 noisy_cell = identity_view(json.load(fh))
             assert clean_cell == noisy_cell
 
-        # Both progress channels are real: every cell left a done
-        # heartbeat, and the snapshot counts every cell against the
-        # grid gauge.
+        # Both progress surfaces are real: status reads every cell
+        # done (and nothing else is written beside the checkpoints),
+        # and the snapshot counts every cell against the grid gauge,
+        # each run on a fork worker.
         status = CampaignStatus.load(noisy_dir)
         assert status.complete
         assert len(status.cells) == len(cell_names)
-        with open(metrics, encoding="utf-8") as fh:
-            snapshot = json.load(fh)
+        assert sorted(os.listdir(noisy_dir)) == [
+            "campaign_summary.json", "cells", "grid.json",
+        ]
+        snapshot = _read(metrics)
         assert snapshot["gauges"]["campaign.cells_total"] == len(cell_names)
         assert snapshot["counters"]["campaign.cells_completed"] == len(
             cell_names
         )
+        if fork_available():
+            assert snapshot["counters"]["campaign.cells_forked"] == len(
+                cell_names
+            )
 
     def test_reproduce_with_metrics_stdout_identical(
         self, tmp_path, capsys
@@ -371,24 +316,15 @@ class TestProgressOutsideIdentityContract:
 
 
 class TestStatusCli:
-    @pytest.fixture()
-    def complete_campaign(self, tmp_path):
-        directory = str(tmp_path / "campaign")
-        CampaignRunner(_campaign_specs(), directory).run()
-        return directory
-
     def test_one_shot_on_complete_campaign(
         self, complete_campaign, capsys
     ):
         assert main(["status", complete_campaign]) == 0
         out = capsys.readouterr().out
         assert "2/2 cell(s) complete (100%)" in out
+        assert "throughput:" in out
         assert "all cells complete; summary written" in out
         assert "surf/seed%d/baseline" % SEEDS[0] in out
-
-    def test_watch_exits_when_complete(self, complete_campaign, capsys):
-        assert main(["status", complete_campaign, "--watch", "0.1"]) == 0
-        assert "cell(s) complete" in capsys.readouterr().out
 
     def test_no_cells_hides_table(self, complete_campaign, capsys):
         assert main(["status", complete_campaign, "--no-cells"]) == 0
@@ -403,25 +339,13 @@ class TestStatusCli:
         assert "no campaign state" in capsys.readouterr().err
 
     def test_bad_options_rejected(self, complete_campaign, capsys):
-        assert main(
-            ["status", complete_campaign, "--stale-after", "0"]
-        ) == 2
-        assert "--stale-after" in capsys.readouterr().err
-        assert main(
-            ["status", complete_campaign, "--watch", "-1"]
-        ) == 2
-        assert "--watch" in capsys.readouterr().err
-
-    def test_failed_cell_yields_exit_one(self, tmp_path, capsys):
-        spec = _campaign_specs()[0]
-        write_grid_manifest(str(tmp_path), [spec])
-        heartbeat = CellHeartbeat(
-            str(tmp_path / STATUS_DIRNAME), spec.digest(), spec.label()
-        )
-        heartbeat.begin()
-        heartbeat.failed("boom")
-        assert main(["status", str(tmp_path)]) == 1
-        assert "boom" in capsys.readouterr().out
+        """The retired heartbeat options are refused like any unknown
+        option."""
+        for option in ("--watch", "--stale-after"):
+            with pytest.raises(SystemExit) as exit_info:
+                main(["status", complete_campaign, option, "5"])
+            assert exit_info.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------
@@ -437,6 +361,37 @@ class TestCliOutputPaths:
         ]) == 2
         assert "cannot write" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_failed_sweep_still_writes_metrics_snapshot(
+        self, tmp_path, monkeypatch, capsys, workers
+    ):
+        """A sweep whose cell fails exits 1 and still writes the
+        requested snapshot, which counts the failure."""
+        import repro.experiment.campaign as campaign
+
+        doomed = _campaign_specs()[0]
+        build = campaign.build_runner
+
+        def failing_build(spec, *args, **kwargs):
+            if spec == doomed:
+                raise ExperimentError("forced cell failure")
+            return build(spec, *args, **kwargs)
+
+        monkeypatch.setattr(campaign, "build_runner", failing_build)
+        metrics = str(tmp_path / "metrics.json")
+        with use_registry(MetricsRegistry()):
+            assert main([
+                "sweep", "--scale", str(SCALE), "--seeds", "%d,%d" % SEEDS,
+                "--experiments", "surf",
+                "--campaign-dir", str(tmp_path / "campaign"),
+                "--campaign-workers", workers, "--metrics-out", metrics,
+            ]) == 1
+        captured = capsys.readouterr()
+        assert "forced cell failure" in captured.err
+        assert "wrote metrics snapshot" in captured.out
+        counters = _read(metrics)["counters"]
+        assert counters["campaign.cells_failed"] == 1
+        assert counters["campaign.cells_completed"] == len(SEEDS) - 1
 
 # ---------------------------------------------------------------------
 # Benchmark trajectory
@@ -605,57 +560,3 @@ class TestBenchDiffJson:
             )
         assert main(["bench-diff", "--history", path, "--json"]) == 1
         assert json.loads(capsys.readouterr().out)["regressed"] == 1
-
-
-class TestConvergenceDetail:
-    """Satellite: per-cell engine convergence in ``repro status``
-    (delivered/changed/dropped, from the runner's progress hook)."""
-
-    def test_convergence_text_formats(self):
-        from repro.experiment.status import CellStatus
-
-        blank = CellStatus(digest="d", label="cell", state="pending")
-        assert blank.convergence_text == "-"
-        busy = CellStatus(
-            digest="d", label="cell", state="running",
-            engine_iterations=1234, best_changes=56, messages_dropped=7,
-        )
-        assert busy.convergence_text == "1234/56/7"
-
-    def test_runner_progress_reports_engine_detail(self):
-        from repro.experiment.runner import ExperimentRunner
-        from repro.topology.re_ecosystem import build_ecosystem
-        from repro.topology.re_config import REEcosystemConfig
-
-        ecosystem = build_ecosystem(
-            REEcosystemConfig(scale=0.04), seed=0
-        )
-        runner = ExperimentRunner(ecosystem, "surf", seed=0)
-        seen = []
-        runner.progress_hook = lambda **fields: seen.append(fields)
-        runner.run()
-        detailed = [f for f in seen if "engine_iterations" in f]
-        assert detailed
-        last = detailed[-1]
-        assert last["engine_iterations"] > 0
-        assert last["best_changes"] > 0
-        assert last["messages_dropped"] >= 0
-
-    def test_heartbeat_to_status_round_trip(self, tmp_path):
-        heartbeat = CellHeartbeat(
-            str(tmp_path / STATUS_DIRNAME), "abc123", "surf/seed0"
-        )
-        heartbeat.begin(rounds_total=9)
-        heartbeat.progress(
-            phase="probing", rounds_completed=3,
-            engine_iterations=4200, best_changes=17, messages_dropped=2,
-        )
-        status = CampaignStatus.load(str(tmp_path))
-        [cell] = status.cells
-        assert cell.engine_iterations == 4200
-        assert cell.best_changes == 17
-        assert cell.messages_dropped == 2
-        assert cell.convergence_text == "4200/17/2"
-        rendered = status.render()
-        assert "msgs/chg/drop" in rendered
-        assert "4200/17/2" in rendered
