@@ -1,7 +1,7 @@
 """Campaign throughput: serial groups vs the campaign process pool.
 
-Runs the same (2 seeds x surf/internet2) grid — two network groups, so
-two scheduler tasks — into fresh campaign directories, once with
+Runs the same (2 seeds x surf/internet2) grid — two network groups —
+into fresh campaign directories, once with
 ``pool_workers=1`` (groups one after another) and once with
 ``pool_workers=2`` (whole groups dispatched to a fork pool), and prints
 the cells/minute comparison.

@@ -5,16 +5,13 @@
 - :mod:`repro.experiment.runner` — runs one experiment end to end:
   announcements, convergence, outage injection, probing rounds, feeder
   view capture;
-- :mod:`repro.experiment.scheduler` — runs campaign network groups,
-  the one parallel level, as :class:`Task` values on an inline or
-  fork-pool backend (:class:`InlineBackend`, :class:`ForkPoolBackend`);
 - :mod:`repro.experiment.records` — result containers;
 - :mod:`repro.experiment.campaign` — sweep orchestration: grids of
   (seed × scenario × experiment) cells run as network groups (one
-  ecosystem and probe-seed plan per group), with group-level process
-  parallelism and digest-keyed resumable checkpoints, and the
-  :class:`CampaignStatus` fold of ``grid.json`` and those checkpoints
-  behind ``repro status``.
+  ecosystem and probe-seed plan per group) in a plain loop or on one
+  fork pool — the one parallel level — with digest-keyed resumable
+  checkpoints, and the :class:`CampaignStatus` fold of ``grid.json``
+  and those checkpoints behind ``repro status``.
 """
 
 from .schedule import (
@@ -28,14 +25,6 @@ from .records import (
     FeederObservation,
 )
 from .runner import ExperimentRunner
-from .scheduler import (
-    ForkPoolBackend,
-    InlineBackend,
-    Scheduler,
-    SchedulerError,
-    Task,
-    TaskResult,
-)
 from .campaign import (
     CampaignResult,
     CampaignRunner,
@@ -63,10 +52,4 @@ __all__ = [
     "ExperimentResult",
     "FeederObservation",
     "ExperimentRunner",
-    "ForkPoolBackend",
-    "InlineBackend",
-    "Scheduler",
-    "SchedulerError",
-    "Task",
-    "TaskResult",
 ]

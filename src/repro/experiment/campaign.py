@@ -7,18 +7,17 @@ its ecosystem and probe-seed plan (:func:`repro.api.network_of`) —
 depends only on ``(spec.seed, spec.ecosystem_config())``, never on the
 experiment, fault plan or probing rate, so the pending cells that share
 that key form one **network group**.  The group is the unit of work
-and the one parallel level: a group task builds its network once, runs
+and the one parallel level: a group builds its network once, runs
 its cells on it in grid order, and drops it before the next group
 starts.  This module runs grids three ways that all produce
 byte-identical cell results:
 
-- **inline** — groups run one after another in this process (the
-  scheduler's :class:`~repro.experiment.scheduler.InlineBackend`),
-  each cell exactly as a standalone :func:`repro.api.run_experiment`
-  of its spec would;
-- **pooled** — a campaign-level
-  :class:`~repro.experiment.scheduler.ForkPoolBackend` dispatches
-  whole groups as scheduler tasks.  Each cell in a worker runs with
+- **inline** — a plain loop runs the groups one after another in this
+  process, each cell exactly as a standalone
+  :func:`repro.api.run_experiment` of its spec would, and checkpoints
+  each group before the next one starts;
+- **pooled** — one campaign-level ``fork`` process pool runs whole
+  groups, one submitted call each.  Each cell in a worker runs with
   isolated observability state and ships back its metrics snapshot,
   completed span tree, and :class:`~repro.obs.capture.Capture`
   payload, which the parent merges in the inline execution order
@@ -49,9 +48,12 @@ ecosystem, with one probe-seed plan object shared by both halves.
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from hashlib import sha256
 from typing import (
     Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union,
@@ -81,15 +83,6 @@ from ..topology.re_config import SCENARIO_PRESETS
 from ..topology.re_ecosystem import Ecosystem
 from .records import ExperimentResult
 from .schedule import ExperimentSchedule
-from .scheduler import (
-    ForkPoolBackend,
-    InlineBackend,
-    Scheduler,
-    Task,
-    fork_available,
-    in_worker_process,
-    task_context,
-)
 
 __all__ = [
     "CellWork",
@@ -159,11 +152,11 @@ Network = Tuple[Ecosystem, SeedPlan]
 
 @dataclass
 class NetworkGroup:
-    """The cells that run on one network, and one scheduler task.
+    """The cells that run on one network: one unit of dispatch.
 
     ``cells`` index the dispatched work list, in grid order.
     ``network`` is a caller-supplied ``(ecosystem, seed_plan)``; when
-    it is ``None`` the task builds the network once from its first
+    it is ``None`` the group builds the network once from its first
     cell's spec (:func:`repro.api.network_of`) and drops it when the
     group is done.
     """
@@ -374,16 +367,24 @@ def _run_cell(work: CellWork, index: int, network: Network) -> CellOutcome:
 # ---------------------------------------------------------------------
 # Dispatch
 
-def _cell_task(work: CellWork, index: int, network: Network) -> CellOutcome:
-    """Run one cell of a group task.
+def fork_available() -> bool:
+    """Whether this platform offers the ``fork`` start method."""
+    return "fork" in multiprocessing.get_all_start_methods()
 
-    In a pool worker the cell runs under isolated obs state — a fresh
-    registry and a child of the inherited capture — and ships both back
-    for in-order merging; the ``campaign.cells_forked`` counter it
-    ships proves the cell ran there.  Inline it records straight into
-    the parent's obs state, exactly like a standalone run.
+
+def _cell_task(
+    work: CellWork, index: int, network: Network, forked: bool = False
+) -> CellOutcome:
+    """Run one cell of a network group.
+
+    In a pool worker (*forked*) the cell runs under isolated obs state
+    — a fresh registry and a child of the inherited capture — and ships
+    both back for in-order merging; the ``campaign.cells_forked``
+    counter it ships proves the cell ran there.  Inline it records
+    straight into the parent's obs state, exactly like a standalone
+    run.
     """
-    if not in_worker_process():
+    if not forked:
         with span("campaign.cell.%s" % work.spec.label()):
             outcome = _run_cell(work, index, network)
         get_registry().counter("campaign.cells_completed").inc()
@@ -403,27 +404,20 @@ def _cell_task(work: CellWork, index: int, network: Network) -> CellOutcome:
     return outcome
 
 
-def _group_task(number: int) -> List[Union[CellOutcome, CellFailure]]:
-    """Scheduler task entry point: run one network group.
-
-    The work list and the groups arrive as the backend context
-    (:func:`task_context`).  The group's network is built once here
-    (unless the group carries one) and is dropped when the task
-    returns.  A cell that raises becomes a
-    :class:`CellFailure` and its group-mates still run; the result is
-    one outcome or failure per cell, in the group's cell order.
-    """
-    context = task_context()
-    if context is None:
-        raise ExperimentError("group task used outside a scheduler backend")
-    works, groups = context
-    group = groups[number]
+def _group_task(
+    works: Sequence[CellWork], group: NetworkGroup, forked: bool = False
+) -> List[Union[CellOutcome, CellFailure]]:
+    """Run one network group: build its network once (unless the group
+    carries one), run its cells on it, and drop it on return.  A cell
+    that raises becomes a :class:`CellFailure` and its group-mates
+    still run; the result is one outcome or failure per cell, in the
+    group's cell order."""
     network = group.network or network_of(works[group.cells[0]].spec)
     settled: List[Union[CellOutcome, CellFailure]] = []
     for index in group.cells:
         work = works[index]
         try:
-            settled.append(_cell_task(work, index, network))
+            settled.append(_cell_task(work, index, network, forked))
         except Exception as error:
             settled.append(CellFailure(
                 index, work.spec.digest(), work.spec.label(), str(error)
@@ -431,12 +425,30 @@ def _group_task(number: int) -> List[Union[CellOutcome, CellFailure]]:
     return settled
 
 
+#: A pool worker's ``(works, groups)``, set once by the pool initializer.
+_POOL_WORK: Optional[Tuple[List[CellWork], List[NetworkGroup]]] = None
+
+
+def _init_pool_worker(
+    works: List[CellWork], groups: List[NetworkGroup]
+) -> None:
+    global _POOL_WORK
+    _POOL_WORK = (works, groups)
+
+
+def _pooled_group(number: int) -> List[Union[CellOutcome, CellFailure]]:
+    """Pool entry point: run group *number* of the initializer's
+    work list."""
+    works, groups = _POOL_WORK
+    return _group_task(works, groups[number], forked=True)
+
+
 def _will_fork(
     pool_workers: int, count: int, backend: Optional[str] = None
 ) -> bool:
     """Whether group dispatch runs on a fork pool: forced by *backend*,
-    or resolved from the worker count, the number of group tasks and
-    the platform."""
+    or resolved from the worker count, the number of groups and the
+    platform."""
     if backend == "fork":
         return True
     if backend == "inline":
@@ -451,13 +463,13 @@ def dispatch_cells(
     backend: Optional[str] = None,
     network: Optional[Network] = None,
 ) -> Tuple[List[Optional[CellOutcome]], List[CellFailure]]:
-    """Run *works* as network groups (:func:`group_cells`), one
-    scheduler task per group, on a fork pool when ``pool_workers > 1``
-    and there is more than one group (and ``fork`` exists), inline
-    otherwise; *backend* (``"fork"`` / ``"inline"``) forces the choice,
-    so tests can run a single group on a fork worker.  *network*, when
-    given, is the one network every cell runs on: all of *works* then
-    form a single group that builds nothing.
+    """Run *works* as network groups (:func:`group_cells`): on one fork
+    pool when ``pool_workers > 1`` and there is more than one group
+    (and ``fork`` exists), in a plain loop otherwise; *backend*
+    (``"fork"`` / ``"inline"``) forces the choice, so tests can run a
+    single group on a fork worker.  *network*, when given, is the one
+    network every cell runs on: all of *works* then form a single group
+    that builds nothing.
 
     Returns outcomes in cell order (``None`` where a cell failed) plus
     the failures.  *on_outcome* fires as each cell's result is merged
@@ -477,39 +489,31 @@ def dispatch_cells(
         groups = [NetworkGroup(list(range(len(works))), network)]
     else:
         groups = group_cells(works)
-    context = (tuple(works), tuple(groups))
-    pooled = _will_fork(pool_workers, len(groups), backend)
-    execution = (
-        ForkPoolBackend(
-            context, workers=max(1, min(pool_workers, len(groups)))
-        )
-        if pooled else InlineBackend(context)
-    )
-    tasks = [
-        Task(key=number, fn=_group_task, args=(number,))
-        for number in range(len(groups))
-    ]
     capture = active_capture()
 
     def fail(failure: CellFailure) -> None:
         failures.append(failure)
         get_registry().counter("campaign.cells_failed").inc()
 
-    def collect(task: Task, result) -> None:
-        cells = groups[task.key].cells
-        if result.error is not None:
-            # The whole task died: its network failed to build, or a
+    def collect(
+        group: NetworkGroup,
+        run: Callable[[], List[Union[CellOutcome, CellFailure]]],
+    ) -> None:
+        try:
+            settled = run()
+        except Exception as error:
+            # The whole group died: its network failed to build, or a
             # pool worker crashed.  No cell of it reported back.
-            for index in cells:
+            for index in group.cells:
                 spec = works[index].spec
                 fail(CellFailure(
-                    index, spec.digest(), spec.label(), str(result.error)
+                    index, spec.digest(), spec.label(), str(error)
                 ))
             return
         # Only pooled outcomes carry worker metrics, span trees and
         # copies of the parent capture's channels (inline cells wrote
         # straight into the parent's).
-        for outcome in result.value:
+        for outcome in settled:
             if isinstance(outcome, CellFailure):
                 fail(outcome)
                 continue
@@ -523,14 +527,33 @@ def dispatch_cells(
             if on_outcome is not None:
                 on_outcome(outcome)
 
-    # Cells are never retried: a failed cell is recorded as a
+    # Groups are never retried: a failed cell is recorded as a
     # CellFailure and reported after the rest of the grid completes
     # (checkpointing means a re-run only recomputes the failures).
-    scheduler = Scheduler(execution)
-    try:
-        scheduler.run(tasks, on_result=collect)
-    finally:
-        scheduler.shutdown()
+    if not _will_fork(pool_workers, len(groups), backend):
+        # Each group runs, and checkpoints, before the next one starts.
+        for group in groups:
+            collect(group, partial(_group_task, works, group))
+    else:
+        if not fork_available():
+            raise ExperimentError(
+                "fork start method unavailable on this platform"
+            )
+        # The work list reaches each worker once, through the
+        # initializer; every group is submitted up front and resolved
+        # in group order.
+        with ProcessPoolExecutor(
+            max_workers=max(1, min(pool_workers, len(groups))),
+            mp_context=multiprocessing.get_context("fork"),
+            initializer=_init_pool_worker,
+            initargs=(works, groups),
+        ) as pool:
+            futures = [
+                pool.submit(_pooled_group, number)
+                for number in range(len(groups))
+            ]
+            for group, future in zip(groups, futures):
+                collect(group, future.result)
     failures.sort(key=lambda failure: failure.index)
     return outcomes, failures
 
@@ -646,10 +669,10 @@ class CampaignRunner:
         Retain full :class:`ExperimentResult` objects on the
         :class:`CampaignResult` (memory-heavy; tests use it).
 
-    Pending cells run as network groups (:func:`group_cells`), one
-    scheduler task each; groups run on a fork pool when there is more
-    than one worker, more than one group, and ``fork`` exists; inline
-    otherwise.
+    Pending cells run as network groups (:func:`group_cells`) through
+    :func:`dispatch_cells`: on one fork pool when there is more than
+    one worker, more than one group, and ``fork`` exists; one after
+    another in this process otherwise.
     """
 
     def __init__(

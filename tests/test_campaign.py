@@ -19,6 +19,7 @@ The load-bearing guarantees:
 import functools
 import json
 import os
+import time
 
 import pytest
 
@@ -37,13 +38,13 @@ from repro.experiment.campaign import (
     CellWork,
     cell_record,
     dispatch_cells,
+    fork_available,
     group_cells,
     identity_view,
     known_scenarios,
     plan_grid,
     run_experiment_pair,
 )
-from repro.experiment.scheduler import fork_available
 from repro.obs import MetricsRegistry, use_registry
 from repro.topology.re_config import (
     REEcosystemConfig,
@@ -196,7 +197,7 @@ def _counted(run):
     return value, registry.snapshot()["counters"]
 
 
-def test_forced_backend_summary_identical(tmp_path):
+def test_worker_count_picks_fork_summary_identical(tmp_path):
     """The worker count alone picks the dispatch path: two workers on a
     grid of two network groups run every cell on the fork pool, and the
     summary matches the serial run's bytes."""
@@ -505,6 +506,142 @@ def test_failing_cell_spares_its_group_mates(
     assert counters["campaign.cells_completed"] == len(specs) - 1
     if pool_workers > 1 and fork_available():
         assert counters["campaign.cells_forked"] == len(specs) - 1
+
+
+@pytest.mark.parametrize("pool_workers", [1, 2])
+def test_group_whose_network_fails_fails_every_cell(monkeypatch, pool_workers):
+    """A group that raises outside any cell (here: its network build)
+    fails each of its cells once, unretried, and the next group still
+    runs."""
+    import repro.experiment.campaign as campaign
+
+    specs = _pair_grid()
+    build = campaign.network_of
+    asked = []
+
+    def failing_network(spec, *args):
+        asked.append(spec.seed)
+        if spec.seed == SEEDS[0]:
+            raise ExperimentError("forced network failure")
+        return build(spec, *args)
+
+    monkeypatch.setattr(campaign, "network_of", failing_network)
+    registry = MetricsRegistry()
+    with use_registry(registry):
+        outcomes, failures = dispatch_cells(
+            [CellWork(spec=spec) for spec in specs], pool_workers=pool_workers
+        )
+    doomed = [spec.seed == SEEDS[0] for spec in specs]
+    assert [(f.label, f.error) for f in failures] == [
+        (spec.label(), "forced network failure")
+        for spec, dies in zip(specs, doomed) if dies
+    ]
+    assert [outcome is None for outcome in outcomes] == doomed
+    counters = registry.snapshot()["counters"]
+    assert counters["campaign.cells_failed"] == sum(doomed)
+    if pool_workers == 1:
+        assert asked == list(SEEDS)
+
+
+needs_fork = pytest.mark.skipif(
+    not fork_available(), reason="fork start method unavailable"
+)
+
+
+@needs_fork
+def test_dead_worker_fails_the_cells_left_on_its_pool(tmp_path, monkeypatch):
+    """A pool worker that dies outright breaks the pool: every cell
+    still running or pending on it becomes a CellFailure carrying the
+    BrokenProcessPool message, nothing raises out of the dispatch, and
+    a re-run recomputes only the failed cells."""
+    import repro.experiment.campaign as campaign
+
+    specs = _pair_grid()
+    run_cell = campaign._run_cell
+
+    def dying_run_cell(work, index, network):
+        if work.spec.seed == SEEDS[0]:
+            os._exit(1)
+        return run_cell(work, index, network)
+
+    monkeypatch.setattr(campaign, "_run_cell", dying_run_cell)
+    registry = MetricsRegistry()
+    with use_registry(registry):
+        outcomes, failures = dispatch_cells(
+            [CellWork(spec=spec) for spec in specs], pool_workers=2
+        )
+    failed = [failure.index for failure in failures]
+    assert {
+        index for index, spec in enumerate(specs) if spec.seed == SEEDS[0]
+    } <= set(failed)
+    for failure in failures:
+        assert "terminated abruptly" in failure.error, failure.label
+    assert [index for index, outcome in enumerate(outcomes)
+            if outcome is None] == failed
+    counters = registry.snapshot()["counters"]
+    assert counters["campaign.cells_failed"] == len(failures)
+
+    directory = str(tmp_path / "campaign")
+    with pytest.raises(ExperimentError, match="terminated abruptly"):
+        CampaignRunner(specs, directory, pool_workers=2).run()
+    missing = [
+        spec for spec in specs
+        if not os.path.exists(
+            os.path.join(directory, "cells", "%s.json" % spec.digest())
+        )
+    ]
+    assert {spec for spec in specs if spec.seed == SEEDS[0]} <= set(missing)
+    monkeypatch.setattr(campaign, "_run_cell", run_cell)
+    rerun = CampaignRunner(specs, directory, pool_workers=2).run()
+    assert (rerun.completed, rerun.skipped) == (
+        len(missing), len(specs) - len(missing)
+    )
+
+
+@needs_fork
+def test_pooled_outcomes_merge_in_grid_order(tmp_path, monkeypatch):
+    """Three groups on two workers, the first finishing last: the
+    cells still merge, and fire ``on_outcome``, in grid order."""
+    import repro.experiment.campaign as campaign
+
+    specs = [
+        ExperimentSpec(seed=seed, scale=SCALE, configs=GROUP_CONFIGS)
+        for seed in SEEDS + (5,)
+    ]
+    finished = tmp_path / "finished"
+    run_cell = campaign._run_cell
+
+    def first_cell_waits(work, index, network):
+        # The first group's cell starts only once both others are done
+        # (or a minute has passed, which the order check then catches).
+        deadline = time.monotonic() + 60
+        while index == 0 and time.monotonic() < deadline and (
+            not finished.exists() or len(finished.read_text().split()) < 2
+        ):
+            time.sleep(0.05)
+        outcome = run_cell(work, index, network)
+        with open(finished, "a") as fh:
+            fh.write("%d\n" % index)
+        return outcome
+
+    monkeypatch.setattr(campaign, "_run_cell", first_cell_waits)
+    merged = []
+    outcomes, failures = dispatch_cells(
+        [CellWork(spec=spec) for spec in specs], pool_workers=2,
+        on_outcome=lambda outcome: merged.append(outcome.index),
+    )
+    assert not failures
+    assert [int(line) for line in finished.read_text().split()][-1] == 0
+    assert merged == [0, 1, 2]
+    assert [outcome.index for outcome in outcomes] == merged
+
+
+def test_forced_fork_without_fork_is_a_typed_error(monkeypatch):
+    import repro.experiment.campaign as campaign
+
+    monkeypatch.setattr(campaign, "fork_available", lambda: False)
+    with pytest.raises(ExperimentError, match="fork start method unavailable"):
+        dispatch_cells([CellWork(spec=_pair_grid()[0])], backend="fork")
 
 
 def test_fault_spec_and_pps_share_a_network(network_builds):

@@ -31,8 +31,7 @@ from repro.bgp.engine import (
 )
 from repro.core.classify import classify_experiment, origin_map
 from repro.core.explain import render_explanation
-from repro.experiment.campaign import CellWork, dispatch_cells
-from repro.experiment.scheduler import fork_available
+from repro.experiment.campaign import CellWork, dispatch_cells, fork_available
 from repro.obs import use_registry
 from repro.obs.capture import Capture, EventRing, use_capture
 from repro.rng import SeedTree

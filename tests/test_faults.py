@@ -8,9 +8,8 @@ import pytest
 
 from repro import REEcosystemConfig, build_ecosystem
 from repro.api import ExperimentSpec, run_experiment
-from repro.experiment.campaign import CellWork, dispatch_cells
+from repro.experiment.campaign import CellWork, dispatch_cells, fork_available
 from repro.experiment.runner import ExperimentRunner
-from repro.experiment.scheduler import fork_available
 from repro.faults import (
     DEFAULT_LOSS_FRACTION,
     FaultError,

@@ -15,8 +15,7 @@ import json
 import pytest
 
 from repro.api import ExperimentSpec
-from repro.experiment.campaign import CellWork, dispatch_cells
-from repro.experiment.scheduler import fork_available
+from repro.experiment.campaign import CellWork, dispatch_cells, fork_available
 from repro.netutil import Prefix
 from repro.obs.capture import (
     DEFAULT_CAPACITY,

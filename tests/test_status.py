@@ -23,12 +23,12 @@ from repro.errors import ExperimentError
 from repro.experiment.campaign import (
     CampaignRunner,
     CampaignStatus,
+    fork_available,
     identity_view,
     load_grid_manifest,
     plan_grid,
     write_grid_manifest,
 )
-from repro.experiment.scheduler import fork_available
 from repro.obs import MetricsRegistry, use_registry
 from repro.obs.benchtrack import (
     append_history,
@@ -233,7 +233,7 @@ class TestCampaignStatus:
 
 
 class TestProgressOutsideIdentityContract:
-    def test_pooled_heartbeat_sweep_matches_plain_serial(
+    def test_pooled_metrics_sweep_matches_plain_serial(
         self, tmp_path, capsys
     ):
         """The identity surfaces (cell records,
