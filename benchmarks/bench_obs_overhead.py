@@ -7,7 +7,7 @@ only touches plain locals, so the measured overhead should be far
 below the 5% budget; this benchmark keeps it that way.
 
 A second guard covers decision provenance
-(:mod:`repro.obs.provenance`): with no capture installed — the
+(:mod:`repro.obs.provenance`): with no ring installed — the
 default — every route selection pays exactly one function call
 returning ``None``, and even an *installed* provenance ring whose
 prefix filter matches nothing must stay within the same 5% budget (one
@@ -23,7 +23,7 @@ pytest (``PYTHONPATH=src python -m pytest benchmarks/bench_obs_overhead.py``).
 from __future__ import annotations
 
 from repro.obs import MetricsRegistry, use_registry
-from repro.obs.capture import Capture, EventRing, use_capture
+from repro.obs.capture import EventRing, use_ring
 
 from overhead_harness import compare, guard_ecosystem
 
@@ -48,12 +48,12 @@ def measure_provenance(ecosystem):
     "Filtered" installs a provenance ring whose prefix filter matches
     no probed prefix: ``wants()`` runs per selection but no event is
     ever built — the worst case a ``repro explain`` replay imposes on
-    the rest of the run.  "Disabled" is the default no-capture state.
+    the rest of the run.  "Disabled" is the default empty slot.
     """
-    filtered = Capture(provenance=EventRing(
+    filtered = EventRing(
         prefix_filter=["203.0.113.0/24"]   # matches nothing probed
-    ))
-    return compare(ecosystem, lambda: use_capture(filtered))
+    )
+    return compare(ecosystem, lambda: use_ring(filtered))
 
 
 def test_obs_overhead_under_budget():

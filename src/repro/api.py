@@ -9,13 +9,14 @@ all of that into one immutable, serialisable value:
 
 - :class:`ExperimentSpec` — everything that determines an experiment's
   result (seed, experiment, scenario/config overrides, schedule, pps,
-  fault plan) plus the opt-in observability options.  Specs
-  round-trip through JSON (:meth:`ExperimentSpec.to_json` /
-  :meth:`ExperimentSpec.from_json`) and have a stable content hash
-  (:meth:`ExperimentSpec.digest`) that the campaign orchestrator uses
-  as its checkpoint key.
+  fault plan) and nothing else.  Specs round-trip through JSON
+  (:meth:`ExperimentSpec.to_json` / :meth:`ExperimentSpec.from_json`)
+  and have a stable content hash (:meth:`ExperimentSpec.digest`) that
+  the campaign orchestrator uses as its checkpoint key.
 - :func:`run_experiment` — ``spec -> ExperimentResult``, a pure
-  function of the spec's simulation fields.
+  function of the spec.  Provenance is recorded outside the spec, into
+  whatever ring is active: ``with use_ring(EventRing()):
+  run_experiment(spec)``, as the CLI's ``--provenance-out`` does.
 - :func:`run_campaign` — ``grid -> CampaignResult``; the campaign
   orchestrator behind one call, with checkpoint resume and process
   parallelism over network groups (the only parallel level).
@@ -35,7 +36,7 @@ import dataclasses
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
 
 from .errors import ExperimentError
@@ -47,13 +48,6 @@ from .experiment.schedule import (
     parse_prepend_config,
 )
 from .faults import FaultPlan, parse_fault_spec
-from .obs.capture import (
-    DEFAULT_CAPACITY,
-    Capture,
-    EventRing,
-    active_capture,
-    use_capture,
-)
 from .rng import SeedTree
 from .seeds.selection import SeedPlan, select_seeds
 from .topology.re_config import (
@@ -83,12 +77,14 @@ __all__ = [
 #: version 5 removed ``decision_backend``; version 6 removed the
 #: execution fields with the shard level of probing; version 7 removed
 #: ``profile`` with the phase profiler; version 8 removed
-#: ``frontier_capacity`` with the convergence-frontier channel.
-#: :meth:`ExperimentSpec.from_dict` still reads schema 3 to 7
+#: ``frontier_capacity`` with the convergence-frontier channel; version
+#: 9 removed ``provenance_capacity`` and ``provenance_prefixes`` (the
+#: process-wide ring is the one way to record provenance).
+#: :meth:`ExperimentSpec.from_dict` still reads schema 3 to 8
 #: documents, dropping their execution fields, their
-#: ``decision_backend``, their ``profile`` and their
-#: ``frontier_capacity`` — none ever changed results.
-SPEC_SCHEMA_VERSION = 8
+#: ``decision_backend``, their ``profile``, their ``frontier_capacity``
+#: and their provenance keys — none ever changed results.
+SPEC_SCHEMA_VERSION = 9
 
 _EXPERIMENTS = ("surf", "internet2")
 
@@ -166,10 +162,10 @@ def _str_tuple(name: str, value) -> Tuple[str, ...]:
 class ExperimentSpec:
     """One experiment, fully specified.
 
-    Simulation fields (change the result): ``experiment``, ``seed``,
-    ``scale``, ``scenario``, ``config_overrides``, ``configs``,
-    ``pps`` and the scripted faults in ``fault_spec``.  The provenance
-    options choose what a run records, never what it computes.
+    Every field is a simulation field (changes the result):
+    ``experiment``, ``seed``, ``scale``, ``scenario``,
+    ``config_overrides``, ``configs``, ``pps`` and the scripted faults
+    in ``fault_spec``.
 
     ``config_overrides`` holds :class:`REEcosystemConfig` field
     overrides; pass a dict, it is normalised to a sorted item tuple so
@@ -186,8 +182,6 @@ class ExperimentSpec:
     configs: Optional[Tuple[str, ...]] = None
     pps: int = 100
     fault_spec: str = ""
-    provenance_capacity: Optional[int] = None
-    provenance_prefixes: Tuple[str, ...] = field(default=())
 
     def __post_init__(self) -> None:
         # Fail on a malformed field now, with an ExperimentError, not
@@ -217,12 +211,6 @@ class ExperimentSpec:
             raise ExperimentError(
                 "fault_spec must be a string, not %r" % (self.fault_spec,)
             )
-        capacity = self.provenance_capacity
-        if capacity is not None and (not _is_int(capacity) or capacity < 1):
-            raise ExperimentError(
-                "provenance_capacity must be an integer >= 1, not %r"
-                % (capacity,)
-            )
         # Normalise sequence-ish inputs so from_json(to_json(s)) == s.
         # Every spelling of the same overrides canonicalises to one
         # sorted item tuple (and therefore one digest).
@@ -233,10 +221,6 @@ class ExperimentSpec:
             for config in configs:
                 parse_prepend_config(config)
             object.__setattr__(self, "configs", configs)
-        object.__setattr__(
-            self, "provenance_prefixes",
-            _str_tuple("provenance_prefixes", self.provenance_prefixes),
-        )
         # Malformed fault spec text, unknown scenario or unknown config
         # field.
         if self.fault_spec:
@@ -285,13 +269,6 @@ class ExperimentSpec:
             self.fault_spec, self.seed, rounds=self.num_rounds
         )
 
-    @property
-    def wants_provenance(self) -> bool:
-        return (
-            self.provenance_capacity is not None
-            or bool(self.provenance_prefixes)
-        )
-
     # -- serialisation -------------------------------------------------
 
     def as_dict(self) -> Dict[str, Any]:
@@ -314,7 +291,7 @@ class ExperimentSpec:
                 % type(data).__name__
             )
         schema = data.get("schema", SPEC_SCHEMA_VERSION)
-        if schema not in (3, 4, 5, 6, 7, SPEC_SCHEMA_VERSION):
+        if schema not in (3, 4, 5, 6, 7, 8, SPEC_SCHEMA_VERSION):
             raise ExperimentError(
                 "spec schema %r not supported (this build reads schemas "
                 "3 to %d)" % (schema, SPEC_SCHEMA_VERSION)
@@ -337,11 +314,12 @@ class ExperimentSpec:
             }
         if schema != SPEC_SCHEMA_VERSION:
             # ``profile`` (schemas 3 to 6) only switched on the removed
-            # phase profiler and ``frontier_capacity`` (3 to 7) the
-            # removed frontier channel; neither ever changed results.
-            retired = ("frontier_capacity",) + (
-                ("profile",) if schema < 7 else ()
-            )
+            # phase profiler, ``frontier_capacity`` (3 to 7) the
+            # removed frontier channel, and the provenance keys (3 to
+            # 8) a run-local ring; none ever changed results.
+            retired = ("provenance_capacity", "provenance_prefixes") + (
+                ("frontier_capacity",) if schema < 8 else ()
+            ) + (("profile",) if schema < 7 else ())
             data = {k: v for k, v in data.items() if k not in retired}
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = sorted(set(data) - known - {"schema"})
@@ -449,44 +427,12 @@ def run_experiment(
 ) -> ExperimentResult:
     """Run one experiment from its spec; the facade entry point.
 
-    The result is a pure function of the spec's simulation fields —
-    the campaign orchestrator leans on this to run the same spec
-    inline or as a pooled cell interchangeably.
-
-    When the spec asks for provenance (``provenance_capacity`` /
-    ``provenance_prefixes``) and the active capture lacks it, it is
-    captured run-locally (:func:`spec_capture`) and lands on
-    ``result.provenance_events``; an already-active channel (e.g. the
-    CLI's) is left in place and keeps receiving events as usual.
+    The result is a pure function of the spec — the campaign
+    orchestrator leans on this to run the same spec inline or as a
+    pooled cell interchangeably.  Provenance lands in the active ring,
+    if any (:func:`repro.obs.capture.use_ring`).
     """
-    runner = build_runner(spec, ecosystem, seed_plan)
-    active = active_capture()
-    local = spec_capture(spec, active)
-    with use_capture(local.over(active)):
-        result = runner.run()
-    attach_capture(result, local)
-    return result
-
-
-def spec_capture(spec: ExperimentSpec, active: Optional[Capture]) -> Capture:
-    """The run-local capture for *spec*: a fresh provenance channel
-    when the spec asks for one and *active* does not already provide
-    it (an already-active channel, e.g. the CLI's, keeps receiving
-    events).  Install it with ``use_capture(local.over(active))``."""
-    if not spec.wants_provenance or (
-        active is not None and active.provenance is not None
-    ):
-        return Capture()
-    return Capture(EventRing(
-        spec.provenance_capacity or DEFAULT_CAPACITY,
-        prefix_filter=spec.provenance_prefixes or None,
-    ))
-
-
-def attach_capture(result: ExperimentResult, local: Capture) -> None:
-    """Attach a :func:`spec_capture`'s stream to *result*."""
-    if local.provenance is not None:
-        result.provenance_events = local.provenance.events()
+    return build_runner(spec, ecosystem, seed_plan).run()
 
 
 def run_campaign(

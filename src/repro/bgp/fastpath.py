@@ -44,7 +44,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 from ..errors import EngineError, TopologyError
 from ..netutil import Prefix
 from ..obs import get_logger, get_registry, span
-from ..obs.capture import active_capture
+from ..obs.capture import active_ring
 from ..obs.provenance import selection_event
 from ..topology.graph import Topology
 from .attributes import Announcement, ASPath, Route
@@ -253,9 +253,8 @@ def propagate_fastpath(
     iterations = 0
     cursor = 0
     # One call returning None per propagation is the entire
-    # disabled-state capture cost.
-    capture = active_capture()
-    recorder = capture.provenance if capture is not None else None
+    # disabled-state provenance cost.
+    recorder = active_ring()
     narrate = recorder is not None and recorder.wants(the_prefix)
     customer = Rel.CUSTOMER
     peer = Rel.PEER

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..netutil import Prefix
-from ..obs.capture import active_capture
+from ..obs.capture import active_ring
 from ..obs.provenance import selection_event
 from .attributes import ASPath, Route
 from .decision import DecisionProcess
@@ -213,8 +213,7 @@ class Router:
         route changed in an announceable attribute."""
         rib = self.adj_rib_in.get(prefix)
         old = self.loc_rib.get(prefix)
-        capture = active_capture()
-        recorder = capture.provenance if capture is not None else None
+        recorder = active_ring()
         if recorder is not None and recorder.wants(prefix):
             candidates = [rib[key] for key in sorted(rib)] if rib else []
             new, steps = self.process.best_verbose(candidates)

@@ -47,7 +47,7 @@ import time
 from typing import List, Optional
 
 from . import __version__
-from .api import ExperimentSpec
+from .api import ExperimentSpec, network_of
 from .core.age_model import simulate_age_cases
 from .core.classify import InferenceCategory, RoundSignal, classify_signals
 from .core.report import reproduce_paper
@@ -59,7 +59,7 @@ from .dataio.json_results import (
 from .errors import AnalysisError, ExperimentError, ReproError
 from .obs import configure_logging, get_registry
 from .obs.benchtrack import DEFAULT_THRESHOLD_PCT
-from .obs.capture import DEFAULT_CAPACITY, Capture, EventRing, use_capture
+from .obs.capture import DEFAULT_CAPACITY, EventRing, use_ring
 from .obs.export import (
     DEFAULT_TOP_N,
     load_chrome_trace,
@@ -67,9 +67,6 @@ from .obs.export import (
     span_table,
     write_chrome_trace,
 )
-from .rng import SeedTree
-from .seeds import select_seeds
-from .topology.re_ecosystem import build_ecosystem
 
 
 def _run_options() -> argparse.ArgumentParser:
@@ -329,6 +326,20 @@ def _check_output_paths(*paths: Optional[str]) -> Optional[str]:
     return None
 
 
+def _check_export_dir(path: str) -> Optional[str]:
+    """Fail on an ``--export`` directory the run could not create or
+    write into, without creating it: its nearest existing ancestor
+    must be a writable directory."""
+    probe = os.path.abspath(path)
+    while not os.path.exists(probe):
+        probe = os.path.dirname(probe)
+    if os.path.isdir(probe) and os.access(probe, os.W_OK | os.X_OK):
+        return None
+    return "cannot export to %s: %s is not a writable directory" % (
+        path, probe
+    )
+
+
 def _start(
     args, experiment: str = "surf", problem: Optional[str] = None
 ) -> Optional[ExperimentSpec]:
@@ -366,22 +377,21 @@ def _write_metrics(args) -> None:
 
 
 def _observing(args, prefix_filter=None):
-    """Run a ``with`` block under the capture ``--provenance-out`` asks
-    for; yields the capture for :func:`_write_outputs`."""
-    return use_capture(Capture(
+    """Run a ``with`` block under the ring ``--provenance-out`` asks
+    for; yields the ring, or None, for :func:`_write_outputs`."""
+    return use_ring(
         EventRing(args.provenance_capacity or DEFAULT_CAPACITY, prefix_filter)
         if args.provenance_out else None
-    ))
+    )
 
 
-def _write_outputs(args, capture: Capture) -> None:
-    """Write the metrics snapshot, the captured stream and the span
+def _write_outputs(args, ring: Optional[EventRing]) -> None:
+    """Write the metrics snapshot, the provenance stream and the span
     trace the flags asked for, after the run's report."""
     _write_metrics(args)
     # Stdout: the event stream — and therefore the count — is inside
     # the byte-identity contract, so this line is identical at every
     # campaign worker count.
-    ring = capture.provenance
     if ring is not None:
         count = ring.export_jsonl_file(args.provenance_out)
         suffix = (
@@ -396,10 +406,12 @@ def _write_outputs(args, capture: Capture) -> None:
 
 
 def _cmd_reproduce(args) -> int:
-    spec = _start(args)
+    spec = _start(args, problem=(
+        _check_export_dir(args.export) if args.export else None
+    ))
     if spec is None:
         return 2
-    with _observing(args) as capture:
+    with _observing(args) as ring:
         report = reproduce_paper(
             spec.ecosystem_config(), seed=spec.seed,
             fault_plan=spec.fault_plan(),
@@ -435,7 +447,7 @@ def _cmd_reproduce(args) -> int:
             with open(updates_path, "w", encoding="utf-8") as stream:
                 count = dump_update_log(result.update_log, stream)
             print("wrote %d records to %s" % (count, updates_path))
-    _write_outputs(args, capture)
+    _write_outputs(args, ring)
     return 0
 
 
@@ -504,13 +516,13 @@ def _cmd_sweep(args) -> int:
         resume=not args.no_resume,
     )
     try:
-        with _observing(args) as capture:
+        with _observing(args) as ring:
             result = runner.run()
     except ExperimentError as error:
         # The requested outputs still land: the metrics snapshot is a
         # failed campaign's durable record (`campaign.cells_failed`).
         print(str(error), file=sys.stderr)
-        _write_outputs(args, capture)
+        _write_outputs(args, ring)
         return 1
     print(result.summary.render())
     print()
@@ -522,7 +534,7 @@ def _cmd_sweep(args) -> int:
             runner.summary_path,
         )
     )
-    _write_outputs(args, capture)
+    _write_outputs(args, ring)
     return 0
 
 
@@ -535,14 +547,14 @@ def _cmd_explain(args) -> int:
     try:
         # explain keeps a filtered provenance ring (only this prefix's
         # events), so the export is the prefix's full evidence chain.
-        with _observing(args, prefix_filter=[args.prefix]) as capture:
+        with _observing(args, prefix_filter=[args.prefix]) as ring:
             narrative = explain_prefix(
                 args.prefix,
                 experiment=args.experiment,
                 scale=args.scale,
                 seed=args.seed,
                 fault_plan=spec.fault_plan(),
-                recorder=capture.provenance,
+                recorder=ring,
             )
     except ValueError as error:
         # Unparseable prefix text.
@@ -555,7 +567,7 @@ def _cmd_explain(args) -> int:
         print(str(error), file=sys.stderr)
         return 2
     print(narrative)
-    _write_outputs(args, capture)
+    _write_outputs(args, ring)
     return 0
 
 
@@ -589,8 +601,14 @@ def _cmd_whatif(args) -> int:
         return 2
     started = time.perf_counter()
     try:
-        with _observing(args) as capture:
+        with _observing(args) as ring:
             session = WhatIfSession(spec)
+            # Every delta parses before anything prints, so a malformed
+            # one is refused with an empty stdout.
+            deltas = [
+                (text, parse_delta(text, session))
+                for text in args.delta or ()
+            ]
             if args.config:
                 session.advance_to_config(args.config)
             warm_seconds = time.perf_counter() - started
@@ -607,8 +625,7 @@ def _cmd_whatif(args) -> int:
             _print_predictions(
                 "baseline", session.predict_batch(prefixes), args.limit
             )
-            for delta_text in args.delta or ():
-                delta = parse_delta(delta_text, session)
+            for delta_text, delta in deltas:
                 outcome = session.apply(delta)
                 print(
                     "applied %s: dirty_prefixes=%d touched_ases=%d "
@@ -639,7 +656,7 @@ def _cmd_whatif(args) -> int:
         ),
         file=sys.stderr,
     )
-    _write_outputs(args, capture)
+    _write_outputs(args, ring)
     return 0
 
 
@@ -687,11 +704,12 @@ def _cmd_age_model(_args) -> int:
 
 
 def _cmd_funnel(args) -> int:
-    ecosystem = build_ecosystem(
-        ExperimentSpec(seed=args.seed, scale=args.scale).ecosystem_config(),
-        seed=args.seed,
-    )
-    plan = select_seeds(ecosystem, seed_tree=SeedTree(args.seed))
+    try:
+        spec = ExperimentSpec(seed=args.seed, scale=args.scale)
+    except ReproError as error:
+        print(str(error), file=sys.stderr)
+        return 2
+    _, plan = network_of(spec)
     for row in plan.funnel.as_rows():
         print(row)
     return 0

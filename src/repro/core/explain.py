@@ -28,7 +28,7 @@ from typing import Dict, List, Optional
 
 from ..errors import AnalysisError
 from ..netutil import Prefix
-from ..obs.capture import Capture, EventRing, active_capture, use_capture
+from ..obs.capture import EventRing, use_ring
 from .classify import (
     InferenceCategory,
     PrefixInference,
@@ -296,10 +296,10 @@ def explain_prefix(
     # A filtered provenance ring: only this prefix's events are
     # retained, so the full nine-round chain survives any ring
     # pressure.  A caller may pass its own (the CLI does, to export the
-    # chain afterwards); the rest of any active capture stays in place.
+    # chain afterwards).
     if recorder is None:
         recorder = EventRing(prefix_filter=[prefix])
-    with use_capture(Capture(provenance=recorder).over(active_capture())):
+    with use_ring(recorder):
         result = runner.run()
     inference = classify_prefix_rounds(
         prefix,

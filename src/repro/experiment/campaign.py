@@ -19,8 +19,8 @@ byte-identical cell results:
 - **pooled** — one campaign-level ``fork`` process pool runs whole
   groups, one submitted call each.  Each cell in a worker runs with
   isolated observability state and ships back its metrics snapshot,
-  completed span tree, and :class:`~repro.obs.capture.Capture`
-  payload, which the parent merges in the inline execution order
+  completed span tree, and provenance ``(events, dropped)``, which the
+  parent merges in the inline execution order
   (group by group, cells in grid order inside a group) so the merged
   streams match the inline ones;
 - **resumed** — each completed cell persists a JSON record keyed by
@@ -38,11 +38,12 @@ campaign would skip it — one checkpoint predicate serves both.
 
 The identity contract: a cell's
 :class:`~repro.experiment.records.ExperimentResult` — responses,
-classifications, report text, exported provenance — is byte-identical
-to a standalone ``run_experiment`` of the same spec, whatever the
-campaign pool size or the grid's order.  ``run_experiment_pair`` runs
-the classic surf/internet2 pair as one group on the caller's
-ecosystem, with one probe-seed plan object shared by both halves.
+classifications, report text — and the provenance it records are
+byte-identical to a standalone ``run_experiment`` of the same spec,
+whatever the campaign pool size or the grid's order.
+``run_experiment_pair`` runs the classic surf/internet2 pair as one
+group on the caller's ecosystem, with one probe-seed plan object
+shared by both halves.
 """
 
 from __future__ import annotations
@@ -59,13 +60,7 @@ from typing import (
     Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union,
 )
 
-from ..api import (
-    ExperimentSpec,
-    attach_capture,
-    build_runner,
-    network_of,
-    spec_capture,
-)
+from ..api import ExperimentSpec, build_runner, network_of
 from ..core.classify import (
     TABLE1_ORDER,
     InferenceCategory,
@@ -76,7 +71,7 @@ from ..core.sweep import CampaignSummary, build_campaign_summary
 from ..errors import ExperimentError
 from ..faults import FaultPlan
 from ..obs import MetricsRegistry, get_logger, get_registry, span, use_registry
-from ..obs.capture import active_capture, use_capture
+from ..obs.capture import EventRing, active_ring, use_ring
 from ..obs.spans import attach_completed, detached_trace
 from ..seeds.selection import SeedPlan
 from ..topology.re_config import SCENARIO_PRESETS
@@ -195,11 +190,10 @@ class CellOutcome:
     #: mode only; inline cells wrote straight into the parent's).
     metrics: Optional[dict] = None
     trace: Optional[dict] = None
-    #: The cell's :meth:`~repro.obs.capture.Capture.shipped` payload:
-    #: the provenance its spec captured run-locally (the per-cell
-    #: artifact) or, pooled, a copy of the parent's channel — which
-    #: the dispatcher merges in cell order and removes.
-    capture: Optional[dict] = None
+    #: A pooled cell's provenance ``(events, dropped)``, recorded into
+    #: a fresh ring with the parent ring's settings; the dispatcher
+    #: folds it into the parent's ring in cell order.
+    provenance: Optional[Tuple[List[dict], int]] = None
 
 
 @dataclass(frozen=True)
@@ -333,22 +327,16 @@ def identity_view(record: dict) -> dict:
 
 
 def _run_cell(work: CellWork, index: int, network: Network) -> CellOutcome:
-    """Execute one cell on its group's *network* under the active
-    capture — a pooled worker's child, or inline the parent's own,
-    exactly like a standalone run — plus a run-local capture for
-    whatever else its spec asks for."""
+    """Execute one cell on its group's *network* under the active ring
+    — a pooled worker's own, or inline the parent's, exactly like a
+    standalone run."""
     spec = work.spec
     started = time.perf_counter()
     ecosystem, seed_plan = network
-    runner = build_runner(
+    result = build_runner(
         spec, ecosystem, seed_plan,
         schedule=work.schedule, fault_plan=work.fault_plan,
-    )
-    active = active_capture()
-    local = spec_capture(spec, active)
-    with use_capture(local.over(active)):
-        result = runner.run()
-    attach_capture(result, local)
+    ).run()
     record = None
     if work.build_record:
         record = cell_record(spec, result, ecosystem)
@@ -360,7 +348,6 @@ def _run_cell(work: CellWork, index: int, network: Network) -> CellOutcome:
         record=record,
         wall_seconds=time.perf_counter() - started,
         result=result if work.keep_result else None,
-        capture=local.shipped(),
     )
 
 
@@ -378,8 +365,9 @@ def _cell_task(
     """Run one cell of a network group.
 
     In a pool worker (*forked*) the cell runs under isolated obs state
-    — a fresh registry and a child of the inherited capture — and ships
-    both back for in-order merging; the ``campaign.cells_forked``
+    — a fresh registry and, when the parent records provenance, a
+    fresh ring with the parent ring's settings — and ships both back
+    for in-order merging; the ``campaign.cells_forked``
     counter it ships proves the cell ran there.  Inline it records
     straight into the parent's obs state, exactly like a standalone
     run.
@@ -390,17 +378,18 @@ def _cell_task(
         get_registry().counter("campaign.cells_completed").inc()
         return outcome
     registry = MetricsRegistry()
-    parent = active_capture()
-    capture = parent.child() if parent is not None else None
-    with use_registry(registry), detached_trace(), use_capture(capture):
+    ring = active_ring()
+    if ring is not None:
+        ring = EventRing(ring.capacity, ring.prefix_filter)
+    with use_registry(registry), detached_trace(), use_ring(ring):
         with span("campaign.cell.%s" % work.spec.label()) as record:
             outcome = _run_cell(work, index, network)
         registry.counter("campaign.cells_completed").inc()
         registry.counter("campaign.cells_forked").inc()
         outcome.trace = record.as_dict()
     outcome.metrics = registry.snapshot()
-    if capture is not None and capture.provenance is not None:
-        outcome.capture = capture.shipped()
+    if ring is not None:
+        outcome.provenance = (ring.events(), ring.dropped)
     return outcome
 
 
@@ -477,7 +466,7 @@ def dispatch_cells(
     are never recomputed.  Results merge in the inline execution
     order: group by group, and each group's cells in grid order.  In
     pooled mode the parent merges worker metrics snapshots, re-attaches
-    span trees, and merges shipped captures into its active capture in
+    span trees, and folds shipped provenance into its active ring in
     that order, reproducing the inline observability streams.
     """
     works = list(works)
@@ -489,7 +478,7 @@ def dispatch_cells(
         groups = [NetworkGroup(list(range(len(works))), network)]
     else:
         groups = group_cells(works)
-    capture = active_capture()
+    ring = active_ring()
 
     def fail(failure: CellFailure) -> None:
         failures.append(failure)
@@ -511,8 +500,7 @@ def dispatch_cells(
                 ))
             return
         # Only pooled outcomes carry worker metrics, span trees and
-        # copies of the parent capture's channels (inline cells wrote
-        # straight into the parent's).
+        # provenance (inline cells wrote straight into the parent's).
         for outcome in settled:
             if isinstance(outcome, CellFailure):
                 fail(outcome)
@@ -521,8 +509,9 @@ def dispatch_cells(
                 get_registry().merge_snapshot(outcome.metrics)
             if outcome.trace is not None:
                 attach_completed(outcome.trace)
-            if capture is not None:
-                outcome.capture = capture.merge(outcome.capture)
+            if outcome.provenance is not None:
+                ring.extend(*outcome.provenance)
+                outcome.provenance = None
             outcomes[outcome.index] = outcome
             if on_outcome is not None:
                 on_outcome(outcome)
@@ -605,7 +594,6 @@ def plan_grid(
     scale: float = 0.1,
     pps: int = 100,
     fault_spec: str = "",
-    provenance_capacity: Optional[int] = None,
 ) -> List[ExperimentSpec]:
     """The (seed × scenario × experiment) grid, in deterministic
     seed-major order.  Unknown scenario names fail here, before any
@@ -615,7 +603,6 @@ def plan_grid(
             experiment=experiment, seed=seed, scale=scale,
             scenario=scenario, pps=pps,
             fault_spec=fault_spec,
-            provenance_capacity=provenance_capacity,
         )
         for seed in seeds
         for scenario in scenarios
@@ -656,9 +643,9 @@ class CampaignRunner:
     directory:
         Campaign state root.  The planned grid lands in ``grid.json``
         (:func:`write_grid_manifest`); completed cells persist under
-        ``cells/<digest>.json`` (plus ``cells/<digest>.provenance.jsonl``
-        for specs requesting provenance); the aggregate lands in
-        ``campaign_summary.json``.
+        ``cells/<digest>.json``; the aggregate lands in
+        ``campaign_summary.json``.  Provenance goes to the active
+        ring, not to per-cell files.
     pool_workers:
         Campaign-level group processes (1: groups run inline, one after
         another).
@@ -695,10 +682,6 @@ class CampaignRunner:
     # -- checkpoint I/O ------------------------------------------------
 
     @property
-    def cells_dir(self) -> str:
-        return os.path.join(self.directory, "cells")
-
-    @property
     def summary_path(self) -> str:
         return os.path.join(self.directory, "campaign_summary.json")
 
@@ -707,20 +690,6 @@ class CampaignRunner:
             _checkpoint_path(self.directory, record["digest"]),
             json.dumps(record, indent=1, sort_keys=True) + "\n",
         )
-
-    def _write_cell_capture(self, outcome: CellOutcome) -> None:
-        """The per-cell artifact for provenance the cell's spec
-        captured run-locally: ``<digest>.provenance.jsonl``."""
-        if outcome.capture is not None:
-            _write_atomic(
-                os.path.join(
-                    self.cells_dir, "%s.provenance.jsonl" % outcome.digest
-                ),
-                "".join(
-                    json.dumps(event, sort_keys=True) + "\n"
-                    for event in outcome.capture["events"]
-                ),
-            )
 
     # -- execution -----------------------------------------------------
 
@@ -762,7 +731,6 @@ class CampaignRunner:
         def checkpoint_outcome(outcome: CellOutcome) -> None:
             assert outcome.record is not None
             self._write_checkpoint(outcome.record)
-            self._write_cell_capture(outcome)
             records[outcome.digest] = outcome.record
             get_registry().histogram(
                 "campaign.cell_wall_seconds"

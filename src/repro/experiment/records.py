@@ -42,7 +42,9 @@ class OutageRecord:
 
 @dataclass
 class ExperimentResult:
-    """Everything one experiment produced."""
+    """Everything one experiment produced.  Its provenance events are
+    not part of it: they go to the active ring, if any
+    (:func:`repro.obs.capture.use_ring`)."""
 
     experiment: str                       # "surf" or "internet2"
     schedule: ExperimentSchedule
@@ -65,12 +67,6 @@ class ExperimentResult:
         default_factory=list
     )
     outages_applied: List[OutageRecord] = field(default_factory=list)
-    #: Provenance events captured by a spec-requested local recorder
-    #: (:func:`repro.api.run_experiment` with ``provenance_capacity``
-    #: / ``provenance_prefixes`` set and no recorder already active).
-    #: None when the run recorded into a caller-managed recorder or
-    #: recorded nothing.  Deterministic like everything else here.
-    provenance_events: Optional[List[dict]] = None
 
     @property
     def num_rounds(self) -> int:

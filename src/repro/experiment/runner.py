@@ -35,7 +35,7 @@ from ..bgp.engine import (
 from ..errors import ExperimentError
 from ..faults import FaultKind, FaultPlan
 from ..obs import get_logger, get_registry, span
-from ..obs.capture import active_capture
+from ..obs.capture import active_ring
 from ..obs.provenance import selection_event
 from ..probing.host import MeasurementHost
 from ..probing.prober import ProbePlan, Prober
@@ -267,8 +267,7 @@ class ExperimentRunner:
         instant round *index* probes it — the control-plane state the
         round's signal reflects.
         """
-        capture = active_capture()
-        recorder = capture.provenance if capture is not None else None
+        recorder = active_ring()
         if recorder is None:
             return
         measurement_prefix = self.ecosystem.measurement_prefix

@@ -9,10 +9,10 @@ Zero-dependency instrumentation for the engine → runner → CLI stack:
   wall-time histograms that nest into a lightweight trace tree;
 - :mod:`repro.obs.logging` — ``get_logger(name)`` emitting key=value
   or JSON lines on stderr, silent until configured;
-- :mod:`repro.obs.capture` — :class:`Capture`: the one process-wide
-  slot for the opt-in provenance channel (an :class:`EventRing`
-  buffer with JSONL export), installed with :class:`use_capture` and
-  shipped/merged across worker processes as one payload;
+- :mod:`repro.obs.capture` — the opt-in provenance ring (an
+  :class:`EventRing` buffer with JSONL export) in one process-wide
+  slot, installed with :func:`use_ring`; pooled workers ship their
+  ring's ``(events, dropped)`` home for :meth:`EventRing.extend`;
 - :mod:`repro.obs.provenance` — decision-provenance events
   (route-selection steps, per-round prefix signals);
 - :mod:`repro.obs.export` — render completed span trees to Chrome
@@ -42,14 +42,13 @@ from .metrics import (
     set_registry,
     use_registry,
 )
-from .capture import Capture, EventRing, active_capture, use_capture
+from .capture import EventRing, active_ring, use_ring
 from .spans import SpanRecord, current_span, finished_roots, reset_trace, span
 
 __all__ = [
-    "Capture",
     "EventRing",
-    "active_capture",
-    "use_capture",
+    "active_ring",
+    "use_ring",
     "Counter",
     "Gauge",
     "Histogram",

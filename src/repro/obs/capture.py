@@ -1,36 +1,33 @@
-"""One observability capture: the provenance channel.
+"""The provenance ring and the one process-wide slot that holds it.
 
-A :class:`Capture` holds the opt-in evidence channel a run records
-into: ``provenance``, an :class:`EventRing` of decision-provenance
+An :class:`EventRing` is a bounded buffer of decision-provenance
 events (:mod:`repro.obs.provenance`: route selections, per-round
-signals), or ``None``.  One process-wide slot holds the active capture
-(:func:`active_capture`, installed with :func:`use_capture`).  Hot
+signals).  One process-wide slot holds the ring a run records into, or
+``None`` (:func:`active_ring`, installed with :func:`use_ring`).  Hot
 paths read the slot once per decision, round or run and skip every
-other cost when the channel is absent.
+other cost when it holds None.
 
-Workers never write into their parent's capture.  A pooled campaign
-cell runs under :meth:`Capture.child` (fresh, empty, same settings),
-returns :meth:`Capture.shipped` with its results, and the parent folds
-each payload in with :meth:`Capture.merge` in cell order.  Cell order
-is the inline order, so merged event streams are byte-identical to an
-inline run's at every ``--campaign-workers`` count (asserted in
-``tests/test_differential.py``).
+Workers never write into their parent's ring.  A pooled campaign cell
+records into a fresh ring with the parent's capacity and prefix
+filter, returns its ``(events, dropped)`` with its results, and the
+parent folds each pair in with :meth:`EventRing.extend` in cell order.
+Cell order is the inline order, so merged event streams are
+byte-identical to an inline run's at every ``--campaign-workers``
+count (asserted in ``tests/test_differential.py``).
 """
 
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import json
 import threading
 from collections import deque
 from typing import Deque, Dict, Iterable, Iterator, List, Optional
 
 __all__ = [
-    "Capture",
     "EventRing",
-    "active_capture",
-    "use_capture",
+    "active_ring",
+    "use_ring",
     "DEFAULT_CAPACITY",
 ]
 
@@ -159,76 +156,34 @@ class EventRing:
             return self.export_jsonl(stream)
 
 
-@dataclasses.dataclass
-class Capture:
-    """The evidence channel one run records into (optional)."""
+# -- the process-wide slot (None = nothing recorded) ------------------
 
-    provenance: Optional[EventRing] = None
-
-    def over(self, base: Optional["Capture"]) -> Optional["Capture"]:
-        """This capture if it holds the channel, else *base* — how a
-        run-local channel joins an already-active capture.  An empty
-        capture returns *base* itself, so a run that captures nothing
-        keeps the disabled slot."""
-        return self if self.provenance is not None else base
-
-    def child(self) -> "Capture":
-        """A fresh, empty capture with this one's settings, for a
-        cell worker."""
-        ring = self.provenance
-        if ring is None:
-            return Capture()
-        return Capture(EventRing(ring.capacity, ring.prefix_filter))
-
-    def shipped(self) -> Optional[dict]:
-        """This capture's events as one picklable payload for
-        :meth:`merge` (None when it holds no channel)."""
-        ring = self.provenance
-        if ring is None:
-            return None
-        return {"events": ring.events(), "dropped": ring.dropped}
-
-    def merge(self, payload: Optional[dict]) -> Optional[dict]:
-        """Fold a :meth:`shipped` payload into this capture's channel
-        and return None, or return *payload* untouched when this
-        capture holds no channel.
-
-        Events are appended verbatim and the worker ring's drop count
-        is carried over, so merging payloads in task order leaves the
-        ring exactly as a serial run would have.
-        """
-        if self.provenance is None or payload is None:
-            return payload
-        self.provenance.extend(payload["events"], payload["dropped"])
-        return None
+_active: Optional[EventRing] = None
 
 
-# -- the process-wide slot (None = nothing captured) ------------------
+def active_ring() -> Optional[EventRing]:
+    """The process-wide provenance ring, or None when nothing is
+    recorded.
 
-_active: Optional[Capture] = None
-
-
-def active_capture() -> Optional[Capture]:
-    """The process-wide capture, or None when nothing is captured.
-
-    This is the hot-path check: call sites read the slot once and skip
-    all event construction when it (or the channel they feed) is None.
+    This is the hot-path check: call sites read the slot once per
+    decision, round or run and skip all event construction when it is
+    None.
     """
     return _active
 
 
 @contextlib.contextmanager
-def use_capture(capture: Optional[Capture]) -> Iterator[Optional[Capture]]:
-    """Install *capture* (None: capture nothing) for a ``with`` block;
-    the previous capture is restored on exit::
+def use_ring(ring: Optional[EventRing]) -> Iterator[Optional[EventRing]]:
+    """Install *ring* (None: record nothing) for a ``with`` block; the
+    previous ring is restored on exit::
 
-        with use_capture(Capture(provenance=EventRing())) as capture:
+        with use_ring(EventRing()) as ring:
             engine.run_to_fixpoint()
-            assert capture.provenance.events(kind="selection")
+            assert ring.events(kind="selection")
     """
     global _active
-    previous, _active = _active, capture
+    previous, _active = _active, ring
     try:
-        yield capture
+        yield ring
     finally:
         _active = previous

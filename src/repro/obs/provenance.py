@@ -17,17 +17,17 @@ events:
   (re/commodity/both/none), i.e. exactly what
   :mod:`repro.core.classify` consumes.
 
-Events are held in the ``provenance`` ring of the active
-:class:`~repro.obs.capture.Capture` (a bounded
-:class:`~repro.obs.capture.EventRing`, so a heavily-loaded process can
-leave provenance enabled without unbounded growth); ``repro reproduce
---provenance-out FILE.jsonl`` drains the ring to JSON lines after the
-run.  Recording is **off by default**: the hot paths pay one function
-call returning ``None`` per decision (guarded, with the rest of the obs
-stack, by ``benchmarks/bench_obs_overhead.py``).
+Events are held in the active ring (:func:`~repro.obs.capture.use_ring`
+installs a bounded :class:`~repro.obs.capture.EventRing`, so a
+heavily-loaded process can leave provenance enabled without unbounded
+growth); ``repro reproduce --provenance-out FILE.jsonl`` drains the
+ring to JSON lines after the run.  Recording is **off by default**:
+the hot paths pay one function call returning ``None`` per decision
+(guarded, with the rest of the obs stack, by
+``benchmarks/bench_obs_overhead.py``).
 
 Determinism: events are plain dicts built from simulation state only
-(no wall clocks, no object ids), and pooled cell captures merge back
+(no wall clocks, no object ids), and pooled cells' events fold back
 in cell order — so the merged stream is byte-identical to an inline
 run's at every ``--campaign-workers`` count (asserted in
 ``tests/test_differential.py``).

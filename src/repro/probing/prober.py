@@ -34,7 +34,7 @@ from typing import (
 from ..errors import ExperimentError
 from ..netutil import Prefix
 from ..obs import get_logger, get_registry, span
-from ..obs.capture import active_capture
+from ..obs.capture import active_ring
 from ..obs.provenance import KIND_BITS, SIGNAL_LABELS, signal_event
 from ..rng import SeedTree, derive_seed
 from ..topology.re_config import SystemPlan
@@ -336,8 +336,7 @@ class Prober:
     ) -> None:
         """One provenance signal event per wanted prefix, in probe
         order."""
-        capture = active_capture()
-        recorder = capture.provenance if capture is not None else None
+        recorder = active_ring()
         if recorder is None:
             return
         for index, prefix in enumerate(result.plan.prefixes):

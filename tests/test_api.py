@@ -20,7 +20,6 @@ from repro.api import (
 )
 from repro.errors import ExperimentError, ReproError
 from repro.experiment.runner import ExperimentRunner
-from repro.obs.capture import Capture, EventRing, use_capture
 from repro.rng import SeedTree
 from repro.seeds.selection import select_seeds
 from repro.topology.re_ecosystem import build_ecosystem
@@ -50,8 +49,8 @@ def test_spec_defaults_are_valid():
         {"pps": 0},
         {"seed": "a"},
         {"seed": True},
-        {"provenance_capacity": True},
-        {"provenance_capacity": 0},
+        {"pps": True},
+        {"configs": "0-0"},
         {"scenario": "no-such-scenario"},
         {"config_overrides": {"no_such_field": 1}},
         {"fault_spec": "bogus=1"},
@@ -110,8 +109,6 @@ def test_json_round_trip_every_field():
         configs=("0-0", "1-0", "0-1"),
         pps=50,
         fault_spec="flap=1,loss=1",
-        provenance_capacity=500,
-        provenance_prefixes=("10.0.0.0/16",),
     )
     again = ExperimentSpec.from_json(spec.to_json())
     assert again == spec
@@ -143,15 +140,15 @@ def test_digest_stability():
     """Pinned digests: a drift here breaks every existing campaign
     checkpoint directory, so it must be deliberate (bump
     SPEC_SCHEMA_VERSION and say so in CHANGES.md).  Re-pinned for
-    schema 8 (the frontier_capacity field removed)."""
-    assert ExperimentSpec().digest() == "a7fd9cc97b470242"
+    schema 9 (the two provenance fields removed)."""
+    assert ExperimentSpec().digest() == "431b3a724ef09253"
     assert ExperimentSpec(
         experiment="surf", seed=3, scale=0.05
-    ).digest() == "eb51481854d1156f"
+    ).digest() == "f6ad3311620c5ca8"
     assert ExperimentSpec(
         experiment="internet2", seed=7, scenario="re-dominant",
         config_overrides={"no_commodity_rate": 0.5},
-    ).digest() == "b69f7065899aea80"
+    ).digest() == "19792ff90df610b4"
 
 
 def test_digest_changes_with_simulation_fields():
@@ -212,9 +209,9 @@ MISTYPED_DOCUMENTS = [
     '{"scale": "x"}',
     '{"scale": null}',
     '{"pps": "100"}',
-    '{"provenance_capacity": "3"}',
+    '{"experiment": 3}',
     '{"config_overrides": 3}',
-    '{"provenance_prefixes": 5}',
+    '{"scenario": 5}',
     '{"fault_spec": 7}',
     '{"seed": "a"}',
     '{"seed": true}',
@@ -375,6 +372,26 @@ def test_from_dict_drops_legacy_profile(schema):
             ExperimentSpec.from_dict(dict(current, **extra))
 
 
+def test_from_dict_drops_schema_8_provenance_keys():
+    """Schema 3 to 8 specs carried two provenance keys that only chose
+    a run-local ring; a schema-8 document naming both loads equal to
+    the same spec without them, and a schema-9 one naming either is
+    refused."""
+    spec = ExperimentSpec(seed=11, scale=0.07)
+    retired = {
+        "provenance_capacity": 500,
+        "provenance_prefixes": ["10.0.0.0/16"],
+    }
+    data = dict(spec.as_dict(), schema=8, **retired)
+    again = ExperimentSpec.from_dict(data)
+    assert again == spec
+    assert again.digest() == spec.digest()
+    assert again.as_dict()["schema"] == SPEC_SCHEMA_VERSION == 9
+    for key, value in retired.items():
+        with pytest.raises(ExperimentError, match=key):
+            ExperimentSpec.from_dict(dict(spec.as_dict(), **{key: value}))
+
+
 def test_from_dict_reads_schema_3_flat_execution_keys():
     spec = ExperimentSpec(seed=11, scale=0.07)
     data = json.loads(spec.to_json())
@@ -444,28 +461,3 @@ def test_run_experiment_internet2_uses_seed_plus_one():
     assert [_round_key(r) for r in via_api.rounds] == [
         _round_key(r) for r in direct.rounds
     ]
-
-
-def test_run_experiment_attaches_provenance_when_requested():
-    spec = ExperimentSpec(
-        experiment="surf", seed=SEED, scale=SCALE,
-        provenance_capacity=200,
-    )
-    result = run_experiment(spec)
-    assert result.provenance_events is not None
-    assert len(result.provenance_events) > 0
-
-
-def test_run_experiment_defers_to_active_recorder():
-    """With a recorder already installed, the spec's provenance options
-    must not shadow it: events land in the caller's recorder and
-    nothing is attached to the result."""
-    spec = ExperimentSpec(
-        experiment="surf", seed=SEED, scale=SCALE,
-        provenance_capacity=200,
-    )
-    recorder = EventRing(capacity=200)
-    with use_capture(Capture(provenance=recorder)):
-        result = run_experiment(spec)
-    assert result.provenance_events is None
-    assert len(recorder.events()) > 0

@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+from repro.api import ExperimentSpec, network_of
 from repro.cli import main
 
 
@@ -23,6 +24,13 @@ class TestFunnelCommand:
         out = capsys.readouterr().out
         assert "responsive" in out
         assert "ISI-covered" in out
+
+    def test_funnel_is_the_runs_seed_plan(self, capsys):
+        """The funnel is the probe-seed plan's that ``reproduce`` and
+        ``explain`` probe for the same seed and scale."""
+        assert main(["funnel", "--scale", "0.1", "--seed", "0"]) == 0
+        _, plan = network_of(ExperimentSpec(seed=0, scale=0.1))
+        assert capsys.readouterr().out.splitlines() == plan.funnel.as_rows()
 
 
 class TestReproduceAndClassify:
@@ -165,6 +173,46 @@ def test_whatif_rejects_an_unbounded_count(capsys):
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1
     assert "at most 10 ASCII digits" in err
+
+
+@pytest.mark.parametrize(
+    "export", ["afile", os.path.join("afile", "sub")], ids=["file", "below-file"]
+)
+def test_reproduce_refuses_an_unusable_export_dir(
+    export, tmp_path, monkeypatch, capsys
+):
+    """An --export DIR that cannot be created is refused in the
+    preamble: exit 2, one stderr line, no report, nothing created."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "afile").write_text("kept")
+    assert main(["reproduce", "--scale", "0.04", "--export", export]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
+    assert "not a writable directory" in captured.err
+    assert os.listdir(tmp_path) == ["afile"]
+    assert (tmp_path / "afile").read_text() == "kept"
+
+
+@pytest.mark.parametrize("delta", ["bogus", "prepend:re=x"])
+def test_whatif_refuses_a_malformed_delta_before_printing(delta, capsys):
+    """Every --delta parses before the baseline prints: a malformed one
+    leaves stdout empty and exits 2."""
+    assert main([
+        "whatif", "--scale", "0.02", "--delta", "withdraw:re",
+        "--delta", delta,
+    ]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "bad delta spec %r" % delta in captured.err
+
+
+@pytest.mark.parametrize("scale", ["0", "nan", "-1"])
+def test_funnel_rejects_a_bad_scale(scale, capsys):
+    assert main(["funnel", "--scale=" + scale]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "scale must be a positive number" in captured.err
 
 
 class TestWhatIfArtifacts:

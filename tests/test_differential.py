@@ -6,7 +6,7 @@ The determinism contract says results are a pure function of the
 experiment seed — never of the backend a campaign cell runs on.  These
 tests enforce it at every level the analysis depends on: raw
 responses, per-round convergence, prefix classifications, and the
-provenance stream a pooled cell ships back to the parent's capture.
+provenance stream a pooled cell ships back to the parent's ring.
 """
 
 import io
@@ -33,7 +33,7 @@ from repro.core.classify import classify_experiment, origin_map
 from repro.core.explain import render_explanation
 from repro.experiment.campaign import CellWork, dispatch_cells, fork_available
 from repro.obs import use_registry
-from repro.obs.capture import Capture, EventRing, use_capture
+from repro.obs.capture import EventRing, use_ring
 from repro.rng import SeedTree
 
 #: (seed, scale) grid.  Small scales keep the grid cheap; the shared
@@ -45,10 +45,10 @@ BACKENDS = ("inline", "fork") if fork_available() else ("inline",)
 
 
 def _captured(run):
-    """Call *run* under a fresh provenance capture; returns run's
-    result and the exported stream as JSONL text."""
+    """Call *run* under a fresh provenance ring; returns run's result
+    and the exported stream as JSONL text."""
     ring = EventRing()
-    with use_capture(Capture(ring)):
+    with use_ring(ring):
         result = run()
     assert ring.dropped == 0, "ring overflow would break identity"
     buffer = io.StringIO()
@@ -58,8 +58,8 @@ def _captured(run):
 
 def _cell(ecosystem, spec, backend):
     """Run *spec* as a one-cell network group on *ecosystem* on
-    *backend*; a fork cell's events reach the parent's capture through
-    Capture.merge."""
+    *backend*; a fork cell's events reach the parent's ring through
+    ``EventRing.extend``."""
     work = CellWork(spec=spec, keep_result=True, build_record=False)
     outcomes, failures = dispatch_cells(
         [work], backend=backend, network=network_of(spec, ecosystem)
@@ -72,7 +72,7 @@ def _cell(ecosystem, spec, backend):
 
 def _variants(seed, scale):
     """The standalone run next to the same spec as an inline and a
-    fork cell, each with a provenance capture."""
+    fork cell, each with a provenance ring."""
     ecosystem = build_ecosystem(REEcosystemConfig(scale=scale), seed=seed)
     spec = ExperimentSpec(seed=seed, scale=scale)
     serial, serial_jsonl = _captured(

@@ -1,12 +1,10 @@
-"""The one observability capture (repro.obs.capture): the bounded
-:class:`EventRing` behind the provenance channel, the process-wide
-:func:`use_capture` slot, and the child/shipped/merge path pooled
-workers use.
+"""The provenance ring and its slot (repro.obs.capture): the bounded
+:class:`EventRing`, the process-wide :func:`use_ring` slot, and the
+``(events, dropped)`` fold pooled workers' rings go through.
 
 :class:`RingContract` and :class:`SlotContract` are the ring and slot
 behaviours; test_obs_provenance.py runs them
-(``TestRecorder``/``TestGlobalRecorder``), and test_frontier.py runs
-them on a pooled cell worker's ring and on a frontier-free capture.
+(``TestRecorder``/``TestGlobalRecorder``).
 """
 
 import io
@@ -19,10 +17,9 @@ from repro.experiment.campaign import CellWork, dispatch_cells, fork_available
 from repro.netutil import Prefix
 from repro.obs.capture import (
     DEFAULT_CAPACITY,
-    Capture,
     EventRing,
-    active_capture,
-    use_capture,
+    active_ring,
+    use_ring,
 )
 from repro.rng import SeedTree
 from repro.seeds.selection import select_seeds
@@ -32,14 +29,14 @@ PFX = Prefix.parse("192.0.2.0/24")
 
 
 def _ring(**options):
-    """A ring reached through the active capture, as hot paths do."""
-    with use_capture(Capture(EventRing(**options))):
-        return active_capture().provenance
+    """A ring reached through the slot, as hot paths do."""
+    with use_ring(EventRing(**options)):
+        return active_ring()
 
 
 class RingContract:
     """The event ring's behaviours, on the ring that :meth:`ring`
-    builds (by default one reached through the active capture)."""
+    builds (by default one reached through the slot)."""
 
     ring = staticmethod(_ring)
 
@@ -109,89 +106,63 @@ class SlotContract:
     """The process-wide slot."""
 
     def test_disabled_by_default(self):
-        assert active_capture() is None
+        assert active_ring() is None
 
     def test_default_capacity(self):
-        with use_capture(Capture(EventRing())) as capture:
-            assert capture.provenance.capacity == DEFAULT_CAPACITY
+        with use_ring(EventRing()) as ring:
+            assert ring.capacity == DEFAULT_CAPACITY
 
     def test_enable_disable(self):
         ring = EventRing(capacity=10)
-        with use_capture(Capture(ring)) as capture:
-            assert active_capture().provenance is ring
-            assert active_capture() is capture
-        assert active_capture() is None
+        with use_ring(ring) as installed:
+            assert installed is ring
+            assert active_ring() is ring
+        assert active_ring() is None
 
-    def test_use_capture_restores_previous(self):
-        outer = Capture(EventRing())
-        inner = Capture(EventRing())
-        with use_capture(outer):
-            with use_capture(inner):
-                assert active_capture().provenance is inner.provenance
-            assert active_capture() is outer
-        assert active_capture() is None
+    def test_use_ring_restores_previous(self):
+        outer = EventRing()
+        inner = EventRing()
+        with use_ring(outer):
+            with use_ring(inner):
+                assert active_ring() is inner
+            assert active_ring() is outer
+        assert active_ring() is None
 
-    def test_use_capture_keeps_empty_ring(self):
+    def test_use_ring_keeps_empty_ring(self):
         """An empty ring is falsy (__len__ == 0); the slot must still
         serve *that* ring, not a fresh one or None."""
         mine = EventRing(prefix_filter=[PFX])
-        with use_capture(Capture(mine)):
-            assert active_capture().provenance is mine
+        with use_ring(mine):
+            assert active_ring() is mine
 
 
 class TestNesting:
-    def test_nested_use_capture_restores_capture(self):
-        outer = Capture()
-        inner = Capture(EventRing())
-        with use_capture(outer):
-            with use_capture(inner):
-                assert active_capture() is inner
-            assert active_capture() is outer
-        assert active_capture() is None
-
-    def test_over_fills_missing_channels(self):
-        """A capture holding the channel wins; an empty one yields to
-        *base*, keeping the disabled slot when *base* is None."""
-        base = Capture(EventRing())
-        mine = Capture(EventRing())
-        assert mine.over(base) is mine
-        assert mine.over(None) is mine
-        assert Capture().over(None) is None
-        assert Capture().over(base) is base
+    def test_nested_use_ring_restores_ring(self):
+        """Installing None records nothing inside the block and gives
+        the outer ring back on exit."""
+        outer = EventRing()
+        with use_ring(outer):
+            with use_ring(None):
+                assert active_ring() is None
+            assert active_ring() is outer
+        assert active_ring() is None
 
 
 class TestChildShipMerge:
-    def test_child_is_fresh_with_same_settings(self):
-        parent = Capture(EventRing(capacity=7, prefix_filter=[PFX]))
-        parent.provenance.record({"kind": "x"})
-        child = parent.child()
-        assert len(child.provenance) == 0
-        assert child.provenance.capacity == 7
-        assert child.provenance.prefix_filter == frozenset([str(PFX)])
-        assert Capture().child() == Capture()
-        assert Capture().shipped() is None
-
     def test_merge_reproduces_serial_ring(self):
+        """Worker rings with the parent's settings, folded in order
+        with ``extend(events, dropped)``, leave the parent ring exactly
+        as one serial ring: same events, same drop count."""
         serial = EventRing(capacity=4)
-        parent = Capture(provenance=EventRing(capacity=4))
+        parent = EventRing(capacity=4)
         events = [{"kind": "x", "n": n} for n in range(10)]
         for part in (events[:3], events[3:]):
             serial.extend(part)
-            worker = parent.child()
-            worker.provenance.extend(part)
-            assert parent.merge(worker.shipped()) is None
-        assert parent.provenance.events() == serial.events()
-        assert parent.provenance.dropped == serial.dropped == 6
-
-    def test_merge_returns_channels_it_lacks(self):
-        """A capture without the channel hands the payload back (the
-        cell's run-local provenance, kept for its artifact)."""
-        worker = Capture(EventRing())
-        worker.provenance.record({"kind": "p"})
-        payload = worker.shipped()
-        assert Capture().merge(payload) is payload
-        assert payload["events"] == [{"kind": "p"}]
-        assert Capture(EventRing()).merge(None) is None
+            worker = EventRing(parent.capacity, parent.prefix_filter)
+            worker.extend(part)
+            parent.extend(worker.events(), worker.dropped)
+        assert parent.events() == serial.events()
+        assert parent.dropped == serial.dropped == 6
 
 
 def _export(ring):
@@ -200,9 +171,10 @@ def _export(ring):
     return buffer.getvalue()
 
 
-def _capture_pair(ecosystem, backend):
+def _capture_pair(ecosystem, backend, ring=None):
     """The surf/internet2 pair as one network group sharing one
-    probe-seed plan, dispatched on *backend*."""
+    probe-seed plan, dispatched on *backend* under *ring* (a fresh
+    unfiltered one by default); returns the ring."""
     seed_plan = select_seeds(ecosystem, seed_tree=SeedTree(0).child("seeds"))
     works = [
         CellWork(
@@ -211,8 +183,8 @@ def _capture_pair(ecosystem, backend):
         )
         for experiment in ("surf", "internet2")
     ]
-    capture = Capture(EventRing())
-    with use_capture(capture):
+    ring = EventRing() if ring is None else ring
+    with use_ring(ring):
         outcomes, failures = dispatch_cells(
             works, backend=backend, network=(ecosystem, seed_plan)
         )
@@ -221,19 +193,47 @@ def _capture_pair(ecosystem, backend):
     assert [outcome.trace is not None for outcome in outcomes] == [
         backend == "fork"
     ] * 2
-    return capture
+    # The dispatcher keeps no second copy of a folded stream.
+    assert all(outcome.provenance is None for outcome in outcomes)
+    return ring
+
+
+def _pair_ecosystem():
+    return build_ecosystem(
+        ExperimentSpec(scale=0.04).ecosystem_config(), seed=0
+    )
 
 
 @pytest.mark.skipif(not fork_available(), reason="needs fork")
 def test_pooled_pair_merges_capture_like_inline():
-    """A pair group run on a fork worker ships both cells' captures
-    back (Capture.shipped / Capture.merge); the merged streams must
-    match the inline pair's byte for byte."""
-    ecosystem = build_ecosystem(
-        ExperimentSpec(scale=0.04).ecosystem_config(), seed=0
-    )
-    inline = _capture_pair(ecosystem, backend="inline")
-    pooled = _capture_pair(ecosystem, backend="fork")
-    one, two = inline.provenance, pooled.provenance
+    """A pair group run on a fork worker ships both cells'
+    ``(events, dropped)`` back and the parent folds them into its
+    ring; the merged stream must match the inline pair's byte for
+    byte."""
+    ecosystem = _pair_ecosystem()
+    one = _capture_pair(ecosystem, backend="inline")
+    two = _capture_pair(ecosystem, backend="fork")
     assert len(one) > 0 and one.dropped == 0
     assert _export(one) == _export(two)
+
+
+@pytest.mark.skipif(not fork_available(), reason="needs fork")
+def test_pooled_pair_keeps_ring_settings():
+    """Worker rings take the parent ring's prefix filter, and the fold
+    carries their drop counts over: a filtered, overflowing ring ends
+    with the inline ring's events and drop count."""
+    ecosystem = _pair_ecosystem()
+    signals = _capture_pair(ecosystem, backend="inline").events(
+        kind="signal"
+    )
+    prefix = signals[0]["prefix"]
+    one, two = (
+        _capture_pair(
+            ecosystem, backend,
+            EventRing(capacity=5, prefix_filter=[prefix]),
+        )
+        for backend in ("inline", "fork")
+    )
+    assert one.dropped > 0
+    assert {event["prefix"] for event in one.events()} == {prefix}
+    assert (_export(one), one.dropped) == (_export(two), two.dropped)

@@ -18,7 +18,7 @@ from repro.core.classify import RoundSignal, classify_prefix_rounds
 from repro.core.explain import render_explanation
 from repro.netutil import Prefix
 from repro.obs.export import chrome_trace, write_chrome_trace
-from repro.obs.capture import Capture, EventRing, use_capture
+from repro.obs.capture import EventRing, use_ring
 from repro.obs.provenance import (
     round_signal_summary,
     selection_event,
@@ -33,10 +33,8 @@ PFX = Prefix.parse("192.0.2.0/24")
 
 
 def _recording(ring=None):
-    """Install a capture holding only a provenance ring."""
-    return use_capture(Capture(
-        provenance=ring if ring is not None else EventRing()
-    ))
+    """Install a provenance ring (a fresh one by default)."""
+    return use_ring(ring if ring is not None else EventRing())
 
 
 class TestSignalFromKinds:
@@ -72,7 +70,7 @@ class TestRecorder(RingContract):
 
 
 class TestGlobalRecorder(SlotContract):
-    """The slot contract, run on the provenance channel."""
+    """The slot contract, run on the process-wide ring slot."""
 
 
 class TestEventBuilders:
@@ -119,7 +117,7 @@ class TestEventBuilders:
 class TestEngineSelectionEvents:
     def test_router_records_reselect(self):
         router = Router(100, RoutingPolicy())
-        with _recording() as capture:
+        with _recording() as ring:
             router.receive(
                 neighbor_asn=7, rel=Rel.PROVIDER, prefix=PFX,
                 path=ASPath((7, 9)), now=1.0,
@@ -128,7 +126,7 @@ class TestEngineSelectionEvents:
                 neighbor_asn=8, rel=Rel.PROVIDER, prefix=PFX,
                 path=ASPath((8, 9)), now=2.0,
             )
-        events = capture.provenance.events(
+        events = ring.events(
             kind="selection", source="engine"
         )
         assert len(events) == 2
@@ -148,12 +146,12 @@ class TestEngineSelectionEvents:
     def test_filtered_prefix_not_recorded(self):
         router = Router(100, RoutingPolicy())
         other = Prefix.parse("198.51.100.0/24")
-        with _recording(EventRing(prefix_filter=[other])) as capture:
+        with _recording(EventRing(prefix_filter=[other])) as ring:
             router.receive(
                 neighbor_asn=7, rel=Rel.PROVIDER, prefix=PFX,
                 path=ASPath((7, 9)), now=1.0,
             )
-        assert capture.provenance.events() == []
+        assert ring.events() == []
 
     def test_fastpath_records_selections(self):
         ecosystem = build_ecosystem(REEcosystemConfig(scale=0.03), seed=5)
@@ -163,9 +161,9 @@ class TestEngineSelectionEvents:
             Announcement(ecosystem.measurement_prefix,
                          ecosystem.commodity_origin, tag="commodity"),
         ]
-        with _recording() as capture:
+        with _recording() as ring:
             propagate_fastpath(ecosystem.topology, announcements)
-        events = capture.provenance.events(
+        events = ring.events(
             kind="selection", source="fastpath"
         )
         assert events

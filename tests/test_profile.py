@@ -12,7 +12,7 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.obs.capture import active_capture
+from repro.obs.capture import active_ring
 from repro.obs.export import (
     DEFAULT_TOP_N,
     chrome_trace,
@@ -233,8 +233,8 @@ class TestReproduceProfileOptions:
         assert table["prober.round"]["calls"] == 18
         assert main(["profile", str(trace)]) == 0
         assert "prober.round" in capsys.readouterr().out
-        # The run-scoped capture was torn down on exit.
-        assert active_capture() is None
+        # The run-scoped ring was torn down on exit.
+        assert active_ring() is None
 
     def test_default_top_n_used(self, tmp_path, capsys):
         events = [
