@@ -640,13 +640,6 @@ class PropagationEngine:
         sent_delta = self._messages_sent - self._messages_sent_flushed
         self._messages_sent_flushed = self._messages_sent
         registry.counter("engine.messages_sent").inc(sent_delta)
-        registry.gauge("engine.heap_depth_peak").set(stats.peak_heap_depth)
-        registry.gauge("engine.message_limit_proximity").set(
-            stats.limit_proximity
-        )
-        registry.histogram("engine.convergence_sim_seconds").observe(
-            stats.duration
-        )
         if stats.limit_proximity >= MESSAGE_LIMIT_WARN_RATIO:
             _log.warning(
                 "convergence run approaching message limit",

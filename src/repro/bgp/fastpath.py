@@ -404,7 +404,6 @@ def propagate_fastpath(
     registry.counter("fastpath.decision_cache_hits").inc(hits)
     registry.counter("fastpath.decision_cache_misses").inc(misses)
     registry.counter("fastpath.queue_compactions").inc(compactions)
-    registry.gauge("fastpath.ases_with_route").set(len(result.best))
     if _log.is_enabled_for("debug"):
         _log.debug(
             "fastpath converged",

@@ -96,8 +96,8 @@ def _obs_options() -> argparse.ArgumentParser:
     )
     parent.add_argument(
         "--metrics-out", metavar="PATH",
-        help="write a metrics snapshot (engine/prober/runner counters "
-             "and span histograms) after the run",
+        help="write a metrics snapshot (engine/prober/runner/campaign "
+             "counters) after the run",
     )
     parent.add_argument(
         "--provenance-out", metavar="FILE.jsonl",
@@ -527,13 +527,13 @@ def _cmd_sweep(args) -> int:
     print(result.summary.render())
     print()
     print(
-        "campaign: %d cell(s) computed, %d resumed from checkpoints "
-        "(%.1f cells/minute); summary written to %s"
-        % (
-            result.completed, result.skipped, result.cells_per_minute,
-            runner.summary_path,
-        )
+        "campaign: %d cell(s) computed, %d resumed from checkpoints; "
+        "summary written to %s"
+        % (result.completed, result.skipped, runner.summary_path)
     )
+    # The rate is wall-clock execution metadata: stderr, not the
+    # deterministic stdout report.
+    print("%.1f cells/minute" % result.cells_per_minute, file=sys.stderr)
     _write_outputs(args, ring)
     return 0
 

@@ -184,7 +184,6 @@ class CellOutcome:
     digest: str
     label: str
     record: Optional[dict] = None
-    wall_seconds: float = 0.0
     result: Optional[ExperimentResult] = None
     #: Worker-side registry snapshot / completed span tree (pooled
     #: mode only; inline cells wrote straight into the parent's).
@@ -346,7 +345,6 @@ def _run_cell(work: CellWork, index: int, network: Network) -> CellOutcome:
         digest=spec.digest(),
         label=spec.label(),
         record=record,
-        wall_seconds=time.perf_counter() - started,
         result=result if work.keep_result else None,
     )
 
@@ -696,10 +694,9 @@ class CampaignRunner:
     def run(self) -> CampaignResult:
         started = time.perf_counter()
         # The observable grid: a manifest so `repro status` knows what
-        # "complete" means, and a total gauge so the --metrics-out
-        # snapshot reads `campaign.cells_completed` against the grid.
+        # "complete" means; its `total` is what the --metrics-out
+        # snapshot's `campaign.cells_completed` reads against.
         write_grid_manifest(self.directory, self.specs)
-        get_registry().gauge("campaign.cells_total").set(len(self.specs))
         records: Dict[str, dict] = {}
         pending: List[ExperimentSpec] = []
         skipped = 0
@@ -732,15 +729,12 @@ class CampaignRunner:
             assert outcome.record is not None
             self._write_checkpoint(outcome.record)
             records[outcome.digest] = outcome.record
-            get_registry().histogram(
-                "campaign.cell_wall_seconds"
-            ).observe(outcome.wall_seconds)
             if self.keep_results and outcome.result is not None:
                 result.results[outcome.digest] = outcome.result
             _log.info(
                 "cell complete",
                 cell=outcome.label, digest=outcome.digest,
-                wall_seconds=round(outcome.wall_seconds, 3),
+                wall_seconds=round(outcome.record["wall_seconds"], 3),
             )
 
         with span("campaign.run"):

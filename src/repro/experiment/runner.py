@@ -48,13 +48,6 @@ from .schedule import ExperimentSchedule
 
 _log = get_logger("repro.runner")
 
-#: Histogram buckets for per-round BGP message counts (churn, not
-#: seconds — Figure 3's x-axis in engine terms).
-_MESSAGE_BUCKETS = (
-    10, 50, 100, 500, 1_000, 5_000, 10_000, 50_000, 100_000, 500_000,
-)
-
-
 class ExperimentRunner:
     """Runs one experiment against an ecosystem."""
 
@@ -113,12 +106,6 @@ class ExperimentRunner:
         flap_rng = self.tree.child("background-flaps").rng()
         prefix = ecosystem.measurement_prefix
         rib = partial(engine.best_route, prefix=prefix)
-
-        # A total for the --metrics-out snapshot to read
-        # `runner.rounds_completed` against.
-        get_registry().gauge("runner.rounds_total").set(
-            len(schedule.configs)
-        )
 
         # Phase 0: commodity announcement soaks alone.
         result.convergence.append(
@@ -441,15 +428,10 @@ class ExperimentRunner:
     def _flush_round_metrics(
         self, index: int, config_label: str, result: ExperimentResult
     ) -> None:
-        """Publish one round's counters after its span closes."""
-        messages = result.round_messages_delivered(index)
-        registry = get_registry()
+        """Publish one round's counter after its span closes."""
         # Monotonic progress counter: one per completed round, read
         # from the --metrics-out snapshot.
-        registry.counter("runner.rounds_completed").inc()
-        registry.histogram(
-            "runner.round_messages", _MESSAGE_BUCKETS
-        ).observe(messages)
+        get_registry().counter("runner.rounds_completed").inc()
         if _log.is_enabled_for("info"):
             round_result = result.rounds[index]
             _log.info(
@@ -457,7 +439,7 @@ class ExperimentRunner:
                 experiment=self.experiment,
                 round=index,
                 config=config_label,
-                messages=messages,
+                messages=result.round_messages_delivered(index),
                 probes=round_result.probe_count(),
                 responses=round_result.response_count(),
             )

@@ -2,11 +2,12 @@
 
 Zero-dependency instrumentation for the engine → runner → CLI stack:
 
-- :mod:`repro.obs.metrics` — counters / gauges / fixed-bucket
-  histograms in a thread-safe registry (process singleton plus
-  isolated registries for tests) with JSON snapshot export;
+- :mod:`repro.obs.metrics` — counters in a thread-safe registry
+  (process singleton plus isolated registries for tests) with JSON
+  snapshot export;
 - :mod:`repro.obs.spans` — ``with span("engine.run_to_fixpoint"):``
-  wall-time histograms that nest into a lightweight trace tree;
+  wall times that nest into a lightweight trace tree, the one record
+  of where the time went;
 - :mod:`repro.obs.logging` — ``get_logger(name)`` emitting key=value
   or JSON lines on stderr, silent until configured;
 - :mod:`repro.obs.capture` — the opt-in provenance ring (an
@@ -35,8 +36,6 @@ from .logging import configure as configure_logging
 from .logging import get_logger, reset as reset_logging
 from .metrics import (
     Counter,
-    Gauge,
-    Histogram,
     MetricsRegistry,
     get_registry,
     set_registry,
@@ -50,8 +49,6 @@ __all__ = [
     "active_ring",
     "use_ring",
     "Counter",
-    "Gauge",
-    "Histogram",
     "MetricsRegistry",
     "get_registry",
     "set_registry",

@@ -1,4 +1,4 @@
-"""Timing spans: wall-time histograms plus a lightweight trace tree.
+"""Timing spans: a lightweight trace tree of wall times.
 
 Usage, as a context manager or a decorator::
 
@@ -9,19 +9,15 @@ Usage, as a context manager or a decorator::
     def propagate_fastpath(...):
         ...
 
-Each completed span observes its wall-clock duration into the
-histogram ``span.<name>.seconds`` of the process-wide metrics
-registry (resolved at *exit* time, so :func:`repro.obs.use_registry`
-isolation works even around already-entered spans).
-
 Spans nest: entering a span inside another makes it a child, and the
 completed roots form a trace tree (:func:`finished_roots`) whose
 nodes carry name, start offset, and duration — enough to see where a
 ``reproduce`` run spends its time without a tracing backend
 (``--trace-out`` writes it, ``repro profile`` tabulates it).  The
-stack is thread-local; trees from different threads never interleave.
-The retained-roots buffer is bounded so long-lived processes do not
-leak; histograms are unaffected by the bound.
+tree is the one record of wall time; the metrics registry holds
+counters only.  The stack is thread-local; trees from different
+threads never interleave.  The retained-roots buffer is bounded so
+long-lived processes do not leak.
 """
 
 from __future__ import annotations
@@ -31,8 +27,6 @@ import functools
 import threading
 import time
 from typing import Callable, List, Optional
-
-from .metrics import DEFAULT_TIME_BUCKETS, get_registry
 
 __all__ = ["SpanRecord", "span", "finished_roots", "reset_trace",
            "current_span", "detached_trace", "attach_completed"]
@@ -121,10 +115,6 @@ def attach_completed(tree: dict) -> SpanRecord:
     """Graft a completed span tree (a :meth:`SpanRecord.as_dict` export
     from another process) under this thread's innermost open span, or
     as a root if none is open.
-
-    Histograms are *not* observed — the exporting process already
-    recorded its durations into its own registry, which is merged
-    separately — so attaching never double-counts.
     """
     record = SpanRecord.from_dict(tree)
     if _state.stack:
@@ -156,8 +146,7 @@ class span:
     def __exit__(self, *exc_info) -> None:
         record = self._record
         self._record = None
-        duration = time.perf_counter() - self._t0
-        record.duration = duration
+        record.duration = time.perf_counter() - self._t0
         stack = _state.stack
         # Tolerate exotic unwinding: pop through anything above us.
         while stack and stack[-1] is not record:
@@ -171,9 +160,6 @@ class span:
             roots.append(record)
             if len(roots) > MAX_FINISHED_ROOTS:
                 del roots[: len(roots) - MAX_FINISHED_ROOTS]
-        get_registry().histogram(
-            "span.%s.seconds" % self.name, DEFAULT_TIME_BUCKETS
-        ).observe(duration)
 
     # -- decorator ----------------------------------------------------
 

@@ -354,9 +354,6 @@ class Prober:
         registry.counter("prober.rounds").inc()
         registry.counter("prober.probes_sent").inc(probes)
         registry.counter("prober.responses").inc(responses)
-        registry.histogram(
-            "prober.round_sim_seconds",
-        ).observe(result.duration)
         if _log.is_enabled_for("debug"):
             _log.debug(
                 "probe round complete",

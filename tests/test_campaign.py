@@ -777,6 +777,24 @@ def test_cli_sweep_smoke(tmp_path, capsys):
     assert "0 cell(s) computed, 1 resumed" in out
 
 
+def test_cli_sweep_stdout_is_deterministic(tmp_path, capsys):
+    """The wall-clock cell rate goes to stderr, so two identical sweeps
+    print byte-identical stdout."""
+    argv = [
+        "sweep", "--campaign-dir", str(tmp_path / "c"), "--scale",
+        str(SCALE), "--seeds", "0", "--experiments", "surf",
+        "--no-resume",
+    ]
+    outputs = []
+    for _ in range(2):
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert "cells/minute" in captured.err
+        outputs.append(captured.out)
+    assert "cells/minute" not in outputs[0]
+    assert outputs[0] == outputs[1]
+
+
 def test_cli_sweep_seed_ranges(tmp_path, capsys):
     directory = str(tmp_path / "cli-range")
     rc = main([

@@ -25,7 +25,8 @@ from repro.obs import (
     span,
     use_registry,
 )
-from repro.obs.metrics import Counter, Gauge, Histogram
+from repro.obs.export import load_chrome_trace, span_table
+from repro.obs.metrics import Counter
 from repro.obs.spans import (
     SpanRecord,
     attach_completed,
@@ -56,63 +57,22 @@ class TestCounter:
             Counter("c").inc(-1)
 
 
-class TestGauge:
-    def test_set_inc_dec(self):
-        gauge = Gauge("g")
-        gauge.set(10)
-        gauge.inc(5)
-        gauge.dec(2)
-        assert gauge.value == 13
-
-
-class TestHistogram:
-    def test_bucket_placement(self):
-        hist = Histogram("h", bounds=(1.0, 10.0))
-        for value in (0.5, 1.0, 5.0, 100.0):
-            hist.observe(value)
-        data = hist.as_dict()
-        assert data["count"] == 4
-        assert data["sum"] == pytest.approx(106.5)
-        assert data["min"] == 0.5
-        assert data["max"] == 100.0
-        # bounds are inclusive upper bounds; 1.0 lands in the first.
-        assert data["buckets"] == [[1.0, 2], [10.0, 1], ["+Inf", 1]]
-
-    def test_rejects_bad_bounds(self):
-        with pytest.raises(ValueError):
-            Histogram("h", bounds=())
-        with pytest.raises(ValueError):
-            Histogram("h", bounds=(2.0, 1.0))
-
-
 class TestRegistry:
     def test_create_or_get_returns_same_instrument(self):
         registry = MetricsRegistry()
         assert registry.counter("a") is registry.counter("a")
-        assert registry.gauge("b") is registry.gauge("b")
-        assert registry.histogram("c") is registry.histogram("c")
 
     def test_disabled_registry_is_noop(self):
         registry = MetricsRegistry(enabled=False)
         registry.counter("a").inc(5)
-        registry.gauge("b").set(5)
-        registry.histogram("c").observe(5)
-        snapshot = registry.snapshot()
-        assert snapshot == {"counters": {}, "gauges": {}, "histograms": {}}
+        assert registry.snapshot() == {"counters": {}}
 
     def test_snapshot_json_round_trip(self):
         registry = MetricsRegistry()
         registry.counter("x.count").inc(3)
-        registry.gauge("x.depth").set(7)
-        registry.histogram("x.seconds", bounds=(1.0,)).observe(0.5)
-        data = MetricsRegistry.from_snapshot_json(registry.to_json())
-        assert data["counters"]["x.count"] == 3
-        assert data["gauges"]["x.depth"] == 7
-        assert data["histograms"]["x.seconds"]["count"] == 1
-
-    def test_from_snapshot_json_rejects_other_documents(self):
-        with pytest.raises(ValueError):
-            MetricsRegistry.from_snapshot_json('{"not": "a snapshot"}')
+        assert json.loads(registry.to_json()) == registry.snapshot() == {
+            "counters": {"x.count": 3},
+        }
 
     def test_use_registry_isolates_and_restores(self):
         before = get_registry()
@@ -130,13 +90,14 @@ class TestRegistry:
 
 
 class TestSpans:
-    def test_records_histogram_in_active_registry(self):
+    def test_records_duration_in_trace_only(self):
         with use_registry() as registry:
             with span("unit.work"):
                 pass
-            hist = registry.histogram("span.unit.work.seconds")
-            assert hist.count == 1
-            assert hist.sum >= 0.0
+            assert registry.snapshot() == {"counters": {}}
+        (root,) = finished_roots()
+        assert root.name == "unit.work"
+        assert root.duration >= 0.0
 
     def test_nesting_builds_trace_tree(self):
         with use_registry():
@@ -155,20 +116,20 @@ class TestSpans:
         assert len(tree["children"]) == 2
 
     def test_decorator_form(self):
-        with use_registry() as registry:
-            @span("unit.decorated")
-            def work(x):
-                return x * 2
+        @span("unit.decorated")
+        def work(x):
+            return x * 2
 
-            assert work(21) == 42
-            assert registry.histogram("span.unit.decorated.seconds").count == 1
+        assert work(21) == 42
+        assert [r.name for r in finished_roots()] == ["unit.decorated"]
 
     def test_exception_still_records(self):
-        with use_registry() as registry:
-            with pytest.raises(RuntimeError):
-                with span("unit.fails"):
-                    raise RuntimeError("boom")
-            assert registry.histogram("span.unit.fails.seconds").count == 1
+        with pytest.raises(RuntimeError):
+            with span("unit.fails"):
+                raise RuntimeError("boom")
+        (root,) = finished_roots()
+        assert root.name == "unit.fails"
+        assert root.duration is not None
 
     def test_reset_trace_drops_roots(self):
         with use_registry():
@@ -349,16 +310,17 @@ class TestEngineInstrumentation:
         assert stats.wall_seconds > 0
         assert 0.0 < stats.limit_proximity < 1.0
 
-    def test_convergence_duration_histogram(self, small_ecosystem):
+    def test_convergence_duration_in_stats(self, small_ecosystem):
         eco = small_ecosystem
         with use_registry() as registry:
             engine = PropagationEngine(eco.topology, SeedTree(7))
             engine.announce(eco.commodity_origin, eco.measurement_prefix,
                             tag="commodity")
-            engine.run_to_fixpoint()
-            hist = registry.histogram("engine.convergence_sim_seconds")
-            assert hist.count == 1
-            assert hist.sum == pytest.approx(engine.last_stats.duration)
+            stats = engine.run_to_fixpoint()
+            assert registry.counter_value("engine.runs") == 1
+        # The simulated time to fixpoint lives on the run's stats (and
+        # so in ExperimentResult.convergence), not in the registry.
+        assert stats.duration == stats.converged_at - stats.started_at > 0
 
 
 class TestRunnerInstrumentation:
@@ -384,16 +346,25 @@ class TestRunnerInstrumentation:
 
 class TestMetricsSnapshotIntegration:
     @pytest.fixture(scope="class")
-    def snapshot(self, tmp_path_factory):
-        out = tmp_path_factory.mktemp("obs") / "metrics.json"
+    def outputs(self, tmp_path_factory):
+        directory = tmp_path_factory.mktemp("obs")
+        metrics = directory / "metrics.json"
+        trace = directory / "trace.json"
         with use_registry():
             code = main([
                 "reproduce", "--scale", "0.04", "--seed", "5",
-                "--metrics-out", str(out),
+                "--metrics-out", str(metrics), "--trace-out", str(trace),
             ])
             assert code == 0
-        with open(out, "r", encoding="utf-8") as stream:
-            return MetricsRegistry.from_snapshot_json(stream.read())
+        return metrics, trace
+
+    @pytest.fixture(scope="class")
+    def snapshot(self, outputs):
+        with open(outputs[0], "r", encoding="utf-8") as stream:
+            return json.load(stream)
+
+    def test_snapshot_holds_only_counters(self, snapshot):
+        assert list(snapshot) == ["counters"]
 
     def test_engine_prober_runner_metrics_present(self, snapshot):
         counters = snapshot["counters"]
@@ -405,20 +376,15 @@ class TestMetricsSnapshotIntegration:
         # Two experiments x nine prepend configurations.
         assert counters["runner.rounds_completed"] == 18
 
-    def test_span_histograms_cover_all_nine_rounds(self, snapshot):
-        histograms = snapshot["histograms"]
+    def test_span_trace_covers_all_nine_rounds(self, outputs):
+        table = span_table(load_chrome_trace(str(outputs[1])))
         configs = ("4-0", "3-0", "2-0", "1-0", "0-0",
                    "0-1", "0-2", "0-3", "0-4")
         for config in configs:
-            name = "span.runner.round.%s.seconds" % config
-            assert name in histograms, name
-            assert histograms[name]["count"] == 2  # surf + internet2
-        assert "span.engine.run_to_fixpoint.seconds" in histograms
-
-    def test_gauges_present(self, snapshot):
-        gauges = snapshot["gauges"]
-        assert gauges["engine.heap_depth_peak"] > 0
-        assert 0.0 <= gauges["engine.message_limit_proximity"] < 1.0
+            name = "runner.round.%s" % config
+            assert name in table, name
+            assert table[name]["calls"] == 2  # surf + internet2
+        assert "engine.run_to_fixpoint" in table
 
 
 class TestCliFlagDefaults:
@@ -438,36 +404,22 @@ class TestCliFlagDefaults:
 
 
 class TestMetricsMerge:
-    def test_counters_add_and_gauges_overwrite(self):
+    def test_counters_add(self):
         worker = MetricsRegistry()
         worker.counter("parallel.shard_probes").inc(7)
-        worker.gauge("depth").set(3)
+        worker.counter("worker.only").inc(2)
         parent = MetricsRegistry()
         parent.counter("parallel.shard_probes").inc(5)
-        parent.gauge("depth").set(9)
         parent.merge_snapshot(worker.snapshot())
-        assert parent.counter_value("parallel.shard_probes") == 12
-        assert parent.gauge_value("depth") == 3
-
-    def test_histograms_merge_buckets_and_extrema(self):
-        first = MetricsRegistry()
-        second = MetricsRegistry()
-        for value in (0.01, 0.2):
-            first.histogram("h", (0.1, 1.0)).observe(value)
-        second.histogram("h", (0.1, 1.0)).observe(5.0)
-        first.merge_snapshot(second.snapshot())
-        merged = first.histogram("h", (0.1, 1.0)).as_dict()
-        assert merged["count"] == 3
-        assert merged["min"] == 0.01
-        assert merged["max"] == 5.0
-        assert merged["buckets"][-1] == ["+Inf", 1]
+        assert parent.snapshot() == {"counters": {
+            "parallel.shard_probes": 12, "worker.only": 2,
+        }}
 
     def test_merge_is_associative(self):
         snapshots = []
         for count in (1, 2, 3):
             registry = MetricsRegistry()
             registry.counter("c").inc(count)
-            registry.histogram("h", (1.0,)).observe(count)
             snapshots.append(registry.snapshot())
         left = MetricsRegistry()
         for snap in snapshots:
@@ -475,19 +427,7 @@ class TestMetricsMerge:
         right = MetricsRegistry()
         for snap in reversed(snapshots):
             right.merge_snapshot(snap)
-        assert left.counter_value("c") == right.counter_value("c") == 6
-        assert left.histogram("h", (1.0,)).as_dict() == \
-               right.histogram("h", (1.0,)).as_dict()
-
-    def test_mismatched_buckets_rejected(self):
-        registry = MetricsRegistry()
-        registry.histogram("h", (0.1,)).observe(0.05)
-        donor = MetricsRegistry()
-        donor.histogram("h", (0.5,)).observe(0.05)
-        with pytest.raises(ValueError):
-            registry.histogram("h", (0.1,)).merge_dict(
-                donor.snapshot()["histograms"]["h"]
-            )
+        assert left.snapshot() == right.snapshot() == {"counters": {"c": 6}}
 
     def test_disabled_registry_ignores_merge(self):
         donor = MetricsRegistry()
@@ -511,7 +451,7 @@ class TestSpanReattachment:
             reset_trace()
 
     def test_attach_completed_grafts_under_open_span(self):
-        with use_registry(MetricsRegistry()) as registry:
+        with use_registry(MetricsRegistry()):
             reset_trace()
             worker_tree = {
                 "name": "runner.shard.0", "started_at": 0.0,
@@ -525,9 +465,6 @@ class TestSpanReattachment:
             root = finished_roots()[-1]
             assert [c.name for c in root.children] == ["runner.shard.0"]
             assert root.children[0].children[0].name == "walks"
-            # Attaching must not re-observe the worker's histograms.
-            names = registry.snapshot()["histograms"]
-            assert "span.runner.shard.0.seconds" not in names
             reset_trace()
 
     def test_attach_completed_as_root_when_no_span_open(self):

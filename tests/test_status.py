@@ -274,7 +274,7 @@ class TestProgressOutsideIdentityContract:
 
         # Both progress surfaces are real: status reads every cell
         # done (and nothing else is written beside the checkpoints),
-        # and the snapshot counts every cell against the grid gauge,
+        # and the snapshot counts every cell of grid.json's total,
         # each run on a fork worker.
         status = CampaignStatus.load(noisy_dir)
         assert status.complete
@@ -282,8 +282,8 @@ class TestProgressOutsideIdentityContract:
         assert sorted(os.listdir(noisy_dir)) == [
             "campaign_summary.json", "cells", "grid.json",
         ]
+        assert load_grid_manifest(noisy_dir)["total"] == len(cell_names)
         snapshot = _read(metrics)
-        assert snapshot["gauges"]["campaign.cells_total"] == len(cell_names)
         assert snapshot["counters"]["campaign.cells_completed"] == len(
             cell_names
         )
@@ -291,6 +291,28 @@ class TestProgressOutsideIdentityContract:
             assert snapshot["counters"]["campaign.cells_forked"] == len(
                 cell_names
             )
+
+    def test_pooled_and_inline_metrics_snapshots_agree(
+        self, tmp_path, capsys
+    ):
+        """Counters add, in any order: a pooled sweep's merged snapshot
+        equals an inline sweep's, apart from the fork count."""
+        snapshots = []
+        for workers in ("1", "2"):
+            metrics = str(tmp_path / ("metrics-%s.json" % workers))
+            with use_registry(MetricsRegistry()):
+                assert main([
+                    "sweep", "--scale", "0.06", "--seeds", "0,1",
+                    "--campaign-dir", str(tmp_path / workers),
+                    "--campaign-workers", workers,
+                    "--metrics-out", metrics,
+                ]) == 0
+            snapshots.append(_read(metrics))
+        capsys.readouterr()
+        inline, pooled = snapshots
+        assert "campaign.cells_forked" not in inline["counters"]
+        pooled["counters"].pop("campaign.cells_forked", None)
+        assert pooled == inline
 
     def test_reproduce_with_metrics_stdout_identical(
         self, tmp_path, capsys
