@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import AnalysisError
 from ..experiment.records import ExperimentResult
@@ -197,10 +197,18 @@ def classify_experiment(
     """Classify every probed prefix of an experiment.
 
     ``origin_of`` maps prefixes to their origin ASN (from the
-    ecosystem's topology).
+    ecosystem's topology).  A run probes every round over one plan, so
+    a prefix's signal codes are one row across the rounds' ``signal``
+    columns.  Prefixes share few distinct rows (~60 among ~13K
+    prefixes at scale 1.0): each row is classified once, and every
+    prefix gets its own ``signals`` and ``transitions`` lists.
     """
     configs = list(result.schedule.configs)
     out = ExperimentInference(experiment=result.experiment)
+    rounds = result.rounds
+    index_of = rounds[0].plan.index_of if rounds else {}
+    rows = list(zip(*(round_result.signal for round_result in rounds)))
+    classified: Dict[Tuple[int, ...], PrefixInference] = {}
     for prefix in result.seed_plan.targets:
         origin_asn = origin_of.get(prefix)
         if origin_asn is None:
@@ -213,8 +221,22 @@ def classify_experiment(
                 "origin map; the seed plan and origin_of disagree"
                 % prefix
             )
-        out.inferences[prefix] = classify_prefix_rounds(
-            prefix, origin_asn, round_signals(result, prefix), configs
+        index = index_of.get(prefix)
+        codes = (0,) * len(rounds) if index is None else rows[index]
+        shared = classified.get(codes)
+        if shared is None:
+            shared = classified[codes] = classify_prefix_rounds(
+                prefix, origin_asn,
+                [_SIGNAL_OF_CODE[code] for code in codes], configs,
+            )
+        out.inferences[prefix] = PrefixInference(
+            prefix=prefix,
+            origin_asn=origin_asn,
+            category=shared.category,
+            signals=list(shared.signals),
+            switch_round=shared.switch_round,
+            switch_config=shared.switch_config,
+            transitions=list(shared.transitions),
         )
     return out
 

@@ -21,7 +21,6 @@ from .prober import (
     ProbeResponse,
     Prober,
     RoundResult,
-    prefix_stream_rng,
 )
 
 __all__ = [
@@ -35,5 +34,4 @@ __all__ = [
     "ProbeResponse",
     "Prober",
     "RoundResult",
-    "prefix_stream_rng",
 ]

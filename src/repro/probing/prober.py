@@ -5,12 +5,12 @@ interface each response arrives on (IP_PKTINFO-style), and synthesises
 RTTs from AS-path hop counts.  Loss has two sources: per-system
 transient loss (flaky hosts) and forwarding failure (no return route).
 
-Randomness is keyed *per prefix*: each probed prefix draws from its own
-stream derived from the round's :class:`~repro.rng.SeedTree` node, so
-one prefix's responses never depend on which other prefixes a round
-probes or in what order.  Probe transmit times are computed from the
-probe's global index (``now + index / pps``) rather than by
-accumulation.
+Randomness is positional: a round draws one stream from its
+:class:`~repro.rng.SeedTree` node, and planned probe *j* owns draws
+``2j`` (loss) and ``2j + 1`` (RTT) whether or not it is sent, so an
+unknown address, a dead system or a blanked prefix shifts no other
+probe's draws.  Probe transmit times are computed from the probe's
+global index (``now + index / pps``) rather than by accumulation.
 
 What a round probes is compiled once per experiment into a
 :class:`ProbePlan`; a round is a tight loop over it that writes flat
@@ -23,8 +23,6 @@ views built on demand (:meth:`RoundResult.responses_of`).
 
 from __future__ import annotations
 
-import hashlib
-import random
 from array import array
 from dataclasses import dataclass, field
 from typing import (
@@ -36,17 +34,13 @@ from ..netutil import Prefix
 from ..obs import get_logger, get_registry, span
 from ..obs.capture import active_ring
 from ..obs.provenance import KIND_BITS, SIGNAL_LABELS, signal_event
-from ..rng import SeedTree, derive_seed
+from ..rng import SeedTree
 from ..topology.re_config import SystemPlan
 from ..seeds.selection import ProbeTarget
 from .forwarding import Catchment, ForwardingOutcome
 from .host import DELIVERED, NO_ORIGIN, OUTCOMES, MeasurementHost
 
 DEFAULT_PPS = 100
-
-#: Label template of a prefix's probe stream under the round's seed
-#: node; part of the determinism contract.
-PREFIX_STREAM_LABEL = "prefix-%s"
 
 #: Kind column code -> interface kind (0: no response).
 _KIND_LABEL = {bit: kind for kind, bit in KIND_BITS.items()}
@@ -55,15 +49,6 @@ _KIND_LABEL = {bit: kind for kind, bit in KIND_BITS.items()}
 _NO_RTT = -1.0
 
 _log = get_logger("repro.prober")
-
-
-def prefix_stream_rng(round_seed: int, prefix: Prefix) -> random.Random:
-    """The probe RNG for *prefix* within the round seeded *round_seed*
-    (a round reseeds one generator to the same state; see
-    :meth:`ProbePlan.stream_seeds`)."""
-    return random.Random(
-        derive_seed(round_seed, PREFIX_STREAM_LABEL % prefix)
-    )
 
 
 @dataclass
@@ -102,10 +87,6 @@ class ProbePlan:
         self.index_of: Dict[Prefix, int] = {
             prefix: index for index, prefix in enumerate(self.prefixes)
         }
-        self.labels: List[bytes] = [
-            (PREFIX_STREAM_LABEL % prefix).encode()
-            for prefix in self.prefixes
-        ]
         self.targets: List[ProbeTarget] = []
         self.offsets: List[int] = [0]
         for prefix in self.prefixes:
@@ -121,20 +102,6 @@ class ProbePlan:
             system.attached_asn for system in self.systems
             if system is not None
         )
-
-    def stream_seeds(self, round_seed: int) -> List[int]:
-        """Each prefix's stream seed under *round_seed*: one keyed
-        hasher per round, copied per prefix — exactly
-        ``derive_seed(round_seed, PREFIX_STREAM_LABEL % prefix)``."""
-        keyed = hashlib.blake2b(
-            digest_size=8, key=round_seed.to_bytes(8, "little")
-        )
-        seeds = []
-        for label in self.labels:
-            hasher = keyed.copy()
-            hasher.update(label)
-            seeds.append(int.from_bytes(hasher.digest(), "little"))
-        return seeds
 
 
 @dataclass(eq=False)
@@ -268,15 +235,17 @@ class Prober:
         the what-if predictor reads too) from *catchment*: in a run, the
         run's :class:`~repro.probing.forwarding.LiveCatchment`, patched
         since the previous round.
-        *seed_tree* is the round's seed node; each prefix derives its
-        own probe stream from it (see :func:`prefix_stream_rng`): a
-        loss draw for each live, known system, then an RTT draw for
-        each delivered response.
+        *seed_tree* is the round's seed node; it seeds the round's one
+        draw stream.  Planned probe *j* owns two draws: draw ``2j``
+        loses the probe when it is below the system's
+        ``loss_probability``, and draw ``2j + 1`` (*u*) gives a
+        delivered response's RTT as ``4 * hops + 1 + 24 * u`` ms.  Both
+        are consumed by position whether or not the probe is sent.
         *round_index* only labels provenance signal events; it never
         affects probing.  *lossy_prefixes* names prefixes blanked by a
         fault-plan probe-loss burst (:mod:`repro.faults`): their
-        probes go unanswered without consuming any stream draws, so
-        the fault stays surgical — every other prefix's responses are
+        probes go unanswered, and since draws are positional the fault
+        stays surgical — every other prefix's responses are
         untouched.
         """
         interval = 1.0 / self.pps
@@ -294,20 +263,20 @@ class Prober:
             systems = plan.systems
             offsets = plan.offsets
             prefixes = plan.prefixes
-            rng = random.Random()
-            reseed, draw, uniform = rng.seed, rng.random, rng.uniform
-            for index, stream_seed in enumerate(
-                plan.stream_seeds(seed_tree.seed)
-            ):
-                if lossy_prefixes and prefixes[index] in lossy_prefixes:
+            draw = seed_tree.rng().random
+            for index, prefix in enumerate(prefixes):
+                start, stop = offsets[index], offsets[index + 1]
+                if lossy_prefixes and prefix in lossy_prefixes:
+                    # Blanked probes still consume their two draws.
+                    for _ in range(2 * (stop - start)):
+                        draw()
                     continue
-                reseed(stream_seed)
                 code = 0
-                for j in range(offsets[index], offsets[index + 1]):
+                for j in range(start, stop):
                     system = systems[j]
-                    if system is None or not system.alive:
-                        continue
-                    if draw() < system.loss_probability:
+                    loss_draw, rtt_draw = draw(), draw()
+                    if (system is None or not system.alive
+                            or loss_draw < system.loss_probability):
                         continue
                     outcome, kind, origin, hops = (
                         verdicts[system.attached_asn]
@@ -322,7 +291,7 @@ class Prober:
                     responded[j] = 1
                     kind_col[j] = kind
                     origin_col[j] = origin
-                    rtt_col[j] = 4.0 * hops + uniform(1.0, 25.0)
+                    rtt_col[j] = 4.0 * hops + 1.0 + 24.0 * rtt_draw
                     code |= kind
                 signal[index] = code
         result.duration = len(plan.targets) * interval

@@ -57,7 +57,9 @@ class CensysDataset:
     def synthesize(cls, ecosystem, seed_tree: SeedTree) -> "CensysDataset":
         """Build the dataset from ground truth: alive Censys-seeded
         systems plus a few dead services per covered prefix."""
-        rng = seed_tree.child("censys").rng()
+        # Integers and choices are drawn as a scaled random(), as in
+        # ISIHistoryDataset.synthesize.
+        u = seed_tree.child("censys").rng().random
         dataset = cls()
         for plan in ecosystem.studied_prefixes():
             if not plan.censys_covered:
@@ -66,7 +68,7 @@ class CensysDataset:
             for system in plan.systems:
                 if system.seed_source != "censys":
                     continue
-                protocol = "tcp" if rng.random() < 0.8 else "udp"
+                protocol = "tcp" if u() < 0.8 else "udp"
                 ports = (_COMMON_TCP_PORTS if protocol == "tcp"
                          else _COMMON_UDP_PORTS)
                 used.add(system.address)
@@ -74,24 +76,24 @@ class CensysDataset:
                     plan.prefix,
                     CensysService(
                         address=system.address,
-                        port=rng.choice(ports),
+                        port=ports[int(u() * len(ports))],
                         protocol=protocol,
                     ),
                 )
-            for _ in range(rng.randint(1, 6)):
-                offset = rng.randrange(1, plan.prefix.num_addresses - 1)
+            for _ in range(1 + int(u() * 6)):
+                offset = 1 + int(u() * (plan.prefix.num_addresses - 2))
                 address = plan.prefix.address_at(offset)
                 if address in used:
                     continue
                 used.add(address)
-                protocol = "tcp" if rng.random() < 0.8 else "udp"
+                protocol = "tcp" if u() < 0.8 else "udp"
                 ports = (_COMMON_TCP_PORTS if protocol == "tcp"
                          else _COMMON_UDP_PORTS)
                 dataset.add(
                     plan.prefix,
                     CensysService(
                         address=address,
-                        port=rng.choice(ports),
+                        port=ports[int(u() * len(ports))],
                         protocol=protocol,
                     ),
                 )

@@ -3,14 +3,18 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from repro import REEcosystemConfig, build_ecosystem
 from repro.core.classify import (
     InferenceCategory,
     RoundSignal,
     classify_experiment,
     classify_prefix_rounds,
     classify_signals,
+    origin_map,
+    round_signals,
 )
 from repro.errors import AnalysisError
+from repro.experiment import run_experiment_pair
 from repro.netutil import Prefix
 from repro.obs.provenance import round_signal_summary
 
@@ -135,6 +139,28 @@ class TestClassifyExperiment:
         )
         with pytest.raises(AnalysisError, match=r"198\.51\.100\.0/24"):
             classify_experiment(result, {})
+
+
+def test_experiment_classification_matches_the_per_prefix_path():
+    """Classifying each distinct signal vector once gives every prefix
+    what classifying it alone gives, in its own lists."""
+    ecosystem = build_ecosystem(REEcosystemConfig(scale=0.25), seed=20250605)
+    origins = origin_map(ecosystem)
+    for result in run_experiment_pair(ecosystem, seed=20250605):
+        configs = list(result.schedule.configs)
+        inferences = classify_experiment(result, origins).inferences
+        assert list(inferences) == list(result.seed_plan.targets)
+        for prefix, inference in inferences.items():
+            assert inference == classify_prefix_rounds(
+                prefix, origins[prefix], round_signals(result, prefix),
+                configs,
+            ), prefix
+        assert len({id(i.signals) for i in inferences.values()}) == len(
+            inferences
+        )
+        assert len({id(i.transitions) for i in inferences.values()}) == len(
+            inferences
+        )
 
 
 # Property tests on the signal state machine.

@@ -216,10 +216,15 @@ class TestEnvironmentFaultDeterminism:
         )
         assert lossy
         round_result = result.rounds[3]
+        clean_round = baseline.rounds[3]
         for prefix in round_result.plan.prefixes:
             responses = round_result.responses_of(prefix)
             if prefix in lossy:
                 assert not any(r.responded for r in responses), prefix
+            else:
+                # Draws are positional: the blanked block shifts no
+                # other prefix's responses in the faulted round.
+                assert responses == clean_round.responses_of(prefix), prefix
         # Untouched rounds stay byte-identical to the fault-free run.
         for index in (0, 1, 2, 4):
             assert round_keys(result)[index] == round_keys(baseline)[index]

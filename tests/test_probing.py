@@ -1,7 +1,8 @@
 """Tests for the measurement host, the return-path walk and its
 resolved catchment, and the prober."""
 
-from dataclasses import dataclass
+import random
+from dataclasses import dataclass, replace
 from types import SimpleNamespace
 from typing import Callable, List, Optional, Set, Tuple
 
@@ -27,14 +28,8 @@ from repro.obs.provenance import (
     round_signal_summary,
     signal_from_kinds,
 )
-from repro.probing.prober import (
-    PREFIX_STREAM_LABEL,
-    ProbePlan,
-    ProbeResponse,
-    Prober,
-    prefix_stream_rng,
-)
-from repro.rng import SeedTree, derive_seed
+from repro.probing.prober import ProbePlan, ProbeResponse, Prober
+from repro.rng import SeedTree
 from repro.seeds.selection import ProbeMethod, ProbeTarget
 from repro.topology.graph import Topology
 from repro.topology.re_config import SystemPlan
@@ -443,20 +438,22 @@ class TestProber:
 def reference_round(targets_by_prefix, systems, catchment, host,
                     round_seed, now, pps, lossy):
     """The per-probe prober the columnar round must match: one
-    :func:`prefix_stream_rng` per prefix, one catchment lookup and one
-    :class:`ProbeResponse` per probe."""
+    ``random.Random(round_seed)`` per round, of which probe *j* takes
+    draws ``2j`` (loss) and ``2j + 1`` (RTT) whether or not it is sent,
+    one catchment lookup and one :class:`ProbeResponse` per probe."""
+    rng = random.Random(round_seed)
     responses = {}
     index = 0
     for prefix in sorted(targets_by_prefix,
                          key=lambda p: (p.network, p.length)):
-        rng = prefix_stream_rng(round_seed, prefix)
         out = responses.setdefault(prefix, [])
         for target in targets_by_prefix[prefix]:
             tx = now + index * (1.0 / pps)
             index += 1
+            loss_draw, rtt_draw = rng.random(), rng.random()
             system = systems.get(target.address)
             if (prefix in lossy or system is None or not system.alive
-                    or rng.random() < system.loss_probability):
+                    or loss_draw < system.loss_probability):
                 out.append(ProbeResponse(target, tx, False))
                 continue
             outcome, origin, hops = catchment.lookup(system.attached_asn)
@@ -464,7 +461,7 @@ def reference_round(targets_by_prefix, systems, catchment, host,
                 out.append(ProbeResponse(target, tx, False, outcome=outcome,
                                          hops=hops))
                 continue
-            rtt = 4.0 * hops + rng.uniform(1.0, 25.0)
+            rtt = 4.0 * hops + 1.0 + 24.0 * rtt_draw
             out.append(ProbeResponse(
                 target, tx, True, host.interface_for_origin(origin).kind,
                 origin, rtt, outcome, hops,
@@ -530,11 +527,6 @@ class TestColumnarRound:
         catchment = snapshot.resolve({1, 2})
         host = self._host()
         plan = ProbePlan(targets_by_prefix, systems)
-        for prefix, stream_seed in zip(plan.prefixes,
-                                       plan.stream_seeds(seed)):
-            assert stream_seed == derive_seed(
-                seed, PREFIX_STREAM_LABEL % prefix
-            )
         prober = Prober(host, pps=50)
         try:
             expected = reference_round(
@@ -572,6 +564,88 @@ class TestColumnarRound:
         host = MeasurementHost(MEAS)
         with pytest.raises(ExperimentError):
             host.attach(1, VLANInterface("v1", "tunnel", "test"))
+
+
+class TestDrawSlots:
+    """Planned probe *j* owns draws ``2j`` (loss) and ``2j + 1`` (RTT)
+    of its round's one stream."""
+
+    def _setup(self, loss_probability, blocks=40, per_prefix=3):
+        """*blocks* prefixes of *per_prefix* live systems on the
+        dual-homed member, whose responses come back over R&E."""
+        topo = dual_homed_topology()
+        host = MeasurementHost(MEAS)
+        host.attach(1, VLANInterface("v1", "re", "re"))
+        host.attach(2, VLANInterface("v2", "commodity", "comm"))
+        result = propagate_fastpath(
+            topo,
+            [Announcement(MEAS, 1, tag="re"),
+             Announcement(MEAS, 2, tag="commodity")],
+        )
+        targets, systems = {}, {}
+        for block in range(blocks):
+            prefix = Prefix.parse("198.51.%d.0/24" % block)
+            targets[prefix] = []
+            for host_index in range(per_prefix):
+                address = prefix.address_at(host_index + 1)
+                targets[prefix].append(ProbeTarget(
+                    address=address, prefix=prefix,
+                    method=ProbeMethod.ICMP_ECHO,
+                ))
+                systems[address] = SystemPlan(
+                    address=address, prefix=prefix, attached_asn=5,
+                    seed_source="isi", loss_probability=loss_probability,
+                )
+        catchment = host.live_catchment(topo, result.route_at)
+        return Prober(host), targets, systems, catchment
+
+    @staticmethod
+    def _columns(round_result, j):
+        return (round_result.responded[j], round_result.kind[j],
+                round_result.outcome[j], round_result.origin[j],
+                round_result.rtt[j], round_result.hops[j])
+
+    def test_rtt_draw_is_independent_of_the_loss_draw(self):
+        prober, targets, systems, catchment = self._setup(0.5)
+        plan = ProbePlan(targets, systems)
+        result = prober.probe_round("0-0", plan, catchment, SeedTree(7),
+                                    now=0.0)
+        rtts = [result.rtt[j] - 4.0 * result.hops[j]
+                for j in range(result.probe_count()) if result.responded[j]]
+        assert 30 < len(rtts) < 90
+        assert all(1.0 <= rtt < 25.0 for rtt in rtts)
+        # Responders passed a loss draw >= 0.5; an RTT read from that
+        # draw would land in [13, 25) only.
+        assert min(rtts) < 7.0 and max(rtts) > 19.0
+
+    def test_a_missing_probe_shifts_no_other_probes_draws(self):
+        prober, targets, systems, catchment = self._setup(0.3)
+        plan = ProbePlan(targets, systems)
+        baseline = prober.probe_round("0-0", plan, catchment, SeedTree(7),
+                                      now=0.0)
+        first_prefix = plan.prefixes[0]
+        first = plan.targets[0].address
+        dead = dict(systems)
+        dead[first] = replace(systems[first], alive=False)
+        unknown = dict(systems)
+        del unknown[first]
+        variants = [
+            (ProbePlan(targets, dead), frozenset(), {0}),
+            (ProbePlan(targets, unknown), frozenset(), {0}),
+            (plan, frozenset({first_prefix}),
+             set(range(plan.offsets[0], plan.offsets[1]))),
+        ]
+        for variant, lossy, blanked in variants:
+            result = prober.probe_round(
+                "0-0", variant, catchment, SeedTree(7), now=0.0,
+                lossy_prefixes=lossy,
+            )
+            for j in blanked:
+                assert not result.responded[j]
+            for j in range(baseline.probe_count()):
+                if j not in blanked:
+                    assert (self._columns(result, j)
+                            == self._columns(baseline, j)), j
 
 
 class TestRibSnapshot:
@@ -695,16 +769,3 @@ class TestLiveCatchment:
         assert live.lookup(4) == (ForwardingOutcome.DELIVERED, 2, 3)
         assert live.lookup(5) == (ForwardingOutcome.DELIVERED, 2, 2)
 
-
-def test_prefix_streams_depend_only_on_round_seed_and_prefix():
-    """The same (round seed, prefix) pair yields the same stream
-    whichever prefixes a round probes before it."""
-    from repro.probing.prober import prefix_stream_rng
-
-    target_prefix = Prefix.parse("198.51.100.0/24")
-    draws = [
-        prefix_stream_rng(1234, target_prefix).random() for _ in range(3)
-    ]
-    assert draws[0] == draws[1] == draws[2]
-    other = prefix_stream_rng(1234, MEAS).random()
-    assert other != draws[0]
