@@ -34,7 +34,7 @@ def test_whatif(bench_emit):
         str(plan.prefix)
         for plan in session.ecosystem.studied_prefixes()
     )
-    session.predict(prefixes[0])  # prime the snapshot cache
+    session.predict(prefixes[0])  # one query before the timed batch
     started = time.perf_counter()
     predictions = session.predict_batch(prefixes)
     warm_per_query = (time.perf_counter() - started) / len(prefixes)
@@ -49,7 +49,7 @@ def test_whatif(bench_emit):
 
     speedup = cold_per_query / warm_per_query
     show(
-        "What-if queries — warm snapshot vs cold re-simulation",
+        "What-if queries — warm catchment vs cold re-simulation",
         [
             ("warm-up (once per session)", "n/a",
              "%.2fs" % warm_up_seconds),

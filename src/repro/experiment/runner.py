@@ -20,13 +20,12 @@ Table 2 comparable.
 
 from __future__ import annotations
 
-import random
 from functools import partial
-from typing import Dict, Optional, Set
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..bgp.engine import (
     AnnounceDelta,
-    DeltaOutcome,
+    ConvergenceStats,
     LinkFlap,
     PrependChange,
     PropagationEngine,
@@ -49,7 +48,15 @@ from .schedule import ExperimentSchedule
 _log = get_logger("repro.runner")
 
 class ExperimentRunner:
-    """Runs one experiment against an ecosystem."""
+    """Runs one experiment against an ecosystem.
+
+    The control-plane schedule is two steps per round:
+    :meth:`enter_round` takes the network to the round's probe time,
+    :meth:`leave_round` fires what follows the round's probing.
+    :meth:`run` probes between them, and
+    :class:`~repro.whatif.WhatIfSession` steps through the same two
+    calls without probing.
+    """
 
     def __init__(
         self,
@@ -72,111 +79,52 @@ class ExperimentRunner:
         #: Scripted faults (:mod:`repro.faults`): probe-loss bursts and
         #: link flaps, which change results deterministically.
         self.fault_plan = fault_plan if fault_plan is not None else FaultPlan()
-        #: ASes that selected a new best since the round catchment was
-        #: last patched (see :meth:`_apply`).
+        self.re_origin = ecosystem.re_origin_for(experiment)
+        self.commodity_origin = ecosystem.commodity_origin
+        self.host = MeasurementHost.for_experiment(
+            ecosystem.measurement_prefix,
+            self.re_origin,
+            self.commodity_origin,
+            experiment,
+        )
+        #: The control plane, its record and its background-flap
+        #: stream, made fresh when round 0 is entered.
+        self.engine: Optional[PropagationEngine] = None
+        self.result: Optional[ExperimentResult] = None
+        self._flap_rng = None
+        #: ASes that selected a new best since the last control-plane
+        #: step returned them (see :meth:`_apply`).
         self._changed: Set[int] = set()
 
     # ------------------------------------------------------------------
 
     def run(self) -> ExperimentResult:
         ecosystem = self.ecosystem
-        schedule = self.schedule
         if self.seed_plan is None:
             self.seed_plan = select_seeds(
                 ecosystem, seed_tree=self.tree.child("seeds")
             )
-        re_origin = ecosystem.re_origin_for(self.experiment)
-        commodity_origin = ecosystem.commodity_origin
-        host = MeasurementHost.for_experiment(
-            ecosystem.measurement_prefix,
-            re_origin,
-            commodity_origin,
-            self.experiment,
-        )
-        engine = PropagationEngine(ecosystem.topology, self.tree)
-        prober = Prober(host, pps=self.pps)
+        prober = Prober(self.host, pps=self.pps)
         plan = ProbePlan(self.seed_plan.targets, self._systems_by_address())
-        result = ExperimentResult(
-            experiment=self.experiment,
-            schedule=schedule,
-            re_origin=re_origin,
-            commodity_origin=commodity_origin,
-            seed_plan=self.seed_plan,
-        )
-        flap_rng = self.tree.child("background-flaps").rng()
-        prefix = ecosystem.measurement_prefix
-        rib = partial(engine.best_route, prefix=prefix)
-
-        # Phase 0: commodity announcement soaks alone.
-        result.convergence.append(
-            self._announce(engine, commodity_origin, 0, "commodity", result)
-        )
-        engine.advance_to(schedule.commodity_lead_seconds)
-
-        # Phase 1: R&E announcement at the first configuration.  These
-        # runs converge round 0's configuration, so they seed its
-        # per-round stats.
-        configs = schedule.parsed_configs()
-        round_stats = []
-        first_re, first_comm = configs[0]
-        if first_comm != 0:
-            stats = self._announce(engine, commodity_origin, first_comm,
-                                   "commodity", result)
-            result.convergence.append(stats)
-            round_stats.append(stats)
-        stats = self._announce(engine, re_origin, first_re, "re", result)
-        result.convergence.append(stats)
-        round_stats.append(stats)
-        result.config_change_times.append(
-            (engine.now, schedule.configs[0])
-        )
-        next_probe_at = engine.now + schedule.initial_soak_seconds
 
         # One catchment per run: resolved at the first round, then
-        # patched from the ASes the deltas since the previous round
-        # changed (config steps, outages, fault flaps).
+        # patched from the ASes the control-plane steps since the
+        # previous round changed (config steps, outages, fault flaps).
         catchment = None
-        previous = configs[0]
-        for index, config_label in enumerate(schedule.configs):
+        left: Set[int] = set()
+        for index, config_label in enumerate(self.schedule.configs):
             with span("runner.round.%s" % config_label):
-                re_p, comm_p = configs[index]
-                if index > 0:
-                    round_stats = []
-                    # Re-announce only the changed side (§3.3 ordering);
-                    # the change is stamped before convergence so Figure
-                    # 3's phase boundaries attribute the resulting churn
-                    # to the configuration that caused it.
-                    change_time = engine.now
-                    result.config_change_times.append(
-                        (change_time, config_label)
-                    )
-                    if re_p != previous[0]:
-                        stats = self._reconfigure(engine, re_origin, re_p)
-                        result.convergence.append(stats)
-                        round_stats.append(stats)
-                    if comm_p != previous[1]:
-                        stats = self._reconfigure(engine, commodity_origin,
-                                                  comm_p)
-                        result.convergence.append(stats)
-                        round_stats.append(stats)
-                    next_probe_at = change_time + schedule.soak_seconds
-                previous = (re_p, comm_p)
-
-                # Residual churn trails each reconfiguration; keep it
-                # clear of the probing window (the paper saw activity
-                # settled for at least ~50 minutes before each round).
-                flap_end = engine.now + 0.25 * (next_probe_at - engine.now)
-                self._background_flaps(
-                    engine, flap_rng, engine.now, flap_end, result
-                )
-                engine.advance_to(next_probe_at)
-
+                round_stats, changed = self.enter_round(index)
+                engine, result = self.engine, self.result
                 self._capture_round_provenance(engine, index, config_label)
                 if catchment is None:
-                    catchment = host.live_catchment(ecosystem.topology, rib)
+                    catchment = self.host.live_catchment(
+                        ecosystem.topology,
+                        partial(engine.best_route,
+                                prefix=ecosystem.measurement_prefix),
+                    )
                 else:
-                    catchment.patch(self._changed)
-                self._changed = set()
+                    catchment.patch(left | changed)
                 round_result = prober.probe_round(
                     config_label,
                     plan,
@@ -196,12 +144,8 @@ class ExperimentRunner:
                 )
                 self._capture_feeder_views(engine, index, config_label,
                                            result)
-                round_stats.extend(
-                    self._apply_outages(engine, index, result)
-                )
-                round_stats.extend(
-                    self._apply_fault_flaps(engine, index, result)
-                )
+                stats, left = self.leave_round(index)
+                round_stats.extend(stats)
                 result.round_convergence.append(round_stats)
             self._flush_round_metrics(index, config_label, result)
 
@@ -214,6 +158,89 @@ class ExperimentRunner:
             outages=len(result.outages_applied),
         )
         return result
+
+    # ----- the control-plane schedule -----------------------------------
+
+    def enter_round(
+        self, index: int
+    ) -> Tuple[List[ConvergenceStats], Set[int]]:
+        """Take the control plane to round *index*'s probe time.
+
+        Round 0 starts a fresh engine: the commodity announcement soaks
+        alone (phase 0), then the first configuration goes up (phase
+        1).  A later round re-announces only the side whose prepends
+        changed (§3.3 ordering).  Background flaps and the soak follow.
+        Returns the round's convergence stats (phase 0's commodity
+        announcement is not one of them) and the ASes that selected a
+        new best."""
+        schedule = self.schedule
+        configs = schedule.parsed_configs()
+        re_p, comm_p = configs[index]
+        round_stats = []
+        if index == 0:
+            engine = self.engine = PropagationEngine(
+                self.ecosystem.topology, self.tree
+            )
+            result = self.result = ExperimentResult(
+                experiment=self.experiment,
+                schedule=schedule,
+                re_origin=self.re_origin,
+                commodity_origin=self.commodity_origin,
+                seed_plan=self.seed_plan,
+            )
+            self._flap_rng = self.tree.child("background-flaps").rng()
+            self._announce(self.commodity_origin, 0, "commodity")
+            engine.advance_to(schedule.commodity_lead_seconds)
+            # These runs converge round 0's configuration, so they seed
+            # its per-round stats.
+            if comm_p != 0:
+                round_stats.append(self._announce(
+                    self.commodity_origin, comm_p, "commodity"
+                ))
+            round_stats.append(self._announce(self.re_origin, re_p, "re"))
+            result.config_change_times.append(
+                (engine.now, schedule.configs[0])
+            )
+            probe_at = engine.now + schedule.initial_soak_seconds
+        else:
+            engine, result = self.engine, self.result
+            prev_re, prev_comm = configs[index - 1]
+            # The change is stamped before convergence so Figure 3's
+            # phase boundaries attribute the resulting churn to the
+            # configuration that caused it.
+            change_time = engine.now
+            result.config_change_times.append(
+                (change_time, schedule.configs[index])
+            )
+            if re_p != prev_re:
+                round_stats.append(self._reconfigure(self.re_origin, re_p))
+            if comm_p != prev_comm:
+                round_stats.append(
+                    self._reconfigure(self.commodity_origin, comm_p)
+                )
+            probe_at = change_time + schedule.soak_seconds
+        # Residual churn trails each reconfiguration; keep it clear of
+        # the probing window (the paper saw activity settled for at
+        # least ~50 minutes before each round).
+        self._background_flaps(
+            engine.now, engine.now + 0.25 * (probe_at - engine.now)
+        )
+        engine.advance_to(probe_at)
+        return round_stats, self._take_changed()
+
+    def leave_round(
+        self, index: int
+    ) -> Tuple[List[ConvergenceStats], Set[int]]:
+        """Fire what follows round *index*'s probing: its scheduled
+        outages, then its fault-plan link flaps.  Returns their
+        convergence stats and the ASes that selected a new best."""
+        round_stats = self._apply_outages(index)
+        round_stats.extend(self._apply_fault_flaps(index))
+        return round_stats, self._take_changed()
+
+    def _take_changed(self) -> Set[int]:
+        changed, self._changed = self._changed, set()
+        return changed
 
     # ----- helpers ------------------------------------------------------
 
@@ -291,46 +318,34 @@ class ExperimentRunner:
                 selection_prefix=measurement_prefix,
             ))
 
-    def _apply(self, engine: PropagationEngine, delta) -> DeltaOutcome:
-        """Apply *delta*, noting the ASes it changed for the next
-        round's catchment patch."""
-        outcome = engine.apply_delta(delta)
+    def _apply(self, delta) -> ConvergenceStats:
+        """Apply a one-run *delta*, noting the ASes it changed for the
+        step's return and its stats in the run's record."""
+        outcome = self.engine.apply_delta(delta)
         self._changed |= outcome.changed_ases
-        return outcome
+        stats = outcome.stats[0]
+        self.result.convergence.append(stats)
+        return stats
 
-    def _announce(
-        self,
-        engine: PropagationEngine,
-        origin: int,
-        prepends: int,
-        tag: str,
-        result: ExperimentResult,
-    ):
-        outcome = self._apply(engine, AnnounceDelta(
+    def _announce(self, origin: int, prepends: int, tag: str):
+        return self._apply(AnnounceDelta(
             origin_asn=origin,
             prefix=self.ecosystem.measurement_prefix,
             default_prepends=prepends,
             tag=tag,
         ))
-        return outcome.stats[0]
 
-    def _reconfigure(
-        self,
-        engine: PropagationEngine,
-        origin: int,
-        prepends: int,
-    ):
+    def _reconfigure(self, origin: int, prepends: int):
         """Step one side's prepend count as a warm delta: the converged
         state stays in place and only the re-announcement's frontier
         re-propagates (byte-identical to the former full re-announce —
         the engine is incremental either way; the delta additionally
         measures the dirty set)."""
-        outcome = self._apply(engine, PrependChange(
+        return self._apply(PrependChange(
             origin_asn=origin,
             prefix=self.ecosystem.measurement_prefix,
             prepends=prepends,
         ))
-        return outcome.stats[0]
 
     def _systems_by_address(self) -> Dict[int, SystemPlan]:
         systems: Dict[int, SystemPlan] = {}
@@ -339,44 +354,37 @@ class ExperimentRunner:
                 systems[system.address] = system
         return systems
 
-    def _apply_outages(
-        self, engine: PropagationEngine, round_index: int,
-        result: ExperimentResult,
-    ):
+    def _apply_outages(self, round_index: int) -> List[ConvergenceStats]:
         """Fire scheduled outages after *round_index*; returns the
         convergence stats of the runs they triggered."""
         stats_list = []
         for outage in self.ecosystem.outages:
             if outage.experiment != self.experiment:
                 continue
-            if outage.down_after_round == round_index:
-                outcome = self._apply(
-                    engine, LinkFlap(outage.a, outage.b, action="down")
+            for action, after_round in (
+                ("down", outage.down_after_round),
+                ("up", outage.up_after_round),
+            ):
+                if after_round != round_index:
+                    continue
+                stats_list.append(self._apply(
+                    LinkFlap(outage.a, outage.b, action=action)
+                ))
+                self.result.outages_applied.append(OutageRecord(
+                    round_index, action, outage.a, outage.b,
+                    outage.victim_asn,
+                ))
+                get_registry().counter("runner.outages_applied").inc()
+                _log.info(
+                    "outage %s applied" % action,
+                    experiment=self.experiment,
+                    round=round_index,
+                    link="%d-%d" % (outage.a, outage.b),
+                    victim_asn=outage.victim_asn,
                 )
-                stats_list.append(outcome.stats[0])
-                result.convergence.append(stats_list[-1])
-                result.outages_applied.append(
-                    OutageRecord(round_index, "down", outage.a, outage.b,
-                                 outage.victim_asn)
-                )
-                self._note_outage(round_index, "down", outage)
-            if outage.up_after_round == round_index:
-                outcome = self._apply(
-                    engine, LinkFlap(outage.a, outage.b, action="up")
-                )
-                stats_list.append(outcome.stats[0])
-                result.convergence.append(stats_list[-1])
-                result.outages_applied.append(
-                    OutageRecord(round_index, "up", outage.a, outage.b,
-                                 outage.victim_asn)
-                )
-                self._note_outage(round_index, "up", outage)
         return stats_list
 
-    def _apply_fault_flaps(
-        self, engine: PropagationEngine, round_index: int,
-        result: ExperimentResult,
-    ):
+    def _apply_fault_flaps(self, round_index: int) -> List[ConvergenceStats]:
         """Fire fault-plan link flaps after *round_index*: fail the
         slotted link, converge, restore it, converge again — an
         ad-hoc outage beyond the scheduled ground truth.  Links that are
@@ -392,19 +400,17 @@ class ExperimentRunner:
         stats_list = []
         for event in flaps:
             link = links[event.slot % len(links)]
-            if engine.link_is_down(link.a, link.b):
+            if self.engine.link_is_down(link.a, link.b):
                 continue
             registry.counter("runner.faults_injected").inc()
             for record_action, delta_action in (
                 ("flap-down", "down"),
                 ("flap-up", "up"),
             ):
-                outcome = self._apply(
-                    engine, LinkFlap(link.a, link.b, action=delta_action)
-                )
-                stats_list.append(outcome.stats[0])
-                result.convergence.append(stats_list[-1])
-                result.outages_applied.append(OutageRecord(
+                stats_list.append(self._apply(
+                    LinkFlap(link.a, link.b, action=delta_action)
+                ))
+                self.result.outages_applied.append(OutageRecord(
                     round_index, record_action, link.a, link.b, link.a
                 ))
             _log.info(
@@ -414,16 +420,6 @@ class ExperimentRunner:
                 link="%d-%d" % (link.a, link.b),
             )
         return stats_list
-
-    def _note_outage(self, round_index: int, action: str, outage) -> None:
-        get_registry().counter("runner.outages_applied").inc()
-        _log.info(
-            "outage %s applied" % action,
-            experiment=self.experiment,
-            round=round_index,
-            link="%d-%d" % (outage.a, outage.b),
-            victim_asn=outage.victim_asn,
-        )
 
     def _flush_round_metrics(
         self, index: int, config_label: str, result: ExperimentResult
@@ -474,17 +470,11 @@ class ExperimentRunner:
             )
             result.feeder_views.setdefault(feeder, []).append(observation)
 
-    def _background_flaps(
-        self,
-        engine: PropagationEngine,
-        rng: random.Random,
-        start: float,
-        end: float,
-        result: ExperimentResult,
-    ) -> None:
+    def _background_flaps(self, start: float, end: float) -> None:
         """Inject the residual churn §3.3 observed: occasional updates
         on commodity routes from ordinary path-attribute wobble at
         feeder networks, unrelated to our configuration changes."""
+        engine, rng = self.engine, self._flap_rng
         config = self.ecosystem.config
         rate_per_second = config.background_flap_rate_per_hour / 3600.0
         span = max(0.0, end - start)

@@ -18,14 +18,20 @@ forgets only the predictions of prefixes with an attached AS whose
 walk now ends at a different origin; every other prediction stays a
 dictionary hit.
 
-The session replays the experiment's control-plane history exactly as
-:class:`~repro.experiment.runner.ExperimentRunner` does (same seeding,
-same announcement order, same soak clock), minus probing: route ages
-are semantically meaningful (the OLDEST_ROUTE tie-break), so warm
-state is only byte-identical to the experiment's when the full history
-is replayed in canonical order.  Configurations therefore only step
-*forward*; earlier configurations stay queryable through their cached
-verdict tables until a free-form delta changes the network under them.
+The session steps the experiment's own control-plane schedule: it
+holds an :class:`~repro.experiment.runner.ExperimentRunner` and calls
+its ``enter_round`` / ``leave_round`` steps, so the warm network sees
+what the run's network sees, in the run's order and with the run's
+seeding — the announcements, the prepend changes, the background
+flaps, the ecosystem's scheduled outages and the spec's fault-plan
+link flaps.  Only probing is skipped, and with it the clock's advance
+over each probe round; that shifts every later event by the same
+amount, which keeps the order of route ages.  Route ages are
+semantically meaningful (the OLDEST_ROUTE tie-break), so warm state is
+only the experiment's when the full history is replayed in canonical
+order.  Configurations therefore only step *forward*; earlier
+configurations stay queryable through their cached verdict tables
+until a free-form delta changes the network under them.
 
 The cold path stays authoritative: :meth:`WhatIfSession.replay_cold`
 rebuilds a fresh ecosystem and engine and replays the session's
@@ -53,12 +59,12 @@ from .bgp.engine import (
     WithdrawDelta,
 )
 from .errors import ExperimentError
+from .experiment.runner import ExperimentRunner
 from .experiment.schedule import MAX_COUNT_DIGITS, is_count
 from .netutil import Prefix
 from .obs import get_logger
 from .obs.provenance import SIGNAL_LABELS
-from .probing.host import DELIVERED, MeasurementHost, Verdict
-from .rng import SeedTree
+from .probing.host import DELIVERED, Verdict
 from .topology.re_config import SystemPlan
 from .topology.re_ecosystem import Ecosystem, build_ecosystem
 
@@ -94,7 +100,7 @@ class WhatIfSession:
     """Warm routing state for one experiment, queryable per config.
 
     Only the spec's *simulation* fields matter here (seed, scale,
-    scenario, overrides, configs).
+    scenario, overrides, configs, fault plan).
     """
 
     def __init__(
@@ -108,21 +114,16 @@ class WhatIfSession:
                 spec.ecosystem_config(), seed=spec.seed
             )
         self.ecosystem = ecosystem
-        self.schedule = spec.schedule() or _default_schedule()
-        self.re_origin = ecosystem.re_origin_for(spec.experiment)
-        self.commodity_origin = ecosystem.commodity_origin
-        self.host = MeasurementHost.for_experiment(
-            ecosystem.measurement_prefix,
-            self.re_origin,
-            self.commodity_origin,
-            spec.experiment,
+        #: The experiment's runner, whose control-plane steps the
+        #: session takes without probing (it selects no seeds).
+        runner = self._runner = ExperimentRunner(
+            ecosystem, spec.experiment, seed=spec.run_seed,
+            schedule=spec.schedule(), fault_plan=spec.fault_plan(),
         )
-        # Same seeding convention as the runner, so the warm control
-        # plane is the experiment's control plane.
-        tree = SeedTree(spec.run_seed).child(
-            "experiment-%s" % spec.experiment
-        )
-        self._engine = PropagationEngine(ecosystem.topology, tree)
+        self.schedule = runner.schedule
+        self.re_origin = runner.re_origin
+        self.commodity_origin = runner.commodity_origin
+        self.host = runner.host
         #: Everything needed to rebuild this state cold, in order:
         #: ("config", label) steps and ("delta", delta) edits.
         self._journal: List[Tuple[str, object]] = []
@@ -143,36 +144,14 @@ class WhatIfSession:
         #: The current state's predictions, by prefix.
         self._memo: Dict[Prefix, Prediction] = {}
         self._config_index = 0
-        self._warm_up()
-
-    # ----- warm-up ----------------------------------------------------
-
-    def _warm_up(self) -> None:
-        """Phases 0/1 of the experiment: commodity soaks alone, then
-        the first configuration goes up (runner order, runner clock)."""
-        engine = self._engine
-        schedule = self.schedule
-        prefix = self.ecosystem.measurement_prefix
-        engine.apply_delta(AnnounceDelta(
-            origin_asn=self.commodity_origin, prefix=prefix,
-            tag="commodity",
-        ))
-        engine.advance_to(schedule.commodity_lead_seconds)
-        first_re, first_comm = schedule.parsed_configs()[0]
-        if first_comm != 0:
-            engine.apply_delta(AnnounceDelta(
-                origin_asn=self.commodity_origin, prefix=prefix,
-                default_prepends=first_comm, tag="commodity",
-            ))
-        engine.apply_delta(AnnounceDelta(
-            origin_asn=self.re_origin, prefix=prefix,
-            default_prepends=first_re, tag="re",
-        ))
-        engine.advance_to(engine.now + schedule.initial_soak_seconds)
+        runner.enter_round(0)
         #: The one catchment this session resolves; patched per delta.
         self._live = self.host.live_catchment(
-            self.ecosystem.topology,
-            partial(engine.best_route, prefix=prefix),
+            ecosystem.topology,
+            partial(
+                runner.engine.best_route,
+                prefix=ecosystem.measurement_prefix,
+            ),
         )
         self._verdicts[self.current_config] = self.host.verdicts(
             self._live, self._attached_asns
@@ -187,7 +166,7 @@ class WhatIfSession:
     @property
     def engine(self) -> PropagationEngine:
         """The warm engine (read-mostly; mutate via :meth:`apply`)."""
-        return self._engine
+        return self._runner.engine
 
     def advance_to_config(self, config: str) -> None:
         """Step the warm state forward to *config* (canonical schedule
@@ -206,30 +185,14 @@ class WhatIfSession:
                 "their cached catchments, which applying a delta drops"
                 % (self.current_config, config)
             )
-        parsed = self.schedule.parsed_configs()
-        engine = self._engine
-        prefix = self.ecosystem.measurement_prefix
+        runner = self._runner
         while self._config_index < target:
+            # Leave the current round, then enter the next one: the
+            # run's own steps between two probing rounds.
+            left, changed = runner.leave_round(self._config_index)
             index = self._config_index + 1
-            re_p, comm_p = parsed[index]
-            prev_re, prev_comm = parsed[index - 1]
-            dirty = 0
-            changed = set()
-            if re_p != prev_re:
-                outcome = engine.apply_delta(PrependChange(
-                    origin_asn=self.re_origin, prefix=prefix,
-                    prepends=re_p,
-                ))
-                dirty += len(outcome.dirty_prefixes)
-                changed |= outcome.changed_ases
-            if comm_p != prev_comm:
-                outcome = engine.apply_delta(PrependChange(
-                    origin_asn=self.commodity_origin, prefix=prefix,
-                    prepends=comm_p,
-                ))
-                dirty += len(outcome.dirty_prefixes)
-                changed |= outcome.changed_ases
-            engine.advance_to(engine.now + self.schedule.soak_seconds)
+            entered, entered_changed = runner.enter_round(index)
+            changed |= entered_changed
             # The previous config keeps its table: the new one starts
             # as a copy of it, re-derived where the patch reached.
             verdicts = dict(self._verdicts[self.current_config])
@@ -241,7 +204,8 @@ class WhatIfSession:
             if _log.is_enabled_for("debug"):
                 _log.debug(
                     "what-if config step",
-                    config=configs[index], dirty_prefixes=dirty,
+                    config=configs[index], runs=len(left) + len(entered),
+                    changed_ases=len(changed),
                 )
 
     # ----- free-form deltas -------------------------------------------
@@ -253,7 +217,7 @@ class WhatIfSession:
         post-delta state stays queryable.  A memoized prediction is
         forgotten only if one of its attached ASes now reaches a
         different origin."""
-        outcome = self._engine.apply_delta(delta)
+        outcome = self.engine.apply_delta(delta)
         self._journal.append(("delta", delta))
         verdicts = self._verdicts[self.current_config]
         self._verdicts = {self.current_config: verdicts}
@@ -335,7 +299,7 @@ class WhatIfSession:
     def rib_state(self) -> tuple:
         """Canonical warm RIB state for the measurement prefix — the
         value the differential oracle compares byte-for-byte."""
-        return self._engine.rib_state(self.ecosystem.measurement_prefix)
+        return self.engine.rib_state(self.ecosystem.measurement_prefix)
 
     # ----- the differential oracle ------------------------------------
 
@@ -372,12 +336,6 @@ class WhatIfSession:
         verdicts of the attached ASes it re-resolved."""
         patched = self._live.patch(changed_asns)
         return self.host.verdicts(self._live, patched & self._attached_asns)
-
-
-def _default_schedule():
-    from .experiment.schedule import ExperimentSchedule
-
-    return ExperimentSchedule()
 
 
 # ---------------------------------------------------------------------

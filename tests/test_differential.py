@@ -428,12 +428,23 @@ class TestDeltaConvergence:
     def test_whatif_session_matches_cold_replay(self):
         """The what-if facade's warm state equals its cold oracle
         (fresh ecosystem, journal replayed from scratch) after config
-        steps and a free-form delta mix."""
+        steps past a scheduled outage and a free-form delta mix.  The
+        journal holds no outage: the cold twin's runner steps fire it
+        again."""
         from repro.api import ExperimentSpec, WhatIfSession
 
         spec = ExperimentSpec(seed=0, scale=0.04)
         session = WhatIfSession(spec)
-        session.advance_to_config("2-0")
+        outage = min(
+            (
+                outage for outage in session.ecosystem.outages
+                if outage.experiment == spec.experiment
+            ),
+            key=lambda outage: outage.down_after_round,
+        )
+        configs = session.schedule.configs
+        session.advance_to_config(configs[outage.down_after_round + 1])
+        assert session.engine.link_is_down(outage.a, outage.b)
         target = _localpref_target(session.ecosystem, session.engine)
         session.apply(LocalprefEdit(target[0], target[1], 10))
         session.apply(PrependChange(

@@ -11,7 +11,13 @@ from functools import partial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.api import ExperimentSpec, Prediction, WhatIfSession
+from repro.api import (
+    ExperimentSpec,
+    Prediction,
+    WhatIfSession,
+    network_of,
+    run_experiment,
+)
 from repro.bgp.engine import (
     AnnounceDelta,
     LinkFlap,
@@ -20,8 +26,15 @@ from repro.bgp.engine import (
     WithdrawDelta,
 )
 from repro.cli import main
+from repro.core.classify import (
+    RoundSignal,
+    classify_experiment,
+    classify_signals,
+    origin_map,
+)
 from repro.errors import EngineError, ExperimentError, ReproError
-from repro.obs.provenance import signal_from_kinds
+from repro.obs import use_registry
+from repro.obs.provenance import SIGNAL_LABELS, signal_from_kinds
 from repro.probing import RibSnapshot
 from repro.whatif import parse_delta
 
@@ -412,6 +425,64 @@ class TestOneCatchmentPerSession:
         ))
         session.advance_to_config("0-4")
         assert len(calls) == 1
+
+
+class TestTheRunnersSchedule:
+    """The session steps the runner's own control-plane schedule, so
+    its warm network sees the run's outages and fault-plan flaps."""
+
+    def test_fault_plan_flaps_fire(self):
+        spec = ExperimentSpec(seed=0, scale=0.04, fault_spec="flap=8")
+        with use_registry() as registry:
+            session = WhatIfSession(spec)
+            configs = session.schedule.configs
+            session.advance_to_config(configs[-1])
+        # The session left every round but the last one.
+        plan = spec.fault_plan()
+        fired = sum(
+            len(plan.flaps_after(index)) for index in range(len(configs) - 1)
+        )
+        assert fired > 0
+        assert registry.counter_value("runner.faults_injected") == fired
+        assert session.rib_state() == session.replay_cold().rib_state()
+
+    @pytest.mark.parametrize("fault_spec", ["", "flap=4"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("experiment", ["surf", "internet2"])
+    def test_routing_is_measured(self, experiment, seed, fault_spec):
+        """With probe loss off, every predicted signal is the measured
+        one, and the nine predicted signals classify to each prefix's
+        measured label (outage victims included)."""
+        spec = ExperimentSpec(
+            experiment=experiment, seed=seed, scale=0.04,
+            config_overrides={
+                "base_loss_probability": 0.0,
+                "flaky_loss_probability": 0.0,
+            },
+            fault_spec=fault_spec,
+        )
+        ecosystem, seed_plan = network_of(spec)
+        result = run_experiment(spec, ecosystem, seed_plan)
+        session = WhatIfSession(spec, ecosystem)
+        predicted = {prefix: [] for prefix in seed_plan.targets}
+        differ = []
+        for round_result in result.rounds:
+            session.advance_to_config(round_result.config)
+            for prefix, signals in predicted.items():
+                signal = session.predict(prefix).signal
+                measured = SIGNAL_LABELS[round_result.signal_code(prefix)]
+                if signal != measured:
+                    differ.append((str(prefix), round_result.config))
+                signals.append(RoundSignal(signal))
+        assert differ == []
+        inference = classify_experiment(result, origin_map(ecosystem))
+        assert {
+            prefix: classify_signals(signals)
+            for prefix, signals in predicted.items()
+        } == {
+            prefix: inference.inferences[prefix].category
+            for prefix in predicted
+        }
 
 
 _DELTA_KINDS = (
