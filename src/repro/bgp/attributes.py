@@ -3,12 +3,22 @@
 Routes are lightweight immutable values: the propagation engines create
 many of them, and immutability lets adj-RIB entries be shared freely
 between routers without defensive copies.
+
+:class:`Route` is a :class:`typing.NamedTuple`, not a frozen dataclass:
+the engine and the fastpath build one per delivered offer, and a
+positional tuple costs about a quarter of a keyword-built frozen
+dataclass.  Its hash is the hash of its field tuple, as a frozen
+dataclass's would be, so set and dict order does not depend on the
+choice.  The caveat is equality: a route equals any plain tuple with
+the same fields, so compare routes only with routes.  The same holds
+for the other records built once per message or seed entry
+(``UpdateEvent``, ``ISIEntry``, ``CensysService``, ``ProbeTarget``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 from ..errors import PolicyError
 from ..netutil import Prefix
@@ -101,8 +111,7 @@ class ASPath:
         return " ".join(str(asn) for asn in self.asns)
 
 
-@dataclass(frozen=True)
-class Route:
+class Route(NamedTuple):
     """A route to *prefix* as held by one AS.
 
     ``learned_from`` is the neighbor ASN the route was received from
@@ -128,29 +137,13 @@ class Route:
 
     def aged(self, installed_at: float) -> "Route":
         """Copy of the route with a new install timestamp."""
-        return Route(
-            prefix=self.prefix,
-            path=self.path,
-            learned_from=self.learned_from,
-            localpref=self.localpref,
-            med=self.med,
-            installed_at=installed_at,
-            tag=self.tag,
-        )
+        return self._replace(installed_at=installed_at)
 
     def with_localpref(self, localpref: int) -> "Route":
         """Copy of the route with a different localpref."""
         if localpref < 0:
             raise PolicyError("negative localpref %d" % localpref)
-        return Route(
-            prefix=self.prefix,
-            path=self.path,
-            learned_from=self.learned_from,
-            localpref=localpref,
-            med=self.med,
-            installed_at=self.installed_at,
-            tag=self.tag,
-        )
+        return self._replace(localpref=localpref)
 
     def __str__(self) -> str:
         return "%s via %s lp=%d path=[%s]%s" % (

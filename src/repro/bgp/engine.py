@@ -19,7 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from math import log
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Set, Tuple
 
 from ..errors import EngineError
 from ..netutil import Prefix
@@ -60,8 +61,7 @@ def _route_state(route: Route) -> tuple:
     )
 
 
-@dataclass(frozen=True)
-class UpdateEvent:
+class UpdateEvent(NamedTuple):
     """A loc-RIB best change at one AS (what a full-feed collector
     session from that AS would carry).
 
@@ -302,6 +302,12 @@ class PropagationEngine:
         self._seq = 0
         # sender -> receiver -> latest scheduled delivery (FIFO sessions)
         self._last_scheduled: Dict[int, Dict[int, float]] = {}
+        # sender -> prefix -> receivers whose last queued message from
+        # the sender for the prefix was an announcement (see _send_all)
+        self._held: Dict[int, Dict[Prefix, Set[int]]] = {}
+        # Latest delivery time of a suppressed withdraw; a run ends with
+        # the clock at least here, as if it had been delivered.
+        self._horizon = 0.0
         self._down_links: Set[frozenset] = set()
         self._message_limit = message_limit
         self._announcements: Dict[Tuple[int, Prefix], Announcement] = {}
@@ -611,6 +617,8 @@ class PropagationEngine:
                         routers[receiver].loc_rib.get(prefix),
                     )
                     self._export_after_change(receiver, prefix)
+        if self._horizon > self.now:
+            self.now = self._horizon
         stats.messages_delivered = delivered
         stats.messages_dropped = dropped
         stats.best_changes = changes
@@ -683,7 +691,7 @@ class PropagationEngine:
         self._mark_dirty(asn, prefix)
         if self.record_best_changes:
             self.update_log.append(
-                UpdateEvent(time=self.now, asn=asn, prefix=prefix, route=route)
+                UpdateEvent(self.now, asn, prefix, route, None)
             )
 
     def _export_after_change(self, asn: int, prefix: Prefix) -> None:
@@ -768,27 +776,54 @@ class PropagationEngine:
     def _send_all(self, sender: int, prefix: Prefix, sends) -> None:
         """Queue one message from *sender* per ``(receiver, path, tag)``
         of *sends*, in order (``path`` None is a withdraw).  Each draws
-        one delay; a session delivers in FIFO order."""
+        one delay; a session delivers in FIFO order.
+
+        A withdraw to a receiver outside the sender's held set (its last
+        queued message for *prefix* was not an announcement) would
+        change nothing at delivery, so it is not queued.  It still draws
+        its delay and takes its FIFO slot, and :meth:`run_to_fixpoint`
+        ends with the clock at its delivery time, so every later delay,
+        route age and update-log time is what it would have been."""
         if not sends:
             return
         now = self.now
-        draw = self._rng.expovariate
+        # expovariate(_DELAY_RATE), inlined: the same formula on the
+        # same random() draw, so the same delays.
+        random = self._rng.random
         last = self._last_scheduled.get(sender)
         if last is None:
             last = self._last_scheduled[sender] = {}
+        held_of = self._held.get(sender)
+        if held_of is None:
+            held_of = self._held[sender] = {}
+        held = held_of.get(prefix)
+        if held is None:
+            held = held_of[prefix] = set()
         heap = self._heap
         seq = self._seq
+        horizon = self._horizon
         for receiver, path, tag in sends:
-            deliver_at = now + (BASE_DELAY + draw(_DELAY_RATE))
+            deliver_at = now + (
+                BASE_DELAY - log(1.0 - random()) / _DELAY_RATE
+            )
             # FIFO per session: never deliver before a previously sent
             # message.
             previous = last.get(receiver, 0.0)
             if deliver_at <= previous:
                 deliver_at = previous + 1e-6
             last[receiver] = deliver_at
+            if path is not None:
+                held.add(receiver)
+            elif receiver in held:
+                held.remove(receiver)
+            else:
+                if deliver_at > horizon:
+                    horizon = deliver_at
+                continue
             seq += 1
             heappush(heap, (
                 deliver_at, seq, sender, receiver, prefix, path, tag
             ))
+        self._messages_sent += seq - self._seq
         self._seq = seq
-        self._messages_sent += len(sends)
+        self._horizon = horizon

@@ -11,7 +11,9 @@ route-age tie-break.
 The relaxation is a policy-aware Bellman-Ford: ASes whose best route
 changed re-export to eligible neighbors until quiescence.  Under
 valley-free (Gao-Rexford + R&E fabric) export and monotone preferences
-this converges to the unique stable solution.
+this converges to the unique stable solution.  A visit to a neighbor
+that gets no offer and holds no earlier offer from the sender is idle:
+it is skipped before any adj-RIB state is touched.
 
 Every per-delivery input that depends only on the topology (the
 session's relationship and fabric flag, the sender's export filters and
@@ -322,72 +324,69 @@ def propagate_fastpath(
                             break
 
                 rib = offers.get(receiver)
-                if rib is None:
-                    rib = offers[receiver] = {}
-                previous = rib.get(sender)
-                imported = None
                 if asns is None:
-                    offer_changed = previous is not None
-                    if offer_changed:
-                        del rib[sender]
+                    # No offer: only a held earlier offer has anything
+                    # to withdraw; otherwise the visit is idle.
+                    if rib is None or rib.pop(sender, None) is None:
+                        continue
+                    imported = None
                 else:
-                    offer_changed = (
-                        previous is None
-                        or previous.path.asns != asns
-                        or previous.localpref != localpref
-                        or previous.tag != offer_tag
+                    if rib is None:
+                        rib = offers[receiver] = {}
+                    previous = rib.get(sender)
+                    if (
+                        previous is not None
+                        and previous.path.asns == asns
+                        and previous.localpref == localpref
+                        and previous.tag == offer_tag
+                    ):
+                        continue
+                    if path is None:
+                        path = ASPath(asns)
+                        if asns is exported:
+                            exported_path = path
+                    imported = rib[sender] = Route(
+                        the_prefix, path, sender, localpref, 0, 0.0,
+                        offer_tag,
                     )
-                    if offer_changed:
-                        if path is None:
-                            path = ASPath(asns)
-                            if asns is exported:
-                                exported_path = path
-                        imported = Route(
-                            prefix=the_prefix,
-                            path=path,
-                            learned_from=sender,
-                            localpref=localpref,
-                            tag=offer_tag,
-                        )
-                        rib[sender] = imported
 
-                changed = False
-                if offer_changed:
-                    lookups += 1
-                    looked_up.add(receiver)
-                    old = best_of.get(receiver)
-                    # Local routes always win: an origin never changes
-                    # its best.
-                    if old is None or old.learned_from is not None:
-                        if narrate:
-                            new = _narrated_best(
-                                recorder, processes[receiver], receiver,
-                                the_prefix, rib,
-                            )
-                        elif imported is None or (
-                            old is not None and old.learned_from == sender
-                        ):
-                            # A withdraw or a changed incumbent: re-run
-                            # the whole adj-RIB-in.
-                            new = (
-                                min(rib.values(), key=keys[receiver])
-                                if rib else None
-                            )
-                        elif old is None:
-                            new = imported  # the adj-RIB-in was empty
-                        else:
-                            # The incumbent beat every other offer and
-                            # selection is a lexicographic min, so only
-                            # the new offer can unseat it.
-                            key = keys[receiver]
-                            new = imported if key(imported) < key(old) else old
-                        if new is not old:
-                            changed = True
-                            if new is None:
-                                del best_of[receiver]
-                            else:
-                                best_of[receiver] = new
-                if changed and receiver not in pending_set:
+                # The offer changed: reselect.
+                lookups += 1
+                looked_up.add(receiver)
+                old = best_of.get(receiver)
+                # Local routes always win: an origin never changes its
+                # best.
+                if old is not None and old.learned_from is None:
+                    continue
+                if narrate:
+                    new = _narrated_best(
+                        recorder, processes[receiver], receiver,
+                        the_prefix, rib,
+                    )
+                elif imported is None or (
+                    old is not None and old.learned_from == sender
+                ):
+                    # A withdraw or a changed incumbent: re-run the
+                    # whole adj-RIB-in.
+                    new = (
+                        min(rib.values(), key=keys[receiver])
+                        if rib else None
+                    )
+                elif old is None:
+                    new = imported  # the adj-RIB-in was empty
+                else:
+                    # The incumbent beat every other offer and selection
+                    # is a lexicographic min, so only the new offer can
+                    # unseat it.
+                    key = keys[receiver]
+                    new = imported if key(imported) < key(old) else old
+                if new is old:
+                    continue
+                if new is None:
+                    del best_of[receiver]
+                else:
+                    best_of[receiver] = new
+                if receiver not in pending_set:
                     pending_set.add(receiver)
                     pending.append(receiver)
             if cursor > max_rounds:

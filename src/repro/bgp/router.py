@@ -10,7 +10,7 @@ process's lexicographic :attr:`~repro.bgp.decision.DecisionProcess.key`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..netutil import Prefix
@@ -107,15 +107,16 @@ class Router:
         which acts as a withdraw of any previous route from that
         neighbor (standard BGP loop prevention).  A duplicate
         announcement keeps the installed route and its age, and
-        allocates nothing.
+        allocates nothing; so does a withdraw of a prefix the router
+        holds no adj-RIB-in for.
         """
         rib = self.adj_rib_in.get(prefix)
-        if rib is None:
-            rib = self.adj_rib_in[prefix] = {}
         if path is None or self.asn in path.asns:
-            if rib.pop(neighbor_asn, None) is None:
+            if rib is None or rib.pop(neighbor_asn, None) is None:
                 return False
             return self._select(prefix, now)
+        if rib is None:
+            rib = self.adj_rib_in[prefix] = {}
         previous = rib.get(neighbor_asn)
         if (
             previous is not None
@@ -126,13 +127,7 @@ class Router:
         ):
             return False
         rib[neighbor_asn] = Route(
-            prefix=prefix,
-            path=path,
-            learned_from=neighbor_asn,
-            localpref=localpref,
-            med=med,
-            installed_at=now,
-            tag=tag,
+            prefix, path, neighbor_asn, localpref, med, now, tag
         )
         return self._select(prefix, now)
 
@@ -152,7 +147,7 @@ class Router:
             localpref = self.policy.localpref_for(neighbor_asn, rel)
             if route.localpref == localpref:
                 continue
-            rib[neighbor_asn] = replace(route, localpref=localpref)
+            rib[neighbor_asn] = route._replace(localpref=localpref)
             change = self._reselect(prefix)
             if change.changed:
                 changes.append((prefix, change))

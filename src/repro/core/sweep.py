@@ -82,11 +82,18 @@ def bootstrap_ci(
     if len(values) == 1:
         return values[0], values[0]
     n = len(values)
+    # rng.randrange(n), inlined: CPython's own rejection loop over
+    # getrandbits, so the index stream and the final state match it.
+    getrandbits = rng.getrandbits
+    k = n.bit_length()
     means = []
     for _ in range(resamples):
         total = 0.0
         for _ in range(n):
-            total += values[rng.randrange(n)]
+            index = getrandbits(k)
+            while index >= n:
+                index = getrandbits(k)
+            total += values[index]
         means.append(total / n)
     means.sort()
     lo_index = int((alpha / 2.0) * resamples)

@@ -165,7 +165,6 @@ def exclude_covered(prefixes: Iterable[Prefix]) -> Tuple[List[Prefix], List[Pref
     prefixes before seeding.  Duplicates count as covered (one survivor is
     kept).
     """
-    ordered = sorted(set(prefixes), key=lambda p: (p.network, p.length))
     kept: List[Prefix] = []
     excluded: List[Prefix] = []
     seen = set()

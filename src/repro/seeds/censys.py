@@ -9,8 +9,7 @@ services that have since gone away.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, List, NamedTuple
 
 from ..netutil import Prefix
 from ..rng import SeedTree
@@ -19,8 +18,7 @@ _COMMON_TCP_PORTS = (22, 25, 53, 80, 110, 143, 443, 587, 993, 8080, 8443)
 _COMMON_UDP_PORTS = (53, 123, 161, 443, 500)
 
 
-@dataclass(frozen=True)
-class CensysService:
+class CensysService(NamedTuple):
     """One indexed service."""
 
     address: int
@@ -64,7 +62,11 @@ class CensysDataset:
         for plan in ecosystem.studied_prefixes():
             if not plan.censys_covered:
                 continue
+            services: List[CensysService] = []
             used = set()
+            # Stale addresses sit at offsets 1 .. num_addresses - 2.
+            first = plan.prefix.network + 1
+            span = plan.prefix.num_addresses - 2
             for system in plan.systems:
                 if system.seed_source != "censys":
                     continue
@@ -72,29 +74,20 @@ class CensysDataset:
                 ports = (_COMMON_TCP_PORTS if protocol == "tcp"
                          else _COMMON_UDP_PORTS)
                 used.add(system.address)
-                dataset.add(
-                    plan.prefix,
-                    CensysService(
-                        address=system.address,
-                        port=ports[int(u() * len(ports))],
-                        protocol=protocol,
-                    ),
-                )
+                services.append(CensysService(
+                    system.address, ports[int(u() * len(ports))], protocol
+                ))
             for _ in range(1 + int(u() * 6)):
-                offset = 1 + int(u() * (plan.prefix.num_addresses - 2))
-                address = plan.prefix.address_at(offset)
+                address = first + int(u() * span)
                 if address in used:
                     continue
                 used.add(address)
                 protocol = "tcp" if u() < 0.8 else "udp"
                 ports = (_COMMON_TCP_PORTS if protocol == "tcp"
                          else _COMMON_UDP_PORTS)
-                dataset.add(
-                    plan.prefix,
-                    CensysService(
-                        address=address,
-                        port=ports[int(u() * len(ports))],
-                        protocol=protocol,
-                    ),
-                )
+                services.append(CensysService(
+                    address, ports[int(u() * len(ports))], protocol
+                ))
+            if services:
+                dataset._services[plan.prefix] = services
         return dataset

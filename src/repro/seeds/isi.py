@@ -10,15 +10,13 @@ which is which, exactly as the paper's pipeline did.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, NamedTuple, Optional
 
 from ..netutil import Prefix
 from ..rng import SeedTree
 
 
-@dataclass(frozen=True)
-class ISIEntry:
+class ISIEntry(NamedTuple):
     """One ranked address in the history dataset."""
 
     address: int
@@ -78,32 +76,27 @@ class ISIHistoryDataset:
         for plan in ecosystem.studied_prefixes():
             if not plan.isi_covered:
                 continue
+            entries: List[ISIEntry] = []
             used = set()
+            # Stale addresses sit at offsets 1 .. num_addresses - 2.
+            first = plan.prefix.network + 1
+            span = plan.prefix.num_addresses - 2
             for system in plan.systems:
                 if system.seed_source != "isi":
                     continue
                 used.add(system.address)
-                dataset.add(
-                    plan.prefix,
-                    ISIEntry(
-                        address=system.address,
-                        score=55 + int(u() * 45),
-                        last_seen_days=1 + int(u() * 120),
-                    ),
-                )
+                entries.append(ISIEntry(
+                    system.address, 55 + int(u() * 45), 1 + int(u() * 120)
+                ))
             for _ in range(2 + int(u() * 7)):
-                offset = 1 + int(u() * (plan.prefix.num_addresses - 2))
-                address = plan.prefix.address_at(offset)
+                address = first + int(u() * span)
                 if address in used:
                     continue
                 used.add(address)
-                dataset.add(
-                    plan.prefix,
-                    ISIEntry(
-                        address=address,
-                        score=int(u() * 71),
-                        last_seen_days=90 + int(u() * 1911),
-                    ),
-                )
+                entries.append(ISIEntry(
+                    address, int(u() * 71), 90 + int(u() * 1911)
+                ))
+            if entries:
+                dataset._entries[plan.prefix] = entries
         dataset.finalize()
         return dataset

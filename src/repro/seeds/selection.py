@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, NamedTuple, Optional, Set
 
 from ..netutil import Prefix, exclude_covered
 from ..rng import SeedTree
@@ -34,8 +34,7 @@ class ProbeMethod(Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class ProbeTarget:
+class ProbeTarget(NamedTuple):
     """One selected probe destination."""
 
     address: int
@@ -139,11 +138,6 @@ def select_seeds(
     kept, covered = exclude_covered(all_prefixes)
     kept = [prefix for prefix in kept if prefix in plans]
 
-    alive: Dict[Prefix, Set[int]] = {
-        prefix: {s.address for s in plan.alive_systems}
-        for prefix, plan in plans.items()
-    }
-
     plan_out = SeedPlan()
     funnel = plan_out.funnel
     funnel.studied_prefixes = len(kept)
@@ -171,19 +165,15 @@ def select_seeds(
 
         responsive: List[ProbeTarget] = []
         seen: Set[int] = set()
+        alive_here = {s.address for s in plans[prefix].alive_systems}
         for entry in isi.entries_for(prefix, max_isi):
             if len(responsive) >= want:
                 break
             seen.add(entry.address)
-            if entry.address in alive[prefix]:
-                responsive.append(
-                    ProbeTarget(
-                        address=entry.address,
-                        prefix=prefix,
-                        method=ProbeMethod.ICMP_ECHO,
-                        source="isi",
-                    )
-                )
+            if entry.address in alive_here:
+                responsive.append(ProbeTarget(
+                    entry.address, prefix, ProbeMethod.ICMP_ECHO, 0, "isi"
+                ))
         if len(responsive) < want and has_censys:
             services = censys.query(prefix)
             rng.shuffle(services)
@@ -193,21 +183,16 @@ def select_seeds(
                 if service.address in seen:
                     continue
                 seen.add(service.address)
-                if service.address in alive[prefix]:
+                if service.address in alive_here:
                     method = (
                         ProbeMethod.TCP_SYN
                         if service.protocol == "tcp"
                         else ProbeMethod.UDP
                     )
-                    responsive.append(
-                        ProbeTarget(
-                            address=service.address,
-                            prefix=prefix,
-                            method=method,
-                            port=service.port,
-                            source="censys",
-                        )
-                    )
+                    responsive.append(ProbeTarget(
+                        service.address, prefix, method, service.port,
+                        "censys",
+                    ))
         if not responsive:
             continue
         plan_out.targets[prefix] = responsive

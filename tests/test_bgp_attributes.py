@@ -1,9 +1,12 @@
 """Tests for BGP route attributes."""
 
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.bgp.attributes import MAX_PREPENDS, Announcement, ASPath, Route
+from repro.bgp.engine import UpdateEvent
 from repro.errors import PolicyError
 from repro.netutil import Prefix
 
@@ -115,6 +118,58 @@ class TestRoute:
 
     def test_equality_by_value(self):
         assert self._route() == self._route()
+        assert self._route() != self._route(med=1)
+
+    def test_str_format(self):
+        assert str(self._route(tag="re")) == (
+            "192.0.2.0/24 via 64501 lp=100 path=[64501 64502] tag=re"
+        )
+        assert str(self._route(learned_from=None, localpref=7)) == (
+            "192.0.2.0/24 via local lp=7 path=[64501 64502]"
+        )
+
+    def test_copies_keep_the_other_fields(self):
+        route = self._route(med=3, installed_at=1.5, tag="re")
+        aged = route.aged(9.0)
+        assert aged == Route(PFX, route.path, 64501, 100, 3, 9.0, "re")
+        repriced = route.with_localpref(250)
+        assert repriced == Route(PFX, route.path, 64501, 250, 3, 1.5, "re")
+        with pytest.raises(PolicyError):
+            route.with_localpref(-1)
+
+
+ROUTE = Route(PFX, ASPath((64501, 64502)), 64501, 100, 2, 3.5, "re")
+
+
+@pytest.mark.parametrize("record, fields", [
+    (ROUTE, ("prefix", "path", "learned_from", "localpref", "med",
+             "installed_at", "tag")),
+    (UpdateEvent(4.0, 64500, PFX, ROUTE, 1),
+     ("time", "asn", "prefix", "route", "session_weight")),
+    (UpdateEvent(4.0, 64500, PFX, None),
+     ("time", "asn", "prefix", "route", "session_weight")),
+], ids=["route", "update", "withdraw-update"])
+class TestHotRecords:
+    """Route and UpdateEvent are tuples built positionally in the hot
+    loops; they must keep the frozen-dataclass behaviour callers see."""
+
+    def test_value_equality(self, record, fields):
+        copy = type(record)(*(getattr(record, name) for name in fields))
+        assert copy == record and copy is not record
+
+    def test_hash_is_the_field_tuple_hash(self, record, fields):
+        assert hash(record) == hash(
+            tuple(getattr(record, name) for name in fields)
+        )
+
+    def test_attributes_cannot_be_assigned(self, record, fields):
+        for name in fields:
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+
+    def test_pickle_round_trip(self, record, fields):
+        restored = pickle.loads(pickle.dumps(record))
+        assert restored == record and type(restored) is type(record)
 
 
 class TestAnnouncement:

@@ -191,6 +191,22 @@ class TestLinkEvents:
         engine.run_to_fixpoint()
         assert engine.best_route(5, PFX) is None
 
+    def test_withdraw_follows_an_announcement_in_flight_over_a_flap(self):
+        """A link that fails and comes back while an announcement is in
+        flight over it: the announcement is delivered after the link is
+        up, so the withdraw queued on restore must reach the receiver,
+        not be left out as a withdraw to a neighbor holding nothing."""
+        topo = chain_topology()
+        topo.node(1).policy.no_export_tags[2] = {"y"}
+        engine = engine_for(topo)
+        engine.announce(1, PFX, tag="x")  # in flight 1->2
+        engine.set_link_down(1, 2)
+        engine.announce(1, PFX, tag="y")  # filtered toward 2
+        engine.set_link_up(1, 2)  # re-exports: a withdraw to 2
+        engine.run_to_fixpoint()
+        assert engine.best_route(2, PFX) is None
+        assert engine.best_route(3, PFX) is None
+
     def test_link_up_restores_pre_outage_bests_in_diamond(self):
         """Restore in a diamond: 2's direct customer route returns and
         the (4,3,1) detour — whose path contains 1 — must not survive

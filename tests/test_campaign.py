@@ -745,6 +745,34 @@ def test_bootstrap_ci_validates():
     assert bootstrap_ci([0.5], random.Random(0)) == (0.5, 0.5)
 
 
+class _RecordingValues(list):
+    """A value list that records every index read from it."""
+
+    def __init__(self, values):
+        super().__init__(values)
+        self.reads = []
+
+    def __getitem__(self, index):
+        self.reads.append(index)
+        return super().__getitem__(index)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 20250605])
+@pytest.mark.parametrize("n", range(2, 10))
+def test_bootstrap_draws_the_randrange_stream(n, seed):
+    """The bootstrap's inlined index draw reads the same indices as
+    ``rng.randrange(n)`` and leaves the generator in the same state, so
+    campaign summaries keep their bytes."""
+    import random
+
+    values = _RecordingValues(0.1 * i for i in range(n))
+    rng = random.Random(seed)
+    bootstrap_ci(values, rng, resamples=60)
+    reference = random.Random(seed)
+    assert values.reads == [reference.randrange(n) for _ in range(60 * n)]
+    assert rng.getstate() == reference.getstate()
+
+
 def test_summary_render_mentions_paper_targets():
     records = [
         _synthetic_record("surf", 0, {"Always R&E": 0.82}),

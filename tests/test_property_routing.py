@@ -7,12 +7,15 @@ route-age tie-breaking is disabled, and every converged state must
 satisfy the core BGP invariants (loop-free paths, export-rule
 compliance, localpref maximality among candidates).  An export table
 compiled for observers must agree with the full table wherever it
-answers, the memoized collector RIB with one run per origin, and a
-live catchment patched per delta with a fresh capture and resolve.
+answers, the memoized collector RIB with one run per origin, a live
+catchment patched per delta with a fresh capture and resolve, and the
+engine, which leaves out withdraws that would change nothing, with a
+reference that queues every withdraw.
 """
 
 import copy
 from functools import partial
+from heapq import heappush
 from types import SimpleNamespace
 
 import pytest
@@ -20,6 +23,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.bgp.attributes import Announcement
 from repro.bgp.engine import (
+    _DELAY_RATE,
+    BASE_DELAY,
     AnnounceDelta,
     LinkFlap,
     LocalprefEdit,
@@ -278,7 +283,7 @@ PFX_B = Prefix.parse("198.51.100.0/24")
 
 
 @st.composite
-def delta_history(draw, topo, origin, prepends):
+def delta_history(draw, topo, origin, prepends, max_size=7):
     """A valid sequence of warm-state deltas over *topo*: announce
     (anycast or a second prefix), withdraw and re-prepend of a live
     announcement, localpref edits on the sessions random_topology()
@@ -299,7 +304,7 @@ def delta_history(draw, topo, origin, prepends):
     kinds = ["announce", "withdraw", "prepend", "flap", "down", "up"]
     if repriceable:
         kinds.append("localpref")
-    for kind in draw(st.lists(st.sampled_from(kinds), max_size=7)):
+    for kind in draw(st.lists(st.sampled_from(kinds), max_size=max_size)):
         if kind == "announce":
             key = (draw(st.sampled_from(ases)),
                    draw(st.sampled_from([PFX, PFX_B])))
@@ -396,6 +401,53 @@ def test_warm_apply_delta_matches_cold_replay(case, data):
         assert cold.rib_state() == warm.rib_state(), "after step %d" % step
         assert cold.update_log == warm.update_log, "after step %d" % step
         assert cold.now == warm.now
+
+
+class _EveryWithdrawEngine(PropagationEngine):
+    """The engine without withdraw suppression: it queues every
+    withdraw, including one to a receiver that holds nothing from the
+    sender."""
+
+    def _send_all(self, sender, prefix, sends):
+        draw = self._rng.expovariate
+        last = self._last_scheduled.setdefault(sender, {})
+        for receiver, path, tag in sends:
+            deliver_at = self.now + (BASE_DELAY + draw(_DELAY_RATE))
+            previous = last.get(receiver, 0.0)
+            if deliver_at <= previous:
+                deliver_at = previous + 1e-6
+            last[receiver] = deliver_at
+            self._seq += 1
+            heappush(self._heap, (
+                deliver_at, self._seq, sender, receiver, prefix, path, tag
+            ))
+        self._messages_sent += len(sends)
+
+
+@settings(max_examples=80, deadline=None)
+@given(random_topology(), st.data())
+def test_suppressed_withdraws_are_invisible(case, data):
+    """Leaving out the withdraws that would change nothing at delivery
+    changes nothing else: after each of 1-6 deltas the engine and a
+    reference that queues every withdraw hold equal RIBs (route ages
+    included), update logs and clocks, and each run has the same best
+    changes and convergence time.  The reference delivers at least as
+    many messages."""
+    topo, origin, prepends = case
+    reference_topo = copy.deepcopy(topo)
+    history = data.draw(delta_history(topo, origin, prepends, max_size=5))
+    engine = PropagationEngine(topo, SeedTree(5))
+    reference = _EveryWithdrawEngine(reference_topo, SeedTree(5))
+    for step, delta in enumerate(history):
+        got = engine.apply_delta(delta)
+        want = reference.apply_delta(delta)
+        assert engine.rib_state() == reference.rib_state(), step
+        assert engine.update_log == reference.update_log, step
+        assert engine.now == reference.now, step
+        assert [(s.best_changes, s.converged_at) for s in got.stats] == [
+            (s.best_changes, s.converged_at) for s in want.stats
+        ], step
+        assert want.messages_delivered >= got.messages_delivered, step
 
 
 @settings(max_examples=40, deadline=None)

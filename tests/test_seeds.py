@@ -1,12 +1,18 @@
 """Tests for the seed datasets and the §3.2 selection pipeline."""
 
+import pickle
+
 import pytest
 
+from repro.netutil import Prefix
 from repro.rng import SeedTree
 from repro.seeds import (
     CensysDataset,
+    CensysService,
+    ISIEntry,
     ISIHistoryDataset,
     ProbeMethod,
+    ProbeTarget,
     select_seeds,
 )
 
@@ -158,3 +164,47 @@ class TestSelection:
             assert [t.address for t in a.targets[prefix]] == [
                 t.address for t in b.targets[prefix]
             ]
+
+
+PFX = Prefix.parse("192.0.2.0/24")
+
+
+@pytest.mark.parametrize("record, fields", [
+    (ISIEntry(3232235777, 71, 400), ("address", "score", "last_seen_days")),
+    (CensysService(3232235778, 443, "tcp"), ("address", "port", "protocol")),
+    (ProbeTarget(3232235779, PFX, ProbeMethod.TCP_SYN, 443, "censys"),
+     ("address", "prefix", "method", "port", "source")),
+], ids=["isi-entry", "censys-service", "probe-target"])
+class TestSeedRecords:
+    """The seed records are tuples built positionally by the syntheses
+    and select_seeds; they must keep the frozen-dataclass behaviour
+    callers see."""
+
+    def test_value_equality(self, record, fields):
+        copy = type(record)(*(getattr(record, name) for name in fields))
+        assert copy == record and copy is not record
+        assert copy != copy._replace(address=1)
+
+    def test_hash_is_the_field_tuple_hash(self, record, fields):
+        assert hash(record) == hash(
+            tuple(getattr(record, name) for name in fields)
+        )
+
+    def test_attributes_cannot_be_assigned(self, record, fields):
+        for name in fields:
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+
+    def test_pickle_round_trip(self, record, fields):
+        restored = pickle.loads(pickle.dumps(record))
+        assert restored == record and type(restored) is type(record)
+
+
+def test_probe_target_defaults():
+    target = ProbeTarget(3232235777, PFX, ProbeMethod.ICMP_ECHO)
+    assert (target.port, target.source) == (0, "isi")
+
+
+def test_isi_entry_staleness():
+    assert ISIEntry(1, 10, 366).stale
+    assert not ISIEntry(1, 10, 365).stale
